@@ -24,16 +24,11 @@ from .estimators import (
     OutsideHullError,
     Prediction,
     as_affine,
-    idw_predict,
     lse_fit,
-    nan_predict,
-    nn_predict,
+    method_weights,
     predict,
     sibson_weights,
-    sm0_predict,
     sm0_weights,
-    sm1_predict,
-    sm2_predict,
     sm2_weights,
 )
 from .analysis import (
@@ -83,16 +78,11 @@ __all__ = [
     "OutsideHullError",
     "Prediction",
     "as_affine",
-    "idw_predict",
     "lse_fit",
-    "nan_predict",
-    "nn_predict",
+    "method_weights",
     "predict",
     "sibson_weights",
-    "sm0_predict",
     "sm0_weights",
-    "sm1_predict",
-    "sm2_predict",
     "sm2_weights",
     "AffineErrorForm",
     "LseErrorCoeffs",

@@ -21,6 +21,7 @@ import argparse
 import csv
 import datetime
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -154,6 +155,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
+    if args.threads < 1:
+        raise ConfigError(f"flag '--threads' must be >= 1, got {args.threads}")
     updates = {}
     if getattr(args, "mode", None) is not None:
         updates["mode"] = args.mode
@@ -262,8 +265,10 @@ def cmd_sweep(config_path: str, out_dir: str, args: argparse.Namespace) -> int:
 def cmd_grid(config_path: str, ratio: float, method: str, out_dir: str, args: argparse.Namespace) -> int:
     started = _utc_now()
     config = _apply_overrides(load_config(config_path), args)
-    if ratio <= 0:
-        raise ConfigError(f"field 'ratio' must be positive, got {ratio}")
+    if not (math.isfinite(ratio) and ratio > 0):
+        raise ConfigError(f"flag '--ratio' must be finite and > 0, got {ratio}")
+    if args.bins < 1:
+        raise ConfigError(f"flag '--bins' must be >= 1, got {args.bins}")
     if method not in ALL_METHODS:
         raise ConfigError(f"unknown method {method!r}; valid methods: {', '.join(ALL_METHODS)}")
     try:

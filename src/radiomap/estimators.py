@@ -1,9 +1,14 @@
 """The six radio-map interpolators, each also exposable as an affine map.
 
 Every estimator predicts received power at a query point from the n sensor
-measurements. All of them are affine in the measurement vector, which
-as_affine() materializes as an intercept plus coefficient vector; the
-analysis module builds closed-form error statistics on top of that.
+measurements by applying sensor weights to one of three things: the shadow
+deviations from the true medians (sm0), the residuals of a log-distance
+fit (sm1, sm2), or the raw measurements (nn, idw, nat). method_weights() is
+the one table from method name to weights; predict() and as_affine() each
+branch only on those three families. All estimators are affine in the
+measurement vector, which as_affine() materializes as an intercept plus
+coefficient vector; the analysis module builds closed-form error
+statistics on top of that.
 
 Methods
 -------
@@ -46,14 +51,9 @@ __all__ = [
     "AffinePowerMap",
     "lse_fit",
     "sm0_weights",
-    "sm0_predict",
-    "sm1_predict",
     "sm2_weights",
-    "sm2_predict",
-    "nn_predict",
-    "idw_predict",
     "sibson_weights",
-    "nan_predict",
+    "method_weights",
     "predict",
     "as_affine",
 ]
@@ -82,18 +82,25 @@ class OutsideHullError(ValueError):
 
 @dataclass(frozen=True)
 class FitResult:
-    """Least-squares estimates of the power-law constants plus per-sensor residuals."""
+    """Least-squares estimates of the power-law constants plus per-sensor residuals.
 
-    a_hat: float
-    gamma_hat: float
+    For (R, n) measurement rows, a_hat and gamma_hat are (R,) arrays and
+    residuals is (R, n).
+    """
+
+    a_hat: float | np.ndarray
+    gamma_hat: float | np.ndarray
     residuals: np.ndarray
 
 
 @dataclass(frozen=True)
 class Prediction:
-    """Predicted power at the query point and the sensor weights actually applied."""
+    """Predicted power at the query point and the sensor weights actually applied.
 
-    value: float
+    value is a float for one measurement vector and an (R,) array for (R, n) rows.
+    """
+
+    value: float | np.ndarray
     method: str
     weights: np.ndarray
 
@@ -134,24 +141,25 @@ def _lse_denominator(x: np.ndarray) -> float:
 def lse_fit(distances: np.ndarray, powers: np.ndarray) -> FitResult:
     """Fit powers = a_hat + 10 * gamma_hat * log10(d) by least squares.
 
-    The fitted intercept absorbs any level common to all measurements, so
-    the residuals always sum to zero.
+    powers is one measurement vector or (R, n) rows, each fitted on its
+    own. The fitted intercept absorbs any level common to all measurements,
+    so the residuals always sum to zero.
     """
     x = _log_distances(distances)
     p = np.asarray(powers, dtype=float)
     n = x.size
     if n <= 2:
         raise ValueError(f"need more than 2 sensors, got {n}")
-    if p.shape != x.shape:
+    if p.ndim not in (1, 2) or p.shape[-1:] != x.shape:
         raise ValueError(f"distances and powers disagree in length: {x.shape} vs {p.shape}")
     denom = _lse_denominator(x)
     sx = float(x.sum())
     sxx = float(x @ x)
-    sp = float(p.sum())
-    sxp = float(x @ p)
+    sp = p.sum(axis=-1)
+    sxp = p @ x
     slope = (n * sxp - sx * sp) / denom
     a_hat = (sxx * sp - sx * sxp) / denom
-    residuals = p - a_hat - slope * x
+    residuals = p - a_hat[..., None] - slope[..., None] * x
     return FitResult(a_hat=a_hat, gamma_hat=slope / 10.0, residuals=residuals)
 
 
@@ -175,37 +183,6 @@ def sm0_weights(model: CorrelationModel, sensors: list[Point], p0: Point) -> np.
     c_n = covariance_matrix(model, list(sensors))
     c_0 = cross_covariance(model, p0, list(sensors))
     return solve_spd(c_n, c_0)
-
-
-def sm0_predict(scn: Scenario, p0: Point, measurements: np.ndarray) -> Prediction:
-    """Ideal interpolation: true median power plus conditional mean of the shadow."""
-    meas = np.asarray(measurements, dtype=float)
-    w = sm0_weights(scn.correlation, list(scn.sensors), p0)
-    pm = np.array([median_power(scn, s) for s in scn.sensors])
-    value = median_power(scn, p0) + float(w @ (meas - pm))
-    return Prediction(value=value, method=SM0, weights=w)
-
-
-def sm1_predict(scn: Scenario, p0: Point, measurements: np.ndarray) -> Prediction:
-    """Fit the power law, then apply correlation weights to the fit residuals.
-
-    Reads only geometry and the correlation model from the scenario; the
-    true propagation constants never enter.
-    """
-    w = sm0_weights(scn.correlation, list(scn.sensors), p0)
-    return _fitted_predict(scn, p0, measurements, w, SM1)
-
-
-def _fitted_predict(
-    scn: Scenario, p0: Point, measurements: np.ndarray, w: np.ndarray, method: str
-) -> Prediction:
-    meas = np.asarray(measurements, dtype=float)
-    fit = lse_fit(np.array(scn.sensor_distances()), meas)
-    d0 = distance(scn.emitter, p0)
-    if d0 <= 0.0:
-        raise ValueError("query point coincides with the emitter")
-    value = fit.a_hat + 10.0 * fit.gamma_hat * math.log10(d0) + float(w @ fit.residuals)
-    return Prediction(value=value, method=method, weights=w)
 
 
 # ---------------------------------------------------------------------------
@@ -240,30 +217,6 @@ def sm2_weights(sensors: list[Point], p0: Point, nu: float = 1.0) -> np.ndarray:
     d = np.array([distance(p0, s) for s in sensors])
     inv = d**-float(nu)
     return inv / inv.sum()
-
-
-def sm2_predict(scn: Scenario, p0: Point, measurements: np.ndarray, nu: float = 1.0) -> Prediction:
-    """Like sm1, but with inverse-distance weights: no correlation knowledge needed."""
-    w = sm2_weights(list(scn.sensors), p0, nu)
-    return _fitted_predict(scn, p0, measurements, w, SM2)
-
-
-def nn_predict(sensors: list[Point], p0: Point, measurements: np.ndarray) -> Prediction:
-    """Measurement at the nearest sensor; ties go to the lowest sensor index."""
-    meas = np.asarray(measurements, dtype=float)
-    j = int(np.argmin([distance(p0, s) for s in sensors]))
-    w = np.zeros(len(sensors))
-    w[j] = 1.0
-    return Prediction(value=float(meas[j]), method=NN, weights=w)
-
-
-def idw_predict(
-    sensors: list[Point], p0: Point, measurements: np.ndarray, nu: float = 1.0
-) -> Prediction:
-    """Inverse-distance weighting applied directly to the raw measurements."""
-    meas = np.asarray(measurements, dtype=float)
-    w = sm2_weights(list(sensors), p0, nu)
-    return Prediction(value=float(w @ meas), method=IDW, weights=w)
 
 
 # ---------------------------------------------------------------------------
@@ -365,34 +318,58 @@ def sibson_weights(sensors: list[Point], p0: Point) -> np.ndarray:
     return stolen / total
 
 
-def nan_predict(sensors: list[Point], p0: Point, measurements: np.ndarray) -> Prediction:
-    """Natural-neighbor interpolation of the raw measurements."""
-    meas = np.asarray(measurements, dtype=float)
-    w = sibson_weights(list(sensors), p0)
-    return Prediction(value=float(w @ meas), method=NATURAL, weights=w)
-
-
 # ---------------------------------------------------------------------------
-# dispatch and affine materialization
+# the method table and its two users
+
+
+def method_weights(method: str, scn: Scenario, p0: Point, nu: float = 1.0) -> np.ndarray:
+    """Sensor weights a method applies at p0: the only map from method name to weights.
+
+    sm0 and sm1 share the correlation-derived weights, sm2 and idw the
+    inverse-distance weights; nn is one-hot on the nearest sensor (ties go
+    to the lowest sensor index) and nat uses the Sibson weights.
+    """
+    sensors = list(scn.sensors)
+    if method in (SM0, SM1):
+        return sm0_weights(scn.correlation, sensors, p0)
+    if method in (SM2, IDW):
+        return sm2_weights(sensors, p0, nu)
+    if method == NN:
+        w = np.zeros(len(sensors))
+        w[int(np.argmin([distance(p0, s) for s in sensors]))] = 1.0
+        return w
+    if method == NATURAL:
+        return sibson_weights(sensors, p0)
+    raise ValueError(f"unknown method {method!r}, expected one of {ALL_METHODS}")
+
+
+def _query_log_distance(scn: Scenario, p0: Point) -> float:
+    d0 = distance(scn.emitter, p0)
+    if d0 <= 0.0:
+        raise ValueError("query point coincides with the emitter")
+    return math.log10(d0)
 
 
 def predict(
     method: str, scn: Scenario, p0: Point, measurements: np.ndarray, nu: float = 1.0
 ) -> Prediction:
-    """Run one estimator by its method tag."""
+    """Run one estimator by its method tag on one measurement vector or (R, n) rows.
+
+    sm1 and sm2 read only geometry from the scenario (and sm1 the
+    correlation model); the true propagation constants enter sm0 alone.
+    """
+    w = method_weights(method, scn, p0, nu)
+    meas = np.asarray(measurements, dtype=float)
     if method == SM0:
-        return sm0_predict(scn, p0, measurements)
-    if method == SM1:
-        return sm1_predict(scn, p0, measurements)
-    if method == SM2:
-        return sm2_predict(scn, p0, measurements, nu)
-    if method == NN:
-        return nn_predict(list(scn.sensors), p0, measurements)
-    if method == IDW:
-        return idw_predict(list(scn.sensors), p0, measurements, nu)
-    if method == NATURAL:
-        return nan_predict(list(scn.sensors), p0, measurements)
-    raise ValueError(f"unknown method {method!r}, expected one of {ALL_METHODS}")
+        pm = np.array([median_power(scn, s) for s in scn.sensors])
+        value = median_power(scn, p0) + (meas - pm) @ w
+    elif method in (SM1, SM2):
+        fit = lse_fit(np.array(scn.sensor_distances()), meas)
+        x0 = _query_log_distance(scn, p0)
+        value = fit.a_hat + 10.0 * fit.gamma_hat * x0 + fit.residuals @ w
+    else:
+        value = meas @ w
+    return Prediction(value=value, method=method, weights=w)
 
 
 def as_affine(method: str, scn: Scenario, p0: Point, nu: float = 1.0) -> AffinePowerMap:
@@ -403,29 +380,15 @@ def as_affine(method: str, scn: Scenario, p0: Point, nu: float = 1.0) -> AffineP
     baselines are linear by construction; sm0 adds the median-power
     intercept.
     """
-    sensors = list(scn.sensors)
+    w = method_weights(method, scn, p0, nu)
     if method == SM0:
-        w = sm0_weights(scn.correlation, sensors, p0)
-        pm = np.array([median_power(scn, s) for s in sensors])
+        pm = np.array([median_power(scn, s) for s in scn.sensors])
         return AffinePowerMap(intercept=median_power(scn, p0) - float(w @ pm), coeffs=w)
     if method in (SM1, SM2):
-        if method == SM1:
-            w = sm0_weights(scn.correlation, sensors, p0)
-        else:
-            w = sm2_weights(sensors, p0, nu)
         x = _log_distances(np.array(scn.sensor_distances()))
         c_a, c_slope = _lse_coefficient_rows(x)
-        d0 = distance(scn.emitter, p0)
-        if d0 <= 0.0:
-            raise ValueError("query point coincides with the emitter")
-        x0 = math.log10(d0)
+        x0 = _query_log_distance(scn, p0)
         # residual rows: r_i = e_i - c_a - x_i * c_slope, applied through w
         coeffs = c_a + x0 * c_slope + w - float(w.sum()) * c_a - float(w @ x) * c_slope
         return AffinePowerMap(intercept=0.0, coeffs=coeffs)
-    if method == NN:
-        return AffinePowerMap(intercept=0.0, coeffs=nn_predict(sensors, p0, np.zeros(len(sensors))).weights)
-    if method == IDW:
-        return AffinePowerMap(intercept=0.0, coeffs=sm2_weights(sensors, p0, nu))
-    if method == NATURAL:
-        return AffinePowerMap(intercept=0.0, coeffs=sibson_weights(sensors, p0))
-    raise ValueError(f"unknown method {method!r}, expected one of {ALL_METHODS}")
+    return AffinePowerMap(intercept=0.0, coeffs=w)

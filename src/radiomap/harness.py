@@ -25,8 +25,7 @@ import numpy as np
 from .geometry import Point, QueryGrid, Scenario, build_square_scenario, make_grid, distance
 from .correlation import CorrelationModel, KERNEL_KINDS, EXPONENTIAL
 from .field import median_power, sample_shadow_block
-from . import estimators
-from .estimators import ALL_METHODS, DegenerateGeometryError, sibson_weights, sm0_weights, sm2_weights
+from .estimators import SM0, SM1, SM2, ALL_METHODS, DegenerateGeometryError, lse_fit, method_weights
 from .analysis import analytic_rmse, error_form
 
 __all__ = [
@@ -185,26 +184,12 @@ def spatial_average(per_point: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # Monte Carlo evaluation
 #
-# The simulated route deliberately re-runs the estimation pipeline on each
-# realized measurement vector (vectorized across realizations) instead of
-# reusing the closed-form error coefficients, so that analytic and Monte
-# Carlo results stay independent checks of one another.
-
-
-def _method_weights(method: str, scn: Scenario, p0: Point, nu: float) -> np.ndarray:
-    sensors = list(scn.sensors)
-    if method in (estimators.SM0, estimators.SM1):
-        return sm0_weights(scn.correlation, sensors, p0)
-    if method in (estimators.SM2, estimators.IDW):
-        return sm2_weights(sensors, p0, nu)
-    if method == estimators.NN:
-        j = int(np.argmin([distance(p0, s) for s in sensors]))
-        w = np.zeros(len(sensors))
-        w[j] = 1.0
-        return w
-    if method == estimators.NATURAL:
-        return sibson_weights(sensors, p0)
-    raise ValueError(f"unknown method {method!r}, expected one of {ALL_METHODS}")
+# The simulated route shares the estimators' weights (method_weights) but
+# deliberately re-runs the estimation pipeline on each realized measurement
+# vector, with its own refit batched across realizations, instead of reusing
+# the closed-form error coefficients, so that analytic and Monte Carlo
+# results stay independent checks of one another. One fit per point serves
+# every fitted method.
 
 
 def _mc_squared_errors(
@@ -223,25 +208,18 @@ def _mc_squared_errors(
     meas = pm + s                      # (R, n)
     truth = pm0 + s0                   # (R,)
 
-    needs_fit = any(m in (estimators.SM1, estimators.SM2) for m in methods)
-    if needs_fit:
-        x = np.log10(np.array(scn.sensor_distances()))
-        n = x.size
-        denom = estimators._lse_denominator(x)
-        sums = meas.sum(axis=1)
-        dots = meas @ x
-        slopes = (n * dots - x.sum() * sums) / denom
-        a_hats = (float(x @ x) * sums - x.sum() * dots) / denom
-        residuals = meas - a_hats[:, None] - slopes[:, None] * x[None, :]
+    if any(m in (SM1, SM2) for m in methods):
+        fit = lse_fit(np.array(scn.sensor_distances()), meas)
         x0 = math.log10(distance(scn.emitter, p0))
+        fitted_median = fit.a_hat + 10.0 * fit.gamma_hat * x0
 
     out: dict[str, np.ndarray] = {}
     for method in methods:
-        w = _method_weights(method, scn, p0, nu)
-        if method == estimators.SM0:
+        w = method_weights(method, scn, p0, nu)
+        if method == SM0:
             pred = pm0 + (meas - pm) @ w
-        elif method in (estimators.SM1, estimators.SM2):
-            pred = a_hats + slopes * x0 + residuals @ w
+        elif method in (SM1, SM2):
+            pred = fitted_median + fit.residuals @ w
         else:
             pred = meas @ w
         out[method] = (truth - pred) ** 2

@@ -28,7 +28,7 @@ from .correlation import (
     cross_covariance,
 )
 from .field import median_power
-from .estimators import SM0, SM2, NATURAL, lse_fit, sibson_weights, sm0_predict
+from .estimators import SM0, SM2, NATURAL, lse_fit, predict, sibson_weights
 from .analysis import (
     analytic_rmse,
     error_form,
@@ -92,7 +92,7 @@ def check_kriging_equivalence(master_seed: int, trials: int = 100) -> CheckResul
         meas = np.array([median_power(scn, s) for s in scn.sensors]) + rng.normal(
             0.0, scn.sigma, size=scn.n_sensors
         )
-        got = sm0_predict(scn, p0, meas).value
+        got = predict(SM0, scn, p0, meas).value
         # independent route: numpy solve, medians folded in as the known mean
         c_n = covariance_matrix(scn.correlation, list(scn.sensors))
         c_0 = cross_covariance(scn.correlation, p0, list(scn.sensors))

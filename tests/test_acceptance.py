@@ -34,8 +34,8 @@ from radiomap import (
     make_grid,
     median_power,
     point_rmse_mc,
+    predict,
     sibson_weights,
-    sm0_predict,
     sm0_weights,
     sweep,
 )
@@ -97,7 +97,7 @@ def test_c01_kriging_equivalence():
             cross_covariance(scn.correlation, p0, list(scn.sensors)),
         )
         kriging = float(lam @ meas) + (median_power(scn, p0) - float(lam @ pm))
-        worst = max(worst, abs(sm0_predict(scn, p0, meas).value - kriging))
+        worst = max(worst, abs(predict("sm0", scn, p0, meas).value - kriging))
     ok = worst <= 1e-9
     report("C01 kriging-equivalence", ok, f"max |diff| {worst:.3g} <= 1e-9 over 100 pairs", t0)
     assert ok

@@ -5,18 +5,22 @@ import pytest
 
 from radiomap import (
     CorrelationModel,
+    ExperimentConfig,
     Point,
     analytic_rmse,
+    covariance_matrix,
     error_form,
     lse_error_coeffs,
     lse_fit,
     median_power,
+    predict,
     sm0_sigma0,
     sm0_weights,
+    sweep,
 )
 from radiomap.analysis import AffineErrorForm, sm1_coefficient_error_form
 from radiomap.estimators import DegenerateGeometryError
-from radiomap.harness import point_rmse_mc
+from radiomap.harness import EMITTER_PRESETS, _spatial_stderr, point_rmse_mc
 
 
 class TestLseErrorCoeffs:
@@ -138,6 +142,49 @@ class TestAnalyticRmse:
                 )
                 got = point_rmse_mc(scn, p0, method, realizations, master_seed=35, point_index=k)
                 assert abs(got - expected) <= 3.0 * expected / math.sqrt(2 * realizations)
+
+
+class TestNaiveMonteCarlo:
+    # A second simulation route sharing nothing with the harness's sampler:
+    # numpy multivariate sampling of the joint shadows [S0, S1..Sn] and
+    # batched predict() calls. It checks the analytic sweep values behind
+    # the C07 (E2, exponential, ratio 20) and C11 (E1, Gaussian, ratio 1)
+    # margins at C04's bound of three standard errors.
+    REALIZATIONS = 4000
+    SEED = 4242
+
+    @pytest.mark.parametrize(
+        "emitter, kernel, ratio, methods",
+        [("E2", "exponential", 20.0, ("sm0", "sm2")), ("E1", "gaussian", 1.0, ("sm1", "sm2"))],
+        ids=["C07-case", "C11-case"],
+    )
+    def test_matches_analytic_sweep(self, emitter, kernel, ratio, methods):
+        config = ExperimentConfig(
+            emitter=EMITTER_PRESETS[emitter],
+            kernel=kernel,
+            ratios=(ratio,),
+            resolution=16,
+            methods=methods,
+        )
+        analytic = {row.method: row.spatial_rmse for row in sweep(config)}
+        scn = config.scenario(ratio)
+        sensors = list(scn.sensors)
+        pm = np.array([median_power(scn, s) for s in sensors])
+        rng = np.random.default_rng(self.SEED)
+        per_point = {m: [] for m in methods}
+        for p0 in config.grid().points:
+            cov = covariance_matrix(scn.correlation, [p0, *sensors])
+            joint = rng.multivariate_normal(np.zeros(len(sensors) + 1), cov, size=self.REALIZATIONS)
+            truth = median_power(scn, p0) + joint[:, 0]
+            meas = pm + joint[:, 1:]
+            for m in methods:
+                err = truth - predict(m, scn, p0, meas).value
+                per_point[m].append(math.sqrt(float(np.mean(err**2))))
+        for m in methods:
+            rmse = np.array(per_point[m])
+            spatial = math.sqrt(float(np.mean(rmse**2)))
+            se = _spatial_stderr(rmse, self.REALIZATIONS, spatial)
+            assert abs(spatial - analytic[m]) <= 3.0 * se, (m, spatial, analytic[m], se)
 
 
 class TestSigma0:

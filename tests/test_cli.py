@@ -158,6 +158,23 @@ class TestGridCommand:
             assert name in err
 
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--ratio", "nan"], "--ratio"),
+            (["--ratio", "inf"], "--ratio"),
+            (["--ratio", "1", "--bins", "0"], "--bins"),
+            (["--ratio", "1", "--threads", "0"], "--threads"),
+            (["--ratio", "1", "--threads", "-1"], "--threads"),
+        ],
+        ids=["ratio-nan", "ratio-inf", "bins-0", "threads-0", "threads-negative"],
+    )
+    def test_bad_flag_exits_2_naming_it(self, tmp_path, capsys, flags, named):
+        cfg = write_config(tmp_path, resolution=2)
+        assert main(["grid", str(cfg), str(tmp_path / "out"), "--method", "sm0", *flags]) == 2
+        assert named in capsys.readouterr().err
+
+
 class TestValidateCommand:
     def test_fresh_build_passes(self, tmp_path, capsys):
         out = tmp_path / "out"

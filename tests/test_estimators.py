@@ -13,18 +13,13 @@ from radiomap import (
     SeedSpec,
     as_affine,
     build_square_scenario,
-    idw_predict,
     lse_fit,
     median_power,
-    nan_predict,
-    nn_predict,
+    method_weights,
     predict,
     sample_shadow,
     sibson_weights,
-    sm0_predict,
     sm0_weights,
-    sm1_predict,
-    sm2_predict,
     sm2_weights,
 )
 from radiomap.validation import sibson_lattice_weights
@@ -62,6 +57,17 @@ class TestLseFit:
             fit = lse_fit(d, powers)
             assert abs(fit.residuals.sum()) <= 1e-9 * 4 * 5.0
 
+    def test_rows_match_single_vector_fits(self, table_scenario):
+        rng = np.random.default_rng(5)
+        d = np.array(table_scenario.sensor_distances())
+        rows = rng.normal(90.0, 5.0, size=(30, 4))
+        batch = lse_fit(d, rows)
+        for r, powers in enumerate(rows):
+            fit = lse_fit(d, powers)
+            assert batch.a_hat[r] == pytest.approx(fit.a_hat, abs=1e-9)
+            assert batch.gamma_hat[r] == pytest.approx(fit.gamma_hat, abs=1e-12)
+            assert np.allclose(batch.residuals[r], fit.residuals, rtol=0.0, atol=1e-9)
+
     def test_needs_more_than_two_sensors(self):
         with pytest.raises(ValueError, match="more than 2"):
             lse_fit(np.array([1.0, 2.0]), np.array([0.0, 1.0]))
@@ -94,7 +100,7 @@ class TestSm0Weights:
 class TestSm0Predict:
     def test_zero_shadowing_returns_median(self, table_scenario):
         p0 = Point(200, 300)
-        pred = sm0_predict(table_scenario, p0, exact_medians(table_scenario))
+        pred = predict("sm0", table_scenario, p0, exact_medians(table_scenario))
         assert pred.value == pytest.approx(median_power(table_scenario, p0), abs=1e-9)
 
     def test_query_near_sensor_returns_its_measurement(self, table_scenario):
@@ -102,7 +108,7 @@ class TestSm0Predict:
         meas = exact_medians(table_scenario) + rng.normal(0, 5, 4)
         offset = 1e-6 * 640.0
         p0 = Point(640.0 - offset, offset)  # next to sensor 3
-        pred = sm0_predict(table_scenario, p0, meas)
+        pred = predict("sm0", table_scenario, p0, meas)
         assert pred.value == pytest.approx(meas[3], abs=1e-3)
 
     def test_vanishing_correlation_returns_median(self, table_scenario):
@@ -110,7 +116,7 @@ class TestSm0Predict:
         scn = build_square_scenario(640.0, table_scenario.emitter, 15.3, 3.76, model)
         meas = exact_medians(scn) + 3.0
         p0 = Point(320, 320)
-        pred = sm0_predict(scn, p0, meas)
+        pred = predict("sm0", scn, p0, meas)
         assert pred.value == pytest.approx(median_power(scn, p0), abs=1e-5)
 
     def test_equals_kriging_formula(self, table_scenario, table_model):
@@ -127,24 +133,24 @@ class TestSm0Predict:
             )
             pm = exact_medians(table_scenario)
             want = float(lam @ meas) + median_power(table_scenario, p0) - float(lam @ pm)
-            got = sm0_predict(table_scenario, p0, meas).value
+            got = predict("sm0", table_scenario, p0, meas).value
             assert got == pytest.approx(want, abs=1e-9)
 
 
 class TestFittedPredictors:
-    @pytest.mark.parametrize("predictor", [sm1_predict, sm2_predict])
-    def test_zero_shadowing_is_exact(self, table_scenario, predictor):
+    @pytest.mark.parametrize("method", ["sm1", "sm2"], ids=["sm1_predict", "sm2_predict"])
+    def test_zero_shadowing_is_exact(self, table_scenario, method):
         p0 = Point(250, 410)
-        pred = predictor(table_scenario, p0, exact_medians(table_scenario))
+        pred = predict(method, table_scenario, p0, exact_medians(table_scenario))
         assert pred.value == pytest.approx(median_power(table_scenario, p0), abs=1e-9)
 
-    @pytest.mark.parametrize("predictor", [sm1_predict, sm2_predict])
-    def test_shift_equivariance(self, table_scenario, predictor):
+    @pytest.mark.parametrize("method", ["sm1", "sm2"], ids=["sm1_predict", "sm2_predict"])
+    def test_shift_equivariance(self, table_scenario, method):
         rng = np.random.default_rng(6)
         meas = exact_medians(table_scenario) + rng.normal(0, 5, 4)
         p0 = Point(100, 500)
-        base = predictor(table_scenario, p0, meas).value
-        shifted = predictor(table_scenario, p0, meas + 12.5).value
+        base = predict(method, table_scenario, p0, meas).value
+        shifted = predict(method, table_scenario, p0, meas + 12.5).value
         assert shifted == pytest.approx(base + 12.5, abs=1e-9)
 
     def test_sm1_matches_affine_map_on_sampled_measurements(self, table_scenario):
@@ -152,7 +158,7 @@ class TestFittedPredictors:
         sample = sample_shadow(table_scenario, p0, SeedSpec(31, point_index=2))
         meas = exact_medians(table_scenario) + sample.s
         amap = as_affine("sm1", table_scenario, p0)
-        assert sm1_predict(table_scenario, p0, meas).value == pytest.approx(
+        assert predict("sm1", table_scenario, p0, meas).value == pytest.approx(
             amap.evaluate(meas), abs=1e-9
         )
 
@@ -163,13 +169,13 @@ class TestFittedPredictors:
         other = build_square_scenario(
             640.0, table_scenario.emitter, 99.0, 2.2, table_scenario.correlation
         )
-        assert sm1_predict(table_scenario, p0, meas).value == sm1_predict(other, p0, meas).value
+        assert predict("sm1", table_scenario, p0, meas).value == predict("sm1", other, p0, meas).value
 
     def test_degenerate_emitter_propagates(self, table_model):
         scn = build_square_scenario(640.0, Point(320.0, 320.0), 15.3, 3.76, table_model)
         meas = np.zeros(4)
         with pytest.raises(DegenerateGeometryError):
-            sm1_predict(scn, Point(100, 100), meas)
+            predict("sm1", scn, Point(100, 100), meas)
 
 
 class TestSm2Weights:
@@ -200,32 +206,32 @@ class TestSm2Weights:
 class TestNearestNeighbor:
     def test_takes_adjacent_sensor_measurement(self, table_scenario):
         meas = np.array([1.0, 2.0, 3.0, 4.0])
-        pred = nn_predict(list(table_scenario.sensors), Point(30.0, 600.0), meas)
+        pred = predict("nn", table_scenario, Point(30.0, 600.0), meas)
         assert pred.value == 2.0
 
     def test_center_tie_breaks_to_lowest_index(self, table_scenario):
         meas = np.array([1.0, 2.0, 3.0, 4.0])
-        pred = nn_predict(list(table_scenario.sensors), Point(320.0, 320.0), meas)
+        pred = predict("nn", table_scenario, Point(320.0, 320.0), meas)
         assert pred.value == 1.0
 
     def test_weights_are_one_hot(self, table_scenario):
-        pred = nn_predict(list(table_scenario.sensors), Point(30.0, 600.0), np.zeros(4))
+        pred = predict("nn", table_scenario, Point(30.0, 600.0), np.zeros(4))
         assert sorted(pred.weights) == [0.0, 0.0, 0.0, 1.0]
 
 
 class TestIdw:
     def test_constant_measurements(self, table_scenario):
-        pred = idw_predict(list(table_scenario.sensors), Point(123.0, 456.0), np.full(4, 7.5))
+        pred = predict("idw", table_scenario, Point(123.0, 456.0), np.full(4, 7.5))
         assert pred.value == pytest.approx(7.5, abs=1e-12)
 
     def test_center_is_arithmetic_mean(self, table_scenario):
         meas = np.array([2.0, 4.0, 6.0, 8.0])
-        pred = idw_predict(list(table_scenario.sensors), Point(320.0, 320.0), meas)
+        pred = predict("idw", table_scenario, Point(320.0, 320.0), meas)
         assert pred.value == pytest.approx(5.0, abs=1e-12)
 
     def test_snap_returns_sensor_measurement(self, table_scenario):
         meas = np.array([2.0, 4.0, 6.0, 8.0])
-        pred = idw_predict(list(table_scenario.sensors), Point(640.0, 640.0), meas)
+        pred = predict("idw", table_scenario, Point(640.0, 640.0), meas)
         assert pred.value == 6.0
 
 
@@ -248,11 +254,11 @@ class TestNaturalNeighbor:
 
     def test_outside_hull_rejected(self, table_scenario):
         with pytest.raises(OutsideHullError):
-            nan_predict(list(table_scenario.sensors), Point(-5.0, 320.0), np.zeros(4))
+            predict("nat", table_scenario, Point(-5.0, 320.0), np.zeros(4))
 
     def test_hull_boundary_rejected(self, table_scenario):
         with pytest.raises(OutsideHullError):
-            nan_predict(list(table_scenario.sensors), Point(0.0, 320.0), np.zeros(4))
+            predict("nat", table_scenario, Point(0.0, 320.0), np.zeros(4))
 
     def test_weights_sum_to_one(self, table_scenario):
         rng = np.random.default_rng(17)
@@ -273,6 +279,16 @@ class TestAffineMaps:
                 meas = rng.normal(90.0, 8.0, size=4)
                 direct = predict(method, table_scenario, p0, meas).value
                 assert abs(amap.evaluate(meas) - direct) <= 1e-9
+
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    def test_rows_match_single_vector_calls(self, table_scenario, method):
+        rng = np.random.default_rng(37)
+        p0 = Point(205.0, 445.0)
+        rows = rng.normal(90.0, 8.0, size=(50, 4))
+        batch = predict(method, table_scenario, p0, rows).value
+        assert batch.shape == (50,)
+        for r, meas in enumerate(rows):
+            assert abs(batch[r] - predict(method, table_scenario, p0, meas).value) <= 1e-9
 
     def test_normalized_methods_coefficients_sum_to_one(self, table_scenario):
         p0 = Point(150.0, 90.0)
@@ -297,14 +313,23 @@ class TestConvexity:
             p0 = Point(*rng.uniform(5.0, 635.0, 2))
             meas = rng.normal(85.0, 6.0, size=4)
             if method == "idw":
-                v = idw_predict(list(table_scenario.sensors), p0, meas).value
+                v = predict("idw", table_scenario, p0, meas).value
             elif method == "nat":
-                v = nan_predict(list(table_scenario.sensors), p0, meas).value
+                v = predict("nat", table_scenario, p0, meas).value
             else:
                 w = sm2_weights(list(table_scenario.sensors), p0)
                 v = float(w @ meas)
             assert meas.min() - 1e-9 <= v <= meas.max() + 1e-9
 
-    def test_unknown_method_rejected(self, table_scenario):
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda scn, p0: predict("kriging", scn, p0, np.zeros(4)),
+            lambda scn, p0: as_affine("kriging", scn, p0),
+            lambda scn, p0: method_weights("kriging", scn, p0),
+        ],
+        ids=["predict", "as_affine", "method_weights"],
+    )
+    def test_unknown_method_rejected(self, table_scenario, call):
         with pytest.raises(ValueError, match="unknown method"):
-            predict("kriging", table_scenario, Point(10, 10), np.zeros(4))
+            call(table_scenario, Point(10, 10))
