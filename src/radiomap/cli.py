@@ -7,12 +7,16 @@ grid      per-point RMSE surface, histogram/CDF and heatmap at one ratio
 validate  run the independent-oracle checks and report pass/fail
 
 Configuration is a single JSON document mirroring ExperimentConfig field
-for field; unknown keys are rejected so typos surface immediately. CSV
-files carry a header row, '.' decimals and 12 significant digits; identical
-config and seed produce byte-identical CSV regardless of --threads.
+for field, with the kernel settings in a "correlation" object. The key
+check, parsing and manifest echo derive from the dataclass fields, and
+ExperimentConfig.validate() checks every value. Every output is written
+through a temp file and a rename. CSV files carry a header row, '.'
+decimals and 12 significant digits; identical config and seed produce
+byte-identical CSV regardless of --threads.
 
-Exit codes: 0 success, 1 I/O failure, 2 invalid configuration, 3 degenerate
-geometry, 4 validation check failure.
+Exit codes: 0 success, 1 I/O failure, 2 invalid configuration or a kernel
+and ratio outside the numeric range, 3 degenerate geometry, 4 validation
+check failure.
 """
 
 from __future__ import annotations
@@ -20,11 +24,12 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import io
 import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +38,7 @@ from . import __version__
 from .geometry import Point
 from .estimators import ALL_METHODS, DegenerateGeometryError
 from .harness import (
+    CORRELATION_KEYS,
     EMITTER_PRESETS,
     MODES,
     ConfigError,
@@ -52,45 +58,25 @@ EXIT_CONFIG = 2
 EXIT_DEGENERATE = 3
 EXIT_VALIDATION = 4
 
-_CONFIG_KEYS = {
-    "side_m",
-    "emitter",
-    "a_db",
-    "gamma",
-    "sigma_db",
-    "correlation",
-    "ratios",
-    "resolution",
-    "realizations",
-    "methods",
-    "master_seed",
-    "mode",
-    "nu",
-}
-_CORRELATION_KEYS = {"kind", "axis_ratio", "rotation_rad"}
-
 
 def _fmt(v: float) -> str:
     return f"{v:.12g}"
 
 
 def _parse_emitter(raw) -> Point:
-    if isinstance(raw, str):
-        if raw not in EMITTER_PRESETS:
-            raise ConfigError(
-                f"field 'emitter': unknown preset {raw!r}; presets: {', '.join(sorted(EMITTER_PRESETS))}"
-            )
+    if isinstance(raw, str) and raw in EMITTER_PRESETS:
         return EMITTER_PRESETS[raw]
-    if isinstance(raw, (list, tuple)) and len(raw) == 2:
+    if isinstance(raw, tuple) and len(raw) == 2:
         try:
-            return Point(float(raw[0]), float(raw[1]))
-        except (TypeError, ValueError) as err:
+            return Point(*raw)
+        except (TypeError, ValueError, OverflowError) as err:
             raise ConfigError(f"field 'emitter': {err}") from err
-    raise ConfigError("field 'emitter' must be a preset name or an [x, y] pair")
+    presets = ", ".join(sorted(EMITTER_PRESETS))
+    raise ConfigError(f"field 'emitter' must be a preset ({presets}) or an [x, y] pair, got {raw!r}")
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    """Read and validate a JSON experiment configuration."""
+    """Map a JSON config file onto ExperimentConfig and validate it; no value is coerced."""
     try:
         text = Path(path).read_text()
     except OSError as err:
@@ -102,53 +88,20 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
 
-    unknown = set(doc) - _CONFIG_KEYS
+    corr = doc.pop("correlation", {})
+    unknown = set(doc) - ({f.name for f in fields(ExperimentConfig)} - set(CORRELATION_KEYS.values()))
     if unknown:
         raise ConfigError(f"unknown config field(s): {', '.join(sorted(unknown))}")
+    if not isinstance(corr, dict):
+        raise ConfigError("field 'correlation' must be an object")
+    bad = set(corr) - set(CORRELATION_KEYS)
+    if bad:
+        raise ConfigError(f"unknown field(s) in 'correlation': {', '.join(sorted(bad))}")
 
-    kwargs = {}
-    if "emitter" in doc:
-        kwargs["emitter"] = _parse_emitter(doc["emitter"])
-    if "correlation" in doc:
-        corr = doc["correlation"]
-        if not isinstance(corr, dict):
-            raise ConfigError("field 'correlation' must be an object")
-        bad = set(corr) - _CORRELATION_KEYS
-        if bad:
-            raise ConfigError(f"unknown field(s) in 'correlation': {', '.join(sorted(bad))}")
-        if "kind" in corr:
-            kwargs["kernel"] = corr["kind"]
-        if "axis_ratio" in corr:
-            kwargs["axis_ratio"] = float(corr["axis_ratio"])
-        if "rotation_rad" in corr:
-            kwargs["rotation_rad"] = float(corr["rotation_rad"])
-
-    for key, conv in (
-        ("side_m", float),
-        ("a_db", float),
-        ("gamma", float),
-        ("sigma_db", float),
-        ("resolution", int),
-        ("realizations", int),
-        ("master_seed", int),
-        ("mode", str),
-        ("nu", float),
-    ):
-        if key in doc:
-            try:
-                kwargs[key] = conv(doc[key])
-            except (TypeError, ValueError) as err:
-                raise ConfigError(f"field {key!r}: {err}") from err
-    if "ratios" in doc:
-        try:
-            kwargs["ratios"] = tuple(float(r) for r in doc["ratios"])
-        except (TypeError, ValueError) as err:
-            raise ConfigError(f"field 'ratios': {err}") from err
-    if "methods" in doc:
-        if not isinstance(doc["methods"], list):
-            raise ConfigError("field 'methods' must be a list of method names")
-        kwargs["methods"] = tuple(str(m) for m in doc["methods"])
-
+    raw = {**doc, **{CORRELATION_KEYS[key]: value for key, value in corr.items()}}
+    kwargs = {name: tuple(v) if isinstance(v, list) else v for name, v in raw.items()}
+    if "emitter" in kwargs:
+        kwargs["emitter"] = _parse_emitter(kwargs["emitter"])
     config = ExperimentConfig(**kwargs)
     config.validate()
     return config
@@ -175,25 +128,13 @@ def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> Expe
 
 
 def _config_echo(config: ExperimentConfig) -> dict:
-    return {
-        "side_m": config.side_m,
-        "emitter": [config.emitter.x, config.emitter.y],
-        "a_db": config.a_db,
-        "gamma": config.gamma,
-        "sigma_db": config.sigma_db,
-        "correlation": {
-            "kind": config.kernel,
-            "axis_ratio": config.axis_ratio,
-            "rotation_rad": config.rotation_rad,
-        },
-        "ratios": list(config.ratios),
-        "resolution": config.resolution,
-        "realizations": config.realizations,
-        "methods": list(config.methods),
-        "master_seed": config.master_seed,
-        "mode": config.mode,
-        "nu": config.nu,
-    }
+    """The config in the JSON file's shape, for the manifest."""
+    echo = {}
+    for f in fields(config):
+        value = getattr(config, f.name)
+        echo[f.name] = [value.x, value.y] if isinstance(value, Point) else value
+    echo["correlation"] = {key: echo.pop(name) for key, name in CORRELATION_KEYS.items()}
+    return echo
 
 
 def _write_manifest(
@@ -208,44 +149,44 @@ def _write_manifest(
         "finished_utc": _utc_now(),
         "outputs": outputs,
     }
-    tmp = out_dir / "manifest.json.tmp"
-    tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, out_dir / "manifest.json")
+    _write_atomic(out_dir / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Write through a temp file and a rename, so no reader sees a partial output."""
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w", newline="") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    _write_atomic(path, buf.getvalue())
 
 
 def _utc_now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
 
 
-def _named_degenerate(config: ExperimentConfig, err: DegenerateGeometryError) -> DegenerateGeometryError:
-    return DegenerateGeometryError(
-        f"emitter at ({config.emitter.x:g}, {config.emitter.y:g}): {err}"
-    )
-
-
 def cmd_sweep(config_path: str, out_dir: str, args: argparse.Namespace) -> int:
     started = _utc_now()
     config = _apply_overrides(load_config(config_path), args)
-    try:
-        rows = sweep(config, threads=args.threads)
-    except DegenerateGeometryError as err:
-        raise _named_degenerate(config, err) from err
+    rows = sweep(config, threads=args.threads)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "sweep.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["ratio", "method", "spatial_rmse_db", "mode", "mc_stderr_db"])
-        for row in rows:
-            writer.writerow(
-                [
-                    _fmt(row.ratio),
-                    row.method,
-                    _fmt(row.spatial_rmse),
-                    row.mode,
-                    "" if row.mc_stderr is None else _fmt(row.mc_stderr),
-                ]
-            )
+    _write_csv(
+        out / "sweep.csv",
+        ["ratio", "method", "spatial_rmse_db", "mode", "mc_stderr_db"],
+        (
+            [_fmt(r.ratio), r.method, _fmt(r.spatial_rmse), r.mode, "" if r.mc_stderr is None else _fmt(r.mc_stderr)]
+            for r in rows
+        ),
+    )
 
     series = []
     for method in config.methods:
@@ -257,7 +198,7 @@ def cmd_sweep(config_path: str, out_dir: str, args: argparse.Namespace) -> int:
         ylabel="spatial RMSE (dB)",
         title=f"interpolation error, {config.kernel} kernel, emitter ({config.emitter.x:g}, {config.emitter.y:g})",
     )
-    (out / "sweep.svg").write_text(svg)
+    _write_atomic(out / "sweep.svg", svg)
     _write_manifest(out, _config_echo(config), config.master_seed, started, ["sweep.csv", "sweep.svg"])
     return EXIT_OK
 
@@ -269,27 +210,21 @@ def cmd_grid(config_path: str, ratio: float, method: str, out_dir: str, args: ar
         raise ConfigError(f"flag '--ratio' must be finite and > 0, got {ratio}")
     if args.bins < 1:
         raise ConfigError(f"flag '--bins' must be >= 1, got {args.bins}")
-    if method not in ALL_METHODS:
-        raise ConfigError(f"unknown method {method!r}; valid methods: {', '.join(ALL_METHODS)}")
-    try:
-        surface = grid_rmse(config, ratio, method, threads=args.threads)
-    except DegenerateGeometryError as err:
-        raise _named_degenerate(config, err) from err
+    surface = grid_rmse(config, ratio, method, threads=args.threads)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "grid.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x_m", "y_m", "rmse_db"])
-        for p, v in zip(surface.points, surface.rmse):
-            writer.writerow([_fmt(p.x), _fmt(p.y), _fmt(v)])
-
+    _write_csv(
+        out / "grid.csv",
+        ["x_m", "y_m", "rmse_db"],
+        ([_fmt(p.x), _fmt(p.y), _fmt(v)] for p, v in zip(surface.points, surface.rmse)),
+    )
     dist = rmse_distribution(surface, bins=args.bins)
-    with open(out / "dist.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_center_db", "pdf", "cdf"])
-        for c, p, q in zip(dist.bin_centers, dist.pdf, dist.cdf):
-            writer.writerow([_fmt(c), _fmt(p), _fmt(q)])
+    _write_csv(
+        out / "dist.csv",
+        ["bin_center_db", "pdf", "cdf"],
+        ([_fmt(c), _fmt(p), _fmt(q)] for c, p, q in zip(dist.bin_centers, dist.pdf, dist.cdf)),
+    )
 
     values = np.asarray(surface.rmse).reshape(config.resolution, config.resolution)
     svg = heatmap(
@@ -297,7 +232,7 @@ def cmd_grid(config_path: str, ratio: float, method: str, out_dir: str, args: ar
         side=config.side_m,
         label=f"{method} RMSE (dB), spacing ratio {ratio:g}, spatial avg {surface.spatial_rmse:.3f}",
     )
-    (out / "grid.svg").write_text(svg)
+    _write_atomic(out / "grid.svg", svg)
     _write_manifest(
         out, _config_echo(config), config.master_seed, started, ["grid.csv", "dist.csv", "grid.svg"]
     )
@@ -310,11 +245,11 @@ def cmd_validate(out_dir: str, args: argparse.Namespace) -> int:
                              inject_bug=args.inject_bug)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "validate.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["check", "passed", "delta", "threshold"])
-        for r in results:
-            writer.writerow([r.name, str(r.passed).lower(), _fmt(r.delta), _fmt(r.threshold)])
+    _write_csv(
+        out / "validate.csv",
+        ["check", "passed", "delta", "threshold"],
+        ([r.name, str(r.passed).lower(), _fmt(r.delta), _fmt(r.threshold)] for r in results),
+    )
     _write_manifest(out, None, getattr(args, "seed", None), started, ["validate.csv"])
     for r in results:
         status = "pass" if r.passed else "FAIL"

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from .geometry import Point, Scenario, distance
+from .geometry import DegenerateGeometryError, Point, Scenario, distance
 from .correlation import CorrelationModel, covariance_matrix, cross_covariance
 from .field import median_power
 from .linalg import solve_spd
@@ -70,10 +70,6 @@ ALL_METHODS = (SM0, SM1, SM2, NN, IDW, NATURAL)
 _SNAP_RTOL = 1e-9
 # LSE denominator must exceed this fraction of its positive part.
 _LSE_RTOL = 1e-9
-
-
-class DegenerateGeometryError(ValueError):
-    """Log-distance fit is singular: all sensors effectively equidistant from the emitter."""
 
 
 class OutsideHullError(ValueError):

@@ -17,6 +17,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from .correlation import CorrelationModel
 
 __all__ = [
+    "DegenerateGeometryError",
     "Point",
     "Scenario",
     "QueryGrid",
@@ -24,6 +25,10 @@ __all__ = [
     "build_square_scenario",
     "make_grid",
 ]
+
+
+class DegenerateGeometryError(ValueError):
+    """The emitter sits on a sensor or a query point, or the log-distance fit is singular."""
 
 
 @dataclass(frozen=True)
@@ -70,7 +75,7 @@ class Scenario:
             raise ValueError("reference distance is fixed at 1 m")
         for i, s in enumerate(self.sensors):
             if distance(self.emitter, s) <= 0.0:
-                raise ValueError(f"emitter coincides with sensor {i} at ({s.x}, {s.y})")
+                raise DegenerateGeometryError(f"emitter coincides with sensor {i} at ({s.x}, {s.y})")
 
     @property
     def sigma(self) -> float:

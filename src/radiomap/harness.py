@@ -17,18 +17,22 @@ any worker count and any method grouping.
 from __future__ import annotations
 
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
+from scipy.spatial import QhullError
 
-from .geometry import Point, QueryGrid, Scenario, build_square_scenario, make_grid, distance
+from .geometry import DegenerateGeometryError, Point, QueryGrid, Scenario, build_square_scenario, make_grid, distance
 from .correlation import CorrelationModel, KERNEL_KINDS, EXPONENTIAL
 from .field import median_power, sample_shadow_block
-from .estimators import SM0, SM1, SM2, ALL_METHODS, DegenerateGeometryError, lse_fit, method_weights
+from .estimators import SM0, SM1, SM2, ALL_METHODS, OutsideHullError, lse_fit, method_weights
 from .analysis import analytic_rmse, error_form
+from .linalg import NotPositiveDefiniteError
 
 __all__ = [
+    "CORRELATION_KEYS",
     "DEFAULT_RATIOS",
     "EMITTER_PRESETS",
     "ConfigError",
@@ -53,9 +57,36 @@ EMITTER_PRESETS = {
 
 MODES = ("analytic", "mc", "both")
 
+# Keys of the JSON config's "correlation" object, mapped to the fields they set.
+CORRELATION_KEYS = {"kind": "kernel", "axis_ratio": "axis_ratio", "rotation_rad": "rotation_rad"}
+
+# Field names as the JSON config spells them, where they differ.
+_JSON_NAMES = {name: f"correlation.{key}" for key, name in CORRELATION_KEYS.items()}
+# What a field takes, by the type of its default.
+_KINDS = {float: "a finite number", int: "an integer", str: "a string", Point: "a point with finite coordinates"}
+
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the offending field."""
+
+
+def _kind(default) -> str:
+    if isinstance(default, tuple):
+        return f"a list with each item {_kind(default[0])}"
+    return _KINDS[type(default)]
+
+
+def _accepts(default, value) -> bool:
+    """Whether value has the type that a field with this default takes."""
+    if isinstance(default, tuple):
+        return isinstance(value, (list, tuple)) and all(_accepts(default[0], v) for v in value)
+    if isinstance(default, Point):
+        return isinstance(value, Point) and _accepts(0.0, value.x) and _accepts(0.0, value.y)
+    if isinstance(value, bool):
+        return False
+    if isinstance(default, float):  # finite: rules out nan, inf and ints beyond the double range
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, type(default))
 
 
 @dataclass(frozen=True)
@@ -79,41 +110,34 @@ class ExperimentConfig:
     nu: float = 1.0
 
     def validate(self) -> None:
-        if self.side_m <= 0:
-            raise ConfigError(f"field 'side_m' must be positive, got {self.side_m}")
-        if self.gamma <= 0:
-            raise ConfigError(f"field 'gamma' must be positive, got {self.gamma}")
-        if self.sigma_db <= 0:
-            raise ConfigError(f"field 'sigma_db' must be positive, got {self.sigma_db}")
-        if self.kernel not in KERNEL_KINDS:
-            raise ConfigError(f"field 'correlation.kind' must be one of {KERNEL_KINDS}, got {self.kernel!r}")
+        """Raise ConfigError naming the first field with a wrong type or value."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _accepts(f.default, value):
+                name = _JSON_NAMES.get(f.name, f.name)
+                raise ConfigError(f"field {name!r} must be {_kind(f.default)}, got {value!r}")
+        for name in ("side_m", "gamma", "sigma_db", "resolution", "realizations"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"field {name!r} must be positive, got {getattr(self, name)}")
+        if not math.isfinite(math.hypot(self.side_m, self.side_m)):
+            raise ConfigError(f"field 'side_m' is too large: the sensor diagonal overflows, got {self.side_m}")
+        for name, allowed in (("kernel", KERNEL_KINDS), ("mode", MODES), ("nu", (1, 2, 3))):
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ConfigError(f"field {_JSON_NAMES.get(name, name)!r} must be one of {allowed}, got {value!r}")
         if self.axis_ratio < 1:
             raise ConfigError(f"field 'correlation.axis_ratio' must be >= 1, got {self.axis_ratio}")
-        if not self.ratios:
-            raise ConfigError("field 'ratios' must be non-empty")
-        if any(r <= 0 for r in self.ratios):
-            raise ConfigError("field 'ratios' must all be positive")
-        if list(self.ratios) != sorted(self.ratios) or len(set(self.ratios)) != len(self.ratios):
-            raise ConfigError("field 'ratios' must be strictly ascending")
-        if self.resolution < 1:
-            raise ConfigError(f"field 'resolution' must be >= 1, got {self.resolution}")
-        if self.realizations < 1:
-            raise ConfigError(f"field 'realizations' must be >= 1, got {self.realizations}")
-        if not self.methods:
-            raise ConfigError("field 'methods' must be non-empty")
+        if not self.ratios or self.ratios[0] <= 0 or list(self.ratios) != sorted(set(self.ratios)):
+            raise ConfigError(f"field 'ratios' must be non-empty, positive and strictly ascending, got {self.ratios}")
+        if not self.methods or len(set(self.methods)) != len(self.methods):
+            raise ConfigError(f"field 'methods' must be non-empty without duplicates, got {self.methods}")
         for m in self.methods:
             if m not in ALL_METHODS:
                 raise ConfigError(
                     f"field 'methods' contains unknown method {m!r}; valid methods: {', '.join(ALL_METHODS)}"
                 )
-        if len(set(self.methods)) != len(self.methods):
-            raise ConfigError("field 'methods' contains duplicates")
         if self.master_seed < 0 or self.master_seed >= 2**64:
             raise ConfigError(f"field 'master_seed' must fit in an unsigned 64-bit integer, got {self.master_seed}")
-        if self.mode not in MODES:
-            raise ConfigError(f"field 'mode' must be one of {MODES}, got {self.mode!r}")
-        if self.nu not in (1, 2, 3):
-            raise ConfigError(f"field 'nu' must be 1, 2 or 3, got {self.nu}")
 
     @classmethod
     def desk_preset(cls, **overrides) -> "ExperimentConfig":
@@ -132,12 +156,9 @@ class ExperimentConfig:
         )
 
     def scenario(self, ratio: float) -> Scenario:
-        try:
-            return build_square_scenario(
-                self.side_m, self.emitter, self.a_db, self.gamma, self.correlation_for_ratio(ratio)
-            )
-        except ValueError as err:
-            raise DegenerateGeometryError(str(err)) from err
+        return build_square_scenario(
+            self.side_m, self.emitter, self.a_db, self.gamma, self.correlation_for_ratio(ratio)
+        )
 
     def grid(self) -> QueryGrid:
         return make_grid(self.side_m, self.resolution)
@@ -244,13 +265,21 @@ def point_rmse_mc(
 # grid evaluation
 
 
+def _out_of_range(config: ExperimentConfig, ratio: float, cause) -> ConfigError:
+    first_line = str(cause).partition("\n")[0]  # Qhull's messages run to dozens of lines
+    return ConfigError(f"{config.kernel} kernel at spacing ratio {ratio} is outside the numeric range: {first_line}")
+
+
 def _grid_eval(
     config: ExperimentConfig,
     ratio: float,
     methods: tuple[str, ...],
     threads: int = 1,
 ) -> dict[str, RmseSurface]:
-    scn = config.scenario(ratio)
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
+    if not (ratio > 0 and config.side_m / ratio > 0):
+        raise ConfigError(f"spacing ratio must be > 0 with side_m / ratio > 0, got {ratio}")
     grid = config.grid()
     n_points = len(grid.points)
     analytic = config.mode in ("analytic", "both")
@@ -272,15 +301,28 @@ def _grid_eval(
             for m in methods:
                 mc_vals[m][i] = math.sqrt(float(np.mean(sq[m])))
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(eval_point, range(n_points)))
-    else:
-        for i in range(n_points):
-            eval_point(i)
+    # Grid points lie strictly inside the sensor hull and the emitter on no sensor or grid
+    # point, so the second handler's errors come only from doubles running out of range.
+    try:
+        if config.emitter in grid.points:
+            raise DegenerateGeometryError(f"coincides with a query point of the resolution-{config.resolution} grid")
+        scn = config.scenario(ratio)
+        if threads > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                list(pool.map(eval_point, range(n_points)))
+        else:
+            for i in range(n_points):
+                eval_point(i)
+    except DegenerateGeometryError as err:
+        raise DegenerateGeometryError(f"emitter at ({config.emitter.x:g}, {config.emitter.y:g}): {err}") from err
+    except (NotPositiveDefiniteError, OutsideHullError, QhullError, ArithmeticError) as err:
+        raise _out_of_range(config, ratio, err) from err
 
     surfaces: dict[str, RmseSurface] = {}
     for m in methods:
+        # a finite spatial RMSE implies finite per-point values
+        if not all(math.isfinite(spatial_average(vals[m])) for vals in (a_vals, mc_vals) if vals):
+            raise _out_of_range(config, ratio, f"{m} RMSE is not finite")
         primary = mc_vals[m] if mc else a_vals[m]
         flags = None
         if analytic and mc:
@@ -333,6 +375,8 @@ def sweep(config: ExperimentConfig, threads: int = 1) -> list[SweepRow]:
             stderr = None
             if config.mode in ("mc", "both"):
                 stderr = _spatial_stderr(surf.rmse_mc, config.realizations, surf.spatial_rmse)
+                if not math.isfinite(stderr):
+                    raise _out_of_range(config, ratio, f"{method} standard error is not finite")
             rows.append(
                 SweepRow(
                     ratio=ratio,

@@ -1,8 +1,13 @@
+import contextlib
 import csv
+import io
 import json
+import math
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from radiomap.cli import main
 
@@ -39,6 +44,8 @@ class TestSweepCommand:
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
         assert main(["sweep", str(cfg), str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "sweep.csv", "sweep.svg"]
+        assert (out / "sweep.csv").read_bytes().count(b"\r\n") == 1 + 3 * 3
         rows = read_rows(out / "sweep.csv")
         assert len(rows) == 3 * 3
         assert rows[0].keys() == {"ratio", "method", "spatial_rmse_db", "mode", "mc_stderr_db"}
@@ -112,6 +119,56 @@ class TestSweepCommand:
         cfg = write_config(tmp_path, emitter=[320.0, 320.0], methods=["sm1"])
         assert main(["sweep", str(cfg), str(tmp_path / "out")]) == 3
         assert "320" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides, code, named",
+        [
+            ({"correlation": {"kind": "gaussian"}, "ratios": [5e-4]}, 2, ["gaussian", "0.0005"]),
+            ({"sigma_db": 1e-200}, 2, ["exponential", "0.2"]),
+            ({"ratios": [1e-320]}, 2, ["exponential", "1e-320"]),
+            ({"correlation": {"kind": "elliptical", "axis_ratio": 1e300}}, 2, ["elliptical", "0.2"]),
+            ({"a_db": 1e308}, 2, ["exponential", "0.2"]),
+            ({"sigma_db": 1e200}, 2, ["exponential", "0.2"]),
+            ({"sigma_db": 1e200, "mode": "mc"}, 2, ["exponential", "0.2"]),
+            ({"gamma": 1e308}, 2, ["exponential", "0.2"]),
+            ({"side_m": 1e308, "methods": ["nat"]}, 2, ["exponential", "0.2"]),
+            ({"emitter": [80, 80]}, 3, ["(80, 80)", "resolution-4"]),
+            ({"side_m": math.nan}, 2, ["'side_m'"]),
+            ({"ratios": [math.inf]}, 2, ["'ratios'"]),
+            ({"sigma_db": math.inf}, 2, ["'sigma_db'"]),
+            ({"correlation": {"kind": "elliptical", "axis_ratio": "x"}}, 2, ["'correlation.axis_ratio'"]),
+            ({"a_db": math.nan}, 2, ["'a_db'"]),
+            ({"resolution": 3.7}, 2, ["'resolution'"]),
+            ({"master_seed": 1.9}, 2, ["'master_seed'"]),
+            ({"nu": True}, 2, ["'nu'"]),
+        ],
+        ids=[
+            "gaussian-ratio-5e-4",
+            "sigma-1e-200",
+            "ratio-1e-320",
+            "axis-ratio-1e300",
+            "a_db-1e308",
+            "sigma-1e200",
+            "sigma-1e200-mc",
+            "gamma-1e308",
+            "side-1e308",
+            "emitter-on-grid-point",
+            "side-nan",
+            "ratios-inf",
+            "sigma-inf",
+            "axis-ratio-str",
+            "a_db-nan",
+            "resolution-3.7",
+            "master-seed-1.9",
+            "nu-true",
+        ],
+    )
+    def test_probe_exits_with_named_cause(self, tmp_path, capsys, overrides, code, named):
+        cfg = write_config(tmp_path, **overrides)
+        assert main(["sweep", str(cfg), str(tmp_path / "out")]) == code
+        err = capsys.readouterr().err
+        for text in named:
+            assert text in err
 
     def test_flag_overrides(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -191,3 +248,76 @@ class TestValidateCommand:
         assert main(["validate", str(out), "--inject-bug", "sigma0-sign"]) == 4
         rows = read_rows(out / "validate.csv")
         assert any(r["passed"] == "false" for r in rows)
+
+
+# Float fields are drawn over the whole finite double range, next to
+# everyday values so that some runs get past the numerics.
+_NUMBER = st.one_of(st.floats(-1e3, 1e3), st.floats(allow_nan=False, allow_infinity=False))
+_POSITIVE = st.one_of(
+    st.floats(0.01, 1e3), st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+)
+_WRONG = st.one_of(
+    st.booleans(),
+    st.text(max_size=3),
+    st.lists(st.integers(-2, 2), max_size=2),
+    st.none(),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.integers(-2, 0),
+    _NUMBER,
+)
+_CORRELATION = {
+    "kind": st.sampled_from(["exponential", "gaussian", "elliptical"]),
+    "axis_ratio": st.floats(min_value=1.0, allow_infinity=False),
+    "rotation_rad": _NUMBER,
+}
+_VALID = st.fixed_dictionaries(
+    {
+        # these three bound the run time
+        "resolution": st.integers(1, 4),
+        "realizations": st.integers(1, 50),
+        "ratios": st.lists(_POSITIVE, min_size=1, max_size=3, unique=True).map(sorted),
+    },
+    optional={
+        "side_m": _POSITIVE,
+        "emitter": st.one_of(st.sampled_from(["E1", "E2", "E3"]), st.lists(_NUMBER, min_size=2, max_size=2)),
+        "a_db": _NUMBER,
+        "gamma": _POSITIVE,
+        "sigma_db": _POSITIVE,
+        "correlation": st.fixed_dictionaries({}, optional=_CORRELATION),
+        "methods": st.lists(st.sampled_from(["sm0", "sm1", "sm2", "nn", "idw", "nat"]), min_size=1, max_size=6, unique=True),
+        "master_seed": st.integers(0, 2**64 - 1),
+        "mode": st.sampled_from(["analytic", "mc", "both"]),
+        "nu": st.sampled_from([1, 2, 3, 1.0, 2.0, 3.0]),
+    },
+)
+_KEYS = [
+    "side_m", "emitter", "a_db", "gamma", "sigma_db", "correlation", "ratios", "resolution",
+    "realizations", "methods", "master_seed", "mode", "nu", *(f"correlation.{k}" for k in _CORRELATION),
+]
+
+
+@st.composite
+def _configs(draw):
+    """A valid config with up to two values replaced by a wrong type or an out-of-range number."""
+    doc = draw(_VALID)
+    for key in draw(st.lists(st.sampled_from(_KEYS), max_size=2, unique_by=lambda k: k.split(".")[0])):
+        top, _, sub = key.partition(".")
+        doc[top] = {**doc.get(top, {}), sub: draw(_WRONG)} if sub else draw(_WRONG)
+    return doc
+
+
+@given(_configs())
+@settings(max_examples=150, deadline=None)
+def test_any_config_gives_finite_csv_or_a_named_exit(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "config.json"
+        cfg.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["sweep", str(cfg), str(Path(tmp) / "out")])
+        if code == 0:
+            rows = read_rows(Path(tmp) / "out" / "sweep.csv")
+            cells = [r[k] for r in rows for k in ("ratio", "spatial_rmse_db", "mc_stderr_db") if r[k]]
+            assert rows and all(math.isfinite(float(c)) for c in cells)
+        else:
+            assert code in (2, 3) and err.getvalue().strip()

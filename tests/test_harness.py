@@ -105,6 +105,18 @@ class TestGridRmse:
         with pytest.raises(ConfigError, match="valid methods"):
             grid_rmse(ExperimentConfig(resolution=4), 1.0, "spline")
 
+    @pytest.mark.parametrize("ratio", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_ratio_rejected(self, ratio):
+        with pytest.raises(ConfigError, match="ratio"):
+            grid_rmse(ExperimentConfig(resolution=2), ratio, "sm0")
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_bad_thread_count_rejected(self, threads):
+        with pytest.raises(ConfigError, match="threads"):
+            grid_rmse(ExperimentConfig(resolution=2), 1.0, "sm0", threads=threads)
+        with pytest.raises(ConfigError, match="threads"):
+            sweep(ExperimentConfig(resolution=2, ratios=(1.0,)), threads=threads)
+
 
 class TestSweep:
     def test_monotone_for_ideal_method(self):
@@ -138,6 +150,11 @@ class TestSweep:
         with pytest.raises(ConfigError, match="ratios"):
             sweep(ExperimentConfig(ratios=(1.0, 0.5)))
 
+    def test_lists_accepted_for_ratios_and_methods(self):
+        as_lists = sweep(ExperimentConfig(resolution=2, ratios=[0.5, 2.0], methods=["sm0", "nat"]))
+        as_tuples = sweep(ExperimentConfig(resolution=2, ratios=(0.5, 2.0), methods=("sm0", "nat")))
+        assert as_lists == as_tuples
+
 
 def test_desk_preset_settings():
     cfg = ExperimentConfig.desk_preset(methods=("sm0",))
@@ -160,6 +177,24 @@ class TestConfigValidation:
             ({"sigma_db": -1.0}, "sigma_db"),
             ({"resolution": 0}, "resolution"),
             ({"master_seed": -3}, "master_seed"),
+            ({"resolution": True}, "resolution"),
+            ({"side_m": True}, "side_m"),
+            ({"nu": True}, "nu"),
+            ({"ratios": (True, 2.0)}, "ratios"),
+            ({"emitter": Point(True, 0.0)}, "emitter"),
+            ({"gamma": math.nan}, "gamma"),
+            ({"sigma_db": math.inf}, "sigma_db"),
+            ({"a_db": -math.inf}, "a_db"),
+            ({"a_db": 10**400}, "a_db"),
+            ({"ratios": (1.0, math.inf)}, "ratios"),
+            ({"axis_ratio": math.nan}, "correlation.axis_ratio"),
+            ({"rotation_rad": math.inf}, "correlation.rotation_rad"),
+            ({"side_m": 1.5e308}, "side_m"),
+            ({"resolution": 3.7}, "resolution"),
+            ({"realizations": 10.0}, "realizations"),
+            ({"master_seed": 1.9}, "master_seed"),
+            ({"axis_ratio": "x"}, "correlation.axis_ratio"),
+            ({"ratios": 1.0}, "ratios"),
         ],
     )
     def test_errors_name_the_field(self, kwargs, field):
