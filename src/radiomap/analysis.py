@@ -10,6 +10,13 @@ are the median powers plus the sensor shadows. With the joint covariance of
 the shadow vector, the RMS prediction error follows in closed form, which
 is what the experiment harness uses in analytic mode.
 
+For a whole grid of query points the same algebra runs on arrays:
+grid_forms() gathers once what does not depend on the correlation model
+(median powers, log distances, the geometry-only methods' weights), and
+grid_analytic_rmse() evaluates every method at every point for one model
+with a single Cholesky factor of the sensor covariance. The scalar
+error_form()/analytic_rmse() pair stays the reference it is tested against.
+
 Error forms are derived mechanically from each estimator's AffinePowerMap;
 the hand-written coefficient expansion for the fitted-correlation method
 exists only as a cross-check.
@@ -23,10 +30,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Point, Scenario, distance
-from .correlation import CorrelationModel, covariance_matrix, cross_covariance
+from .correlation import CorrelationModel, covariance_matrix, cross_covariance, cross_covariance_matrix
 from .field import median_power
-from .linalg import quadratic_form, solve_spd
-from .estimators import _log_distances, _lse_denominator, as_affine, sm0_weights
+from .linalg import cholesky, quadratic_form, solve_cholesky, solve_spd
+from .estimators import (
+    SM0,
+    SM1,
+    SM2,
+    _log_distances,
+    _lse_coefficient_rows,
+    _lse_denominator,
+    _query_log_distance,
+    as_affine,
+    method_weights,
+    sm0_weights,
+)
 
 __all__ = [
     "AffineErrorForm",
@@ -36,6 +54,9 @@ __all__ = [
     "sm1_coefficient_error_form",
     "analytic_rmse",
     "sm0_sigma0",
+    "GridForms",
+    "grid_forms",
+    "grid_analytic_rmse",
 ]
 
 
@@ -149,3 +170,80 @@ def sm0_sigma0(model: CorrelationModel, sensors: list[Point], p0: Point) -> floa
     if var < -1e-9 * model.sigma**2:
         raise ValueError(f"conditional variance {var:.6g} is negative beyond round-off")
     return math.sqrt(max(var, 0.0))
+
+
+@dataclass(frozen=True)
+class GridForms:
+    """The parts of several methods' error forms at N query points that no correlation model changes.
+
+    pm0 holds each query point's median power and pm the sensors'. weights
+    holds the (N, n) sensor weights of every requested method but sm0 and
+    sm1, whose weights follow the correlation model. When sm1 or sm2 is
+    requested, fit holds the least-squares pieces (x, c_a, c_slope, x0): the
+    sensors' log10 emitter distances, their coefficient rows, and each query
+    point's log10 emitter distance.
+    """
+
+    methods: tuple[str, ...]
+    points: tuple[Point, ...]
+    sensors: tuple[Point, ...]
+    pm0: np.ndarray
+    pm: np.ndarray
+    weights: dict[str, np.ndarray]
+    fit: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None
+
+
+def grid_forms(scn: Scenario, points: list[Point], methods: tuple[str, ...], nu: float = 1.0) -> GridForms:
+    """Gather the model-free parts of the methods' error forms over a point set, once."""
+    points = tuple(points)
+    fit = None
+    if any(m in (SM1, SM2) for m in methods):
+        x = _log_distances(np.array(scn.sensor_distances()))
+        fit = (x, *_lse_coefficient_rows(x), np.array([_query_log_distance(scn, p0) for p0 in points]))
+    return GridForms(
+        methods=tuple(methods),
+        points=points,
+        sensors=tuple(scn.sensors),
+        pm0=np.array([median_power(scn, p0) for p0 in points]),
+        pm=np.array([median_power(scn, s) for s in scn.sensors]),
+        weights={
+            m: np.array([method_weights(m, scn, p0, nu) for p0 in points])
+            for m in methods
+            if m not in (SM0, SM1)
+        },
+        fit=fit,
+    )
+
+
+def grid_analytic_rmse(forms: GridForms, model: CorrelationModel) -> dict[str, np.ndarray]:
+    """Per-point RMS error of each method under one correlation model, as (N,) arrays.
+
+    Row i of a method equals analytic_rmse(error_form(method, ...)) at
+    forms.points[i]: the same affine algebra as as_affine() and error_form(),
+    applied to (N, n) weight rows. The sm0/sm1 weights of all points come
+    from one Cholesky factor of the sensor covariance Cn.
+    """
+    c_n = covariance_matrix(model, list(forms.sensors))
+    c_0 = cross_covariance_matrix(model, forms.points, forms.sensors)
+    weights = dict(forms.weights)
+    if SM0 in forms.methods or SM1 in forms.methods:
+        weights[SM0] = weights[SM1] = solve_cholesky(cholesky(c_n), c_0.T).T
+    out = {}
+    for m in forms.methods:
+        w = weights[m]
+        intercept = 0.0
+        coeffs = w
+        if m == SM0:
+            intercept = forms.pm0 - w @ forms.pm
+        elif m in (SM1, SM2):
+            # residual rows r_i = e_i - c_a - x_i * c_slope, applied through w
+            x, c_a, c_slope, x0 = forms.fit
+            coeffs = c_a + x0[:, None] * c_slope + w - w.sum(axis=1)[:, None] * c_a - (w @ x)[:, None] * c_slope
+        bias = forms.pm0 - (intercept + coeffs @ forms.pm)
+        # a C a' for a = [1, -c], grouped as (a C) a' like quadratic_form(): the
+        # expanded sigma^2 - 2 c.C0 + c Cn c' overflows first near the double range
+        q = (model.sigma**2 - np.einsum("ij,ij->i", coeffs, c_0)) - np.einsum(
+            "ij,ij->i", coeffs, c_0 - coeffs @ c_n
+        )
+        out[m] = np.sqrt(bias**2 + np.maximum(q, 0.0))
+    return out

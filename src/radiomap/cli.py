@@ -271,7 +271,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--res", type=int, default=None, help="override grid resolution")
         p.add_argument("--realizations", type=int, default=None, help="override realization count")
         p.add_argument("--nu", type=int, choices=(1, 2, 3), default=None, help="inverse-distance exponent")
-        p.add_argument("--threads", type=int, default=1, help="worker threads for grid evaluation")
+        p.add_argument(
+            "--threads", type=int, default=1, help="worker threads for Monte Carlo evaluation; analytic mode uses one"
+        )
 
     p_sweep = sub.add_parser("sweep", help="spatial RMSE vs spacing ratio for each method")
     p_sweep.add_argument("config", help="JSON config file")

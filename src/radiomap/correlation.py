@@ -32,6 +32,7 @@ __all__ = [
     "correlation",
     "covariance_matrix",
     "cross_covariance",
+    "cross_covariance_matrix",
 ]
 
 EXPONENTIAL = "exponential"
@@ -109,3 +110,19 @@ def covariance_matrix(model: CorrelationModel, points: list[Point]) -> np.ndarra
 def cross_covariance(model: CorrelationModel, p0: Point, points: list[Point]) -> np.ndarray:
     """Covariances of the shadow value at p0 against each listed point."""
     return np.array([correlation(model, p0, q) for q in points])
+
+
+def cross_covariance_matrix(model: CorrelationModel, queries: list[Point], points: list[Point]) -> np.ndarray:
+    """(len(queries), len(points)) array whose row i is cross_covariance(model, queries[i], points)."""
+    q = np.array([(p.x, p.y) for p in queries], dtype=float).reshape(-1, 2)
+    s = np.array([(p.x, p.y) for p in points], dtype=float).reshape(-1, 2)
+    dx = s[None, :, 0] - q[:, None, 0]
+    dy = s[None, :, 1] - q[:, None, 1]
+    if model.kind == ELLIPTICAL:  # as in effective_distance
+        c = math.cos(model.rotation)
+        sn = math.sin(model.rotation)
+        dx, dy = (c * dx + sn * dy) / model.axis_ratio, -sn * dx + c * dy
+    d = np.hypot(dx, dy)
+    if model.kind == GAUSSIAN:
+        return model.sigma**2 * np.exp(-((d / model.xc) ** 2))
+    return model.sigma**2 * np.exp(-d / model.xc)

@@ -7,7 +7,9 @@ with the geometry held fixed). Per-point RMS interpolation error is
 computed either in closed form from the estimators' error forms (analytic
 mode, the default) or by averaging squared errors over simulated shadow
 realizations (mc mode); 'both' computes the two side by side and flags
-points where they disagree beyond Monte Carlo noise.
+points where they disagree beyond Monte Carlo noise. The closed form is one
+array evaluation per ratio over the whole grid; the Monte Carlo route runs
+point by point, on worker threads if asked.
 
 Monte Carlo determinism: realizations for grid point i come from the
 substream keyed by (master_seed, i), so results are bitwise identical for
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
@@ -28,7 +31,7 @@ from .geometry import DegenerateGeometryError, Point, QueryGrid, Scenario, build
 from .correlation import CorrelationModel, KERNEL_KINDS, EXPONENTIAL
 from .field import median_power, sample_shadow_block
 from .estimators import SM0, SM1, SM2, ALL_METHODS, OutsideHullError, lse_fit, method_weights
-from .analysis import analytic_rmse, error_form
+from .analysis import grid_analytic_rmse, grid_forms
 from .linalg import NotPositiveDefiniteError
 
 __all__ = [
@@ -270,62 +273,45 @@ def _out_of_range(config: ExperimentConfig, ratio: float, cause) -> ConfigError:
     return ConfigError(f"{config.kernel} kernel at spacing ratio {ratio} is outside the numeric range: {first_line}")
 
 
-def _grid_eval(
-    config: ExperimentConfig,
-    ratio: float,
-    methods: tuple[str, ...],
-    threads: int = 1,
-) -> dict[str, RmseSurface]:
-    if threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {threads}")
-    if not (ratio > 0 and config.side_m / ratio > 0):
-        raise ConfigError(f"spacing ratio must be > 0 with side_m / ratio > 0, got {ratio}")
-    grid = config.grid()
-    n_points = len(grid.points)
-    analytic = config.mode in ("analytic", "both")
-    mc = config.mode in ("mc", "both")
-
-    a_vals = {m: np.zeros(n_points) for m in methods} if analytic else {}
-    mc_vals = {m: np.zeros(n_points) for m in methods} if mc else {}
+def _mc_rmse(
+    config: ExperimentConfig, scn: Scenario, points: tuple[Point, ...], methods: tuple[str, ...], threads: int
+) -> dict[str, np.ndarray]:
+    """Per-point Monte Carlo RMSE of each method, the points spread over the worker threads."""
+    vals = {m: np.zeros(len(points)) for m in methods}
 
     def eval_point(i: int) -> None:
-        p0 = grid.points[i]
-        if analytic:
-            for m in methods:
-                form = error_form(m, scn, p0, config.nu)
-                a_vals[m][i] = analytic_rmse(form, scn.correlation, p0, list(scn.sensors))
-        if mc:
+        with np.errstate(all="ignore"):  # pool threads do not inherit the caller's state
             sq = _mc_squared_errors(
-                scn, p0, methods, config.realizations, config.master_seed, i, config.nu
+                scn, points[i], methods, config.realizations, config.master_seed, i, config.nu
             )
             for m in methods:
-                mc_vals[m][i] = math.sqrt(float(np.mean(sq[m])))
+                vals[m][i] = math.sqrt(float(np.mean(sq[m])))
 
-    # Grid points lie strictly inside the sensor hull and the emitter on no sensor or grid
-    # point, so the second handler's errors come only from doubles running out of range.
-    try:
-        if config.emitter in grid.points:
-            raise DegenerateGeometryError(f"coincides with a query point of the resolution-{config.resolution} grid")
-        scn = config.scenario(ratio)
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(eval_point, range(n_points)))
-        else:
-            for i in range(n_points):
-                eval_point(i)
-    except DegenerateGeometryError as err:
-        raise DegenerateGeometryError(f"emitter at ({config.emitter.x:g}, {config.emitter.y:g}): {err}") from err
-    except (NotPositiveDefiniteError, OutsideHullError, QhullError, ArithmeticError) as err:
-        raise _out_of_range(config, ratio, err) from err
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(eval_point, range(len(points))))
+    else:
+        for i in range(len(points)):
+            eval_point(i)
+    return vals
 
+
+def _surfaces(
+    config: ExperimentConfig,
+    ratio: float,
+    points: tuple[Point, ...],
+    methods: tuple[str, ...],
+    a_vals: dict[str, np.ndarray],
+    mc_vals: dict[str, np.ndarray],
+) -> dict[str, RmseSurface]:
     surfaces: dict[str, RmseSurface] = {}
     for m in methods:
         # a finite spatial RMSE implies finite per-point values
         if not all(math.isfinite(spatial_average(vals[m])) for vals in (a_vals, mc_vals) if vals):
             raise _out_of_range(config, ratio, f"{m} RMSE is not finite")
-        primary = mc_vals[m] if mc else a_vals[m]
+        primary = mc_vals[m] if mc_vals else a_vals[m]
         flags = None
-        if analytic and mc:
+        if a_vals and mc_vals:
             # RMS estimate from R Gaussian errors has stderr ~ rmse / sqrt(2R)
             se = a_vals[m] / math.sqrt(2.0 * config.realizations)
             flags = np.abs(mc_vals[m] - a_vals[m]) <= 3.0 * se
@@ -334,14 +320,67 @@ def _grid_eval(
             mode=config.mode,
             ratio=ratio,
             resolution=config.resolution,
-            points=grid.points,
+            points=points,
             rmse=primary,
             spatial_rmse=spatial_average(primary),
-            rmse_analytic=a_vals[m] if analytic else None,
-            rmse_mc=mc_vals[m] if mc else None,
+            rmse_analytic=a_vals.get(m),
+            rmse_mc=mc_vals.get(m),
             mc_within_3se=flags,
         )
     return surfaces
+
+
+def _grid_evals(
+    config: ExperimentConfig,
+    ratios: tuple[float, ...],
+    methods: tuple[str, ...],
+    threads: int = 1,
+) -> Iterator[dict[str, RmseSurface]]:
+    """Every method's RMSE surface, one ratio after the other.
+
+    The analytic engine gathers the ratio-free parts of the error forms,
+    the geometry-only weights above all, at the first ratio and reuses them
+    at every later one. It runs on the calling thread: only the Monte Carlo
+    points go to the worker threads.
+    """
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
+    grid = config.grid()
+    analytic = config.mode in ("analytic", "both")
+    mc = config.mode in ("mc", "both")
+    forms = None
+    for ratio in ratios:
+        if not (ratio > 0 and config.side_m / ratio > 0):
+            raise ConfigError(f"spacing ratio must be > 0 with side_m / ratio > 0, got {ratio}")
+        # Grid points lie strictly inside the sensor hull and the emitter on no sensor or grid
+        # point, so the second handler's errors come only from doubles running out of range.
+        # numpy's warnings stay off stderr: the finiteness checks name what an inf or NaN means.
+        try:
+            with np.errstate(all="ignore"):
+                if config.emitter in grid.points:
+                    raise DegenerateGeometryError(
+                        f"coincides with a query point of the resolution-{config.resolution} grid"
+                    )
+                scn = config.scenario(ratio)
+                if analytic and forms is None:
+                    forms = grid_forms(scn, grid.points, methods, config.nu)
+                a_vals = grid_analytic_rmse(forms, scn.correlation) if analytic else {}
+                mc_vals = _mc_rmse(config, scn, grid.points, methods, threads) if mc else {}
+                surfaces = _surfaces(config, ratio, grid.points, methods, a_vals, mc_vals)
+        except DegenerateGeometryError as err:
+            raise DegenerateGeometryError(f"emitter at ({config.emitter.x:g}, {config.emitter.y:g}): {err}") from err
+        except (NotPositiveDefiniteError, OutsideHullError, QhullError, ArithmeticError) as err:
+            raise _out_of_range(config, ratio, err) from err
+        yield surfaces
+
+
+def _grid_eval(
+    config: ExperimentConfig,
+    ratio: float,
+    methods: tuple[str, ...],
+    threads: int = 1,
+) -> dict[str, RmseSurface]:
+    return next(_grid_evals(config, (ratio,), methods, threads))
 
 
 def grid_rmse(
@@ -355,21 +394,24 @@ def grid_rmse(
 
 
 def _spatial_stderr(per_point_rmse: np.ndarray, realizations: int, spatial: float) -> float:
-    """Standard error of the spatial aggregate from independent per-point MC estimates."""
-    r = np.asarray(per_point_rmse, dtype=float)
-    m = r.size
-    var_sq = (2.0 / realizations) * float(np.mean(r**4)) / m
+    """Standard error of the spatial aggregate from independent per-point MC estimates.
+
+    The fourth powers are taken relative to a power of two just above the
+    largest value, so they cannot overflow, and the scaling is exact.
+    """
     if spatial <= 0.0:
         return 0.0
-    return math.sqrt(var_sq) / (2.0 * spatial)
+    r = np.asarray(per_point_rmse, dtype=float)
+    top = math.ldexp(1.0, math.frexp(float(r.max()))[1])
+    var_sq = (2.0 / realizations) * float(np.mean((r / top) ** 4)) / r.size
+    return math.sqrt(var_sq) * top / (2.0 * spatial) * top
 
 
 def sweep(config: ExperimentConfig, threads: int = 1) -> list[SweepRow]:
     """One row per (ratio, method): the spatial RMSE aggregate for the whole grid."""
     config.validate()
     rows: list[SweepRow] = []
-    for ratio in config.ratios:
-        surfaces = _grid_eval(config, ratio, config.methods, threads)
+    for ratio, surfaces in zip(config.ratios, _grid_evals(config, config.ratios, config.methods, threads)):
         for method in config.methods:
             surf = surfaces[method]
             stderr = None

@@ -64,7 +64,10 @@ def cholesky(m: np.ndarray) -> np.ndarray:
 
 
 def solve_cholesky(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve (L @ L.T) x = b given a precomputed Cholesky factor L."""
+    """Solve (L @ L.T) x = b given a precomputed Cholesky factor L.
+
+    b is one right-hand side of length k, or a (k, m) array of m of them.
+    """
     lower = np.asarray(lower, dtype=float)
     b = np.asarray(b, dtype=float)
     k = lower.shape[0]

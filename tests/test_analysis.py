@@ -18,7 +18,7 @@ from radiomap import (
     sm0_weights,
     sweep,
 )
-from radiomap.analysis import AffineErrorForm, sm1_coefficient_error_form
+from radiomap.analysis import AffineErrorForm, grid_analytic_rmse, grid_forms, sm1_coefficient_error_form
 from radiomap.estimators import DegenerateGeometryError
 from radiomap.harness import EMITTER_PRESETS, _spatial_stderr, point_rmse_mc
 
@@ -185,6 +185,50 @@ class TestNaiveMonteCarlo:
             spatial = math.sqrt(float(np.mean(rmse**2)))
             se = _spatial_stderr(rmse, self.REALIZATIONS, spatial)
             assert abs(spatial - analytic[m]) <= 3.0 * se, (m, spatial, analytic[m], se)
+
+
+class TestGridAnalyticRmse:
+    """The batched engine against the scalar oracle, analytic_rmse(error_form(...)), point by point.
+
+    The model-free parts are gathered once, at ratio 1, and reused at every
+    ratio, as a sweep does.
+    """
+
+    METHODS = ("sm0", "sm1", "sm2", "nn", "idw", "nat")
+
+    @pytest.mark.parametrize("nu", [1, 2, 3])
+    @pytest.mark.parametrize("emitter", ["E1", "E2", "E3"])
+    @pytest.mark.parametrize("kernel", ["exponential", "gaussian", "elliptical"])
+    def test_matches_scalar_oracle(self, kernel, emitter, nu):
+        config = ExperimentConfig(
+            kernel=kernel, emitter=EMITTER_PRESETS[emitter], rotation_rad=0.5, resolution=4, nu=nu
+        )
+        points = config.grid().points
+        forms = grid_forms(config.scenario(1.0), points, self.METHODS, nu)
+        for ratio in (0.05, 1.0, 20.0):
+            scn = config.scenario(ratio)
+            sensors = list(scn.sensors)
+            got = grid_analytic_rmse(forms, scn.correlation)
+            for m in self.METHODS:
+                want = [analytic_rmse(error_form(m, scn, p0, nu), scn.correlation, p0, sensors) for p0 in points]
+                assert np.max(np.abs(got[m] - want)) <= 1e-9, (m, ratio)
+
+    def test_matches_scalar_oracle_near_double_range(self):
+        # sigma^2 is 1.7e308: the quadratic form must not overflow where the oracle does not
+        config = ExperimentConfig(sigma_db=1.3e154, resolution=3)
+        scn = config.scenario(1.0)
+        points = config.grid().points
+        got = grid_analytic_rmse(grid_forms(scn, points, self.METHODS), scn.correlation)
+        for m in self.METHODS:
+            want = [analytic_rmse(error_form(m, scn, p0), scn.correlation, p0, list(scn.sensors)) for p0 in points]
+            assert np.allclose(got[m], want, rtol=1e-12, atol=0.0), m
+
+    def test_requested_methods_only(self, table_scenario):
+        points = [Point(100.0, 200.0), Point(320.0, 320.0)]
+        forms = grid_forms(table_scenario, points, ("nn", "sm1"))
+        got = grid_analytic_rmse(forms, table_scenario.correlation)
+        assert sorted(got) == ["nn", "sm1"]
+        assert all(v.shape == (2,) for v in got.values())
 
 
 class TestSigma0:

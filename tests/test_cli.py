@@ -4,6 +4,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -169,6 +170,35 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         for text in named:
             assert text in err
+
+    def test_large_mc_sigma_gives_finite_stderr(self, tmp_path):
+        # per-point RMSEs near 1e100 dB: their fourth powers overflow a double
+        cfg = write_config(tmp_path, sigma_db=1e100, mode="mc", resolution=2)
+        out = tmp_path / "out"
+        assert main(["sweep", str(cfg), str(out)]) == 0
+        rows = read_rows(out / "sweep.csv")
+        assert rows and all(math.isfinite(float(r["mc_stderr_db"])) for r in rows)
+        assert all(0.0 < float(r["mc_stderr_db"]) < float(r["spatial_rmse_db"]) for r in rows)
+
+    @pytest.mark.parametrize(
+        "overrides, code",
+        [
+            ({"a_db": 1e308}, 2),
+            ({"a_db": 1e308, "mode": "mc"}, 2),
+            ({"gamma": 1e308, "methods": ["sm0", "sm1", "sm2", "nn", "idw", "nat"]}, 2),
+            ({"sigma_db": 1e200, "mode": "mc"}, 2),
+            ({"sigma_db": 1e100, "mode": "mc", "resolution": 2}, 0),
+            ({"sigma_db": 1e100, "mode": "both", "resolution": 2}, 0),
+        ],
+        ids=["a_db-1e308", "a_db-1e308-mc", "gamma-1e308-all", "sigma-1e200-mc", "sigma-1e100-mc", "sigma-1e100-both"],
+    )
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_numeric_limits_raise_no_runtime_warning(self, tmp_path, overrides, code, threads):
+        cfg = write_config(tmp_path, **overrides)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["sweep", str(cfg), str(tmp_path / "out"), "--threads", str(threads)]) == code
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
     def test_flag_overrides(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -12,6 +12,7 @@ from radiomap import (
     cross_covariance,
     effective_distance,
 )
+from radiomap.correlation import cross_covariance_matrix
 from radiomap.linalg import cholesky
 
 
@@ -130,6 +131,17 @@ class TestCrossCovariance:
         c = cross_covariance(table_model, Point(320, 320), list(table_scenario.sensors))
         expected = 25.0 * math.exp(-1.0 / math.sqrt(2.0))
         assert np.allclose(c, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["exponential", "gaussian", "elliptical"])
+    def test_matrix_rows_are_scalar_cross_covariances(self, kind, table_scenario):
+        model = CorrelationModel(kind, sigma=5.0, xc=300.0, axis_ratio=3.3, rotation=0.7)
+        rng = np.random.default_rng(11)
+        queries = [Point(*rng.uniform(-200.0, 900.0, 2)) for _ in range(30)] + [Point(0.0, 640.0)]
+        sensors = list(table_scenario.sensors)
+        got = cross_covariance_matrix(model, queries, sensors)
+        assert got.shape == (31, 4)
+        for row, q in zip(got, queries):
+            assert np.allclose(row, cross_covariance(model, q, sensors), rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize(

@@ -150,6 +150,29 @@ class TestSweep:
         with pytest.raises(ConfigError, match="ratios"):
             sweep(ExperimentConfig(ratios=(1.0, 0.5)))
 
+    def test_geometry_weights_once_per_sweep(self, monkeypatch):
+        from radiomap import estimators
+
+        queries = []
+        original = estimators.sibson_weights
+
+        def counted(sensors, p0):
+            queries.append(p0)
+            return original(sensors, p0)
+
+        monkeypatch.setattr(estimators, "sibson_weights", counted)
+        cfg = ExperimentConfig(resolution=4, mode="analytic", ratios=(0.5, 1.0, 2.0), methods=("nat",))
+        sweep(cfg)
+        assert len(queries) == len(cfg.grid().points) == 16
+
+    def test_sensor_covariance_factored_only_for_sm0_sm1(self):
+        # a Gaussian kernel below ratio ~5e-4 leaves Cn not positive definite;
+        # only the correlation-derived weights need its factor
+        cfg = ExperimentConfig(kernel="gaussian", ratios=(5e-4,), resolution=2, methods=("nn", "idw", "sm2", "nat"))
+        assert all(math.isfinite(r.spatial_rmse) for r in sweep(cfg))
+        with pytest.raises(ConfigError, match="gaussian kernel at spacing ratio 0.0005"):
+            sweep(ExperimentConfig(kernel="gaussian", ratios=(5e-4,), resolution=2, methods=("nn", "sm1")))
+
     def test_lists_accepted_for_ratios_and_methods(self):
         as_lists = sweep(ExperimentConfig(resolution=2, ratios=[0.5, 2.0], methods=["sm0", "nat"]))
         as_tuples = sweep(ExperimentConfig(resolution=2, ratios=(0.5, 2.0), methods=("sm0", "nat")))
