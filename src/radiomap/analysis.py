@@ -37,6 +37,7 @@ from .estimators import (
     SM0,
     SM1,
     SM2,
+    IDW,
     _log_distances,
     _lse_coefficient_rows,
     _lse_denominator,
@@ -178,10 +179,11 @@ class GridForms:
 
     pm0 holds each query point's median power and pm the sensors'. weights
     holds the (N, n) sensor weights of every requested method but sm0 and
-    sm1, whose weights follow the correlation model. When sm1 or sm2 is
-    requested, fit holds the least-squares pieces (x, c_a, c_slope, x0): the
-    sensors' log10 emitter distances, their coefficient rows, and each query
-    point's log10 emitter distance.
+    sm1, whose weights follow the correlation model; sm2 and idw share one
+    array. When sm1 or sm2 is requested, fit holds the least-squares pieces
+    (x, c_a, c_slope, x0): the sensors' log10 emitter distances, their
+    coefficient rows, and each query point's log10 emitter distance. The
+    Monte Carlo route takes pm0, pm and weights from here as well.
     """
 
     methods: tuple[str, ...]
@@ -200,17 +202,18 @@ def grid_forms(scn: Scenario, points: list[Point], methods: tuple[str, ...], nu:
     if any(m in (SM1, SM2) for m in methods):
         x = _log_distances(np.array(scn.sensor_distances()))
         fit = (x, *_lse_coefficient_rows(x), np.array([_query_log_distance(scn, p0) for p0 in points]))
+    # idw applies sm2's inverse-distance weights: compute each table once
+    sources = {m: SM2 if m == IDW else m for m in methods if m not in (SM0, SM1)}
+    tables = {
+        src: np.array([method_weights(src, scn, p0, nu) for p0 in points]) for src in dict.fromkeys(sources.values())
+    }
     return GridForms(
         methods=tuple(methods),
         points=points,
         sensors=tuple(scn.sensors),
         pm0=np.array([median_power(scn, p0) for p0 in points]),
         pm=np.array([median_power(scn, s) for s in scn.sensors]),
-        weights={
-            m: np.array([method_weights(m, scn, p0, nu) for p0 in points])
-            for m in methods
-            if m not in (SM0, SM1)
-        },
+        weights={m: tables[src] for m, src in sources.items()},
         fit=fit,
     )
 

@@ -38,6 +38,7 @@ __all__ = [
     "standard_normal_block",
     "sample_shadow",
     "sample_shadow_block",
+    "correlate_normals",
     "received_powers",
 ]
 
@@ -100,9 +101,11 @@ def standard_normal_block(
     bitgen = np.random.Philox(key=key)
     if first_realization:
         bitgen.advance(first_realization * (words // 4))
-    raw = bitgen.random_raw(realizations * words)
+    # Both maps below are elementwise, so dropping the padding words first
+    # gives the same bits as transforming them and slicing afterwards.
+    raw = bitgen.random_raw(realizations * words).reshape(realizations, words)[:, :n_variates]
     u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    return ndtri(u).reshape(realizations, words)[:, :n_variates]
+    return ndtri(u)
 
 
 def _correlate_rows(z: np.ndarray, lower: np.ndarray) -> np.ndarray:
@@ -143,9 +146,17 @@ def sample_shadow_block(
     Row r equals sample_shadow(..., SeedSpec(master_seed, point_index, r)),
     bit for bit.
     """
-    lower = joint_cholesky(scn, p0)
     z = standard_normal_block(master_seed, point_index, scn.n_sensors + 1, realizations)
-    joint = _correlate_rows(z, lower)
+    return correlate_normals(scn, p0, z)
+
+
+def correlate_normals(scn: Scenario, p0: Point, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Joint shadow rows from (R, n+1) standard normals: (s0 of shape (R,), s of shape (R, n)).
+
+    The normals depend on the stream alone, not on the correlation model, so
+    one block drawn at a point serves every model there.
+    """
+    joint = _correlate_rows(z, joint_cholesky(scn, p0))
     return joint[:, 0], joint[:, 1:]
 
 

@@ -7,13 +7,16 @@ with the geometry held fixed). Per-point RMS interpolation error is
 computed either in closed form from the estimators' error forms (analytic
 mode, the default) or by averaging squared errors over simulated shadow
 realizations (mc mode); 'both' computes the two side by side and flags
-points where they disagree beyond Monte Carlo noise. The closed form is one
-array evaluation per ratio over the whole grid; the Monte Carlo route runs
-point by point, on worker threads if asked.
+points where they disagree beyond Monte Carlo noise. The parts no ratio
+changes, the geometry-only weights above all, are gathered once per sweep
+for both engines. The closed form is one array evaluation per ratio over
+the whole grid. The Monte Carlo route is point-major: one task per grid
+point, on worker threads if asked, draws the point's normals once and
+evaluates every ratio of the sweep from them.
 
 Monte Carlo determinism: realizations for grid point i come from the
 substream keyed by (master_seed, i), so results are bitwise identical for
-any worker count and any method grouping.
+any worker count, any method grouping and any set of ratios.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import math
 import sys
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -29,9 +33,9 @@ from scipy.spatial import QhullError
 
 from .geometry import DegenerateGeometryError, Point, QueryGrid, Scenario, build_square_scenario, make_grid, distance
 from .correlation import CorrelationModel, KERNEL_KINDS, EXPONENTIAL
-from .field import median_power, sample_shadow_block
-from .estimators import SM0, SM1, SM2, ALL_METHODS, OutsideHullError, lse_fit, method_weights
-from .analysis import grid_analytic_rmse, grid_forms
+from .field import correlate_normals, standard_normal_block
+from .estimators import SM0, SM1, SM2, ALL_METHODS, OutsideHullError, lse_fit, sm0_weights
+from .analysis import GridForms, grid_analytic_rmse, grid_forms
 from .linalg import NotPositiveDefiniteError
 
 __all__ = [
@@ -200,9 +204,24 @@ class RmseDistribution:
 
 
 def spatial_average(per_point: np.ndarray) -> float:
-    """Root of the spatial mean of squared per-point values."""
+    """Root of the spatial mean of squared per-point values.
+
+    The squares are taken relative to a power of two just above the largest
+    magnitude, so they cannot overflow, and the scaling is exact.
+    """
     v = np.asarray(per_point, dtype=float)
-    return math.sqrt(float(np.mean(v**2)))
+    top = _power_of_two_above(v)
+    return math.sqrt(float(np.mean((v / top) ** 2))) * top
+
+
+def _power_of_two_above(values: np.ndarray) -> float:
+    """The power of two just above the largest magnitude: dividing by it is exact."""
+    return math.ldexp(1.0, math.frexp(float(np.abs(values).max()))[1])
+
+
+# Errors of a ratio's numerics that mean its kernel and spacing ratio are
+# outside the range of doubles.
+_RANGE_ERRORS = (NotPositiveDefiniteError, OutsideHullError, QhullError, ArithmeticError)
 
 
 # ---------------------------------------------------------------------------
@@ -212,41 +231,53 @@ def spatial_average(per_point: np.ndarray) -> float:
 # deliberately re-runs the estimation pipeline on each realized measurement
 # vector, with its own refit batched across realizations, instead of reusing
 # the closed-form error coefficients, so that analytic and Monte Carlo
-# results stay independent checks of one another. One fit per point serves
-# every fitted method.
+# results stay independent checks of one another. A point's normals depend
+# on its stream alone, so one draw serves every ratio; each ratio then gets
+# its own joint factor, refit and sm0 solve. One fit per ratio serves every
+# fitted method.
 
 
-def _mc_squared_errors(
-    scn: Scenario,
-    p0: Point,
-    methods: tuple[str, ...],
-    realizations: int,
-    master_seed: int,
-    point_index: int,
-    nu: float,
-) -> dict[str, np.ndarray]:
-    """Squared prediction error per realization for each method, one shared draw."""
-    s0, s = sample_shadow_block(scn, p0, master_seed, point_index, realizations)
-    pm = np.array([median_power(scn, sp) for sp in scn.sensors])
-    pm0 = median_power(scn, p0)
-    meas = pm + s                      # (R, n)
-    truth = pm0 + s0                   # (R,)
+def _mc_point_rmse(
+    scns: list[Scenario], forms: GridForms, k: int, point_index: int, realizations: int, master_seed: int
+) -> list[dict[str, float] | Exception]:
+    """RMS prediction error of each method at point k of forms, for each scenario, from one draw.
 
-    if any(m in (SM1, SM2) for m in methods):
-        fit = lse_fit(np.array(scn.sensor_distances()), meas)
-        x0 = math.log10(distance(scn.emitter, p0))
-        fitted_median = fit.a_hat + 10.0 * fit.gamma_hat * x0
-
-    out: dict[str, np.ndarray] = {}
-    for method in methods:
-        w = method_weights(method, scn, p0, nu)
-        if method == SM0:
-            pred = pm0 + (meas - pm) @ w
-        elif method in (SM1, SM2):
-            pred = fitted_median + fit.residuals @ w
-        else:
-            pred = meas @ w
-        out[method] = (truth - pred) ** 2
+    The scenarios differ only in their correlation model; forms holds what
+    none of them changes. point_index keys the point's stream. Entry j is
+    the error that stopped scenario j, if its numbers left the range of
+    doubles or its fit was degenerate: it is returned, not raised, so that
+    the caller can raise it at its own ratio.
+    """
+    p0, pm, pm0 = forms.points[k], forms.pm, forms.pm0[k]
+    z = standard_normal_block(master_seed, point_index, len(pm) + 1, realizations)
+    distances = np.array(scns[0].sensor_distances())
+    x0 = math.log10(distance(scns[0].emitter, p0))
+    fitted = any(m in (SM1, SM2) for m in forms.methods)
+    out: list[dict[str, float] | Exception] = []
+    for scn in scns:
+        try:
+            s0, s = correlate_normals(scn, p0, z)
+            meas = pm + s                      # (R, n)
+            truth = pm0 + s0                   # (R,)
+            if fitted:
+                fit = lse_fit(distances, meas)
+                fitted_median = fit.a_hat + 10.0 * fit.gamma_hat * x0
+            weights = {m: w[k] for m, w in forms.weights.items()}
+            if SM0 in forms.methods or SM1 in forms.methods:
+                weights[SM0] = weights[SM1] = sm0_weights(scn.correlation, list(scn.sensors), p0)
+            rmse = {}
+            for method in forms.methods:
+                w = weights[method]
+                if method == SM0:
+                    pred = pm0 + (meas - pm) @ w
+                elif method in (SM1, SM2):
+                    pred = fitted_median + fit.residuals @ w
+                else:
+                    pred = meas @ w
+                rmse[method] = math.sqrt(float(np.mean((truth - pred) ** 2)))
+            out.append(rmse)
+        except (DegenerateGeometryError, *_RANGE_ERRORS) as err:
+            out.append(err)
     return out
 
 
@@ -260,8 +291,11 @@ def point_rmse_mc(
     nu: float = 1.0,
 ) -> float:
     """RMS prediction error at one point over simulated shadow realizations."""
-    sq = _mc_squared_errors(scn, p0, (method,), realizations, master_seed, point_index, nu)
-    return math.sqrt(float(np.mean(sq[method])))
+    forms = grid_forms(scn, [p0], (method,), nu)
+    (result,) = _mc_point_rmse([scn], forms, 0, point_index, realizations, master_seed)
+    if isinstance(result, Exception):
+        raise result
+    return result[method]
 
 
 # ---------------------------------------------------------------------------
@@ -274,26 +308,28 @@ def _out_of_range(config: ExperimentConfig, ratio: float, cause) -> ConfigError:
 
 
 def _mc_rmse(
-    config: ExperimentConfig, scn: Scenario, points: tuple[Point, ...], methods: tuple[str, ...], threads: int
-) -> dict[str, np.ndarray]:
-    """Per-point Monte Carlo RMSE of each method, the points spread over the worker threads."""
-    vals = {m: np.zeros(len(points)) for m in methods}
+    config: ExperimentConfig, scns: list[Scenario], forms: GridForms, threads: int
+) -> list[dict[str, np.ndarray] | Exception]:
+    """Per-point Monte Carlo RMSE of each method at every ratio, one worker task per point.
 
-    def eval_point(i: int) -> None:
+    Entry k holds ratio k's (N,) arrays, or the error of the lowest-indexed
+    point that failed at that ratio.
+    """
+
+    def eval_point(i: int) -> list[dict[str, float] | Exception]:
         with np.errstate(all="ignore"):  # pool threads do not inherit the caller's state
-            sq = _mc_squared_errors(
-                scn, points[i], methods, config.realizations, config.master_seed, i, config.nu
-            )
-            for m in methods:
-                vals[m][i] = math.sqrt(float(np.mean(sq[m])))
+            return _mc_point_rmse(scns, forms, i, i, config.realizations, config.master_seed)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(eval_point, range(len(points))))
+            per_point = list(pool.map(eval_point, range(len(forms.points))))
     else:
-        for i in range(len(points)):
-            eval_point(i)
-    return vals
+        per_point = [eval_point(i) for i in range(len(forms.points))]
+    out: list[dict[str, np.ndarray] | Exception] = []
+    for at_ratio in zip(*per_point):
+        failed = [r for r in at_ratio if isinstance(r, Exception)]
+        out.append(failed[0] if failed else {m: np.array([r[m] for r in at_ratio]) for m in forms.methods})
+    return out
 
 
 def _surfaces(
@@ -330,6 +366,24 @@ def _surfaces(
     return surfaces
 
 
+@contextmanager
+def _at_ratio(config: ExperimentConfig, ratio: float) -> Iterator[None]:
+    """Run one ratio's numerics with numpy's warnings off and its failures named.
+
+    Grid points lie strictly inside the sensor hull and the emitter on no
+    sensor or grid point, so the second handler's errors come only from
+    doubles running out of range. The finiteness checks name what an inf or
+    NaN means, so numpy's warnings stay off stderr.
+    """
+    try:
+        with np.errstate(all="ignore"):
+            yield
+    except DegenerateGeometryError as err:
+        raise DegenerateGeometryError(f"emitter at ({config.emitter.x:g}, {config.emitter.y:g}): {err}") from err
+    except _RANGE_ERRORS as err:
+        raise _out_of_range(config, ratio, err) from err
+
+
 def _grid_evals(
     config: ExperimentConfig,
     ratios: tuple[float, ...],
@@ -338,40 +392,46 @@ def _grid_evals(
 ) -> Iterator[dict[str, RmseSurface]]:
     """Every method's RMSE surface, one ratio after the other.
 
-    The analytic engine gathers the ratio-free parts of the error forms,
-    the geometry-only weights above all, at the first ratio and reuses them
-    at every later one. It runs on the calling thread: only the Monte Carlo
-    points go to the worker threads.
+    The ratio-free parts of the error forms, the geometry-only weights above
+    all, are gathered once, at the first ratio, for both engines. The
+    Monte Carlo stage then runs every ratio before the first is yielded, one
+    worker task per point, so each point's normals are drawn once. The
+    analytic engine runs on the calling thread, one ratio at a time. Errors
+    surface in the order of a ratio-by-ratio run: a ratio's set-up, its
+    analytic step, then its Monte Carlo step.
     """
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
     grid = config.grid()
     analytic = config.mode in ("analytic", "both")
     mc = config.mode in ("mc", "both")
+    scns: list[Scenario] = []  # one per ratio set up so far
     forms = None
-    for ratio in ratios:
-        if not (ratio > 0 and config.side_m / ratio > 0):
-            raise ConfigError(f"spacing ratio must be > 0 with side_m / ratio > 0, got {ratio}")
-        # Grid points lie strictly inside the sensor hull and the emitter on no sensor or grid
-        # point, so the second handler's errors come only from doubles running out of range.
-        # numpy's warnings stay off stderr: the finiteness checks name what an inf or NaN means.
-        try:
-            with np.errstate(all="ignore"):
+    try:
+        for ratio in ratios:
+            if not (ratio > 0 and config.side_m / ratio > 0):
+                raise ConfigError(f"spacing ratio must be > 0 with side_m / ratio > 0, got {ratio}")
+            with _at_ratio(config, ratio):
                 if config.emitter in grid.points:
                     raise DegenerateGeometryError(
                         f"coincides with a query point of the resolution-{config.resolution} grid"
                     )
                 scn = config.scenario(ratio)
-                if analytic and forms is None:
+                if forms is None:
                     forms = grid_forms(scn, grid.points, methods, config.nu)
-                a_vals = grid_analytic_rmse(forms, scn.correlation) if analytic else {}
-                mc_vals = _mc_rmse(config, scn, grid.points, methods, threads) if mc else {}
-                surfaces = _surfaces(config, ratio, grid.points, methods, a_vals, mc_vals)
-        except DegenerateGeometryError as err:
-            raise DegenerateGeometryError(f"emitter at ({config.emitter.x:g}, {config.emitter.y:g}): {err}") from err
-        except (NotPositiveDefiniteError, OutsideHullError, QhullError, ArithmeticError) as err:
-            raise _out_of_range(config, ratio, err) from err
+            scns.append(scn)
+    except (ConfigError, DegenerateGeometryError) as err:
+        setup_error = err  # raised below, once the ratios before it are yielded
+    mc_vals = _mc_rmse(config, scns, forms, threads) if mc and scns else [{}] * len(scns)
+    for ratio, scn, mc_at in zip(ratios, scns, mc_vals):
+        with _at_ratio(config, ratio):
+            a_vals = grid_analytic_rmse(forms, scn.correlation) if analytic else {}
+            if isinstance(mc_at, Exception):
+                raise mc_at
+            surfaces = _surfaces(config, ratio, grid.points, methods, a_vals, mc_at)
         yield surfaces
+    if len(scns) < len(ratios):
+        raise setup_error
 
 
 def _grid_eval(
@@ -402,7 +462,7 @@ def _spatial_stderr(per_point_rmse: np.ndarray, realizations: int, spatial: floa
     if spatial <= 0.0:
         return 0.0
     r = np.asarray(per_point_rmse, dtype=float)
-    top = math.ldexp(1.0, math.frexp(float(r.max()))[1])
+    top = _power_of_two_above(r)
     var_sq = (2.0 / realizations) * float(np.mean((r / top) ** 4)) / r.size
     return math.sqrt(var_sq) * top / (2.0 * spatial) * top
 

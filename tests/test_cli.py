@@ -180,6 +180,27 @@ class TestSweepCommand:
         assert rows and all(math.isfinite(float(r["mc_stderr_db"])) for r in rows)
         assert all(0.0 < float(r["mc_stderr_db"]) < float(r["spatial_rmse_db"]) for r in rows)
 
+    def test_large_sigma_gives_finite_spatial_rmse(self, tmp_path):
+        # per-point RMSEs near 1e154 dB: their squares overflow a double
+        cfg = write_config(tmp_path, sigma_db=1.3e154, methods=["nn"], resolution=2, ratios=[1])
+        out = tmp_path / "out"
+        assert main(["sweep", str(cfg), str(out)]) == 0
+        (row,) = read_rows(out / "sweep.csv")
+        assert float(row["spatial_rmse_db"]) == pytest.approx(1.0033e154, rel=1e-4)
+
+    def test_mc_failure_names_its_ratio_at_any_thread_count(self, tmp_path, capsys):
+        # the 5x5 joint covariance is not positive definite at ratio 1e-3; the
+        # Monte Carlo stage runs ratio 1.0 as well before the failure is raised
+        cfg = write_config(
+            tmp_path, correlation={"kind": "gaussian"}, ratios=[1e-3, 1.0], methods=["nn"], mode="mc", realizations=100
+        )
+        errs = []
+        for threads in ("1", "2"):
+            assert main(["sweep", str(cfg), str(tmp_path / "out"), "--threads", threads]) == 2
+            errs.append(capsys.readouterr().err)
+        assert "gaussian kernel at spacing ratio 0.001" in errs[0]
+        assert errs[0] == errs[1]
+
     @pytest.mark.parametrize(
         "overrides, code",
         [

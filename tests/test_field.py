@@ -91,6 +91,21 @@ class TestNormalStream:
         tail = standard_normal_block(3, 2, n_variates=5, realizations=4, first_realization=6)
         assert np.array_equal(whole[6:], tail)
 
+    @pytest.mark.parametrize("n_variates", range(1, 10))
+    def test_only_used_words_transformed_bit_for_bit(self, n_variates):
+        # transforming all W reserved words and slicing afterwards gives the same bits
+        from scipy.special import ndtri
+
+        words = 4 * ((n_variates + 3) // 4)
+        bitgen = np.random.Philox(key=np.array([11, 4], dtype=np.uint64))
+        bitgen.advance(7 * (words // 4))
+        raw = bitgen.random_raw(6 * words)
+        u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+        want = ndtri(u).reshape(6, words)[:, :n_variates]
+        got = standard_normal_block(11, 4, n_variates, realizations=6, first_realization=7)
+        assert got.shape == want.shape
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
     def test_streams_differ_by_point_index(self):
         a = standard_normal_block(3, 0, n_variates=5, realizations=4)
         b = standard_normal_block(3, 1, n_variates=5, realizations=4)

@@ -17,11 +17,13 @@ from radiomap import (
     sm0_sigma0,
     sweep,
 )
-from radiomap.harness import _grid_eval
+from radiomap.harness import _grid_eval, _grid_evals
 
 
 def test_spatial_average_hand_computation():
     assert spatial_average(np.array([3.0, 4.0])) == pytest.approx(math.sqrt(12.5), rel=1e-12)
+    # squares near 1e400 overflow a double; the scaled mean does not
+    assert spatial_average(np.array([3e200, 4e200])) == pytest.approx(math.sqrt(12.5) * 1e200, rel=1e-12)
 
 
 class TestPointRmseMc:
@@ -151,6 +153,7 @@ class TestSweep:
             sweep(ExperimentConfig(ratios=(1.0, 0.5)))
 
     def test_geometry_weights_once_per_sweep(self, monkeypatch):
+        # both engines take them from one table
         from radiomap import estimators
 
         queries = []
@@ -161,9 +164,61 @@ class TestSweep:
             return original(sensors, p0)
 
         monkeypatch.setattr(estimators, "sibson_weights", counted)
-        cfg = ExperimentConfig(resolution=4, mode="analytic", ratios=(0.5, 1.0, 2.0), methods=("nat",))
+        for mode in ("analytic", "mc", "both"):
+            queries.clear()
+            cfg = ExperimentConfig(
+                resolution=4, mode=mode, realizations=100, ratios=(0.5, 1.0, 2.0), methods=("nat",)
+            )
+            sweep(cfg)
+            assert len(queries) == len(cfg.grid().points) == 16, mode
+
+    @pytest.mark.parametrize("mode", ["analytic", "mc", "both"])
+    def test_inverse_distance_weights_once_per_point(self, monkeypatch, mode):
+        # sm2 and idw apply the same weights
+        from radiomap import estimators
+
+        queries = []
+        original = estimators.sm2_weights
+
+        def counted(sensors, p0, nu=1.0):
+            queries.append(p0)
+            return original(sensors, p0, nu)
+
+        monkeypatch.setattr(estimators, "sm2_weights", counted)
+        cfg = ExperimentConfig(
+            resolution=4, mode=mode, realizations=100, ratios=(0.5, 1.0, 2.0), methods=("sm2", "idw")
+        )
         sweep(cfg)
-        assert len(queries) == len(cfg.grid().points) == 16
+        assert len(queries) == 16
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_normals_drawn_once_per_point(self, monkeypatch, threads):
+        from radiomap import harness
+
+        calls = []
+        original = harness.standard_normal_block
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "standard_normal_block", counted)
+        cfg = ExperimentConfig(resolution=4, mode="mc", realizations=100, ratios=(0.5, 1.0, 2.0))
+        sweep(cfg, threads=threads)
+        assert sorted(calls) == list(range(len(cfg.grid().points))) == list(range(16))
+
+    def test_mc_surfaces_match_one_point_entry(self):
+        # every point of the point-major sweep equals its own point_rmse_mc call, bit for bit
+        cfg = ExperimentConfig(resolution=4, mode="mc", realizations=300, master_seed=8, ratios=(0.2, 1.0, 5.0), nu=2)
+        points = cfg.grid().points
+        for ratio, surfaces in zip(cfg.ratios, _grid_evals(cfg, cfg.ratios, cfg.methods, threads=2)):
+            scn = cfg.scenario(ratio)
+            for m in cfg.methods:
+                want = [
+                    point_rmse_mc(scn, p, m, cfg.realizations, cfg.master_seed, i, cfg.nu)
+                    for i, p in enumerate(points)
+                ]
+                assert surfaces[m].rmse_mc.tolist() == want
 
     def test_sensor_covariance_factored_only_for_sm0_sm1(self):
         # a Gaussian kernel below ratio ~5e-4 leaves Cn not positive definite;
