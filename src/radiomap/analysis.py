@@ -43,7 +43,7 @@ from .estimators import (
     _lse_denominator,
     _query_log_distance,
     as_affine,
-    method_weights,
+    geometry_weights,
     sm0_weights,
 )
 
@@ -196,7 +196,11 @@ class GridForms:
 
 
 def grid_forms(scn: Scenario, points: list[Point], methods: tuple[str, ...], nu: float = 1.0) -> GridForms:
-    """Gather the model-free parts of the methods' error forms over a point set, once."""
+    """Gather the model-free parts of the methods' error forms over a point set, once.
+
+    Each geometry-only weight family is one geometry_weights() call over all
+    the points: idw shares sm2's (N, n) table, and nn and nat get one each.
+    """
     points = tuple(points)
     fit = None
     if any(m in (SM1, SM2) for m in methods):
@@ -204,9 +208,7 @@ def grid_forms(scn: Scenario, points: list[Point], methods: tuple[str, ...], nu:
         fit = (x, *_lse_coefficient_rows(x), np.array([_query_log_distance(scn, p0) for p0 in points]))
     # idw applies sm2's inverse-distance weights: compute each table once
     sources = {m: SM2 if m == IDW else m for m in methods if m not in (SM0, SM1)}
-    tables = {
-        src: np.array([method_weights(src, scn, p0, nu) for p0 in points]) for src in dict.fromkeys(sources.values())
-    }
+    tables = {src: geometry_weights(src, scn.sensors, points, nu) for src in dict.fromkeys(sources.values())}
     return GridForms(
         methods=tuple(methods),
         points=points,

@@ -10,6 +10,13 @@ measurement vector, which as_affine() materializes as an intercept plus
 coefficient vector; the analysis module builds closed-form error
 statistics on top of that.
 
+The weights of sm2, idw, nn and nat depend on nothing but where the
+sensors and the query are. geometry_weights() computes them for a whole
+point set as one (N, n) table in array passes: one distance table for
+sm2, idw and nn, and for nat one clip of each sensor's Voronoi cell, then
+one cut of every cell by every query's bisector. The one-point entries
+(sm2_weights, sibson_weights, method_weights) are its rows.
+
 Methods
 -------
 sm0   conditional-mean interpolation using the true propagation constants
@@ -29,7 +36,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 from .geometry import DegenerateGeometryError, Point, Scenario, distance
 from .correlation import CorrelationModel, covariance_matrix, cross_covariance
@@ -51,6 +57,7 @@ __all__ = [
     "AffinePowerMap",
     "lse_fit",
     "sm0_weights",
+    "geometry_weights",
     "sm2_weights",
     "sibson_weights",
     "method_weights",
@@ -68,6 +75,9 @@ ALL_METHODS = (SM0, SM1, SM2, NN, IDW, NATURAL)
 
 # Queries closer to a sensor than this fraction of the sensor span snap to it.
 _SNAP_RTOL = 1e-9
+# Natural-neighbor queries must lie farther inside every edge of the sensor
+# hull than this fraction of the sensor span.
+_HULL_RTOL = 1e-12
 # LSE denominator must exceed this fraction of its positive part.
 _LSE_RTOL = 1e-9
 
@@ -182,136 +192,182 @@ def sm0_weights(model: CorrelationModel, sensors: list[Point], p0: Point) -> np.
 
 
 # ---------------------------------------------------------------------------
-# distance-based weights
+# geometry-only weights, one (N, n) table per point set
 
 
 def _sensor_span(sensors: list[Point]) -> float:
     return max(distance(a, b) for i, a in enumerate(sensors) for b in sensors[i + 1 :])
 
 
-def _snap_index(sensors: list[Point], p0: Point) -> int | None:
-    """Index of a sensor the query collocates with, if any."""
-    dists = [distance(p0, s) for s in sensors]
-    j = int(np.argmin(dists))
-    if dists[j] <= _SNAP_RTOL * _sensor_span(sensors):
-        return j
-    return None
+def geometry_weights(method: str, sensors: list[Point], points: list[Point], nu: float = 1.0) -> np.ndarray:
+    """(N, n) sensor weights of a geometry-only method at N query points, one row per point.
+
+    sm2 and idw take the normalized inverse-distance weights
+    w_i = d_i^-nu / sum_j d_j^-nu, nn is one-hot on the nearest sensor (ties
+    go to the lowest sensor index) and nat takes the Sibson weights. A query
+    collocated with a sensor (within 1e-9 of the sensor span) gets that
+    sensor's full weight, removing the 1/0 singularity.
+    """
+    if method not in (SM2, IDW, NN, NATURAL):
+        raise ValueError(f"method {method!r} has no geometry-only weights")
+    sensors = list(sensors)
+    sites = np.array([(s.x, s.y) for s in sensors], dtype=float)
+    q = np.array([(p.x, p.y) for p in points], dtype=float).reshape(-1, 2)
+    d = np.hypot(q[:, 0, None] - sites[:, 0], q[:, 1, None] - sites[:, 1])
+    nearest = d.argmin(axis=1)
+    w = np.zeros(d.shape)
+    if method == NN:
+        snapped = np.ones(len(q), dtype=bool)
+    else:
+        span = _sensor_span(sensors)
+        snapped = d.min(axis=1) <= _SNAP_RTOL * span
+        free = ~snapped
+        if method == NATURAL:
+            w[free] = _sibson_rows(sites, q[free], _HULL_RTOL * span)
+        else:
+            inv = d[free] ** -float(nu)
+            w[free] = inv / inv.sum(axis=1, keepdims=True)
+    w[snapped, nearest[snapped]] = 1.0
+    return w
 
 
 def sm2_weights(sensors: list[Point], p0: Point, nu: float = 1.0) -> np.ndarray:
-    """Normalized inverse-distance weights w_i = d_i^-nu / sum_j d_j^-nu.
-
-    A query collocated with a sensor (within 1e-9 of the sensor span) gets
-    that sensor's full weight, removing the 1/0 singularity.
-    """
-    sensors = list(sensors)
-    j = _snap_index(sensors, p0)
-    if j is not None:
-        w = np.zeros(len(sensors))
-        w[j] = 1.0
-        return w
-    d = np.array([distance(p0, s) for s in sensors])
-    inv = d**-float(nu)
-    return inv / inv.sum()
+    """Normalized inverse-distance weights at one point: geometry_weights("sm2", ...) for p0."""
+    return geometry_weights(SM2, sensors, [p0], nu)[0]
 
 
 # ---------------------------------------------------------------------------
 # natural-neighbor (Sibson) weights by exact polygon clipping
+#
+# A sensor's Voronoi cell within the padded box does not depend on the
+# query, so the n cells are clipped once per table. The region query q
+# steals from sensor i is i's cell cut by the q-i bisector: one half-plane
+# per query, so every query's cut of a cell is one array pass over the
+# cell's vertices.
 
 
-def _clip_halfplane(
-    poly: list[tuple[float, float]], nx: float, ny: float, c: float
-) -> list[tuple[float, float]]:
-    """Intersect a convex polygon with the half-plane nx*x + ny*y <= c."""
-    out: list[tuple[float, float]] = []
-    k = len(poly)
-    for i in range(k):
-        px, py = poly[i]
-        qx, qy = poly[(i + 1) % k]
-        dp = nx * px + ny * py - c
-        dq = nx * qx + ny * qy - c
-        if dp <= 0.0:
-            out.append((px, py))
-        if (dp < 0.0) != (dq < 0.0) and dp != dq:
-            t = dp / (dp - dq)
-            out.append((px + t * (qx - px), py + t * (qy - py)))
-    return out
-
-
-def _bisector_halfplane(
-    a: tuple[float, float], b: tuple[float, float]
-) -> tuple[float, float, float]:
-    """Half-plane of points at least as close to a as to b, as (nx, ny, c)."""
-    nx = 2.0 * (b[0] - a[0])
-    ny = 2.0 * (b[1] - a[1])
-    c = b[0] ** 2 + b[1] ** 2 - a[0] ** 2 - a[1] ** 2
+def _bisectors(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Half-planes nx*x + ny*y <= c of points at least as close to a as to b, for (N, 2) rows."""
+    nx = 2.0 * (b[:, 0] - a[:, 0])
+    ny = 2.0 * (b[:, 1] - a[:, 1])
+    c = b[:, 0] ** 2 + b[:, 1] ** 2 - a[:, 0] ** 2 - a[:, 1] ** 2
     return nx, ny, c
 
 
-def _polygon_area(poly: list[tuple[float, float]]) -> float:
-    if len(poly) < 3:
-        return 0.0
-    s = 0.0
-    k = len(poly)
-    for i in range(k):
-        px, py = poly[i]
-        qx, qy = poly[(i + 1) % k]
-        s += px * qy - qx * py
-    return abs(s) / 2.0
+def _clip(
+    poly: np.ndarray, nx: np.ndarray, ny: np.ndarray, c: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Intersect a convex (k, 2) polygon with each of N half-planes nx*x + ny*y <= c.
 
-
-def _bounding_polygon(sensors: list[Point]) -> list[tuple[float, float]]:
-    # Pad the sensor bounding box to ~10x its extent; stolen regions of
-    # strictly interior queries are bounded and never reach the clip.
-    xs = [s.x for s in sensors]
-    ys = [s.y for s in sensors]
-    extent = max(max(xs) - min(xs), max(ys) - min(ys))
-    pad = 4.5 * extent
-    x_lo, x_hi = min(xs) - pad, max(xs) + pad
-    y_lo, y_hi = min(ys) - pad, max(ys) + pad
-    return [(x_lo, y_lo), (x_hi, y_lo), (x_hi, y_hi), (x_lo, y_hi)]
-
-
-def _require_interior(sensors: list[Point], p0: Point) -> None:
-    pts = np.array([[s.x, s.y] for s in sensors])
-    hull = ConvexHull(pts)
-    tol = 1e-12 * _sensor_span(sensors)
-    signed = hull.equations[:, :2] @ np.array([p0.x, p0.y]) + hull.equations[:, 2]
-    if signed.max() >= -tol:
-        raise OutsideHullError(
-            f"query ({p0.x}, {p0.y}) is not strictly inside the sensor hull"
-        )
-
-
-def sibson_weights(sensors: list[Point], p0: Point) -> np.ndarray:
-    """Natural-neighbor weights: share of Voronoi area the query steals from each sensor.
-
-    Cells are built by half-plane intersection of a padded bounding box; the
-    stolen region for sensor i is the part of i's original cell that lies
-    closer to the query than to i.
+    Returns the (N, 2k) slot x, slot y and kept mask: slot 2i is vertex i,
+    kept if inside, and slot 2i+1 the point where edge i (vertex i to i+1)
+    crosses the boundary, kept if it does. Row r's kept slots, in order, are
+    the vertices of its clipped polygon.
     """
-    sensors = list(sensors)
-    j = _snap_index(sensors, p0)
-    if j is not None:
-        w = np.zeros(len(sensors))
-        w[j] = 1.0
-        return w
-    _require_interior(sensors, p0)
-    box = _bounding_polygon(sensors)
-    sites = [(s.x, s.y) for s in sensors]
-    q = (p0.x, p0.y)
-    stolen = np.zeros(len(sensors))
+    edge = np.roll(poly, -1, axis=0) - poly
+    dp = nx[:, None] * poly[:, 0] + ny[:, None] * poly[:, 1] - c[:, None]
+    dq = np.roll(dp, -1, axis=1)
+    crosses = (dp < 0.0) != (dq < 0.0)  # so dp != dq
+    t = np.where(crosses, dp, 0.0) / np.where(crosses, dp - dq, 1.0)
+    x, y = np.empty((2, len(dp), 2 * len(poly)))
+    x[:, 0::2], y[:, 0::2] = poly[:, 0], poly[:, 1]
+    x[:, 1::2], y[:, 1::2] = poly[:, 0] + t * edge[:, 0], poly[:, 1] + t * edge[:, 1]
+    kept = np.empty(x.shape, dtype=bool)
+    kept[:, 0::2], kept[:, 1::2] = dp <= 0.0, crosses
+    return x, y, kept
+
+
+def _areas(x: np.ndarray, y: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """Shoelace area of each row's kept (x, y) slots, taken in order as a closed polygon.
+
+    A dropped slot takes the value of the last kept slot before it,
+    cyclically; that adds only zero-length edges, which add exactly zero.
+    """
+    n, k = kept.shape
+    last = np.maximum.accumulate(np.where(kept, np.arange(k), -1), axis=1)
+    last = np.where(last < 0, last[:, -1:], last)  # a row with no kept slot repeats one point
+    flat = (last + k * np.arange(n)[:, None]).ravel()
+    x, y = x.ravel()[flat].reshape(n, k), y.ravel()[flat].reshape(n, k)
+    return np.abs((x * np.roll(y, -1, axis=1) - np.roll(x, -1, axis=1) * y).sum(axis=1)) / 2.0
+
+
+def _voronoi_cells(sites: np.ndarray) -> list[np.ndarray]:
+    """Each sensor's Voronoi cell within the sensors' bounding box padded to ~10x its extent.
+
+    Stolen regions of strictly interior queries are bounded and never reach
+    the padding.
+    """
+    lo, hi = sites.min(axis=0), sites.max(axis=0)
+    pad = 4.5 * (hi - lo).max()
+    (x_lo, y_lo), (x_hi, y_hi) = lo - pad, hi + pad
+    box = np.array([(x_lo, y_lo), (x_hi, y_lo), (x_hi, y_hi), (x_lo, y_hi)])
+    cells = []
     for i, a in enumerate(sites):
         cell = box
         for k, b in enumerate(sites):
             if k != i:
-                cell = _clip_halfplane(cell, *_bisector_halfplane(a, b))
-        taken = _clip_halfplane(cell, *_bisector_halfplane(q, a))
-        stolen[i] = _polygon_area(taken)
-    total = stolen.sum()
-    if total <= 0.0:
-        raise OutsideHullError(f"query ({p0.x}, {p0.y}) steals no Voronoi area")
-    return stolen / total
+                x, y, kept = _clip(cell, *_bisectors(a[None], b[None]))
+                cell = np.column_stack((x[kept], y[kept]))
+        cells.append(cell)
+    return cells
+
+
+def _turn(o: list[float], a: list[float], b: list[float]) -> float:
+    """Cross product of a - o and b - o: positive when o, a, b turn counter-clockwise."""
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _hull(sites: np.ndarray) -> np.ndarray:
+    """Convex hull vertices, counter-clockwise, by Andrew's monotone chain (collinear points dropped)."""
+
+    def chain(pts: list[list[float]]) -> list[list[float]]:
+        out: list[list[float]] = []
+        for p in pts:
+            while len(out) >= 2 and _turn(out[-2], out[-1], p) <= 0.0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    pts = sorted(sites.tolist())
+    return np.array(chain(pts) + chain(pts[::-1]))
+
+
+def _strictly_inside(sites: np.ndarray, q: np.ndarray, tol: float) -> np.ndarray:
+    """(N,) whether each query lies farther than tol inside every edge of the sensors' hull.
+
+    Collinear sensors have a two-vertex hull whose edges face each other, so
+    no query is inside; a NaN distance is never inside.
+    """
+    a = _hull(sites)
+    edge = np.roll(a, -1, axis=0) - a
+    rel = q[:, None, :] - a
+    cross = edge[:, 0] * rel[..., 1] - edge[:, 1] * rel[..., 0]
+    return np.all(cross > tol * np.hypot(edge[:, 0], edge[:, 1]), axis=1)
+
+
+def _sibson_rows(sites: np.ndarray, q: np.ndarray, tol: float) -> np.ndarray:
+    """Sibson weights at (N, 2) queries, none collocated with a sensor; tol is the hull margin."""
+    inside = _strictly_inside(sites, q, tol)
+    stolen = np.zeros((len(q), len(sites)))
+    for i, cell in enumerate(_voronoi_cells(sites)):
+        stolen[:, i] = _areas(*_clip(cell, *_bisectors(q, np.broadcast_to(sites[i], q.shape))))
+    total = stolen.sum(axis=1)
+    bad = ~inside | (total <= 0.0)
+    if bad.any():
+        r = int(bad.argmax())
+        why = "is not strictly inside the sensor hull" if not inside[r] else "steals no Voronoi area"
+        raise OutsideHullError(f"query ({float(q[r, 0])}, {float(q[r, 1])}) {why}")
+    return stolen / total[:, None]
+
+
+def sibson_weights(sensors: list[Point], p0: Point) -> np.ndarray:
+    """Natural-neighbor weights at one point: geometry_weights("nat", ...) for p0.
+
+    Weight i is the share of Voronoi area the query steals from sensor i:
+    the part of i's cell that lies closer to the query than to i. Cells are
+    built by half-plane intersection of a padded bounding box.
+    """
+    return geometry_weights(NATURAL, sensors, [p0])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -321,21 +377,14 @@ def sibson_weights(sensors: list[Point], p0: Point) -> np.ndarray:
 def method_weights(method: str, scn: Scenario, p0: Point, nu: float = 1.0) -> np.ndarray:
     """Sensor weights a method applies at p0: the only map from method name to weights.
 
-    sm0 and sm1 share the correlation-derived weights, sm2 and idw the
-    inverse-distance weights; nn is one-hot on the nearest sensor (ties go
-    to the lowest sensor index) and nat uses the Sibson weights.
+    sm0 and sm1 share the correlation-derived weights; the geometry-only
+    methods take their row of geometry_weights, which holds each of their
+    weight families once.
     """
-    sensors = list(scn.sensors)
     if method in (SM0, SM1):
-        return sm0_weights(scn.correlation, sensors, p0)
-    if method in (SM2, IDW):
-        return sm2_weights(sensors, p0, nu)
-    if method == NN:
-        w = np.zeros(len(sensors))
-        w[int(np.argmin([distance(p0, s) for s in sensors]))] = 1.0
-        return w
-    if method == NATURAL:
-        return sibson_weights(sensors, p0)
+        return sm0_weights(scn.correlation, list(scn.sensors), p0)
+    if method in (SM2, IDW, NN, NATURAL):
+        return geometry_weights(method, scn.sensors, [p0], nu)[0]
     raise ValueError(f"unknown method {method!r}, expected one of {ALL_METHODS}")
 
 

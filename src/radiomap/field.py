@@ -109,14 +109,18 @@ def standard_normal_block(
 
 
 def _correlate_rows(z: np.ndarray, lower: np.ndarray) -> np.ndarray:
-    """Rows of z through the factor: out[r, j] = sum_k lower[j, k] * z[r, k].
+    """Rows of z through the lower-triangular factor: out[r, j] = sum_{k <= j} lower[j, k] * z[r, k].
 
-    Accumulated column by column in fixed order so a realization's bits do
-    not depend on how many realizations are computed in one call.
+    Each output column adds its terms to 0.0 in k order, so a realization's
+    bits do not depend on how many realizations are computed in one call.
+    The terms above the diagonal are +-0 and would leave every sum as it is.
     """
-    out = np.zeros((z.shape[0], lower.shape[0]))
-    for k in range(lower.shape[1]):
-        out += z[:, k, None] * lower[None, :, k]
+    out = np.empty((z.shape[0], lower.shape[0]))
+    for j in range(lower.shape[0]):
+        col = 0.0 + z[:, 0] * lower[j, 0]
+        for k in range(1, j + 1):
+            col += z[:, k] * lower[j, k]
+        out[:, j] = col
     return out
 
 

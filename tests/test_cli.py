@@ -188,6 +188,18 @@ class TestSweepCommand:
         (row,) = read_rows(out / "sweep.csv")
         assert float(row["spatial_rmse_db"]) == pytest.approx(1.0033e154, rel=1e-4)
 
+    @pytest.mark.parametrize("mode", ["mc", "both"])
+    def test_large_sigma_gives_finite_mc_rmse(self, tmp_path, mode):
+        # the squared prediction errors of each realization overflow a double
+        cfg = write_config(
+            tmp_path, sigma_db=1.3e154, methods=["nn"], resolution=2, ratios=[1], mode=mode, realizations=10000
+        )
+        out = tmp_path / "out"
+        assert main(["sweep", str(cfg), str(out)]) == 0
+        (row,) = read_rows(out / "sweep.csv")
+        assert float(row["spatial_rmse_db"]) == pytest.approx(1.0033e154, rel=1e-2)
+        assert math.isfinite(float(row["mc_stderr_db"]))
+
     def test_mc_failure_names_its_ratio_at_any_thread_count(self, tmp_path, capsys):
         # the 5x5 joint covariance is not positive definite at ratio 1e-3; the
         # Monte Carlo stage runs ratio 1.0 as well before the failure is raised

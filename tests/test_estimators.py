@@ -22,6 +22,7 @@ from radiomap import (
     sm0_weights,
     sm2_weights,
 )
+from radiomap.estimators import _strictly_inside, geometry_weights
 from radiomap.validation import sibson_lattice_weights
 
 
@@ -260,6 +261,12 @@ class TestNaturalNeighbor:
         with pytest.raises(OutsideHullError):
             predict("nat", table_scenario, Point(0.0, 320.0), np.zeros(4))
 
+    def test_collinear_sensors_rejected(self):
+        sensors = [Point(0.0, 0.0), Point(100.0, 100.0), Point(200.0, 200.0), Point(300.0, 300.0)]
+        for p0 in (Point(150.0, 150.0), Point(150.0, 160.0)):
+            with pytest.raises(OutsideHullError):
+                sibson_weights(sensors, p0)
+
     def test_weights_sum_to_one(self, table_scenario):
         rng = np.random.default_rng(17)
         for _ in range(25):
@@ -267,6 +274,155 @@ class TestNaturalNeighbor:
             w = sibson_weights(list(table_scenario.sensors), p0)
             assert abs(w.sum() - 1.0) <= 1e-12
             assert np.all(w >= 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the per-query reference for the batched tables: each query clips every
+# sensor's cell from the padded box on its own, then cuts it by its bisector
+
+
+def _clip_halfplane(poly, nx, ny, c):
+    """Intersect a convex polygon with the half-plane nx*x + ny*y <= c."""
+    out = []
+    k = len(poly)
+    for i in range(k):
+        px, py = poly[i]
+        qx, qy = poly[(i + 1) % k]
+        dp = nx * px + ny * py - c
+        dq = nx * qx + ny * qy - c
+        if dp <= 0.0:
+            out.append((px, py))
+        if (dp < 0.0) != (dq < 0.0) and dp != dq:
+            t = dp / (dp - dq)
+            out.append((px + t * (qx - px), py + t * (qy - py)))
+    return out
+
+
+def _bisector_halfplane(a, b):
+    """Half-plane of points at least as close to a as to b, as (nx, ny, c)."""
+    return 2.0 * (b[0] - a[0]), 2.0 * (b[1] - a[1]), b[0] ** 2 + b[1] ** 2 - a[0] ** 2 - a[1] ** 2
+
+
+def _polygon_area(poly):
+    if len(poly) < 3:
+        return 0.0
+    s = sum(px * qy - qx * py for (px, py), (qx, qy) in zip(poly, poly[1:] + poly[:1]))
+    return abs(s) / 2.0
+
+
+def per_query_sibson(sensors, p0):
+    xs = [s.x for s in sensors]
+    ys = [s.y for s in sensors]
+    pad = 4.5 * max(max(xs) - min(xs), max(ys) - min(ys))
+    x_lo, x_hi, y_lo, y_hi = min(xs) - pad, max(xs) + pad, min(ys) - pad, max(ys) + pad
+    box = [(x_lo, y_lo), (x_hi, y_lo), (x_hi, y_hi), (x_lo, y_hi)]
+    sites = [(s.x, s.y) for s in sensors]
+    stolen = np.zeros(len(sites))
+    for i, a in enumerate(sites):
+        cell = box
+        for k, b in enumerate(sites):
+            if k != i:
+                cell = _clip_halfplane(cell, *_bisector_halfplane(a, b))
+        stolen[i] = _polygon_area(_clip_halfplane(cell, *_bisector_halfplane((p0.x, p0.y), a)))
+    return stolen / stolen.sum()
+
+
+def per_query_inverse_distance(sensors, p0, nu):
+    inv = np.array([math.hypot(p0.x - s.x, p0.y - s.y) for s in sensors]) ** -float(nu)
+    return inv / inv.sum()
+
+
+def one_hot_nearest(sensors, p0):
+    w = np.zeros(len(sensors))
+    w[int(np.argmin([math.hypot(p0.x - s.x, p0.y - s.y) for s in sensors]))] = 1.0
+    return w
+
+
+SQUARE = [Point(0.0, 0.0), Point(0.0, 640.0), Point(640.0, 640.0), Point(640.0, 0.0)]
+QUADRILATERAL = [Point(0.0, 0.0), Point(520.0, -60.0), Point(610.0, 430.0), Point(-40.0, 380.0)]
+# the quadrilateral plus a fifth sensor inside its hull
+WITH_INTERIOR_SENSOR = [*QUADRILATERAL, Point(260.0, 170.0)]
+
+
+def square_grid(res, side=640.0):
+    step = side / res
+    return [Point((i + 0.5) * step, (j + 0.5) * step) for j in range(res) for i in range(res)]
+
+
+def random_interior_points(sensors, count, seed):
+    # convex combinations of the hull corners with every coefficient >= 0.02
+    rng = np.random.default_rng(seed)
+    corners = np.array([(s.x, s.y) for s in sensors[:4]])
+    mix = 0.02 + rng.dirichlet(np.ones(4), size=count) * 0.92
+    return [Point(*xy) for xy in mix @ corners]
+
+
+class TestGeometryWeightTables:
+    @pytest.mark.parametrize("res", range(1, 18))
+    def test_sibson_rows_match_per_query_clipper_on_square_grids(self, res):
+        points = square_grid(res)
+        table = geometry_weights("nat", SQUARE, points)
+        want = np.array([per_query_sibson(SQUARE, p) for p in points])
+        assert table.shape == (res * res, 4)
+        assert np.abs(table - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("sensors", [SQUARE, QUADRILATERAL, WITH_INTERIOR_SENSOR], ids=["square", "quad", "five"])
+    def test_sibson_rows_match_per_query_clipper_at_random_points(self, sensors):
+        points = random_interior_points(sensors, 200, seed=len(sensors))
+        table = geometry_weights("nat", sensors, points)
+        want = np.array([per_query_sibson(sensors, p) for p in points])
+        assert np.abs(table - want).max() <= 1e-12
+        if len(sensors) == 5:
+            assert table[:, 4].min() > 0.0  # the interior sensor is every query's natural neighbor
+
+    @pytest.mark.parametrize("nu", [1, 2, 3])
+    @pytest.mark.parametrize("sensors", [SQUARE, WITH_INTERIOR_SENSOR], ids=["square", "five"])
+    def test_inverse_distance_rows_match_per_query_formula(self, sensors, nu):
+        points = [*square_grid(9, side=400.0), *random_interior_points(sensors, 100, seed=nu)]
+        want = np.array([per_query_inverse_distance(sensors, p, nu) for p in points])
+        for method in ("sm2", "idw"):
+            assert np.abs(geometry_weights(method, sensors, points, nu) - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("res", range(1, 18))
+    def test_nn_rows_equal_per_point_argmin(self, res):
+        # odd resolutions put points on the mid-lines and the centre: ties go to the lowest index
+        points = square_grid(res)
+        want = np.array([one_hot_nearest(SQUARE, p) for p in points])
+        assert np.array_equal(geometry_weights("nn", SQUARE, points), want)
+
+    @pytest.mark.parametrize("method", ["sm2", "idw", "nat", "nn"])
+    def test_snapped_rows_are_one_hot(self, method, table_scenario):
+        near = [Point(0.0, 0.0), Point(640.0, 640.0 - 1e-10 * 640.0), Point(1e-8, 640.0)]
+        points = [Point(200.0, 300.0), *near, Point(410.0, 90.0)]
+        table = geometry_weights(method, SQUARE, points)
+        assert np.array_equal(table[1:4], np.eye(4)[[0, 2, 1]])
+        assert np.array_equal(table, np.array([method_weights(method, table_scenario, p) for p in points]))
+
+    def test_first_point_outside_the_hull_is_named(self):
+        points = [Point(100.0, 100.0), Point(-5.0, 320.0), Point(700.0, 10.0)]
+        with pytest.raises(OutsideHullError, match=r"query \(-5\.0, 320\.0\) is not strictly inside"):
+            geometry_weights("nat", SQUARE, points)
+
+    def test_strict_interior_matches_hull_planes(self):
+        # the monotone-chain test against Qhull's facet planes, with the same margin
+        from scipy.spatial import ConvexHull
+
+        sites = np.array([(s.x, s.y) for s in WITH_INTERIOR_SENSOR])
+        rng = np.random.default_rng(41)
+        corners = sites[:4]
+        edge_points = corners + rng.uniform(0.0, 1.0, (4, 1)) * (np.roll(corners, -1, axis=0) - corners)
+        queries = np.vstack([rng.uniform(-100.0, 700.0, (500, 2)), edge_points, corners, sites[4:]])
+        span = max(math.dist(a, b) for a in sites for b in sites)
+        hull = ConvexHull(sites)
+        signed = queries @ hull.equations[:, :2].T + hull.equations[:, 2]
+        want = signed.max(axis=1) < -1e-12 * span
+        got = _strictly_inside(sites, queries, 1e-12 * span)
+        assert np.array_equal(got, want)
+        assert want.any() and not want.all()
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError, match="no geometry-only weights"):
+            geometry_weights("sm0", SQUARE, [Point(1.0, 2.0)])
 
 
 class TestAffineMaps:

@@ -13,7 +13,7 @@ from radiomap import (
     received_powers,
     sample_shadow,
 )
-from radiomap.field import sample_shadow_block, standard_normal_block
+from radiomap.field import _correlate_rows, joint_cholesky, sample_shadow_block, standard_normal_block
 
 
 class TestMedianPower:
@@ -110,6 +110,36 @@ class TestNormalStream:
         a = standard_normal_block(3, 0, n_variates=5, realizations=4)
         b = standard_normal_block(3, 1, n_variates=5, realizations=4)
         assert not np.array_equal(a, b)
+
+
+class TestCorrelateRows:
+    @staticmethod
+    def column_by_column(z, lower):
+        # every column of the factor over all rows, in k order
+        out = np.zeros((z.shape[0], lower.shape[0]))
+        for k in range(lower.shape[1]):
+            out += z[:, k, None] * lower[None, :, k]
+        return out
+
+    @pytest.mark.parametrize("realizations", [1, 7, 2000])
+    @pytest.mark.parametrize(
+        "kind, ratio, p0",
+        [
+            ("exponential", 1.0, Point(205.0, 445.0)),
+            ("elliptical", 0.5, Point(30.0, 600.0)),
+            # correlations between far points underflow to exact zeros below the diagonal
+            ("gaussian", 60.0, Point(3.0, 4.0)),
+        ],
+    )
+    def test_matches_column_by_column_formula_bit_for_bit(self, realizations, kind, ratio, p0):
+        model = CorrelationModel(kind, sigma=5.0, xc=640.0 / ratio, axis_ratio=3.3, rotation=0.5)
+        lower = joint_cholesky(build_square_scenario(640.0, Point(-100.0, 0.0), 15.3, 3.76, model), p0)
+        if kind == "gaussian":
+            assert lower[1, 0] != 0.0 and np.count_nonzero(np.tril(lower, -1) == 0.0) > 0
+        z = standard_normal_block(21, 5, 5, realizations)
+        want = self.column_by_column(z, lower)
+        got = _correlate_rows(z, lower)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestReceivedPowers:

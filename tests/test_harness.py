@@ -153,43 +153,45 @@ class TestSweep:
             sweep(ExperimentConfig(ratios=(1.0, 0.5)))
 
     def test_geometry_weights_once_per_sweep(self, monkeypatch):
-        # both engines take them from one table
-        from radiomap import estimators
+        # both engines take them from one table, built in one call for every point
+        from radiomap import analysis
 
-        queries = []
-        original = estimators.sibson_weights
+        calls = []
+        original = analysis.geometry_weights
 
-        def counted(sensors, p0):
-            queries.append(p0)
-            return original(sensors, p0)
+        def counted(method, sensors, points, nu=1.0):
+            calls.append((method, tuple(points)))
+            return original(method, sensors, points, nu)
 
-        monkeypatch.setattr(estimators, "sibson_weights", counted)
+        monkeypatch.setattr(analysis, "geometry_weights", counted)
         for mode in ("analytic", "mc", "both"):
-            queries.clear()
+            calls.clear()
             cfg = ExperimentConfig(
                 resolution=4, mode=mode, realizations=100, ratios=(0.5, 1.0, 2.0), methods=("nat",)
             )
             sweep(cfg)
-            assert len(queries) == len(cfg.grid().points) == 16, mode
+            assert calls == [("nat", cfg.grid().points)], mode
+            assert len(calls[0][1]) == 16
 
     @pytest.mark.parametrize("mode", ["analytic", "mc", "both"])
     def test_inverse_distance_weights_once_per_point(self, monkeypatch, mode):
-        # sm2 and idw apply the same weights
-        from radiomap import estimators
+        # sm2 and idw apply the same weights: one table call covers every point
+        from radiomap import analysis
 
-        queries = []
-        original = estimators.sm2_weights
+        calls = []
+        original = analysis.geometry_weights
 
-        def counted(sensors, p0, nu=1.0):
-            queries.append(p0)
-            return original(sensors, p0, nu)
+        def counted(method, sensors, points, nu=1.0):
+            calls.append((method, tuple(points)))
+            return original(method, sensors, points, nu)
 
-        monkeypatch.setattr(estimators, "sm2_weights", counted)
+        monkeypatch.setattr(analysis, "geometry_weights", counted)
         cfg = ExperimentConfig(
             resolution=4, mode=mode, realizations=100, ratios=(0.5, 1.0, 2.0), methods=("sm2", "idw")
         )
         sweep(cfg)
-        assert len(queries) == 16
+        assert calls == [("sm2", cfg.grid().points)]
+        assert len(calls[0][1]) == 16
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_normals_drawn_once_per_point(self, monkeypatch, threads):
