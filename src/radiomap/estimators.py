@@ -149,7 +149,10 @@ def lse_fit(distances: np.ndarray, powers: np.ndarray) -> FitResult:
 
     powers is one measurement vector or (R, n) rows, each fitted on its
     own. The fitted intercept absorbs any level common to all measurements,
-    so the residuals always sum to zero.
+    so the residuals always sum to zero. Every pass runs along the
+    realization axis, over the sensor-major rows of powers.T, which are
+    contiguous when powers is the transposed view of such rows; residuals
+    is laid out the same way.
     """
     x = _log_distances(distances)
     p = np.asarray(powers, dtype=float)
@@ -161,12 +164,14 @@ def lse_fit(distances: np.ndarray, powers: np.ndarray) -> FitResult:
     denom = _lse_denominator(x)
     sx = float(x.sum())
     sxx = float(x @ x)
-    sp = p.sum(axis=-1)
-    sxp = p @ x
+    rows = p.T  # (n,) or (n, R): one row per sensor
+    sp = rows.sum(axis=0)
+    sxp = x @ rows
     slope = (n * sxp - sx * sp) / denom
     a_hat = (sxx * sp - sx * sxp) / denom
-    residuals = p - a_hat[..., None] - slope[..., None] * x
-    return FitResult(a_hat=a_hat, gamma_hat=slope / 10.0, residuals=residuals)
+    x_col = x.reshape(x.shape + (1,) * (p.ndim - 1))
+    residuals = rows - a_hat - slope * x_col
+    return FitResult(a_hat=a_hat, gamma_hat=slope / 10.0, residuals=residuals.T)
 
 
 def _lse_coefficient_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -16,6 +16,14 @@ to the open-interval uniform ((x >> 11) + 0.5) * 2^-53. The variates for
 (master_seed, point_index, realization_index) are therefore a pure function
 of those three integers, independent of how many realizations are requested,
 in what order, or on how many threads.
+
+Layout
+------
+Blocks of realizations are stored sensor-major: one contiguous row per
+variate (the query point first, then each sensor), each row running over
+all realizations. The functions return the documented (realizations,
+variates) shapes as transposed views of those rows, so every elementwise
+pass and every sum over sensors runs along whole contiguous rows.
 """
 
 from __future__ import annotations
@@ -67,11 +75,11 @@ class ShadowSample:
 
 
 def median_power(scn: Scenario, p: Point) -> float:
-    """Median received power a_db + 10 * gamma * log10(d), in dB (d in meters)."""
+    """Median received power a_db + 10 * gamma * log10(d), in dB (d in meters from the 1 m reference)."""
     d = distance(scn.emitter, p)
     if d <= 0.0:
         raise ValueError(f"zero emitter distance at point ({p.x}, {p.y})")
-    return scn.a_db + 10.0 * scn.gamma * math.log10(d / scn.reference_distance)
+    return scn.a_db + 10.0 * scn.gamma * math.log10(d)
 
 
 def joint_cholesky(scn: Scenario, p0: Point) -> np.ndarray:
@@ -94,34 +102,40 @@ def standard_normal_block(
 ) -> np.ndarray:
     """(realizations, n_variates) standard normals for consecutive realizations.
 
-    Row k holds the variates of realization ``first_realization + k``.
+    Row k holds the variates of realization ``first_realization + k``. The
+    array is the transposed view of sensor-major rows, one per variate.
     """
     words = _words_per_realization(n_variates)
     key = np.array([master_seed, point_index], dtype=np.uint64)
     bitgen = np.random.Philox(key=key)
     if first_realization:
         bitgen.advance(first_realization * (words // 4))
-    # Both maps below are elementwise, so dropping the padding words first
+    # Every map below is elementwise, so dropping the padding words first
     # gives the same bits as transforming them and slicing afterwards.
-    raw = bitgen.random_raw(realizations * words).reshape(realizations, words)[:, :n_variates]
-    u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    return ndtri(u)
+    raw = bitgen.random_raw(realizations * words).reshape(realizations, words)
+    raw >>= np.uint64(11)
+    u = np.add(raw[:, :n_variates].T, 0.5, order="C")  # exact: the shifted words are below 2^53
+    u *= 2.0**-53
+    return ndtri(u, out=u).T
 
 
 def _correlate_rows(z: np.ndarray, lower: np.ndarray) -> np.ndarray:
     """Rows of z through the lower-triangular factor: out[r, j] = sum_{k <= j} lower[j, k] * z[r, k].
 
-    Each output column adds its terms to 0.0 in k order, so a realization's
-    bits do not depend on how many realizations are computed in one call.
-    The terms above the diagonal are +-0 and would leave every sum as it is.
+    The result is the transposed view of sensor-major rows: variate j's row
+    adds its terms to 0.0 in k order, so a realization's bits do not depend
+    on how many realizations are computed in one call. The terms above the
+    diagonal are +-0 and would leave every sum as it is.
     """
-    out = np.empty((z.shape[0], lower.shape[0]))
-    for j in range(lower.shape[0]):
-        col = 0.0 + z[:, 0] * lower[j, 0]
+    zt = z.T
+    out = np.empty((lower.shape[0], z.shape[0]))
+    term = np.empty(z.shape[0])
+    for j, row in enumerate(out):
+        np.multiply(zt[0], lower[j, 0], out=row)
+        row += 0.0
         for k in range(1, j + 1):
-            col += z[:, k] * lower[j, k]
-        out[:, j] = col
-    return out
+            row += np.multiply(zt[k], lower[j, k], out=term)
+    return out.T
 
 
 def sample_shadow(scn: Scenario, p0: Point, seed: SeedSpec) -> ShadowSample:
@@ -157,8 +171,9 @@ def sample_shadow_block(
 def correlate_normals(scn: Scenario, p0: Point, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Joint shadow rows from (R, n+1) standard normals: (s0 of shape (R,), s of shape (R, n)).
 
-    The normals depend on the stream alone, not on the correlation model, so
-    one block drawn at a point serves every model there.
+    s.T holds one contiguous row per sensor. The normals depend on the
+    stream alone, not on the correlation model, so one block drawn at a
+    point serves every model there.
     """
     joint = _correlate_rows(z, joint_cholesky(scn, p0))
     return joint[:, 0], joint[:, 1:]

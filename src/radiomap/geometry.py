@@ -53,9 +53,9 @@ class Scenario:
     """Ground-truth world: emitter, sensors, propagation constants, correlation.
 
     Received power at distance d from the emitter is modeled as
-    ``a_db + 10 * gamma * log10(d / reference_distance) + shadow`` where the
-    shadow term is zero-mean Gaussian with the spatial covariance given by
-    ``correlation``. The reference distance is fixed at 1 m.
+    ``a_db + 10 * gamma * log10(d) + shadow``, with d in meters (the
+    reference distance is 1 m), where the shadow term is zero-mean Gaussian
+    with the spatial covariance given by ``correlation``.
     """
 
     emitter: Point
@@ -63,7 +63,6 @@ class Scenario:
     a_db: float
     gamma: float
     correlation: "CorrelationModel"
-    reference_distance: float = 1.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sensors", tuple(self.sensors))
@@ -71,8 +70,6 @@ class Scenario:
             raise ValueError(f"need more than 2 sensors, got {len(self.sensors)}")
         if self.gamma <= 0:
             raise ValueError(f"path-loss exponent must be positive, got {self.gamma}")
-        if self.reference_distance != 1.0:
-            raise ValueError("reference distance is fixed at 1 m")
         for i, s in enumerate(self.sensors):
             if distance(self.emitter, s) <= 0.0:
                 raise DegenerateGeometryError(f"emitter coincides with sensor {i} at ({s.x}, {s.y})")

@@ -31,11 +31,11 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .geometry import DegenerateGeometryError, Point, QueryGrid, Scenario, build_square_scenario, make_grid, distance
-from .correlation import CorrelationModel, KERNEL_KINDS, EXPONENTIAL
+from .correlation import CorrelationModel, KERNEL_KINDS, EXPONENTIAL, covariance_matrix, cross_covariance
 from .field import correlate_normals, standard_normal_block
-from .estimators import SM0, SM1, SM2, ALL_METHODS, OutsideHullError, lse_fit, sm0_weights
+from .estimators import SM0, SM1, SM2, ALL_METHODS, OutsideHullError, lse_fit
 from .analysis import GridForms, grid_analytic_rmse, grid_forms
-from .linalg import NotPositiveDefiniteError
+from .linalg import NotPositiveDefiniteError, cholesky, solve_cholesky
 
 __all__ = [
     "CORRELATION_KEYS",
@@ -226,55 +226,97 @@ _RANGE_ERRORS = (NotPositiveDefiniteError, OutsideHullError, ArithmeticError)
 # ---------------------------------------------------------------------------
 # Monte Carlo evaluation
 #
-# The simulated route shares the estimators' weights (geometry_weights,
-# sm0_weights) but deliberately re-runs the estimation pipeline on each
+# The simulated route shares the estimators' weights (geometry_weights, the
+# sm0 solve) but deliberately re-runs the estimation pipeline on each
 # realized measurement vector, with its own refit batched across
 # realizations, instead of reusing the closed-form error coefficients, so
 # that analytic and Monte Carlo results stay independent checks of one
 # another. A point's normals depend on its stream alone, so one draw serves
 # every ratio; each ratio then gets its own joint factor, refit and sm0
-# solve. One fit per ratio serves every fitted method.
+# solve, and one factor of the sensor covariance serves every point. One fit
+# per ratio serves every fitted method. The point's block is sensor-major:
+# one contiguous row per variate, over all realizations, so the shadow rows,
+# the refit and each prediction w @ block run along whole rows, and the
+# methods' errors stack as (methods, R) rows for one scaled RMS pass.
+
+
+def _rms_rows(rows: np.ndarray) -> np.ndarray:
+    """spatial_average of each row of an (M, R) array, bit for bit, in one pass over the block."""
+    top = np.ldexp(1.0, np.frexp(np.abs(rows).max(axis=1))[1])
+    scaled = rows / top[:, None]
+    return np.sqrt(np.mean(np.square(scaled, out=scaled), axis=1)) * top
+
+
+def _sensor_factors(scns: list[Scenario], methods: tuple[str, ...]) -> list[np.ndarray | Exception | None]:
+    """Each scenario's Cholesky factor of the sensor covariance, for the sm0 and sm1 weights.
+
+    Entry j is None if no method needs the factor, or the error that
+    stopped it: the point kernel raises that at the step that needs the
+    factor, so failures surface in the same order, and with the same
+    errors, as a factor per point.
+    """
+    if SM0 not in methods and SM1 not in methods:
+        return [None] * len(scns)
+    factors: list[np.ndarray | Exception | None] = []
+    for scn in scns:
+        try:
+            with np.errstate(all="ignore"):
+                factors.append(cholesky(covariance_matrix(scn.correlation, list(scn.sensors))))
+        except (ValueError, ArithmeticError) as err:
+            factors.append(err)
+    return factors
 
 
 def _mc_point_rmse(
-    scns: list[Scenario], forms: GridForms, k: int, point_index: int, realizations: int, master_seed: int
+    scns: list[Scenario],
+    factors: list[np.ndarray | Exception | None],
+    forms: GridForms,
+    k: int,
+    point_index: int,
+    realizations: int,
+    master_seed: int,
 ) -> list[dict[str, float] | Exception]:
     """RMS prediction error of each method at point k of forms, for each scenario, from one draw.
 
-    The scenarios differ only in their correlation model; forms holds what
-    none of them changes. point_index keys the point's stream. Entry j is
-    the error that stopped scenario j, if its numbers left the range of
-    doubles or its fit was degenerate: it is returned, not raised, so that
-    the caller can raise it at its own ratio.
+    The scenarios differ only in their correlation model; factors holds
+    their sensor-covariance factors (_sensor_factors) and forms what none
+    of them changes. point_index keys the point's stream. Entry j is the
+    error that stopped scenario j, if its numbers left the range of doubles
+    or its fit was degenerate: it is returned, not raised, so that the
+    caller can raise it at its own ratio.
     """
-    p0, pm, pm0 = forms.points[k], forms.pm, forms.pm0[k]
+    p0, pm, pm0 = forms.points[k], forms.pm[:, None], forms.pm0[k]  # pm: (n, 1)
     z = standard_normal_block(master_seed, point_index, len(pm) + 1, realizations)
     distances = np.array(scns[0].sensor_distances())
     x0 = math.log10(distance(scns[0].emitter, p0))
     fitted = any(m in (SM1, SM2) for m in forms.methods)
+    errors = np.empty((len(forms.methods), realizations))  # one row per method
     out: list[dict[str, float] | Exception] = []
-    for scn in scns:
+    for scn, factor in zip(scns, factors):
         try:
             s0, s = correlate_normals(scn, p0, z)
-            meas = pm + s                      # (R, n)
+            meas = pm + s.T                    # (n, R): one row per sensor
             truth = pm0 + s0                   # (R,)
             if fitted:
-                fit = lse_fit(distances, meas)
+                fit = lse_fit(distances, meas.T)
                 fitted_median = fit.a_hat + 10.0 * fit.gamma_hat * x0
             weights = {m: w[k] for m, w in forms.weights.items()}
-            if SM0 in forms.methods or SM1 in forms.methods:
-                weights[SM0] = weights[SM1] = sm0_weights(scn.correlation, list(scn.sensors), p0)
-            rmse = {}
-            for method in forms.methods:
+            if isinstance(factor, Exception):
+                raise factor
+            if factor is not None:
+                c_0 = cross_covariance(scn.correlation, p0, list(scn.sensors))
+                weights[SM0] = weights[SM1] = solve_cholesky(factor, c_0)
+            for row, method in zip(errors, forms.methods):
                 w = weights[method]
                 if method == SM0:
-                    pred = pm0 + (meas - pm) @ w
+                    pred = pm0 + w @ (meas - pm)
                 elif method in (SM1, SM2):
-                    pred = fitted_median + fit.residuals @ w
+                    pred = fitted_median + w @ fit.residuals.T
                 else:
-                    pred = meas @ w
-                rmse[method] = spatial_average(truth - pred)  # RMS over realizations, scaled against overflow
-            out.append(rmse)
+                    pred = w @ meas
+                np.subtract(truth, pred, out=row)
+            # RMS over realizations, scaled against overflow
+            out.append(dict(zip(forms.methods, _rms_rows(errors).tolist())))
         except (DegenerateGeometryError, *_RANGE_ERRORS) as err:
             out.append(err)
     return out
@@ -291,7 +333,8 @@ def point_rmse_mc(
 ) -> float:
     """RMS prediction error at one point over simulated shadow realizations."""
     forms = grid_forms(scn, [p0], (method,), nu)
-    (result,) = _mc_point_rmse([scn], forms, 0, point_index, realizations, master_seed)
+    factors = _sensor_factors([scn], forms.methods)
+    (result,) = _mc_point_rmse([scn], factors, forms, 0, point_index, realizations, master_seed)
     if isinstance(result, Exception):
         raise result
     return result[method]
@@ -311,12 +354,14 @@ def _mc_rmse(
     """Per-point Monte Carlo RMSE of each method at every ratio, one worker task per point.
 
     Entry k holds ratio k's (N,) arrays, or the error of the lowest-indexed
-    point that failed at that ratio.
+    point that failed at that ratio. The sensor covariance is factored once
+    per ratio, before the points.
     """
+    factors = _sensor_factors(scns, forms.methods)
 
     def eval_point(i: int) -> list[dict[str, float] | Exception]:
         with np.errstate(all="ignore"):  # pool threads do not inherit the caller's state
-            return _mc_point_rmse(scns, forms, i, i, config.realizations, config.master_seed)
+            return _mc_point_rmse(scns, factors, forms, i, i, config.realizations, config.master_seed)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

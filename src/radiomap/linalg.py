@@ -40,8 +40,10 @@ def _check_symmetric(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    scale = np.abs(m).max() if m.size else 0.0
-    if not np.allclose(m, m.T, atol=1e-9 * max(scale, 1.0), rtol=0.0):
+    if (m == m.T).all():  # the common case, built symmetric; NaN never equals itself
+        return m
+    scale = np.abs(m).max()
+    if np.isnan(scale) or not np.allclose(m, m.T, atol=1e-9 * max(scale, 1.0), rtol=0.0):
         raise ValueError("matrix is not symmetric")
     return m
 

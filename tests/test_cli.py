@@ -214,6 +214,20 @@ class TestSweepCommand:
         assert errs[0] == errs[1]
 
     @pytest.mark.parametrize(
+        "mode, pivot",
+        # mc: the joint factor at the first grid point; both: the analytic step's sensor factor
+        [("mc", "9.62075e-12"), ("both", "6.23857e-12")],
+    )
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_gaussian_sm1_failure_message(self, tmp_path, capsys, mode, pivot, threads):
+        cfg = write_config(tmp_path, correlation={"kind": "gaussian"}, ratios=[5e-4], methods=["sm1"], mode=mode)
+        assert main(["sweep", str(cfg), str(tmp_path / "out"), "--threads", threads]) == 2
+        assert capsys.readouterr().err.strip() == (
+            "config error: gaussian kernel at spacing ratio 0.0005 is outside the numeric range: "
+            f"matrix is not positive definite: pivot 3 is {pivot}"
+        )
+
+    @pytest.mark.parametrize(
         "overrides, code",
         [
             ({"a_db": 1e308}, 2),

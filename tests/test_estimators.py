@@ -69,6 +69,18 @@ class TestLseFit:
             assert batch.gamma_hat[r] == pytest.approx(fit.gamma_hat, abs=1e-12)
             assert np.allclose(batch.residuals[r], fit.residuals, rtol=0.0, atol=1e-9)
 
+    def test_sensor_major_rows_match_realization_major(self, table_scenario):
+        # the same fit from either layout; residuals come back in the layout of the input rows
+        rng = np.random.default_rng(6)
+        d = np.array(table_scenario.sensor_distances())
+        rows = rng.normal(90.0, 5.0, size=(30, 4))
+        sensor_major = np.ascontiguousarray(rows.T).T
+        a, b = lse_fit(d, rows), lse_fit(d, sensor_major)
+        assert np.allclose(a.a_hat, b.a_hat, rtol=0.0, atol=1e-9)
+        assert np.allclose(a.gamma_hat, b.gamma_hat, rtol=0.0, atol=1e-12)
+        assert np.allclose(a.residuals, b.residuals, rtol=0.0, atol=1e-9)
+        assert b.residuals.shape == (30, 4) and b.residuals.T.flags["C_CONTIGUOUS"]
+
     def test_needs_more_than_two_sensors(self):
         with pytest.raises(ValueError, match="more than 2"):
             lse_fit(np.array([1.0, 2.0]), np.array([0.0, 1.0]))

@@ -106,6 +106,12 @@ class TestNormalStream:
         assert got.shape == want.shape
         assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
+    def test_block_is_sensor_major(self):
+        # one contiguous row per variate, each over all realizations
+        z = standard_normal_block(3, 0, n_variates=5, realizations=40)
+        assert z.shape == (40, 5)
+        assert z.T.flags["C_CONTIGUOUS"]
+
     def test_streams_differ_by_point_index(self):
         a = standard_normal_block(3, 0, n_variates=5, realizations=4)
         b = standard_normal_block(3, 1, n_variates=5, realizations=4)
@@ -140,6 +146,9 @@ class TestCorrelateRows:
         want = self.column_by_column(z, lower)
         got = _correlate_rows(z, lower)
         assert got.tobytes() == want.tobytes()
+        # the same bits from realization-major normals, and sensor-major rows out
+        assert _correlate_rows(np.ascontiguousarray(z), lower).tobytes() == want.tobytes()
+        assert got.T.flags["C_CONTIGUOUS"]
 
 
 class TestReceivedPowers:

@@ -51,7 +51,6 @@ class TestBuildSquareScenario:
         assert table_scenario.a_db == 15.3
         assert table_scenario.gamma == 3.76
         assert table_scenario.sigma == 5.0
-        assert table_scenario.reference_distance == 1.0
 
     def test_unit_square(self):
         model = CorrelationModel("exponential", sigma=1.0, xc=1.0)

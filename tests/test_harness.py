@@ -17,13 +17,27 @@ from radiomap import (
     sm0_sigma0,
     sweep,
 )
-from radiomap.harness import _grid_eval, _grid_evals
+from radiomap.harness import _grid_eval, _grid_evals, _rms_rows
 
 
 def test_spatial_average_hand_computation():
     assert spatial_average(np.array([3.0, 4.0])) == pytest.approx(math.sqrt(12.5), rel=1e-12)
     # squares near 1e400 overflow a double; the scaled mean does not
     assert spatial_average(np.array([3e200, 4e200])) == pytest.approx(math.sqrt(12.5) * 1e200, rel=1e-12)
+
+
+def test_rms_rows_match_spatial_average_bit_for_bit():
+    rng = np.random.default_rng(41)
+    rows = np.vstack(
+        [
+            rng.normal(0.0, 3.0, 10000),
+            rng.normal(0.0, 1e154, 10000),  # squares overflow a double unscaled
+            np.zeros(10000),
+            rng.normal(0.0, 3.0, 10000) * 2.0**-600,
+            np.full(10000, -1e154),
+        ]
+    )
+    assert _rms_rows(rows).tolist() == [spatial_average(row) for row in rows]
 
 
 class TestPointRmseMc:
@@ -221,6 +235,53 @@ class TestSweep:
                     for i, p in enumerate(points)
                 ]
                 assert surfaces[m].rmse_mc.tolist() == want
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_sensor_covariance_factored_once_per_ratio(self, monkeypatch, threads):
+        # one joint factor per (point, ratio) and one sensor-covariance factor per ratio
+        import radiomap
+        from radiomap import linalg
+
+        original = linalg.cholesky
+        shapes = []
+
+        def counted(m):
+            shapes.append(np.shape(m))
+            return original(m)
+
+        for module in vars(radiomap).values():  # every binding, linalg's own included
+            if getattr(module, "cholesky", None) is original:
+                monkeypatch.setattr(module, "cholesky", counted)
+        cfg = ExperimentConfig(resolution=4, mode="mc", realizations=100, ratios=(0.5, 1.0, 2.0))
+        sweep(cfg, threads=threads)
+        assert shapes.count((5, 5)) == 16 * 3
+        assert shapes.count((4, 4)) == 3
+        assert len(shapes) == 51
+
+    def test_failed_sensor_factor_raises_at_its_ratio(self, monkeypatch):
+        # the ratios before it are yielded, and its error names it
+        from radiomap import harness
+        from radiomap.linalg import NotPositiveDefiniteError
+
+        original = harness.cholesky
+        calls = []
+
+        def second_fails(m):
+            calls.append(1)
+            if len(calls) == 2:
+                raise NotPositiveDefiniteError(2, -1.0)
+            return original(m)
+
+        monkeypatch.setattr(harness, "cholesky", second_fails)
+        cfg = ExperimentConfig(resolution=2, mode="mc", realizations=50, ratios=(0.5, 1.0, 2.0), methods=("nn", "sm1"))
+        evals = _grid_evals(cfg, cfg.ratios, cfg.methods, threads=2)
+        assert set(next(evals)) == {"nn", "sm1"}
+        with pytest.raises(ConfigError) as exc:
+            next(evals)
+        assert str(exc.value) == (
+            "exponential kernel at spacing ratio 1.0 is outside the numeric range: "
+            "matrix is not positive definite: pivot 2 is -1"
+        )
 
     def test_sensor_covariance_factored_only_for_sm0_sm1(self):
         # a Gaussian kernel below ratio ~5e-4 leaves Cn not positive definite;

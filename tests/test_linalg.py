@@ -36,6 +36,32 @@ class TestCholesky:
         with pytest.raises(ValueError, match="symmetric"):
             cholesky(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    def test_exactly_symmetric_accepted(self):
+        m = random_spd(np.random.default_rng(3), 5)
+        assert np.array_equal(m, m.T)
+        lower = cholesky(m)
+        assert np.allclose(lower @ lower.T, m, atol=1e-12 * np.abs(m).max(), rtol=0)
+
+    def test_asymmetry_within_tolerance_accepted(self):
+        # the tolerance is 1e-9 of the largest magnitude; the factor reads the lower triangle
+        m = 1e3 * random_spd(np.random.default_rng(4), 4)
+        nudged = m.copy()
+        nudged[0, 3] += 0.5e-9 * np.abs(m).max()
+        assert np.array_equal(cholesky(nudged), cholesky(m))
+
+    def test_asymmetry_beyond_tolerance_rejected(self):
+        m = 1e3 * random_spd(np.random.default_rng(4), 4)
+        m[0, 3] += 2e-9 * np.abs(m).max()
+        with pytest.raises(ValueError, match="symmetric"):
+            cholesky(m)
+
+    def test_nan_entry_rejected(self):
+        # a NaN pair is symmetric in position but equals nothing, itself included
+        m = np.eye(3)
+        m[0, 2] = m[2, 0] = math.nan
+        with pytest.raises(ValueError, match="symmetric"):
+            cholesky(m)
+
     @given(st.integers(min_value=1, max_value=16), st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=50, deadline=None)
     def test_reconstruction(self, k, seed):
