@@ -40,7 +40,7 @@ import numpy as np
 from .geometry import DegenerateGeometryError, Point, Scenario, distance
 from .correlation import CorrelationModel, covariance_matrix, cross_covariance
 from .field import median_power
-from .linalg import solve_spd
+from .linalg import cholesky, solve_cholesky
 
 __all__ = [
     "SM0",
@@ -56,6 +56,7 @@ __all__ = [
     "Prediction",
     "AffinePowerMap",
     "lse_fit",
+    "sensor_factor",
     "sm0_weights",
     "geometry_weights",
     "sm2_weights",
@@ -189,11 +190,22 @@ def _lse_coefficient_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # correlation-derived weights and the ideal estimator
 
 
-def sm0_weights(model: CorrelationModel, sensors: list[Point], p0: Point) -> np.ndarray:
-    """Conditional-mean weights: solve C_n w = c_0 (no explicit inverse)."""
-    c_n = covariance_matrix(model, list(sensors))
-    c_0 = cross_covariance(model, p0, list(sensors))
-    return solve_spd(c_n, c_0)
+def sensor_factor(model: CorrelationModel, sensors: list[Point]) -> np.ndarray:
+    """Cholesky factor of the sensor covariance C_n, the matrix sm0_weights solves against."""
+    return cholesky(covariance_matrix(model, list(sensors)))
+
+
+def sm0_weights(
+    model: CorrelationModel, sensors: list[Point], p0: Point, factor: np.ndarray | None = None
+) -> np.ndarray:
+    """Conditional-mean weights: solve C_n w = c_0 (no explicit inverse).
+
+    factor is sensor_factor(model, sensors), if the caller has it: one
+    factor serves every p0.
+    """
+    if factor is None:
+        factor = sensor_factor(model, sensors)
+    return solve_cholesky(factor, cross_covariance(model, p0, list(sensors)))
 
 
 # ---------------------------------------------------------------------------

@@ -31,11 +31,11 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .geometry import DegenerateGeometryError, Point, QueryGrid, Scenario, build_square_scenario, make_grid, distance
-from .correlation import CorrelationModel, KERNEL_KINDS, EXPONENTIAL, covariance_matrix, cross_covariance
+from .correlation import CorrelationModel, KERNEL_KINDS, EXPONENTIAL
 from .field import correlate_normals, standard_normal_block
-from .estimators import SM0, SM1, SM2, ALL_METHODS, OutsideHullError, lse_fit
+from .estimators import SM0, SM1, SM2, ALL_METHODS, OutsideHullError, lse_fit, sensor_factor, sm0_weights
 from .analysis import GridForms, grid_analytic_rmse, grid_forms
-from .linalg import NotPositiveDefiniteError, cholesky, solve_cholesky
+from .linalg import NotPositiveDefiniteError
 
 __all__ = [
     "CORRELATION_KEYS",
@@ -208,14 +208,19 @@ def spatial_average(per_point: np.ndarray) -> float:
     The squares are taken relative to a power of two just above the largest
     magnitude, so they cannot overflow, and the scaling is exact.
     """
-    v = np.asarray(per_point, dtype=float)
-    top = _power_of_two_above(v)
-    return math.sqrt(float(np.mean((v / top) ** 2))) * top
+    return float(_rms_rows(np.reshape(np.asarray(per_point, dtype=float), (1, -1)))[0])
 
 
-def _power_of_two_above(values: np.ndarray) -> float:
-    """The power of two just above the largest magnitude: dividing by it is exact."""
-    return math.ldexp(1.0, math.frexp(float(np.abs(values).max()))[1])
+def _rms_rows(rows: np.ndarray) -> np.ndarray:
+    """spatial_average of each row of a 2-D array, in one pass over the block."""
+    top = _power_of_two_above(rows, axis=1)
+    scaled = rows / top[:, None]
+    return np.sqrt(np.mean(np.square(scaled, out=scaled), axis=1)) * top
+
+
+def _power_of_two_above(values: np.ndarray, axis: int | None = None) -> np.ndarray:
+    """The power of two just above the largest magnitude (along axis): dividing by it is exact."""
+    return np.ldexp(1.0, np.frexp(np.abs(values).max(axis=axis))[1])
 
 
 # Errors of a ratio's numerics that mean its kernel and spacing ratio are
@@ -226,8 +231,8 @@ _RANGE_ERRORS = (NotPositiveDefiniteError, OutsideHullError, ArithmeticError)
 # ---------------------------------------------------------------------------
 # Monte Carlo evaluation
 #
-# The simulated route shares the estimators' weights (geometry_weights, the
-# sm0 solve) but deliberately re-runs the estimation pipeline on each
+# The simulated route shares the estimators' weights (geometry_weights,
+# sm0_weights) but deliberately re-runs the estimation pipeline on each
 # realized measurement vector, with its own refit batched across
 # realizations, instead of reusing the closed-form error coefficients, so
 # that analytic and Monte Carlo results stay independent checks of one
@@ -240,18 +245,11 @@ _RANGE_ERRORS = (NotPositiveDefiniteError, OutsideHullError, ArithmeticError)
 # methods' errors stack as (methods, R) rows for one scaled RMS pass.
 
 
-def _rms_rows(rows: np.ndarray) -> np.ndarray:
-    """spatial_average of each row of an (M, R) array, bit for bit, in one pass over the block."""
-    top = np.ldexp(1.0, np.frexp(np.abs(rows).max(axis=1))[1])
-    scaled = rows / top[:, None]
-    return np.sqrt(np.mean(np.square(scaled, out=scaled), axis=1)) * top
-
-
 def _sensor_factors(scns: list[Scenario], methods: tuple[str, ...]) -> list[np.ndarray | Exception | None]:
-    """Each scenario's Cholesky factor of the sensor covariance, for the sm0 and sm1 weights.
+    """Each scenario's sensor_factor, for the sm0 and sm1 weights.
 
     Entry j is None if no method needs the factor, or the error that
-    stopped it: the point kernel raises that at the step that needs the
+    stopped it: the point kernel returns that at the step that needs the
     factor, so failures surface in the same order, and with the same
     errors, as a factor per point.
     """
@@ -261,7 +259,7 @@ def _sensor_factors(scns: list[Scenario], methods: tuple[str, ...]) -> list[np.n
     for scn in scns:
         try:
             with np.errstate(all="ignore"):
-                factors.append(cholesky(covariance_matrix(scn.correlation, list(scn.sensors))))
+                factors.append(sensor_factor(scn.correlation, list(scn.sensors)))
         except (ValueError, ArithmeticError) as err:
             factors.append(err)
     return factors
@@ -302,10 +300,12 @@ def _mc_point_rmse(
                 fitted_median = fit.a_hat + 10.0 * fit.gamma_hat * x0
             weights = {m: w[k] for m, w in forms.weights.items()}
             if isinstance(factor, Exception):
-                raise factor
+                # returned, not raised: every point shares this one error,
+                # and a raise would add this point's frame to its traceback
+                out.append(factor)
+                continue
             if factor is not None:
-                c_0 = cross_covariance(scn.correlation, p0, list(scn.sensors))
-                weights[SM0] = weights[SM1] = solve_cholesky(factor, c_0)
+                weights[SM0] = weights[SM1] = sm0_weights(scn.correlation, list(scn.sensors), p0, factor)
             for row, method in zip(errors, forms.methods):
                 w = weights[method]
                 if method == SM0:
@@ -505,7 +505,7 @@ def _spatial_stderr(per_point_rmse: np.ndarray, realizations: int, spatial: floa
     if spatial <= 0.0:
         return 0.0
     r = np.asarray(per_point_rmse, dtype=float)
-    top = _power_of_two_above(r)
+    top = float(_power_of_two_above(r))
     var_sq = (2.0 / realizations) * float(np.mean((r / top) ** 4)) / r.size
     return math.sqrt(var_sq) * top / (2.0 * spatial) * top
 

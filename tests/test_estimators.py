@@ -22,7 +22,9 @@ from radiomap import (
     sm0_weights,
     sm2_weights,
 )
-from radiomap.estimators import _strictly_inside, geometry_weights
+from radiomap.correlation import covariance_matrix, cross_covariance
+from radiomap.estimators import _strictly_inside, geometry_weights, sensor_factor
+from radiomap.linalg import solve_spd
 from radiomap.validation import sibson_lattice_weights
 
 
@@ -108,6 +110,16 @@ class TestSm0Weights:
         row_sum = 25.0 * (1.0 + 2.0 * math.exp(-1.0) + math.exp(-math.sqrt(2.0)))
         expected = 25.0 * math.exp(-1.0 / math.sqrt(2.0)) / row_sum
         assert w[0] == pytest.approx(expected, rel=1e-12)
+
+    def test_given_factor_matches_solve_spd(self, table_model, table_scenario):
+        # one sensor_factor serves every point, with the bits of a solve per point
+        sensors = list(table_scenario.sensors)
+        factor = sensor_factor(table_model, sensors)
+        c_n = covariance_matrix(table_model, sensors)
+        for p0 in (Point(320, 320), Point(101.5, 517.25), Point(10.0, 630.0)):
+            want = solve_spd(c_n, cross_covariance(table_model, p0, sensors))
+            assert sm0_weights(table_model, sensors, p0, factor).tolist() == want.tolist()
+            assert sm0_weights(table_model, sensors, p0).tolist() == want.tolist()
 
 
 class TestSm0Predict:

@@ -1,4 +1,5 @@
 import math
+import traceback
 
 import numpy as np
 import pytest
@@ -26,7 +27,12 @@ def test_spatial_average_hand_computation():
     assert spatial_average(np.array([3e200, 4e200])) == pytest.approx(math.sqrt(12.5) * 1e200, rel=1e-12)
 
 
-def test_rms_rows_match_spatial_average_bit_for_bit():
+def test_rms_rows_match_scaled_rms_bit_for_bit():
+    # each row against the scaled RMS written out for one vector
+    def scaled_rms(v):
+        top = math.ldexp(1.0, math.frexp(float(np.abs(v).max()))[1])
+        return math.sqrt(float(np.mean((v / top) ** 2))) * top
+
     rng = np.random.default_rng(41)
     rows = np.vstack(
         [
@@ -37,7 +43,9 @@ def test_rms_rows_match_spatial_average_bit_for_bit():
             np.full(10000, -1e154),
         ]
     )
-    assert _rms_rows(rows).tolist() == [spatial_average(row) for row in rows]
+    want = [scaled_rms(row) for row in rows]
+    assert _rms_rows(rows).tolist() == want
+    assert [spatial_average(row) for row in rows] == want
 
 
 class TestPointRmseMc:
@@ -258,21 +266,25 @@ class TestSweep:
         assert shapes.count((4, 4)) == 3
         assert len(shapes) == 51
 
-    def test_failed_sensor_factor_raises_at_its_ratio(self, monkeypatch):
-        # the ratios before it are yielded, and its error names it
+    @staticmethod
+    def _second_sensor_factor_fails(monkeypatch):
         from radiomap import harness
         from radiomap.linalg import NotPositiveDefiniteError
 
-        original = harness.cholesky
+        original = harness.sensor_factor
         calls = []
 
-        def second_fails(m):
+        def second_fails(model, sensors):
             calls.append(1)
             if len(calls) == 2:
                 raise NotPositiveDefiniteError(2, -1.0)
-            return original(m)
+            return original(model, sensors)
 
-        monkeypatch.setattr(harness, "cholesky", second_fails)
+        monkeypatch.setattr(harness, "sensor_factor", second_fails)
+
+    def test_failed_sensor_factor_raises_at_its_ratio(self, monkeypatch):
+        # the ratios before it are yielded, and its error names it
+        self._second_sensor_factor_fails(monkeypatch)
         cfg = ExperimentConfig(resolution=2, mode="mc", realizations=50, ratios=(0.5, 1.0, 2.0), methods=("nn", "sm1"))
         evals = _grid_evals(cfg, cfg.ratios, cfg.methods, threads=2)
         assert set(next(evals)) == {"nn", "sm1"}
@@ -282,6 +294,18 @@ class TestSweep:
             "exponential kernel at spacing ratio 1.0 is outside the numeric range: "
             "matrix is not positive definite: pivot 2 is -1"
         )
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_failed_sensor_factor_traceback_independent_of_grid_size(self, monkeypatch, threads):
+        # every point shares the ratio's one error; none may add its frame to it
+        depths = []
+        for resolution in (2, 4):
+            self._second_sensor_factor_fails(monkeypatch)
+            cfg = ExperimentConfig(resolution=resolution, mode="mc", realizations=20, ratios=(0.5, 1.0), methods=("sm0",))
+            with pytest.raises(ConfigError) as exc:
+                sweep(cfg, threads=threads)
+            depths.append(len(traceback.extract_tb(exc.value.__cause__.__traceback__)))
+        assert depths[0] == depths[1] < 10
 
     def test_sensor_covariance_factored_only_for_sm0_sm1(self):
         # a Gaussian kernel below ratio ~5e-4 leaves Cn not positive definite;
