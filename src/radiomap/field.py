@@ -4,7 +4,12 @@ Shadow values at a query point and its n sensors are drawn jointly from the
 zero-mean Gaussian with covariance given by the scenario's correlation
 model: s = L z, where L is the Cholesky factor of the (n+1) x (n+1) joint
 covariance (query point first) and z is a vector of independent standard
-normals.
+normals. joint_factors() builds and factors these covariances for a whole
+point set as one (N, n+1, n+1) stack: row and column 0 from one
+cross_covariance_matrix() over the points, the sensor block from one
+covariance_matrix() shared by all of them. Each point's factor has the bits
+of the same matrix factored alone, and joint_cholesky() is the stack at one
+point.
 
 Reproducibility contract
 ------------------------
@@ -35,13 +40,14 @@ import numpy as np
 from scipy.special import ndtri
 
 from .geometry import Point, Scenario, distance
-from .correlation import covariance_matrix
+from .correlation import covariance_matrix, cross_covariance_matrix
 from .linalg import cholesky
 
 __all__ = [
     "SeedSpec",
     "ShadowSample",
     "median_power",
+    "joint_factors",
     "joint_cholesky",
     "standard_normal_block",
     "sample_shadow",
@@ -82,9 +88,26 @@ def median_power(scn: Scenario, p: Point) -> float:
     return scn.a_db + 10.0 * scn.gamma * math.log10(d)
 
 
+def joint_factors(scn: Scenario, points: list[Point]) -> np.ndarray:
+    """(N, n+1, n+1) Cholesky factors of the joint covariance over [p, sensors] at each point p (p first).
+
+    A matrix that is not positive definite raises NotPositiveDefiniteError
+    for the lowest-indexed such point: its index is err.index, and the
+    points before it factor as they would alone.
+    """
+    model = scn.correlation
+    c0 = cross_covariance_matrix(model, points, scn.sensors)
+    n = c0.shape[1]
+    stack = np.empty((len(c0), n + 1, n + 1))
+    stack[:, 1:, 1:] = covariance_matrix(model, list(scn.sensors))
+    stack[:, 0, 0] = model.sigma**2
+    stack[:, 0, 1:] = stack[:, 1:, 0] = c0
+    return cholesky(stack)
+
+
 def joint_cholesky(scn: Scenario, p0: Point) -> np.ndarray:
-    """Cholesky factor of the joint covariance over [p0, sensors] (p0 first)."""
-    return cholesky(covariance_matrix(scn.correlation, [p0, *scn.sensors]))
+    """Cholesky factor of the joint covariance over [p0, sensors] (p0 first): joint_factors at one point."""
+    return joint_factors(scn, [p0])[0]
 
 
 def _words_per_realization(n_variates: int) -> int:
@@ -165,17 +188,18 @@ def sample_shadow_block(
     bit for bit.
     """
     z = standard_normal_block(master_seed, point_index, scn.n_sensors + 1, realizations)
-    return correlate_normals(scn, p0, z)
+    return correlate_normals(joint_cholesky(scn, p0), z)
 
 
-def correlate_normals(scn: Scenario, p0: Point, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Joint shadow rows from (R, n+1) standard normals: (s0 of shape (R,), s of shape (R, n)).
+def correlate_normals(lower: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Joint shadow rows from (R, n+1) standard normals through a joint factor: (s0 of shape (R,), s of shape (R, n)).
 
-    s.T holds one contiguous row per sensor. The normals depend on the
-    stream alone, not on the correlation model, so one block drawn at a
-    point serves every model there.
+    lower is a point's joint Cholesky factor (query point first). s.T holds
+    one contiguous row per sensor. The normals depend on the stream alone,
+    not on the correlation model, so one block drawn at a point serves
+    every model there.
     """
-    joint = _correlate_rows(z, joint_cholesky(scn, p0))
+    joint = _correlate_rows(z, lower)
     return joint[:, 0], joint[:, 1:]
 
 

@@ -10,9 +10,11 @@ realizations (mc mode); 'both' computes the two side by side and flags
 points where they disagree beyond Monte Carlo noise. The parts no ratio
 changes, the geometry-only weights above all, are gathered once per sweep
 for both engines. The closed form is one array evaluation per ratio over
-the whole grid. The Monte Carlo route is point-major: one task per grid
-point, on worker threads if asked, draws the point's normals once and
-evaluates every ratio of the sweep from them.
+the whole grid. The Monte Carlo route factors each ratio's joint
+covariances for the whole grid as one stack, then runs point-major: one
+task per grid point, on worker threads if asked, draws the point's normals
+once and evaluates every ratio of the sweep from them, each through its
+row of that ratio's stack.
 
 Monte Carlo determinism: realizations for grid point i come from the
 substream keyed by (master_seed, i), so results are bitwise identical for
@@ -30,9 +32,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .geometry import DegenerateGeometryError, Point, QueryGrid, Scenario, build_square_scenario, make_grid, distance
+from .geometry import DegenerateGeometryError, Point, QueryGrid, Scenario, build_square_scenario, make_grid
 from .correlation import CorrelationModel, KERNEL_KINDS, EXPONENTIAL
-from .field import correlate_normals, standard_normal_block
+from .field import correlate_normals, joint_factors, standard_normal_block
 from .estimators import SM0, SM1, SM2, ALL_METHODS, OutsideHullError, lse_fit, sensor_factor, sm0_weights
 from .analysis import GridForms, grid_analytic_rmse, grid_forms
 from .linalg import NotPositiveDefiniteError
@@ -237,71 +239,100 @@ _RANGE_ERRORS = (NotPositiveDefiniteError, OutsideHullError, ArithmeticError)
 # realizations, instead of reusing the closed-form error coefficients, so
 # that analytic and Monte Carlo results stay independent checks of one
 # another. A point's normals depend on its stream alone, so one draw serves
-# every ratio; each ratio then gets its own joint factor, refit and sm0
-# solve, and one factor of the sensor covariance serves every point. One fit
-# per ratio serves every fitted method. The point's block is sensor-major:
-# one contiguous row per variate, over all realizations, so the shadow rows,
+# every ratio. Before the points run, each ratio builds and factors the
+# joint covariances of every point as one (N, n+1, n+1) stack, and factors
+# the sensor covariance once; a point takes its row of the stack. Each
+# point then gets its own refit and sm0 solve per ratio, and one fit per
+# ratio serves every fitted method. The point's block is sensor-major: one
+# contiguous row per variate, over all realizations, so the shadow rows,
 # the refit and each prediction w @ block run along whole rows, and the
 # methods' errors stack as (methods, R) rows for one scaled RMS pass.
 
 
-def _sensor_factors(scns: list[Scenario], methods: tuple[str, ...]) -> list[np.ndarray | Exception | None]:
-    """Each scenario's sensor_factor, for the sm0 and sm1 weights.
+@dataclass(frozen=True)
+class _McSetup:
+    """What every point of a Monte Carlo sweep shares, one entry per scenario.
 
-    Entry j is None if no method needs the factor, or the error that
-    stopped it: the point kernel returns that at the step that needs the
-    factor, so failures surface in the same order, and with the same
-    errors, as a factor per point.
+    The scenarios differ only in their correlation model. joint[j] is
+    (factors, err): the joint factors of the first len(factors) points, and
+    the error that stopped the next one, if any (_joint_factors). sensor[j]
+    is the sensor-covariance factor for the sm0 and sm1 weights, None if no
+    method needs it, or the error that stopped it. distances holds the
+    sensors' emitter distances when a fitted method runs. The point kernel
+    returns each error at the step that needs the factor, so failures
+    surface in the same order, and with the same errors, as factors built
+    point by point.
     """
-    if SM0 not in methods and SM1 not in methods:
-        return [None] * len(scns)
-    factors: list[np.ndarray | Exception | None] = []
-    for scn in scns:
-        try:
-            with np.errstate(all="ignore"):
-                factors.append(sensor_factor(scn.correlation, list(scn.sensors)))
-        except (ValueError, ArithmeticError) as err:
-            factors.append(err)
-    return factors
+
+    scns: list[Scenario]
+    forms: GridForms
+    joint: list[tuple[np.ndarray, Exception | None]]
+    sensor: list[np.ndarray | Exception | None]
+    distances: np.ndarray | None
+
+
+def _joint_factors(scn: Scenario, points: tuple[Point, ...]) -> tuple[np.ndarray, Exception | None]:
+    """The scenario's joint factors at the points, as far as they go, and the error that stopped them."""
+    try:
+        return joint_factors(scn, points), None
+    except NotPositiveDefiniteError as err:
+        # the points before the lowest failing one factor as they would alone
+        return joint_factors(scn, points[: err.index]), err
+    except (ValueError, ArithmeticError) as err:
+        return np.empty((0, len(scn.sensors) + 1, len(scn.sensors) + 1)), err
+
+
+def _sensor_factor(scn: Scenario) -> np.ndarray | Exception:
+    try:
+        return sensor_factor(scn.correlation, list(scn.sensors))
+    except (ValueError, ArithmeticError) as err:
+        return err
+
+
+def _mc_setup(scns: list[Scenario], forms: GridForms) -> _McSetup:
+    """Factor every scenario's joint stack, and its sensor covariance if sm0 or sm1 runs."""
+    sensor_weights = SM0 in forms.methods or SM1 in forms.methods
+    with np.errstate(all="ignore"):
+        return _McSetup(
+            scns=scns,
+            forms=forms,
+            joint=[_joint_factors(scn, forms.points) for scn in scns],
+            sensor=[_sensor_factor(scn) if sensor_weights else None for scn in scns],
+            distances=np.array(scns[0].sensor_distances()) if forms.fit is not None else None,
+        )
 
 
 def _mc_point_rmse(
-    scns: list[Scenario],
-    factors: list[np.ndarray | Exception | None],
-    forms: GridForms,
-    k: int,
-    point_index: int,
-    realizations: int,
-    master_seed: int,
+    setup: _McSetup, k: int, point_index: int, realizations: int, master_seed: int
 ) -> list[dict[str, float] | Exception]:
-    """RMS prediction error of each method at point k of forms, for each scenario, from one draw.
+    """RMS prediction error of each method at point k of the setup's forms, for each scenario, from one draw.
 
-    The scenarios differ only in their correlation model; factors holds
-    their sensor-covariance factors (_sensor_factors) and forms what none
-    of them changes. point_index keys the point's stream. Entry j is the
-    error that stopped scenario j, if its numbers left the range of doubles
-    or its fit was degenerate: it is returned, not raised, so that the
-    caller can raise it at its own ratio.
+    point_index keys the point's stream. Entry j is the error that stopped
+    scenario j, if its numbers left the range of doubles or its fit was
+    degenerate: it is returned, not raised, so that the caller can raise it
+    at its own ratio.
     """
+    forms = setup.forms
     p0, pm, pm0 = forms.points[k], forms.pm[:, None], forms.pm0[k]  # pm: (n, 1)
     z = standard_normal_block(master_seed, point_index, len(pm) + 1, realizations)
-    distances = np.array(scns[0].sensor_distances())
-    x0 = math.log10(distance(scns[0].emitter, p0))
-    fitted = any(m in (SM1, SM2) for m in forms.methods)
     errors = np.empty((len(forms.methods), realizations))  # one row per method
     out: list[dict[str, float] | Exception] = []
-    for scn, factor in zip(scns, factors):
+    for scn, (joint, joint_error), factor in zip(setup.scns, setup.joint, setup.sensor):
+        # a shared error is returned, not raised: a raise would add this
+        # point's frame to its traceback
+        if k >= len(joint):
+            out.append(joint_error)
+            continue
         try:
-            s0, s = correlate_normals(scn, p0, z)
+            s0, s = correlate_normals(joint[k], z)
             meas = pm + s.T                    # (n, R): one row per sensor
             truth = pm0 + s0                   # (R,)
-            if fitted:
-                fit = lse_fit(distances, meas.T)
+            if forms.fit is not None:
+                fit = lse_fit(setup.distances, meas.T)
+                x0 = forms.fit[3][k]           # the point's log10 emitter distance
                 fitted_median = fit.a_hat + 10.0 * fit.gamma_hat * x0
             weights = {m: w[k] for m, w in forms.weights.items()}
             if isinstance(factor, Exception):
-                # returned, not raised: every point shares this one error,
-                # and a raise would add this point's frame to its traceback
                 out.append(factor)
                 continue
             if factor is not None:
@@ -332,9 +363,8 @@ def point_rmse_mc(
     nu: float = 1.0,
 ) -> float:
     """RMS prediction error at one point over simulated shadow realizations."""
-    forms = grid_forms(scn, [p0], (method,), nu)
-    factors = _sensor_factors([scn], forms.methods)
-    (result,) = _mc_point_rmse([scn], factors, forms, 0, point_index, realizations, master_seed)
+    setup = _mc_setup([scn], grid_forms(scn, [p0], (method,), nu))
+    (result,) = _mc_point_rmse(setup, 0, point_index, realizations, master_seed)
     if isinstance(result, Exception):
         raise result
     return result[method]
@@ -354,14 +384,14 @@ def _mc_rmse(
     """Per-point Monte Carlo RMSE of each method at every ratio, one worker task per point.
 
     Entry k holds ratio k's (N,) arrays, or the error of the lowest-indexed
-    point that failed at that ratio. The sensor covariance is factored once
-    per ratio, before the points.
+    point that failed at that ratio. Each ratio's joint covariances and its
+    sensor covariance are factored once, before the points.
     """
-    factors = _sensor_factors(scns, forms.methods)
+    setup = _mc_setup(scns, forms)
 
     def eval_point(i: int) -> list[dict[str, float] | Exception]:
         with np.errstate(all="ignore"):  # pool threads do not inherit the caller's state
-            return _mc_point_rmse(scns, factors, forms, i, i, config.realizations, config.master_seed)
+            return _mc_point_rmse(setup, i, i, config.realizations, config.master_seed)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -542,8 +572,10 @@ def rmse_distribution(surface: RmseSurface, bins: int) -> RmseDistribution:
     lo = float(values.min())
     hi = float(values.max())
     if hi - lo <= 1e-9 * max(1.0, abs(hi)):
-        lo -= 0.5
-        hi += 0.5
+        # a constant surface: pad it, relative to its size when large, so the bin edges stay distinct
+        pad = max(0.5, 1e-9 * abs(hi))
+        lo -= pad
+        hi += pad
     counts, edges = np.histogram(values, bins=bins, range=(lo, hi))
     widths = np.diff(edges)
     pdf = counts / (values.size * widths)

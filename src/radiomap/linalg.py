@@ -5,11 +5,15 @@ default, so a plain O(k^3) factorization is the whole story. The value this
 module adds over a library call is the failure contract: a non-positive
 pivot raises NotPositiveDefiniteError naming the pivot index, which callers
 use to distinguish coincident-point covariances from genuine bugs.
+
+cholesky() factors a (..., k, k) stack of matrices in one pass, pivot by
+pivot over the whole stack; a 2-D matrix is a stack of one. Each pivot's
+dot products go through np.matmul with the operands a single matrix would
+give it, so every factor in a stack has the bits of that matrix factored
+alone, and a failing matrix reports the pivot it would report alone.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -26,43 +30,70 @@ _PIVOT_RTOL = 1e-12
 
 
 class NotPositiveDefiniteError(ValueError):
-    """Raised when a Cholesky pivot is not positive (within tolerance)."""
+    """Raised when a Cholesky pivot is not positive (within tolerance).
 
-    def __init__(self, pivot_index: int, pivot_value: float):
+    index is the position of the lowest failing matrix in the flattened
+    stack (0 for a single matrix); the message is that matrix's alone.
+    """
+
+    def __init__(self, pivot_index: int, pivot_value: float, index: int = 0):
         self.pivot_index = pivot_index
         self.pivot_value = pivot_value
+        self.index = index
         super().__init__(
             f"matrix is not positive definite: pivot {pivot_index} is {pivot_value:.6g}"
         )
 
 
 def _check_symmetric(m: np.ndarray) -> np.ndarray:
+    """m as a float array of square matrices, each symmetric to within 1e-9 of its largest magnitude."""
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if (m == m.T).all():  # the common case, built symmetric; NaN never equals itself
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    mt = np.swapaxes(m, -2, -1)
+    if (m == mt).all():  # the common case, built symmetric; NaN never equals itself
         return m
-    scale = np.abs(m).max()
-    if np.isnan(scale) or not np.allclose(m, m.T, atol=1e-9 * max(scale, 1.0), rtol=0.0):
+    scale = np.abs(m).max(axis=(-2, -1))
+    atol = 1e-9 * np.maximum(scale, 1.0)[..., None, None]
+    if np.isnan(scale).any() or not np.isclose(m, mt, atol=atol, rtol=0.0).all():
         raise ValueError("matrix is not symmetric")
     return m
 
 
 def cholesky(m: np.ndarray) -> np.ndarray:
-    """Lower-triangular L with L @ L.T == m, for symmetric positive definite m."""
+    """Lower-triangular L with L @ L.T == m, for each symmetric positive definite matrix of a (..., k, k) stack.
+
+    If any matrix fails, the error is that of the lowest-indexed failing one.
+    """
     m = _check_symmetric(m)
-    k = m.shape[0]
-    tol = _PIVOT_RTOL * max(float(np.diag(m).max(initial=0.0)), 0.0)
-    lower = np.zeros_like(m)
+    k = m.shape[-1]
+    stack = m.reshape(-1, k, k)
+    tol = _PIVOT_RTOL * np.maximum(np.diagonal(stack, axis1=1, axis2=2).max(axis=1, initial=0.0), 0.0)
+    lower = np.zeros_like(stack)
+    failed = np.full(len(stack), -1)  # each matrix's first failing pivot
+    values = np.zeros(len(stack))     # and its value
     for i in range(k):
-        pivot = m[i, i] - float(lower[i, :i] @ lower[i, :i])
-        if pivot <= tol:
-            raise NotPositiveDefiniteError(i, pivot)
-        lii = math.sqrt(pivot)
-        lower[i, i] = lii
+        row = lower[:, i, None, :i]        # (N, 1, i): row i so far
+        col = row.transpose(0, 2, 1)       # the same entries as an (N, i, 1) column
+        pivot = stack[:, i, i] - np.matmul(row, col)[:, 0, 0]
+        bad = pivot <= tol
+        if bad.any():
+            failed[bad] = i
+            values[bad] = pivot[bad]
+            # a failed matrix runs on as the identity, so the rest stays finite
+            stack = np.where(bad[:, None, None], np.eye(k), stack)
+            lower[bad] = 0.0
+            tol[bad] = 0.0
+            pivot[bad] = 1.0
+        lii = np.sqrt(pivot)
+        lower[:, i, i] = lii
         if i + 1 < k:
-            lower[i + 1 :, i] = (m[i + 1 :, i] - lower[i + 1 :, :i] @ lower[i, :i]) / lii
-    return lower
+            below = stack[:, i + 1 :, i] - np.matmul(lower[:, i + 1 :, :i], col)[:, :, 0]
+            lower[:, i + 1 :, i] = below / lii[:, None]
+    if (failed >= 0).any():
+        j = int(np.argmax(failed >= 0))
+        raise NotPositiveDefiniteError(int(failed[j]), float(values[j]), j)
+    return lower.reshape(m.shape)
 
 
 def solve_cholesky(lower: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -398,3 +398,26 @@ def test_any_config_gives_finite_csv_or_a_named_exit(doc):
             assert rows and all(math.isfinite(float(c)) for c in cells)
         else:
             assert code in (2, 3) and err.getvalue().strip()
+
+
+@given(
+    _configs(),
+    st.sampled_from(["sm0", "sm1", "sm2", "nn", "idw", "nat"]),
+    _POSITIVE,
+    st.sampled_from(["analytic", "mc", "both"]),
+)
+@settings(max_examples=100, deadline=None)
+def test_any_grid_gives_finite_csv_or_a_named_exit(doc, method, ratio, mode):
+    # the mode flag puts two thirds of the draws through the Monte Carlo route
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "config.json"
+        cfg.write_text(json.dumps(doc))
+        out = Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["grid", str(cfg), str(out), "--method", method, "--ratio", repr(ratio), "--mode", mode])
+        if code == 0:
+            cells = [v for name in ("grid.csv", "dist.csv") for row in read_rows(out / name) for v in row.values()]
+            assert cells and all(math.isfinite(float(c)) for c in cells)
+        else:
+            assert code in (2, 3) and err.getvalue().strip()

@@ -13,7 +13,8 @@ from radiomap import (
     received_powers,
     sample_shadow,
 )
-from radiomap.field import _correlate_rows, joint_cholesky, sample_shadow_block, standard_normal_block
+from radiomap.field import _correlate_rows, joint_cholesky, joint_factors, sample_shadow_block, standard_normal_block
+from radiomap.geometry import make_grid
 
 
 class TestMedianPower:
@@ -149,6 +150,25 @@ class TestCorrelateRows:
         # the same bits from realization-major normals, and sensor-major rows out
         assert _correlate_rows(np.ascontiguousarray(z), lower).tobytes() == want.tobytes()
         assert got.T.flags["C_CONTIGUOUS"]
+
+
+class TestJointFactors:
+    @pytest.mark.parametrize("ratio", [0.05, 1.0, 20.0])
+    @pytest.mark.parametrize("kind", ["exponential", "gaussian", "elliptical"])
+    def test_stack_row_matches_one_point_bit_for_bit(self, kind, ratio):
+        model = CorrelationModel(kind, sigma=5.0, xc=640.0 / ratio, axis_ratio=3.3, rotation=0.5)
+        scn = build_square_scenario(640.0, Point(-100.0, 0.0), 15.3, 3.76, model)
+        points = make_grid(640.0, 6).points
+        stack = joint_factors(scn, points)
+        assert stack.shape == (36, 5, 5)
+        for k, p0 in enumerate(points):
+            assert stack[k].tobytes() == joint_cholesky(scn, p0).tobytes()
+
+    def test_matches_factor_of_the_scalar_covariance(self, table_scenario, table_model):
+        p0 = Point(205.0, 445.0)
+        lower = joint_cholesky(table_scenario, p0)
+        want = covariance_matrix(table_model, [p0, *table_scenario.sensors])
+        assert np.allclose(lower @ lower.T, want, rtol=0.0, atol=1e-12 * want.max())
 
 
 class TestReceivedPowers:

@@ -18,7 +18,9 @@ from radiomap import (
     sm0_sigma0,
     sweep,
 )
+from radiomap.field import joint_cholesky
 from radiomap.harness import _grid_eval, _grid_evals, _rms_rows
+from radiomap.linalg import NotPositiveDefiniteError
 
 
 def test_spatial_average_hand_computation():
@@ -246,7 +248,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_sensor_covariance_factored_once_per_ratio(self, monkeypatch, threads):
-        # one joint factor per (point, ratio) and one sensor-covariance factor per ratio
+        # one stack of every point's joint factors and one sensor-covariance factor per ratio
         import radiomap
         from radiomap import linalg
 
@@ -262,9 +264,9 @@ class TestSweep:
                 monkeypatch.setattr(module, "cholesky", counted)
         cfg = ExperimentConfig(resolution=4, mode="mc", realizations=100, ratios=(0.5, 1.0, 2.0))
         sweep(cfg, threads=threads)
-        assert shapes.count((5, 5)) == 16 * 3
+        assert shapes.count((16, 5, 5)) == 3
         assert shapes.count((4, 4)) == 3
-        assert len(shapes) == 51
+        assert len(shapes) == 6
 
     @staticmethod
     def _second_sensor_factor_fails(monkeypatch):
@@ -306,6 +308,67 @@ class TestSweep:
                 sweep(cfg, threads=threads)
             depths.append(len(traceback.extract_tb(exc.value.__cause__.__traceback__)))
         assert depths[0] == depths[1] < 10
+
+    @staticmethod
+    def _point_five_indefinite_at_ratio_one(monkeypatch, cfg):
+        # scale point 5's cross-covariances at ratio 1.0 (xc = side) so that its joint matrix fails
+        from radiomap import field
+
+        target = cfg.grid().points[5]
+        original = field.cross_covariance_matrix
+
+        def patched(model, queries, points):
+            c0 = original(model, queries, points)
+            if model.xc == cfg.side_m:
+                c0[[q == target for q in queries]] *= 1e3
+            return c0
+
+        monkeypatch.setattr(field, "cross_covariance_matrix", patched)
+        with pytest.raises(NotPositiveDefiniteError) as alone:
+            joint_cholesky(cfg.scenario(1.0), target)
+        return alone.value
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_failed_joint_factor_raises_at_its_ratio_naming_its_pivot(self, monkeypatch, threads):
+        cfg = ExperimentConfig(resolution=4, mode="mc", realizations=50, ratios=(0.5, 1.0, 2.0), methods=("nn", "sm2"))
+        alone = self._point_five_indefinite_at_ratio_one(monkeypatch, cfg)
+        evals = _grid_evals(cfg, cfg.ratios, cfg.methods, threads=threads)
+        assert set(next(evals)) == {"nn", "sm2"}
+        with pytest.raises(ConfigError) as exc:
+            next(evals)
+        assert str(exc.value) == f"exponential kernel at spacing ratio 1.0 is outside the numeric range: {alone}"
+        assert isinstance(exc.value.__cause__, NotPositiveDefiniteError)
+        assert exc.value.__cause__.index == 5
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_earlier_point_refit_failure_takes_precedence(self, monkeypatch, threads):
+        # point 2 fails at its refit, a later step than point 5's joint factor, at the same ratio
+        import threading
+
+        from radiomap import harness
+
+        cfg = ExperimentConfig(resolution=4, mode="mc", realizations=50, ratios=(0.5, 1.0, 2.0), methods=("nn", "sm2"))
+        self._point_five_indefinite_at_ratio_one(monkeypatch, cfg)
+        local = threading.local()  # the point this thread runs, and its refits so far
+        draw, fit = harness.standard_normal_block, harness.lse_fit
+
+        def tracked_draw(master_seed, point_index, *args):
+            local.point, local.fits = point_index, 0
+            return draw(master_seed, point_index, *args)
+
+        def second_refit_of_point_two_fails(distances, powers):
+            local.fits += 1
+            if (local.point, local.fits) == (2, 2):
+                raise FloatingPointError("refit of point 2")
+            return fit(distances, powers)
+
+        monkeypatch.setattr(harness, "standard_normal_block", tracked_draw)
+        monkeypatch.setattr(harness, "lse_fit", second_refit_of_point_two_fails)
+        evals = _grid_evals(cfg, cfg.ratios, cfg.methods, threads=threads)
+        next(evals)
+        with pytest.raises(ConfigError) as exc:
+            next(evals)
+        assert str(exc.value) == "exponential kernel at spacing ratio 1.0 is outside the numeric range: refit of point 2"
 
     def test_sensor_covariance_factored_only_for_sm0_sm1(self):
         # a Gaussian kernel below ratio ~5e-4 leaves Cn not positive definite;

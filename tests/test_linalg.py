@@ -18,6 +18,39 @@ def random_spd(rng, k):
     return a @ a.T + k * np.eye(k)
 
 
+def cholesky_one_by_one(m):
+    # one matrix, pivot by pivot, with 1-D dot products: the reference for every factor in a stack
+    k = m.shape[0]
+    tol = 1e-12 * max(float(np.diag(m).max(initial=0.0)), 0.0)
+    lower = np.zeros_like(m)
+    for i in range(k):
+        pivot = m[i, i] - float(lower[i, :i] @ lower[i, :i])
+        if pivot <= tol:
+            raise NotPositiveDefiniteError(i, pivot)
+        lower[i, i] = math.sqrt(pivot)
+        lower[i + 1 :, i] = (m[i + 1 :, i] - lower[i + 1 :, :i] @ lower[i, :i]) / lower[i, i]
+    return lower
+
+
+def random_spd_stack(rng, k, size):
+    return np.array([rng.uniform(0.1, 1e3) * random_spd(rng, k) for _ in range(size)])
+
+
+def indefinite():
+    m = np.eye(5)
+    m[0, 1] = m[1, 0] = 2.0  # pivot 1 is 1 - 2^2
+    return m
+
+
+def near_singular_gaussian():
+    # the joint covariance at a grid point for a Gaussian kernel at spacing ratio 5e-4
+    from radiomap import CorrelationModel, Point, build_square_scenario, covariance_matrix
+
+    model = CorrelationModel("gaussian", sigma=5.0, xc=640.0 / 5e-4)
+    scn = build_square_scenario(640.0, Point(-100.0, 0.0), 15.3, 3.76, model)
+    return covariance_matrix(model, [Point(80.0, 80.0), *scn.sensors])
+
+
 class TestCholesky:
     def test_identity(self):
         assert np.array_equal(cholesky(np.eye(3)), np.eye(3))
@@ -69,6 +102,79 @@ class TestCholesky:
         lower = cholesky(m)
         assert np.allclose(lower @ lower.T, m, atol=1e-8 * np.abs(m).max(), rtol=0)
         assert np.array_equal(lower, np.tril(lower))
+
+
+class TestCholeskyStack:
+    @pytest.mark.parametrize("size", [1, 2, 17])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_each_factor_matches_its_matrix_alone_bit_for_bit(self, k, size):
+        stack = random_spd_stack(np.random.default_rng(100 * k + size), k, size)
+        lower = cholesky(stack)
+        assert lower.shape == stack.shape
+        for m, factor in zip(stack, lower):
+            assert factor.tobytes() == cholesky(m).tobytes() == cholesky_one_by_one(m).tobytes()
+
+    def test_leading_axes_kept(self):
+        stack = random_spd_stack(np.random.default_rng(5), 3, 6)
+        assert cholesky(stack.reshape(2, 3, 3, 3)).tobytes() == cholesky(stack).tobytes()
+
+    def test_single_matrix_error_has_index_zero(self):
+        with pytest.raises(NotPositiveDefiniteError) as exc:
+            cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        assert exc.value.index == 0
+
+    @pytest.mark.parametrize("i", [0, 3, 16])
+    @pytest.mark.parametrize(
+        "bad",
+        [indefinite(), near_singular_gaussian()],
+        ids=["indefinite", "near-singular-gaussian"],
+    )
+    def test_failing_matrix_named_by_index_and_pivot(self, i, bad):
+        with pytest.raises(NotPositiveDefiniteError) as alone:
+            cholesky(bad)
+        with pytest.raises(NotPositiveDefiniteError, match=f"^{alone.value}$"):
+            cholesky_one_by_one(bad)
+        stack = random_spd_stack(np.random.default_rng(i), 5, 17)
+        stack[i] = bad
+        with pytest.raises(NotPositiveDefiniteError) as exc:
+            cholesky(stack)
+        assert exc.value.index == i
+        assert exc.value.pivot_index == alone.value.pivot_index
+        assert exc.value.pivot_value == alone.value.pivot_value
+        assert str(exc.value) == str(alone.value)
+
+    def test_lowest_failing_matrix_wins_over_an_earlier_pivot(self):
+        # matrix 1 fails at pivot 3 only; matrix 2 fails at pivot 1
+        stack = np.array([np.eye(5), near_singular_gaussian(), indefinite()])
+        with pytest.raises(NotPositiveDefiniteError) as exc:
+            cholesky(stack)
+        assert (exc.value.index, exc.value.pivot_index) == (1, 3)
+
+    @pytest.mark.parametrize("i", [0, 5, 16])
+    def test_asymmetric_matrix_anywhere_rejected(self, i):
+        stack = random_spd_stack(np.random.default_rng(7), 4, 17)
+        stack[i, 0, 3] += 2e-9 * np.abs(stack[i]).max()
+        with pytest.raises(ValueError, match="symmetric"):
+            cholesky(stack)
+
+    @pytest.mark.parametrize("i", [0, 5, 16])
+    def test_nan_matrix_anywhere_rejected(self, i):
+        stack = random_spd_stack(np.random.default_rng(8), 4, 17)
+        stack[i, 0, 2] = stack[i, 2, 0] = math.nan
+        with pytest.raises(ValueError, match="symmetric"):
+            cholesky(stack)
+
+    def test_asymmetry_tolerance_is_per_matrix(self):
+        # a nudge within a small matrix's tolerance is not forgiven by a larger neighbour's scale
+        small = random_spd(np.random.default_rng(9), 4)
+        small[0, 3] += 2e-9 * np.abs(small).max()
+        big = 1e6 * random_spd(np.random.default_rng(10), 4)
+        with pytest.raises(ValueError, match="symmetric"):
+            cholesky(np.array([big, small]))
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            cholesky(np.ones((3, 2, 3)))
 
 
 class TestSolveSpd:
