@@ -48,7 +48,7 @@ from .harness import (
     sweep,
 )
 from .svgplot import heatmap, line_chart
-from .validation import run_validation
+from .validation import INJECTABLE_BUGS, run_validation
 
 __all__ = ["main", "cmd_sweep", "cmd_grid", "cmd_validate", "load_config"]
 
@@ -291,7 +291,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("validate", help="run the independent-oracle check suite")
     p_val.add_argument("out_dir", help="output directory")
     p_val.add_argument("--seed", type=int, default=None, help="seed for randomized checks")
-    p_val.add_argument("--inject-bug", default=None, help=argparse.SUPPRESS)
+    p_val.add_argument("--inject-bug", choices=INJECTABLE_BUGS, default=None, help=argparse.SUPPRESS)
 
     return parser
 

@@ -22,6 +22,12 @@ to the open-interval uniform ((x >> 11) + 0.5) * 2^-53. The variates for
 of those three integers, independent of how many realizations are requested,
 in what order, or on how many threads.
 
+The inverse CDF is scipy.special.ndtri. It is imported at the first draw,
+not with this module: importing scipy.special costs a fresh interpreter
+about 0.3 s on a 2-core Xeon VM, and analytic runs never draw a normal, so
+they never pay it.
+Later draws find it in sys.modules. Where it is imported changes no bit.
+
 Layout
 ------
 Blocks of realizations are stored sensor-major: one contiguous row per
@@ -37,7 +43,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .geometry import Point, Scenario, distance
 from .correlation import covariance_matrix, cross_covariance_matrix
@@ -139,6 +144,8 @@ def standard_normal_block(
     raw >>= np.uint64(11)
     u = np.add(raw[:, :n_variates].T, 0.5, order="C")  # exact: the shifted words are below 2^53
     u *= 2.0**-53
+    from scipy.special import ndtri
+
     return ndtri(u, out=u).T
 
 

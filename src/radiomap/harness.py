@@ -45,6 +45,7 @@ __all__ = [
     "EMITTER_PRESETS",
     "ConfigError",
     "ExperimentConfig",
+    "check_master_seed",
     "RmseSurface",
     "SweepRow",
     "RmseDistribution",
@@ -76,6 +77,12 @@ _KINDS = {float: "a finite number", int: "an integer", str: "a string", Point: "
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the offending field."""
+
+
+def check_master_seed(seed: int) -> None:
+    """Raise ConfigError unless seed keys a Philox stream: an unsigned 64-bit integer."""
+    if seed < 0 or seed >= 2**64:
+        raise ConfigError(f"field 'master_seed' must fit in an unsigned 64-bit integer, got {seed}")
 
 
 def _kind(default) -> str:
@@ -144,8 +151,7 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"field 'methods' contains unknown method {m!r}; valid methods: {', '.join(ALL_METHODS)}"
                 )
-        if self.master_seed < 0 or self.master_seed >= 2**64:
-            raise ConfigError(f"field 'master_seed' must fit in an unsigned 64-bit integer, got {self.master_seed}")
+        check_master_seed(self.master_seed)
 
     @classmethod
     def desk_preset(cls, **overrides) -> "ExperimentConfig":

@@ -36,9 +36,9 @@ from .analysis import (
     sm1_coefficient_error_form,
     sm0_sigma0,
 )
-from .harness import ExperimentConfig, point_rmse_mc
+from .harness import ExperimentConfig, check_master_seed, point_rmse_mc
 
-__all__ = ["CheckResult", "sibson_lattice_weights", "run_validation", "CHECK_NAMES"]
+__all__ = ["CheckResult", "sibson_lattice_weights", "run_validation", "CHECK_NAMES", "INJECTABLE_BUGS"]
 
 
 @dataclass(frozen=True)
@@ -57,6 +57,9 @@ CHECK_NAMES = (
     "sibson_lattice",
     "sigma0_consistency",
 )
+
+# Negative controls that run_validation can inject; each must make a check fail.
+INJECTABLE_BUGS = ("sigma0-sign",)
 
 
 def _table_scenario(ratio: float = 1.0, kernel: str = "exponential") -> Scenario:
@@ -225,9 +228,14 @@ def sibson_lattice_weights(
 
 
 def run_validation(master_seed: int = 20240, inject_bug: str | None = None) -> list[CheckResult]:
-    """Run every named check; inject_bug='sigma0-sign' is a negative-control hook."""
+    """Run every named check; inject_bug='sigma0-sign' is a negative-control hook.
+
+    A master_seed outside the unsigned 64-bit range raises ConfigError before
+    any check runs.
+    """
+    check_master_seed(master_seed)
     sign = -1.0 if inject_bug == "sigma0-sign" else 1.0
-    if inject_bug not in (None, "sigma0-sign"):
+    if inject_bug not in (None, *INJECTABLE_BUGS):
         raise ValueError(f"unknown bug injection {inject_bug!r}")
     return [
         check_kriging_equivalence(master_seed),

@@ -8,9 +8,10 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from radiomap.cli import main
+from radiomap.validation import INJECTABLE_BUGS
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -38,6 +39,17 @@ def write_config(path: Path, **overrides) -> Path:
 def read_rows(path: Path) -> list[dict]:
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def run_validate(args: list[str]) -> tuple[int, str]:
+    """Exit code and stderr of `radiomap validate ARGS`; argparse's own errors exit through SystemExit."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = main(["validate", *args])
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
 
 
 class TestSweepCommand:
@@ -325,6 +337,43 @@ class TestValidateCommand:
         assert main(["validate", str(out), "--inject-bug", "sigma0-sign"]) == 4
         rows = read_rows(out / "validate.csv")
         assert any(r["passed"] == "false" for r in rows)
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--seed", "-1"], "'master_seed'"),
+            (["--seed", str(2**64)], "'master_seed'"),
+            (["--seed", str(10**23)], "'master_seed'"),
+            (["--inject-bug", "foo"], "--inject-bug"),
+        ],
+        ids=["seed-negative", "seed-2**64", "seed-10**23", "inject-bug-unknown"],
+    )
+    def test_bad_flag_exits_2_naming_it(self, tmp_path, flags, named):
+        out = tmp_path / "out"
+        code, err = run_validate([str(out), *flags])
+        assert code == 2
+        assert named in err and "Traceback" not in err
+        assert not (out / "validate.csv").exists()
+
+
+# Every draw is rejected before the first check runs, so the property stays
+# fast; one valid validate run takes over a second.
+@given(
+    st.one_of(st.none(), st.integers(max_value=-1), st.integers(min_value=2**64)),
+    st.one_of(st.none(), st.text(max_size=12).filter(lambda name: name not in INJECTABLE_BUGS)),
+)
+@settings(max_examples=100, deadline=None)
+def test_out_of_range_validate_flags_exit_2_naming_them(seed, bug):
+    assume(seed is not None or bug is not None)
+    flags = ([] if seed is None else [f"--seed={seed}"]) + ([] if bug is None else [f"--inject-bug={bug}"])
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        code, err = run_validate([str(out), *flags])
+        assert code == 2
+        # argparse rejects the bug name before the seed is checked
+        assert ("--inject-bug" if bug is not None else "'master_seed'") in err
+        assert "Traceback" not in err
+        assert not (out / "validate.csv").exists()
 
 
 # Float fields are drawn over the whole finite double range, next to
