@@ -7,19 +7,17 @@ shadow vector [S0, S1..Sn]:
 
 because the prediction is affine in the measurements and the measurements
 are the median powers plus the sensor shadows. With the joint covariance of
-the shadow vector, the RMS prediction error follows in closed form, which
-is what the experiment harness uses in analytic mode.
+the shadow vector, the RMS prediction error follows in closed form.
 
-For a whole grid of query points the same algebra runs on arrays:
-grid_forms() gathers once what does not depend on the correlation model
-(median powers, log distances, the geometry-only methods' weights), and
-grid_analytic_rmse() evaluates every method at every point for one model
-with a single Cholesky factor of the sensor covariance. The scalar
-error_form()/analytic_rmse() pair stays the reference it is tested against.
-
-Error forms are derived mechanically from each estimator's AffinePowerMap;
-the hand-written coefficient expansion for the fitted-correlation method
-exists only as a cross-check.
+One engine computes it, on arrays: grid_forms() gathers once what does not
+depend on the correlation model (median powers, log distances, the
+geometry-only methods' weights), and grid_analytic_rmse() evaluates every
+method at every point for one model with a single Cholesky factor of the
+sensor covariance, on the rows of estimators._affine_rows(). error_form() is
+its row at one point and analytic_rmse() shares its quadratic form, so the
+library API and the self-checks run the engine the CLI ships. The
+hand-written coefficient expansion for the fitted-correlation method exists
+only as a cross-check.
 """
 
 from __future__ import annotations
@@ -32,18 +30,19 @@ import numpy as np
 from .geometry import Point, Scenario, distance
 from .correlation import CorrelationModel, covariance_matrix, cross_covariance, cross_covariance_matrix
 from .field import median_power
-from .linalg import cholesky, quadratic_form, solve_cholesky, solve_spd
+from .linalg import cholesky, solve_cholesky
 from .estimators import (
     SM0,
     SM1,
     SM2,
     IDW,
+    FitRows,
+    _affine_rows,
+    _fit_rows,
     _log_distances,
-    _lse_coefficient_rows,
     _lse_denominator,
-    _query_log_distance,
-    as_affine,
     geometry_weights,
+    sensor_factor,
     sm0_weights,
 )
 
@@ -109,17 +108,15 @@ def lse_error_coeffs(distances: np.ndarray) -> LseErrorCoeffs:
 
 
 def error_form(method: str, scn: Scenario, p0: Point, nu: float = 1.0) -> AffineErrorForm:
-    """Mechanical error form: +1 on S0, minus the estimator's measurement coefficients.
+    """The grid engine's error row at p0: +1 on S0, minus the measurement coefficients.
 
     bias is the estimator's systematic offset on a shadow-free world: the
     true median power at the query minus the map applied to the sensor
     median powers.
     """
-    amap = as_affine(method, scn, p0, nu)
-    pm = np.array([median_power(scn, s) for s in scn.sensors])
-    bias = median_power(scn, p0) - (amap.intercept + float(amap.coeffs @ pm))
-    coeffs = np.concatenate(([1.0], -amap.coeffs))
-    return AffineErrorForm(bias=bias, coeffs=coeffs)
+    _, _, rows = _error_rows(grid_forms(scn, [p0], (method,), nu), scn.correlation)
+    bias, coeffs = rows[method]
+    return AffineErrorForm(bias=float(bias[0]), coeffs=np.concatenate(([1.0], -coeffs[0])))
 
 
 def sm1_coefficient_error_form(scn: Scenario, p0: Point) -> AffineErrorForm:
@@ -146,16 +143,12 @@ def sm1_coefficient_error_form(scn: Scenario, p0: Point) -> AffineErrorForm:
     return AffineErrorForm(bias=0.0, coeffs=np.concatenate(([1.0], on_s)))
 
 
-def analytic_rmse(
-    form: AffineErrorForm,
-    model: CorrelationModel,
-    p0: Point,
-    sensors: list[Point],
-) -> float:
-    """RMS of the error form under the joint shadow covariance: sqrt(bias^2 + a' C a)."""
+def analytic_rmse(form: AffineErrorForm, model: CorrelationModel, p0: Point, sensors: list[Point]) -> float:
+    """RMS of any error form under the joint shadow covariance, sqrt(bias^2 + a' C a), as the grid engine takes it."""
     c_joint = covariance_matrix(model, [p0, *sensors])
-    q = quadratic_form(c_joint, form.coeffs)
-    return math.sqrt(form.bias**2 + max(q, 0.0))
+    a = np.asarray(form.coeffs, dtype=float)
+    rms = _affine_rms(np.array([form.bias]), a[0], -a[None, 1:], c_joint[0, 0], c_joint[:1, 1:], c_joint[1:, 1:])
+    return float(rms[0])
 
 
 def sm0_sigma0(model: CorrelationModel, sensors: list[Point], p0: Point) -> float:
@@ -165,9 +158,8 @@ def sm0_sigma0(model: CorrelationModel, sensors: list[Point], p0: Point) -> floa
     to round-off; tiny negatives are clamped, anything worse is an error).
     """
     sensors = list(sensors)
-    c_n = covariance_matrix(model, sensors)
     c_0 = cross_covariance(model, p0, sensors)
-    var = model.sigma**2 - float(c_0 @ solve_spd(c_n, c_0))
+    var = model.sigma**2 - float(c_0 @ solve_cholesky(sensor_factor(model, sensors), c_0))
     if var < -1e-9 * model.sigma**2:
         raise ValueError(f"conditional variance {var:.6g} is negative beyond round-off")
     return math.sqrt(max(var, 0.0))
@@ -180,10 +172,9 @@ class GridForms:
     pm0 holds each query point's median power and pm the sensors'. weights
     holds the (N, n) sensor weights of every requested method but sm0 and
     sm1, whose weights follow the correlation model; sm2 and idw share one
-    array. When sm1 or sm2 is requested, fit holds the least-squares pieces
-    (x, c_a, c_slope, x0): the sensors' log10 emitter distances, their
-    coefficient rows, and each query point's log10 emitter distance. The
-    Monte Carlo route takes pm0, pm and weights from here as well.
+    array. When sm1 or sm2 is requested, fit holds their least-squares
+    pieces (estimators._fit_rows). The Monte Carlo route takes pm0, pm and
+    weights from here as well.
     """
 
     methods: tuple[str, ...]
@@ -192,7 +183,7 @@ class GridForms:
     pm0: np.ndarray
     pm: np.ndarray
     weights: dict[str, np.ndarray]
-    fit: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None
+    fit: FitRows | None
 
 
 def grid_forms(scn: Scenario, points: list[Point], methods: tuple[str, ...], nu: float = 1.0) -> GridForms:
@@ -202,10 +193,6 @@ def grid_forms(scn: Scenario, points: list[Point], methods: tuple[str, ...], nu:
     the points: idw shares sm2's (N, n) table, and nn and nat get one each.
     """
     points = tuple(points)
-    fit = None
-    if any(m in (SM1, SM2) for m in methods):
-        x = _log_distances(np.array(scn.sensor_distances()))
-        fit = (x, *_lse_coefficient_rows(x), np.array([_query_log_distance(scn, p0) for p0 in points]))
     # idw applies sm2's inverse-distance weights: compute each table once
     sources = {m: SM2 if m == IDW else m for m in methods if m not in (SM0, SM1)}
     tables = {src: geometry_weights(src, scn.sensors, points, nu) for src in dict.fromkeys(sources.values())}
@@ -216,39 +203,45 @@ def grid_forms(scn: Scenario, points: list[Point], methods: tuple[str, ...], nu:
         pm0=np.array([median_power(scn, p0) for p0 in points]),
         pm=np.array([median_power(scn, s) for s in scn.sensors]),
         weights={m: tables[src] for m, src in sources.items()},
-        fit=fit,
+        fit=_fit_rows(scn, points, methods),
     )
 
 
-def grid_analytic_rmse(forms: GridForms, model: CorrelationModel) -> dict[str, np.ndarray]:
-    """Per-point RMS error of each method under one correlation model, as (N,) arrays.
-
-    Row i of a method equals analytic_rmse(error_form(method, ...)) at
-    forms.points[i]: the same affine algebra as as_affine() and error_form(),
-    applied to (N, n) weight rows. The sm0/sm1 weights of all points come
-    from one Cholesky factor of the sensor covariance Cn.
-    """
+def _error_rows(
+    forms: GridForms, model: CorrelationModel
+) -> tuple[np.ndarray, np.ndarray, dict[str, tuple[np.ndarray, np.ndarray]]]:
+    """Cn, the (N, n) cross covariances C0, and each method's error rows: bias[i] + S0 - coeffs[i] . [S1..Sn]."""
     c_n = covariance_matrix(model, list(forms.sensors))
     c_0 = cross_covariance_matrix(model, forms.points, forms.sensors)
     weights = dict(forms.weights)
     if SM0 in forms.methods or SM1 in forms.methods:
         weights[SM0] = weights[SM1] = solve_cholesky(cholesky(c_n), c_0.T).T
-    out = {}
+    rows = {}
     for m in forms.methods:
-        w = weights[m]
-        intercept = 0.0
-        coeffs = w
-        if m == SM0:
-            intercept = forms.pm0 - w @ forms.pm
-        elif m in (SM1, SM2):
-            # residual rows r_i = e_i - c_a - x_i * c_slope, applied through w
-            x, c_a, c_slope, x0 = forms.fit
-            coeffs = c_a + x0[:, None] * c_slope + w - w.sum(axis=1)[:, None] * c_a - (w @ x)[:, None] * c_slope
-        bias = forms.pm0 - (intercept + coeffs @ forms.pm)
-        # a C a' for a = [1, -c], grouped as (a C) a' like quadratic_form(): the
-        # expanded sigma^2 - 2 c.C0 + c Cn c' overflows first near the double range
-        q = (model.sigma**2 - np.einsum("ij,ij->i", coeffs, c_0)) - np.einsum(
-            "ij,ij->i", coeffs, c_0 - coeffs @ c_n
-        )
-        out[m] = np.sqrt(bias**2 + np.maximum(q, 0.0))
-    return out
+        intercept, coeffs = _affine_rows(m, weights[m], forms.pm0, forms.pm, forms.fit)
+        rows[m] = (forms.pm0 - (intercept + coeffs @ forms.pm), coeffs)
+    return c_n, c_0, rows
+
+
+def _affine_rms(
+    bias: np.ndarray, a0: float, c: np.ndarray, var0: float, c_0: np.ndarray, c_n: np.ndarray
+) -> np.ndarray:
+    """sqrt(bias^2 + a C a') for each row's a = [a0, -c], C the joint covariance [[var0, c_0], [c_0', Cn]].
+
+    bias is (N,); c and c_0 are (N, n). The form is grouped as (a C) a' =
+    a0 (a0 var0 - c.c_0) - c.(a0 c_0 - c Cn), as the expanded form overflows
+    first near the double range, and clamped at zero against round-off.
+    """
+    q = a0 * (a0 * var0 - np.einsum("ij,ij->i", c, c_0)) - np.einsum("ij,ij->i", c, a0 * c_0 - c @ c_n)
+    return np.sqrt(bias**2 + np.maximum(q, 0.0))
+
+
+def grid_analytic_rmse(forms: GridForms, model: CorrelationModel) -> dict[str, np.ndarray]:
+    """Per-point RMS error of each method under one correlation model, as (N,) arrays.
+
+    The package's one analytic engine: each method's error rows come from
+    estimators._affine_rows() on its (N, n) weight rows, the sm0/sm1 weights
+    of all points from one Cholesky factor of the sensor covariance Cn.
+    """
+    c_n, c_0, rows = _error_rows(forms, model)
+    return {m: _affine_rms(bias, 1.0, coeffs, model.sigma**2, c_0, c_n) for m, (bias, coeffs) in rows.items()}

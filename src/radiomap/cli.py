@@ -48,7 +48,7 @@ from .harness import (
     sweep,
 )
 from .svgplot import heatmap, line_chart
-from .validation import INJECTABLE_BUGS, run_validation
+from .validation import INJECTABLE_BUGS, VALIDATION_SEED, run_validation
 
 __all__ = ["main", "cmd_sweep", "cmd_grid", "cmd_validate", "load_config"]
 
@@ -241,8 +241,8 @@ def cmd_grid(config_path: str, ratio: float, method: str, out_dir: str, args: ar
 
 def cmd_validate(out_dir: str, args: argparse.Namespace) -> int:
     started = _utc_now()
-    results = run_validation(master_seed=args.seed if args.seed is not None else 20240,
-                             inject_bug=args.inject_bug)
+    seed = VALIDATION_SEED if args.seed is None else args.seed
+    results = run_validation(master_seed=seed, inject_bug=args.inject_bug)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(
@@ -250,7 +250,7 @@ def cmd_validate(out_dir: str, args: argparse.Namespace) -> int:
         ["check", "passed", "delta", "threshold"],
         ([r.name, str(r.passed).lower(), _fmt(r.delta), _fmt(r.threshold)] for r in results),
     )
-    _write_manifest(out, None, getattr(args, "seed", None), started, ["validate.csv"])
+    _write_manifest(out, None, seed, started, ["validate.csv"])
     for r in results:
         status = "pass" if r.passed else "FAIL"
         print(f"{r.name}: {status} (delta {r.delta:.3g}, threshold {r.threshold:.3g})")

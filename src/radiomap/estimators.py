@@ -4,11 +4,11 @@ Every estimator predicts received power at a query point from the n sensor
 measurements by applying sensor weights to one of three things: the shadow
 deviations from the true medians (sm0), the residuals of a log-distance
 fit (sm1, sm2), or the raw measurements (nn, idw, nat). method_weights() is
-the one table from method name to weights; predict() and as_affine() each
+the one table from method name to weights; predict() and _affine_rows() each
 branch only on those three families. All estimators are affine in the
-measurement vector, which as_affine() materializes as an intercept plus
-coefficient vector; the analysis module builds closed-form error
-statistics on top of that.
+measurement vector: _affine_rows() turns a method's (N, n) weight rows into
+N intercepts and coefficient rows, the analysis module's closed-form error
+engine runs on those rows, and as_affine() is their row at one point.
 
 The weights of sm2, idw, nn and nat depend on nothing but where the
 sensors and the query are. geometry_weights() computes them for a whole
@@ -175,15 +175,23 @@ def lse_fit(distances: np.ndarray, powers: np.ndarray) -> FitResult:
     return FitResult(a_hat=a_hat, gamma_hat=slope / 10.0, residuals=residuals.T)
 
 
-def _lse_coefficient_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows c_a, c_s with a_hat = c_a . P and 10 * gamma_hat = c_s . P."""
-    n = x.size
+# The fitted methods' pieces at N points: (x, c_a, c_slope, x0).
+FitRows = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _fit_rows(scn: Scenario, points: list[Point], methods: tuple[str, ...]) -> FitRows | None:
+    """x, c_a, c_slope, x0 if methods has sm1 or sm2, else None.
+
+    x holds the sensors' log10 emitter distances and x0 the points';
+    a_hat = c_a . P and 10 * gamma_hat = c_slope . P for measurements P.
+    """
+    if not any(m in (SM1, SM2) for m in methods):
+        return None
+    x = _log_distances(np.array(scn.sensor_distances()))
+    n, sx, sxx = x.size, float(x.sum()), float(x @ x)
     denom = _lse_denominator(x)
-    sx = float(x.sum())
-    sxx = float(x @ x)
-    c_slope = (n * x - sx) / denom
-    c_a = (sxx - sx * x) / denom
-    return c_a, c_slope
+    x0 = np.array([_query_log_distance(scn, p0) for p0 in points])
+    return x, (sxx - sx * x) / denom, (n * x - sx) / denom, x0
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +234,8 @@ def geometry_weights(method: str, sensors: list[Point], points: list[Point], nu:
     sensor's full weight, removing the 1/0 singularity.
     """
     if method not in (SM2, IDW, NN, NATURAL):
+        if method not in ALL_METHODS:  # the one check every method-taking entry reaches
+            raise ValueError(f"unknown method {method!r}, expected one of {ALL_METHODS}")
         raise ValueError(f"method {method!r} has no geometry-only weights")
     sensors = list(sensors)
     sites = np.array([(s.x, s.y) for s in sensors], dtype=float)
@@ -396,13 +406,11 @@ def method_weights(method: str, scn: Scenario, p0: Point, nu: float = 1.0) -> np
 
     sm0 and sm1 share the correlation-derived weights; the geometry-only
     methods take their row of geometry_weights, which holds each of their
-    weight families once.
+    weight families once and rejects a method name it does not know.
     """
     if method in (SM0, SM1):
         return sm0_weights(scn.correlation, list(scn.sensors), p0)
-    if method in (SM2, IDW, NN, NATURAL):
-        return geometry_weights(method, scn.sensors, [p0], nu)[0]
-    raise ValueError(f"unknown method {method!r}, expected one of {ALL_METHODS}")
+    return geometry_weights(method, scn.sensors, [p0], nu)[0]
 
 
 def _query_log_distance(scn: Scenario, p0: Point) -> float:
@@ -434,23 +442,30 @@ def predict(
     return Prediction(value=value, method=method, weights=w)
 
 
-def as_affine(method: str, scn: Scenario, p0: Point, nu: float = 1.0) -> AffinePowerMap:
-    """Exact affine form of an estimator in the measurement vector.
+def _affine_rows(
+    method: str, w: np.ndarray, pm0: np.ndarray, pm: np.ndarray, fit: FitRows | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(N,) intercepts and (N, n) coefficient rows of a method's affine maps, from its (N, n) weight rows w.
 
-    The fitted methods (sm1, sm2) are linear because the least-squares
-    estimates and residuals are linear in the observations; the weighted
-    baselines are linear by construction; sm0 adds the median-power
-    intercept.
+    pm0 and pm are the points' and the sensors' median powers, fit is
+    _fit_rows() of the points. The fitted methods (sm1, sm2) are linear
+    because the least-squares estimates and residuals are linear in the
+    observations; sm0 adds the median-power intercept.
     """
-    w = method_weights(method, scn, p0, nu)
     if method == SM0:
-        pm = np.array([median_power(scn, s) for s in scn.sensors])
-        return AffinePowerMap(intercept=median_power(scn, p0) - float(w @ pm), coeffs=w)
+        return pm0 - w @ pm, w
     if method in (SM1, SM2):
-        x = _log_distances(np.array(scn.sensor_distances()))
-        c_a, c_slope = _lse_coefficient_rows(x)
-        x0 = _query_log_distance(scn, p0)
-        # residual rows: r_i = e_i - c_a - x_i * c_slope, applied through w
-        coeffs = c_a + x0 * c_slope + w - float(w.sum()) * c_a - float(w @ x) * c_slope
-        return AffinePowerMap(intercept=0.0, coeffs=coeffs)
-    return AffinePowerMap(intercept=0.0, coeffs=w)
+        # residual rows r_i = e_i - c_a - x_i * c_slope, applied through w
+        x, c_a, c_slope, x0 = fit
+        coeffs = c_a + x0[:, None] * c_slope + w - w.sum(axis=1)[:, None] * c_a - (w @ x)[:, None] * c_slope
+        return np.zeros(len(w)), coeffs
+    return np.zeros(len(w)), w
+
+
+def as_affine(method: str, scn: Scenario, p0: Point, nu: float = 1.0) -> AffinePowerMap:
+    """Exact affine form of an estimator in the measurement vector: _affine_rows() at p0."""
+    w = method_weights(method, scn, p0, nu)
+    pm = np.array([median_power(scn, s) for s in scn.sensors])
+    fit = _fit_rows(scn, [p0], (method,))
+    intercept, coeffs = _affine_rows(method, w[None], np.array([median_power(scn, p0)]), pm, fit)
+    return AffinePowerMap(intercept=float(intercept[0]), coeffs=coeffs[0])

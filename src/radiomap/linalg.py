@@ -1,4 +1,4 @@
-"""Small dense SPD linear algebra: Cholesky, solves, quadratic forms.
+"""Small dense SPD linear algebra: a Cholesky factor and solves against it.
 
 Covariance matrices in this package are at most (n+1) x (n+1) with n = 4 by
 default, so a plain O(k^3) factorization is the whole story. The value this
@@ -21,8 +21,6 @@ __all__ = [
     "NotPositiveDefiniteError",
     "cholesky",
     "solve_cholesky",
-    "solve_spd",
-    "quadratic_form",
 ]
 
 # A pivot must exceed this fraction of the largest diagonal entry.
@@ -114,18 +112,3 @@ def solve_cholesky(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
         x[i] = (y[i] - lower[i + 1 :, i] @ x[i + 1 :]) / lower[i, i]
     return x
 
-
-def solve_spd(m: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve m x = b for symmetric positive definite m (never forms an inverse)."""
-    return solve_cholesky(cholesky(m), b)
-
-
-def quadratic_form(m: np.ndarray, a: np.ndarray) -> float:
-    """a.T @ m @ a."""
-    m = np.asarray(m, dtype=float)
-    a = np.asarray(a, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if a.shape[0] != m.shape[0]:
-        raise ValueError(f"dimension mismatch: matrix is {m.shape[0]}x{m.shape[0]}, vector has {a.shape[0]}")
-    return float(a @ m @ a)

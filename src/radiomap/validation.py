@@ -4,9 +4,10 @@ Each check recomputes a quantity by a second route that shares as little
 machinery as possible with the primary implementation: the conditional-mean
 estimator against a direct kriging-style formula solved with numpy, the
 closed-form fit-error coefficients against brute-force refits, the
-mechanical error form against the hand-written coefficient expansion,
-analytic RMS errors against Monte Carlo, and the polygon-clipped
-natural-neighbor weights against dense-lattice area counting.
+engine's sm1 error form against the hand-written coefficient expansion,
+analytic RMS errors against Monte Carlo, sigma0 against a numpy solve, and
+the polygon-clipped natural-neighbor weights against lattice area counting.
+error_form() and analytic_rmse() are the sweep's analytic engine at one point.
 
 The lattice oracle lives here rather than in the estimators module because
 the CLI 'validate' command has to run it at runtime; the estimator path
@@ -38,7 +39,9 @@ from .analysis import (
 )
 from .harness import ExperimentConfig, check_master_seed, point_rmse_mc
 
-__all__ = ["CheckResult", "sibson_lattice_weights", "run_validation", "CHECK_NAMES", "INJECTABLE_BUGS"]
+__all__ = [
+    "CheckResult", "sibson_lattice_weights", "run_validation", "CHECK_NAMES", "INJECTABLE_BUGS", "VALIDATION_SEED"
+]
 
 
 @dataclass(frozen=True)
@@ -60,6 +63,9 @@ CHECK_NAMES = (
 
 # Negative controls that run_validation can inject; each must make a check fail.
 INJECTABLE_BUGS = ("sigma0-sign",)
+
+# Master seed of the randomized checks when none is given.
+VALIDATION_SEED = 20240
 
 
 def _table_scenario(ratio: float = 1.0, kernel: str = "exponential") -> Scenario:
@@ -227,7 +233,7 @@ def sibson_lattice_weights(
     return counts / total
 
 
-def run_validation(master_seed: int = 20240, inject_bug: str | None = None) -> list[CheckResult]:
+def run_validation(master_seed: int = VALIDATION_SEED, inject_bug: str | None = None) -> list[CheckResult]:
     """Run every named check; inject_bug='sigma0-sign' is a negative-control hook.
 
     A master_seed outside the unsigned 64-bit range raises ConfigError before

@@ -3,11 +3,11 @@ pass/fail line with the measured margin (run with -s or -v to see them).
 
 Every tolerance is pinned here; the suite is the contract for what this
 package promises quantitatively. One expectation is computed: C08's sm0 and
-sm1 surfaces come from an independent numpy closed form. Their 75% share
-target cannot be met under the documented scenario: the sm0 surface is the
-kriging standard deviation, fixed by the kernel, sigma and the sensor
-corners, so the gate checks those two surfaces per point against the closed
-form instead.
+sm1 surfaces come from the independent numpy closed form of closed_form.py.
+Their 75% share target cannot be met under the documented scenario: the sm0
+surface is the kriging standard deviation, fixed by the kernel, sigma and
+the sensor corners, so the gate checks those two surfaces per point against
+the closed form instead.
 """
 
 import collections
@@ -42,6 +42,8 @@ from radiomap import (
 from radiomap.analysis import sm1_coefficient_error_form
 from radiomap.harness import DEFAULT_RATIOS, EMITTER_PRESETS
 from radiomap.validation import sibson_lattice_weights
+
+from closed_form import closed_form_rmse
 
 
 def report(cid: str, ok: bool, detail: str, t0: float) -> None:
@@ -222,44 +224,6 @@ def test_c07_gap_to_ideal():
     assert ok
 
 
-def closed_form_sm0_sm1_rmse(cfg, ratio):
-    """Per-point RMSE of sm0 and sm1 over cfg's grid, from numpy alone.
-
-    Independent of the engine: the exponential kernel sigma^2 exp(-d / xc)
-    with xc = side / ratio, Simple Kriging weights w = Cn^-1 c0 from
-    np.linalg.solve, and for sm1 the least-squares hat rows of the
-    log-distance fit, so its measurement weights are x0 (X'X)^-1 X' + w (I - H).
-    Sensors sit on the square's corners; the grid is cell-centred, x fastest.
-    """
-    assert cfg.kernel == "exponential"
-    side, sig2, xc = cfg.side_m, cfg.sigma_db**2, cfg.side_m / ratio
-    sensors = np.array([[0.0, 0.0], [0.0, side], [side, side], [side, 0.0]])
-    centres = (np.arange(cfg.resolution) + 0.5) * side / cfg.resolution
-    gx, gy = np.meshgrid(centres, centres)
-    points = np.column_stack([gx.ravel(), gy.ravel()])
-
-    def cov(a, b):
-        return sig2 * np.exp(-np.linalg.norm(a[:, None] - b[None], axis=2) / xc)
-
-    c_n, c_0 = cov(sensors, sensors), cov(points, sensors)
-    w = np.linalg.solve(c_n, c_0.T).T
-    emitter = np.array([cfg.emitter.x, cfg.emitter.y])
-    x = np.log10(np.linalg.norm(sensors - emitter, axis=1))
-    x0 = np.log10(np.linalg.norm(points - emitter, axis=1))
-    design = np.column_stack([np.ones_like(x), x])
-    fit_rows = np.linalg.solve(design.T @ design, design.T)
-    hat = design @ fit_rows
-    g1 = np.column_stack([np.ones_like(x0), x0]) @ fit_rows + w @ (np.eye(len(x)) - hat)
-
-    def rmse(g, bias):
-        var = sig2 - 2.0 * np.einsum("ij,ij->i", g, c_0) + np.einsum("ij,jk,ik->i", g, c_n, g)
-        return np.sqrt(bias**2 + np.maximum(var, 0.0))
-
-    median = cfg.a_db + 10.0 * cfg.gamma * x
-    median0 = cfg.a_db + 10.0 * cfg.gamma * x0
-    return {"sm0": rmse(w, 0.0), "sm1": rmse(g1, median0 - g1 @ median)}
-
-
 def test_c08_spatial_uniformity():
     """Shape of the per-point error surfaces at ratio 1, res 64, 0.3 dB band.
 
@@ -281,7 +245,7 @@ def test_c08_spatial_uniformity():
     }
     ok = fracs["sm2"] >= 0.75
     parts = [f"sm2 {fracs['sm2']:.3f} (need >= 0.75)"]
-    for m, expected in closed_form_sm0_sm1_rmse(cfg, 1.0).items():
+    for m, expected in closed_form_rmse(cfg.scenario(1.0), cfg.grid().points, ("sm0", "sm1")).items():
         got = surfaces[m].rmse
         diff = float(np.abs(got - expected).max())
         oracle_frac = float(np.mean(np.abs(expected - math.sqrt(np.mean(expected**2))) <= 0.3))

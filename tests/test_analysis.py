@@ -22,6 +22,8 @@ from radiomap.analysis import AffineErrorForm, grid_analytic_rmse, grid_forms, s
 from radiomap.estimators import DegenerateGeometryError
 from radiomap.harness import EMITTER_PRESETS, _spatial_stderr, point_rmse_mc
 
+from closed_form import closed_form_rmse
+
 
 class TestLseErrorCoeffs:
     def test_coefficient_sums(self, table_scenario):
@@ -121,6 +123,11 @@ class TestAnalyticRmse:
         got = analytic_rmse(form, table_model, Point(320, 320), list(table_scenario.sensors))
         assert got == 2.5
 
+    def test_form_of_the_wrong_length_rejected(self, table_scenario, table_model):
+        form = AffineErrorForm(bias=0.0, coeffs=np.ones(4))  # four sensors need five coefficients
+        with pytest.raises(ValueError):
+            analytic_rmse(form, table_model, Point(320, 320), list(table_scenario.sensors))
+
     def test_matches_monte_carlo(self, table_scenario, table_model):
         p0 = Point(160.0, 160.0)
         form = error_form("sm2", table_scenario, p0)
@@ -188,7 +195,7 @@ class TestNaiveMonteCarlo:
 
 
 class TestGridAnalyticRmse:
-    """The batched engine against the scalar oracle, analytic_rmse(error_form(...)), point by point.
+    """The engine against the numpy closed form of closed_form.py, point by point.
 
     The model-free parts are gathered once, at ratio 1, and reused at every
     ratio, as a sweep does.
@@ -199,7 +206,7 @@ class TestGridAnalyticRmse:
     @pytest.mark.parametrize("nu", [1, 2, 3])
     @pytest.mark.parametrize("emitter", ["E1", "E2", "E3"])
     @pytest.mark.parametrize("kernel", ["exponential", "gaussian", "elliptical"])
-    def test_matches_scalar_oracle(self, kernel, emitter, nu):
+    def test_matches_closed_form(self, kernel, emitter, nu):
         config = ExperimentConfig(
             kernel=kernel, emitter=EMITTER_PRESETS[emitter], rotation_rad=0.5, resolution=4, nu=nu
         )
@@ -207,21 +214,21 @@ class TestGridAnalyticRmse:
         forms = grid_forms(config.scenario(1.0), points, self.METHODS, nu)
         for ratio in (0.05, 1.0, 20.0):
             scn = config.scenario(ratio)
-            sensors = list(scn.sensors)
             got = grid_analytic_rmse(forms, scn.correlation)
+            want = closed_form_rmse(scn, points, self.METHODS, nu)
             for m in self.METHODS:
-                want = [analytic_rmse(error_form(m, scn, p0, nu), scn.correlation, p0, sensors) for p0 in points]
-                assert np.max(np.abs(got[m] - want)) <= 1e-9, (m, ratio)
+                assert np.max(np.abs(got[m] - want[m])) <= 1e-9, (m, ratio)
 
-    def test_matches_scalar_oracle_near_double_range(self):
-        # sigma^2 is 1.7e308: the quadratic form must not overflow where the oracle does not
+    def test_matches_closed_form_near_double_range(self):
+        # sigma^2 is 1.7e308: the engine's quadratic form must not overflow;
+        # the closed form runs in units of sigma
         config = ExperimentConfig(sigma_db=1.3e154, resolution=3)
         scn = config.scenario(1.0)
         points = config.grid().points
         got = grid_analytic_rmse(grid_forms(scn, points, self.METHODS), scn.correlation)
+        want = closed_form_rmse(scn, points, self.METHODS, unit=1.3e154)
         for m in self.METHODS:
-            want = [analytic_rmse(error_form(m, scn, p0), scn.correlation, p0, list(scn.sensors)) for p0 in points]
-            assert np.allclose(got[m], want, rtol=1e-12, atol=0.0), m
+            assert np.allclose(got[m], want[m], rtol=1e-12, atol=0.0), m
 
     def test_requested_methods_only(self, table_scenario):
         points = [Point(100.0, 200.0), Point(320.0, 320.0)]

@@ -1,8 +1,10 @@
 import contextlib
 import csv
+import importlib.util
 import io
 import json
 import math
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -10,8 +12,9 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from radiomap import cli
 from radiomap.cli import main
-from radiomap.validation import INJECTABLE_BUGS
+from radiomap.validation import CHECK_NAMES, INJECTABLE_BUGS, VALIDATION_SEED, CheckResult
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -331,6 +334,21 @@ class TestValidateCommand:
         for r in rows:
             float(r["delta"])  # numeric delta present
         assert "kriging_equivalence: pass" in capsys.readouterr().out
+        assert json.loads((out / "manifest.json").read_text())["master_seed"] == VALIDATION_SEED
+
+    @pytest.mark.parametrize("flags, seed", [([], VALIDATION_SEED), (["--seed", "7"], 7)], ids=["default", "given"])
+    def test_manifest_records_the_seed_the_checks_ran_with(self, tmp_path, monkeypatch, flags, seed):
+        ran_with = []
+
+        def fake_validation(master_seed, inject_bug):
+            ran_with.append(master_seed)
+            return [CheckResult(name, True, 0.0, 1.0) for name in CHECK_NAMES]
+
+        monkeypatch.setattr(cli, "run_validation", fake_validation)
+        out = tmp_path / "out"
+        assert main(["validate", str(out), *flags]) == 0
+        assert ran_with == [seed]
+        assert json.loads((out / "manifest.json").read_text())["master_seed"] == seed
 
     def test_injected_bug_fails_with_exit_4(self, tmp_path):
         out = tmp_path / "out"
@@ -470,3 +488,32 @@ def test_any_grid_gives_finite_csv_or_a_named_exit(doc, method, ratio, mode):
             assert cells and all(math.isfinite(float(c)) for c in cells)
         else:
             assert code in (2, 3) and err.getvalue().strip()
+
+
+def _load_perfbench_workloads():
+    """perfbench/workloads.py, loaded by path: the workload configs and the reference checker."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+PERFBENCH = _load_perfbench_workloads()
+
+
+# The analytic CSV contract: the benchmark's recorded outputs, which hold the
+# CSVs of the sweep and grid commands to within 1e-9 dB.
+@pytest.mark.parametrize(
+    "name, seed", [("sweep-analytic", seed) for seed in range(10)] + [("grid-both", 0)]
+)
+def test_outputs_match_recorded_benchmark_reference(tmp_path, name, seed):
+    workload = PERFBENCH.WORKLOADS[name]
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(workload.config(seed)))
+    out = tmp_path / "out"
+    assert main(workload.argv(str(cfg), str(out), threads=1)) == 0
+    reference = PERFBENCH.load_reference(workload, seed)
+    assert reference is not None
+    assert PERFBENCH.check_outputs(workload, out, reference) == []

@@ -24,7 +24,8 @@ from radiomap import (
 )
 from radiomap.correlation import covariance_matrix, cross_covariance
 from radiomap.estimators import _strictly_inside, geometry_weights, sensor_factor
-from radiomap.linalg import solve_spd
+from radiomap.analysis import error_form, grid_forms
+from radiomap.linalg import cholesky, solve_cholesky
 from radiomap.validation import sibson_lattice_weights
 
 
@@ -117,7 +118,7 @@ class TestSm0Weights:
         factor = sensor_factor(table_model, sensors)
         c_n = covariance_matrix(table_model, sensors)
         for p0 in (Point(320, 320), Point(101.5, 517.25), Point(10.0, 630.0)):
-            want = solve_spd(c_n, cross_covariance(table_model, p0, sensors))
+            want = solve_cholesky(cholesky(c_n), cross_covariance(table_model, p0, sensors))
             assert sm0_weights(table_model, sensors, p0, factor).tolist() == want.tolist()
             assert sm0_weights(table_model, sensors, p0).tolist() == want.tolist()
 
@@ -507,8 +508,11 @@ class TestConvexity:
             lambda scn, p0: predict("kriging", scn, p0, np.zeros(4)),
             lambda scn, p0: as_affine("kriging", scn, p0),
             lambda scn, p0: method_weights("kriging", scn, p0),
+            lambda scn, p0: error_form("kriging", scn, p0),
+            lambda scn, p0: grid_forms(scn, [p0], ("kriging",)),
+            lambda scn, p0: geometry_weights("kriging", scn.sensors, [p0]),
         ],
-        ids=["predict", "as_affine", "method_weights"],
+        ids=["predict", "as_affine", "method_weights", "error_form", "grid_forms", "geometry_weights"],
     )
     def test_unknown_method_rejected(self, table_scenario, call):
         with pytest.raises(ValueError, match="unknown method"):

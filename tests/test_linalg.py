@@ -7,9 +7,7 @@ from hypothesis import given, settings, strategies as st
 from radiomap.linalg import (
     NotPositiveDefiniteError,
     cholesky,
-    quadratic_form,
     solve_cholesky,
-    solve_spd,
 )
 
 
@@ -177,13 +175,17 @@ class TestCholeskyStack:
             cholesky(np.ones((3, 2, 3)))
 
 
-class TestSolveSpd:
+def solve(m, b):
+    return solve_cholesky(cholesky(m), b)
+
+
+class TestSolveCholesky:
     def test_identity(self):
         b = np.array([3.0, -1.0, 2.0])
-        assert np.array_equal(solve_spd(np.eye(3), b), b)
+        assert np.array_equal(solve(np.eye(3), b), b)
 
     def test_diagonal(self):
-        x = solve_spd(np.diag([2.0, 4.0]), np.array([2.0, 8.0]))
+        x = solve(np.diag([2.0, 4.0]), np.array([2.0, 8.0]))
         assert np.allclose(x, [1.0, 2.0], rtol=1e-15)
 
     def test_random_system_residual(self):
@@ -191,7 +193,7 @@ class TestSolveSpd:
         rng = np.random.default_rng(7)
         m = random_spd(rng, 5)
         b = rng.normal(size=5)
-        x = solve_spd(m, b)
+        x = solve(m, b)
         assert np.abs(m @ x - b).max() <= 1e-8 * np.abs(b).max()
 
     @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=2**31))
@@ -200,37 +202,17 @@ class TestSolveSpd:
         rng = np.random.default_rng(seed)
         m = random_spd(rng, k)
         x = rng.normal(size=k)
-        got = solve_spd(m, m @ x)
+        got = solve(m, m @ x)
         assert np.allclose(got, x, rtol=1e-7, atol=1e-7 * np.abs(x).max())
 
-    def test_factored_solve_matches(self):
+    def test_columns_solve_as_single_vectors(self):
         rng = np.random.default_rng(9)
         m = random_spd(rng, 6)
-        b = rng.normal(size=6)
-        assert np.array_equal(solve_cholesky(cholesky(m), b), solve_spd(m, b))
+        b = rng.normal(size=(6, 3))
+        got = solve(m, b)
+        for j in range(3):
+            assert np.allclose(got[:, j], solve(m, b[:, j]), rtol=1e-12, atol=0.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
-            solve_spd(np.eye(3), np.ones(2))
-
-
-class TestQuadraticForm:
-    def test_identity(self):
-        assert quadratic_form(np.eye(2), np.array([3.0, 4.0])) == 25.0
-
-    def test_zero_vector(self):
-        assert quadratic_form(np.eye(4), np.zeros(4)) == 0.0
-
-    def test_hand_computation(self):
-        m = np.array([[2.0, 1.0], [1.0, 2.0]])
-        assert quadratic_form(m, np.array([1.0, 1.0])) == 6.0
-
-    def test_nonnegative_on_spd(self):
-        rng = np.random.default_rng(13)
-        m = random_spd(rng, 5)
-        for _ in range(50):
-            assert quadratic_form(m, rng.normal(size=5)) >= 0.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension"):
-            quadratic_form(np.eye(3), np.ones(4))
+            solve(np.eye(3), np.ones(2))
