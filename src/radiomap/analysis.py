@@ -9,15 +9,20 @@ because the prediction is affine in the measurements and the measurements
 are the median powers plus the sensor shadows. With the joint covariance of
 the shadow vector, the RMS prediction error follows in closed form.
 
-One engine computes it, on arrays: grid_forms() gathers once what does not
-depend on the correlation model (median powers, log distances, the
-geometry-only methods' weights), and grid_analytic_rmse() evaluates every
-method at every point for one model with a single Cholesky factor of the
-sensor covariance, on the rows of estimators._affine_rows(). error_form() is
-its row at one point and analytic_rmse() shares its quadratic form, so the
-library API and the self-checks run the engine the CLI ships. The
-hand-written coefficient expansion for the fitted-correlation method exists
-only as a cross-check.
+One engine computes it, on arrays, and its unit is a sweep: K correlation
+models that differ in sigma and xc alone. grid_forms() gathers once what
+does not depend on the model (median powers, log distances, the
+geometry-only methods' weights). grid_analytic_rmse() then evaluates every
+method at every point under all K models as one (K, N, .) stack: one pass
+builds the K sensor covariances and one the K cross-covariance tables, one
+stacked Cholesky call factors the sensor covariances (only when sm0 or sm1
+runs), the geometry-only methods' error rows are formed once for all K,
+and one grouped quadratic form covers the stack. Row k of the result has
+the bits of a call with models[k] alone. error_form() is the engine's row
+at one point and analytic_rmse() shares its quadratic form, so the library
+API and the self-checks run the engine the CLI ships. The hand-written
+coefficient expansion for the fitted-correlation method exists only as a
+cross-check.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Point, Scenario, distance
-from .correlation import CorrelationModel, covariance_matrix, cross_covariance, cross_covariance_matrix
+from .correlation import CorrelationModel, covariance_matrix, covariance_stack, cross_covariance, cross_covariance_stack
 from .field import median_power
 from .linalg import cholesky, solve_cholesky
 from .estimators import (
@@ -114,9 +119,9 @@ def error_form(method: str, scn: Scenario, p0: Point, nu: float = 1.0) -> Affine
     true median power at the query minus the map applied to the sensor
     median powers.
     """
-    _, _, rows = _error_rows(grid_forms(scn, [p0], (method,), nu), scn.correlation)
+    _, _, rows = _error_rows(grid_forms(scn, [p0], (method,), nu), [scn.correlation])
     bias, coeffs = rows[method]
-    return AffineErrorForm(bias=float(bias[0]), coeffs=np.concatenate(([1.0], -coeffs[0])))
+    return AffineErrorForm(bias=float(bias[0, 0]), coeffs=np.concatenate(([1.0], -coeffs[0, 0])))
 
 
 def sm1_coefficient_error_form(scn: Scenario, p0: Point) -> AffineErrorForm:
@@ -208,40 +213,54 @@ def grid_forms(scn: Scenario, points: list[Point], methods: tuple[str, ...], nu:
 
 
 def _error_rows(
-    forms: GridForms, model: CorrelationModel
+    forms: GridForms, models: list[CorrelationModel]
 ) -> tuple[np.ndarray, np.ndarray, dict[str, tuple[np.ndarray, np.ndarray]]]:
-    """Cn, the (N, n) cross covariances C0, and each method's error rows: bias[i] + S0 - coeffs[i] . [S1..Sn]."""
-    c_n = covariance_matrix(model, list(forms.sensors))
-    c_0 = cross_covariance_matrix(model, forms.points, forms.sensors)
+    """The (K, n, n) Cn, the (K, N, n) cross covariances C0, and each method's error rows.
+
+    The error under model k at point i is bias[k, i] + S0 - coeffs[k, i] . [S1..Sn].
+    The geometry-only methods' rows depend on no model: they are formed
+    once, and bias and coeffs are broadcast views over the K models.
+    """
+    c_n = covariance_stack(models, list(forms.sensors))
+    c_0 = cross_covariance_stack(models, forms.points, forms.sensors)
     weights = dict(forms.weights)
     if SM0 in forms.methods or SM1 in forms.methods:
-        weights[SM0] = weights[SM1] = solve_cholesky(cholesky(c_n), c_0.T).T
+        weights[SM0] = weights[SM1] = np.swapaxes(solve_cholesky(cholesky(c_n), np.swapaxes(c_0, 1, 2)), 1, 2)
     rows = {}
     for m in forms.methods:
         intercept, coeffs = _affine_rows(m, weights[m], forms.pm0, forms.pm, forms.fit)
-        rows[m] = (forms.pm0 - (intercept + coeffs @ forms.pm), coeffs)
+        bias = forms.pm0 - (intercept + coeffs @ forms.pm)
+        rows[m] = (np.broadcast_to(bias, c_0.shape[:2]), np.broadcast_to(coeffs, c_0.shape))
     return c_n, c_0, rows
 
 
 def _affine_rms(
-    bias: np.ndarray, a0: float, c: np.ndarray, var0: float, c_0: np.ndarray, c_n: np.ndarray
+    bias: np.ndarray, a0: float, c: np.ndarray, var0: np.ndarray, c_0: np.ndarray, c_n: np.ndarray
 ) -> np.ndarray:
     """sqrt(bias^2 + a C a') for each row's a = [a0, -c], C the joint covariance [[var0, c_0], [c_0', Cn]].
 
-    bias is (N,); c and c_0 are (N, n). The form is grouped as (a C) a' =
-    a0 (a0 var0 - c.c_0) - c.(a0 c_0 - c Cn), as the expanded form overflows
-    first near the double range, and clamped at zero against round-off.
+    bias is (..., N); c and c_0 are (..., N, n), Cn is (..., n, n) and var0
+    broadcasts against bias: the leading axes run over a stack of models.
+    The form is grouped as (a C) a' = a0 (a0 var0 - c.c_0) - c.(a0 c_0 - c Cn),
+    as the expanded form overflows first near the double range, and clamped
+    at zero against round-off.
     """
-    q = a0 * (a0 * var0 - np.einsum("ij,ij->i", c, c_0)) - np.einsum("ij,ij->i", c, a0 * c_0 - c @ c_n)
+    q = a0 * (a0 * var0 - np.einsum("...ij,...ij->...i", c, c_0)) - np.einsum(
+        "...ij,...ij->...i", c, a0 * c_0 - c @ c_n
+    )
     return np.sqrt(bias**2 + np.maximum(q, 0.0))
 
 
-def grid_analytic_rmse(forms: GridForms, model: CorrelationModel) -> dict[str, np.ndarray]:
-    """Per-point RMS error of each method under one correlation model, as (N,) arrays.
+def grid_analytic_rmse(forms: GridForms, models: list[CorrelationModel]) -> dict[str, np.ndarray]:
+    """Per-point RMS error of each method under each of K correlation models, as (K, N) arrays.
 
-    The package's one analytic engine: each method's error rows come from
-    estimators._affine_rows() on its (N, n) weight rows, the sm0/sm1 weights
-    of all points from one Cholesky factor of the sensor covariance Cn.
+    The package's one analytic engine. The models differ in sigma and xc
+    alone (a sweep's models; one model is a stack of one). Each method's
+    error rows come from estimators._affine_rows() on its weight rows, the
+    sm0/sm1 weights of every point under every model from one stacked
+    Cholesky factor of the sensor covariances Cn.
     """
-    c_n, c_0, rows = _error_rows(forms, model)
-    return {m: _affine_rms(bias, 1.0, coeffs, model.sigma**2, c_0, c_n) for m, (bias, coeffs) in rows.items()}
+    models = list(models)
+    c_n, c_0, rows = _error_rows(forms, models)
+    var0 = np.array([model.sigma**2 for model in models])[:, None]
+    return {m: _affine_rms(bias, 1.0, coeffs, var0, c_0, c_n) for m, (bias, coeffs) in rows.items()}

@@ -58,6 +58,9 @@ EXIT_CONFIG = 2
 EXIT_DEGENERATE = 3
 EXIT_VALIDATION = 4
 
+# Most histogram bins grid --bins takes: dist.csv has one row per bin.
+MAX_BINS = 100_000
+
 
 def _fmt(v: float) -> str:
     return f"{v:.12g}"
@@ -210,6 +213,8 @@ def cmd_grid(config_path: str, ratio: float, method: str, out_dir: str, args: ar
         raise ConfigError(f"flag '--ratio' must be finite and > 0, got {ratio}")
     if args.bins < 1:
         raise ConfigError(f"flag '--bins' must be >= 1, got {args.bins}")
+    if args.bins > MAX_BINS:
+        raise ConfigError(f"flag '--bins' must be <= {MAX_BINS}, got {args.bins}")
     surface = grid_rmse(config, ratio, method, threads=args.threads)
 
     out = Path(out_dir)
@@ -285,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_grid.add_argument("out_dir", help="output directory")
     p_grid.add_argument("--ratio", type=float, required=True, help="spacing / correlation distance")
     p_grid.add_argument("--method", required=True, choices=ALL_METHODS, help="estimator to evaluate")
-    p_grid.add_argument("--bins", type=int, default=40, help="histogram bin count")
+    p_grid.add_argument("--bins", type=int, default=40, help=f"histogram bin count, 1 to {MAX_BINS}")
     add_common(p_grid)
 
     p_val = sub.add_parser("validate", help="run the independent-oracle check suite")

@@ -11,6 +11,13 @@ The elliptical kernel rotates the displacement by -rotation, shrinks the
 major-axis component by 1/axis_ratio, and feeds the resulting effective
 distance to the exponential form; with axis_ratio = 1 it reduces exactly to
 the exponential kernel.
+
+The stack functions covariance_stack() and cross_covariance_stack() take a
+sequence of models that differ in sigma and xc alone, as a sweep over
+spacing ratios does: the effective distances are the same for all of them,
+so they are computed once, and matrix k of a stack has the bits of the same
+matrix built for models[k] alone. covariance_matrix() and
+cross_covariance_matrix() are their stacks of one.
 """
 
 from __future__ import annotations
@@ -31,8 +38,10 @@ __all__ = [
     "effective_distance",
     "correlation",
     "covariance_matrix",
+    "covariance_stack",
     "cross_covariance",
     "cross_covariance_matrix",
+    "cross_covariance_stack",
 ]
 
 EXPONENTIAL = "exponential"
@@ -84,27 +93,47 @@ def effective_distance(model: CorrelationModel, p: Point, q: Point) -> float:
     return math.hypot(major / model.axis_ratio, minor)
 
 
-def correlation(model: CorrelationModel, p: Point, q: Point) -> float:
-    """Shadow-fading covariance between two locations, in dB^2."""
-    d = effective_distance(model, p, q)
+def _kernel(model: CorrelationModel, d: float) -> float:
+    """The model's covariance at effective distance d, in dB^2."""
     if model.kind == GAUSSIAN:
         return model.sigma**2 * math.exp(-((d / model.xc) ** 2))
     return model.sigma**2 * math.exp(-d / model.xc)
 
 
-def covariance_matrix(model: CorrelationModel, points: list[Point]) -> np.ndarray:
-    """k x k covariance matrix over a point set; symmetric with sigma^2 diagonal."""
+def correlation(model: CorrelationModel, p: Point, q: Point) -> float:
+    """Shadow-fading covariance between two locations, in dB^2."""
+    return _kernel(model, effective_distance(model, p, q))
+
+
+def _shared_shape(models: list[CorrelationModel]) -> CorrelationModel:
+    """The first model, once every model is checked to differ from it in sigma and xc alone."""
+    if not models:
+        raise ValueError("need at least one correlation model")
+    first = models[0]
+    shape = (first.kind, first.axis_ratio, first.rotation)
+    if any((m.kind, m.axis_ratio, m.rotation) != shape for m in models[1:]):
+        raise ValueError("the models of a stack must differ in sigma and xc alone")
+    return first
+
+
+def covariance_stack(models: list[CorrelationModel], points: list[Point]) -> np.ndarray:
+    """(K, k, k) stack of the models' covariance matrices over a point set; each symmetric with sigma^2 diagonal."""
     k = len(points)
     if k < 1:
         raise ValueError("need at least one point")
-    m = np.empty((k, k))
-    for i in range(k):
-        m[i, i] = model.sigma**2
-        for j in range(i + 1, k):
-            v = correlation(model, points[i], points[j])
-            m[i, j] = v
-            m[j, i] = v
-    return m
+    shape = _shared_shape(models)
+    pairs = [(i, j, effective_distance(shape, points[i], points[j])) for i in range(k) for j in range(i + 1, k)]
+    out = np.empty((len(models), k, k))
+    for m, model in zip(out, models):
+        np.fill_diagonal(m, model.sigma**2)
+        for i, j, d in pairs:
+            m[i, j] = m[j, i] = _kernel(model, d)
+    return out
+
+
+def covariance_matrix(model: CorrelationModel, points: list[Point]) -> np.ndarray:
+    """k x k covariance matrix over a point set: covariance_stack() of one model."""
+    return covariance_stack([model], points)[0]
 
 
 def cross_covariance(model: CorrelationModel, p0: Point, points: list[Point]) -> np.ndarray:
@@ -112,17 +141,25 @@ def cross_covariance(model: CorrelationModel, p0: Point, points: list[Point]) ->
     return np.array([correlation(model, p0, q) for q in points])
 
 
-def cross_covariance_matrix(model: CorrelationModel, queries: list[Point], points: list[Point]) -> np.ndarray:
-    """(len(queries), len(points)) array whose row i is cross_covariance(model, queries[i], points)."""
+def cross_covariance_stack(models: list[CorrelationModel], queries: list[Point], points: list[Point]) -> np.ndarray:
+    """(K, len(queries), len(points)) stack; row i of matrix k is cross_covariance(models[k], queries[i], points)."""
+    shape = _shared_shape(models)
     q = np.array([(p.x, p.y) for p in queries], dtype=float).reshape(-1, 2)
     s = np.array([(p.x, p.y) for p in points], dtype=float).reshape(-1, 2)
     dx = s[None, :, 0] - q[:, None, 0]
     dy = s[None, :, 1] - q[:, None, 1]
-    if model.kind == ELLIPTICAL:  # as in effective_distance
-        c = math.cos(model.rotation)
-        sn = math.sin(model.rotation)
-        dx, dy = (c * dx + sn * dy) / model.axis_ratio, -sn * dx + c * dy
+    if shape.kind == ELLIPTICAL:  # as in effective_distance
+        c = math.cos(shape.rotation)
+        sn = math.sin(shape.rotation)
+        dx, dy = (c * dx + sn * dy) / shape.axis_ratio, -sn * dx + c * dy
     d = np.hypot(dx, dy)
-    if model.kind == GAUSSIAN:
-        return model.sigma**2 * np.exp(-((d / model.xc) ** 2))
-    return model.sigma**2 * np.exp(-d / model.xc)
+    var = np.array([m.sigma**2 for m in models])[:, None, None]
+    xc = np.array([m.xc for m in models])[:, None, None]
+    if shape.kind == GAUSSIAN:
+        return var * np.exp(-((d / xc) ** 2))
+    return var * np.exp(-d / xc)
+
+
+def cross_covariance_matrix(model: CorrelationModel, queries: list[Point], points: list[Point]) -> np.ndarray:
+    """(len(queries), len(points)) array whose row i is cross_covariance(model, queries[i], points)."""
+    return cross_covariance_stack([model], queries, points)[0]

@@ -445,11 +445,12 @@ def predict(
 def _affine_rows(
     method: str, w: np.ndarray, pm0: np.ndarray, pm: np.ndarray, fit: FitRows | None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(N,) intercepts and (N, n) coefficient rows of a method's affine maps, from its (N, n) weight rows w.
+    """(..., N) intercepts and (..., N, n) coefficient rows of a method's affine maps, from its weight rows w.
 
+    w is (..., N, n), its leading axes over a stack of correlation models.
     pm0 and pm are the points' and the sensors' median powers, fit is
-    _fit_rows() of the points. The fitted methods (sm1, sm2) are linear
-    because the least-squares estimates and residuals are linear in the
+    _fit_rows() of the points. The fitted methods (sm1, sm2) are linear because
+    the least-squares estimates and residuals are linear in the
     observations; sm0 adds the median-power intercept.
     """
     if method == SM0:
@@ -457,9 +458,9 @@ def _affine_rows(
     if method in (SM1, SM2):
         # residual rows r_i = e_i - c_a - x_i * c_slope, applied through w
         x, c_a, c_slope, x0 = fit
-        coeffs = c_a + x0[:, None] * c_slope + w - w.sum(axis=1)[:, None] * c_a - (w @ x)[:, None] * c_slope
-        return np.zeros(len(w)), coeffs
-    return np.zeros(len(w)), w
+        coeffs = c_a + x0[:, None] * c_slope + w - w.sum(axis=-1)[..., None] * c_a - (w @ x)[..., None] * c_slope
+        return np.zeros(w.shape[:-1]), coeffs
+    return np.zeros(w.shape[:-1]), w
 
 
 def as_affine(method: str, scn: Scenario, p0: Point, nu: float = 1.0) -> AffinePowerMap:

@@ -9,12 +9,14 @@ mode, the default) or by averaging squared errors over simulated shadow
 realizations (mc mode); 'both' computes the two side by side and flags
 points where they disagree beyond Monte Carlo noise. The parts no ratio
 changes, the geometry-only weights above all, are gathered once per sweep
-for both engines. The closed form is one array evaluation per ratio over
-the whole grid. The Monte Carlo route factors each ratio's joint
-covariances for the whole grid as one stack, then runs point-major: one
-task per grid point, on worker threads if asked, draws the point's normals
-once and evaluates every ratio of the sweep from them, each through its
-row of that ratio's stack.
+for both engines. The closed form is one array evaluation for the whole
+sweep: every ratio at every grid point as one stack. The Monte Carlo route
+factors each ratio's joint covariances for the whole grid as one stack,
+then runs point-major: one task per grid point, on worker threads if
+asked, draws the point's normals once and evaluates every ratio of the
+sweep from them, each through its row of that ratio's stack. Each engine's
+spatial aggregates, for every (ratio, method) pair, come from one
+row-wise pass over its per-point RMSEs.
 
 Monte Carlo determinism: realizations for grid point i come from the
 substream keyed by (master_seed, i), so results are bitwise identical for
@@ -180,7 +182,11 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class RmseSurface:
-    """Per-grid-point RMS errors for one (ratio, method) plus the spatial aggregate."""
+    """Per-grid-point RMS errors for one (ratio, method) plus the spatial aggregate.
+
+    mc_stderr is the standard error of spatial_rmse from the independent
+    per-point Monte Carlo estimates, in mc and both modes.
+    """
 
     method: str
     mode: str
@@ -192,6 +198,7 @@ class RmseSurface:
     rmse_analytic: np.ndarray | None = None
     rmse_mc: np.ndarray | None = None
     mc_within_3se: np.ndarray | None = None
+    mc_stderr: float | None = None
 
 
 @dataclass(frozen=True)
@@ -220,7 +227,10 @@ def spatial_average(per_point: np.ndarray) -> float:
 
 
 def _rms_rows(rows: np.ndarray) -> np.ndarray:
-    """spatial_average of each row of a 2-D array, in one pass over the block."""
+    """spatial_average of each row of a 2-D array, in one pass over the block.
+
+    A row-wise reduction gives each row the bits it has alone.
+    """
     top = _power_of_two_above(rows, axis=1)
     scaled = rows / top[:, None]
     return np.sqrt(np.mean(np.square(scaled, out=scaled), axis=1)) * top
@@ -310,19 +320,19 @@ def _mc_setup(scns: list[Scenario], forms: GridForms) -> _McSetup:
 
 def _mc_point_rmse(
     setup: _McSetup, k: int, point_index: int, realizations: int, master_seed: int
-) -> list[dict[str, float] | Exception]:
+) -> list[np.ndarray | Exception]:
     """RMS prediction error of each method at point k of the setup's forms, for each scenario, from one draw.
 
-    point_index keys the point's stream. Entry j is the error that stopped
-    scenario j, if its numbers left the range of doubles or its fit was
-    degenerate: it is returned, not raised, so that the caller can raise it
-    at its own ratio.
+    point_index keys the point's stream. Entry j holds scenario j's errors
+    in the order of forms.methods, or the error that stopped scenario j, if
+    its numbers left the range of doubles or its fit was degenerate: it is
+    returned, not raised, so that the caller can raise it at its own ratio.
     """
     forms = setup.forms
     p0, pm, pm0 = forms.points[k], forms.pm[:, None], forms.pm0[k]  # pm: (n, 1)
     z = standard_normal_block(master_seed, point_index, len(pm) + 1, realizations)
     errors = np.empty((len(forms.methods), realizations))  # one row per method
-    out: list[dict[str, float] | Exception] = []
+    out: list[np.ndarray | Exception] = []
     for scn, (joint, joint_error), factor in zip(setup.scns, setup.joint, setup.sensor):
         # a shared error is returned, not raised: a raise would add this
         # point's frame to its traceback
@@ -352,8 +362,7 @@ def _mc_point_rmse(
                 else:
                     pred = w @ meas
                 np.subtract(truth, pred, out=row)
-            # RMS over realizations, scaled against overflow
-            out.append(dict(zip(forms.methods, _rms_rows(errors).tolist())))
+            out.append(_rms_rows(errors))  # RMS over realizations, scaled against overflow
         except (DegenerateGeometryError, *_RANGE_ERRORS) as err:
             out.append(err)
     return out
@@ -373,7 +382,7 @@ def point_rmse_mc(
     (result,) = _mc_point_rmse(setup, 0, point_index, realizations, master_seed)
     if isinstance(result, Exception):
         raise result
-    return result[method]
+    return float(result[0])
 
 
 # ---------------------------------------------------------------------------
@@ -386,16 +395,17 @@ def _out_of_range(config: ExperimentConfig, ratio: float, cause) -> ConfigError:
 
 def _mc_rmse(
     config: ExperimentConfig, scns: list[Scenario], forms: GridForms, threads: int
-) -> list[dict[str, np.ndarray] | Exception]:
+) -> tuple[np.ndarray, Exception | None]:
     """Per-point Monte Carlo RMSE of each method at every ratio, one worker task per point.
 
-    Entry k holds ratio k's (N,) arrays, or the error of the lowest-indexed
-    point that failed at that ratio. Each ratio's joint covariances and its
-    sensor covariance are factored once, before the points.
+    Returns the (K', M, N) RMSEs of the K' ratios before the first at which
+    a point failed, and the error of that ratio's lowest-indexed failing
+    point, if any. Each ratio's joint covariances and its sensor covariance
+    are factored once, before the points.
     """
     setup = _mc_setup(scns, forms)
 
-    def eval_point(i: int) -> list[dict[str, float] | Exception]:
+    def eval_point(i: int) -> list[np.ndarray | Exception]:
         with np.errstate(all="ignore"):  # pool threads do not inherit the caller's state
             return _mc_point_rmse(setup, i, i, config.realizations, config.master_seed)
 
@@ -404,11 +414,47 @@ def _mc_rmse(
             per_point = list(pool.map(eval_point, range(len(forms.points))))
     else:
         per_point = [eval_point(i) for i in range(len(forms.points))]
-    out: list[dict[str, np.ndarray] | Exception] = []
+    done: list[np.ndarray] = []
+    error = None
     for at_ratio in zip(*per_point):
         failed = [r for r in at_ratio if isinstance(r, Exception)]
-        out.append(failed[0] if failed else {m: np.array([r[m] for r in at_ratio]) for m in forms.methods})
-    return out
+        if failed:
+            error = failed[0]
+            break
+        done.append(np.array(at_ratio).T)  # (M, N)
+    return np.reshape(done, (len(done), len(forms.methods), len(forms.points))), error
+
+
+def _analytic_rmse(forms: GridForms, models: list[CorrelationModel]) -> tuple[np.ndarray, Exception | None]:
+    """Per-point closed-form RMSE of each method at every ratio, as one stack.
+
+    Returns the (K', M, N) RMSEs of the K' ratios before the first that
+    fails, and that ratio's error, if any. If the stack fails, the ratios
+    run one at a time, each a stack of one with the bits it has in the
+    whole stack, so that the error is the lowest failing ratio's own.
+    """
+
+    def block(models: list[CorrelationModel]) -> np.ndarray:
+        rmse = grid_analytic_rmse(forms, models)
+        return np.stack([rmse[m] for m in forms.methods], axis=1)
+
+    shape = (len(forms.methods), len(forms.points))
+    with np.errstate(all="ignore"):
+        try:
+            return block(models), None
+        except (ValueError, ArithmeticError):
+            done: list[np.ndarray] = []
+            for model in models:
+                try:
+                    done.append(block([model])[0])
+                except (ValueError, ArithmeticError) as err:
+                    return np.reshape(done, (len(done), *shape)), err
+            return np.reshape(done, (len(done), *shape)), None
+
+
+def _spatial_rows(rmse: np.ndarray) -> np.ndarray:
+    """(K, M) spatial averages of a (K, M, N) block of per-point RMSEs, in one row-wise pass."""
+    return _rms_rows(rmse.reshape(-1, rmse.shape[-1])).reshape(rmse.shape[:-1])
 
 
 def _surfaces(
@@ -416,31 +462,35 @@ def _surfaces(
     ratio: float,
     points: tuple[Point, ...],
     methods: tuple[str, ...],
-    a_vals: dict[str, np.ndarray],
-    mc_vals: dict[str, np.ndarray],
+    rmse: dict[str, np.ndarray],
+    spatial: dict[str, np.ndarray],
+    stderr: np.ndarray | None,
 ) -> dict[str, RmseSurface]:
+    """Every method's surface at one ratio from each engine's (M, N) per-point RMSEs and (M,) aggregates."""
+    a_vals, mc_vals = rmse.get("analytic"), rmse.get("mc")
+    primary = "mc" if mc_vals is not None else "analytic"
     surfaces: dict[str, RmseSurface] = {}
-    for m in methods:
+    for j, m in enumerate(methods):
         # a finite spatial RMSE implies finite per-point values
-        if not all(math.isfinite(spatial_average(vals[m])) for vals in (a_vals, mc_vals) if vals):
+        if not all(math.isfinite(s[j]) for s in spatial.values()):
             raise _out_of_range(config, ratio, f"{m} RMSE is not finite")
-        primary = mc_vals[m] if mc_vals else a_vals[m]
         flags = None
-        if a_vals and mc_vals:
+        if a_vals is not None and mc_vals is not None:
             # RMS estimate from R Gaussian errors has stderr ~ rmse / sqrt(2R)
-            se = a_vals[m] / math.sqrt(2.0 * config.realizations)
-            flags = np.abs(mc_vals[m] - a_vals[m]) <= 3.0 * se
+            se = a_vals[j] / math.sqrt(2.0 * config.realizations)
+            flags = np.abs(mc_vals[j] - a_vals[j]) <= 3.0 * se
         surfaces[m] = RmseSurface(
             method=m,
             mode=config.mode,
             ratio=ratio,
             resolution=config.resolution,
             points=points,
-            rmse=primary,
-            spatial_rmse=spatial_average(primary),
-            rmse_analytic=a_vals.get(m),
-            rmse_mc=mc_vals.get(m),
+            rmse=rmse[primary][j],
+            spatial_rmse=float(spatial[primary][j]),
+            rmse_analytic=None if a_vals is None else a_vals[j],
+            rmse_mc=None if mc_vals is None else mc_vals[j],
             mc_within_3se=flags,
+            mc_stderr=None if stderr is None else float(stderr[j]),
         )
     return surfaces
 
@@ -472,18 +522,18 @@ def _grid_evals(
     """Every method's RMSE surface, one ratio after the other.
 
     The ratio-free parts of the error forms, the geometry-only weights above
-    all, are gathered once, at the first ratio, for both engines. The
-    Monte Carlo stage then runs every ratio before the first is yielded, one
-    worker task per point, so each point's normals are drawn once. The
-    analytic engine runs on the calling thread, one ratio at a time. Errors
-    surface in the order of a ratio-by-ratio run: a ratio's set-up, its
-    analytic step, then its Monte Carlo step.
+    all, are gathered once, at the first ratio, for both engines, and the
+    emitter is checked against the grid once. Both engines then run every
+    ratio before the first is yielded: the analytic engine on the calling
+    thread as one stack of all the ratios, the Monte Carlo stage with one
+    worker task per point, so each point's normals are drawn once. Each
+    engine's aggregates come from one row-wise pass. Errors surface in the
+    order of a ratio-by-ratio run: a ratio's set-up, its analytic step,
+    then its Monte Carlo step, each after the ratios before it are yielded.
     """
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
     grid = config.grid()
-    analytic = config.mode in ("analytic", "both")
-    mc = config.mode in ("mc", "both")
     scns: list[Scenario] = []  # one per ratio set up so far
     forms = None
     try:
@@ -491,7 +541,7 @@ def _grid_evals(
             if not (ratio > 0 and config.side_m / ratio > 0):
                 raise ConfigError(f"spacing ratio must be > 0 with side_m / ratio > 0, got {ratio}")
             with _at_ratio(config, ratio):
-                if config.emitter in grid.points:
+                if forms is None and config.emitter in grid.points:
                     raise DegenerateGeometryError(
                         f"coincides with a query point of the resolution-{config.resolution} grid"
                     )
@@ -501,13 +551,29 @@ def _grid_evals(
             scns.append(scn)
     except (ConfigError, DegenerateGeometryError) as err:
         setup_error = err  # raised below, once the ratios before it are yielded
-    mc_vals = _mc_rmse(config, scns, forms, threads) if mc and scns else [{}] * len(scns)
-    for ratio, scn, mc_at in zip(ratios, scns, mc_vals):
+    # each engine's (K', M, N) RMSEs and the error of the ratio that stopped it, analytic first
+    engines: dict[str, tuple[np.ndarray, Exception | None]] = {}
+    if scns and config.mode in ("analytic", "both"):
+        engines["analytic"] = _analytic_rmse(forms, [scn.correlation for scn in scns])
+    if scns and config.mode in ("mc", "both"):
+        engines["mc"] = _mc_rmse(config, scns, forms, threads)
+    with np.errstate(all="ignore"):
+        spatial = {engine: _spatial_rows(rmse) for engine, (rmse, _) in engines.items()}
+        stderr = _spatial_stderr(engines["mc"][0], config.realizations, spatial["mc"]) if "mc" in engines else None
+    for k, ratio in enumerate(ratios[: len(scns)]):
         with _at_ratio(config, ratio):
-            a_vals = grid_analytic_rmse(forms, scn.correlation) if analytic else {}
-            if isinstance(mc_at, Exception):
-                raise mc_at
-            surfaces = _surfaces(config, ratio, grid.points, methods, a_vals, mc_at)
+            for rmse, error in engines.values():
+                if k == len(rmse):
+                    raise error
+            surfaces = _surfaces(
+                config,
+                ratio,
+                grid.points,
+                methods,
+                {engine: rmse[k] for engine, (rmse, _) in engines.items()},
+                {engine: s[k] for engine, s in spatial.items()},
+                None if stderr is None else stderr[k],
+            )
         yield surfaces
     if len(scns) < len(ratios):
         raise setup_error
@@ -532,18 +598,18 @@ def grid_rmse(
     return _grid_eval(config, ratio, (method,), threads)[method]
 
 
-def _spatial_stderr(per_point_rmse: np.ndarray, realizations: int, spatial: float) -> float:
-    """Standard error of the spatial aggregate from independent per-point MC estimates.
+def _spatial_stderr(per_point_rmse: np.ndarray, realizations: int, spatial: np.ndarray) -> np.ndarray:
+    """Standard error of each spatial aggregate from independent per-point MC estimates.
 
-    The fourth powers are taken relative to a power of two just above the
-    largest value, so they cannot overflow, and the scaling is exact.
+    Each row along the last axis of per_point_rmse holds the per-point
+    RMSEs behind one aggregate of spatial; a zero aggregate has zero error.
+    The fourth powers are taken relative to a power of two just above each
+    row's largest value, so they cannot overflow, and the scaling is exact.
     """
-    if spatial <= 0.0:
-        return 0.0
     r = np.asarray(per_point_rmse, dtype=float)
-    top = float(_power_of_two_above(r))
-    var_sq = (2.0 / realizations) * float(np.mean((r / top) ** 4)) / r.size
-    return math.sqrt(var_sq) * top / (2.0 * spatial) * top
+    top = _power_of_two_above(r, axis=-1)
+    var_sq = (2.0 / realizations) * np.mean((r / top[..., None]) ** 4, axis=-1) / r.shape[-1]
+    return np.where(spatial <= 0.0, 0.0, np.sqrt(var_sq) * top / (2.0 * spatial) * top)
 
 
 def sweep(config: ExperimentConfig, threads: int = 1) -> list[SweepRow]:
@@ -553,18 +619,15 @@ def sweep(config: ExperimentConfig, threads: int = 1) -> list[SweepRow]:
     for ratio, surfaces in zip(config.ratios, _grid_evals(config, config.ratios, config.methods, threads)):
         for method in config.methods:
             surf = surfaces[method]
-            stderr = None
-            if config.mode in ("mc", "both"):
-                stderr = _spatial_stderr(surf.rmse_mc, config.realizations, surf.spatial_rmse)
-                if not math.isfinite(stderr):
-                    raise _out_of_range(config, ratio, f"{method} standard error is not finite")
+            if surf.mc_stderr is not None and not math.isfinite(surf.mc_stderr):
+                raise _out_of_range(config, ratio, f"{method} standard error is not finite")
             rows.append(
                 SweepRow(
                     ratio=ratio,
                     method=method,
                     spatial_rmse=surf.spatial_rmse,
                     mode=config.mode,
-                    mc_stderr=stderr,
+                    mc_stderr=surf.mc_stderr,
                 )
             )
     return rows

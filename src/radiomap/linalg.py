@@ -97,18 +97,28 @@ def cholesky(m: np.ndarray) -> np.ndarray:
 def solve_cholesky(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve (L @ L.T) x = b given a precomputed Cholesky factor L.
 
-    b is one right-hand side of length k, or a (k, m) array of m of them.
+    lower is one (k, k) factor, with b one right-hand side of length k or a
+    (k, m) array of m of them; or a (..., k, k) stack of factors, with b the
+    (..., k, m) stack of their right-hand sides. One factor runs as a stack
+    of one. Each substitution step goes through np.matmul with the operands
+    a single factor would give it, so each solve in a stack has the bits it
+    has alone.
     """
     lower = np.asarray(lower, dtype=float)
     b = np.asarray(b, dtype=float)
-    k = lower.shape[0]
-    if b.shape[0] != k:
-        raise ValueError(f"dimension mismatch: matrix is {k}x{k}, vector has {b.shape[0]}")
+    shape = b.shape
+    if lower.ndim == 2:
+        lower, b = lower[None], b.reshape((1, shape[0], -1))
+    k = lower.shape[-1]
+    if b.shape[-2] != k:
+        raise ValueError(f"dimension mismatch: matrix is {k}x{k}, vector has {b.shape[-2]}")
+    diagonal = np.diagonal(lower, axis1=-2, axis2=-1)[..., None]
     y = np.zeros_like(b)
     for i in range(k):
-        y[i] = (b[i] - lower[i, :i] @ y[:i]) / lower[i, i]
+        known = (lower[..., i, None, :i] @ y[..., :i, :])[..., 0, :]  # row i of L against y so far
+        y[..., i, :] = (b[..., i, :] - known) / diagonal[..., i, :]
     x = np.zeros_like(b)
     for i in range(k - 1, -1, -1):
-        x[i] = (y[i] - lower[i + 1 :, i] @ x[i + 1 :]) / lower[i, i]
-    return x
-
+        known = (lower[..., None, i + 1 :, i] @ x[..., i + 1 :, :])[..., 0, :]  # column i of L against x so far
+        x[..., i, :] = (y[..., i, :] - known) / diagonal[..., i, :]
+    return x.reshape(shape)

@@ -197,8 +197,8 @@ class TestNaiveMonteCarlo:
 class TestGridAnalyticRmse:
     """The engine against the numpy closed form of closed_form.py, point by point.
 
-    The model-free parts are gathered once, at ratio 1, and reused at every
-    ratio, as a sweep does.
+    The model-free parts are gathered once, at ratio 1, and every ratio
+    runs in one stack, as a sweep does.
     """
 
     METHODS = ("sm0", "sm1", "sm2", "nn", "idw", "nat")
@@ -212,12 +212,28 @@ class TestGridAnalyticRmse:
         )
         points = config.grid().points
         forms = grid_forms(config.scenario(1.0), points, self.METHODS, nu)
-        for ratio in (0.05, 1.0, 20.0):
-            scn = config.scenario(ratio)
-            got = grid_analytic_rmse(forms, scn.correlation)
+        scns = [config.scenario(ratio) for ratio in (0.05, 1.0, 20.0)]
+        got = grid_analytic_rmse(forms, [scn.correlation for scn in scns])
+        for k, scn in enumerate(scns):
             want = closed_form_rmse(scn, points, self.METHODS, nu)
             for m in self.METHODS:
-                assert np.max(np.abs(got[m] - want[m])) <= 1e-9, (m, ratio)
+                assert np.max(np.abs(got[m][k] - want[m])) <= 1e-9, (m, scn.correlation.xc)
+
+    @pytest.mark.parametrize("nu", [1, 2, 3])
+    @pytest.mark.parametrize("kernel", ["exponential", "gaussian", "elliptical"])
+    def test_stack_rows_equal_one_model_calls(self, kernel, nu):
+        # row k of a K-model call has the bits of a call with model k alone, and both match the closed form
+        config = ExperimentConfig(kernel=kernel, emitter=EMITTER_PRESETS["E2"], rotation_rad=0.5, resolution=5, nu=nu)
+        points = config.grid().points
+        forms = grid_forms(config.scenario(1.0), points, self.METHODS, nu)
+        scns = [config.scenario(ratio) for ratio in (0.05, 0.2, 1.0, 5.0, 20.0)]
+        stacked = grid_analytic_rmse(forms, [scn.correlation for scn in scns])
+        for k, scn in enumerate(scns):
+            alone = grid_analytic_rmse(forms, [scn.correlation])
+            want = closed_form_rmse(scn, points, self.METHODS, nu)
+            for m in self.METHODS:
+                assert stacked[m][k].tobytes() == alone[m][0].tobytes(), (m, k)
+                assert np.max(np.abs(alone[m][0] - want[m])) <= 1e-9, (m, k)
 
     def test_matches_closed_form_near_double_range(self):
         # sigma^2 is 1.7e308: the engine's quadratic form must not overflow;
@@ -225,17 +241,17 @@ class TestGridAnalyticRmse:
         config = ExperimentConfig(sigma_db=1.3e154, resolution=3)
         scn = config.scenario(1.0)
         points = config.grid().points
-        got = grid_analytic_rmse(grid_forms(scn, points, self.METHODS), scn.correlation)
+        got = grid_analytic_rmse(grid_forms(scn, points, self.METHODS), [scn.correlation])
         want = closed_form_rmse(scn, points, self.METHODS, unit=1.3e154)
         for m in self.METHODS:
-            assert np.allclose(got[m], want[m], rtol=1e-12, atol=0.0), m
+            assert np.allclose(got[m][0], want[m], rtol=1e-12, atol=0.0), m
 
     def test_requested_methods_only(self, table_scenario):
         points = [Point(100.0, 200.0), Point(320.0, 320.0)]
         forms = grid_forms(table_scenario, points, ("nn", "sm1"))
-        got = grid_analytic_rmse(forms, table_scenario.correlation)
+        got = grid_analytic_rmse(forms, [table_scenario.correlation])
         assert sorted(got) == ["nn", "sm1"]
-        assert all(v.shape == (2,) for v in got.values())
+        assert all(v.shape == (1, 2) for v in got.values())
 
 
 class TestSigma0:

@@ -323,6 +323,27 @@ class TestGridCommand:
         assert main(["grid", str(cfg), str(tmp_path / "out"), "--method", "sm0", *flags]) == 2
         assert named in capsys.readouterr().err
 
+    def test_bins_above_the_bound_exit_2_naming_it(self, tmp_path, capsys, monkeypatch):
+        # a small bound stands in for MAX_BINS, so no large histogram is ever built
+        monkeypatch.setattr(cli, "MAX_BINS", 5)
+        cfg = write_config(tmp_path, resolution=2)
+        argv = ["grid", str(cfg), str(tmp_path / "out"), "--ratio", "1", "--method", "nn"]
+        assert main([*argv, "--bins", "6"]) == 2
+        assert capsys.readouterr().err == "config error: flag '--bins' must be <= 5, got 6\n"
+        assert not (tmp_path / "out").exists()
+        assert main([*argv, "--bins", "5"]) == 0
+        assert len(read_rows(tmp_path / "out" / "dist.csv")) == 5
+
+    def test_bins_bound_is_checked_before_any_work(self, tmp_path, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("grid evaluated")
+
+        monkeypatch.setattr(cli, "grid_rmse", no_work)
+        cfg = write_config(tmp_path, resolution=2)
+        argv = ["grid", str(cfg), str(tmp_path / "out"), "--ratio", "1", "--method", "nn"]
+        assert main([*argv, "--bins", str(cli.MAX_BINS + 1)]) == 2
+        assert f"flag '--bins' must be <= {cli.MAX_BINS}" in capsys.readouterr().err
+
 
 class TestValidateCommand:
     def test_fresh_build_passes(self, tmp_path, capsys):

@@ -12,7 +12,7 @@ from radiomap import (
     cross_covariance,
     effective_distance,
 )
-from radiomap.correlation import cross_covariance_matrix
+from radiomap.correlation import covariance_stack, cross_covariance_matrix, cross_covariance_stack
 from radiomap.linalg import cholesky
 
 
@@ -142,6 +142,41 @@ class TestCrossCovariance:
         assert got.shape == (31, 4)
         for row, q in zip(got, queries):
             assert np.allclose(row, cross_covariance(model, q, sensors), rtol=1e-13, atol=0.0)
+
+
+class TestStacks:
+    @pytest.mark.parametrize("kind", ["exponential", "gaussian", "elliptical"])
+    def test_matrix_k_has_the_bits_of_model_k_alone(self, kind, table_scenario):
+        models = [
+            CorrelationModel(kind, sigma=sigma, xc=xc, axis_ratio=3.3, rotation=0.7)
+            for sigma, xc in ((5.0, 32.0), (5.0, 640.0), (7.5, 12800.0))
+        ]
+        rng = np.random.default_rng(5)
+        queries = [Point(*rng.uniform(-200.0, 900.0, 2)) for _ in range(23)]
+        sensors = list(table_scenario.sensors)
+        c_n = covariance_stack(models, sensors)
+        c_0 = cross_covariance_stack(models, queries, sensors)
+        assert c_n.shape == (3, 4, 4) and c_0.shape == (3, 23, 4)
+        for k, model in enumerate(models):
+            assert c_n[k].tobytes() == covariance_stack([model], sensors)[0].tobytes()
+            assert c_0[k].tobytes() == cross_covariance_stack([model], queries, sensors)[0].tobytes()
+            # the sensor block keeps the scalar kernel's bits
+            assert [[correlation(model, p, q) for q in sensors] for p in sensors] == c_n[k].tolist()
+
+    @pytest.mark.parametrize(
+        "other",
+        [{"kind": "gaussian"}, {"axis_ratio": 2.0}, {"rotation": 0.1}],
+        ids=["kind", "axis_ratio", "rotation"],
+    )
+    def test_models_must_differ_in_sigma_and_xc_alone(self, other, table_scenario):
+        first = CorrelationModel("elliptical", sigma=5.0, xc=640.0, axis_ratio=3.3, rotation=0.7)
+        second = CorrelationModel(**{**vars(first), "xc": 64.0, **other})
+        sensors = list(table_scenario.sensors)
+        for build in (covariance_stack, lambda ms, pts: cross_covariance_stack(ms, pts, pts)):
+            with pytest.raises(ValueError, match="differ in sigma and xc alone"):
+                build([first, second], sensors)
+            with pytest.raises(ValueError, match="at least one correlation model"):
+                build([], sensors)
 
 
 @pytest.mark.parametrize(

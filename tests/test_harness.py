@@ -378,6 +378,48 @@ class TestSweep:
         with pytest.raises(ConfigError, match="gaussian kernel at spacing ratio 0.0005"):
             sweep(ExperimentConfig(kernel="gaussian", ratios=(5e-4,), resolution=2, methods=("nn", "sm1")))
 
+    def test_analytic_sweep_factors_every_sensor_covariance_in_one_call(self, monkeypatch):
+        # the analytic engine runs the whole sweep as one stack
+        import radiomap
+        from radiomap import linalg
+
+        original = linalg.cholesky
+        shapes = []
+
+        def counted(m):
+            shapes.append(np.shape(m))
+            return original(m)
+
+        for module in vars(radiomap).values():  # every binding, linalg's own included
+            if getattr(module, "cholesky", None) is original:
+                monkeypatch.setattr(module, "cholesky", counted)
+        cfg = ExperimentConfig(resolution=4)
+        sweep(cfg)
+        assert shapes == [(len(cfg.ratios), 4, 4)]
+
+    @pytest.mark.parametrize(
+        "kernel, ratio, build",
+        [("gaussian", 1e-4, "factor"), ("gaussian", 1e200, "covariance")],
+        ids=["cn-not-positive-definite", "kernel-overflows"],
+    )
+    def test_analytic_failure_raises_at_its_ratio_with_its_own_error(self, kernel, ratio, build):
+        # the stack fails as a whole; ratio 1.0 before it is still yielded with the bits it
+        # has alone, and the error is the one the failing ratio's sensor covariance gives alone
+        from radiomap.correlation import covariance_matrix
+        from radiomap.estimators import sensor_factor
+
+        cfg = ExperimentConfig(kernel=kernel, resolution=4, ratios=(1.0, ratio), methods=("nn", "sm0"))
+        scn = cfg.scenario(ratio)
+        with pytest.raises((NotPositiveDefiniteError, OverflowError)) as alone:
+            (sensor_factor if build == "factor" else covariance_matrix)(scn.correlation, list(scn.sensors))
+        evals = _grid_evals(cfg, cfg.ratios, cfg.methods)
+        first = next(evals)
+        want = _grid_eval(cfg, 1.0, cfg.methods)
+        assert all(first[m].rmse.tobytes() == want[m].rmse.tobytes() for m in cfg.methods)
+        with pytest.raises(ConfigError) as exc:
+            next(evals)
+        assert str(exc.value) == f"gaussian kernel at spacing ratio {ratio} is outside the numeric range: {alone.value}"
+
     def test_lists_accepted_for_ratios_and_methods(self):
         as_lists = sweep(ExperimentConfig(resolution=2, ratios=[0.5, 2.0], methods=["sm0", "nat"]))
         as_tuples = sweep(ExperimentConfig(resolution=2, ratios=(0.5, 2.0), methods=("sm0", "nat")))

@@ -216,3 +216,18 @@ class TestSolveCholesky:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             solve(np.eye(3), np.ones(2))
+
+    @pytest.mark.parametrize("k, size", [(1, 1), (4, 9), (5, 3)])
+    def test_each_stacked_solve_matches_its_factor_alone_bit_for_bit(self, k, size):
+        # right-hand sides laid out as the analytic engine passes them: transposed (N, k) rows
+        rng = np.random.default_rng(k * 10 + size)
+        lower = cholesky(np.array([random_spd(rng, k) for _ in range(size)]))
+        rows = rng.normal(size=(size, 37, k))
+        got = solve_cholesky(lower, np.swapaxes(rows, 1, 2))
+        assert got.shape == (size, k, 37)
+        for j in range(size):
+            assert got[j].tobytes() == solve_cholesky(lower[j], rows[j].T).tobytes()
+
+    def test_stacked_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="matrix is 3x3, vector has 2"):
+            solve_cholesky(np.stack([np.eye(3)] * 2), np.ones((2, 2, 4)))
