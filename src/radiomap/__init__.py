@@ -15,7 +15,7 @@ from .correlation import (
     cross_covariance,
     effective_distance,
 )
-from .field import SeedSpec, ShadowSample, median_power, received_powers, sample_shadow
+from .field import median_power, sample_shadow
 from .estimators import (
     ALL_METHODS,
     AffinePowerMap,
@@ -66,10 +66,7 @@ __all__ = [
     "covariance_matrix",
     "cross_covariance",
     "effective_distance",
-    "SeedSpec",
-    "ShadowSample",
     "median_power",
-    "received_powers",
     "sample_shadow",
     "ALL_METHODS",
     "AffinePowerMap",

@@ -40,6 +40,7 @@ from .estimators import ALL_METHODS, DegenerateGeometryError
 from .harness import (
     CORRELATION_KEYS,
     EMITTER_PRESETS,
+    MAX_THREADS,
     MODES,
     ConfigError,
     ExperimentConfig,
@@ -111,8 +112,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
-    if args.threads < 1:
-        raise ConfigError(f"flag '--threads' must be >= 1, got {args.threads}")
+    if not 1 <= args.threads <= MAX_THREADS:
+        raise ConfigError(f"flag '--threads' must be between 1 and {MAX_THREADS}, got {args.threads}")
     updates = {}
     if getattr(args, "mode", None) is not None:
         updates["mode"] = args.mode
@@ -277,7 +278,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--realizations", type=int, default=None, help="override realization count")
         p.add_argument("--nu", type=int, choices=(1, 2, 3), default=None, help="inverse-distance exponent")
         p.add_argument(
-            "--threads", type=int, default=1, help="worker threads for Monte Carlo evaluation; analytic mode uses one"
+            "--threads",
+            type=int,
+            default=1,
+            help=f"worker threads for Monte Carlo evaluation, 1 to {MAX_THREADS}; analytic mode uses one",
         )
 
     p_sweep = sub.add_parser("sweep", help="spatial RMSE vs spacing ratio for each method")

@@ -1,4 +1,4 @@
-"""Ground-truth synthesis: correlated shadow fading and received powers.
+"""Ground-truth synthesis: median powers and correlated shadow fading.
 
 Shadow values at a query point and its n sensors are drawn jointly from the
 zero-mean Gaussian with covariance given by the scenario's correlation
@@ -20,7 +20,8 @@ words [r * W, r * W + n + 1) with W = 4 * ceil((n+1)/4). A raw word x maps
 to the open-interval uniform ((x >> 11) + 0.5) * 2^-53. The variates for
 (master_seed, point_index, realization_index) are therefore a pure function
 of those three integers, independent of how many realizations are requested,
-in what order, or on how many threads.
+in what order, or on how many threads. sample_shadow() is that
+statement for one realization.
 
 The inverse CDF is scipy.special.ndtri. It is imported at the first draw,
 not with this module: importing scipy.special costs a fresh interpreter
@@ -40,7 +41,6 @@ pass and every sum over sensors runs along whole contiguous rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,40 +49,13 @@ from .correlation import covariance_matrix, cross_covariance_matrix
 from .linalg import cholesky
 
 __all__ = [
-    "SeedSpec",
-    "ShadowSample",
     "median_power",
     "joint_factors",
     "joint_cholesky",
     "standard_normal_block",
     "sample_shadow",
-    "sample_shadow_block",
     "correlate_normals",
-    "received_powers",
 ]
-
-
-@dataclass(frozen=True)
-class SeedSpec:
-    """Addresses one realization's variates: (master_seed, point_index, realization_index)."""
-
-    master_seed: int
-    point_index: int = 0
-    realization_index: int = 0
-
-    def __post_init__(self) -> None:
-        for name in ("master_seed", "point_index", "realization_index"):
-            v = getattr(self, name)
-            if v < 0 or v >= 2**64:
-                raise ValueError(f"{name} must fit in an unsigned 64-bit integer, got {v}")
-
-
-@dataclass(frozen=True)
-class ShadowSample:
-    """Joint shadow draw: s0 at the query point, s at the sensors."""
-
-    s0: float
-    s: np.ndarray
 
 
 def median_power(scn: Scenario, p: Point) -> float:
@@ -168,34 +141,26 @@ def _correlate_rows(z: np.ndarray, lower: np.ndarray) -> np.ndarray:
     return out.T
 
 
-def sample_shadow(scn: Scenario, p0: Point, seed: SeedSpec) -> ShadowSample:
-    """One joint shadow draw at (p0, sensors), deterministic in the seed."""
-    lower = joint_cholesky(scn, p0)
-    z = standard_normal_block(
-        seed.master_seed,
-        seed.point_index,
-        n_variates=scn.n_sensors + 1,
-        realizations=1,
-        first_realization=seed.realization_index,
-    )
-    joint = _correlate_rows(z, lower)[0]
-    return ShadowSample(s0=float(joint[0]), s=joint[1:])
+def sample_shadow(
+    scn: Scenario, p0: Point, master_seed: int, point_index: int = 0, realization_index: int = 0
+) -> tuple[float, np.ndarray]:
+    """One joint shadow draw at (p0, sensors): (s0, s of shape (n,)), a pure function of the three integers.
 
-
-def sample_shadow_block(
-    scn: Scenario,
-    p0: Point,
-    master_seed: int,
-    point_index: int,
-    realizations: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized draw of many realizations: (s0 of shape (R,), s of shape (R, n)).
-
-    Row r equals sample_shadow(..., SeedSpec(master_seed, point_index, r)),
-    bit for bit.
+    Each integer must fit in an unsigned 64-bit integer; ValueError names
+    the first that does not. The draw is row realization_index of what
+    correlate_normals(joint_cholesky(scn, p0), standard_normal_block(master_seed,
+    point_index, n + 1, R)) gives for any R above realization_index.
     """
-    z = standard_normal_block(master_seed, point_index, scn.n_sensors + 1, realizations)
-    return correlate_normals(joint_cholesky(scn, p0), z)
+    for name, value in (
+        ("master_seed", master_seed),
+        ("point_index", point_index),
+        ("realization_index", realization_index),
+    ):
+        if not 0 <= value < 2**64:
+            raise ValueError(f"{name} must fit in an unsigned 64-bit integer, got {value}")
+    z = standard_normal_block(master_seed, point_index, scn.n_sensors + 1, 1, first_realization=realization_index)
+    s0, s = correlate_normals(joint_cholesky(scn, p0), z)
+    return float(s0[0]), s[0]
 
 
 def correlate_normals(lower: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -208,10 +173,3 @@ def correlate_normals(lower: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.
     """
     joint = _correlate_rows(z, lower)
     return joint[:, 0], joint[:, 1:]
-
-
-def received_powers(scn: Scenario, sample: ShadowSample, p0: Point) -> tuple[float, np.ndarray]:
-    """(power at p0, powers at sensors): median power plus the shadow draw."""
-    pr0 = median_power(scn, p0) + sample.s0
-    pr = np.array([median_power(scn, s) for s in scn.sensors]) + sample.s
-    return pr0, pr

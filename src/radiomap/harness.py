@@ -45,6 +45,7 @@ __all__ = [
     "CORRELATION_KEYS",
     "DEFAULT_RATIOS",
     "EMITTER_PRESETS",
+    "MAX_THREADS",
     "ConfigError",
     "ExperimentConfig",
     "check_master_seed",
@@ -67,6 +68,11 @@ EMITTER_PRESETS = {
 }
 
 MODES = ("analytic", "mc", "both")
+
+# Most worker threads a Monte Carlo run takes. Each busy worker holds its
+# point's R x W Philox words and about 3 (n+1) R doubles, so the bound caps
+# memory as well as OS threads.
+MAX_THREADS = 64
 
 # Keys of the JSON config's "correlation" object, mapped to the fields they set.
 CORRELATION_KEYS = {"kind": "kernel", "axis_ratio": "axis_ratio", "rotation_rad": "rotation_rad"}
@@ -410,7 +416,7 @@ def _mc_rmse(
             return _mc_point_rmse(setup, i, i, config.realizations, config.master_seed)
 
     if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=min(threads, len(forms.points))) as pool:
             per_point = list(pool.map(eval_point, range(len(forms.points))))
     else:
         per_point = [eval_point(i) for i in range(len(forms.points))]
@@ -531,8 +537,8 @@ def _grid_evals(
     order of a ratio-by-ratio run: a ratio's set-up, its analytic step,
     then its Monte Carlo step, each after the ratios before it are yielded.
     """
-    if threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {threads}")
+    if not 1 <= threads <= MAX_THREADS:
+        raise ConfigError(f"threads must be between 1 and {MAX_THREADS}, got {threads}")
     grid = config.grid()
     scns: list[Scenario] = []  # one per ratio set up so far
     forms = None

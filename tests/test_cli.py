@@ -14,7 +14,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from radiomap import cli
 from radiomap.cli import main
-from radiomap.validation import CHECK_NAMES, INJECTABLE_BUGS, VALIDATION_SEED, CheckResult
+from radiomap.harness import MAX_THREADS
+from radiomap.validation import CHECK_NAMES, INJECTABLE_BUGS, VALIDATION_SEED, CheckResult, run_validation
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -315,8 +316,9 @@ class TestGridCommand:
             (["--ratio", "1", "--bins", "0"], "--bins"),
             (["--ratio", "1", "--threads", "0"], "--threads"),
             (["--ratio", "1", "--threads", "-1"], "--threads"),
+            (["--ratio", "1", "--threads", str(MAX_THREADS + 1)], "--threads"),
         ],
-        ids=["ratio-nan", "ratio-inf", "bins-0", "threads-0", "threads-negative"],
+        ids=["ratio-nan", "ratio-inf", "bins-0", "threads-0", "threads-negative", "threads-above-max"],
     )
     def test_bad_flag_exits_2_naming_it(self, tmp_path, capsys, flags, named):
         cfg = write_config(tmp_path, resolution=2)
@@ -356,6 +358,13 @@ class TestValidateCommand:
             float(r["delta"])  # numeric delta present
         assert "kriging_equivalence: pass" in capsys.readouterr().out
         assert json.loads((out / "manifest.json").read_text())["master_seed"] == VALIDATION_SEED
+
+    def test_results_hold_plain_bools_and_floats(self):
+        # numpy scalars would make the results unserializable by json
+        results = run_validation()
+        assert [r.name for r in results] == list(CHECK_NAMES)
+        assert all(type(r.passed) is bool and type(r.delta) is float for r in results)
+        json.dumps([[r.passed, r.delta] for r in results])
 
     @pytest.mark.parametrize("flags, seed", [([], VALIDATION_SEED), (["--seed", "7"], 7)], ids=["default", "given"])
     def test_manifest_records_the_seed_the_checks_ran_with(self, tmp_path, monkeypatch, flags, seed):

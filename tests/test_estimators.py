@@ -10,7 +10,6 @@ from radiomap import (
     DegenerateGeometryError,
     OutsideHullError,
     Point,
-    SeedSpec,
     as_affine,
     build_square_scenario,
     lse_fit,
@@ -181,8 +180,8 @@ class TestFittedPredictors:
 
     def test_sm1_matches_affine_map_on_sampled_measurements(self, table_scenario):
         p0 = Point(160, 160)
-        sample = sample_shadow(table_scenario, p0, SeedSpec(31, point_index=2))
-        meas = exact_medians(table_scenario) + sample.s
+        _, s = sample_shadow(table_scenario, p0, 31, point_index=2)
+        meas = exact_medians(table_scenario) + s
         amap = as_affine("sm1", table_scenario, p0)
         assert predict("sm1", table_scenario, p0, meas).value == pytest.approx(
             amap.evaluate(meas), abs=1e-9

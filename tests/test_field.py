@@ -4,16 +4,13 @@ import pytest
 from radiomap import (
     CorrelationModel,
     Point,
-    SeedSpec,
-    ShadowSample,
     build_square_scenario,
     covariance_matrix,
     cross_covariance,
     median_power,
-    received_powers,
     sample_shadow,
 )
-from radiomap.field import _correlate_rows, joint_cholesky, joint_factors, sample_shadow_block, standard_normal_block
+from radiomap.field import _correlate_rows, correlate_normals, joint_cholesky, joint_factors, standard_normal_block
 from radiomap.geometry import make_grid
 
 
@@ -39,33 +36,44 @@ class TestMedianPower:
 
 class TestSampleShadow:
     def test_deterministic_for_fixed_seed(self, table_scenario):
-        seed = SeedSpec(master_seed=99, point_index=4, realization_index=17)
-        a = sample_shadow(table_scenario, Point(320, 320), seed)
-        b = sample_shadow(table_scenario, Point(320, 320), seed)
-        assert a.s0 == b.s0
-        assert np.array_equal(a.s, b.s)
+        a_s0, a_s = sample_shadow(table_scenario, Point(320, 320), 99, point_index=4, realization_index=17)
+        b_s0, b_s = sample_shadow(table_scenario, Point(320, 320), 99, point_index=4, realization_index=17)
+        assert a_s0 == b_s0
+        assert np.array_equal(a_s, b_s)
 
     def test_vanishing_sigma(self):
         model = CorrelationModel("exponential", sigma=1e-9, xc=640.0)
         scn = build_square_scenario(640.0, Point(-100.0, 0.0), 15.3, 3.76, model)
-        sample = sample_shadow(scn, Point(320, 320), SeedSpec(1))
-        assert abs(sample.s0) < 1e-7
-        assert np.all(np.abs(sample.s) < 1e-7)
+        s0, s = sample_shadow(scn, Point(320, 320), 1)
+        assert abs(s0) < 1e-7
+        assert np.all(np.abs(s) < 1e-7)
 
     def test_single_draw_matches_block_row(self, table_scenario):
-        s0_block, s_block = sample_shadow_block(
-            table_scenario, Point(100, 200), master_seed=5, point_index=3, realizations=20
-        )
+        lower = joint_cholesky(table_scenario, Point(100, 200))
+        s0_block, s_block = correlate_normals(lower, standard_normal_block(5, 3, n_variates=5, realizations=20))
         for r in (0, 7, 19):
-            one = sample_shadow(
-                table_scenario, Point(100, 200), SeedSpec(5, point_index=3, realization_index=r)
-            )
-            assert one.s0 == s0_block[r]
-            assert np.array_equal(one.s, s_block[r])
+            s0, s = sample_shadow(table_scenario, Point(100, 200), 5, point_index=3, realization_index=r)
+            assert s0 == s0_block[r]
+            assert np.array_equal(s, s_block[r])
+
+    @pytest.mark.parametrize(
+        "seeds, named",
+        [
+            ((-1, 0, 0), "master_seed"),
+            ((2**64, 0, 0), "master_seed"),
+            ((0, 2**64, 0), "point_index"),
+            ((0, 0, -1), "realization_index"),
+            ((0, 0, 2**64), "realization_index"),
+        ],
+        ids=["seed-negative", "seed-2**64", "point-2**64", "realization-negative", "realization-2**64"],
+    )
+    def test_rejects_out_of_range_integers(self, table_scenario, seeds, named):
+        with pytest.raises(ValueError, match=f"{named} must fit in an unsigned 64-bit integer"):
+            sample_shadow(table_scenario, Point(320, 320), *seeds)
 
     def test_sample_covariance_matches_model(self, table_scenario, table_model):
         p0 = Point(320, 320)
-        s0, s = sample_shadow_block(table_scenario, p0, master_seed=21, point_index=0, realizations=100000)
+        s0, s = correlate_normals(joint_cholesky(table_scenario, p0), standard_normal_block(21, 0, 5, 100000))
         joint = np.column_stack([s0, s])
         emp = joint.T @ joint / joint.shape[0]
         want = covariance_matrix(table_model, [p0, *table_scenario.sensors])
@@ -73,7 +81,7 @@ class TestSampleShadow:
 
     def test_empirical_cross_covariance(self, table_scenario, table_model):
         p0 = Point(160, 480)
-        s0, s = sample_shadow_block(table_scenario, p0, master_seed=22, point_index=1, realizations=100000)
+        s0, s = correlate_normals(joint_cholesky(table_scenario, p0), standard_normal_block(22, 1, 5, 100000))
         emp = s0 @ s / s0.size
         want = cross_covariance(table_model, p0, list(table_scenario.sensors))
         assert np.all(np.abs(emp - want) <= 0.05 * np.abs(want))
@@ -169,31 +177,3 @@ class TestJointFactors:
         lower = joint_cholesky(table_scenario, p0)
         want = covariance_matrix(table_model, [p0, *table_scenario.sensors])
         assert np.allclose(lower @ lower.T, want, rtol=0.0, atol=1e-12 * want.max())
-
-
-class TestReceivedPowers:
-    def test_zero_shadow_gives_medians(self, table_scenario):
-        n = table_scenario.n_sensors
-        sample = ShadowSample(s0=0.0, s=np.zeros(n))
-        pr0, pr = received_powers(table_scenario, sample, Point(320, 320))
-        assert pr0 == median_power(table_scenario, Point(320, 320))
-        for i, s in enumerate(table_scenario.sensors):
-            assert pr[i] == median_power(table_scenario, s)
-
-    def test_shadow_adds_to_one_sensor(self, table_scenario):
-        s = np.zeros(4)
-        s[2] = 5.0
-        _, pr = received_powers(table_scenario, ShadowSample(s0=0.0, s=s), Point(320, 320))
-        assert pr[2] == median_power(table_scenario, table_scenario.sensors[2]) + 5.0
-
-    def test_reference_sensor_median(self, table_scenario):
-        sample = ShadowSample(s0=0.0, s=np.zeros(4))
-        _, pr = received_powers(table_scenario, sample, Point(320, 320))
-        assert pr[0] == pytest.approx(90.5, abs=1e-9)
-
-
-def test_seed_spec_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        SeedSpec(master_seed=-1)
-    with pytest.raises(ValueError):
-        SeedSpec(master_seed=0, point_index=2**64)

@@ -19,7 +19,7 @@ from radiomap import (
     sweep,
 )
 from radiomap.field import joint_cholesky
-from radiomap.harness import _grid_eval, _grid_evals, _rms_rows
+from radiomap.harness import MAX_THREADS, _grid_eval, _grid_evals, _rms_rows
 from radiomap.linalg import NotPositiveDefiniteError
 
 
@@ -73,11 +73,11 @@ class TestPointRmseMc:
     def test_matches_scalar_estimator_route(self, table_scenario):
         # the vectorized simulation reproduces scalar predict() calls exactly
         from radiomap import median_power, predict
-        from radiomap.field import sample_shadow_block
+        from radiomap.field import correlate_normals, standard_normal_block
 
         p0 = Point(205.0, 445.0)
         R = 200
-        s0, s = sample_shadow_block(table_scenario, p0, master_seed=77, point_index=0, realizations=R)
+        s0, s = correlate_normals(joint_cholesky(table_scenario, p0), standard_normal_block(77, 0, 5, R))
         pm = np.array([median_power(table_scenario, q) for q in table_scenario.sensors])
         pm0 = median_power(table_scenario, p0)
         for method in ("sm0", "sm1", "sm2", "nn", "idw", "nat"):
@@ -136,12 +136,35 @@ class TestGridRmse:
         with pytest.raises(ConfigError, match="ratio"):
             grid_rmse(ExperimentConfig(resolution=2), ratio, "sm0")
 
-    @pytest.mark.parametrize("threads", [0, -1])
+    @pytest.mark.parametrize("threads", [0, -1, MAX_THREADS + 1])
     def test_bad_thread_count_rejected(self, threads):
         with pytest.raises(ConfigError, match="threads"):
             grid_rmse(ExperimentConfig(resolution=2), 1.0, "sm0", threads=threads)
         with pytest.raises(ConfigError, match="threads"):
             sweep(ExperimentConfig(resolution=2, ratios=(1.0,)), threads=threads)
+
+    def test_pool_has_no_more_workers_than_points(self, monkeypatch):
+        from radiomap import harness
+
+        sizes = []
+
+        class SerialPool:  # records the pool size and starts no thread
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", SerialPool)
+        cfg = ExperimentConfig(resolution=2, mode="mc", realizations=10, ratios=(1.0,))
+        assert sweep(cfg, threads=MAX_THREADS) == sweep(cfg)
+        assert sizes == [4]
 
 
 class TestSweep:

@@ -76,3 +76,18 @@ serial = [standard_normal_block(2024, point, 5, 1000).tobytes() for point in ran
 print(json.dumps([cold, pooled == serial]))
 """
     assert run_fresh(code, tmp_path) == [True, True]
+
+
+def test_cli_import_binds_what_the_perfbench_tracer_patches(tmp_path):
+    # perfbench/tracer.py reads radiomap.validation from sys.modules and
+    # replaces radiomap.harness.ThreadPoolExecutor with a traced subclass of
+    # the stdlib executor; a lazy import of either breaks `--trace 1`.
+    code = """
+import concurrent.futures, json, sys
+import radiomap.cli, radiomap.harness
+print(json.dumps([
+    "radiomap.validation" in sys.modules,
+    radiomap.harness.ThreadPoolExecutor is concurrent.futures.ThreadPoolExecutor,
+]))
+"""
+    assert run_fresh(code, tmp_path) == [True, True]
