@@ -55,8 +55,11 @@ __all__ = [
     "FitResult",
     "Prediction",
     "AffinePowerMap",
+    "LseDesign",
+    "lse_design",
     "lse_fit",
     "sensor_factor",
+    "sm0_weight_rows",
     "sm0_weights",
     "geometry_weights",
     "sm2_weights",
@@ -145,34 +148,80 @@ def _lse_denominator(x: np.ndarray) -> float:
     return denom
 
 
-def lse_fit(distances: np.ndarray, powers: np.ndarray) -> FitResult:
-    """Fit powers = a_hat + 10 * gamma_hat * log10(d) by least squares.
+@dataclass(frozen=True)
+class LseDesign:
+    """What a least-squares fit takes from the sensor distances alone.
 
-    powers is one measurement vector or (R, n) rows, each fitted on its
-    own. The fitted intercept absorbs any level common to all measurements,
-    so the residuals always sum to zero. Every pass runs along the
-    realization axis, over the sensor-major rows of powers.T, which are
-    contiguous when powers is the transposed view of such rows; residuals
-    is laid out the same way.
+    x holds the log10 distances, sx and sxx their sum and sum of squares,
+    denom the checked denominator n * sxx - sx^2.
+    """
+
+    x: np.ndarray
+    sx: float
+    sxx: float
+    denom: float
+
+
+def lse_design(distances: np.ndarray) -> LseDesign:
+    """The distance-only constants of lse_fit, computed and checked once for every fit on these distances.
+
+    Raises ValueError unless there are more than 2 distances, all positive,
+    and DegenerateGeometryError if the log distances are effectively
+    constant.
     """
     x = _log_distances(distances)
-    p = np.asarray(powers, dtype=float)
+    if x.size <= 2:
+        raise ValueError(f"need more than 2 sensors, got {x.size}")
+    return LseDesign(x=x, sx=float(x.sum()), sxx=float(x @ x), denom=_lse_denominator(x))
+
+
+def lse_fit(
+    distances: np.ndarray | LseDesign,
+    powers: np.ndarray,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> FitResult:
+    """Fit powers = a_hat + 10 * gamma_hat * log10(d) by least squares.
+
+    distances are the sensors' emitter distances, or their lse_design(),
+    whose constants then serve every call. powers is one measurement vector
+    or (R, n) rows, each fitted on its own. The fitted intercept absorbs any
+    level common to all measurements, so the residuals always sum to zero.
+    Every pass runs along the realization axis, over the sensor-major rows
+    of powers.T, which are contiguous when powers is the transposed view of
+    such rows.
+
+    out, if given, is an (n + 4, R) block of rows that the fit is written
+    into: residuals.T is out[:n], a_hat and gamma_hat are out[n] and
+    out[n + 1], and the last two rows are scratch. scratch, if given, is an
+    (n, R) block that the call may overwrite. Otherwise they are allocated;
+    residuals.T is contiguous rows either way.
+    """
+    design = distances if isinstance(distances, LseDesign) else lse_design(distances)
+    x, sx, sxx, denom = design.x, design.sx, design.sxx, design.denom
     n = x.size
-    if n <= 2:
-        raise ValueError(f"need more than 2 sensors, got {n}")
+    p = np.asarray(powers, dtype=float)
     if p.ndim not in (1, 2) or p.shape[-1:] != x.shape:
         raise ValueError(f"distances and powers disagree in length: {x.shape} vs {p.shape}")
-    denom = _lse_denominator(x)
-    sx = float(x.sum())
-    sxx = float(x @ x)
     rows = p.T  # (n,) or (n, R): one row per sensor
-    sp = rows.sum(axis=0)
-    sxp = x @ rows
-    slope = (n * sxp - sx * sp) / denom
-    a_hat = (sxx * sp - sx * sxp) / denom
-    x_col = x.reshape(x.shape + (1,) * (p.ndim - 1))
-    residuals = rows - a_hat - slope * x_col
-    return FitResult(a_hat=a_hat, gamma_hat=slope / 10.0, residuals=residuals.T)
+    if out is None:
+        out = np.empty((n + 4, *rows.shape[1:]))
+    if scratch is None:
+        scratch = np.empty(rows.shape)
+    column = (1,) * (rows.ndim - 1)  # reshapes a vector to broadcast down the rows
+    residuals, fitted, sums = out[:n], out[n : n + 2], out[n + 2 :]  # fitted: a_hat, slope; sums: sp, sxp
+    np.sum(rows, axis=0, out=sums[0, ...])
+    np.matmul(x, rows, out=sums[1, ...])
+    # [a_hat, slope] = ([sxx, n] [sp, sxp] - sx [sxp, sp]) / denom, both rows in each pass
+    np.multiply(np.reshape([sxx, n], (2, *column)), sums, out=fitted)
+    fitted -= np.multiply(sums[::-1], sx, out=scratch[:2])
+    fitted /= denom
+    a_hat, slope = fitted[0, ...], fitted[1, ...]  # row views, 0-d for one vector
+    # residual row i = (powers row i - a_hat) - slope x_i
+    np.subtract(rows, a_hat, out=residuals)
+    residuals -= np.multiply(np.reshape(x, (n, *column)), slope, out=scratch)
+    slope /= 10.0  # gamma_hat
+    return FitResult(a_hat=a_hat[()], gamma_hat=slope[()], residuals=residuals.T)
 
 
 # The fitted methods' pieces at N points: (x, c_a, c_slope, x0).
@@ -187,11 +236,9 @@ def _fit_rows(scn: Scenario, points: list[Point], methods: tuple[str, ...]) -> F
     """
     if not any(m in (SM1, SM2) for m in methods):
         return None
-    x = _log_distances(np.array(scn.sensor_distances()))
-    n, sx, sxx = x.size, float(x.sum()), float(x @ x)
-    denom = _lse_denominator(x)
+    d = lse_design(scn.sensor_distances())
     x0 = np.array([_query_log_distance(scn, p0) for p0 in points])
-    return x, (sxx - sx * x) / denom, (n * x - sx) / denom, x0
+    return d.x, (d.sxx - d.sx * d.x) / d.denom, (d.x.size * d.x - d.sx) / d.denom, x0
 
 
 # ---------------------------------------------------------------------------
@@ -203,17 +250,32 @@ def sensor_factor(model: CorrelationModel, sensors: list[Point]) -> np.ndarray:
     return cholesky(covariance_matrix(model, list(sensors)))
 
 
+def sm0_weight_rows(
+    model: CorrelationModel, sensors: list[Point], points: list[Point], factor: np.ndarray | None = None
+) -> np.ndarray:
+    """(N, n) conditional-mean weights at N points: solve C_n w = c_0 at each (no explicit inverse).
+
+    factor is sensor_factor(model, sensors), if the caller has it. All N
+    solves are one stacked solve_cholesky call: the factor is broadcast over
+    the points, with one right-hand side each, so row i has the bits of a
+    solve at points[i] alone.
+    """
+    sensors = list(sensors)
+    if factor is None:
+        factor = sensor_factor(model, sensors)
+    c_0 = np.array([cross_covariance(model, p0, sensors) for p0 in points]).reshape(len(points), len(sensors), 1)
+    return solve_cholesky(np.broadcast_to(factor, (len(points), *np.shape(factor))), c_0)[:, :, 0]
+
+
 def sm0_weights(
     model: CorrelationModel, sensors: list[Point], p0: Point, factor: np.ndarray | None = None
 ) -> np.ndarray:
-    """Conditional-mean weights: solve C_n w = c_0 (no explicit inverse).
+    """Conditional-mean weights at one point: sm0_weight_rows() at p0.
 
     factor is sensor_factor(model, sensors), if the caller has it: one
     factor serves every p0.
     """
-    if factor is None:
-        factor = sensor_factor(model, sensors)
-    return solve_cholesky(factor, cross_covariance(model, p0, list(sensors)))
+    return sm0_weight_rows(model, sensors, [p0], factor)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +343,17 @@ def _bisectors(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     return nx, ny, c
 
 
+def _successors(a: np.ndarray, axis: int) -> np.ndarray:
+    """Each vertex's successor along axis 0 or -1, the last wrapping to the first.
+
+    The values np.roll(a, -1, axis) copies, by slicing: np.roll's general
+    path costs tens of microseconds a call on arrays this small.
+    """
+    if axis == 0:
+        return np.concatenate((a[1:], a[:1]))
+    return np.concatenate((a[..., 1:], a[..., :1]), axis=-1)
+
+
 def _clip(
     poly: np.ndarray, nx: np.ndarray, ny: np.ndarray, c: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -291,9 +364,9 @@ def _clip(
     crosses the boundary, kept if it does. Row r's kept slots, in order, are
     the vertices of its clipped polygon.
     """
-    edge = np.roll(poly, -1, axis=0) - poly
+    edge = _successors(poly, axis=0) - poly
     dp = nx[:, None] * poly[:, 0] + ny[:, None] * poly[:, 1] - c[:, None]
-    dq = np.roll(dp, -1, axis=1)
+    dq = _successors(dp, axis=-1)
     crosses = (dp < 0.0) != (dq < 0.0)  # so dp != dq
     t = np.where(crosses, dp, 0.0) / np.where(crosses, dp - dq, 1.0)
     x, y = np.empty((2, len(dp), 2 * len(poly)))
@@ -315,7 +388,7 @@ def _areas(x: np.ndarray, y: np.ndarray, kept: np.ndarray) -> np.ndarray:
     last = np.where(last < 0, last[:, -1:], last)  # a row with no kept slot repeats one point
     flat = (last + k * np.arange(n)[:, None]).ravel()
     x, y = x.ravel()[flat].reshape(n, k), y.ravel()[flat].reshape(n, k)
-    return np.abs((x * np.roll(y, -1, axis=1) - np.roll(x, -1, axis=1) * y).sum(axis=1)) / 2.0
+    return np.abs((x * _successors(y, axis=-1) - _successors(x, axis=-1) * y).sum(axis=1)) / 2.0
 
 
 def _voronoi_cells(sites: np.ndarray) -> list[np.ndarray]:
@@ -366,7 +439,7 @@ def _strictly_inside(sites: np.ndarray, q: np.ndarray, tol: float) -> np.ndarray
     no query is inside; a NaN distance is never inside.
     """
     a = _hull(sites)
-    edge = np.roll(a, -1, axis=0) - a
+    edge = _successors(a, axis=0) - a
     rel = q[:, None, :] - a
     cross = edge[:, 0] * rel[..., 1] - edge[:, 1] * rel[..., 0]
     return np.all(cross > tol * np.hypot(edge[:, 0], edge[:, 1]), axis=1)

@@ -122,23 +122,37 @@ def standard_normal_block(
     return ndtri(u, out=u).T
 
 
-def _correlate_rows(z: np.ndarray, lower: np.ndarray) -> np.ndarray:
+def _correlate_rows(
+    z: np.ndarray, lower: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+) -> np.ndarray:
     """Rows of z through the lower-triangular factor: out[r, j] = sum_{k <= j} lower[j, k] * z[r, k].
 
     The result is the transposed view of sensor-major rows: variate j's row
     adds its terms to 0.0 in k order, so a realization's bits do not depend
-    on how many realizations are computed in one call. The terms above the
-    diagonal are +-0 and would leave every sum as it is.
+    on how many realizations are computed in one call. Column k's terms go
+    to the rows j >= k in one pass; the terms above the diagonal are +-0
+    and would leave every sum as it is. out, if given, is the (n+1, R)
+    block of rows to fill, and scratch an (n, R) block that the terms may
+    overwrite.
     """
     zt = z.T
-    out = np.empty((lower.shape[0], z.shape[0]))
-    term = np.empty(z.shape[0])
-    for j, row in enumerate(out):
-        np.multiply(zt[0], lower[j, 0], out=row)
-        row += 0.0
-        for k in range(1, j + 1):
-            row += np.multiply(zt[k], lower[j, k], out=term)
+    if out is None:
+        out = np.empty((lower.shape[0], z.shape[0]))
+    if scratch is None:
+        scratch = np.empty((lower.shape[0] - 1, z.shape[0]))
+    np.multiply(lower[:, 0, None], zt[0], out=out)
+    out += 0.0
+    for k in range(1, len(out)):
+        terms = scratch[: len(out) - k]
+        out[k:] += np.multiply(lower[k:, k, None], zt[k], out=terms)
     return out.T
+
+
+def _check_stream_keys(**keys: int) -> None:
+    """Raise ValueError naming the first of the keys that does not fit in an unsigned 64-bit integer."""
+    for name, value in keys.items():
+        if not 0 <= value < 2**64:
+            raise ValueError(f"{name} must fit in an unsigned 64-bit integer, got {value}")
 
 
 def sample_shadow(
@@ -151,25 +165,24 @@ def sample_shadow(
     correlate_normals(joint_cholesky(scn, p0), standard_normal_block(master_seed,
     point_index, n + 1, R)) gives for any R above realization_index.
     """
-    for name, value in (
-        ("master_seed", master_seed),
-        ("point_index", point_index),
-        ("realization_index", realization_index),
-    ):
-        if not 0 <= value < 2**64:
-            raise ValueError(f"{name} must fit in an unsigned 64-bit integer, got {value}")
+    _check_stream_keys(master_seed=master_seed, point_index=point_index, realization_index=realization_index)
     z = standard_normal_block(master_seed, point_index, scn.n_sensors + 1, 1, first_realization=realization_index)
     s0, s = correlate_normals(joint_cholesky(scn, p0), z)
     return float(s0[0]), s[0]
 
 
-def correlate_normals(lower: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def correlate_normals(
+    lower: np.ndarray, z: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Joint shadow rows from (R, n+1) standard normals through a joint factor: (s0 of shape (R,), s of shape (R, n)).
 
     lower is a point's joint Cholesky factor (query point first). s.T holds
     one contiguous row per sensor. The normals depend on the stream alone,
     not on the correlation model, so one block drawn at a point serves
-    every model there.
+    every model there. out, if given, is an (n+1, R) block of rows that
+    receives the query point's row, then each sensor's; s0 and s are then
+    views of it. scratch, if given, is an (n, R) block that the call may
+    overwrite.
     """
-    joint = _correlate_rows(z, lower)
+    joint = _correlate_rows(z, lower, out, scratch)
     return joint[:, 0], joint[:, 1:]

@@ -11,12 +11,13 @@ points where they disagree beyond Monte Carlo noise. The parts no ratio
 changes, the geometry-only weights above all, are gathered once per sweep
 for both engines. The closed form is one array evaluation for the whole
 sweep: every ratio at every grid point as one stack. The Monte Carlo route
-factors each ratio's joint covariances for the whole grid as one stack,
-then runs point-major: one task per grid point, on worker threads if
-asked, draws the point's normals once and evaluates every ratio of the
-sweep from them, each through its row of that ratio's stack. Each engine's
-spatial aggregates, for every (ratio, method) pair, come from one
-row-wise pass over its per-point RMSEs.
+factors each ratio's joint covariances for the whole grid as one stack
+and solves its sm0 weights as another, then runs point-major: one task
+per contiguous chunk of grid points, on worker threads if asked, each
+with one reused workspace of rows, draws each point's normals once and
+evaluates every ratio of the sweep from them, each through its row of
+that ratio's stacks. Each engine's spatial aggregates, for every (ratio,
+method) pair, come from one row-wise pass over its per-point RMSEs.
 
 Monte Carlo determinism: realizations for grid point i come from the
 substream keyed by (master_seed, i), so results are bitwise identical for
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
@@ -36,8 +37,19 @@ import numpy as np
 
 from .geometry import DegenerateGeometryError, Point, QueryGrid, Scenario, build_square_scenario, make_grid
 from .correlation import CorrelationModel, KERNEL_KINDS, EXPONENTIAL
-from .field import correlate_normals, joint_factors, standard_normal_block
-from .estimators import SM0, SM1, SM2, ALL_METHODS, OutsideHullError, lse_fit, sensor_factor, sm0_weights
+from .field import _check_stream_keys, correlate_normals, joint_factors, standard_normal_block
+from .estimators import (
+    SM0,
+    SM1,
+    SM2,
+    ALL_METHODS,
+    LseDesign,
+    OutsideHullError,
+    lse_design,
+    lse_fit,
+    sensor_factor,
+    sm0_weight_rows,
+)
 from .analysis import GridForms, grid_analytic_rmse, grid_forms
 from .linalg import NotPositiveDefiniteError
 
@@ -69,9 +81,10 @@ EMITTER_PRESETS = {
 
 MODES = ("analytic", "mc", "both")
 
-# Most worker threads a Monte Carlo run takes. Each busy worker holds its
-# point's R x W Philox words and about 3 (n+1) R doubles, so the bound caps
-# memory as well as OS threads.
+# Most worker threads a Monte Carlo run takes. Each worker holds one
+# workspace of (3n + 6 + M) R doubles for its chunk of points (n sensors, M
+# methods) and, while it draws a point, the point's R x W Philox words and
+# (n+1) R normals, so the bound caps memory as well as OS threads.
 MAX_THREADS = 64
 
 # Keys of the JSON config's "correlation" object, mapped to the fields they set.
@@ -232,19 +245,22 @@ def spatial_average(per_point: np.ndarray) -> float:
     return float(_rms_rows(np.reshape(np.asarray(per_point, dtype=float), (1, -1)))[0])
 
 
-def _rms_rows(rows: np.ndarray) -> np.ndarray:
+def _rms_rows(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """spatial_average of each row of a 2-D array, in one pass over the block.
 
-    A row-wise reduction gives each row the bits it has alone.
+    A row-wise reduction gives each row the bits it has alone. The rows'
+    magnitudes are scaled in out, if given, which may be rows itself: the
+    squares of the magnitudes are those of the values.
     """
-    top = _power_of_two_above(rows, axis=1)
-    scaled = rows / top[:, None]
+    scaled = np.abs(rows, out=out)
+    top = _power_of_two_above(scaled, axis=1)
+    scaled /= top[:, None]
     return np.sqrt(np.mean(np.square(scaled, out=scaled), axis=1)) * top
 
 
-def _power_of_two_above(values: np.ndarray, axis: int | None = None) -> np.ndarray:
-    """The power of two just above the largest magnitude (along axis): dividing by it is exact."""
-    return np.ldexp(1.0, np.frexp(np.abs(values).max(axis=axis))[1])
+def _power_of_two_above(magnitudes: np.ndarray, axis: int | None = None) -> np.ndarray:
+    """The power of two just above the largest of the magnitudes (along axis): dividing by it is exact."""
+    return np.ldexp(1.0, np.frexp(magnitudes.max(axis=axis))[1])
 
 
 # Errors of a ratio's numerics that mean its kernel and spacing ratio are
@@ -256,19 +272,27 @@ _RANGE_ERRORS = (NotPositiveDefiniteError, OutsideHullError, ArithmeticError)
 # Monte Carlo evaluation
 #
 # The simulated route shares the estimators' weights (geometry_weights,
-# sm0_weights) but deliberately re-runs the estimation pipeline on each
-# realized measurement vector, with its own refit batched across
+# sm0_weight_rows) but deliberately re-runs the estimation pipeline on each
+# realized measurement vector, with its own refit (lse_fit) batched across
 # realizations, instead of reusing the closed-form error coefficients, so
 # that analytic and Monte Carlo results stay independent checks of one
 # another. A point's normals depend on its stream alone, so one draw serves
 # every ratio. Before the points run, each ratio builds and factors the
-# joint covariances of every point as one (N, n+1, n+1) stack, and factors
-# the sensor covariance once; a point takes its row of the stack. Each
-# point then gets its own refit and sm0 solve per ratio, and one fit per
-# ratio serves every fitted method. The point's block is sensor-major: one
-# contiguous row per variate, over all realizations, so the shadow rows,
-# the refit and each prediction w @ block run along whole rows, and the
-# methods' errors stack as (methods, R) rows for one scaled RMS pass.
+# joint covariances of every point as one (N, n+1, n+1) stack, factors the
+# sensor covariance once and solves every point's sm0 weights in one
+# stacked call, and the fit's distance-only constants (lse_design) are
+# computed once for the sweep; a point takes its row of each. One fit per
+# ratio serves every fitted method.
+#
+# The points run as min(threads, N) tasks over contiguous chunks of
+# points. Each task allocates one workspace of R-length rows
+# (_McWorkspace) and writes every point and ratio it evaluates into it
+# with out=; fresh temporaries of a few hundred KB per ratio would sit
+# above glibc's mmap threshold and fault in new pages each time. The rows
+# are sensor-major: one contiguous row per variate, over all realizations,
+# so the shadow rows, the refit and each prediction w @ rows run along
+# whole rows, and the methods' errors stack as (methods, R) rows for one
+# scaled RMS pass.
 
 
 @dataclass(frozen=True)
@@ -277,20 +301,19 @@ class _McSetup:
 
     The scenarios differ only in their correlation model. joint[j] is
     (factors, err): the joint factors of the first len(factors) points, and
-    the error that stopped the next one, if any (_joint_factors). sensor[j]
-    is the sensor-covariance factor for the sm0 and sm1 weights, None if no
-    method needs it, or the error that stopped it. distances holds the
-    sensors' emitter distances when a fitted method runs. The point kernel
-    returns each error at the step that needs the factor, so failures
-    surface in the same order, and with the same errors, as factors built
-    point by point.
+    the error that stopped the next one, if any (_joint_factors). sm0[j]
+    holds the (N, n) sm0 and sm1 weights of every point, None if no method
+    needs them, or the error that stopped them. fit holds the least-squares
+    constants of the sensor distances when a fitted method runs. The point
+    kernel returns each error at the step that needs it, so failures
+    surface in the same order, and with the same errors, as factors and
+    weights built point by point.
     """
 
-    scns: list[Scenario]
     forms: GridForms
     joint: list[tuple[np.ndarray, Exception | None]]
-    sensor: list[np.ndarray | Exception | None]
-    distances: np.ndarray | None
+    sm0: list[np.ndarray | Exception | None]
+    fit: LseDesign | None
 
 
 def _joint_factors(scn: Scenario, points: tuple[Point, ...]) -> tuple[np.ndarray, Exception | None]:
@@ -304,74 +327,130 @@ def _joint_factors(scn: Scenario, points: tuple[Point, ...]) -> tuple[np.ndarray
         return np.empty((0, len(scn.sensors) + 1, len(scn.sensors) + 1)), err
 
 
-def _sensor_factor(scn: Scenario) -> np.ndarray | Exception:
+def _sm0_rows(scn: Scenario, points: tuple[Point, ...]) -> np.ndarray | Exception:
+    """The scenario's sm0 weights at every point, from one sensor factor, or the error that stopped them."""
+    sensors = list(scn.sensors)
     try:
-        return sensor_factor(scn.correlation, list(scn.sensors))
+        return sm0_weight_rows(scn.correlation, sensors, points, sensor_factor(scn.correlation, sensors))
     except (ValueError, ArithmeticError) as err:
         return err
 
 
 def _mc_setup(scns: list[Scenario], forms: GridForms) -> _McSetup:
-    """Factor every scenario's joint stack, and its sensor covariance if sm0 or sm1 runs."""
-    sensor_weights = SM0 in forms.methods or SM1 in forms.methods
+    """Factor every scenario's joint stack, and solve its sm0 weights if sm0 or sm1 runs."""
+    sm0 = SM0 in forms.methods or SM1 in forms.methods
     with np.errstate(all="ignore"):
         return _McSetup(
-            scns=scns,
             forms=forms,
             joint=[_joint_factors(scn, forms.points) for scn in scns],
-            sensor=[_sensor_factor(scn) if sensor_weights else None for scn in scns],
-            distances=np.array(scns[0].sensor_distances()) if forms.fit is not None else None,
+            sm0=[_sm0_rows(scn, forms.points) if sm0 else None for scn in scns],
+            fit=lse_design(scns[0].sensor_distances()) if forms.fit is not None else None,
+        )
+
+
+class _McWorkspace:
+    """The R-length rows that one Monte Carlo task writes every point and ratio it evaluates into.
+
+    They are views of one block, allocated once. joint holds the truth row,
+    then one measurement row per sensor; dev sm0's deviations of the
+    measurements from the sensors' median powers, and before them the
+    scratch rows of the row correlation and the refit; fit lse_fit's rows;
+    errors one row per method; median the fitted median power at the point.
+    Every row is written before it is read at each ratio, so nothing
+    carries from one point or ratio to the next.
+    """
+
+    def __init__(self, n_sensors: int, n_methods: int, realizations: int):
+        n = n_sensors
+        self.rows = np.empty((3 * n + 6 + n_methods, realizations))
+        self.joint, self.dev, self.fit, self.errors, (self.median,) = np.split(
+            self.rows, np.cumsum((n + 1, n, n + 4, n_methods))
         )
 
 
 def _mc_point_rmse(
-    setup: _McSetup, k: int, point_index: int, realizations: int, master_seed: int
+    setup: _McSetup, k: int, point_index: int, realizations: int, master_seed: int, ws: _McWorkspace
 ) -> list[np.ndarray | Exception]:
     """RMS prediction error of each method at point k of the setup's forms, for each scenario, from one draw.
 
-    point_index keys the point's stream. Entry j holds scenario j's errors
-    in the order of forms.methods, or the error that stopped scenario j, if
-    its numbers left the range of doubles or its fit was degenerate: it is
-    returned, not raised, so that the caller can raise it at its own ratio.
+    point_index keys the point's stream; ws is the calling task's
+    workspace. Entry j holds scenario j's errors in the order of
+    forms.methods, or the error that stopped scenario j, if its numbers
+    left the range of doubles or its fit was degenerate: it is returned,
+    not raised, so that the caller can raise it at its own ratio.
     """
     forms = setup.forms
-    p0, pm, pm0 = forms.points[k], forms.pm[:, None], forms.pm0[k]  # pm: (n, 1)
+    pm, pm0 = forms.pm[:, None], forms.pm0[k]  # pm: (n, 1)
+    medians = np.append(pm0, forms.pm)[:, None]  # the point's and the sensors' median powers
     z = standard_normal_block(master_seed, point_index, len(pm) + 1, realizations)
-    errors = np.empty((len(forms.methods), realizations))  # one row per method
+    truth, meas = ws.joint[0], ws.joint[1:]  # (R,) and (n, R): the shadows, then the powers
     out: list[np.ndarray | Exception] = []
-    for scn, (joint, joint_error), factor in zip(setup.scns, setup.joint, setup.sensor):
+    for (joint, joint_error), sm0 in zip(setup.joint, setup.sm0):
         # a shared error is returned, not raised: a raise would add this
         # point's frame to its traceback
         if k >= len(joint):
             out.append(joint_error)
             continue
         try:
-            s0, s = correlate_normals(joint[k], z)
-            meas = pm + s.T                    # (n, R): one row per sensor
-            truth = pm0 + s0                   # (R,)
-            if forms.fit is not None:
-                fit = lse_fit(setup.distances, meas.T)
-                x0 = forms.fit[3][k]           # the point's log10 emitter distance
-                fitted_median = fit.a_hat + 10.0 * fit.gamma_hat * x0
-            weights = {m: w[k] for m, w in forms.weights.items()}
-            if isinstance(factor, Exception):
-                out.append(factor)
+            correlate_normals(joint[k], z, out=ws.joint, scratch=ws.dev)
+            ws.joint += medians
+            if setup.fit is not None:
+                fit = lse_fit(setup.fit, meas.T, out=ws.fit, scratch=ws.dev)
+                # fitted median a_hat + 10 gamma_hat x0, x0 the point's log10 emitter distance
+                np.multiply(fit.gamma_hat, 10.0, out=ws.median)
+                ws.median *= forms.fit[3][k]
+                ws.median += fit.a_hat
+            if isinstance(sm0, Exception):
+                out.append(sm0)
                 continue
-            if factor is not None:
-                weights[SM0] = weights[SM1] = sm0_weights(scn.correlation, list(scn.sensors), p0, factor)
-            for row, method in zip(errors, forms.methods):
-                w = weights[method]
+            for row, method in zip(ws.errors, forms.methods):  # each method's prediction
+                w = sm0[k] if method in (SM0, SM1) else forms.weights[method][k]
                 if method == SM0:
-                    pred = pm0 + w @ (meas - pm)
+                    np.matmul(w, np.subtract(meas, pm, out=ws.dev), out=row)
+                    row += pm0
                 elif method in (SM1, SM2):
-                    pred = fitted_median + w @ fit.residuals.T
+                    np.matmul(w, fit.residuals.T, out=row)
+                    row += ws.median
                 else:
-                    pred = w @ meas
-                np.subtract(truth, pred, out=row)
-            out.append(_rms_rows(errors))  # RMS over realizations, scaled against overflow
+                    np.matmul(w, meas, out=row)
+            np.subtract(truth, ws.errors, out=ws.errors)
+            out.append(_rms_rows(ws.errors, out=ws.errors))  # RMS over realizations, scaled against overflow
         except (DegenerateGeometryError, *_RANGE_ERRORS) as err:
             out.append(err)
     return out
+
+
+def _mc_points_rmse(
+    scns: list[Scenario],
+    points: Sequence[tuple[int, Point]],
+    methods: Sequence[str],
+    realizations: int,
+    master_seed: int,
+    nu: float = 1.0,
+) -> np.ndarray:
+    """(N, K, M) Monte Carlo RMS errors of M methods at N points under K scenarios, each point drawn once.
+
+    points pairs each query point with the index that keys its stream; the
+    scenarios differ in their correlation model alone. Each value has the
+    bits of a point_rmse_mc call for its point, scenario and method. The
+    first error of the first failing point is raised. ValueError names a
+    stream key that does not fit in an unsigned 64-bit integer, or
+    realizations below 1, before any draw.
+    """
+    for index, _ in points:
+        _check_stream_keys(master_seed=master_seed, point_index=index)
+    if realizations < 1:
+        raise ValueError(f"realizations must be at least 1, got {realizations}")
+    setup = _mc_setup(scns, grid_forms(scns[0], [p for _, p in points], tuple(methods), nu))
+    ws = _McWorkspace(len(setup.forms.pm), len(setup.forms.methods), realizations)
+    rmse = []
+    for k, (index, _) in enumerate(points):
+        results = _mc_point_rmse(setup, k, index, realizations, master_seed, ws)
+        for result in results:
+            if isinstance(result, Exception):
+                raise result
+        rmse.append(results)
+    return np.array(rmse)
 
 
 def point_rmse_mc(
@@ -383,12 +462,13 @@ def point_rmse_mc(
     point_index: int = 0,
     nu: float = 1.0,
 ) -> float:
-    """RMS prediction error at one point over simulated shadow realizations."""
-    setup = _mc_setup([scn], grid_forms(scn, [p0], (method,), nu))
-    (result,) = _mc_point_rmse(setup, 0, point_index, realizations, master_seed)
-    if isinstance(result, Exception):
-        raise result
-    return float(result[0])
+    """RMS prediction error at one point over simulated shadow realizations.
+
+    master_seed and point_index key the point's stream and must each fit in
+    an unsigned 64-bit integer, and realizations must be at least 1:
+    ValueError names the first that does not, before any draw.
+    """
+    return float(_mc_points_rmse([scn], [(point_index, p0)], (method,), realizations, master_seed, nu)[0, 0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -402,24 +482,29 @@ def _out_of_range(config: ExperimentConfig, ratio: float, cause) -> ConfigError:
 def _mc_rmse(
     config: ExperimentConfig, scns: list[Scenario], forms: GridForms, threads: int
 ) -> tuple[np.ndarray, Exception | None]:
-    """Per-point Monte Carlo RMSE of each method at every ratio, one worker task per point.
+    """Per-point Monte Carlo RMSE of each method at every ratio, one worker task per chunk of points.
 
     Returns the (K', M, N) RMSEs of the K' ratios before the first at which
     a point failed, and the error of that ratio's lowest-indexed failing
-    point, if any. Each ratio's joint covariances and its sensor covariance
-    are factored once, before the points.
+    point, if any. Each ratio's joint covariances, its sensor covariance
+    and its sm0 weights are computed once, before the points.
     """
     setup = _mc_setup(scns, forms)
+    n_points = len(forms.points)
+    tasks = min(threads, n_points)
+    chunks = [range(n_points * t // tasks, n_points * (t + 1) // tasks) for t in range(tasks)]
 
-    def eval_point(i: int) -> list[np.ndarray | Exception]:
+    def eval_chunk(chunk: range) -> list[list[np.ndarray | Exception]]:
+        ws = _McWorkspace(len(forms.pm), len(forms.methods), config.realizations)
         with np.errstate(all="ignore"):  # pool threads do not inherit the caller's state
-            return _mc_point_rmse(setup, i, i, config.realizations, config.master_seed)
+            return [_mc_point_rmse(setup, i, i, config.realizations, config.master_seed, ws) for i in chunk]
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, len(forms.points))) as pool:
-            per_point = list(pool.map(eval_point, range(len(forms.points))))
+    if tasks > 1:
+        with ThreadPoolExecutor(max_workers=tasks) as pool:
+            per_chunk = list(pool.map(eval_chunk, chunks))
     else:
-        per_point = [eval_point(i) for i in range(len(forms.points))]
+        per_chunk = [eval_chunk(chunk) for chunk in chunks]
+    per_point = [at_point for chunk in per_chunk for at_point in chunk]
     done: list[np.ndarray] = []
     error = None
     for at_ratio in zip(*per_point):
@@ -532,7 +617,7 @@ def _grid_evals(
     emitter is checked against the grid once. Both engines then run every
     ratio before the first is yielded: the analytic engine on the calling
     thread as one stack of all the ratios, the Monte Carlo stage with one
-    worker task per point, so each point's normals are drawn once. Each
+    worker task per chunk of points, each point's normals drawn once. Each
     engine's aggregates come from one row-wise pass. Errors surface in the
     order of a ratio-by-ratio run: a ratio's set-up, its analytic step,
     then its Monte Carlo step, each after the ratios before it are yielded.
@@ -613,7 +698,7 @@ def _spatial_stderr(per_point_rmse: np.ndarray, realizations: int, spatial: np.n
     row's largest value, so they cannot overflow, and the scaling is exact.
     """
     r = np.asarray(per_point_rmse, dtype=float)
-    top = _power_of_two_above(r, axis=-1)
+    top = _power_of_two_above(np.abs(r), axis=-1)
     var_sq = (2.0 / realizations) * np.mean((r / top[..., None]) ** 4, axis=-1) / r.shape[-1]
     return np.where(spatial <= 0.0, 0.0, np.sqrt(var_sq) * top / (2.0 * spatial) * top)
 

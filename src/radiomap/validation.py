@@ -16,7 +16,7 @@ from numpy generators seeded master_seed plus a per-check offset (0 for
 kriging_equivalence, 1 for lse_closed_form, 2 for sm1_decomposition, 3 for
 sigma0_consistency). analytic_vs_mc keys each point's Monte Carlo stream by
 (master_seed, the point's stream index), as the harness keys a grid point,
-so one stream per point serves every method.
+and each point is drawn once for every ratio and method.
 
 The lattice oracle lives here rather than in the estimators module because
 the CLI 'validate' command has to run it at runtime; the estimator path
@@ -47,7 +47,7 @@ from .analysis import (
     sm1_coefficient_error_form,
     sm0_sigma0,
 )
-from .harness import ExperimentConfig, check_master_seed, point_rmse_mc
+from .harness import ExperimentConfig, _mc_points_rmse, check_master_seed
 
 __all__ = [
     "CheckResult",
@@ -184,18 +184,20 @@ def check_analytic_vs_mc(
 ) -> CheckResult:
     """Closed-form RMS error vs Monte Carlo, in units of the MC standard error.
 
-    points pairs each query point with the index that keys its stream.
+    points pairs each query point with the index that keys its stream. Each
+    point's stream is drawn once for every ratio and method, and each MC
+    value has the bits of its own point_rmse_mc call.
     """
+    scns = [_table_scenario(ratio) for ratio in ratios]
+    mc = _mc_points_rmse(scns, points, methods, realizations, master_seed)  # (point, ratio, method)
     worst = 0.0
-    for ratio in ratios:
-        scn = _table_scenario(ratio)
-        for point_index, p0 in points:
-            for method in methods:
+    for j, scn in enumerate(scns):
+        for k, (_, p0) in enumerate(points):
+            for m, method in enumerate(methods):
                 form = error_form(method, scn, p0)
                 expected = analytic_rmse(form, scn.correlation, p0, list(scn.sensors))
-                got = point_rmse_mc(scn, p0, method, realizations, master_seed, point_index)
                 se = expected / math.sqrt(2.0 * realizations)
-                worst = max(worst, abs(got - expected) / se)
+                worst = max(worst, abs(float(mc[k, j, m]) - expected) / se)
     return _verdict("analytic_vs_mc", worst, 3.0)
 
 

@@ -22,7 +22,7 @@ from radiomap import (
     sm2_weights,
 )
 from radiomap.correlation import covariance_matrix, cross_covariance
-from radiomap.estimators import _strictly_inside, geometry_weights, sensor_factor
+from radiomap.estimators import _strictly_inside, geometry_weights, lse_design, sensor_factor, sm0_weight_rows
 from radiomap.analysis import error_form, grid_forms
 from radiomap.linalg import cholesky, solve_cholesky
 from radiomap.validation import sibson_lattice_weights
@@ -72,7 +72,7 @@ class TestLseFit:
             assert np.allclose(batch.residuals[r], fit.residuals, rtol=0.0, atol=1e-9)
 
     def test_sensor_major_rows_match_realization_major(self, table_scenario):
-        # the same fit from either layout; residuals come back in the layout of the input rows
+        # the same fit from either layout; residuals.T comes back as contiguous sensor-major rows
         rng = np.random.default_rng(6)
         d = np.array(table_scenario.sensor_distances())
         rows = rng.normal(90.0, 5.0, size=(30, 4))
@@ -82,10 +82,26 @@ class TestLseFit:
         assert np.allclose(a.gamma_hat, b.gamma_hat, rtol=0.0, atol=1e-12)
         assert np.allclose(a.residuals, b.residuals, rtol=0.0, atol=1e-9)
         assert b.residuals.shape == (30, 4) and b.residuals.T.flags["C_CONTIGUOUS"]
+        assert a.residuals.T.flags["C_CONTIGUOUS"]
 
     def test_needs_more_than_two_sensors(self):
         with pytest.raises(ValueError, match="more than 2"):
             lse_fit(np.array([1.0, 2.0]), np.array([0.0, 1.0]))
+
+    def test_design_and_caller_rows_give_the_same_bits(self, table_scenario):
+        # constants computed once, rows written into a caller's NaN-filled block
+        rng = np.random.default_rng(7)
+        d = np.array(table_scenario.sensor_distances())
+        sensor_major = np.ascontiguousarray(rng.normal(90.0, 5.0, size=(4, 1000)))
+        want = lse_fit(d, sensor_major.T)
+        out = np.full((4 + 4, 1000), np.nan)
+        got = lse_fit(lse_design(d), sensor_major.T, out=out, scratch=np.full((4, 1000), np.nan))
+        for name in ("a_hat", "gamma_hat", "residuals"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert np.shares_memory(got.residuals, out) and got.residuals.T.flags["C_CONTIGUOUS"]
+        one, alone = lse_fit(lse_design(d), sensor_major[:, 3]), lse_fit(d, sensor_major[:, 3])
+        assert (one.a_hat, one.gamma_hat) == (alone.a_hat, alone.gamma_hat)
+        assert one.residuals.tolist() == alone.residuals.tolist()
 
 
 class TestSm0Weights:
@@ -120,6 +136,15 @@ class TestSm0Weights:
             want = solve_cholesky(cholesky(c_n), cross_covariance(table_model, p0, sensors))
             assert sm0_weights(table_model, sensors, p0, factor).tolist() == want.tolist()
             assert sm0_weights(table_model, sensors, p0).tolist() == want.tolist()
+
+    def test_weight_rows_match_one_point_solves_bit_for_bit(self, table_model, table_scenario):
+        sensors = list(table_scenario.sensors)
+        points = [Point(320, 320), Point(101.5, 517.25), Point(10.0, 630.0), Point(600.0, 1.0)]
+        rows = sm0_weight_rows(table_model, sensors, points)
+        assert rows.shape == (4, 4)
+        for row, p0 in zip(rows, points):
+            want = solve_cholesky(sensor_factor(table_model, sensors), cross_covariance(table_model, p0, sensors))
+            assert row.tobytes() == want.tobytes()
 
 
 class TestSm0Predict:

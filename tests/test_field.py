@@ -158,6 +158,11 @@ class TestCorrelateRows:
         # the same bits from realization-major normals, and sensor-major rows out
         assert _correlate_rows(np.ascontiguousarray(z), lower).tobytes() == want.tobytes()
         assert got.T.flags["C_CONTIGUOUS"]
+        # the same bits written into a caller's block, whatever it held
+        out, scratch = np.full((5, realizations), np.nan), np.full((4, realizations), np.nan)
+        assert _correlate_rows(z, lower, out, scratch).tobytes() == want.tobytes()
+        s0, s = correlate_normals(lower, z, out=np.full((5, realizations), np.nan))
+        assert s0.tobytes() == want[:, 0].tobytes() and s.tobytes() == want[:, 1:].tobytes()
 
 
 class TestJointFactors:

@@ -18,8 +18,10 @@ from radiomap import (
     sm0_sigma0,
     sweep,
 )
+from radiomap.analysis import grid_forms
+from radiomap.estimators import sensor_factor, sm0_weights
 from radiomap.field import joint_cholesky
-from radiomap.harness import MAX_THREADS, _grid_eval, _grid_evals, _rms_rows
+from radiomap.harness import MAX_THREADS, _grid_eval, _grid_evals, _mc_point_rmse, _mc_setup, _McWorkspace, _rms_rows
 from radiomap.linalg import NotPositiveDefiniteError
 
 
@@ -91,6 +93,82 @@ class TestPointRmseMc:
             )
             got = point_rmse_mc(table_scenario, p0, method, R, master_seed=77, point_index=0)
             assert got == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"master_seed": -1}, "master_seed"),
+            ({"master_seed": 2**64}, "master_seed"),
+            ({"point_index": 2**64}, "point_index"),
+            ({"point_index": -3}, "point_index"),
+            ({"realizations": 0}, "realizations"),
+        ],
+    )
+    def test_integers_checked_before_any_draw(self, monkeypatch, table_scenario, kwargs, field):
+        from radiomap import harness
+
+        def no_draw(*args):
+            raise AssertionError("drew normals")
+
+        monkeypatch.setattr(harness, "standard_normal_block", no_draw)
+        call = {"realizations": 10, "master_seed": 1, "point_index": 0, **kwargs}
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            point_rmse_mc(table_scenario, Point(99.0, 99.0), "sm0", **call)
+
+
+class TestMcWorkspace:
+    """The per-task workspace of the Monte Carlo kernel and the set-up it reads."""
+
+    @staticmethod
+    def setup_for(cfg, points):
+        scns = [cfg.scenario(r) for r in cfg.ratios]
+        return scns, _mc_setup(scns, grid_forms(scns[0], points, cfg.methods, cfg.nu))
+
+    @pytest.mark.parametrize("kernel", ["exponential", "gaussian", "elliptical"])
+    def test_sm0_rows_match_one_point_weights_bit_for_bit(self, kernel):
+        cfg = ExperimentConfig(kernel=kernel, rotation_rad=0.5, resolution=5, ratios=(0.05, 1.0, 20.0))
+        points = cfg.grid().points
+        scns, setup = self.setup_for(cfg, points)
+        for scn, rows in zip(scns, setup.sm0):
+            sensors = list(scn.sensors)
+            factor = sensor_factor(scn.correlation, sensors)
+            assert rows.shape == (len(points), len(sensors))
+            for row, p0 in zip(rows, points):
+                assert row.tobytes() == sm0_weights(scn.correlation, sensors, p0, factor).tobytes()
+
+    def test_no_row_leaks_between_points_or_ratios(self):
+        # NaN in every row before each point, points in reverse order: the same bytes
+        cfg = ExperimentConfig(resolution=3, realizations=257, ratios=(0.2, 1.0, 5.0), master_seed=4)
+        points = cfg.grid().points
+        _, setup = self.setup_for(cfg, points)
+        R = cfg.realizations
+        ws = _McWorkspace(4, len(cfg.methods), R)
+        forward = [_mc_point_rmse(setup, k, k, R, cfg.master_seed, ws) for k in range(len(points))]
+        ws = _McWorkspace(4, len(cfg.methods), R)
+        for k in reversed(range(len(points))):
+            ws.rows.fill(np.nan)
+            got = _mc_point_rmse(setup, k, k, R, cfg.master_seed, ws)
+            assert [r.tobytes() for r in got] == [r.tobytes() for r in forward[k]]
+            assert all(np.isfinite(r).all() for r in got)
+
+    def test_memory_budget_of_one_point(self):
+        # one point's 9-ratio evaluation, workspace included, peaks below 39 R-length rows:
+        # a workspace of 24 rows, then the draw's 8 Philox rows and 5 normal rows
+        # (41 rows when every ratio allocated its own temporaries)
+        import tracemalloc
+
+        cfg = ExperimentConfig(realizations=10000, mode="mc")
+        points = cfg.grid().points[:1]
+        _, setup = self.setup_for(cfg, points)
+        R = cfg.realizations
+        _mc_point_rmse(setup, 0, 0, R, 5, _McWorkspace(4, 6, R))  # imports scipy outside the trace
+        tracemalloc.start()
+        try:
+            _mc_point_rmse(setup, 0, 0, R, 5, _McWorkspace(4, 6, R))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 39 * 8 * R
 
 
 class TestGridRmse:
@@ -379,11 +457,11 @@ class TestSweep:
             local.point, local.fits = point_index, 0
             return draw(master_seed, point_index, *args)
 
-        def second_refit_of_point_two_fails(distances, powers):
+        def second_refit_of_point_two_fails(*args, **kwargs):
             local.fits += 1
             if (local.point, local.fits) == (2, 2):
                 raise FloatingPointError("refit of point 2")
-            return fit(distances, powers)
+            return fit(*args, **kwargs)
 
         monkeypatch.setattr(harness, "standard_normal_block", tracked_draw)
         monkeypatch.setattr(harness, "lse_fit", second_refit_of_point_two_fails)
