@@ -13,7 +13,6 @@ from .correlation import (
     correlation,
     covariance_matrix,
     cross_covariance,
-    effective_distance,
 )
 from .field import median_power, sample_shadow
 from .estimators import (
@@ -65,7 +64,6 @@ __all__ = [
     "correlation",
     "covariance_matrix",
     "cross_covariance",
-    "effective_distance",
     "median_power",
     "sample_shadow",
     "ALL_METHODS",

@@ -10,14 +10,16 @@ are the median powers plus the sensor shadows. With the joint covariance of
 the shadow vector, the RMS prediction error follows in closed form.
 
 One engine computes it, on arrays, and its unit is a sweep: K correlation
-models that differ in sigma and xc alone. grid_forms() gathers once what
-does not depend on the model (median powers, log distances, the
-geometry-only methods' weights). grid_analytic_rmse() then evaluates every
-method at every point under all K models as one (K, N, .) stack: one pass
-builds the K sensor covariances and one the K cross-covariance tables, one
-stacked Cholesky call factors the sensor covariances (only when sm0 or sm1
-runs), the geometry-only methods' error rows are formed once for all K,
-and one grouped quadratic form covers the stack. Row k of the result has
+models that differ in sigma and xc alone. grid_forms() converts the points
+to one (N, 2) coordinate array and gathers once what does not depend on
+the model (median powers and log distances from one pass over the emitter
+distances, the geometry-only methods' weights). grid_analytic_rmse() then
+evaluates every method at every point under all K models as one (K, N, .)
+stack: one pass of the kernel builds the K sensor covariances and one the
+K cross-covariance tables, one stacked Cholesky call factors the sensor
+covariances (only when sm0 or sm1 runs), the geometry-only methods' error
+rows are formed once for all K, and one grouped quadratic form covers the
+stack. Row k of the result has
 the bits of a call with models[k] alone. error_form() is the engine's row
 at one point and analytic_rmse() shares its quadratic form, so the library
 API and the self-checks run the engine the CLI ships. The hand-written
@@ -32,9 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Point, Scenario, distance
+from .geometry import Point, Scenario, coordinates, distance
 from .correlation import CorrelationModel, covariance_matrix, covariance_stack, cross_covariance, cross_covariance_stack
-from .field import median_power
 from .linalg import cholesky, solve_cholesky
 from .estimators import (
     SM0,
@@ -43,7 +44,7 @@ from .estimators import (
     IDW,
     FitRows,
     _affine_rows,
-    _fit_rows,
+    _emitter_rows,
     _log_distances,
     _lse_denominator,
     geometry_weights,
@@ -174,17 +175,19 @@ def sm0_sigma0(model: CorrelationModel, sensors: list[Point], p0: Point) -> floa
 class GridForms:
     """The parts of several methods' error forms at N query points that no correlation model changes.
 
-    pm0 holds each query point's median power and pm the sensors'. weights
-    holds the (N, n) sensor weights of every requested method but sm0 and
-    sm1, whose weights follow the correlation model; sm2 and idw share one
-    array. When sm1 or sm2 is requested, fit holds their least-squares
-    pieces (estimators._fit_rows). The Monte Carlo route takes pm0, pm and
+    xy and sensors are the (N, 2) query and (n, 2) sensor coordinates, the
+    one conversion of the points a sweep makes. pm0 holds each query
+    point's median power and pm the sensors'. weights holds the (N, n)
+    sensor weights of every requested method but sm0 and sm1, whose weights
+    follow the correlation model; sm2 and idw share one array. When sm1 or
+    sm2 is requested, fit holds their least-squares pieces
+    (estimators._emitter_rows). The Monte Carlo route takes pm0, pm and
     weights from here as well.
     """
 
     methods: tuple[str, ...]
-    points: tuple[Point, ...]
-    sensors: tuple[Point, ...]
+    xy: np.ndarray
+    sensors: np.ndarray
     pm0: np.ndarray
     pm: np.ndarray
     weights: dict[str, np.ndarray]
@@ -196,20 +199,16 @@ def grid_forms(scn: Scenario, points: list[Point], methods: tuple[str, ...], nu:
 
     Each geometry-only weight family is one geometry_weights() call over all
     the points: idw shares sm2's (N, n) table, and nn and nat get one each.
+    The median powers and the fit's log distances come from one pass over
+    the emitter distances.
     """
-    points = tuple(points)
+    xy, sensors = coordinates(points), coordinates(scn.sensors)
     # idw applies sm2's inverse-distance weights: compute each table once
     sources = {m: SM2 if m == IDW else m for m in methods if m not in (SM0, SM1)}
-    tables = {src: geometry_weights(src, scn.sensors, points, nu) for src in dict.fromkeys(sources.values())}
-    return GridForms(
-        methods=tuple(methods),
-        points=points,
-        sensors=tuple(scn.sensors),
-        pm0=np.array([median_power(scn, p0) for p0 in points]),
-        pm=np.array([median_power(scn, s) for s in scn.sensors]),
-        weights={m: tables[src] for m, src in sources.items()},
-        fit=_fit_rows(scn, points, methods),
-    )
+    tables = {src: geometry_weights(src, sensors, xy, nu) for src in dict.fromkeys(sources.values())}
+    pm0, pm, fit = _emitter_rows(scn, xy, methods)
+    weights = {m: tables[src] for m, src in sources.items()}
+    return GridForms(methods=tuple(methods), xy=xy, sensors=sensors, pm0=pm0, pm=pm, weights=weights, fit=fit)
 
 
 def _error_rows(
@@ -221,8 +220,8 @@ def _error_rows(
     The geometry-only methods' rows depend on no model: they are formed
     once, and bias and coeffs are broadcast views over the K models.
     """
-    c_n = covariance_stack(models, list(forms.sensors))
-    c_0 = cross_covariance_stack(models, forms.points, forms.sensors)
+    c_n = covariance_stack(models, forms.sensors)
+    c_0 = cross_covariance_stack(models, forms.xy, forms.sensors)
     weights = dict(forms.weights)
     if SM0 in forms.methods or SM1 in forms.methods:
         weights[SM0] = weights[SM1] = np.swapaxes(solve_cholesky(cholesky(c_n), np.swapaxes(c_0, 1, 2)), 1, 2)
@@ -262,5 +261,5 @@ def grid_analytic_rmse(forms: GridForms, models: list[CorrelationModel]) -> dict
     """
     models = list(models)
     c_n, c_0, rows = _error_rows(forms, models)
-    var0 = np.array([model.sigma**2 for model in models])[:, None]
+    var0 = c_n[:, 0, :1]  # each model's sigma^2, the kernel at zero distance
     return {m: _affine_rms(bias, 1.0, coeffs, var0, c_0, c_n) for m, (bias, coeffs) in rows.items()}

@@ -12,12 +12,14 @@ major-axis component by 1/axis_ratio, and feeds the resulting effective
 distance to the exponential form; with axis_ratio = 1 it reduces exactly to
 the exponential kernel.
 
-The stack functions covariance_stack() and cross_covariance_stack() take a
-sequence of models that differ in sigma and xc alone, as a sweep over
-spacing ratios does: the effective distances are the same for all of them,
-so they are computed once, and matrix k of a stack has the bits of the same
-matrix built for models[k] alone. covariance_matrix() and
-cross_covariance_matrix() are their stacks of one.
+The formulas are written once, in cross_covariance_stack(), over (N, 2) and
+(M, 2) coordinate arrays (geometry.coordinates) and a sequence of models
+that differ in sigma and xc alone, as a sweep over spacing ratios does: the
+effective distances are the same for all of them, so they are computed
+once, and matrix k of a stack has the bits of the same matrix built for
+models[k] alone. covariance_stack() is its case of one point set, and the
+Point entries (correlation, cross_covariance, covariance_matrix,
+cross_covariance_matrix) are its cases of one model, one row or one pair.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Point, distance
+from .geometry import Point, coordinates
 
 __all__ = [
     "EXPONENTIAL",
@@ -35,7 +37,6 @@ __all__ = [
     "ELLIPTICAL",
     "KERNEL_KINDS",
     "CorrelationModel",
-    "effective_distance",
     "correlation",
     "covariance_matrix",
     "covariance_stack",
@@ -75,36 +76,6 @@ class CorrelationModel:
             raise ValueError(f"axis ratio must be >= 1, got {self.axis_ratio}")
 
 
-def effective_distance(model: CorrelationModel, p: Point, q: Point) -> float:
-    """Distance that enters the kernel: Euclidean, or anisotropy-corrected.
-
-    For the elliptical kernel the displacement is rotated into the ellipse
-    frame and the major-axis component divided by the axis ratio, so the
-    locus of constant effective distance is an ellipse.
-    """
-    if model.kind != ELLIPTICAL:
-        return distance(p, q)
-    dx = q.x - p.x
-    dy = q.y - p.y
-    c = math.cos(model.rotation)
-    s = math.sin(model.rotation)
-    major = c * dx + s * dy
-    minor = -s * dx + c * dy
-    return math.hypot(major / model.axis_ratio, minor)
-
-
-def _kernel(model: CorrelationModel, d: float) -> float:
-    """The model's covariance at effective distance d, in dB^2."""
-    if model.kind == GAUSSIAN:
-        return model.sigma**2 * math.exp(-((d / model.xc) ** 2))
-    return model.sigma**2 * math.exp(-d / model.xc)
-
-
-def correlation(model: CorrelationModel, p: Point, q: Point) -> float:
-    """Shadow-fading covariance between two locations, in dB^2."""
-    return _kernel(model, effective_distance(model, p, q))
-
-
 def _shared_shape(models: list[CorrelationModel]) -> CorrelationModel:
     """The first model, once every model is checked to differ from it in sigma and xc alone."""
     if not models:
@@ -116,50 +87,53 @@ def _shared_shape(models: list[CorrelationModel]) -> CorrelationModel:
     return first
 
 
-def covariance_stack(models: list[CorrelationModel], points: list[Point]) -> np.ndarray:
-    """(K, k, k) stack of the models' covariance matrices over a point set; each symmetric with sigma^2 diagonal."""
-    k = len(points)
-    if k < 1:
-        raise ValueError("need at least one point")
+def cross_covariance_stack(models: list[CorrelationModel], a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(K, N, M) covariances between the rows of (N, 2) and (M, 2) coordinate arrays, matrix k under models[k].
+
+    The package's one kernel: every covariance is an entry of one of its
+    stacks. Where d / xc or its square overflows, the correlation is exactly
+    0; a sigma whose square overflows raises OverflowError naming sigma.
+    """
     shape = _shared_shape(models)
-    pairs = [(i, j, effective_distance(shape, points[i], points[j])) for i in range(k) for j in range(i + 1, k)]
-    out = np.empty((len(models), k, k))
-    for m, model in zip(out, models):
-        np.fill_diagonal(m, model.sigma**2)
-        for i, j, d in pairs:
-            m[i, j] = m[j, i] = _kernel(model, d)
-    return out
+    dx = b[None, :, 0] - a[:, None, 0]
+    dy = b[None, :, 1] - a[:, None, 1]
+    if shape.kind == ELLIPTICAL:  # the displacement in the ellipse frame, its major axis shrunk
+        c = math.cos(shape.rotation)
+        s = math.sin(shape.rotation)
+        dx, dy = (c * dx + s * dy) / shape.axis_ratio, -s * dx + c * dy
+    d = np.hypot(dx, dy)
+    try:
+        var = np.array([m.sigma**2 for m in models])[:, None, None]
+    except OverflowError:
+        raise OverflowError(f"sigma^2 overflows a double at sigma = {max(m.sigma for m in models)!r} dB") from None
+    xc = np.array([m.xc for m in models])[:, None, None]
+    with np.errstate(over="ignore"):
+        r = d / xc
+        if shape.kind == GAUSSIAN:
+            r = r**2
+    return var * np.exp(-r)
+
+
+def covariance_stack(models: list[CorrelationModel], xy: np.ndarray) -> np.ndarray:
+    """(K, k, k) stack of the models' covariance matrices over the rows of xy; each symmetric with sigma^2 diagonal."""
+    return cross_covariance_stack(models, xy, xy)
+
+
+def correlation(model: CorrelationModel, p: Point, q: Point) -> float:
+    """Shadow-fading covariance between two locations, in dB^2."""
+    return float(cross_covariance(model, p, [q])[0])
 
 
 def covariance_matrix(model: CorrelationModel, points: list[Point]) -> np.ndarray:
     """k x k covariance matrix over a point set: covariance_stack() of one model."""
-    return covariance_stack([model], points)[0]
+    return covariance_stack([model], coordinates(points))[0]
 
 
 def cross_covariance(model: CorrelationModel, p0: Point, points: list[Point]) -> np.ndarray:
-    """Covariances of the shadow value at p0 against each listed point."""
-    return np.array([correlation(model, p0, q) for q in points])
-
-
-def cross_covariance_stack(models: list[CorrelationModel], queries: list[Point], points: list[Point]) -> np.ndarray:
-    """(K, len(queries), len(points)) stack; row i of matrix k is cross_covariance(models[k], queries[i], points)."""
-    shape = _shared_shape(models)
-    q = np.array([(p.x, p.y) for p in queries], dtype=float).reshape(-1, 2)
-    s = np.array([(p.x, p.y) for p in points], dtype=float).reshape(-1, 2)
-    dx = s[None, :, 0] - q[:, None, 0]
-    dy = s[None, :, 1] - q[:, None, 1]
-    if shape.kind == ELLIPTICAL:  # as in effective_distance
-        c = math.cos(shape.rotation)
-        sn = math.sin(shape.rotation)
-        dx, dy = (c * dx + sn * dy) / shape.axis_ratio, -sn * dx + c * dy
-    d = np.hypot(dx, dy)
-    var = np.array([m.sigma**2 for m in models])[:, None, None]
-    xc = np.array([m.xc for m in models])[:, None, None]
-    if shape.kind == GAUSSIAN:
-        return var * np.exp(-((d / xc) ** 2))
-    return var * np.exp(-d / xc)
+    """Covariances of the shadow value at p0 against each listed point: cross_covariance_matrix() at p0."""
+    return cross_covariance_matrix(model, [p0], points)[0]
 
 
 def cross_covariance_matrix(model: CorrelationModel, queries: list[Point], points: list[Point]) -> np.ndarray:
     """(len(queries), len(points)) array whose row i is cross_covariance(model, queries[i], points)."""
-    return cross_covariance_stack([model], queries, points)[0]
+    return cross_covariance_stack([model], coordinates(queries), coordinates(points))[0]

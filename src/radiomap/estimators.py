@@ -10,12 +10,14 @@ measurement vector: _affine_rows() turns a method's (N, n) weight rows into
 N intercepts and coefficient rows, the analysis module's closed-form error
 engine runs on those rows, and as_affine() is their row at one point.
 
-The weights of sm2, idw, nn and nat depend on nothing but where the
-sensors and the query are. geometry_weights() computes them for a whole
-point set as one (N, n) table in array passes: one distance table for
-sm2, idw and nn, and for nat one clip of each sensor's Voronoi cell, then
-one cut of every cell by every query's bisector. The one-point entries
-(sm2_weights, sibson_weights, method_weights) are its rows.
+The point-set entries take (N, 2) coordinate arrays. sm0_weight_rows()
+solves every point's sm0 weights in one stacked call. The weights of sm2,
+idw, nn and nat depend on nothing but where the sensors and the query are.
+geometry_weights() computes them for a whole point set as one (N, n) table
+in array passes: one distance table for sm2, idw and nn, and for nat one
+clip of each sensor's Voronoi cell, then one cut of every cell by every
+query's bisector. The one-point entries (sm0_weights, sm2_weights,
+sibson_weights, method_weights) take Points and are their rows.
 
 Methods
 -------
@@ -32,14 +34,13 @@ nat   natural-neighbor (Sibson) weighting of raw measurements
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DegenerateGeometryError, Point, Scenario, distance
-from .correlation import CorrelationModel, covariance_matrix, cross_covariance
-from .field import median_power
+from .geometry import DegenerateGeometryError, Point, Scenario, coordinates
+from .correlation import CorrelationModel, covariance_matrix, cross_covariance_stack
+from .field import emitter_log_distances, median_powers
 from .linalg import cholesky, solve_cholesky
 
 __all__ = [
@@ -228,17 +229,23 @@ def lse_fit(
 FitRows = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
-def _fit_rows(scn: Scenario, points: list[Point], methods: tuple[str, ...]) -> FitRows | None:
-    """x, c_a, c_slope, x0 if methods has sm1 or sm2, else None.
+def _emitter_rows(
+    scn: Scenario, xy: np.ndarray, methods: tuple[str, ...]
+) -> tuple[np.ndarray, np.ndarray, FitRows | None]:
+    """pm0, pm and fit at the rows of an (N, 2) array, from one pass over their emitter distances.
 
-    x holds the sensors' log10 emitter distances and x0 the points';
-    a_hat = c_a . P and 10 * gamma_hat = c_slope . P for measurements P.
+    pm0 holds the points' median powers and pm the sensors'. fit is
+    (x, c_a, c_slope, x0) if methods has sm1 or sm2, else None: x holds the
+    sensors' log10 emitter distances and x0 the points'; a_hat = c_a . P and
+    10 * gamma_hat = c_slope . P for measurements P.
     """
-    if not any(m in (SM1, SM2) for m in methods):
-        return None
-    d = lse_design(scn.sensor_distances())
-    x0 = np.array([_query_log_distance(scn, p0) for p0 in points])
-    return d.x, (d.sxx - d.sx * d.x) / d.denom, (d.x.size * d.x - d.sx) / d.denom, x0
+    x0 = emitter_log_distances(scn, xy)
+    pm = median_powers(scn, emitter_log_distances(scn, coordinates(scn.sensors)))
+    fit = None
+    if any(m in (SM1, SM2) for m in methods):
+        d = lse_design(scn.sensor_distances())
+        fit = d.x, (d.sxx - d.sx * d.x) / d.denom, (d.x.size * d.x - d.sx) / d.denom, x0
+    return median_powers(scn, x0), pm, fit
 
 
 # ---------------------------------------------------------------------------
@@ -250,21 +257,16 @@ def sensor_factor(model: CorrelationModel, sensors: list[Point]) -> np.ndarray:
     return cholesky(covariance_matrix(model, list(sensors)))
 
 
-def sm0_weight_rows(
-    model: CorrelationModel, sensors: list[Point], points: list[Point], factor: np.ndarray | None = None
-) -> np.ndarray:
-    """(N, n) conditional-mean weights at N points: solve C_n w = c_0 at each (no explicit inverse).
+def sm0_weight_rows(model: CorrelationModel, sensors: np.ndarray, xy: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """(N, n) conditional-mean weights at the rows of an (N, 2) array: solve C_n w = c_0 at each (no explicit inverse).
 
-    factor is sensor_factor(model, sensors), if the caller has it. All N
-    solves are one stacked solve_cholesky call: the factor is broadcast over
-    the points, with one right-hand side each, so row i has the bits of a
-    solve at points[i] alone.
+    sensors is the (n, 2) array of sensor coordinates and factor
+    sensor_factor() of the model and sensors. All N solves are one stacked
+    solve_cholesky call: the factor is broadcast over the points, with one
+    right-hand side each, so row i has the bits of a solve at xy[i] alone.
     """
-    sensors = list(sensors)
-    if factor is None:
-        factor = sensor_factor(model, sensors)
-    c_0 = np.array([cross_covariance(model, p0, sensors) for p0 in points]).reshape(len(points), len(sensors), 1)
-    return solve_cholesky(np.broadcast_to(factor, (len(points), *np.shape(factor))), c_0)[:, :, 0]
+    c_0 = cross_covariance_stack([model], xy, sensors)[0][:, :, None]
+    return solve_cholesky(np.broadcast_to(factor, (len(c_0), *np.shape(factor))), c_0)[:, :, 0]
 
 
 def sm0_weights(
@@ -275,20 +277,24 @@ def sm0_weights(
     factor is sensor_factor(model, sensors), if the caller has it: one
     factor serves every p0.
     """
-    return sm0_weight_rows(model, sensors, [p0], factor)[0]
+    if factor is None:
+        factor = sensor_factor(model, sensors)
+    return sm0_weight_rows(model, coordinates(sensors), coordinates([p0]), factor)[0]
 
 
 # ---------------------------------------------------------------------------
 # geometry-only weights, one (N, n) table per point set
 
 
-def _sensor_span(sensors: list[Point]) -> float:
-    return max(distance(a, b) for i, a in enumerate(sensors) for b in sensors[i + 1 :])
+def _distances(q: np.ndarray, sites: np.ndarray) -> np.ndarray:
+    """(N, n) distances from each of N query rows to each of n sensor rows."""
+    return np.hypot(q[:, 0, None] - sites[:, 0], q[:, 1, None] - sites[:, 1])
 
 
-def geometry_weights(method: str, sensors: list[Point], points: list[Point], nu: float = 1.0) -> np.ndarray:
-    """(N, n) sensor weights of a geometry-only method at N query points, one row per point.
+def geometry_weights(method: str, sensors: np.ndarray, xy: np.ndarray, nu: float = 1.0) -> np.ndarray:
+    """(N, n) sensor weights of a geometry-only method at the rows of xy, one row per point.
 
+    sensors and xy are the (n, 2) sensor and (N, 2) query coordinates.
     sm2 and idw take the normalized inverse-distance weights
     w_i = d_i^-nu / sum_j d_j^-nu, nn is one-hot on the nearest sensor (ties
     go to the lowest sensor index) and nat takes the Sibson weights. A query
@@ -299,20 +305,17 @@ def geometry_weights(method: str, sensors: list[Point], points: list[Point], nu:
         if method not in ALL_METHODS:  # the one check every method-taking entry reaches
             raise ValueError(f"unknown method {method!r}, expected one of {ALL_METHODS}")
         raise ValueError(f"method {method!r} has no geometry-only weights")
-    sensors = list(sensors)
-    sites = np.array([(s.x, s.y) for s in sensors], dtype=float)
-    q = np.array([(p.x, p.y) for p in points], dtype=float).reshape(-1, 2)
-    d = np.hypot(q[:, 0, None] - sites[:, 0], q[:, 1, None] - sites[:, 1])
+    d = _distances(xy, sensors)
     nearest = d.argmin(axis=1)
     w = np.zeros(d.shape)
     if method == NN:
-        snapped = np.ones(len(q), dtype=bool)
+        snapped = np.ones(len(xy), dtype=bool)
     else:
-        span = _sensor_span(sensors)
+        span = _distances(sensors, sensors).max()
         snapped = d.min(axis=1) <= _SNAP_RTOL * span
         free = ~snapped
         if method == NATURAL:
-            w[free] = _sibson_rows(sites, q[free], _HULL_RTOL * span)
+            w[free] = _sibson_rows(sensors, xy[free], _HULL_RTOL * span)
         else:
             inv = d[free] ** -float(nu)
             w[free] = inv / inv.sum(axis=1, keepdims=True)
@@ -322,7 +325,7 @@ def geometry_weights(method: str, sensors: list[Point], points: list[Point], nu:
 
 def sm2_weights(sensors: list[Point], p0: Point, nu: float = 1.0) -> np.ndarray:
     """Normalized inverse-distance weights at one point: geometry_weights("sm2", ...) for p0."""
-    return geometry_weights(SM2, sensors, [p0], nu)[0]
+    return geometry_weights(SM2, coordinates(sensors), coordinates([p0]), nu)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +470,7 @@ def sibson_weights(sensors: list[Point], p0: Point) -> np.ndarray:
     the part of i's cell that lies closer to the query than to i. Cells are
     built by half-plane intersection of a padded bounding box.
     """
-    return geometry_weights(NATURAL, sensors, [p0])[0]
+    return geometry_weights(NATURAL, coordinates(sensors), coordinates([p0]))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -483,14 +486,7 @@ def method_weights(method: str, scn: Scenario, p0: Point, nu: float = 1.0) -> np
     """
     if method in (SM0, SM1):
         return sm0_weights(scn.correlation, list(scn.sensors), p0)
-    return geometry_weights(method, scn.sensors, [p0], nu)[0]
-
-
-def _query_log_distance(scn: Scenario, p0: Point) -> float:
-    d0 = distance(scn.emitter, p0)
-    if d0 <= 0.0:
-        raise ValueError("query point coincides with the emitter")
-    return math.log10(d0)
+    return geometry_weights(method, coordinates(scn.sensors), coordinates([p0]), nu)[0]
 
 
 def predict(
@@ -504,11 +500,11 @@ def predict(
     w = method_weights(method, scn, p0, nu)
     meas = np.asarray(measurements, dtype=float)
     if method == SM0:
-        pm = np.array([median_power(scn, s) for s in scn.sensors])
-        value = median_power(scn, p0) + (meas - pm) @ w
+        pm0, pm, _ = _emitter_rows(scn, coordinates([p0]), (method,))
+        value = pm0[0] + (meas - pm) @ w
     elif method in (SM1, SM2):
         fit = lse_fit(np.array(scn.sensor_distances()), meas)
-        x0 = _query_log_distance(scn, p0)
+        x0 = emitter_log_distances(scn, coordinates([p0]))[0]
         value = fit.a_hat + 10.0 * fit.gamma_hat * x0 + fit.residuals @ w
     else:
         value = meas @ w
@@ -521,10 +517,9 @@ def _affine_rows(
     """(..., N) intercepts and (..., N, n) coefficient rows of a method's affine maps, from its weight rows w.
 
     w is (..., N, n), its leading axes over a stack of correlation models.
-    pm0 and pm are the points' and the sensors' median powers, fit is
-    _fit_rows() of the points. The fitted methods (sm1, sm2) are linear because
-    the least-squares estimates and residuals are linear in the
-    observations; sm0 adds the median-power intercept.
+    pm0, pm and fit are _emitter_rows() of the points. The fitted methods
+    (sm1, sm2) are linear because the least-squares estimates and residuals
+    are linear in the observations; sm0 adds the median-power intercept.
     """
     if method == SM0:
         return pm0 - w @ pm, w
@@ -539,7 +534,5 @@ def _affine_rows(
 def as_affine(method: str, scn: Scenario, p0: Point, nu: float = 1.0) -> AffinePowerMap:
     """Exact affine form of an estimator in the measurement vector: _affine_rows() at p0."""
     w = method_weights(method, scn, p0, nu)
-    pm = np.array([median_power(scn, s) for s in scn.sensors])
-    fit = _fit_rows(scn, [p0], (method,))
-    intercept, coeffs = _affine_rows(method, w[None], np.array([median_power(scn, p0)]), pm, fit)
+    intercept, coeffs = _affine_rows(method, w[None], *_emitter_rows(scn, coordinates([p0]), (method,)))
     return AffinePowerMap(intercept=float(intercept[0]), coeffs=coeffs[0])

@@ -4,12 +4,15 @@ Shadow values at a query point and its n sensors are drawn jointly from the
 zero-mean Gaussian with covariance given by the scenario's correlation
 model: s = L z, where L is the Cholesky factor of the (n+1) x (n+1) joint
 covariance (query point first) and z is a vector of independent standard
-normals. joint_factors() builds and factors these covariances for a whole
-point set as one (N, n+1, n+1) stack: row and column 0 from one
-cross_covariance_matrix() over the points, the sensor block from one
-covariance_matrix() shared by all of them. Each point's factor has the bits
+normals. joint_factors() builds and factors these covariances for an
+(N, 2) array of points as one (N, n+1, n+1) stack: row and column 0 from
+one cross_covariance_stack() over the points, the sensor block from one
+covariance_stack() shared by all of them. Each point's factor has the bits
 of the same matrix factored alone, and joint_cholesky() is the stack at one
 point.
+
+emitter_log_distances() takes an array of points' emitter distances once,
+for the median powers (median_powers) and the log-distance fit alike.
 
 Reproducibility contract
 ------------------------
@@ -44,11 +47,13 @@ import math
 
 import numpy as np
 
-from .geometry import Point, Scenario, distance
-from .correlation import covariance_matrix, cross_covariance_matrix
+from .geometry import Point, Scenario, coordinates
+from .correlation import covariance_stack, cross_covariance_stack
 from .linalg import cholesky
 
 __all__ = [
+    "emitter_log_distances",
+    "median_powers",
     "median_power",
     "joint_factors",
     "joint_cholesky",
@@ -58,34 +63,52 @@ __all__ = [
 ]
 
 
+def emitter_log_distances(scn: Scenario, xy: np.ndarray) -> np.ndarray:
+    """log10 of each row's distance from the emitter, for an (N, 2) coordinate array.
+
+    Taken per element with math.hypot and math.log10, whose last bits
+    numpy's hypot and log10 do not always share. ValueError names the first
+    row at the emitter.
+    """
+    d = list(map(math.hypot, (xy[:, 0] - scn.emitter.x).tolist(), (xy[:, 1] - scn.emitter.y).tolist()))
+    if 0.0 in d:
+        x, y = xy[d.index(0.0)].tolist()
+        raise ValueError(f"zero emitter distance at point ({x}, {y})")
+    return np.array(list(map(math.log10, d)))
+
+
+def median_powers(scn: Scenario, log_distances: np.ndarray) -> np.ndarray:
+    """Median received power a_db + 10 * gamma * log10(d) in dB at log10 emitter distances (d in meters from 1 m)."""
+    return scn.a_db + 10.0 * scn.gamma * log_distances
+
+
 def median_power(scn: Scenario, p: Point) -> float:
-    """Median received power a_db + 10 * gamma * log10(d), in dB (d in meters from the 1 m reference)."""
-    d = distance(scn.emitter, p)
-    if d <= 0.0:
-        raise ValueError(f"zero emitter distance at point ({p.x}, {p.y})")
-    return scn.a_db + 10.0 * scn.gamma * math.log10(d)
+    """Median received power at one point: median_powers() of its emitter_log_distances()."""
+    return float(median_powers(scn, emitter_log_distances(scn, coordinates([p])))[0])
 
 
-def joint_factors(scn: Scenario, points: list[Point]) -> np.ndarray:
-    """(N, n+1, n+1) Cholesky factors of the joint covariance over [p, sensors] at each point p (p first).
+def joint_factors(scn: Scenario, xy: np.ndarray) -> np.ndarray:
+    """(N, n+1, n+1) Cholesky factors of the joint covariance over [p, sensors] (p first) at each row p of xy.
 
     A matrix that is not positive definite raises NotPositiveDefiniteError
     for the lowest-indexed such point: its index is err.index, and the
     points before it factor as they would alone.
     """
     model = scn.correlation
-    c0 = cross_covariance_matrix(model, points, scn.sensors)
-    n = c0.shape[1]
+    sensors = coordinates(scn.sensors)
+    c0 = cross_covariance_stack([model], xy, sensors)[0]
+    c_n = covariance_stack([model], sensors)[0]
+    n = len(sensors)
     stack = np.empty((len(c0), n + 1, n + 1))
-    stack[:, 1:, 1:] = covariance_matrix(model, list(scn.sensors))
-    stack[:, 0, 0] = model.sigma**2
+    stack[:, 1:, 1:] = c_n
+    stack[:, 0, 0] = c_n[0, 0]  # sigma^2, the kernel at zero distance
     stack[:, 0, 1:] = stack[:, 1:, 0] = c0
     return cholesky(stack)
 
 
 def joint_cholesky(scn: Scenario, p0: Point) -> np.ndarray:
     """Cholesky factor of the joint covariance over [p0, sensors] (p0 first): joint_factors at one point."""
-    return joint_factors(scn, [p0])[0]
+    return joint_factors(scn, coordinates([p0]))[0]
 
 
 def _words_per_realization(n_variates: int) -> int:

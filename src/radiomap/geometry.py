@@ -4,14 +4,17 @@ Everything here is a plain value type: coordinates are meters stored as
 floats, and all functions are pure. A Scenario bundles the ground truth a
 simulation needs (emitter, sensors, propagation constants, correlation
 model); a QueryGrid is the set of interior points a radio map is evaluated
-at.
+at. coordinates() is the one conversion of Points to an (N, 2) array.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from .correlation import CorrelationModel
@@ -22,6 +25,7 @@ __all__ = [
     "Scenario",
     "QueryGrid",
     "distance",
+    "coordinates",
     "build_square_scenario",
     "make_grid",
 ]
@@ -46,6 +50,11 @@ class Point:
 def distance(p: Point, q: Point) -> float:
     """Euclidean distance between two points in meters."""
     return math.hypot(p.x - q.x, p.y - q.y)
+
+
+def coordinates(points: Sequence[Point]) -> np.ndarray:
+    """(N, 2) array whose row i is (points[i].x, points[i].y)."""
+    return np.array([(p.x, p.y) for p in points], dtype=float).reshape(-1, 2)
 
 
 @dataclass(frozen=True)

@@ -316,22 +316,22 @@ class _McSetup:
     fit: LseDesign | None
 
 
-def _joint_factors(scn: Scenario, points: tuple[Point, ...]) -> tuple[np.ndarray, Exception | None]:
-    """The scenario's joint factors at the points, as far as they go, and the error that stopped them."""
+def _joint_factors(scn: Scenario, xy: np.ndarray) -> tuple[np.ndarray, Exception | None]:
+    """The scenario's joint factors at the rows of xy, as far as they go, and the error that stopped them."""
     try:
-        return joint_factors(scn, points), None
+        return joint_factors(scn, xy), None
     except NotPositiveDefiniteError as err:
         # the points before the lowest failing one factor as they would alone
-        return joint_factors(scn, points[: err.index]), err
+        return joint_factors(scn, xy[: err.index]), err
     except (ValueError, ArithmeticError) as err:
         return np.empty((0, len(scn.sensors) + 1, len(scn.sensors) + 1)), err
 
 
-def _sm0_rows(scn: Scenario, points: tuple[Point, ...]) -> np.ndarray | Exception:
-    """The scenario's sm0 weights at every point, from one sensor factor, or the error that stopped them."""
-    sensors = list(scn.sensors)
+def _sm0_rows(scn: Scenario, forms: GridForms) -> np.ndarray | Exception:
+    """The scenario's sm0 weights at the forms' points, from one sensor factor, or the error that stopped them."""
     try:
-        return sm0_weight_rows(scn.correlation, sensors, points, sensor_factor(scn.correlation, sensors))
+        factor = sensor_factor(scn.correlation, scn.sensors)
+        return sm0_weight_rows(scn.correlation, forms.sensors, forms.xy, factor)
     except (ValueError, ArithmeticError) as err:
         return err
 
@@ -342,8 +342,8 @@ def _mc_setup(scns: list[Scenario], forms: GridForms) -> _McSetup:
     with np.errstate(all="ignore"):
         return _McSetup(
             forms=forms,
-            joint=[_joint_factors(scn, forms.points) for scn in scns],
-            sm0=[_sm0_rows(scn, forms.points) if sm0 else None for scn in scns],
+            joint=[_joint_factors(scn, forms.xy) for scn in scns],
+            sm0=[_sm0_rows(scn, forms) if sm0 else None for scn in scns],
             fit=lse_design(scns[0].sensor_distances()) if forms.fit is not None else None,
         )
 
@@ -490,7 +490,7 @@ def _mc_rmse(
     and its sm0 weights are computed once, before the points.
     """
     setup = _mc_setup(scns, forms)
-    n_points = len(forms.points)
+    n_points = len(forms.xy)
     tasks = min(threads, n_points)
     chunks = [range(n_points * t // tasks, n_points * (t + 1) // tasks) for t in range(tasks)]
 
@@ -513,7 +513,7 @@ def _mc_rmse(
             error = failed[0]
             break
         done.append(np.array(at_ratio).T)  # (M, N)
-    return np.reshape(done, (len(done), len(forms.methods), len(forms.points))), error
+    return np.reshape(done, (len(done), len(forms.methods), len(forms.xy))), error
 
 
 def _analytic_rmse(forms: GridForms, models: list[CorrelationModel]) -> tuple[np.ndarray, Exception | None]:
@@ -529,7 +529,7 @@ def _analytic_rmse(forms: GridForms, models: list[CorrelationModel]) -> tuple[np
         rmse = grid_analytic_rmse(forms, models)
         return np.stack([rmse[m] for m in forms.methods], axis=1)
 
-    shape = (len(forms.methods), len(forms.points))
+    shape = (len(forms.methods), len(forms.xy))
     with np.errstate(all="ignore"):
         try:
             return block(models), None

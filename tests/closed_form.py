@@ -1,8 +1,8 @@
 """Per-point RMS error of every method from numpy alone: the tests' reference for the analytic engine.
 
 It shares no code with radiomap's engine. The joint covariance of
-[S0, S1..Sn] is the scalar covariance_matrix over [p0, *sensors]; sm0's
-weights come from np.linalg.solve; sm1 and sm2 apply their weights to the
+[S0, S1..Sn] over [p0, *sensors] comes from the few-line kernel below;
+sm0's weights come from np.linalg.solve; sm1 and sm2 apply their weights to the
 residuals through the hat matrix of the log-distance design, so their
 measurement weights are [1, x0] (X'X)^-1 X' + w (I - H); idw and nn
 weights are computed here; nat takes sibson_weights, which the acceptance
@@ -12,7 +12,17 @@ sqrt(bias^2 + g'Cg) in expanded form.
 
 import numpy as np
 
-from radiomap import covariance_matrix, sibson_weights
+from radiomap import sibson_weights
+
+
+def joint_covariance(model, sites):
+    """Covariance matrix of the model over the rows of a (k, 2) array, the three kernels written out."""
+    dx, dy = (sites[None, :] - sites[:, None]).transpose(2, 0, 1)
+    if model.kind == "elliptical":
+        c, s = np.cos(model.rotation), np.sin(model.rotation)
+        dx, dy = (c * dx + s * dy) / model.axis_ratio, -s * dx + c * dy
+    r = np.sqrt(dx**2 + dy**2) / model.xc
+    return model.sigma**2 * np.exp(-(r**2 if model.kind == "gaussian" else r))
 
 
 def closed_form_rmse(scn, points, methods, nu=1.0, unit=1.0):
@@ -32,7 +42,7 @@ def closed_form_rmse(scn, points, methods, nu=1.0, unit=1.0):
     for p0 in points:
         q = np.array([p0.x, p0.y])
         x0 = np.log10(np.linalg.norm(q - emitter))
-        c = covariance_matrix(scn.correlation, [p0, *scn.sensors]) / unit**2
+        c = joint_covariance(scn.correlation, np.vstack([q, sites])) / unit**2
         kriging = np.linalg.solve(c[1:, 1:], c[1:, 0])
         d = np.linalg.norm(sites - q, axis=1)
         inverse = d**-nu / np.sum(d**-nu)

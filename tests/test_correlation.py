@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from radiomap import (
     CorrelationModel,
@@ -10,26 +10,64 @@ from radiomap import (
     correlation,
     covariance_matrix,
     cross_covariance,
-    effective_distance,
 )
-from radiomap.correlation import covariance_stack, cross_covariance_matrix, cross_covariance_stack
+from radiomap.correlation import KERNEL_KINDS, covariance_stack, cross_covariance_matrix, cross_covariance_stack
+from radiomap.geometry import coordinates
 from radiomap.linalg import cholesky
 
 
+def reference_covariance(model, p, q):
+    """The kernel transcribed with math, one pair of points at a time."""
+    dx, dy = q.x - p.x, q.y - p.y
+    if model.kind == "elliptical":
+        c, s = math.cos(model.rotation), math.sin(model.rotation)
+        dx, dy = (c * dx + s * dy) / model.axis_ratio, -s * dx + c * dy
+    d = math.hypot(dx, dy)
+    r = (d / model.xc) ** 2 if model.kind == "gaussian" else d / model.xc
+    return model.sigma**2 * math.exp(-r)
+
+
 def test_elliptical_major_axis_scaled():
+    # a major-axis offset of axis_ratio * xc is one correlation length away
     model = CorrelationModel("elliptical", sigma=5.0, xc=100.0, axis_ratio=3.3, rotation=0.0)
-    d = effective_distance(model, Point(0, 0), Point(3.3 * 100.0, 0.0))
-    assert d == pytest.approx(100.0, rel=1e-12)
+    got = correlation(model, Point(0, 0), Point(3.3 * 100.0, 0.0))
+    assert got == pytest.approx(25.0 * math.exp(-1.0), rel=1e-12)
 
 
 def test_elliptical_minor_axis_unscaled():
     model = CorrelationModel("elliptical", sigma=5.0, xc=100.0, axis_ratio=3.3, rotation=0.0)
-    assert effective_distance(model, Point(0, 0), Point(0.0, 100.0)) == pytest.approx(100.0)
+    assert correlation(model, Point(0, 0), Point(0.0, 100.0)) == pytest.approx(25.0 * math.exp(-1.0), rel=1e-12)
 
 
 def test_exponential_effective_distance_is_euclidean():
     model = CorrelationModel("exponential", sigma=5.0, xc=100.0)
-    assert effective_distance(model, Point(0, 0), Point(3, 4)) == 5.0
+    got = correlation(model, Point(0, 0), Point(3, 4))
+    assert got == correlation(model, Point(0, 0), Point(5, 0))
+    assert got == pytest.approx(25.0 * math.exp(-0.05), rel=1e-15)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(KERNEL_KINDS),
+    st.floats(min_value=0.5, max_value=10.0),
+    st.floats(min_value=200.0, max_value=1e4),
+    st.floats(min_value=1.0, max_value=5.0),
+    st.floats(min_value=0.0, max_value=2.0 * math.pi),
+    st.lists(st.tuples(st.floats(0.0, 1e3), st.floats(0.0, 1e3)), min_size=1, max_size=6),
+)
+def test_kernel_matches_a_math_transcription(kind, sigma, xc, axis_ratio, rotation, coords):
+    # (d / xc)^2 stays below 50, so a last-bit difference in d moves the covariance by under 1e-13
+    model = CorrelationModel(kind, sigma=sigma, xc=xc, axis_ratio=axis_ratio, rotation=rotation)
+    points = [Point(x, y) for x, y in coords]
+    got = covariance_matrix(model, points)
+    want = np.array([[reference_covariance(model, p, q) for q in points] for p in points])
+    assert np.all(np.abs(got - want) <= 1e-13 * want)
+
+
+def test_sigma_whose_square_overflows_is_named():
+    model = CorrelationModel("exponential", sigma=1e200, xc=640.0)
+    with pytest.raises(OverflowError, match=r"sigma\^2 overflows a double at sigma = 1e\+200 dB"):
+        covariance_matrix(model, [Point(0.0, 0.0)])
 
 
 def test_zero_distance_variance():
@@ -141,7 +179,7 @@ class TestCrossCovariance:
         got = cross_covariance_matrix(model, queries, sensors)
         assert got.shape == (31, 4)
         for row, q in zip(got, queries):
-            assert np.allclose(row, cross_covariance(model, q, sensors), rtol=1e-13, atol=0.0)
+            assert np.allclose(row, [reference_covariance(model, q, s) for s in sensors], rtol=1e-13, atol=0.0)
 
 
 class TestStacks:
@@ -152,16 +190,17 @@ class TestStacks:
             for sigma, xc in ((5.0, 32.0), (5.0, 640.0), (7.5, 12800.0))
         ]
         rng = np.random.default_rng(5)
-        queries = [Point(*rng.uniform(-200.0, 900.0, 2)) for _ in range(23)]
-        sensors = list(table_scenario.sensors)
+        queries = coordinates([Point(*rng.uniform(-200.0, 900.0, 2)) for _ in range(23)])
+        sensors = coordinates(table_scenario.sensors)
         c_n = covariance_stack(models, sensors)
         c_0 = cross_covariance_stack(models, queries, sensors)
         assert c_n.shape == (3, 4, 4) and c_0.shape == (3, 23, 4)
         for k, model in enumerate(models):
             assert c_n[k].tobytes() == covariance_stack([model], sensors)[0].tobytes()
             assert c_0[k].tobytes() == cross_covariance_stack([model], queries, sensors)[0].tobytes()
-            # the sensor block keeps the scalar kernel's bits
-            assert [[correlation(model, p, q) for q in sensors] for p in sensors] == c_n[k].tolist()
+            # the sensor block agrees with the math transcription
+            want = [[reference_covariance(model, p, q) for q in table_scenario.sensors] for p in table_scenario.sensors]
+            assert np.allclose(c_n[k], want, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize(
         "other",
@@ -171,7 +210,7 @@ class TestStacks:
     def test_models_must_differ_in_sigma_and_xc_alone(self, other, table_scenario):
         first = CorrelationModel("elliptical", sigma=5.0, xc=640.0, axis_ratio=3.3, rotation=0.7)
         second = CorrelationModel(**{**vars(first), "xc": 64.0, **other})
-        sensors = list(table_scenario.sensors)
+        sensors = coordinates(table_scenario.sensors)
         for build in (covariance_stack, lambda ms, pts: cross_covariance_stack(ms, pts, pts)):
             with pytest.raises(ValueError, match="differ in sigma and xc alone"):
                 build([first, second], sensors)

@@ -24,6 +24,7 @@ from radiomap import (
 from radiomap.correlation import covariance_matrix, cross_covariance
 from radiomap.estimators import _strictly_inside, geometry_weights, lse_design, sensor_factor, sm0_weight_rows
 from radiomap.analysis import error_form, grid_forms
+from radiomap.geometry import coordinates
 from radiomap.linalg import cholesky, solve_cholesky
 from radiomap.validation import sibson_lattice_weights
 
@@ -140,7 +141,8 @@ class TestSm0Weights:
     def test_weight_rows_match_one_point_solves_bit_for_bit(self, table_model, table_scenario):
         sensors = list(table_scenario.sensors)
         points = [Point(320, 320), Point(101.5, 517.25), Point(10.0, 630.0), Point(600.0, 1.0)]
-        rows = sm0_weight_rows(table_model, sensors, points)
+        factor = sensor_factor(table_model, sensors)
+        rows = sm0_weight_rows(table_model, coordinates(sensors), coordinates(points), factor)
         assert rows.shape == (4, 4)
         for row, p0 in zip(rows, points):
             want = solve_cholesky(sensor_factor(table_model, sensors), cross_covariance(table_model, p0, sensors))
@@ -393,6 +395,11 @@ QUADRILATERAL = [Point(0.0, 0.0), Point(520.0, -60.0), Point(610.0, 430.0), Poin
 WITH_INTERIOR_SENSOR = [*QUADRILATERAL, Point(260.0, 170.0)]
 
 
+def weight_table(method, sensors, points, nu=1.0):
+    """geometry_weights over lists of Points."""
+    return geometry_weights(method, coordinates(sensors), coordinates(points), nu)
+
+
 def square_grid(res, side=640.0):
     step = side / res
     return [Point((i + 0.5) * step, (j + 0.5) * step) for j in range(res) for i in range(res)]
@@ -410,7 +417,7 @@ class TestGeometryWeightTables:
     @pytest.mark.parametrize("res", range(1, 18))
     def test_sibson_rows_match_per_query_clipper_on_square_grids(self, res):
         points = square_grid(res)
-        table = geometry_weights("nat", SQUARE, points)
+        table = weight_table("nat", SQUARE, points)
         want = np.array([per_query_sibson(SQUARE, p) for p in points])
         assert table.shape == (res * res, 4)
         assert np.abs(table - want).max() <= 1e-12
@@ -418,7 +425,7 @@ class TestGeometryWeightTables:
     @pytest.mark.parametrize("sensors", [SQUARE, QUADRILATERAL, WITH_INTERIOR_SENSOR], ids=["square", "quad", "five"])
     def test_sibson_rows_match_per_query_clipper_at_random_points(self, sensors):
         points = random_interior_points(sensors, 200, seed=len(sensors))
-        table = geometry_weights("nat", sensors, points)
+        table = weight_table("nat", sensors, points)
         want = np.array([per_query_sibson(sensors, p) for p in points])
         assert np.abs(table - want).max() <= 1e-12
         if len(sensors) == 5:
@@ -430,27 +437,27 @@ class TestGeometryWeightTables:
         points = [*square_grid(9, side=400.0), *random_interior_points(sensors, 100, seed=nu)]
         want = np.array([per_query_inverse_distance(sensors, p, nu) for p in points])
         for method in ("sm2", "idw"):
-            assert np.abs(geometry_weights(method, sensors, points, nu) - want).max() <= 1e-12
+            assert np.abs(weight_table(method, sensors, points, nu) - want).max() <= 1e-12
 
     @pytest.mark.parametrize("res", range(1, 18))
     def test_nn_rows_equal_per_point_argmin(self, res):
         # odd resolutions put points on the mid-lines and the centre: ties go to the lowest index
         points = square_grid(res)
         want = np.array([one_hot_nearest(SQUARE, p) for p in points])
-        assert np.array_equal(geometry_weights("nn", SQUARE, points), want)
+        assert np.array_equal(weight_table("nn", SQUARE, points), want)
 
     @pytest.mark.parametrize("method", ["sm2", "idw", "nat", "nn"])
     def test_snapped_rows_are_one_hot(self, method, table_scenario):
         near = [Point(0.0, 0.0), Point(640.0, 640.0 - 1e-10 * 640.0), Point(1e-8, 640.0)]
         points = [Point(200.0, 300.0), *near, Point(410.0, 90.0)]
-        table = geometry_weights(method, SQUARE, points)
+        table = weight_table(method, SQUARE, points)
         assert np.array_equal(table[1:4], np.eye(4)[[0, 2, 1]])
         assert np.array_equal(table, np.array([method_weights(method, table_scenario, p) for p in points]))
 
     def test_first_point_outside_the_hull_is_named(self):
         points = [Point(100.0, 100.0), Point(-5.0, 320.0), Point(700.0, 10.0)]
         with pytest.raises(OutsideHullError, match=r"query \(-5\.0, 320\.0\) is not strictly inside"):
-            geometry_weights("nat", SQUARE, points)
+            weight_table("nat", SQUARE, points)
 
     def test_strict_interior_matches_hull_planes(self):
         # the monotone-chain test against Qhull's facet planes, with the same margin
@@ -471,7 +478,7 @@ class TestGeometryWeightTables:
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="no geometry-only weights"):
-            geometry_weights("sm0", SQUARE, [Point(1.0, 2.0)])
+            weight_table("sm0", SQUARE, [Point(1.0, 2.0)])
 
 
 class TestAffineMaps:
@@ -534,7 +541,7 @@ class TestConvexity:
             lambda scn, p0: method_weights("kriging", scn, p0),
             lambda scn, p0: error_form("kriging", scn, p0),
             lambda scn, p0: grid_forms(scn, [p0], ("kriging",)),
-            lambda scn, p0: geometry_weights("kriging", scn.sensors, [p0]),
+            lambda scn, p0: weight_table("kriging", scn.sensors, [p0]),
         ],
         ids=["predict", "as_affine", "method_weights", "error_form", "grid_forms", "geometry_weights"],
     )

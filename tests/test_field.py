@@ -11,7 +11,7 @@ from radiomap import (
     sample_shadow,
 )
 from radiomap.field import _correlate_rows, correlate_normals, joint_cholesky, joint_factors, standard_normal_block
-from radiomap.geometry import make_grid
+from radiomap.geometry import coordinates, make_grid
 
 
 class TestMedianPower:
@@ -172,7 +172,7 @@ class TestJointFactors:
         model = CorrelationModel(kind, sigma=5.0, xc=640.0 / ratio, axis_ratio=3.3, rotation=0.5)
         scn = build_square_scenario(640.0, Point(-100.0, 0.0), 15.3, 3.76, model)
         points = make_grid(640.0, 6).points
-        stack = joint_factors(scn, points)
+        stack = joint_factors(scn, coordinates(points))
         assert stack.shape == (36, 5, 5)
         for k, p0 in enumerate(points):
             assert stack[k].tobytes() == joint_cholesky(scn, p0).tobytes()

@@ -1,5 +1,6 @@
 import math
 import traceback
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from radiomap import (
     ExperimentConfig,
     Point,
     build_square_scenario,
+    covariance_matrix,
     error_form,
     grid_rmse,
     point_rmse_mc,
@@ -19,6 +21,7 @@ from radiomap import (
     sweep,
 )
 from radiomap.analysis import grid_forms
+from radiomap.geometry import coordinates
 from radiomap.estimators import sensor_factor, sm0_weights
 from radiomap.field import joint_cholesky
 from radiomap.harness import MAX_THREADS, _grid_eval, _grid_evals, _mc_point_rmse, _mc_setup, _McWorkspace, _rms_rows
@@ -284,9 +287,9 @@ class TestSweep:
         calls = []
         original = analysis.geometry_weights
 
-        def counted(method, sensors, points, nu=1.0):
-            calls.append((method, tuple(points)))
-            return original(method, sensors, points, nu)
+        def counted(method, sensors, xy, nu=1.0):
+            calls.append((method, xy))
+            return original(method, sensors, xy, nu)
 
         monkeypatch.setattr(analysis, "geometry_weights", counted)
         for mode in ("analytic", "mc", "both"):
@@ -295,7 +298,8 @@ class TestSweep:
                 resolution=4, mode=mode, realizations=100, ratios=(0.5, 1.0, 2.0), methods=("nat",)
             )
             sweep(cfg)
-            assert calls == [("nat", cfg.grid().points)], mode
+            assert [m for m, _ in calls] == ["nat"], mode
+            assert np.array_equal(calls[0][1], coordinates(cfg.grid().points))
             assert len(calls[0][1]) == 16
 
     @pytest.mark.parametrize("mode", ["analytic", "mc", "both"])
@@ -306,16 +310,17 @@ class TestSweep:
         calls = []
         original = analysis.geometry_weights
 
-        def counted(method, sensors, points, nu=1.0):
-            calls.append((method, tuple(points)))
-            return original(method, sensors, points, nu)
+        def counted(method, sensors, xy, nu=1.0):
+            calls.append((method, xy))
+            return original(method, sensors, xy, nu)
 
         monkeypatch.setattr(analysis, "geometry_weights", counted)
         cfg = ExperimentConfig(
             resolution=4, mode=mode, realizations=100, ratios=(0.5, 1.0, 2.0), methods=("sm2", "idw")
         )
         sweep(cfg)
-        assert calls == [("sm2", cfg.grid().points)]
+        assert [m for m, _ in calls] == ["sm2"]
+        assert np.array_equal(calls[0][1], coordinates(cfg.grid().points))
         assert len(calls[0][1]) == 16
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -416,15 +421,15 @@ class TestSweep:
         from radiomap import field
 
         target = cfg.grid().points[5]
-        original = field.cross_covariance_matrix
+        original = field.cross_covariance_stack
 
-        def patched(model, queries, points):
-            c0 = original(model, queries, points)
-            if model.xc == cfg.side_m:
-                c0[[q == target for q in queries]] *= 1e3
+        def patched(models, queries, points):
+            c0 = original(models, queries, points)
+            if models[0].xc == cfg.side_m:
+                c0[:, np.all(queries == (target.x, target.y), axis=1)] *= 1e3
             return c0
 
-        monkeypatch.setattr(field, "cross_covariance_matrix", patched)
+        monkeypatch.setattr(field, "cross_covariance_stack", patched)
         with pytest.raises(NotPositiveDefiniteError) as alone:
             joint_cholesky(cfg.scenario(1.0), target)
         return alone.value
@@ -498,21 +503,14 @@ class TestSweep:
         sweep(cfg)
         assert shapes == [(len(cfg.ratios), 4, 4)]
 
-    @pytest.mark.parametrize(
-        "kernel, ratio, build",
-        [("gaussian", 1e-4, "factor"), ("gaussian", 1e200, "covariance")],
-        ids=["cn-not-positive-definite", "kernel-overflows"],
-    )
-    def test_analytic_failure_raises_at_its_ratio_with_its_own_error(self, kernel, ratio, build):
+    @pytest.mark.parametrize("kernel, ratio", [("gaussian", 1e-4)], ids=["cn-not-positive-definite"])
+    def test_analytic_failure_raises_at_its_ratio_with_its_own_error(self, kernel, ratio):
         # the stack fails as a whole; ratio 1.0 before it is still yielded with the bits it
         # has alone, and the error is the one the failing ratio's sensor covariance gives alone
-        from radiomap.correlation import covariance_matrix
-        from radiomap.estimators import sensor_factor
-
         cfg = ExperimentConfig(kernel=kernel, resolution=4, ratios=(1.0, ratio), methods=("nn", "sm0"))
         scn = cfg.scenario(ratio)
-        with pytest.raises((NotPositiveDefiniteError, OverflowError)) as alone:
-            (sensor_factor if build == "factor" else covariance_matrix)(scn.correlation, list(scn.sensors))
+        with pytest.raises(NotPositiveDefiniteError) as alone:
+            sensor_factor(scn.correlation, list(scn.sensors))
         evals = _grid_evals(cfg, cfg.ratios, cfg.methods)
         first = next(evals)
         want = _grid_eval(cfg, 1.0, cfg.methods)
@@ -520,6 +518,25 @@ class TestSweep:
         with pytest.raises(ConfigError) as exc:
             next(evals)
         assert str(exc.value) == f"gaussian kernel at spacing ratio {ratio} is outside the numeric range: {alone.value}"
+
+    @pytest.mark.parametrize("mode", ["analytic", "mc"])
+    def test_gaussian_far_past_its_range_is_the_zero_correlation_limit(self, mode):
+        # at ratio 1e200, (d / xc)^2 overflows and exp(-inf) = 0: every correlation is exactly 0,
+        # as it is for the exponential kernel, and sm0's error is sigma itself
+        surfaces = {}
+        for kernel in ("gaussian", "exponential"):
+            cfg = ExperimentConfig(kernel=kernel, resolution=3, ratios=(1e200,), mode=mode, realizations=40)
+            surfaces[kernel] = _grid_eval(cfg, 1e200, cfg.methods)
+        for m, surface in surfaces["gaussian"].items():
+            assert surface.rmse.tobytes() == surfaces["exponential"][m].rmse.tobytes(), m
+            assert surface.spatial_rmse == surfaces["exponential"][m].spatial_rmse, m
+        if mode == "analytic":
+            assert np.all(surfaces["gaussian"]["sm0"].rmse == 5.0)
+        scn = ExperimentConfig(kernel="gaussian").scenario(1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            c_n = covariance_matrix(scn.correlation, list(scn.sensors))
+        assert np.array_equal(c_n, 25.0 * np.eye(4))
 
     def test_lists_accepted_for_ratios_and_methods(self):
         as_lists = sweep(ExperimentConfig(resolution=2, ratios=[0.5, 2.0], methods=["sm0", "nat"]))
