@@ -10,10 +10,10 @@ are the median powers plus the sensor shadows. With the joint covariance of
 the shadow vector, the RMS prediction error follows in closed form.
 
 One engine computes it, on arrays, and its unit is a sweep: K correlation
-models that differ in sigma and xc alone. grid_forms() converts the points
-to one (N, 2) coordinate array and gathers once what does not depend on
-the model (median powers and log distances from one pass over the emitter
-distances, the geometry-only methods' weights). grid_analytic_rmse() then
+models that differ in sigma and xc alone. grid_forms() takes the query
+points as one (N, 2) coordinate array (a QueryGrid's xy) and gathers once
+what does not depend on the model (median powers and log distances from
+one pass over the emitter distances, the geometry-only methods' weights). grid_analytic_rmse() then
 evaluates every method at every point under all K models as one (K, N, .)
 stack: one pass of the kernel builds the K sensor covariances and one the
 K cross-covariance tables, one stacked Cholesky call factors the sensor
@@ -120,7 +120,7 @@ def error_form(method: str, scn: Scenario, p0: Point, nu: float = 1.0) -> Affine
     true median power at the query minus the map applied to the sensor
     median powers.
     """
-    _, _, rows = _error_rows(grid_forms(scn, [p0], (method,), nu), [scn.correlation])
+    _, _, rows = _error_rows(grid_forms(scn, coordinates([p0]), (method,), nu), [scn.correlation])
     bias, coeffs = rows[method]
     return AffineErrorForm(bias=float(bias[0, 0]), coeffs=np.concatenate(([1.0], -coeffs[0, 0])))
 
@@ -175,14 +175,13 @@ def sm0_sigma0(model: CorrelationModel, sensors: list[Point], p0: Point) -> floa
 class GridForms:
     """The parts of several methods' error forms at N query points that no correlation model changes.
 
-    xy and sensors are the (N, 2) query and (n, 2) sensor coordinates, the
-    one conversion of the points a sweep makes. pm0 holds each query
-    point's median power and pm the sensors'. weights holds the (N, n)
-    sensor weights of every requested method but sm0 and sm1, whose weights
-    follow the correlation model; sm2 and idw share one array. When sm1 or
-    sm2 is requested, fit holds their least-squares pieces
-    (estimators._emitter_rows). The Monte Carlo route takes pm0, pm and
-    weights from here as well.
+    xy and sensors are the (N, 2) query and (n, 2) sensor coordinates.
+    pm0 holds each query point's median power and pm the sensors'. weights
+    holds the (N, n) sensor weights of every requested method but sm0 and
+    sm1, whose weights follow the correlation model; sm2 and idw share one
+    array. When sm1 or sm2 is requested, fit holds their least-squares
+    pieces (estimators._emitter_rows). The Monte Carlo route takes pm0, pm
+    and weights from here as well.
     """
 
     methods: tuple[str, ...]
@@ -194,15 +193,15 @@ class GridForms:
     fit: FitRows | None
 
 
-def grid_forms(scn: Scenario, points: list[Point], methods: tuple[str, ...], nu: float = 1.0) -> GridForms:
-    """Gather the model-free parts of the methods' error forms over a point set, once.
+def grid_forms(scn: Scenario, xy: np.ndarray, methods: tuple[str, ...], nu: float = 1.0) -> GridForms:
+    """Gather the model-free parts of the methods' error forms at the rows of an (N, 2) coordinate array, once.
 
     Each geometry-only weight family is one geometry_weights() call over all
     the points: idw shares sm2's (N, n) table, and nn and nat get one each.
     The median powers and the fit's log distances come from one pass over
     the emitter distances.
     """
-    xy, sensors = coordinates(points), coordinates(scn.sensors)
+    sensors = coordinates(scn.sensors)
     # idw applies sm2's inverse-distance weights: compute each table once
     sources = {m: SM2 if m == IDW else m for m in methods if m not in (SM0, SM1)}
     tables = {src: geometry_weights(src, sensors, xy, nu) for src in dict.fromkeys(sources.values())}

@@ -223,7 +223,7 @@ def cmd_grid(config_path: str, ratio: float, method: str, out_dir: str, args: ar
     _write_csv(
         out / "grid.csv",
         ["x_m", "y_m", "rmse_db"],
-        ([_fmt(p.x), _fmt(p.y), _fmt(v)] for p, v in zip(surface.points, surface.rmse)),
+        ([_fmt(x), _fmt(y), _fmt(v)] for (x, y), v in zip(surface.xy.tolist(), surface.rmse)),
     )
     dist = rmse_distribution(surface, bins=args.bins)
     _write_csv(

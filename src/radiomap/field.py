@@ -20,11 +20,16 @@ Normals are produced by the inverse normal CDF applied to uniforms from a
 Philox-4x64 counter stream keyed by (master_seed, point_index). Each
 realization owns an aligned block of raw 64-bit words; realization r uses
 words [r * W, r * W + n + 1) with W = 4 * ceil((n+1)/4). A raw word x maps
-to the open-interval uniform ((x >> 11) + 0.5) * 2^-53. The variates for
-(master_seed, point_index, realization_index) are therefore a pure function
-of those three integers, independent of how many realizations are requested,
-in what order, or on how many threads. sample_shadow() is that
-statement for one realization.
+to the uniform ((x >> 11) + 0.5) * 2^-53, the sum rounded to a double;
+where x >> 11 is 2^53 - 1 the sum rounds up to 2^53, and the word maps to
+1 - 2^-53 instead. So every uniform lies in the open interval (0, 1), and
+every normal is finite. The variates for (master_seed, point_index,
+realization_index) are therefore a pure function of those three integers,
+independent of how many realizations are requested, in what order, or on
+how many threads. sample_shadow() is that statement for one realization.
+Each thread re-keys one Philox generator per stream through its state:
+the words of Philox(key=...), without the OS entropy that Philox(key=...)
+reads first and the key then overrides.
 
 The inverse CDF is scipy.special.ndtri. It is imported at the first draw,
 not with this module: importing scipy.special costs a fresh interpreter
@@ -44,6 +49,7 @@ pass and every sum over sensors runs along whole contiguous rows.
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
@@ -111,10 +117,30 @@ def joint_cholesky(scn: Scenario, p0: Point) -> np.ndarray:
     return joint_factors(scn, coordinates([p0]))[0]
 
 
-def _words_per_realization(n_variates: int) -> int:
-    # Philox advances in ticks of 4 raw words; aligned blocks keep
-    # single-realization access O(1).
-    return 4 * ((n_variates + 3) // 4)
+_threads = threading.local()
+
+
+def _philox(master_seed: int, point_index: int) -> np.random.Philox:
+    """This thread's Philox generator at the start of the stream keyed by (master_seed, point_index)."""
+    if not hasattr(_threads, "philox"):
+        _threads.philox = np.random.Philox(0)  # an explicit seed reads no OS entropy
+        _threads.start = _threads.philox.state  # counter 0 and no buffered word, as Philox(key=...) starts
+    _threads.start["state"]["key"] = np.array([master_seed, point_index], dtype=np.uint64)
+    _threads.philox.state = _threads.start
+    return _threads.philox
+
+
+def _normal_rows(raw: np.ndarray, n_variates: int) -> np.ndarray:
+    """(n_variates, R) standard normals from an (R, W) block of raw words, one row per variate; raw is overwritten."""
+    # Every map below is elementwise, so dropping the padding words first
+    # gives the same bits as transforming them and slicing afterwards.
+    raw >>= np.uint64(11)
+    u = np.add(raw[:, :n_variates].T, 0.5, order="C")  # exact below 2^52, rounded to even above
+    u *= 2.0**-53
+    np.minimum(u, 1.0 - 2.0**-53, out=u)  # the one sum that rounds up to 2^53 would give u = 1
+    from scipy.special import ndtri
+
+    return ndtri(u, out=u)
 
 
 def standard_normal_block(
@@ -129,20 +155,13 @@ def standard_normal_block(
     Row k holds the variates of realization ``first_realization + k``. The
     array is the transposed view of sensor-major rows, one per variate.
     """
-    words = _words_per_realization(n_variates)
-    key = np.array([master_seed, point_index], dtype=np.uint64)
-    bitgen = np.random.Philox(key=key)
+    # Philox advances in ticks of 4 raw words; aligned blocks keep
+    # single-realization access O(1).
+    words = 4 * ((n_variates + 3) // 4)
+    bitgen = _philox(master_seed, point_index)
     if first_realization:
         bitgen.advance(first_realization * (words // 4))
-    # Every map below is elementwise, so dropping the padding words first
-    # gives the same bits as transforming them and slicing afterwards.
-    raw = bitgen.random_raw(realizations * words).reshape(realizations, words)
-    raw >>= np.uint64(11)
-    u = np.add(raw[:, :n_variates].T, 0.5, order="C")  # exact: the shifted words are below 2^53
-    u *= 2.0**-53
-    from scipy.special import ndtri
-
-    return ndtri(u, out=u).T
+    return _normal_rows(bitgen.random_raw(realizations * words).reshape(realizations, words), n_variates).T
 
 
 def _correlate_rows(

@@ -3,8 +3,9 @@
 Everything here is a plain value type: coordinates are meters stored as
 floats, and all functions are pure. A Scenario bundles the ground truth a
 simulation needs (emitter, sensors, propagation constants, correlation
-model); a QueryGrid is the set of interior points a radio map is evaluated
-at. coordinates() is the one conversion of Points to an (N, 2) array.
+model); a QueryGrid is the (N, 2) coordinate array of interior points a
+radio map is evaluated at. Points serve the one-point API, and
+coordinates() is their one conversion to an (N, 2) array.
 """
 
 from __future__ import annotations
@@ -97,24 +98,18 @@ class Scenario:
         return [distance(self.emitter, s) for s in self.sensors]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QueryGrid:
-    """Cell-centered lattice of query points strictly inside the sensor square.
+    """Cell-centered lattice of query points strictly inside the sensor square (make_grid).
 
-    Point (i, j) sits at ((i + 0.5) * side / resolution, (j + 0.5) * side / resolution).
-    Points are ordered with i (x) varying fastest, so the flat index of (i, j)
-    is ``j * resolution + i``; that index also keys the per-point random
-    substreams used by the simulation harness.
+    xy is the (resolution^2, 2) array of coordinates: row j * resolution + i
+    holds point (i, j) at ((i + 0.5) * (side / resolution), (j + 0.5) *
+    (side / resolution)), so i (x) varies fastest. The row index also keys
+    the point's random substream in the simulation harness.
     """
 
     resolution: int
-    points: tuple[Point, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.points) != self.resolution**2:
-            raise ValueError(
-                f"grid holds {len(self.points)} points, expected resolution^2 = {self.resolution**2}"
-            )
+    xy: np.ndarray
 
 
 def build_square_scenario(
@@ -150,10 +145,6 @@ def make_grid(side: float, resolution: int) -> QueryGrid:
         raise ValueError(f"resolution must be >= 1, got {resolution}")
     if side <= 0:
         raise ValueError(f"square side must be positive, got {side}")
-    step = side / resolution
-    points = tuple(
-        Point((i + 0.5) * step, (j + 0.5) * step)
-        for j in range(resolution)
-        for i in range(resolution)
-    )
-    return QueryGrid(resolution=resolution, points=points)
+    # i + 0.5 is exact, so each coordinate is the one rounded product (i + 0.5) * step
+    c = (np.arange(resolution) + 0.5) * (side / resolution)
+    return QueryGrid(resolution, np.column_stack((np.tile(c, resolution), np.repeat(c, resolution))))

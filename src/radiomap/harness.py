@@ -9,15 +9,15 @@ mode, the default) or by averaging squared errors over simulated shadow
 realizations (mc mode); 'both' computes the two side by side and flags
 points where they disagree beyond Monte Carlo noise. The parts no ratio
 changes, the geometry-only weights above all, are gathered once per sweep
-for both engines. The closed form is one array evaluation for the whole
-sweep: every ratio at every grid point as one stack. The Monte Carlo route
-factors each ratio's joint covariances for the whole grid as one stack
-and solves its sm0 weights as another, then runs point-major: one task
-per contiguous chunk of grid points, on worker threads if asked, each
-with one reused workspace of rows, draws each point's normals once and
-evaluates every ratio of the sweep from them, each through its row of
-that ratio's stacks. Each engine's spatial aggregates, for every (ratio,
-method) pair, come from one row-wise pass over its per-point RMSEs.
+for both engines. The grid is its (N, 2) coordinate array (QueryGrid.xy),
+which each RmseSurface carries. The closed form is one array evaluation
+for the whole sweep: every ratio at every grid point as one stack. The
+Monte Carlo route runs point-major, one task per contiguous chunk of
+points, and draws each point's normals once for every ratio (see its
+section below). One driver, _mc_rmse, keyed by an array of stream
+indices, runs a grid's points, point_rmse_mc's one point and the
+validation check's points. Each engine's spatial aggregates, for every
+(ratio, method) pair, come from one row-wise pass over its per-point RMSEs.
 
 Monte Carlo determinism: realizations for grid point i come from the
 substream keyed by (master_seed, i), so results are bitwise identical for
@@ -35,7 +35,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .geometry import DegenerateGeometryError, Point, QueryGrid, Scenario, build_square_scenario, make_grid
+from .geometry import DegenerateGeometryError, Point, QueryGrid, Scenario, build_square_scenario, coordinates, make_grid
 from .correlation import CorrelationModel, KERNEL_KINDS, EXPONENTIAL
 from .field import _check_stream_keys, correlate_normals, joint_factors, standard_normal_block
 from .estimators import (
@@ -203,15 +203,17 @@ class ExperimentConfig:
 class RmseSurface:
     """Per-grid-point RMS errors for one (ratio, method) plus the spatial aggregate.
 
-    mc_stderr is the standard error of spatial_rmse from the independent
-    per-point Monte Carlo estimates, in mc and both modes.
+    xy is the grid's (N, 2) coordinate array (QueryGrid.xy), and rmse[i]
+    the error at row i. mc_stderr is the standard error of spatial_rmse
+    from the independent per-point Monte Carlo estimates, in mc and both
+    modes.
     """
 
     method: str
     mode: str
     ratio: float
     resolution: int
-    points: tuple[Point, ...]
+    xy: np.ndarray
     rmse: np.ndarray
     spatial_rmse: float
     rmse_analytic: np.ndarray | None = None
@@ -250,11 +252,16 @@ def _rms_rows(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
     A row-wise reduction gives each row the bits it has alone. The rows'
     magnitudes are scaled in out, if given, which may be rows itself: the
-    squares of the magnitudes are those of the values.
+    squares of the magnitudes are those of the values. Multiplying by the
+    reciprocal of a power of two is dividing by it, bit for bit, wherever
+    the reciprocal is finite; a block with a row below 2^-1023 divides.
     """
     scaled = np.abs(rows, out=out)
     top = _power_of_two_above(scaled, axis=1)
-    scaled /= top[:, None]
+    if (top >= 2.0**-1023).all():
+        scaled *= (1.0 / top)[:, None]
+    else:
+        scaled /= top[:, None]
     return np.sqrt(np.mean(np.square(scaled, out=scaled), axis=1)) * top
 
 
@@ -420,37 +427,50 @@ def _mc_point_rmse(
     return out
 
 
-def _mc_points_rmse(
+def _mc_rmse(
     scns: list[Scenario],
-    points: Sequence[tuple[int, Point]],
-    methods: Sequence[str],
+    forms: GridForms,
+    indices: Sequence[int],
     realizations: int,
     master_seed: int,
-    nu: float = 1.0,
-) -> np.ndarray:
-    """(N, K, M) Monte Carlo RMS errors of M methods at N points under K scenarios, each point drawn once.
+    threads: int = 1,
+) -> tuple[np.ndarray, Exception | None]:
+    """Monte Carlo RMSE of each method at every point of the forms under K scenarios, one task per chunk of points.
 
-    points pairs each query point with the index that keys its stream; the
-    scenarios differ in their correlation model alone. Each value has the
-    bits of a point_rmse_mc call for its point, scenario and method. The
-    first error of the first failing point is raised. ValueError names a
-    stream key that does not fit in an unsigned 64-bit integer, or
-    realizations below 1, before any draw.
+    The scenarios differ in their correlation model alone; indices[i] keys
+    point i's stream. Returns the (K', M, N) RMSEs of the scenarios before
+    the first at which a point failed, and that scenario's lowest failing
+    point's error, if any. ValueError names a stream key outside the
+    unsigned 64-bit range, or realizations below 1, before any draw.
     """
-    for index, _ in points:
+    for index in (min(indices), max(indices)):
         _check_stream_keys(master_seed=master_seed, point_index=index)
     if realizations < 1:
         raise ValueError(f"realizations must be at least 1, got {realizations}")
-    setup = _mc_setup(scns, grid_forms(scns[0], [p for _, p in points], tuple(methods), nu))
-    ws = _McWorkspace(len(setup.forms.pm), len(setup.forms.methods), realizations)
-    rmse = []
-    for k, (index, _) in enumerate(points):
-        results = _mc_point_rmse(setup, k, index, realizations, master_seed, ws)
-        for result in results:
-            if isinstance(result, Exception):
-                raise result
-        rmse.append(results)
-    return np.array(rmse)
+    setup = _mc_setup(scns, forms)
+    n_points = len(forms.xy)
+    tasks = min(threads, n_points)
+    chunks = [range(n_points * t // tasks, n_points * (t + 1) // tasks) for t in range(tasks)]
+
+    def eval_chunk(chunk: range) -> list[list[np.ndarray | Exception]]:
+        ws = _McWorkspace(len(forms.pm), len(forms.methods), realizations)
+        with np.errstate(all="ignore"):  # pool threads do not inherit the caller's state
+            return [_mc_point_rmse(setup, i, indices[i], realizations, master_seed, ws) for i in chunk]
+
+    if tasks > 1:
+        with ThreadPoolExecutor(max_workers=tasks) as pool:
+            per_chunk = list(pool.map(eval_chunk, chunks))
+    else:
+        per_chunk = [eval_chunk(chunk) for chunk in chunks]
+    per_point = [at_point for chunk in per_chunk for at_point in chunk]
+    done: list[np.ndarray] = []
+    error = None
+    for at_ratio in zip(*per_point):
+        error = next((r for r in at_ratio if isinstance(r, Exception)), None)
+        if error is not None:
+            break
+        done.append(np.array(at_ratio).T)  # (M, N)
+    return np.reshape(done, (len(done), len(forms.methods), n_points)), error
 
 
 def point_rmse_mc(
@@ -468,7 +488,11 @@ def point_rmse_mc(
     an unsigned 64-bit integer, and realizations must be at least 1:
     ValueError names the first that does not, before any draw.
     """
-    return float(_mc_points_rmse([scn], [(point_index, p0)], (method,), realizations, master_seed, nu)[0, 0, 0])
+    forms = grid_forms(scn, coordinates([p0]), (method,), nu)
+    rmse, error = _mc_rmse([scn], forms, [point_index], realizations, master_seed)
+    if error is not None:
+        raise error
+    return float(rmse[0, 0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -479,68 +503,29 @@ def _out_of_range(config: ExperimentConfig, ratio: float, cause) -> ConfigError:
     return ConfigError(f"{config.kernel} kernel at spacing ratio {ratio} is outside the numeric range: {cause}")
 
 
-def _mc_rmse(
-    config: ExperimentConfig, scns: list[Scenario], forms: GridForms, threads: int
-) -> tuple[np.ndarray, Exception | None]:
-    """Per-point Monte Carlo RMSE of each method at every ratio, one worker task per chunk of points.
-
-    Returns the (K', M, N) RMSEs of the K' ratios before the first at which
-    a point failed, and the error of that ratio's lowest-indexed failing
-    point, if any. Each ratio's joint covariances, its sensor covariance
-    and its sm0 weights are computed once, before the points.
-    """
-    setup = _mc_setup(scns, forms)
-    n_points = len(forms.xy)
-    tasks = min(threads, n_points)
-    chunks = [range(n_points * t // tasks, n_points * (t + 1) // tasks) for t in range(tasks)]
-
-    def eval_chunk(chunk: range) -> list[list[np.ndarray | Exception]]:
-        ws = _McWorkspace(len(forms.pm), len(forms.methods), config.realizations)
-        with np.errstate(all="ignore"):  # pool threads do not inherit the caller's state
-            return [_mc_point_rmse(setup, i, i, config.realizations, config.master_seed, ws) for i in chunk]
-
-    if tasks > 1:
-        with ThreadPoolExecutor(max_workers=tasks) as pool:
-            per_chunk = list(pool.map(eval_chunk, chunks))
-    else:
-        per_chunk = [eval_chunk(chunk) for chunk in chunks]
-    per_point = [at_point for chunk in per_chunk for at_point in chunk]
-    done: list[np.ndarray] = []
-    error = None
-    for at_ratio in zip(*per_point):
-        failed = [r for r in at_ratio if isinstance(r, Exception)]
-        if failed:
-            error = failed[0]
-            break
-        done.append(np.array(at_ratio).T)  # (M, N)
-    return np.reshape(done, (len(done), len(forms.methods), len(forms.xy))), error
-
-
 def _analytic_rmse(forms: GridForms, models: list[CorrelationModel]) -> tuple[np.ndarray, Exception | None]:
     """Per-point closed-form RMSE of each method at every ratio, as one stack.
 
     Returns the (K', M, N) RMSEs of the K' ratios before the first that
-    fails, and that ratio's error, if any. If the stack fails, the ratios
-    run one at a time, each a stack of one with the bits it has in the
-    whole stack, so that the error is the lowest failing ratio's own.
+    fails, and that ratio's error, if any. A Cn that is not positive
+    definite names the lowest failing ratio (err.index), and the ratios
+    before it run as one stack with the bits they have in the whole one.
+    Every other error the stack raises is the same at every ratio, so it
+    stops the first.
     """
 
     def block(models: list[CorrelationModel]) -> np.ndarray:
         rmse = grid_analytic_rmse(forms, models)
         return np.stack([rmse[m] for m in forms.methods], axis=1)
 
-    shape = (len(forms.methods), len(forms.xy))
+    empty = np.empty((0, len(forms.methods), len(forms.xy)))
     with np.errstate(all="ignore"):
         try:
             return block(models), None
-        except (ValueError, ArithmeticError):
-            done: list[np.ndarray] = []
-            for model in models:
-                try:
-                    done.append(block([model])[0])
-                except (ValueError, ArithmeticError) as err:
-                    return np.reshape(done, (len(done), *shape)), err
-            return np.reshape(done, (len(done), *shape)), None
+        except NotPositiveDefiniteError as err:
+            return block(models[: err.index]) if err.index else empty, err
+        except (ValueError, ArithmeticError) as err:
+            return empty, err
 
 
 def _spatial_rows(rmse: np.ndarray) -> np.ndarray:
@@ -551,7 +536,7 @@ def _spatial_rows(rmse: np.ndarray) -> np.ndarray:
 def _surfaces(
     config: ExperimentConfig,
     ratio: float,
-    points: tuple[Point, ...],
+    xy: np.ndarray,
     methods: tuple[str, ...],
     rmse: dict[str, np.ndarray],
     spatial: dict[str, np.ndarray],
@@ -575,7 +560,7 @@ def _surfaces(
             mode=config.mode,
             ratio=ratio,
             resolution=config.resolution,
-            points=points,
+            xy=xy,
             rmse=rmse[primary][j],
             spatial_rmse=float(spatial[primary][j]),
             rmse_analytic=None if a_vals is None else a_vals[j],
@@ -632,13 +617,13 @@ def _grid_evals(
             if not (ratio > 0 and config.side_m / ratio > 0):
                 raise ConfigError(f"spacing ratio must be > 0 with side_m / ratio > 0, got {ratio}")
             with _at_ratio(config, ratio):
-                if forms is None and config.emitter in grid.points:
+                if forms is None and (grid.xy == (config.emitter.x, config.emitter.y)).all(axis=1).any():
                     raise DegenerateGeometryError(
                         f"coincides with a query point of the resolution-{config.resolution} grid"
                     )
                 scn = config.scenario(ratio)
                 if forms is None:
-                    forms = grid_forms(scn, grid.points, methods, config.nu)
+                    forms = grid_forms(scn, grid.xy, methods, config.nu)
             scns.append(scn)
     except (ConfigError, DegenerateGeometryError) as err:
         setup_error = err  # raised below, once the ratios before it are yielded
@@ -647,7 +632,7 @@ def _grid_evals(
     if scns and config.mode in ("analytic", "both"):
         engines["analytic"] = _analytic_rmse(forms, [scn.correlation for scn in scns])
     if scns and config.mode in ("mc", "both"):
-        engines["mc"] = _mc_rmse(config, scns, forms, threads)
+        engines["mc"] = _mc_rmse(scns, forms, range(len(grid.xy)), config.realizations, config.master_seed, threads)
     with np.errstate(all="ignore"):
         spatial = {engine: _spatial_rows(rmse) for engine, (rmse, _) in engines.items()}
         stderr = _spatial_stderr(engines["mc"][0], config.realizations, spatial["mc"]) if "mc" in engines else None
@@ -659,7 +644,7 @@ def _grid_evals(
             surfaces = _surfaces(
                 config,
                 ratio,
-                grid.points,
+                grid.xy,
                 methods,
                 {engine: rmse[k] for engine, (rmse, _) in engines.items()},
                 {engine: s[k] for engine, s in spatial.items()},

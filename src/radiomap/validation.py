@@ -14,9 +14,10 @@ defaults, and the acceptance gates C01, C02, C04 and C12 each run one check
 with the seed, sample and tolerance they pin. The randomized checks draw
 from numpy generators seeded master_seed plus a per-check offset (0 for
 kriging_equivalence, 1 for lse_closed_form, 2 for sm1_decomposition, 3 for
-sigma0_consistency). analytic_vs_mc keys each point's Monte Carlo stream by
-(master_seed, the point's stream index), as the harness keys a grid point,
-and each point is drawn once for every ratio and method.
+sigma0_consistency). analytic_vs_mc runs the harness's Monte Carlo driver,
+which keys each point's stream by (master_seed, the point's stream index),
+as it keys a grid point, and draws each point once for every ratio and
+method.
 
 The lattice oracle lives here rather than in the estimators module because
 the CLI 'validate' command has to run it at runtime; the estimator path
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Point, Scenario, build_square_scenario, make_grid
+from .geometry import Point, Scenario, build_square_scenario, coordinates, make_grid
 from .correlation import (
     CorrelationModel,
     KERNEL_KINDS,
@@ -43,11 +44,12 @@ from .estimators import SM0, SM2, NATURAL, lse_fit, predict, sibson_weights
 from .analysis import (
     analytic_rmse,
     error_form,
+    grid_forms,
     lse_error_coeffs,
     sm1_coefficient_error_form,
     sm0_sigma0,
 )
-from .harness import ExperimentConfig, _mc_points_rmse, check_master_seed
+from .harness import ExperimentConfig, _mc_rmse, check_master_seed
 
 __all__ = [
     "CheckResult",
@@ -163,7 +165,7 @@ def check_sm1_decomposition(master_seed: int, trials: int = 100) -> CheckResult:
     """Mechanical error form vs the hand-written coefficient expansion, on draws."""
     rng = np.random.default_rng(master_seed + 2)
     scn = _table_scenario()
-    grid = make_grid(640.0, 4).points
+    grid = [Point(x, y) for x, y in make_grid(640.0, 4).xy.tolist()]
     worst = 0.0
     for t in range(trials):
         p0 = grid[t % len(grid)]
@@ -189,7 +191,10 @@ def check_analytic_vs_mc(
     value has the bits of its own point_rmse_mc call.
     """
     scns = [_table_scenario(ratio) for ratio in ratios]
-    mc = _mc_points_rmse(scns, points, methods, realizations, master_seed)  # (point, ratio, method)
+    forms = grid_forms(scns[0], coordinates([p for _, p in points]), tuple(methods))
+    mc, error = _mc_rmse(scns, forms, [index for index, _ in points], realizations, master_seed)
+    if error is not None:
+        raise error
     worst = 0.0
     for j, scn in enumerate(scns):
         for k, (_, p0) in enumerate(points):
@@ -197,7 +202,7 @@ def check_analytic_vs_mc(
                 form = error_form(method, scn, p0)
                 expected = analytic_rmse(form, scn.correlation, p0, list(scn.sensors))
                 se = expected / math.sqrt(2.0 * realizations)
-                worst = max(worst, abs(float(mc[k, j, m]) - expected) / se)
+                worst = max(worst, abs(float(mc[j, m, k]) - expected) / se)
     return _verdict("analytic_vs_mc", worst, 3.0)
 
 
@@ -245,8 +250,7 @@ def sibson_lattice_weights(
     after insertion, the win is credited to the sensor that owned the cell
     before insertion.
     """
-    xs = np.array([s.x for s in sensors])
-    ys = np.array([s.y for s in sensors])
+    xs, ys = coordinates(sensors).T
     extent = max(xs.max() - xs.min(), ys.max() - ys.min())
     pad = 0.5 * extent
     x_lo, x_hi = xs.min() - pad, xs.max() + pad

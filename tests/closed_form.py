@@ -12,7 +12,7 @@ sqrt(bias^2 + g'Cg) in expanded form.
 
 import numpy as np
 
-from radiomap import sibson_weights
+from radiomap import Point, sibson_weights
 
 
 def joint_covariance(model, sites):
@@ -25,8 +25,8 @@ def joint_covariance(model, sites):
     return model.sigma**2 * np.exp(-(r**2 if model.kind == "gaussian" else r))
 
 
-def closed_form_rmse(scn, points, methods, nu=1.0, unit=1.0):
-    """{method: (N,) RMS errors} at the points.
+def closed_form_rmse(scn, xy, methods, nu=1.0, unit=1.0):
+    """{method: (N,) RMS errors} at the rows of an (N, 2) coordinate array.
 
     unit rescales the covariance to C / unit^2 and the bias to bias / unit,
     and the root back by unit, so sigma may sit near the double range.
@@ -39,8 +39,7 @@ def closed_form_rmse(scn, points, methods, nu=1.0, unit=1.0):
     hat = design @ fit_rows
     median = scn.a_db + 10.0 * scn.gamma * x
     out = {m: [] for m in methods}
-    for p0 in points:
-        q = np.array([p0.x, p0.y])
+    for q in np.asarray(xy, dtype=float):
         x0 = np.log10(np.linalg.norm(q - emitter))
         c = joint_covariance(scn.correlation, np.vstack([q, sites])) / unit**2
         kriging = np.linalg.solve(c[1:, 1:], c[1:, 0])
@@ -48,7 +47,7 @@ def closed_form_rmse(scn, points, methods, nu=1.0, unit=1.0):
         inverse = d**-nu / np.sum(d**-nu)
         weights = {"sm0": kriging, "sm1": kriging, "sm2": inverse, "idw": inverse, "nn": np.eye(len(d))[np.argmin(d)]}
         if "nat" in methods:
-            weights["nat"] = sibson_weights(list(scn.sensors), p0)
+            weights["nat"] = sibson_weights(list(scn.sensors), Point(*q.tolist()))
         for m in methods:
             g = weights[m]
             if m in ("sm1", "sm2"):

@@ -87,7 +87,7 @@ def test_c03_error_decomposition_identity(table_scenario):
     scn = table_scenario
     d = np.array(scn.sensor_distances())
     pm = np.array([median_power(scn, s) for s in scn.sensors])
-    grid = make_grid(640.0, 8).points
+    grid = [Point(x, y) for x, y in make_grid(640.0, 8).xy.tolist()]
     worst = 0.0
     for trial in range(100):
         p0 = grid[int(rng.integers(len(grid)))]
@@ -119,10 +119,10 @@ def test_c04_analytic_vs_monte_carlo():
     t0 = time.time()
     master = 11
     grid = make_grid(640.0, 64)
-    idx = np.random.default_rng(master).choice(len(grid.points), size=10, replace=False)
+    idx = np.random.default_rng(master).choice(len(grid.xy), size=10, replace=False)
     result = check_analytic_vs_mc(
         master,
-        points=[(int(i), grid.points[i]) for i in idx],  # each point's stream is keyed by its grid index
+        points=[(int(i), Point(*grid.xy[i].tolist())) for i in idx],  # each point's stream is keyed by its grid index
         ratios=(0.3, 1.0, 3.0),
         methods=ALL_METHODS,
         realizations=100000,
@@ -190,7 +190,7 @@ def test_c08_spatial_uniformity():
     }
     ok = fracs["sm2"] >= 0.75
     parts = [f"sm2 {fracs['sm2']:.3f} (need >= 0.75)"]
-    for m, expected in closed_form_rmse(cfg.scenario(1.0), cfg.grid().points, ("sm0", "sm1")).items():
+    for m, expected in closed_form_rmse(cfg.scenario(1.0), cfg.grid().xy, ("sm0", "sm1")).items():
         got = surfaces[m].rmse
         diff = float(np.abs(got - expected).max())
         oracle_frac = float(np.mean(np.abs(expected - math.sqrt(np.mean(expected**2))) <= 0.3))

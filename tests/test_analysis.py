@@ -20,6 +20,7 @@ from radiomap import (
 )
 from radiomap.analysis import AffineErrorForm, grid_analytic_rmse, grid_forms, sm1_coefficient_error_form
 from radiomap.estimators import DegenerateGeometryError
+from radiomap.geometry import coordinates
 from radiomap.harness import EMITTER_PRESETS, _spatial_stderr, point_rmse_mc
 
 from closed_form import closed_form_rmse
@@ -179,7 +180,8 @@ class TestNaiveMonteCarlo:
         pm = np.array([median_power(scn, s) for s in sensors])
         rng = np.random.default_rng(self.SEED)
         per_point = {m: [] for m in methods}
-        for p0 in config.grid().points:
+        for x, y in config.grid().xy.tolist():
+            p0 = Point(x, y)
             cov = covariance_matrix(scn.correlation, [p0, *sensors])
             joint = rng.multivariate_normal(np.zeros(len(sensors) + 1), cov, size=self.REALIZATIONS)
             truth = median_power(scn, p0) + joint[:, 0]
@@ -210,12 +212,12 @@ class TestGridAnalyticRmse:
         config = ExperimentConfig(
             kernel=kernel, emitter=EMITTER_PRESETS[emitter], rotation_rad=0.5, resolution=4, nu=nu
         )
-        points = config.grid().points
-        forms = grid_forms(config.scenario(1.0), points, self.METHODS, nu)
+        xy = config.grid().xy
+        forms = grid_forms(config.scenario(1.0), xy, self.METHODS, nu)
         scns = [config.scenario(ratio) for ratio in (0.05, 1.0, 20.0)]
         got = grid_analytic_rmse(forms, [scn.correlation for scn in scns])
         for k, scn in enumerate(scns):
-            want = closed_form_rmse(scn, points, self.METHODS, nu)
+            want = closed_form_rmse(scn, xy, self.METHODS, nu)
             for m in self.METHODS:
                 assert np.max(np.abs(got[m][k] - want[m])) <= 1e-9, (m, scn.correlation.xc)
 
@@ -224,13 +226,13 @@ class TestGridAnalyticRmse:
     def test_stack_rows_equal_one_model_calls(self, kernel, nu):
         # row k of a K-model call has the bits of a call with model k alone, and both match the closed form
         config = ExperimentConfig(kernel=kernel, emitter=EMITTER_PRESETS["E2"], rotation_rad=0.5, resolution=5, nu=nu)
-        points = config.grid().points
-        forms = grid_forms(config.scenario(1.0), points, self.METHODS, nu)
+        xy = config.grid().xy
+        forms = grid_forms(config.scenario(1.0), xy, self.METHODS, nu)
         scns = [config.scenario(ratio) for ratio in (0.05, 0.2, 1.0, 5.0, 20.0)]
         stacked = grid_analytic_rmse(forms, [scn.correlation for scn in scns])
         for k, scn in enumerate(scns):
             alone = grid_analytic_rmse(forms, [scn.correlation])
-            want = closed_form_rmse(scn, points, self.METHODS, nu)
+            want = closed_form_rmse(scn, xy, self.METHODS, nu)
             for m in self.METHODS:
                 assert stacked[m][k].tobytes() == alone[m][0].tobytes(), (m, k)
                 assert np.max(np.abs(alone[m][0] - want[m])) <= 1e-9, (m, k)
@@ -240,15 +242,15 @@ class TestGridAnalyticRmse:
         # the closed form runs in units of sigma
         config = ExperimentConfig(sigma_db=1.3e154, resolution=3)
         scn = config.scenario(1.0)
-        points = config.grid().points
-        got = grid_analytic_rmse(grid_forms(scn, points, self.METHODS), [scn.correlation])
-        want = closed_form_rmse(scn, points, self.METHODS, unit=1.3e154)
+        xy = config.grid().xy
+        got = grid_analytic_rmse(grid_forms(scn, xy, self.METHODS), [scn.correlation])
+        want = closed_form_rmse(scn, xy, self.METHODS, unit=1.3e154)
         for m in self.METHODS:
             assert np.allclose(got[m][0], want[m], rtol=1e-12, atol=0.0), m
 
     def test_requested_methods_only(self, table_scenario):
         points = [Point(100.0, 200.0), Point(320.0, 320.0)]
-        forms = grid_forms(table_scenario, points, ("nn", "sm1"))
+        forms = grid_forms(table_scenario, coordinates(points), ("nn", "sm1"))
         got = grid_analytic_rmse(forms, [table_scenario.correlation])
         assert sorted(got) == ["nn", "sm1"]
         assert all(v.shape == (1, 2) for v in got.values())

@@ -92,6 +92,20 @@ class TestSweepCommand:
         assert main(["sweep", str(cfg), str(out2), "--threads", "3"]) == 0
         assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
 
+    def test_mc_sweep_reads_no_os_entropy(self, tmp_path, monkeypatch):
+        # every stream is keyed without the OS entropy that Philox(key=...) reads first
+        import random
+
+        cfg = write_config(tmp_path, mode="mc", realizations=200)
+        assert main(["sweep", str(cfg), str(tmp_path / "a"), "--threads", "2"]) == 0
+
+        def no_entropy(n):
+            raise AssertionError("read OS entropy")
+
+        monkeypatch.setattr(random, "_urandom", no_entropy)
+        assert main(["sweep", str(cfg), str(tmp_path / "b"), "--threads", "2"]) == 0
+        assert (tmp_path / "a" / "sweep.csv").read_bytes() == (tmp_path / "b" / "sweep.csv").read_bytes()
+
     def test_csv_roundtrip_precision(self, tmp_path):
         from radiomap import ExperimentConfig, sweep as run_sweep
 

@@ -540,7 +540,7 @@ class TestConvexity:
             lambda scn, p0: as_affine("kriging", scn, p0),
             lambda scn, p0: method_weights("kriging", scn, p0),
             lambda scn, p0: error_form("kriging", scn, p0),
-            lambda scn, p0: grid_forms(scn, [p0], ("kriging",)),
+            lambda scn, p0: grid_forms(scn, coordinates([p0]), ("kriging",)),
             lambda scn, p0: weight_table("kriging", scn.sensors, [p0]),
         ],
         ids=["predict", "as_affine", "method_weights", "error_form", "grid_forms", "geometry_weights"],

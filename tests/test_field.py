@@ -11,7 +11,7 @@ from radiomap import (
     sample_shadow,
 )
 from radiomap.field import _correlate_rows, correlate_normals, joint_cholesky, joint_factors, standard_normal_block
-from radiomap.geometry import coordinates, make_grid
+from radiomap.geometry import make_grid
 
 
 class TestMedianPower:
@@ -115,6 +115,34 @@ class TestNormalStream:
         assert got.shape == want.shape
         assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
+    def test_every_raw_word_gives_a_finite_normal(self):
+        # where x >> 11 is 2^53 - 1, ((x >> 11) + 0.5) * 2^-53 rounds to 1, whose ndtri is +inf;
+        # those words map to 1 - 2^-53, and every other word keeps the bits of the formula
+        from scipy.special import ndtri
+
+        from radiomap.field import _normal_rows
+
+        top = [2**64 - 2**11, 2**64 - 1]
+        words = np.array([0, 2**63, 2**64 - 2**12, *top], dtype=np.uint64)
+        got = _normal_rows(words[:, None].copy(), 1)[0]
+        assert np.isfinite(got).all()
+        u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+        assert got[:3].tobytes() == ndtri(u[:3]).tobytes()
+        assert got[3:].tolist() == [ndtri(1.0 - 2.0**-53)] * 2
+
+    def test_streams_read_no_os_entropy(self, monkeypatch):
+        # Philox(key=...) would seed itself from the OS before the key overrides it
+        import random
+
+        want = standard_normal_block(5, 9, n_variates=5, realizations=30, first_realization=4)
+
+        def no_entropy(n):
+            raise AssertionError("read OS entropy")
+
+        monkeypatch.setattr(random, "_urandom", no_entropy)
+        got = standard_normal_block(5, 9, n_variates=5, realizations=30, first_realization=4)
+        assert got.tobytes() == want.tobytes()
+
     def test_block_is_sensor_major(self):
         # one contiguous row per variate, each over all realizations
         z = standard_normal_block(3, 0, n_variates=5, realizations=40)
@@ -171,11 +199,11 @@ class TestJointFactors:
     def test_stack_row_matches_one_point_bit_for_bit(self, kind, ratio):
         model = CorrelationModel(kind, sigma=5.0, xc=640.0 / ratio, axis_ratio=3.3, rotation=0.5)
         scn = build_square_scenario(640.0, Point(-100.0, 0.0), 15.3, 3.76, model)
-        points = make_grid(640.0, 6).points
-        stack = joint_factors(scn, coordinates(points))
+        xy = make_grid(640.0, 6).xy
+        stack = joint_factors(scn, xy)
         assert stack.shape == (36, 5, 5)
-        for k, p0 in enumerate(points):
-            assert stack[k].tobytes() == joint_cholesky(scn, p0).tobytes()
+        for k, (x, y) in enumerate(xy.tolist()):
+            assert stack[k].tobytes() == joint_cholesky(scn, Point(x, y)).tobytes()
 
     def test_matches_factor_of_the_scalar_covariance(self, table_scenario, table_model):
         p0 = Point(205.0, 445.0)

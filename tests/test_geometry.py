@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -83,30 +84,37 @@ class TestBuildSquareScenario:
 class TestMakeGrid:
     def test_reference_resolution(self):
         grid = make_grid(640.0, 64)
-        assert len(grid.points) == 4096
+        assert grid.xy.shape == (4096, 2)
 
     def test_single_cell_center(self):
         grid = make_grid(2.0, 1)
-        assert grid.points == (Point(1.0, 1.0),)
+        assert grid.xy.tolist() == [[1.0, 1.0]]
 
     def test_two_by_two_cell_centers(self):
         grid = make_grid(640.0, 2)
-        assert grid.points == (
-            Point(160.0, 160.0),
-            Point(480.0, 160.0),
-            Point(160.0, 480.0),
-            Point(480.0, 480.0),
-        )
+        assert grid.xy.tolist() == [
+            [160.0, 160.0],
+            [480.0, 160.0],
+            [160.0, 480.0],
+            [480.0, 480.0],
+        ]
+
+    @pytest.mark.parametrize("side", [640.0, 0.1])
+    @pytest.mark.parametrize("resolution", [1, 2, 3, 64, 256])
+    def test_coordinates_are_the_one_point_products_bit_for_bit(self, side, resolution):
+        step = side / resolution
+        want = [((i + 0.5) * step, (j + 0.5) * step) for j in range(resolution) for i in range(resolution)]
+        assert make_grid(side, resolution).xy.tobytes() == np.array(want).tobytes()
 
     def test_points_strictly_interior(self):
         grid = make_grid(640.0, 64)
-        for p in grid.points:
-            assert 0.0 < p.x < 640.0
-            assert 0.0 < p.y < 640.0
+        for x, y in grid.xy.tolist():
+            assert 0.0 < x < 640.0
+            assert 0.0 < y < 640.0
 
     def test_positive_distances_in_reference_setup(self, table_scenario):
         grid = make_grid(640.0, 64)
-        for p in grid.points:
+        for p in (Point(x, y) for x, y in grid.xy.tolist()):
             assert distance(p, table_scenario.emitter) > 0.0
             for s in table_scenario.sensors:
                 assert distance(p, s) > 0.0

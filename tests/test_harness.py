@@ -21,7 +21,6 @@ from radiomap import (
     sweep,
 )
 from radiomap.analysis import grid_forms
-from radiomap.geometry import coordinates
 from radiomap.estimators import sensor_factor, sm0_weights
 from radiomap.field import joint_cholesky
 from radiomap.harness import MAX_THREADS, _grid_eval, _grid_evals, _mc_point_rmse, _mc_setup, _McWorkspace, _rms_rows
@@ -53,6 +52,44 @@ def test_rms_rows_match_scaled_rms_bit_for_bit():
     want = [scaled_rms(row) for row in rows]
     assert _rms_rows(rows).tolist() == want
     assert [spatial_average(row) for row in rows] == want
+
+
+def test_rms_rows_multiply_with_the_bits_of_division():
+    # the reciprocal of each row's power of two scales it with the bits that dividing by it gives
+    def divided(rows):
+        scaled = np.abs(rows)
+        top = np.ldexp(1.0, np.frexp(scaled.max(axis=1))[1])
+        scaled /= top[:, None]
+        return np.sqrt(np.mean(np.square(scaled), axis=1)) * top
+
+    rng = np.random.default_rng(43)
+    tiny = np.finfo(float).smallest_subnormal
+    blocks = [
+        rng.normal(0.0, 3.0, (6, 1000)) * np.exp2(rng.integers(-900, 900, (6, 1))),
+        np.zeros((2, 1000)),
+        rng.uniform(0.0, 1.0, (2, 1000)) * np.finfo(float).smallest_normal,  # subnormal maxima
+        np.full((2, 1000), tiny * 3.0),  # rows whose reciprocal overflows
+        rng.uniform(0.5, 1.0, (2, 1000)) * np.finfo(float).max,  # near DBL_MAX
+    ]
+    with np.errstate(all="ignore"):
+        for rows in [*blocks, np.vstack(blocks)]:
+            assert _rms_rows(rows.copy()).tobytes() == divided(rows).tobytes()
+
+
+def test_sweep_makes_no_point_per_grid_point(monkeypatch):
+    # the grid is a coordinate array end to end: a res-16 sweep makes as many Points as a res-4 one
+    counts = []
+    original = Point.__post_init__
+
+    def counted(self):
+        counts[-1] += 1
+        original(self)
+
+    monkeypatch.setattr(Point, "__post_init__", counted)
+    for resolution in (4, 16):
+        counts.append(0)
+        sweep(ExperimentConfig(resolution=resolution, mode="both", realizations=20, ratios=(0.5, 2.0)))
+    assert counts[0] == counts[1] < 16 * 16
 
 
 class TestPointRmseMc:
@@ -123,32 +160,32 @@ class TestMcWorkspace:
     """The per-task workspace of the Monte Carlo kernel and the set-up it reads."""
 
     @staticmethod
-    def setup_for(cfg, points):
+    def setup_for(cfg, xy):
         scns = [cfg.scenario(r) for r in cfg.ratios]
-        return scns, _mc_setup(scns, grid_forms(scns[0], points, cfg.methods, cfg.nu))
+        return scns, _mc_setup(scns, grid_forms(scns[0], xy, cfg.methods, cfg.nu))
 
     @pytest.mark.parametrize("kernel", ["exponential", "gaussian", "elliptical"])
     def test_sm0_rows_match_one_point_weights_bit_for_bit(self, kernel):
         cfg = ExperimentConfig(kernel=kernel, rotation_rad=0.5, resolution=5, ratios=(0.05, 1.0, 20.0))
-        points = cfg.grid().points
-        scns, setup = self.setup_for(cfg, points)
+        xy = cfg.grid().xy
+        scns, setup = self.setup_for(cfg, xy)
         for scn, rows in zip(scns, setup.sm0):
             sensors = list(scn.sensors)
             factor = sensor_factor(scn.correlation, sensors)
-            assert rows.shape == (len(points), len(sensors))
-            for row, p0 in zip(rows, points):
-                assert row.tobytes() == sm0_weights(scn.correlation, sensors, p0, factor).tobytes()
+            assert rows.shape == (len(xy), len(sensors))
+            for row, (x, y) in zip(rows, xy.tolist()):
+                assert row.tobytes() == sm0_weights(scn.correlation, sensors, Point(x, y), factor).tobytes()
 
     def test_no_row_leaks_between_points_or_ratios(self):
         # NaN in every row before each point, points in reverse order: the same bytes
         cfg = ExperimentConfig(resolution=3, realizations=257, ratios=(0.2, 1.0, 5.0), master_seed=4)
-        points = cfg.grid().points
-        _, setup = self.setup_for(cfg, points)
+        xy = cfg.grid().xy
+        _, setup = self.setup_for(cfg, xy)
         R = cfg.realizations
         ws = _McWorkspace(4, len(cfg.methods), R)
-        forward = [_mc_point_rmse(setup, k, k, R, cfg.master_seed, ws) for k in range(len(points))]
+        forward = [_mc_point_rmse(setup, k, k, R, cfg.master_seed, ws) for k in range(len(xy))]
         ws = _McWorkspace(4, len(cfg.methods), R)
-        for k in reversed(range(len(points))):
+        for k in reversed(range(len(xy))):
             ws.rows.fill(np.nan)
             got = _mc_point_rmse(setup, k, k, R, cfg.master_seed, ws)
             assert [r.tobytes() for r in got] == [r.tobytes() for r in forward[k]]
@@ -161,8 +198,7 @@ class TestMcWorkspace:
         import tracemalloc
 
         cfg = ExperimentConfig(realizations=10000, mode="mc")
-        points = cfg.grid().points[:1]
-        _, setup = self.setup_for(cfg, points)
+        _, setup = self.setup_for(cfg, cfg.grid().xy[:1])
         R = cfg.realizations
         _mc_point_rmse(setup, 0, 0, R, 5, _McWorkspace(4, 6, R))  # imports scipy outside the trace
         tracemalloc.start()
@@ -299,7 +335,7 @@ class TestSweep:
             )
             sweep(cfg)
             assert [m for m, _ in calls] == ["nat"], mode
-            assert np.array_equal(calls[0][1], coordinates(cfg.grid().points))
+            assert np.array_equal(calls[0][1], cfg.grid().xy)
             assert len(calls[0][1]) == 16
 
     @pytest.mark.parametrize("mode", ["analytic", "mc", "both"])
@@ -320,7 +356,7 @@ class TestSweep:
         )
         sweep(cfg)
         assert [m for m, _ in calls] == ["sm2"]
-        assert np.array_equal(calls[0][1], coordinates(cfg.grid().points))
+        assert np.array_equal(calls[0][1], cfg.grid().xy)
         assert len(calls[0][1]) == 16
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -337,12 +373,12 @@ class TestSweep:
         monkeypatch.setattr(harness, "standard_normal_block", counted)
         cfg = ExperimentConfig(resolution=4, mode="mc", realizations=100, ratios=(0.5, 1.0, 2.0))
         sweep(cfg, threads=threads)
-        assert sorted(calls) == list(range(len(cfg.grid().points))) == list(range(16))
+        assert sorted(calls) == list(range(len(cfg.grid().xy))) == list(range(16))
 
     def test_mc_surfaces_match_one_point_entry(self):
         # every point of the point-major sweep equals its own point_rmse_mc call, bit for bit
         cfg = ExperimentConfig(resolution=4, mode="mc", realizations=300, master_seed=8, ratios=(0.2, 1.0, 5.0), nu=2)
-        points = cfg.grid().points
+        points = [Point(x, y) for x, y in cfg.grid().xy.tolist()]
         for ratio, surfaces in zip(cfg.ratios, _grid_evals(cfg, cfg.ratios, cfg.methods, threads=2)):
             scn = cfg.scenario(ratio)
             for m in cfg.methods:
@@ -420,7 +456,7 @@ class TestSweep:
         # scale point 5's cross-covariances at ratio 1.0 (xc = side) so that its joint matrix fails
         from radiomap import field
 
-        target = cfg.grid().points[5]
+        target = Point(*cfg.grid().xy[5].tolist())
         original = field.cross_covariance_stack
 
         def patched(models, queries, points):
@@ -600,7 +636,7 @@ class TestRmseDistribution:
             mode="analytic",
             ratio=1.0,
             resolution=int(math.isqrt(v.size)),
-            points=(),
+            xy=np.empty((0, 2)),
             rmse=v,
             spatial_rmse=spatial_average(v),
         )
