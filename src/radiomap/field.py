@@ -27,7 +27,7 @@ every normal is finite. The variates for (master_seed, point_index,
 realization_index) are therefore a pure function of those three integers,
 independent of how many realizations are requested, in what order, or on
 how many threads. sample_shadow() is that statement for one realization.
-Each thread re-keys one Philox generator per stream through its state:
+Each stream's generator is seeded explicitly and keyed through its state:
 the words of Philox(key=...), without the OS entropy that Philox(key=...)
 reads first and the key then overrides.
 
@@ -49,7 +49,6 @@ pass and every sum over sensors runs along whole contiguous rows.
 from __future__ import annotations
 
 import math
-import threading
 
 import numpy as np
 
@@ -117,19 +116,6 @@ def joint_cholesky(scn: Scenario, p0: Point) -> np.ndarray:
     return joint_factors(scn, coordinates([p0]))[0]
 
 
-_threads = threading.local()
-
-
-def _philox(master_seed: int, point_index: int) -> np.random.Philox:
-    """This thread's Philox generator at the start of the stream keyed by (master_seed, point_index)."""
-    if not hasattr(_threads, "philox"):
-        _threads.philox = np.random.Philox(0)  # an explicit seed reads no OS entropy
-        _threads.start = _threads.philox.state  # counter 0 and no buffered word, as Philox(key=...) starts
-    _threads.start["state"]["key"] = np.array([master_seed, point_index], dtype=np.uint64)
-    _threads.philox.state = _threads.start
-    return _threads.philox
-
-
 def _normal_rows(raw: np.ndarray, n_variates: int) -> np.ndarray:
     """(n_variates, R) standard normals from an (R, W) block of raw words, one row per variate; raw is overwritten."""
     # Every map below is elementwise, so dropping the padding words first
@@ -158,7 +144,10 @@ def standard_normal_block(
     # Philox advances in ticks of 4 raw words; aligned blocks keep
     # single-realization access O(1).
     words = 4 * ((n_variates + 3) // 4)
-    bitgen = _philox(master_seed, point_index)
+    bitgen = np.random.Philox(0)  # an explicit seed reads no OS entropy
+    state = bitgen.state  # counter 0 and no buffered word, as Philox(key=...) starts
+    state["state"]["key"] = np.array([master_seed, point_index], dtype=np.uint64)
+    bitgen.state = state
     if first_realization:
         bitgen.advance(first_realization * (words // 4))
     return _normal_rows(bitgen.random_raw(realizations * words).reshape(realizations, words), n_variates).T

@@ -105,11 +105,16 @@ class QueryGrid:
     xy is the (resolution^2, 2) array of coordinates: row j * resolution + i
     holds point (i, j) at ((i + 0.5) * (side / resolution), (j + 0.5) *
     (side / resolution)), so i (x) varies fastest. The row index also keys
-    the point's random substream in the simulation harness.
+    the point's random substream in the simulation harness. make_grid
+    makes xy read-only, and every surface of a sweep shares it.
     """
 
     resolution: int
     xy: np.ndarray
+
+    def __post_init__(self) -> None:
+        if self.xy.shape != (self.resolution**2, 2):
+            raise ValueError(f"grid xy has shape {self.xy.shape}, expected ({self.resolution**2}, 2)")
 
 
 def build_square_scenario(
@@ -147,4 +152,6 @@ def make_grid(side: float, resolution: int) -> QueryGrid:
         raise ValueError(f"square side must be positive, got {side}")
     # i + 0.5 is exact, so each coordinate is the one rounded product (i + 0.5) * step
     c = (np.arange(resolution) + 0.5) * (side / resolution)
-    return QueryGrid(resolution, np.column_stack((np.tile(c, resolution), np.repeat(c, resolution))))
+    xy = np.column_stack((np.tile(c, resolution), np.repeat(c, resolution)))
+    xy.setflags(write=False)
+    return QueryGrid(resolution, xy)

@@ -253,15 +253,14 @@ def _rms_rows(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     A row-wise reduction gives each row the bits it has alone. The rows'
     magnitudes are scaled in out, if given, which may be rows itself: the
     squares of the magnitudes are those of the values. Multiplying by the
-    reciprocal of a power of two is dividing by it, bit for bit, wherever
-    the reciprocal is finite; a block with a row below 2^-1023 divides.
+    reciprocal of a power of two is dividing by it, bit for bit. A row below
+    2^-1023, whose reciprocal would overflow, is scaled by 2^1023 instead:
+    its values, squares, mean and root are then those of division times one
+    exact power of two, none subnormal, and the last product is the same.
     """
     scaled = np.abs(rows, out=out)
-    top = _power_of_two_above(scaled, axis=1)
-    if (top >= 2.0**-1023).all():
-        scaled *= (1.0 / top)[:, None]
-    else:
-        scaled /= top[:, None]
+    top = np.maximum(_power_of_two_above(scaled, axis=1), 2.0**-1023)
+    scaled *= (1.0 / top)[:, None]
     return np.sqrt(np.mean(np.square(scaled, out=scaled), axis=1)) * top
 
 

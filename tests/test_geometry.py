@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from radiomap import CorrelationModel, Point, build_square_scenario, distance, make_grid
-from radiomap.geometry import Scenario
+from radiomap.geometry import QueryGrid, Scenario
 
 coord = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -105,6 +105,15 @@ class TestMakeGrid:
         step = side / resolution
         want = [((i + 0.5) * step, (j + 0.5) * step) for j in range(resolution) for i in range(resolution)]
         assert make_grid(side, resolution).xy.tobytes() == np.array(want).tobytes()
+
+    def test_coordinates_are_read_only(self):
+        # every surface of a sweep shares the grid's array
+        with pytest.raises(ValueError):
+            make_grid(640.0, 4).xy[0, 0] = 1.0
+
+    def test_shape_must_match_resolution(self):
+        with pytest.raises(ValueError, match="expected"):
+            QueryGrid(4, np.zeros((15, 2)))
 
     def test_points_strictly_interior(self):
         grid = make_grid(640.0, 64)
