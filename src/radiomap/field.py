@@ -116,17 +116,17 @@ def joint_cholesky(scn: Scenario, p0: Point) -> np.ndarray:
     return joint_factors(scn, coordinates([p0]))[0]
 
 
-def _normal_rows(raw: np.ndarray, n_variates: int) -> np.ndarray:
-    """(n_variates, R) standard normals from an (R, W) block of raw words, one row per variate; raw is overwritten."""
+def _normal_rows(raw: np.ndarray, n_variates: int, out: np.ndarray) -> np.ndarray:
+    """Standard normals into the (n_variates, R) rows of out from an (R, W) block of raw words; raw is overwritten."""
     # Every map below is elementwise, so dropping the padding words first
     # gives the same bits as transforming them and slicing afterwards.
     raw >>= np.uint64(11)
-    u = np.add(raw[:, :n_variates].T, 0.5, order="C")  # exact below 2^52, rounded to even above
-    u *= 2.0**-53
-    np.minimum(u, 1.0 - 2.0**-53, out=u)  # the one sum that rounds up to 2^53 would give u = 1
+    np.add(raw[:, :n_variates].T, 0.5, out=out)  # exact below 2^52, rounded to even above
+    out *= 2.0**-53
+    np.minimum(out, 1.0 - 2.0**-53, out=out)  # the one sum that rounds up to 2^53 would give u = 1
     from scipy.special import ndtri
 
-    return ndtri(u, out=u)
+    return ndtri(out, out=out)
 
 
 def standard_normal_block(
@@ -135,48 +135,66 @@ def standard_normal_block(
     n_variates: int,
     realizations: int,
     first_realization: int = 0,
+    out: np.ndarray | None = None,
+    bitgen: np.random.Philox | None = None,
 ) -> np.ndarray:
     """(realizations, n_variates) standard normals for consecutive realizations.
 
     Row k holds the variates of realization ``first_realization + k``. The
-    array is the transposed view of sensor-major rows, one per variate.
+    array is the transposed view of sensor-major rows, one per variate:
+    out's (n_variates, realizations) rows, if given, which the normals
+    overwrite. bitgen, if given, is a Philox generator that the call keys
+    afresh and draws from, whatever its state: a caller drawing many
+    streams saves building one per stream (about 15 us each on a 2-core
+    Xeon VM).
     """
     # Philox advances in ticks of 4 raw words; aligned blocks keep
     # single-realization access O(1).
     words = 4 * ((n_variates + 3) // 4)
-    bitgen = np.random.Philox(0)  # an explicit seed reads no OS entropy
-    state = bitgen.state  # counter 0 and no buffered word, as Philox(key=...) starts
-    state["state"]["key"] = np.array([master_seed, point_index], dtype=np.uint64)
-    bitgen.state = state
+    if bitgen is None:
+        bitgen = np.random.Philox(0)  # an explicit seed reads no OS entropy
+    # counter 0 and no buffered word, as Philox(key=...) starts
+    bitgen.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, np.uint64), "key": np.array([master_seed, point_index], dtype=np.uint64)},
+        "buffer": np.zeros(4, np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     if first_realization:
         bitgen.advance(first_realization * (words // 4))
-    return _normal_rows(bitgen.random_raw(realizations * words).reshape(realizations, words), n_variates).T
+    if out is None:
+        out = np.empty((n_variates, realizations))
+    return _normal_rows(bitgen.random_raw(realizations * words).reshape(realizations, words), n_variates, out).T
 
 
 def _correlate_rows(
     z: np.ndarray, lower: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
 ) -> np.ndarray:
-    """Rows of z through the lower-triangular factor: out[r, j] = sum_{k <= j} lower[j, k] * z[r, k].
+    """Rows of z through the lower-triangular factor: out[..., r, j] = sum_{k <= j} lower[..., j, k] * z[..., r, k].
 
-    The result is the transposed view of sensor-major rows: variate j's row
-    adds its terms to 0.0 in k order, so a realization's bits do not depend
-    on how many realizations are computed in one call. Column k's terms go
-    to the rows j >= k in one pass; the terms above the diagonal are +-0
-    and would leave every sum as it is. out, if given, is the (n+1, R)
-    block of rows to fill, and scratch an (n, R) block that the terms may
-    overwrite.
+    Leading axes, if any, stack points: each point's normals go through
+    its own factor. The result is the transposed view of sensor-major rows:
+    variate j's row adds its terms to 0.0 in k order, so a realization's
+    bits depend neither on how many realizations nor on how many points
+    are computed in one call. Column k's terms go to the rows j >= k in one
+    pass; the terms above the diagonal are +-0 and would leave every sum as
+    it is. out, if given, is the (..., n+1, R) block of rows to fill, and
+    scratch an (..., n, R) block that the terms may overwrite.
     """
-    zt = z.T
+    zt = z.swapaxes(-1, -2)
     if out is None:
-        out = np.empty((lower.shape[0], z.shape[0]))
+        out = np.empty(zt.shape)
     if scratch is None:
-        scratch = np.empty((lower.shape[0] - 1, z.shape[0]))
-    np.multiply(lower[:, 0, None], zt[0], out=out)
+        scratch = np.empty(out[..., 1:, :].shape)
+    n = out.shape[-2]
+    np.multiply(lower[..., :, 0, None], zt[..., 0, None, :], out=out)
     out += 0.0
-    for k in range(1, len(out)):
-        terms = scratch[: len(out) - k]
-        out[k:] += np.multiply(lower[k:, k, None], zt[k], out=terms)
-    return out.T
+    for k in range(1, n):
+        terms = scratch[..., : n - k, :]
+        out[..., k:, :] += np.multiply(lower[..., k:, k, None], zt[..., k, None, :], out=terms)
+    return out.swapaxes(-1, -2)
 
 
 def _check_stream_keys(**keys: int) -> None:
@@ -213,7 +231,9 @@ def correlate_normals(
     every model there. out, if given, is an (n+1, R) block of rows that
     receives the query point's row, then each sensor's; s0 and s are then
     views of it. scratch, if given, is an (n, R) block that the call may
-    overwrite.
+    overwrite. A (P, n+1, n+1) stack of factors takes a (P, R, n+1) stack
+    of normals, each point's with the bits it has alone, and every shape
+    above gains the leading axis P.
     """
     joint = _correlate_rows(z, lower, out, scratch)
-    return joint[:, 0], joint[:, 1:]
+    return joint[..., 0], joint[..., 1:]

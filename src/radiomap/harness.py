@@ -13,8 +13,9 @@ for both engines. The grid is its (N, 2) coordinate array (QueryGrid.xy),
 which each RmseSurface carries. The closed form is one array evaluation
 for the whole sweep: every ratio at every grid point as one stack. The
 Monte Carlo route runs point-major, one task per contiguous chunk of
-points, and draws each point's normals once for every ratio (see its
-section below). One driver, _mc_rmse, keyed by an array of stream
+points, each chunk in blocks of points that every numpy pass covers at
+once, and draws each point's normals once for every ratio (see its section
+below). One driver, _mc_rmse, keyed by an array of stream
 indices, runs a grid's points, point_rmse_mc's one point and the
 validation check's points. Each engine's spatial aggregates, for every
 (ratio, method) pair, come from one row-wise pass over its per-point RMSEs.
@@ -82,9 +83,10 @@ EMITTER_PRESETS = {
 MODES = ("analytic", "mc", "both")
 
 # Most worker threads a Monte Carlo run takes. Each worker holds one
-# workspace of (3n + 6 + M) R doubles for its chunk of points (n sensors, M
-# methods) and, while it draws a point, the point's R x W Philox words and
-# (n+1) R normals, so the bound caps memory as well as OS threads.
+# workspace of (3n + 2 + M) R doubles per point of a block (n sensors, M
+# methods), for blocks of max(1, 2^14 // R) points, plus (n + 5) R with a
+# fitted method, and while it draws a point, the point's R x W Philox
+# words, so the bound caps memory as well as OS threads.
 MAX_THREADS = 64
 
 # Keys of the JSON config's "correlation" object, mapped to the fields they set.
@@ -265,8 +267,12 @@ def _rms_rows(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def _power_of_two_above(magnitudes: np.ndarray, axis: int | None = None) -> np.ndarray:
-    """The power of two just above the largest of the magnitudes (along axis): dividing by it is exact."""
-    return np.ldexp(1.0, np.frexp(magnitudes.max(axis=axis))[1])
+    """The power of two just above the largest of the magnitudes (along axis): dividing by it is exact.
+
+    Above 2^1023 it is 2^1023, the largest power of two a double holds, and
+    the scaled magnitudes lie below 2.
+    """
+    return np.ldexp(1.0, np.minimum(np.frexp(magnitudes.max(axis=axis))[1], 1023))
 
 
 # Errors of a ratio's numerics that mean its kernel and spacing ratio are
@@ -291,14 +297,17 @@ _RANGE_ERRORS = (NotPositiveDefiniteError, OutsideHullError, ArithmeticError)
 # ratio serves every fitted method.
 #
 # The points run as min(threads, N) tasks over contiguous chunks of
-# points. Each task allocates one workspace of R-length rows
-# (_McWorkspace) and writes every point and ratio it evaluates into it
-# with out=; fresh temporaries of a few hundred KB per ratio would sit
-# above glibc's mmap threshold and fault in new pages each time. The rows
-# are sensor-major: one contiguous row per variate, over all realizations,
-# so the shadow rows, the refit and each prediction w @ rows run along
-# whole rows, and the methods' errors stack as (methods, R) rows for one
-# scaled RMS pass.
+# points, and each task runs its chunk in blocks of P points, P = max(1,
+# _BLOCK_DOUBLES // R). Each task allocates one workspace of R-length rows
+# (_McWorkspace) for a block and writes every block and ratio it evaluates
+# into it with out=; fresh temporaries of a few hundred KB per ratio would
+# sit above glibc's mmap threshold and fault in new pages each time. The
+# rows are sensor-major: one contiguous row per variate, over all
+# realizations, stacked point by point. The row correlation, the median
+# powers, the errors against the truth rows and the scaled RMS each run
+# once over the block's (P, rows, R) stack, so their fixed cost is paid
+# once per block, not once per point; each point's refit, fitted median
+# and predictions w @ rows run along whole rows, one call each.
 
 
 @dataclass(frozen=True)
@@ -310,7 +319,7 @@ class _McSetup:
     the error that stopped the next one, if any (_joint_factors). sm0[j]
     holds the (N, n) sm0 and sm1 weights of every point, None if no method
     needs them, or the error that stopped them. fit holds the least-squares
-    constants of the sensor distances when a fitted method runs. The point
+    constants of the sensor distances when a fitted method runs. The block
     kernel returns each error at the step that needs it, so failures
     surface in the same order, and with the same errors, as factors and
     weights built point by point.
@@ -354,76 +363,142 @@ def _mc_setup(scns: list[Scenario], forms: GridForms) -> _McSetup:
         )
 
 
-class _McWorkspace:
-    """The R-length rows that one Monte Carlo task writes every point and ratio it evaluates into.
+# Doubles in one (points, R) plane of a block: P = max(1, _BLOCK_DOUBLES // R)
+# points run per numpy pass, 8 at R = 2,000, one at R = 10^4.
+_BLOCK_DOUBLES = 2**14
 
-    They are views of one block, allocated once. joint holds the truth row,
-    then one measurement row per sensor; dev sm0's deviations of the
-    measurements from the sensors' median powers, and before them the
-    scratch rows of the row correlation and the refit; fit lse_fit's rows;
-    errors one row per method; median the fitted median power at the point.
-    Every row is written before it is read at each ratio, so nothing
-    carries from one point or ratio to the next.
+
+@contextmanager
+def _unbuffered(row_length: int) -> Iterator[None]:
+    """Run numpy's broadcast passes over rows of row_length along whole rows, not through its ufunc buffers, until exit.
+
+    numpy 2 copies a broadcast operand, such as a (5, 1) column against
+    (2000,) rows, into buffers (8192 elements by default) to run inner
+    loops longer than a row; on rows of a few thousand doubles the copies
+    cost more than they save (11 us against 3-4 us for that product on a
+    2-core Xeon VM). A 16-element buffer, the smallest numpy takes, leaves
+    nothing worth buffering. Rows as long as the default buffer are never
+    joined, and there the small buffer only costs a few percent, so they
+    keep the default. Elementwise results do not depend on the buffer, nor
+    do sums along contiguous rows, which are never buffered. The buffer
+    size is restored on exit, with the error state.
+    """
+    with np.errstate():
+        if row_length < np.getbufsize():
+            np.setbufsize(16)
+        yield
+
+
+class _McWorkspace:
+    """The R-length rows that one Monte Carlo task writes every block of points and every ratio into.
+
+    Each part is a (points, rows, R) view of one allocation, contiguous
+    for any leading run of points. z holds each point's normals, drawn once
+    for every ratio; joint its truth row, then one measurement row per
+    sensor; dev sm0's deviations of the measurements from the sensors'
+    median powers, and before them the scratch rows of the row correlation
+    and the refit; errors one row per method. When a fitted method runs,
+    fit holds lse_fit's rows and median the fitted median power, which one
+    point uses at a time; they are None otherwise. Every row is written
+    before it is read at each ratio, so nothing carries from one block or
+    ratio to the next. bitgen is the Philox generator that every draw keys
+    afresh.
     """
 
-    def __init__(self, n_sensors: int, n_methods: int, realizations: int):
+    def __init__(self, n_sensors: int, n_methods: int, realizations: int, points: int, fitted: bool):
         n = n_sensors
-        self.rows = np.empty((3 * n + 6 + n_methods, realizations))
-        self.joint, self.dev, self.fit, self.errors, (self.median,) = np.split(
-            self.rows, np.cumsum((n + 1, n, n + 4, n_methods))
-        )
+        sizes = [n + 1, n + 1, n, n_methods]
+        self.rows = np.empty((points * sum(sizes) + (n + 5 if fitted else 0)) * realizations)
+        *parts, shared = np.split(self.rows, np.cumsum([points * size for size in sizes]) * realizations)
+        self.z, self.joint, self.dev, self.errors = (part.reshape(points, -1, realizations) for part in parts)
+        self.fit = self.median = None
+        if fitted:
+            self.fit, self.median = shared[:-realizations].reshape(n + 4, -1), shared[-realizations:]
+        self.bitgen = np.random.Philox(0)  # keyed afresh by every draw
 
 
-def _mc_point_rmse(
-    setup: _McSetup, k: int, point_index: int, realizations: int, master_seed: int, ws: _McWorkspace
-) -> list[np.ndarray | Exception]:
-    """RMS prediction error of each method at point k of the setup's forms, for each scenario, from one draw.
+def _mc_block_rmse(
+    setup: _McSetup, block: range, indices: Sequence[int], realizations: int, master_seed: int, ws: _McWorkspace
+) -> list[list[np.ndarray | Exception]]:
+    """RMS prediction error of each method at a block of points of the setup's forms, for each scenario.
 
-    point_index keys the point's stream; ws is the calling task's
-    workspace. Entry j holds scenario j's errors in the order of
-    forms.methods, or the error that stopped scenario j, if its numbers
-    left the range of doubles or its fit was degenerate: it is returned,
-    not raised, so that the caller can raise it at its own ratio.
+    block holds the points' indices into the forms, indices[i] keys point
+    i's stream, and ws is the calling task's workspace, with room for the
+    block. Entry [p][j] holds point block[p]'s errors under scenario j in
+    the order of forms.methods, or the error that stopped the point there,
+    if its numbers left the range of doubles or its fit was degenerate: it
+    is returned, not raised, so that the caller can raise it at its own
+    ratio. Each point's results have the bits of a block of one.
     """
     forms = setup.forms
-    pm, pm0 = forms.pm[:, None], forms.pm0[k]  # pm: (n, 1)
-    medians = np.append(pm0, forms.pm)[:, None]  # the point's and the sensors' median powers
-    z = standard_normal_block(master_seed, point_index, len(pm) + 1, realizations)
-    truth, meas = ws.joint[0], ws.joint[1:]  # (R,) and (n, R): the shadows, then the powers
-    out: list[np.ndarray | Exception] = []
-    for (joint, joint_error), sm0 in zip(setup.joint, setup.sm0):
-        # a shared error is returned, not raised: a raise would add this
-        # point's frame to its traceback
-        if k >= len(joint):
-            out.append(joint_error)
-            continue
-        try:
-            correlate_normals(joint[k], z, out=ws.joint, scratch=ws.dev)
-            ws.joint += medians
-            if setup.fit is not None:
-                fit = lse_fit(setup.fit, meas.T, out=ws.fit, scratch=ws.dev)
-                # fitted median a_hat + 10 gamma_hat x0, x0 the point's log10 emitter distance
-                np.multiply(fit.gamma_hat, 10.0, out=ws.median)
-                ws.median *= forms.fit[3][k]
-                ws.median += fit.a_hat
-            if isinstance(sm0, Exception):
-                out.append(sm0)
-                continue
-            for row, method in zip(ws.errors, forms.methods):  # each method's prediction
-                w = sm0[k] if method in (SM0, SM1) else forms.weights[method][k]
-                if method == SM0:
-                    np.matmul(w, np.subtract(meas, pm, out=ws.dev), out=row)
-                    row += pm0
-                elif method in (SM1, SM2):
-                    np.matmul(w, fit.residuals.T, out=row)
-                    row += ws.median
-                else:
-                    np.matmul(w, meas, out=row)
-            np.subtract(truth, ws.errors, out=ws.errors)
-            out.append(_rms_rows(ws.errors, out=ws.errors))  # RMS over realizations, scaled against overflow
-        except (DegenerateGeometryError, *_RANGE_ERRORS) as err:
-            out.append(err)
+    n, points = len(forms.pm), len(block)
+    for p, i in enumerate(block):
+        standard_normal_block(master_seed, indices[i], n + 1, realizations, out=ws.z[p], bitgen=ws.bitgen)
+    at = slice(block.start, block.stop)
+    medians = np.empty((points, n + 1, 1))  # each point's and the sensors' median powers
+    medians[:, 0, 0], medians[:, 1:, 0] = forms.pm0[at], forms.pm
+    out: list[list[np.ndarray | Exception]] = [[] for _ in block]
+    with _unbuffered(realizations):
+        for (joint, joint_error), sm0 in zip(setup.joint, setup.sm0):
+            # the points from the first without a factor share its error; a
+            # shared error is returned, not raised: a raise would add this
+            # block's frame to its traceback
+            v = min(max(len(joint) - block.start, 0), points)
+            for p in range(v, points):
+                out[p].append(joint_error)
+            if v:
+                for p, result in enumerate(_mc_block_ratio(setup, block[:v], joint[at][:v], sm0, medians[:v], ws)):
+                    out[p].append(result)
     return out
+
+
+def _mc_block_ratio(
+    setup: _McSetup,
+    block: range,
+    joint: np.ndarray,
+    sm0: np.ndarray | Exception | None,
+    medians: np.ndarray,
+    ws: _McWorkspace,
+) -> list[np.ndarray | Exception]:
+    """One scenario's errors at a block of points with joint factors, from the normals in ws.z (_mc_block_rmse)."""
+    forms, v = setup.forms, len(block)
+    pm = forms.pm[:, None]  # (n, 1)
+    rows, errors, dev = ws.joint[:v], ws.errors[:v], ws.dev[:v]
+    failed: list[Exception | None] = [None] * v
+    try:
+        correlate_normals(joint, ws.z[:v].swapaxes(1, 2), out=rows, scratch=dev)
+        rows += medians
+        for p, k in enumerate(block):  # each point's refit and predictions, one call each
+            meas = rows[p, 1:]  # (n, R): the powers
+            try:
+                if setup.fit is not None:
+                    fit = lse_fit(setup.fit, meas.T, out=ws.fit, scratch=dev[p])
+                    # fitted median a_hat + 10 gamma_hat x0, x0 the point's log10 emitter distance
+                    median = np.multiply(fit.gamma_hat, 10.0, out=ws.median)
+                    median *= forms.fit[3][k]
+                    median += fit.a_hat
+                if isinstance(sm0, Exception):
+                    continue
+                for row, method in zip(errors[p], forms.methods):
+                    w = sm0[k] if method in (SM0, SM1) else forms.weights[method][k]
+                    if method == SM0:
+                        np.matmul(w, np.subtract(meas, pm, out=dev[p]), out=row)
+                        row += forms.pm0[k]
+                    elif method in (SM1, SM2):
+                        np.matmul(w, fit.residuals.T, out=row)
+                        row += median
+                    else:
+                        np.matmul(w, meas, out=row)
+            except (DegenerateGeometryError, *_RANGE_ERRORS) as err:
+                failed[p] = err
+        if isinstance(sm0, Exception):
+            return [sm0 if err is None else err for err in failed]
+        np.subtract(rows[:, 0, None], errors, out=errors)  # the truth rows less the predictions
+        flat = errors.reshape(-1, errors.shape[-1])
+        rmse = _rms_rows(flat, out=flat).reshape(v, -1)  # RMS over realizations, scaled against overflow
+    except (DegenerateGeometryError, *_RANGE_ERRORS) as err:
+        return [err if failed_at is None else failed_at for failed_at in failed]
+    return [rmse[p] if err is None else err for p, err in enumerate(failed)]
 
 
 def _mc_rmse(
@@ -450,11 +525,20 @@ def _mc_rmse(
     n_points = len(forms.xy)
     tasks = min(threads, n_points)
     chunks = [range(n_points * t // tasks, n_points * (t + 1) // tasks) for t in range(tasks)]
+    per_block = max(1, _BLOCK_DOUBLES // realizations)
 
     def eval_chunk(chunk: range) -> list[list[np.ndarray | Exception]]:
-        ws = _McWorkspace(len(forms.pm), len(forms.methods), realizations)
+        ws = _McWorkspace(
+            len(forms.pm), len(forms.methods), realizations, min(per_block, len(chunk)), setup.fit is not None
+        )
         with np.errstate(all="ignore"):  # pool threads do not inherit the caller's state
-            return [_mc_point_rmse(setup, i, indices[i], realizations, master_seed, ws) for i in chunk]
+            return [
+                at_point
+                for start in range(0, len(chunk), per_block)
+                for at_point in _mc_block_rmse(
+                    setup, chunk[start : start + per_block], indices, realizations, master_seed, ws
+                )
+            ]
 
     if tasks > 1:
         with ThreadPoolExecutor(max_workers=tasks) as pool:
@@ -684,7 +768,7 @@ def _spatial_stderr(per_point_rmse: np.ndarray, realizations: int, spatial: np.n
     r = np.asarray(per_point_rmse, dtype=float)
     top = _power_of_two_above(np.abs(r), axis=-1)
     var_sq = (2.0 / realizations) * np.mean((r / top[..., None]) ** 4, axis=-1) / r.shape[-1]
-    return np.where(spatial <= 0.0, 0.0, np.sqrt(var_sq) * top / (2.0 * spatial) * top)
+    return np.where(spatial <= 0.0, 0.0, np.sqrt(var_sq) * top / spatial * (0.5 * top))  # 2 * spatial may overflow
 
 
 def sweep(config: ExperimentConfig, threads: int = 1) -> list[SweepRow]:

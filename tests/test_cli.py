@@ -550,17 +550,24 @@ def _load_perfbench_workloads():
 PERFBENCH = _load_perfbench_workloads()
 
 
-# The analytic CSV contract: the benchmark's recorded outputs, which hold the
-# CSVs of the sweep and grid commands to within 1e-9 dB.
+# The CSV contract: the benchmark's recorded outputs, which hold the CSVs of
+# the sweep and grid commands to within 1e-9 dB. They were recorded on one
+# thread; the Monte Carlo ones hold at any thread count.
 @pytest.mark.parametrize(
-    "name, seed", [("sweep-analytic", seed) for seed in range(10)] + [("grid-both", 0)]
+    "name, seed, threads",
+    [pytest.param("sweep-analytic", seed, 1, id=f"sweep-analytic-{seed}") for seed in range(10)]
+    + [
+        pytest.param("grid-both", 0, 1, id="grid-both-0"),
+        pytest.param("grid-both", 0, 2, id="grid-both-0-threads2"),
+        pytest.param("sweep-mc", 0, 2, id="sweep-mc-0-threads2"),
+    ],
 )
-def test_outputs_match_recorded_benchmark_reference(tmp_path, name, seed):
+def test_outputs_match_recorded_benchmark_reference(tmp_path, name, seed, threads):
     workload = PERFBENCH.WORKLOADS[name]
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(workload.config(seed)))
     out = tmp_path / "out"
-    assert main(workload.argv(str(cfg), str(out), threads=1)) == 0
+    assert main(workload.argv(str(cfg), str(out), threads=threads)) == 0
     reference = PERFBENCH.load_reference(workload, seed)
     assert reference is not None
     assert PERFBENCH.check_outputs(workload, out, reference) == []

@@ -124,11 +124,30 @@ class TestNormalStream:
 
         top = [2**64 - 2**11, 2**64 - 1]
         words = np.array([0, 2**63, 2**64 - 2**12, *top], dtype=np.uint64)
-        got = _normal_rows(words[:, None].copy(), 1)[0]
+        got = _normal_rows(words[:, None].copy(), 1, np.empty((1, len(words))))[0]
         assert np.isfinite(got).all()
         u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
         assert got[:3].tobytes() == ndtri(u[:3]).tobytes()
         assert got[3:].tolist() == [ndtri(1.0 - 2.0**-53)] * 2
+
+    @pytest.mark.parametrize("realizations", [1, 7, 2000])
+    @pytest.mark.parametrize("first_realization", [0, 3])
+    def test_rows_written_in_place_follow_the_raw_word_formula(self, realizations, first_realization):
+        # into a caller's rows and from a reused generator, whatever they held: the contract's bits
+        from scipy.special import ndtri
+
+        bitgen = np.random.Philox(key=np.array([11, 4], dtype=np.uint64))
+        bitgen.advance(first_realization * 2)
+        raw = bitgen.random_raw(realizations * 8)
+        u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+        want = np.ascontiguousarray(ndtri(u).reshape(realizations, 8)[:, :5].T)
+        used = np.random.Philox(0)
+        used.random_raw(5)  # a buffered word and an advanced counter
+        out = np.full((5, realizations), np.nan)
+        for kwargs in ({}, {"out": out}, {"out": out, "bitgen": used}, {"bitgen": used}):
+            got = standard_normal_block(11, 4, 5, realizations, first_realization, **kwargs)
+            assert got.T.tobytes() == want.tobytes()
+        assert out.tobytes() == want.tobytes()
 
     def test_streams_read_no_os_entropy(self, monkeypatch):
         # Philox(key=...) would seed itself from the OS before the key overrides it
@@ -191,6 +210,21 @@ class TestCorrelateRows:
         assert _correlate_rows(z, lower, out, scratch).tobytes() == want.tobytes()
         s0, s = correlate_normals(lower, z, out=np.full((5, realizations), np.nan))
         assert s0.tobytes() == want[:, 0].tobytes() and s.tobytes() == want[:, 1:].tobytes()
+
+
+    @pytest.mark.parametrize("realizations", [1, 7, 2000])
+    def test_stack_of_points_matches_each_point_alone_bit_for_bit(self, realizations):
+        # a (P, n+1, n+1) stack of factors over a (P, R, n+1) stack of normals
+        model = CorrelationModel("elliptical", sigma=5.0, xc=640.0, axis_ratio=3.3, rotation=0.5)
+        scn = build_square_scenario(640.0, Point(-100.0, 0.0), 15.3, 3.76, model)
+        lower = joint_factors(scn, make_grid(640.0, 3).xy)
+        z = np.stack([standard_normal_block(21, k, 5, realizations) for k in range(len(lower))])
+        out = np.full((len(lower), 5, realizations), np.nan)
+        s0, s = correlate_normals(lower, z, out=out)
+        assert s0.shape == (9, realizations) and s.shape == (9, realizations, 4)
+        for k in range(len(lower)):
+            want = _correlate_rows(z[k], lower[k])
+            assert out[k].tobytes() == np.ascontiguousarray(want.T).tobytes()
 
 
 class TestJointFactors:

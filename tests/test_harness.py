@@ -23,7 +23,16 @@ from radiomap import (
 from radiomap.analysis import grid_forms
 from radiomap.estimators import sensor_factor, sm0_weights
 from radiomap.field import joint_cholesky
-from radiomap.harness import MAX_THREADS, _grid_eval, _grid_evals, _mc_point_rmse, _mc_setup, _McWorkspace, _rms_rows
+from radiomap.harness import (
+    MAX_THREADS,
+    _grid_eval,
+    _grid_evals,
+    _mc_block_rmse,
+    _mc_setup,
+    _McWorkspace,
+    _rms_rows,
+    _spatial_stderr,
+)
 from radiomap.linalg import NotPositiveDefiniteError
 
 
@@ -58,7 +67,7 @@ def test_rms_rows_multiply_with_the_bits_of_division():
     # the reciprocal of each row's power of two scales it with the bits that dividing by it gives
     def divided(rows):
         scaled = np.abs(rows)
-        top = np.ldexp(1.0, np.frexp(scaled.max(axis=1))[1])
+        top = np.ldexp(1.0, np.minimum(np.frexp(scaled.max(axis=1))[1], 1023))  # 2^1023 at most
         scaled /= top[:, None]
         return np.sqrt(np.mean(np.square(scaled), axis=1)) * top
 
@@ -74,6 +83,32 @@ def test_rms_rows_multiply_with_the_bits_of_division():
     with np.errstate(all="ignore"):
         for rows in [*blocks, np.vstack(blocks)]:
             assert _rms_rows(rows.copy()).tobytes() == divided(rows).tobytes()
+
+
+def test_rows_at_or_above_2_to_the_1023_stay_finite():
+    # the power of two above such a row is 2^1023, not inf; scaling a row by an exact power of two
+    # scales its RMS and standard error exactly
+    assert spatial_average(np.array([1e308, 1.0])) == 7.071067811865476e307
+    top = np.finfo(float).max
+    rows = np.array([[top, top, top], [top, -top / 3.0, 1.0]])
+    rms = _rms_rows(rows.copy())
+    assert np.isfinite(rms).all() and spatial_average(rows[0]) == rms[0]
+    assert rms.tobytes() == (_rms_rows(rows * 2.0**-600) * 2.0**600).tobytes()
+    stderr = _spatial_stderr(rows, 1000, rms)
+    assert np.isfinite(stderr).all() and (stderr > 0.0).all()
+    assert stderr.tobytes() == (_spatial_stderr(rows * 2.0**-600, 1000, rms * 2.0**-600) * 2.0**600).tobytes()
+
+
+def test_unbuffered_passes_shrink_the_buffer_for_short_rows_and_restore_numpy_state():
+    from radiomap.harness import _unbuffered
+
+    before = np.getbufsize(), np.geterr()
+    for row_length, inside in ((2000, 16), (before[0], before[0])):
+        with _unbuffered(row_length):
+            assert np.getbufsize() == inside
+        assert (np.getbufsize(), np.geterr()) == before
+    with np.errstate(over="raise"), _unbuffered(2000):
+        assert np.geterr()["over"] == "raise"
 
 
 def test_sweep_makes_no_point_per_grid_point(monkeypatch):
@@ -177,37 +212,82 @@ class TestMcWorkspace:
                 assert row.tobytes() == sm0_weights(scn.correlation, sensors, Point(x, y), factor).tobytes()
 
     def test_no_row_leaks_between_points_or_ratios(self):
-        # NaN in every row before each point, points in reverse order: the same bytes
+        # NaN in every row before each block, blocks in reverse order: the same bytes
         cfg = ExperimentConfig(resolution=3, realizations=257, ratios=(0.2, 1.0, 5.0), master_seed=4)
         xy = cfg.grid().xy
         _, setup = self.setup_for(cfg, xy)
         R = cfg.realizations
-        ws = _McWorkspace(4, len(cfg.methods), R)
-        forward = [_mc_point_rmse(setup, k, k, R, cfg.master_seed, ws) for k in range(len(xy))]
-        ws = _McWorkspace(4, len(cfg.methods), R)
-        for k in reversed(range(len(xy))):
+        blocks = [range(0, 4), range(4, 8), range(8, 9)]
+        ws = _McWorkspace(4, len(cfg.methods), R, 4, fitted=True)
+        forward = [at for block in blocks for at in _mc_block_rmse(setup, block, range(9), R, cfg.master_seed, ws)]
+        ws = _McWorkspace(4, len(cfg.methods), R, 4, fitted=True)
+        for block in reversed(blocks):
             ws.rows.fill(np.nan)
-            got = _mc_point_rmse(setup, k, k, R, cfg.master_seed, ws)
-            assert [r.tobytes() for r in got] == [r.tobytes() for r in forward[k]]
-            assert all(np.isfinite(r).all() for r in got)
+            for k, got in zip(block, _mc_block_rmse(setup, block, range(9), R, cfg.master_seed, ws)):
+                assert [r.tobytes() for r in got] == [r.tobytes() for r in forward[k]]
+                assert all(np.isfinite(r).all() for r in got)
+
+    def test_a_refit_failure_stays_with_its_point(self, monkeypatch):
+        # point 1 of a block of 3 fails its refit at ratio 1.0; points 0 and 2 keep the bytes they have without it
+        from radiomap import harness
+        from radiomap.field import correlate_normals, standard_normal_block
+
+        cfg = ExperimentConfig(resolution=3, realizations=50, ratios=(0.5, 1.0), methods=("sm1", "nat"), master_seed=2)
+        xy = cfg.grid().xy[:3]
+        scns, setup = self.setup_for(cfg, xy)
+        R = cfg.realizations
+        ws = _McWorkspace(4, 2, R, 3, fitted=True)
+        want = _mc_block_rmse(setup, range(3), range(3), R, cfg.master_seed, ws)
+        z = standard_normal_block(cfg.master_seed, 1, 5, R)
+        point_one = correlate_normals(joint_cholesky(scns[1], Point(*xy[1].tolist())), z)[1] + setup.forms.pm
+        fit = harness.lse_fit
+
+        def refit_of_point_one_fails(design, powers, *args, **kwargs):
+            if np.array_equal(powers, point_one):
+                raise FloatingPointError("refit of point 1")
+            return fit(design, powers, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "lse_fit", refit_of_point_one_fails)
+        got = _mc_block_rmse(setup, range(3), range(3), R, cfg.master_seed, ws)
+        assert str(got[1][1]) == "refit of point 1" and got[1][0].tobytes() == want[1][0].tobytes()
+        assert [r.tobytes() for k in (0, 2) for r in got[k]] == [r.tobytes() for k in (0, 2) for r in want[k]]
+
+    @staticmethod
+    def peak_bytes(setup, points, R):
+        import tracemalloc
+
+        def run():
+            ws = _McWorkspace(4, len(setup.forms.methods), R, points, fitted=setup.fit is not None)
+            _mc_block_rmse(setup, range(points), range(points), R, 5, ws)
+
+        run()  # imports scipy outside the trace
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
     def test_memory_budget_of_one_point(self):
         # one point's 9-ratio evaluation, workspace included, peaks below 39 R-length rows:
-        # a workspace of 24 rows, then the draw's 8 Philox rows and 5 normal rows
+        # a workspace of 29 rows (20 for the point, 9 for its refit), then the draw's 8 Philox rows
         # (41 rows when every ratio allocated its own temporaries)
-        import tracemalloc
-
         cfg = ExperimentConfig(realizations=10000, mode="mc")
         _, setup = self.setup_for(cfg, cfg.grid().xy[:1])
+        assert self.peak_bytes(setup, 1, cfg.realizations) <= 39 * 8 * cfg.realizations
+
+    def test_memory_budget_of_a_block(self):
+        # a block of 8 points at R = 2,000, the most that 2^14 doubles per row hold, peaks below
+        # the workspace's 20 rows per point and 9 for one refit at a time, one draw's 8 Philox rows,
+        # numpy's 64 KB ufunc buffer for the draw's cast and 8 KB of small arrays
+        from radiomap import harness
+
+        cfg = ExperimentConfig(realizations=2000, mode="mc")
         R = cfg.realizations
-        _mc_point_rmse(setup, 0, 0, R, 5, _McWorkspace(4, 6, R))  # imports scipy outside the trace
-        tracemalloc.start()
-        try:
-            _mc_point_rmse(setup, 0, 0, R, 5, _McWorkspace(4, 6, R))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 39 * 8 * R
+        points = harness._BLOCK_DOUBLES // R
+        assert points == 8
+        _, setup = self.setup_for(cfg, cfg.grid().xy[:points])
+        assert self.peak_bytes(setup, points, R) <= (20 * points + 9 + 8) * 8 * R + 2**16 + 2**13
 
 
 class TestGridRmse:
@@ -235,6 +315,32 @@ class TestGridRmse:
         four = _grid_eval(cfg, 1.0, cfg.methods, threads=4)
         for m in cfg.methods:
             assert np.array_equal(one[m].rmse, four[m].rmse)
+
+    def test_block_size_is_invisible(self, monkeypatch):
+        # blocks of 1, 3 and the default number of points, on 1 and 2 threads, give the same bytes;
+        # 25 points are no multiple of 3
+        from radiomap import harness
+
+        cfg = ExperimentConfig(resolution=5, mode="mc", realizations=40, ratios=(0.2, 1.0, 5.0), master_seed=6, nu=2)
+        kernel, sizes = harness._mc_block_rmse, []
+
+        def recorded(setup, block, *args):
+            sizes.append(len(block))
+            return kernel(setup, block, *args)
+
+        monkeypatch.setattr(harness, "_mc_block_rmse", recorded)
+        results = set()
+        for budget in (40, 120, harness._BLOCK_DOUBLES):  # R = 40: 1, 3 and 409 points per block
+            monkeypatch.setattr(harness, "_BLOCK_DOUBLES", budget)
+            for threads in (1, 2):
+                sizes.clear()
+                evals = _grid_evals(cfg, cfg.ratios, cfg.methods, threads)
+                surfaces = [s for at_ratio in evals for s in at_ratio.values()]
+                # chunks of 25 points, or of 12 and 13
+                assert max(sizes) == min(budget // 40, -(-25 // threads)) and sum(sizes) == 25
+                stats = [np.float64([s.spatial_rmse, s.mc_stderr]) for s in surfaces]
+                results.add(b"".join(s.rmse.tobytes() + t.tobytes() for s, t in zip(surfaces, stats)))
+        assert len(results) == 1
 
     def test_both_mode_flags_agreement(self):
         cfg = ExperimentConfig(resolution=4, mode="both", realizations=4000, master_seed=2)
@@ -484,28 +590,27 @@ class TestSweep:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_earlier_point_refit_failure_takes_precedence(self, monkeypatch, threads):
-        # point 2 fails at its refit, a later step than point 5's joint factor, at the same ratio
-        import threading
-
+        # point 2 fails at its refit, a later step than point 5's joint factor, at the same ratio,
+        # and the two points share a block of the kernel
         from radiomap import harness
+        from radiomap.field import correlate_normals, standard_normal_block
 
         cfg = ExperimentConfig(resolution=4, mode="mc", realizations=50, ratios=(0.5, 1.0, 2.0), methods=("nn", "sm2"))
+        assert harness._BLOCK_DOUBLES // cfg.realizations > 5
         self._point_five_indefinite_at_ratio_one(monkeypatch, cfg)
-        local = threading.local()  # the point this thread runs, and its refits so far
-        draw, fit = harness.standard_normal_block, harness.lse_fit
+        # the refit of point 2 at ratio 1.0 is the one that fits its measurements there
+        scn, xy = cfg.scenario(1.0), cfg.grid().xy
+        pm = grid_forms(scn, xy, cfg.methods).pm
+        z = standard_normal_block(cfg.master_seed, 2, 5, cfg.realizations)
+        point_two = correlate_normals(joint_cholesky(scn, Point(*xy[2].tolist())), z)[1] + pm
+        fit = harness.lse_fit
 
-        def tracked_draw(master_seed, point_index, *args):
-            local.point, local.fits = point_index, 0
-            return draw(master_seed, point_index, *args)
-
-        def second_refit_of_point_two_fails(*args, **kwargs):
-            local.fits += 1
-            if (local.point, local.fits) == (2, 2):
+        def refit_of_point_two_fails(design, powers, *args, **kwargs):
+            if np.array_equal(powers, point_two):
                 raise FloatingPointError("refit of point 2")
-            return fit(*args, **kwargs)
+            return fit(design, powers, *args, **kwargs)
 
-        monkeypatch.setattr(harness, "standard_normal_block", tracked_draw)
-        monkeypatch.setattr(harness, "lse_fit", second_refit_of_point_two_fails)
+        monkeypatch.setattr(harness, "lse_fit", refit_of_point_two_fails)
         evals = _grid_evals(cfg, cfg.ratios, cfg.methods, threads=threads)
         next(evals)
         with pytest.raises(ConfigError) as exc:
