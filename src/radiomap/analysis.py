@@ -180,8 +180,9 @@ class GridForms:
     holds the (N, n) sensor weights of every requested method but sm0 and
     sm1, whose weights follow the correlation model; sm2 and idw share one
     array. When sm1 or sm2 is requested, fit holds their least-squares
-    pieces (estimators._emitter_rows). The Monte Carlo route takes pm0, pm
-    and weights from here as well.
+    pieces (estimators._emitter_rows), the sensor distances' LseDesign
+    first. The Monte Carlo route takes pm0, pm, weights and the fit's
+    design from here as well.
     """
 
     methods: tuple[str, ...]

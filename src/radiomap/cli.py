@@ -14,9 +14,9 @@ through a temp file and a rename. CSV files carry a header row, '.'
 decimals and 12 significant digits; identical config and seed produce
 byte-identical CSV regardless of --threads.
 
-Exit codes: 0 success, 1 I/O failure, 2 invalid configuration or a kernel
-and ratio outside the numeric range, 3 degenerate geometry, 4 validation
-check failure.
+Exit codes: 0 success, 1 I/O failure, 2 invalid configuration, a kernel
+and ratio outside the numeric range, or a resolution or realizations too
+large for memory, 3 degenerate geometry, 4 validation check failure.
 """
 
 from __future__ import annotations
@@ -325,6 +325,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError:
+        print("out of memory: lower 'resolution' or 'realizations'", file=sys.stderr)
+        return EXIT_CONFIG
     return EXIT_OK
 
 

@@ -225,8 +225,8 @@ def lse_fit(
     return FitResult(a_hat=a_hat[()], gamma_hat=slope[()], residuals=residuals.T)
 
 
-# The fitted methods' pieces at N points: (x, c_a, c_slope, x0).
-FitRows = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+# The fitted methods' pieces at N points: (design, c_a, c_slope, x0).
+FitRows = tuple[LseDesign, np.ndarray, np.ndarray, np.ndarray]
 
 
 def _emitter_rows(
@@ -235,8 +235,9 @@ def _emitter_rows(
     """pm0, pm and fit at the rows of an (N, 2) array, from one pass over their emitter distances.
 
     pm0 holds the points' median powers and pm the sensors'. fit is
-    (x, c_a, c_slope, x0) if methods has sm1 or sm2, else None: x holds the
-    sensors' log10 emitter distances and x0 the points'; a_hat = c_a . P and
+    (design, c_a, c_slope, x0) if methods has sm1 or sm2, else None: design
+    is lse_design() of the sensors' emitter distances, whose x holds their
+    log10, and x0 holds the points'; a_hat = c_a . P and
     10 * gamma_hat = c_slope . P for measurements P.
     """
     x0 = emitter_log_distances(scn, xy)
@@ -244,7 +245,7 @@ def _emitter_rows(
     fit = None
     if any(m in (SM1, SM2) for m in methods):
         d = lse_design(scn.sensor_distances())
-        fit = d.x, (d.sxx - d.sx * d.x) / d.denom, (d.x.size * d.x - d.sx) / d.denom, x0
+        fit = d, (d.sxx - d.sx * d.x) / d.denom, (d.x.size * d.x - d.sx) / d.denom, x0
     return median_powers(scn, x0), pm, fit
 
 
@@ -525,8 +526,8 @@ def _affine_rows(
         return pm0 - w @ pm, w
     if method in (SM1, SM2):
         # residual rows r_i = e_i - c_a - x_i * c_slope, applied through w
-        x, c_a, c_slope, x0 = fit
-        coeffs = c_a + x0[:, None] * c_slope + w - w.sum(axis=-1)[..., None] * c_a - (w @ x)[..., None] * c_slope
+        design, c_a, c_slope, x0 = fit
+        coeffs = c_a + x0[:, None] * c_slope + w - w.sum(axis=-1)[..., None] * c_a - (w @ design.x)[..., None] * c_slope
         return np.zeros(w.shape[:-1]), coeffs
     return np.zeros(w.shape[:-1]), w
 

@@ -12,13 +12,16 @@ changes, the geometry-only weights above all, are gathered once per sweep
 for both engines. The grid is its (N, 2) coordinate array (QueryGrid.xy),
 which each RmseSurface carries. The closed form is one array evaluation
 for the whole sweep: every ratio at every grid point as one stack. The
-Monte Carlo route runs point-major, one task per contiguous chunk of
+Monte Carlo route decides every way a ratio can fail in its set-up, before
+any draw, and sets up nothing past the first failing ratio; its kernel then
+only computes. It runs point-major, one task per contiguous chunk of
 points, each chunk in blocks of points that every numpy pass covers at
-once, and draws each point's normals once for every ratio (see its section
-below). One driver, _mc_rmse, keyed by an array of stream
-indices, runs a grid's points, point_rmse_mc's one point and the
-validation check's points. Each engine's spatial aggregates, for every
-(ratio, method) pair, come from one row-wise pass over its per-point RMSEs.
+once, draws each point's normals once for every ratio, and writes every
+block into one (K, M, N) array (see its section below). One driver,
+_mc_rmse, keyed by an array of stream indices, runs a grid's points,
+point_rmse_mc's one point and the validation check's points. Each engine's
+spatial aggregates, for every (ratio, method) pair, come from one row-wise
+pass over its per-point RMSEs.
 
 Monte Carlo determinism: realizations for grid point i come from the
 substream keyed by (master_seed, i), so results are bitwise identical for
@@ -44,9 +47,7 @@ from .estimators import (
     SM1,
     SM2,
     ALL_METHODS,
-    LseDesign,
     OutsideHullError,
-    lse_design,
     lse_fit,
     sensor_factor,
     sm0_weight_rows,
@@ -289,12 +290,18 @@ _RANGE_ERRORS = (NotPositiveDefiniteError, OutsideHullError, ArithmeticError)
 # realizations, instead of reusing the closed-form error coefficients, so
 # that analytic and Monte Carlo results stay independent checks of one
 # another. A point's normals depend on its stream alone, so one draw serves
-# every ratio. Before the points run, each ratio builds and factors the
-# joint covariances of every point as one (N, n+1, n+1) stack, factors the
-# sensor covariance once and solves every point's sm0 weights in one
-# stacked call, and the fit's distance-only constants (lse_design) are
-# computed once for the sweep; a point takes its row of each. One fit per
-# ratio serves every fitted method.
+# every ratio.
+#
+# Set-up (_mc_setup) runs before any draw and decides every failure. Each
+# ratio in turn builds and factors the joint covariances of every point as
+# one (N, n+1, n+1) stack, and factors the sensor covariance once and solves
+# every point's sm0 weights in one stacked call; the first ratio that fails
+# there stops the set-up, and its error is the one the sweep raises at that
+# ratio. Past set-up nothing fails: the fit's distance-only constants were
+# checked once, with the forms (GridForms.fit), and the kernel's arithmetic
+# runs with numpy's errors off, its inf and NaN named later by the
+# finiteness checks. So the kernel only computes. One fit per ratio serves
+# every fitted method.
 #
 # The points run as min(threads, N) tasks over contiguous chunks of
 # points, and each task runs its chunk in blocks of P points, P = max(1,
@@ -307,60 +314,57 @@ _RANGE_ERRORS = (NotPositiveDefiniteError, OutsideHullError, ArithmeticError)
 # powers, the errors against the truth rows and the scaled RMS each run
 # once over the block's (P, rows, R) stack, so their fixed cost is paid
 # once per block, not once per point; each point's refit, fitted median
-# and predictions w @ rows run along whole rows, one call each.
+# and predictions w @ rows run along whole rows, one call each. Each
+# block's (P, M) RMSEs go straight into the one (K', M, N) result.
 
 
 @dataclass(frozen=True)
 class _McSetup:
-    """What every point of a Monte Carlo sweep shares, one entry per scenario.
+    """What every point of a Monte Carlo run shares, one entry per scenario set up.
 
-    The scenarios differ only in their correlation model. joint[j] is
-    (factors, err): the joint factors of the first len(factors) points, and
-    the error that stopped the next one, if any (_joint_factors). sm0[j]
-    holds the (N, n) sm0 and sm1 weights of every point, None if no method
-    needs them, or the error that stopped them. fit holds the least-squares
-    constants of the sensor distances when a fitted method runs. The block
-    kernel returns each error at the step that needs it, so failures
-    surface in the same order, and with the same errors, as factors and
-    weights built point by point.
+    The scenarios differ only in their correlation model, and set-up stops
+    at the first that fails. joint[j] holds the (N, n+1, n+1) joint factors
+    of every point under scenario j, and sm0[j] their (N, n) sm0 and sm1
+    weights; sm0 is empty if neither method runs. error is the failing
+    scenario's error, None if every scenario is set up.
     """
 
     forms: GridForms
-    joint: list[tuple[np.ndarray, Exception | None]]
-    sm0: list[np.ndarray | Exception | None]
-    fit: LseDesign | None
-
-
-def _joint_factors(scn: Scenario, xy: np.ndarray) -> tuple[np.ndarray, Exception | None]:
-    """The scenario's joint factors at the rows of xy, as far as they go, and the error that stopped them."""
-    try:
-        return joint_factors(scn, xy), None
-    except NotPositiveDefiniteError as err:
-        # the points before the lowest failing one factor as they would alone
-        return joint_factors(scn, xy[: err.index]), err
-    except (ValueError, ArithmeticError) as err:
-        return np.empty((0, len(scn.sensors) + 1, len(scn.sensors) + 1)), err
-
-
-def _sm0_rows(scn: Scenario, forms: GridForms) -> np.ndarray | Exception:
-    """The scenario's sm0 weights at the forms' points, from one sensor factor, or the error that stopped them."""
-    try:
-        factor = sensor_factor(scn.correlation, scn.sensors)
-        return sm0_weight_rows(scn.correlation, forms.sensors, forms.xy, factor)
-    except (ValueError, ArithmeticError) as err:
-        return err
+    joint: list[np.ndarray]
+    sm0: list[np.ndarray]
+    error: Exception | None
 
 
 def _mc_setup(scns: list[Scenario], forms: GridForms) -> _McSetup:
-    """Factor every scenario's joint stack, and solve its sm0 weights if sm0 or sm1 runs."""
-    sm0 = SM0 in forms.methods or SM1 in forms.methods
+    """Factor each scenario's joint stack, and solve its sm0 weights if sm0 or sm1 runs, up to the first that fails.
+
+    A scenario fails at its lowest failing point: a joint factor that is
+    not positive definite at err.index, the sensor factor behind the sm0
+    weights at every point, sigma^2 overflowing at every point. Its error
+    is that point's, the joint factor's when both fail at point 0. Nothing
+    after it is set up.
+    """
+    joint: list[np.ndarray] = []
+    sm0: list[np.ndarray] = []
     with np.errstate(all="ignore"):
-        return _McSetup(
-            forms=forms,
-            joint=[_joint_factors(scn, forms.xy) for scn in scns],
-            sm0=[_sm0_rows(scn, forms) if sm0 else None for scn in scns],
-            fit=lse_design(scns[0].sensor_distances()) if forms.fit is not None else None,
-        )
+        for scn in scns:
+            failures: list[tuple[int, Exception]] = []  # (lowest failing point, its error), the joint factor's first
+            try:
+                factors = joint_factors(scn, forms.xy)
+            except NotPositiveDefiniteError as err:
+                failures.append((err.index, err))
+            except (ValueError, ArithmeticError) as err:
+                failures.append((0, err))
+            if SM0 in forms.methods or SM1 in forms.methods:
+                try:
+                    factor = sensor_factor(scn.correlation, scn.sensors)
+                    sm0.append(sm0_weight_rows(scn.correlation, forms.sensors, forms.xy, factor))
+                except (ValueError, ArithmeticError) as err:
+                    failures.append((0, err))
+            if failures:
+                return _McSetup(forms, joint, sm0[: len(joint)], min(failures, key=lambda f: f[0])[1])
+            joint.append(factors)
+    return _McSetup(forms, joint, sm0, None)
 
 
 # Doubles in one (points, R) plane of a block: P = max(1, _BLOCK_DOUBLES // R)
@@ -418,17 +422,21 @@ class _McWorkspace:
 
 
 def _mc_block_rmse(
-    setup: _McSetup, block: range, indices: Sequence[int], realizations: int, master_seed: int, ws: _McWorkspace
-) -> list[list[np.ndarray | Exception]]:
-    """RMS prediction error of each method at a block of points of the setup's forms, for each scenario.
+    setup: _McSetup,
+    block: range,
+    indices: Sequence[int],
+    realizations: int,
+    master_seed: int,
+    ws: _McWorkspace,
+    out: np.ndarray,
+) -> None:
+    """Write the RMS prediction error of each method at a block of points under each scenario set up into out.
 
-    block holds the points' indices into the forms, indices[i] keys point
-    i's stream, and ws is the calling task's workspace, with room for the
-    block. Entry [p][j] holds point block[p]'s errors under scenario j in
-    the order of forms.methods, or the error that stopped the point there,
-    if its numbers left the range of doubles or its fit was degenerate: it
-    is returned, not raised, so that the caller can raise it at its own
-    ratio. Each point's results have the bits of a block of one.
+    block holds the points' indices into the setup's forms, indices[i] keys
+    point i's stream, ws is the calling task's workspace, with room for the
+    block, and out the (K', M, N) RMSEs, K' scenarios and M methods in the
+    order of forms.methods: the block writes out[:, :, block]. Each point's
+    results have the bits of a block of one.
     """
     forms = setup.forms
     n, points = len(forms.pm), len(block)
@@ -437,68 +445,46 @@ def _mc_block_rmse(
     at = slice(block.start, block.stop)
     medians = np.empty((points, n + 1, 1))  # each point's and the sensors' median powers
     medians[:, 0, 0], medians[:, 1:, 0] = forms.pm0[at], forms.pm
-    out: list[list[np.ndarray | Exception]] = [[] for _ in block]
     with _unbuffered(realizations):
-        for (joint, joint_error), sm0 in zip(setup.joint, setup.sm0):
-            # the points from the first without a factor share its error; a
-            # shared error is returned, not raised: a raise would add this
-            # block's frame to its traceback
-            v = min(max(len(joint) - block.start, 0), points)
-            for p in range(v, points):
-                out[p].append(joint_error)
-            if v:
-                for p, result in enumerate(_mc_block_ratio(setup, block[:v], joint[at][:v], sm0, medians[:v], ws)):
-                    out[p].append(result)
-    return out
+        for j, joint in enumerate(setup.joint):
+            sm0 = setup.sm0[j][at] if setup.sm0 else None
+            out[j, :, at] = _mc_block_ratio(forms, joint[at], sm0, block, medians, ws).T
 
 
 def _mc_block_ratio(
-    setup: _McSetup,
-    block: range,
+    forms: GridForms,
     joint: np.ndarray,
-    sm0: np.ndarray | Exception | None,
+    sm0: np.ndarray | None,
+    block: range,
     medians: np.ndarray,
     ws: _McWorkspace,
-) -> list[np.ndarray | Exception]:
-    """One scenario's errors at a block of points with joint factors, from the normals in ws.z (_mc_block_rmse)."""
-    forms, v = setup.forms, len(block)
+) -> np.ndarray:
+    """(P, M) RMSEs of one scenario at a block of P points, from its joint factors and sm0 rows there and ws.z."""
     pm = forms.pm[:, None]  # (n, 1)
-    rows, errors, dev = ws.joint[:v], ws.errors[:v], ws.dev[:v]
-    failed: list[Exception | None] = [None] * v
-    try:
-        correlate_normals(joint, ws.z[:v].swapaxes(1, 2), out=rows, scratch=dev)
-        rows += medians
-        for p, k in enumerate(block):  # each point's refit and predictions, one call each
-            meas = rows[p, 1:]  # (n, R): the powers
-            try:
-                if setup.fit is not None:
-                    fit = lse_fit(setup.fit, meas.T, out=ws.fit, scratch=dev[p])
-                    # fitted median a_hat + 10 gamma_hat x0, x0 the point's log10 emitter distance
-                    median = np.multiply(fit.gamma_hat, 10.0, out=ws.median)
-                    median *= forms.fit[3][k]
-                    median += fit.a_hat
-                if isinstance(sm0, Exception):
-                    continue
-                for row, method in zip(errors[p], forms.methods):
-                    w = sm0[k] if method in (SM0, SM1) else forms.weights[method][k]
-                    if method == SM0:
-                        np.matmul(w, np.subtract(meas, pm, out=dev[p]), out=row)
-                        row += forms.pm0[k]
-                    elif method in (SM1, SM2):
-                        np.matmul(w, fit.residuals.T, out=row)
-                        row += median
-                    else:
-                        np.matmul(w, meas, out=row)
-            except (DegenerateGeometryError, *_RANGE_ERRORS) as err:
-                failed[p] = err
-        if isinstance(sm0, Exception):
-            return [sm0 if err is None else err for err in failed]
-        np.subtract(rows[:, 0, None], errors, out=errors)  # the truth rows less the predictions
-        flat = errors.reshape(-1, errors.shape[-1])
-        rmse = _rms_rows(flat, out=flat).reshape(v, -1)  # RMS over realizations, scaled against overflow
-    except (DegenerateGeometryError, *_RANGE_ERRORS) as err:
-        return [err if failed_at is None else failed_at for failed_at in failed]
-    return [rmse[p] if err is None else err for p, err in enumerate(failed)]
+    rows, errors, dev = ws.joint[: len(block)], ws.errors[: len(block)], ws.dev[: len(block)]
+    correlate_normals(joint, ws.z[: len(block)].swapaxes(1, 2), out=rows, scratch=dev)
+    rows += medians
+    for p, k in enumerate(block):  # each point's refit and predictions, one call each
+        meas = rows[p, 1:]  # (n, R): the powers
+        if forms.fit is not None:
+            fit = lse_fit(forms.fit[0], meas.T, out=ws.fit, scratch=dev[p])
+            # fitted median a_hat + 10 gamma_hat x0, x0 the point's log10 emitter distance
+            median = np.multiply(fit.gamma_hat, 10.0, out=ws.median)
+            median *= forms.fit[3][k]
+            median += fit.a_hat
+        for row, method in zip(errors[p], forms.methods):
+            w = sm0[p] if method in (SM0, SM1) else forms.weights[method][k]
+            if method == SM0:
+                np.matmul(w, np.subtract(meas, pm, out=dev[p]), out=row)
+                row += forms.pm0[k]
+            elif method in (SM1, SM2):
+                np.matmul(w, fit.residuals.T, out=row)
+                row += median
+            else:
+                np.matmul(w, meas, out=row)
+    np.subtract(rows[:, 0, None], errors, out=errors)  # the truth rows less the predictions
+    flat = errors.reshape(-1, errors.shape[-1])
+    return _rms_rows(flat, out=flat).reshape(len(block), -1)  # RMS over realizations, scaled against overflow
 
 
 def _mc_rmse(
@@ -512,48 +498,39 @@ def _mc_rmse(
     """Monte Carlo RMSE of each method at every point of the forms under K scenarios, one task per chunk of points.
 
     The scenarios differ in their correlation model alone; indices[i] keys
-    point i's stream. Returns the (K', M, N) RMSEs of the scenarios before
-    the first at which a point failed, and that scenario's lowest failing
-    point's error, if any. ValueError names a stream key outside the
-    unsigned 64-bit range, or realizations below 1, before any draw.
+    point i's stream. Set-up decides every failure before any draw
+    (_mc_setup), and the points then run only the K' scenarios before the
+    first that fails. Returns their (K', M, N) RMSEs and that scenario's
+    error, if any. ValueError names a stream key outside the unsigned
+    64-bit range, or realizations that are not an integer of at least 1,
+    before any set-up.
     """
     for index in (min(indices), max(indices)):
         _check_stream_keys(master_seed=master_seed, point_index=index)
-    if realizations < 1:
-        raise ValueError(f"realizations must be at least 1, got {realizations}")
+    if not _accepts(0, realizations) or realizations < 1:
+        raise ValueError(f"realizations must be an integer of at least 1, got {realizations!r}")
     setup = _mc_setup(scns, forms)
     n_points = len(forms.xy)
-    tasks = min(threads, n_points)
+    rmse = np.empty((len(setup.joint), len(forms.methods), n_points))
+    tasks = min(threads, n_points) if setup.joint else 0  # nothing to draw when the first scenario fails
     chunks = [range(n_points * t // tasks, n_points * (t + 1) // tasks) for t in range(tasks)]
     per_block = max(1, _BLOCK_DOUBLES // realizations)
 
-    def eval_chunk(chunk: range) -> list[list[np.ndarray | Exception]]:
+    def eval_chunk(chunk: range) -> None:
         ws = _McWorkspace(
-            len(forms.pm), len(forms.methods), realizations, min(per_block, len(chunk)), setup.fit is not None
+            len(forms.pm), len(forms.methods), realizations, min(per_block, len(chunk)), forms.fit is not None
         )
         with np.errstate(all="ignore"):  # pool threads do not inherit the caller's state
-            return [
-                at_point
-                for start in range(0, len(chunk), per_block)
-                for at_point in _mc_block_rmse(
-                    setup, chunk[start : start + per_block], indices, realizations, master_seed, ws
-                )
-            ]
+            for start in range(0, len(chunk), per_block):
+                _mc_block_rmse(setup, chunk[start : start + per_block], indices, realizations, master_seed, ws, rmse)
 
     if tasks > 1:
         with ThreadPoolExecutor(max_workers=tasks) as pool:
-            per_chunk = list(pool.map(eval_chunk, chunks))
+            list(pool.map(eval_chunk, chunks))
     else:
-        per_chunk = [eval_chunk(chunk) for chunk in chunks]
-    per_point = [at_point for chunk in per_chunk for at_point in chunk]
-    done: list[np.ndarray] = []
-    error = None
-    for at_ratio in zip(*per_point):
-        error = next((r for r in at_ratio if isinstance(r, Exception)), None)
-        if error is not None:
-            break
-        done.append(np.array(at_ratio).T)  # (M, N)
-    return np.reshape(done, (len(done), len(forms.methods), n_points)), error
+        for chunk in chunks:
+            eval_chunk(chunk)
+    return rmse, setup.error
 
 
 def point_rmse_mc(
@@ -568,8 +545,8 @@ def point_rmse_mc(
     """RMS prediction error at one point over simulated shadow realizations.
 
     master_seed and point_index key the point's stream and must each fit in
-    an unsigned 64-bit integer, and realizations must be at least 1:
-    ValueError names the first that does not, before any draw.
+    an unsigned 64-bit integer, and realizations must be an integer of at
+    least 1: ValueError names the first that does not, before any draw.
     """
     forms = grid_forms(scn, coordinates([p0]), (method,), nu)
     rmse, error = _mc_rmse([scn], forms, [point_index], realizations, master_seed)
@@ -690,8 +667,8 @@ def _grid_evals(
     order of a ratio-by-ratio run: a ratio's set-up, its analytic step,
     then its Monte Carlo step, each after the ratios before it are yielded.
     """
-    if not 1 <= threads <= MAX_THREADS:
-        raise ConfigError(f"threads must be between 1 and {MAX_THREADS}, got {threads}")
+    if not (_accepts(0, threads) and 1 <= threads <= MAX_THREADS):
+        raise ConfigError(f"threads must be an integer between 1 and {MAX_THREADS}, got {threads!r}")
     grid = config.grid()
     scns: list[Scenario] = []  # one per ratio set up so far
     forms = None

@@ -136,6 +136,20 @@ class TestSweepCommand:
         assert main(["sweep", str(cfg), str(tmp_path / "out")]) == 2
         assert "realizations" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, entry", [("sweep", "sweep"), ("grid", "grid_rmse")])
+    def test_out_of_memory_exits_2_naming_the_sizes(self, tmp_path, capsys, monkeypatch, command, entry):
+        # stands in for a resolution or realizations too large to allocate
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, entry, out_of_memory)
+        argv = [command, str(write_config(tmp_path)), str(tmp_path / "out")]
+        if command == "grid":
+            argv += ["--ratio", "1.0", "--method", "sm0"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "resolution" in err and "realizations" in err
+
     def test_unknown_method_exits_2_listing_valid(self, tmp_path, capsys):
         cfg = write_config(tmp_path, methods=["sm0", "spline"])
         assert main(["sweep", str(cfg), str(tmp_path / "out")]) == 2

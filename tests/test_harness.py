@@ -177,6 +177,8 @@ class TestPointRmseMc:
             ({"point_index": 2**64}, "point_index"),
             ({"point_index": -3}, "point_index"),
             ({"realizations": 0}, "realizations"),
+            ({"realizations": 2.5}, "realizations"),
+            ({"realizations": True}, "realizations"),
         ],
     )
     def test_integers_checked_before_any_draw(self, monkeypatch, table_scenario, kwargs, field):
@@ -218,47 +220,27 @@ class TestMcWorkspace:
         _, setup = self.setup_for(cfg, xy)
         R = cfg.realizations
         blocks = [range(0, 4), range(4, 8), range(8, 9)]
+        forward = np.empty((len(cfg.ratios), len(cfg.methods), 9))
         ws = _McWorkspace(4, len(cfg.methods), R, 4, fitted=True)
-        forward = [at for block in blocks for at in _mc_block_rmse(setup, block, range(9), R, cfg.master_seed, ws)]
+        for block in blocks:
+            _mc_block_rmse(setup, block, range(9), R, cfg.master_seed, ws, forward)
+        got = np.full_like(forward, np.nan)
         ws = _McWorkspace(4, len(cfg.methods), R, 4, fitted=True)
         for block in reversed(blocks):
             ws.rows.fill(np.nan)
-            for k, got in zip(block, _mc_block_rmse(setup, block, range(9), R, cfg.master_seed, ws)):
-                assert [r.tobytes() for r in got] == [r.tobytes() for r in forward[k]]
-                assert all(np.isfinite(r).all() for r in got)
-
-    def test_a_refit_failure_stays_with_its_point(self, monkeypatch):
-        # point 1 of a block of 3 fails its refit at ratio 1.0; points 0 and 2 keep the bytes they have without it
-        from radiomap import harness
-        from radiomap.field import correlate_normals, standard_normal_block
-
-        cfg = ExperimentConfig(resolution=3, realizations=50, ratios=(0.5, 1.0), methods=("sm1", "nat"), master_seed=2)
-        xy = cfg.grid().xy[:3]
-        scns, setup = self.setup_for(cfg, xy)
-        R = cfg.realizations
-        ws = _McWorkspace(4, 2, R, 3, fitted=True)
-        want = _mc_block_rmse(setup, range(3), range(3), R, cfg.master_seed, ws)
-        z = standard_normal_block(cfg.master_seed, 1, 5, R)
-        point_one = correlate_normals(joint_cholesky(scns[1], Point(*xy[1].tolist())), z)[1] + setup.forms.pm
-        fit = harness.lse_fit
-
-        def refit_of_point_one_fails(design, powers, *args, **kwargs):
-            if np.array_equal(powers, point_one):
-                raise FloatingPointError("refit of point 1")
-            return fit(design, powers, *args, **kwargs)
-
-        monkeypatch.setattr(harness, "lse_fit", refit_of_point_one_fails)
-        got = _mc_block_rmse(setup, range(3), range(3), R, cfg.master_seed, ws)
-        assert str(got[1][1]) == "refit of point 1" and got[1][0].tobytes() == want[1][0].tobytes()
-        assert [r.tobytes() for k in (0, 2) for r in got[k]] == [r.tobytes() for k in (0, 2) for r in want[k]]
+            _mc_block_rmse(setup, block, range(9), R, cfg.master_seed, ws, got)
+            at = slice(block.start, block.stop)
+            assert got[:, :, at].tobytes() == forward[:, :, at].tobytes()
+            assert np.isfinite(got[:, :, at]).all()
 
     @staticmethod
     def peak_bytes(setup, points, R):
         import tracemalloc
 
         def run():
-            ws = _McWorkspace(4, len(setup.forms.methods), R, points, fitted=setup.fit is not None)
-            _mc_block_rmse(setup, range(points), range(points), R, 5, ws)
+            ws = _McWorkspace(4, len(setup.forms.methods), R, points, fitted=setup.forms.fit is not None)
+            out = np.empty((len(setup.joint), len(setup.forms.methods), points))
+            _mc_block_rmse(setup, range(points), range(points), R, 5, ws, out)
 
         run()  # imports scipy outside the trace
         tracemalloc.start()
@@ -359,10 +341,12 @@ class TestGridRmse:
         with pytest.raises(ConfigError, match="ratio"):
             grid_rmse(ExperimentConfig(resolution=2), ratio, "sm0")
 
-    @pytest.mark.parametrize("threads", [0, -1, MAX_THREADS + 1])
+    @pytest.mark.parametrize("threads", [0, -1, MAX_THREADS + 1, 2.5, True])
     def test_bad_thread_count_rejected(self, threads):
         with pytest.raises(ConfigError, match="threads"):
             grid_rmse(ExperimentConfig(resolution=2), 1.0, "sm0", threads=threads)
+        with pytest.raises(ConfigError, match="threads"):
+            grid_rmse(ExperimentConfig(resolution=2, mode="mc", realizations=10), 1.0, "sm0", threads=threads)
         with pytest.raises(ConfigError, match="threads"):
             sweep(ExperimentConfig(resolution=2, ratios=(1.0,)), threads=threads)
 
@@ -589,33 +573,64 @@ class TestSweep:
         assert exc.value.__cause__.index == 5
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_earlier_point_refit_failure_takes_precedence(self, monkeypatch, threads):
-        # point 2 fails at its refit, a later step than point 5's joint factor, at the same ratio,
-        # and the two points share a block of the kernel
-        from radiomap import harness
-        from radiomap.field import correlate_normals, standard_normal_block
-
-        cfg = ExperimentConfig(resolution=4, mode="mc", realizations=50, ratios=(0.5, 1.0, 2.0), methods=("nn", "sm2"))
-        assert harness._BLOCK_DOUBLES // cfg.realizations > 5
+    def test_sensor_factor_failure_takes_precedence_over_a_later_joint_factor(self, monkeypatch, threads):
+        # at ratio 1.0 the joint factor fails at point 5 and the sensor factor at every point:
+        # the sensor factor's error, at point 0, is the one raised
+        cfg = ExperimentConfig(resolution=4, mode="mc", realizations=50, ratios=(0.5, 1.0, 2.0), methods=("nn", "sm1"))
         self._point_five_indefinite_at_ratio_one(monkeypatch, cfg)
-        # the refit of point 2 at ratio 1.0 is the one that fits its measurements there
-        scn, xy = cfg.scenario(1.0), cfg.grid().xy
-        pm = grid_forms(scn, xy, cfg.methods).pm
-        z = standard_normal_block(cfg.master_seed, 2, 5, cfg.realizations)
-        point_two = correlate_normals(joint_cholesky(scn, Point(*xy[2].tolist())), z)[1] + pm
-        fit = harness.lse_fit
-
-        def refit_of_point_two_fails(design, powers, *args, **kwargs):
-            if np.array_equal(powers, point_two):
-                raise FloatingPointError("refit of point 2")
-            return fit(design, powers, *args, **kwargs)
-
-        monkeypatch.setattr(harness, "lse_fit", refit_of_point_two_fails)
+        self._second_sensor_factor_fails(monkeypatch)
         evals = _grid_evals(cfg, cfg.ratios, cfg.methods, threads=threads)
-        next(evals)
+        assert set(next(evals)) == {"nn", "sm1"}
         with pytest.raises(ConfigError) as exc:
             next(evals)
-        assert str(exc.value) == "exponential kernel at spacing ratio 1.0 is outside the numeric range: refit of point 2"
+        assert str(exc.value) == (
+            "exponential kernel at spacing ratio 1.0 is outside the numeric range: "
+            "matrix is not positive definite: pivot 2 is -1"
+        )
+        assert exc.value.__cause__.index == 0
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_setup_stops_at_the_first_failing_ratio(self, monkeypatch, failing):
+        # joint factors are built for the ratios up to the failing one and no further,
+        # and the points run only the ratios before it: none at all when the first fails
+        from radiomap import harness
+
+        cfg = ExperimentConfig(resolution=3, mode="mc", realizations=20, ratios=(0.5, 1.0, 2.0), methods=("nn", "sm0"))
+        factor, draw = harness.joint_factors, harness.standard_normal_block
+        factored, draws = [], []
+        error = NotPositiveDefiniteError(1, -1.0, index=4)
+
+        def recorded(scn, xy):
+            factored.append(cfg.side_m / scn.correlation.xc)
+            if len(factored) == failing + 1:
+                raise error
+            return factor(scn, xy)
+
+        def drawn(master_seed, point_index, *args, **kwargs):
+            draws.append(point_index)
+            return draw(master_seed, point_index, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "joint_factors", recorded)
+        monkeypatch.setattr(harness, "standard_normal_block", drawn)
+        scns = [cfg.scenario(r) for r in cfg.ratios]
+        forms = grid_forms(scns[0], cfg.grid().xy, cfg.methods)
+        rmse, got = harness._mc_rmse(scns, forms, range(9), cfg.realizations, cfg.master_seed, threads=2)
+        assert factored == list(cfg.ratios[: failing + 1])
+        assert got is error and rmse.shape == (failing, 2, 9)
+        assert sorted(draws) == (list(range(9)) if failing else [])
+
+    def test_fit_design_computed_once_per_sweep(self, monkeypatch):
+        from radiomap import estimators
+
+        original, calls = estimators.lse_design, []
+
+        def counted(distances):
+            calls.append(1)
+            return original(distances)
+
+        monkeypatch.setattr(estimators, "lse_design", counted)
+        sweep(ExperimentConfig(resolution=2, mode="both", realizations=20, methods=("sm1", "sm2")), threads=2)
+        assert len(calls) == 1
 
     def test_sensor_covariance_factored_only_for_sm0_sm1(self):
         # a Gaussian kernel below ratio ~5e-4 leaves Cn not positive definite;
