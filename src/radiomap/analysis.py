@@ -13,18 +13,19 @@ One engine computes it, on arrays, and its unit is a sweep: K correlation
 models that differ in sigma and xc alone. grid_forms() takes the query
 points as one (N, 2) coordinate array (a QueryGrid's xy) and gathers once
 what does not depend on the model (median powers and log distances from
-one pass over the emitter distances, the geometry-only methods' weights). grid_analytic_rmse() then
-evaluates every method at every point under all K models as one (K, N, .)
-stack: one pass of the kernel builds the K sensor covariances and one the
-K cross-covariance tables, one stacked Cholesky call factors the sensor
-covariances (only when sm0 or sm1 runs), the geometry-only methods' error
-rows are formed once for all K, and one grouped quadratic form covers the
-stack. Row k of the result has
-the bits of a call with models[k] alone. error_form() is the engine's row
-at one point and analytic_rmse() shares its quadratic form, so the library
-API and the self-checks run the engine the CLI ships. The hand-written
-coefficient expansion for the fitted-correlation method exists only as a
-cross-check.
+one pass over the emitter distances, the geometry-only methods' weights).
+sweep_covariances() then builds what does, once for both engines: one
+kernel pass for the K sensor covariances Cn, one for the K cross-covariance
+tables C0, and, only when sm0 or sm1 runs, one stacked Cholesky call for
+every Cn. grid_analytic_rmse() evaluates every method at every point under
+the K models as one (K, N, .) stack: the geometry-only methods' error rows
+are formed once for all K, and one grouped quadratic form covers the stack.
+The Monte Carlo route assembles its joint factors and sm0 weights from the
+same stacks. Row k of the result has the bits of a call with models[k]
+alone. error_form() is the engine's row at one point and analytic_rmse()
+shares its quadratic form, so the library API and the self-checks run the
+engine the CLI ships. The hand-written coefficient expansion for the
+fitted-correlation method exists only as a cross-check.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Point, Scenario, coordinates, distance
-from .correlation import CorrelationModel, covariance_matrix, covariance_stack, cross_covariance, cross_covariance_stack
-from .linalg import cholesky, solve_cholesky
+from .correlation import CorrelationModel, covariance_matrix, cross_covariance, cross_covariance_stack
+from .linalg import NotPositiveDefiniteError, cholesky, solve_cholesky
 from .estimators import (
     SM0,
     SM1,
@@ -62,6 +63,8 @@ __all__ = [
     "sm0_sigma0",
     "GridForms",
     "grid_forms",
+    "SweepCovariances",
+    "sweep_covariances",
     "grid_analytic_rmse",
 ]
 
@@ -120,7 +123,11 @@ def error_form(method: str, scn: Scenario, p0: Point, nu: float = 1.0) -> Affine
     true median power at the query minus the map applied to the sensor
     median powers.
     """
-    _, _, rows = _error_rows(grid_forms(scn, coordinates([p0]), (method,), nu), [scn.correlation])
+    forms = grid_forms(scn, coordinates([p0]), (method,), nu)
+    cov = sweep_covariances(forms, [scn.correlation])
+    if cov.error is not None:
+        raise cov.error
+    _, _, rows = _error_rows(forms, cov)
     bias, coeffs = rows[method]
     return AffineErrorForm(bias=float(bias[0, 0]), coeffs=np.concatenate(([1.0], -coeffs[0, 0])))
 
@@ -211,20 +218,58 @@ def grid_forms(scn: Scenario, xy: np.ndarray, methods: tuple[str, ...], nu: floa
     return GridForms(methods=tuple(methods), xy=xy, sensors=sensors, pm0=pm0, pm=pm, weights=weights, fit=fit)
 
 
+@dataclass(frozen=True)
+class SweepCovariances:
+    """Every covariance both engines read, for K models that differ in sigma and xc alone.
+
+    c_n holds each model's (n, n) sensor covariance Cn and c_0 its (N, n)
+    covariances C0 at the forms' points, each with the bits it has alone.
+    factors (None unless sm0 or sm1 runs) holds the Cholesky factors of the
+    Cn before the first that is not positive definite, and error is the
+    error that Cn raises alone.
+    """
+
+    c_n: np.ndarray
+    c_0: np.ndarray
+    factors: np.ndarray | None
+    error: NotPositiveDefiniteError | None
+
+
+def sweep_covariances(forms: GridForms, models: list[CorrelationModel]) -> SweepCovariances:
+    """The models' Cn and C0 stacks at the forms' points, one kernel pass each, and their Cn factors in one call.
+
+    The factors are taken only when sm0 or sm1 runs. If a Cn is not
+    positive definite, the models before it are factored again as one
+    stack, with the bits they have in the whole one. A sigma^2 that
+    overflows raises the kernel's OverflowError.
+    """
+    with np.errstate(all="ignore"):
+        c_n = cross_covariance_stack(models, forms.sensors, forms.sensors)
+        c_0 = cross_covariance_stack(models, forms.xy, forms.sensors)
+        if SM0 not in forms.methods and SM1 not in forms.methods:
+            return SweepCovariances(c_n, c_0, None, None)
+        try:
+            return SweepCovariances(c_n, c_0, cholesky(c_n), None)
+        except NotPositiveDefiniteError as err:
+            alone = NotPositiveDefiniteError(err.pivot_index, err.pivot_value)
+            return SweepCovariances(c_n, c_0, cholesky(c_n[: err.index]), alone)
+
+
 def _error_rows(
-    forms: GridForms, models: list[CorrelationModel]
+    forms: GridForms, cov: SweepCovariances
 ) -> tuple[np.ndarray, np.ndarray, dict[str, tuple[np.ndarray, np.ndarray]]]:
-    """The (K, n, n) Cn, the (K, N, n) cross covariances C0, and each method's error rows.
+    """The (K', n, n) Cn, the (K', N, n) C0 and each method's error rows, for the K' models before cov.error's.
 
     The error under model k at point i is bias[k, i] + S0 - coeffs[k, i] . [S1..Sn].
-    The geometry-only methods' rows depend on no model: they are formed
-    once, and bias and coeffs are broadcast views over the K models.
+    Each model's sm0/sm1 weights are one solve of its N C0 rows. The
+    geometry-only methods' rows depend on no model: they are formed once,
+    and bias and coeffs are broadcast views over the K' models.
     """
-    c_n = covariance_stack(models, forms.sensors)
-    c_0 = cross_covariance_stack(models, forms.xy, forms.sensors)
+    k = len(cov.c_n) if cov.factors is None else len(cov.factors)
+    c_n, c_0 = cov.c_n[:k], cov.c_0[:k]
     weights = dict(forms.weights)
-    if SM0 in forms.methods or SM1 in forms.methods:
-        weights[SM0] = weights[SM1] = np.swapaxes(solve_cholesky(cholesky(c_n), np.swapaxes(c_0, 1, 2)), 1, 2)
+    if cov.factors is not None:
+        weights[SM0] = weights[SM1] = np.swapaxes(solve_cholesky(cov.factors, np.swapaxes(c_0, 1, 2)), 1, 2)
     rows = {}
     for m in forms.methods:
         intercept, coeffs = _affine_rows(m, weights[m], forms.pm0, forms.pm, forms.fit)
@@ -250,16 +295,14 @@ def _affine_rms(
     return np.sqrt(bias**2 + np.maximum(q, 0.0))
 
 
-def grid_analytic_rmse(forms: GridForms, models: list[CorrelationModel]) -> dict[str, np.ndarray]:
-    """Per-point RMS error of each method under each of K correlation models, as (K, N) arrays.
+def grid_analytic_rmse(forms: GridForms, cov: SweepCovariances) -> dict[str, np.ndarray]:
+    """Per-point RMS error of each method under each model of cov before cov.error's, as (K', N) arrays.
 
-    The package's one analytic engine. The models differ in sigma and xc
-    alone (a sweep's models; one model is a stack of one). Each method's
-    error rows come from estimators._affine_rows() on its weight rows, the
-    sm0/sm1 weights of every point under every model from one stacked
-    Cholesky factor of the sensor covariances Cn.
+    The package's one analytic engine; K' is every model when cov.error is
+    None. Each method's error rows come from estimators._affine_rows() on
+    its weight rows, the sm0/sm1 weights of every point under every model
+    from cov's stacked Cholesky factors of the sensor covariances Cn.
     """
-    models = list(models)
-    c_n, c_0, rows = _error_rows(forms, models)
+    c_n, c_0, rows = _error_rows(forms, cov)
     var0 = c_n[:, 0, :1]  # each model's sigma^2, the kernel at zero distance
     return {m: _affine_rms(bias, 1.0, coeffs, var0, c_0, c_n) for m, (bias, coeffs) in rows.items()}

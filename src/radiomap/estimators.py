@@ -11,13 +11,14 @@ N intercepts and coefficient rows, the analysis module's closed-form error
 engine runs on those rows, and as_affine() is their row at one point.
 
 The point-set entries take (N, 2) coordinate arrays. sm0_weight_rows()
-solves every point's sm0 weights in one stacked call. The weights of sm2,
-idw, nn and nat depend on nothing but where the sensors and the query are.
-geometry_weights() computes them for a whole point set as one (N, n) table
-in array passes: one distance table for sm2, idw and nn, and for nat one
-clip of each sensor's Voronoi cell, then one cut of every cell by every
-query's bisector. The one-point entries (sm0_weights, sm2_weights,
-sibson_weights, method_weights) take Points and are their rows.
+solves every point's sm0 weights from a sweep's C0 in one stacked call.
+The weights of sm2, idw, nn and nat depend on nothing but where the
+sensors and the query are. geometry_weights() computes them for a whole
+point set as one (N, n) table in array passes: one distance table for sm2,
+idw and nn, and for nat one clip of each sensor's Voronoi cell, then one
+cut of every cell by every query's bisector. The one-point entries
+(sm0_weights, sm2_weights, sibson_weights, method_weights) take Points and
+are their rows.
 
 Methods
 -------
@@ -258,29 +259,22 @@ def sensor_factor(model: CorrelationModel, sensors: list[Point]) -> np.ndarray:
     return cholesky(covariance_matrix(model, list(sensors)))
 
 
-def sm0_weight_rows(model: CorrelationModel, sensors: np.ndarray, xy: np.ndarray, factor: np.ndarray) -> np.ndarray:
-    """(N, n) conditional-mean weights at the rows of an (N, 2) array: solve C_n w = c_0 at each (no explicit inverse).
+def sm0_weight_rows(factor: np.ndarray, c_0: np.ndarray) -> np.ndarray:
+    """(N, n) conditional-mean weights: solve C_n w = c_0 at each row of c_0 (no explicit inverse).
 
-    sensors is the (n, 2) array of sensor coordinates and factor
-    sensor_factor() of the model and sensors. All N solves are one stacked
-    solve_cholesky call: the factor is broadcast over the points, with one
-    right-hand side each, so row i has the bits of a solve at xy[i] alone.
+    c_0 holds the (N, n) covariances between N points and the sensors and
+    factor the Cholesky factor of their C_n, under one model. All N solves
+    are one stacked solve_cholesky call: the factor is broadcast over the
+    points, one right-hand side each, so row i has the bits of point i's
+    solve alone.
     """
-    c_0 = cross_covariance_stack([model], xy, sensors)[0][:, :, None]
-    return solve_cholesky(np.broadcast_to(factor, (len(c_0), *np.shape(factor))), c_0)[:, :, 0]
+    return solve_cholesky(np.broadcast_to(factor, (len(c_0), *np.shape(factor))), c_0[:, :, None])[:, :, 0]
 
 
-def sm0_weights(
-    model: CorrelationModel, sensors: list[Point], p0: Point, factor: np.ndarray | None = None
-) -> np.ndarray:
-    """Conditional-mean weights at one point: sm0_weight_rows() at p0.
-
-    factor is sensor_factor(model, sensors), if the caller has it: one
-    factor serves every p0.
-    """
-    if factor is None:
-        factor = sensor_factor(model, sensors)
-    return sm0_weight_rows(model, coordinates(sensors), coordinates([p0]), factor)[0]
+def sm0_weights(model: CorrelationModel, sensors: list[Point], p0: Point) -> np.ndarray:
+    """Conditional-mean weights at one point: sm0_weight_rows() at p0."""
+    c_0 = cross_covariance_stack([model], coordinates([p0]), coordinates(sensors))[0]
+    return sm0_weight_rows(sensor_factor(model, sensors), c_0)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -300,23 +294,28 @@ def geometry_weights(method: str, sensors: np.ndarray, xy: np.ndarray, nu: float
     w_i = d_i^-nu / sum_j d_j^-nu, nn is one-hot on the nearest sensor (ties
     go to the lowest sensor index) and nat takes the Sibson weights. A query
     collocated with a sensor (within 1e-9 of the sensor span) gets that
-    sensor's full weight, removing the 1/0 singularity.
+    sensor's full weight, removing the 1/0 singularity. The weights are
+    scale-free, so they are computed in units of the power of two above the
+    sensor span, an exact rescale: no squared or cubed distance overflows or
+    underflows, at any side length.
     """
     if method not in (SM2, IDW, NN, NATURAL):
         if method not in ALL_METHODS:  # the one check every method-taking entry reaches
             raise ValueError(f"unknown method {method!r}, expected one of {ALL_METHODS}")
         raise ValueError(f"method {method!r} has no geometry-only weights")
-    d = _distances(xy, sensors)
+    span = _distances(sensors, sensors).max()
+    unit = np.ldexp(1.0, min(int(np.frexp(span)[1]), 1023))  # 2^1024 would overflow
+    sensors, q, span = sensors / unit, xy / unit, span / unit
+    d = _distances(q, sensors)
     nearest = d.argmin(axis=1)
     w = np.zeros(d.shape)
     if method == NN:
         snapped = np.ones(len(xy), dtype=bool)
     else:
-        span = _distances(sensors, sensors).max()
         snapped = d.min(axis=1) <= _SNAP_RTOL * span
         free = ~snapped
         if method == NATURAL:
-            w[free] = _sibson_rows(sensors, xy[free], _HULL_RTOL * span)
+            w[free] = _sibson_rows(sensors, q[free], _HULL_RTOL * span, unit)
         else:
             inv = d[free] ** -float(nu)
             w[free] = inv / inv.sum(axis=1, keepdims=True)
@@ -449,8 +448,8 @@ def _strictly_inside(sites: np.ndarray, q: np.ndarray, tol: float) -> np.ndarray
     return np.all(cross > tol * np.hypot(edge[:, 0], edge[:, 1]), axis=1)
 
 
-def _sibson_rows(sites: np.ndarray, q: np.ndarray, tol: float) -> np.ndarray:
-    """Sibson weights at (N, 2) queries, none collocated with a sensor; tol is the hull margin."""
+def _sibson_rows(sites: np.ndarray, q: np.ndarray, tol: float, unit: float) -> np.ndarray:
+    """Sibson weights at (N, 2) queries in units of unit metres, none on a sensor; tol is the hull margin."""
     inside = _strictly_inside(sites, q, tol)
     stolen = np.zeros((len(q), len(sites)))
     for i, cell in enumerate(_voronoi_cells(sites)):
@@ -460,7 +459,7 @@ def _sibson_rows(sites: np.ndarray, q: np.ndarray, tol: float) -> np.ndarray:
     if bad.any():
         r = int(bad.argmax())
         why = "is not strictly inside the sensor hull" if not inside[r] else "steals no Voronoi area"
-        raise OutsideHullError(f"query ({float(q[r, 0])}, {float(q[r, 1])}) {why}")
+        raise OutsideHullError(f"query ({float(q[r, 0] * unit)}, {float(q[r, 1] * unit)}) {why}")
     return stolen / total[:, None]
 
 

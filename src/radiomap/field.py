@@ -4,12 +4,11 @@ Shadow values at a query point and its n sensors are drawn jointly from the
 zero-mean Gaussian with covariance given by the scenario's correlation
 model: s = L z, where L is the Cholesky factor of the (n+1) x (n+1) joint
 covariance (query point first) and z is a vector of independent standard
-normals. joint_factors() builds and factors these covariances for an
-(N, 2) array of points as one (N, n+1, n+1) stack: row and column 0 from
-one cross_covariance_stack() over the points, the sensor block from one
-covariance_stack() shared by all of them. Each point's factor has the bits
-of the same matrix factored alone, and joint_cholesky() is the stack at one
-point.
+normals. joint_factors() assembles these covariances for N points from
+one model's C0 rows and Cn (a sweep builds them once, as stacks:
+analysis.sweep_covariances) as one (N, n+1, n+1) stack and factors it in
+one call. Each point's factor has the bits of the same matrix factored
+alone, and joint_cholesky() is the stack at one point.
 
 emitter_log_distances() takes an array of points' emitter distances once,
 for the median powers (median_powers) and the log-distance fit alike.
@@ -92,28 +91,27 @@ def median_power(scn: Scenario, p: Point) -> float:
     return float(median_powers(scn, emitter_log_distances(scn, coordinates([p])))[0])
 
 
-def joint_factors(scn: Scenario, xy: np.ndarray) -> np.ndarray:
-    """(N, n+1, n+1) Cholesky factors of the joint covariance over [p, sensors] (p first) at each row p of xy.
+def joint_factors(c_0: np.ndarray, c_n: np.ndarray) -> np.ndarray:
+    """(N, n+1, n+1) Cholesky factors of the joint covariances over [p, sensors] (p first), one per row of c_0.
 
-    A matrix that is not positive definite raises NotPositiveDefiniteError
-    for the lowest-indexed such point: its index is err.index, and the
-    points before it factor as they would alone.
+    c_0 holds the (N, n) point-sensor covariances and c_n the (n, n) sensor
+    covariance of one model. A matrix that is not positive definite raises
+    NotPositiveDefiniteError for the lowest-indexed such point: its index
+    is err.index, and the points before it factor as they would alone.
     """
-    model = scn.correlation
-    sensors = coordinates(scn.sensors)
-    c0 = cross_covariance_stack([model], xy, sensors)[0]
-    c_n = covariance_stack([model], sensors)[0]
-    n = len(sensors)
-    stack = np.empty((len(c0), n + 1, n + 1))
+    n = len(c_n)
+    stack = np.empty((len(c_0), n + 1, n + 1))
     stack[:, 1:, 1:] = c_n
     stack[:, 0, 0] = c_n[0, 0]  # sigma^2, the kernel at zero distance
-    stack[:, 0, 1:] = stack[:, 1:, 0] = c0
+    stack[:, 0, 1:] = stack[:, 1:, 0] = c_0
     return cholesky(stack)
 
 
 def joint_cholesky(scn: Scenario, p0: Point) -> np.ndarray:
     """Cholesky factor of the joint covariance over [p0, sensors] (p0 first): joint_factors at one point."""
-    return joint_factors(scn, coordinates([p0]))[0]
+    model, sensors = [scn.correlation], coordinates(scn.sensors)
+    c_0 = cross_covariance_stack(model, coordinates([p0]), sensors)[0]
+    return joint_factors(c_0, covariance_stack(model, sensors)[0])[0]
 
 
 def _normal_rows(raw: np.ndarray, n_variates: int, out: np.ndarray) -> np.ndarray:
@@ -121,7 +119,8 @@ def _normal_rows(raw: np.ndarray, n_variates: int, out: np.ndarray) -> np.ndarra
     # Every map below is elementwise, so dropping the padding words first
     # gives the same bits as transforming them and slicing afterwards.
     raw >>= np.uint64(11)
-    np.add(raw[:, :n_variates].T, 0.5, out=out)  # exact below 2^52, rounded to even above
+    out[...] = raw[:, :n_variates].T  # exact below 2^53; np.add would take a 64 KB buffer
+    out += 0.5  # exact below 2^52, rounded to even above
     out *= 2.0**-53
     np.minimum(out, 1.0 - 2.0**-53, out=out)  # the one sum that rounds up to 2^53 would give u = 1
     from scipy.special import ndtri

@@ -7,21 +7,17 @@ with the geometry held fixed). Per-point RMS interpolation error is
 computed either in closed form from the estimators' error forms (analytic
 mode, the default) or by averaging squared errors over simulated shadow
 realizations (mc mode); 'both' computes the two side by side and flags
-points where they disagree beyond Monte Carlo noise. The parts no ratio
-changes, the geometry-only weights above all, are gathered once per sweep
-for both engines. The grid is its (N, 2) coordinate array (QueryGrid.xy),
-which each RmseSurface carries. The closed form is one array evaluation
-for the whole sweep: every ratio at every grid point as one stack. The
-Monte Carlo route decides every way a ratio can fail in its set-up, before
-any draw, and sets up nothing past the first failing ratio; its kernel then
-only computes. It runs point-major, one task per contiguous chunk of
-points, each chunk in blocks of points that every numpy pass covers at
-once, draws each point's normals once for every ratio, and writes every
-block into one (K, M, N) array (see its section below). One driver,
-_mc_rmse, keyed by an array of stream indices, runs a grid's points,
-point_rmse_mc's one point and the validation check's points. Each engine's
-spatial aggregates, for every (ratio, method) pair, come from one row-wise
-pass over its per-point RMSEs.
+points where they disagree beyond Monte Carlo noise. What no ratio changes
+(the grid's (N, 2) coordinate array, the geometry-only weights) is
+gathered once per sweep, and so is what every ratio needs: each ratio's
+covariances and sensor factor, built as stacks once for both engines
+(analysis.sweep_covariances). The closed form is one array evaluation of
+every ratio at every grid point. The Monte Carlo route decides every way a
+ratio can fail in its set-up, before any draw; its kernel then only
+computes, point-major, in chunks and blocks of points (see its section
+below), writing one (K, M, N) array. One driver, _mc_rmse, runs a grid's
+points, point_rmse_mc's one point and the validation check's points. Each
+engine's spatial aggregates come from one row-wise pass.
 
 Monte Carlo determinism: realizations for grid point i come from the
 substream keyed by (master_seed, i), so results are bitwise identical for
@@ -42,17 +38,8 @@ import numpy as np
 from .geometry import DegenerateGeometryError, Point, QueryGrid, Scenario, build_square_scenario, coordinates, make_grid
 from .correlation import CorrelationModel, KERNEL_KINDS, EXPONENTIAL
 from .field import _check_stream_keys, correlate_normals, joint_factors, standard_normal_block
-from .estimators import (
-    SM0,
-    SM1,
-    SM2,
-    ALL_METHODS,
-    OutsideHullError,
-    lse_fit,
-    sensor_factor,
-    sm0_weight_rows,
-)
-from .analysis import GridForms, grid_analytic_rmse, grid_forms
+from .estimators import SM0, SM1, SM2, ALL_METHODS, OutsideHullError, lse_fit, sm0_weight_rows
+from .analysis import GridForms, SweepCovariances, grid_analytic_rmse, grid_forms, sweep_covariances
 from .linalg import NotPositiveDefiniteError
 
 __all__ = [
@@ -89,6 +76,11 @@ MODES = ("analytic", "mc", "both")
 # fitted method, and while it draws a point, the point's R x W Philox
 # words, so the bound caps memory as well as OS threads.
 MAX_THREADS = 64
+
+# Most grid points (resolution^2) and realizations a config may ask for: far
+# below numpy's 2^63-byte array limit, so a run too large for memory ends in
+# MemoryError, not a sizing error; one row of 2^40 doubles is 8 TiB.
+_MAX_COUNT = 2**40
 
 # Keys of the JSON config's "correlation" object, mapped to the fields they set.
 CORRELATION_KEYS = {"kind": "kernel", "axis_ratio": "axis_ratio", "rotation_rad": "rotation_rad"}
@@ -158,6 +150,9 @@ class ExperimentConfig:
         for name in ("side_m", "gamma", "sigma_db", "resolution", "realizations"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"field {name!r} must be positive, got {getattr(self, name)}")
+        for name, count in (("resolution", self.resolution**2), ("realizations", self.realizations)):
+            if count > _MAX_COUNT:
+                raise ConfigError(f"field {name!r} is too large: over 2^40 points or draws, got {getattr(self, name)}")
         if not math.isfinite(math.hypot(self.side_m, self.side_m)):
             raise ConfigError(f"field 'side_m' is too large: the sensor diagonal overflows, got {self.side_m}")
         for name, allowed in (("kernel", KERNEL_KINDS), ("mode", MODES), ("nu", (1, 2, 3))):
@@ -284,49 +279,42 @@ _RANGE_ERRORS = (NotPositiveDefiniteError, OutsideHullError, ArithmeticError)
 # ---------------------------------------------------------------------------
 # Monte Carlo evaluation
 #
-# The simulated route shares the estimators' weights (geometry_weights,
-# sm0_weight_rows) but deliberately re-runs the estimation pipeline on each
-# realized measurement vector, with its own refit (lse_fit) batched across
-# realizations, instead of reusing the closed-form error coefficients, so
-# that analytic and Monte Carlo results stay independent checks of one
-# another. A point's normals depend on its stream alone, so one draw serves
-# every ratio.
+# The simulated route shares the estimators' weights but deliberately
+# re-runs the estimation pipeline on each realized measurement vector, with
+# its own refit (lse_fit) batched across realizations, instead of reusing
+# the closed-form error coefficients, so that analytic and Monte Carlo
+# results stay independent checks of one another. A point's normals depend
+# on its stream alone, so one draw serves every ratio.
 #
-# Set-up (_mc_setup) runs before any draw and decides every failure. Each
-# ratio in turn builds and factors the joint covariances of every point as
-# one (N, n+1, n+1) stack, and factors the sensor covariance once and solves
-# every point's sm0 weights in one stacked call; the first ratio that fails
-# there stops the set-up, and its error is the one the sweep raises at that
-# ratio. Past set-up nothing fails: the fit's distance-only constants were
-# checked once, with the forms (GridForms.fit), and the kernel's arithmetic
-# runs with numpy's errors off, its inf and NaN named later by the
-# finiteness checks. So the kernel only computes. One fit per ratio serves
-# every fitted method.
+# Set-up (_mc_setup) runs before any draw and decides every failure. From
+# each ratio's Cn and C0 in the sweep's covariances it factors the joint
+# covariances of every point as one (N, n+1, n+1) stack and solves every
+# point's sm0 weights against the ratio's sensor factor in one stacked
+# call; the first ratio that fails stops the set-up, and its error is the
+# one the sweep raises at that ratio. Past set-up nothing fails: the fit's
+# constants were checked with the forms, and the kernel runs with numpy's
+# errors off, its inf and NaN named later by the finiteness checks.
 #
-# The points run as min(threads, N) tasks over contiguous chunks of
-# points, and each task runs its chunk in blocks of P points, P = max(1,
-# _BLOCK_DOUBLES // R). Each task allocates one workspace of R-length rows
-# (_McWorkspace) for a block and writes every block and ratio it evaluates
-# into it with out=; fresh temporaries of a few hundred KB per ratio would
-# sit above glibc's mmap threshold and fault in new pages each time. The
-# rows are sensor-major: one contiguous row per variate, over all
-# realizations, stacked point by point. The row correlation, the median
-# powers, the errors against the truth rows and the scaled RMS each run
-# once over the block's (P, rows, R) stack, so their fixed cost is paid
-# once per block, not once per point; each point's refit, fitted median
-# and predictions w @ rows run along whole rows, one call each. Each
-# block's (P, M) RMSEs go straight into the one (K', M, N) result.
+# The points run as min(threads, N) tasks over contiguous chunks, each in
+# blocks of P = max(1, _BLOCK_DOUBLES // R) points, written with out= into
+# one workspace of sensor-major R-length rows per task (_McWorkspace):
+# fresh temporaries of a few hundred KB would fault in new pages each time.
+# The row correlation, the median powers, the errors and the scaled RMS run
+# once over a block's (P, rows, R) stack; each point's refit and
+# predictions run along whole rows, one call each. A second thread buys
+# little (sweep-mc in one process: 224 ms on one thread, 195 ms on two, on
+# a 2-core Xeon VM): numpy drops the interpreter lock only inside a call,
+# and at R = 10^4 calls last tens of microseconds, so two threads mostly
+# trade the lock (~4,300 voluntary context switches a sweep, none on one).
 
 
 @dataclass(frozen=True)
 class _McSetup:
-    """What every point of a Monte Carlo run shares, one entry per scenario set up.
+    """What every point of a Monte Carlo run shares, one entry per ratio set up before the first that fails.
 
-    The scenarios differ only in their correlation model, and set-up stops
-    at the first that fails. joint[j] holds the (N, n+1, n+1) joint factors
-    of every point under scenario j, and sm0[j] their (N, n) sm0 and sm1
-    weights; sm0 is empty if neither method runs. error is the failing
-    scenario's error, None if every scenario is set up.
+    joint[k] holds the (N, n+1, n+1) joint factors of every point under
+    ratio k, and sm0[k] their (N, n) sm0 and sm1 weights; sm0 is empty if
+    neither method runs. error is the failing ratio's, None if none fails.
     """
 
     forms: GridForms
@@ -335,32 +323,29 @@ class _McSetup:
     error: Exception | None
 
 
-def _mc_setup(scns: list[Scenario], forms: GridForms) -> _McSetup:
-    """Factor each scenario's joint stack, and solve its sm0 weights if sm0 or sm1 runs, up to the first that fails.
+def _mc_setup(forms: GridForms, cov: SweepCovariances) -> _McSetup:
+    """Factor each ratio's joint stack, and solve its sm0 weights if sm0 or sm1 runs, up to the first that fails.
 
-    A scenario fails at its lowest failing point: a joint factor that is
-    not positive definite at err.index, the sensor factor behind the sm0
-    weights at every point, sigma^2 overflowing at every point. Its error
-    is that point's, the joint factor's when both fail at point 0. Nothing
-    after it is set up.
+    Both come from the ratio's Cn, C0 and sensor factor in cov. A ratio
+    fails at its lowest failing point: a joint factor that is not positive
+    definite at err.index, or the sensor factor (cov.error) at every point,
+    the joint factor's error winning at point 0. Nothing after it is set
+    up.
     """
     joint: list[np.ndarray] = []
     sm0: list[np.ndarray] = []
     with np.errstate(all="ignore"):
-        for scn in scns:
+        for k, c_n in enumerate(cov.c_n):
             failures: list[tuple[int, Exception]] = []  # (lowest failing point, its error), the joint factor's first
             try:
-                factors = joint_factors(scn, forms.xy)
+                factors = joint_factors(cov.c_0[k], c_n)
             except NotPositiveDefiniteError as err:
                 failures.append((err.index, err))
-            except (ValueError, ArithmeticError) as err:
-                failures.append((0, err))
-            if SM0 in forms.methods or SM1 in forms.methods:
-                try:
-                    factor = sensor_factor(scn.correlation, scn.sensors)
-                    sm0.append(sm0_weight_rows(scn.correlation, forms.sensors, forms.xy, factor))
-                except (ValueError, ArithmeticError) as err:
-                    failures.append((0, err))
+            if cov.factors is not None:
+                if k < len(cov.factors):
+                    sm0.append(sm0_weight_rows(cov.factors[k], cov.c_0[k]))
+                else:
+                    failures.append((0, cov.error))
             if failures:
                 return _McSetup(forms, joint, sm0[: len(joint)], min(failures, key=lambda f: f[0])[1])
             joint.append(factors)
@@ -488,19 +473,18 @@ def _mc_block_ratio(
 
 
 def _mc_rmse(
-    scns: list[Scenario],
     forms: GridForms,
+    cov: SweepCovariances,
     indices: Sequence[int],
     realizations: int,
     master_seed: int,
     threads: int = 1,
 ) -> tuple[np.ndarray, Exception | None]:
-    """Monte Carlo RMSE of each method at every point of the forms under K scenarios, one task per chunk of points.
+    """Monte Carlo RMSE of each method at every point of the forms under cov's K ratios, one task per chunk of points.
 
-    The scenarios differ in their correlation model alone; indices[i] keys
-    point i's stream. Set-up decides every failure before any draw
-    (_mc_setup), and the points then run only the K' scenarios before the
-    first that fails. Returns their (K', M, N) RMSEs and that scenario's
+    indices[i] keys point i's stream. Set-up decides every failure before
+    any draw (_mc_setup), and the points then run only the K' ratios before
+    the first that fails. Returns their (K', M, N) RMSEs and that ratio's
     error, if any. ValueError names a stream key outside the unsigned
     64-bit range, or realizations that are not an integer of at least 1,
     before any set-up.
@@ -509,10 +493,10 @@ def _mc_rmse(
         _check_stream_keys(master_seed=master_seed, point_index=index)
     if not _accepts(0, realizations) or realizations < 1:
         raise ValueError(f"realizations must be an integer of at least 1, got {realizations!r}")
-    setup = _mc_setup(scns, forms)
+    setup = _mc_setup(forms, cov)
     n_points = len(forms.xy)
     rmse = np.empty((len(setup.joint), len(forms.methods), n_points))
-    tasks = min(threads, n_points) if setup.joint else 0  # nothing to draw when the first scenario fails
+    tasks = min(threads, n_points) if setup.joint else 0  # nothing to draw when the first ratio fails
     chunks = [range(n_points * t // tasks, n_points * (t + 1) // tasks) for t in range(tasks)]
     per_block = max(1, _BLOCK_DOUBLES // realizations)
 
@@ -549,7 +533,7 @@ def point_rmse_mc(
     least 1: ValueError names the first that does not, before any draw.
     """
     forms = grid_forms(scn, coordinates([p0]), (method,), nu)
-    rmse, error = _mc_rmse([scn], forms, [point_index], realizations, master_seed)
+    rmse, error = _mc_rmse(forms, sweep_covariances(forms, [scn.correlation]), [point_index], realizations, master_seed)
     if error is not None:
         raise error
     return float(rmse[0, 0, 0])
@@ -561,31 +545,6 @@ def point_rmse_mc(
 
 def _out_of_range(config: ExperimentConfig, ratio: float, cause) -> ConfigError:
     return ConfigError(f"{config.kernel} kernel at spacing ratio {ratio} is outside the numeric range: {cause}")
-
-
-def _analytic_rmse(forms: GridForms, models: list[CorrelationModel]) -> tuple[np.ndarray, Exception | None]:
-    """Per-point closed-form RMSE of each method at every ratio, as one stack.
-
-    Returns the (K', M, N) RMSEs of the K' ratios before the first that
-    fails, and that ratio's error, if any. A Cn that is not positive
-    definite names the lowest failing ratio (err.index), and the ratios
-    before it run as one stack with the bits they have in the whole one.
-    Every other error the stack raises is the same at every ratio, so it
-    stops the first.
-    """
-
-    def block(models: list[CorrelationModel]) -> np.ndarray:
-        rmse = grid_analytic_rmse(forms, models)
-        return np.stack([rmse[m] for m in forms.methods], axis=1)
-
-    empty = np.empty((0, len(forms.methods), len(forms.xy)))
-    with np.errstate(all="ignore"):
-        try:
-            return block(models), None
-        except NotPositiveDefiniteError as err:
-            return block(models[: err.index]) if err.index else empty, err
-        except (ValueError, ArithmeticError) as err:
-            return empty, err
 
 
 def _spatial_rows(rmse: np.ndarray) -> np.ndarray:
@@ -659,10 +618,12 @@ def _grid_evals(
 
     The ratio-free parts of the error forms, the geometry-only weights above
     all, are gathered once, at the first ratio, for both engines, and the
-    emitter is checked against the grid once. Both engines then run every
-    ratio before the first is yielded: the analytic engine on the calling
-    thread as one stack of all the ratios, the Monte Carlo stage with one
-    worker task per chunk of points, each point's normals drawn once. Each
+    emitter is checked against the grid once. Every ratio's Cn, C0 and
+    sensor factor are built once, as stacks (analysis.sweep_covariances),
+    for both engines. Both engines then run every ratio before the first is
+    yielded: the analytic engine on the calling thread as one stack of all
+    the ratios, the Monte Carlo stage with one worker task per chunk of
+    points, each point's normals drawn once. Each
     engine's aggregates come from one row-wise pass. Errors surface in the
     order of a ratio-by-ratio run: a ratio's set-up, its analytic step,
     then its Monte Carlo step, each after the ratios before it are yielded.
@@ -689,10 +650,15 @@ def _grid_evals(
         setup_error = err  # raised below, once the ratios before it are yielded
     # each engine's (K', M, N) RMSEs and the error of the ratio that stopped it, analytic first
     engines: dict[str, tuple[np.ndarray, Exception | None]] = {}
-    if scns and config.mode in ("analytic", "both"):
-        engines["analytic"] = _analytic_rmse(forms, [scn.correlation for scn in scns])
-    if scns and config.mode in ("mc", "both"):
-        engines["mc"] = _mc_rmse(scns, forms, range(len(grid.xy)), config.realizations, config.master_seed, threads)
+    if scns:
+        with _at_ratio(config, ratios[0]):  # a sigma^2 that overflows does so at every ratio
+            cov = sweep_covariances(forms, [scn.correlation for scn in scns])
+        if config.mode in ("analytic", "both"):
+            with np.errstate(all="ignore"):
+                rmse = grid_analytic_rmse(forms, cov)
+            engines["analytic"] = np.stack([rmse[m] for m in methods], axis=1), cov.error
+        if config.mode in ("mc", "both"):
+            engines["mc"] = _mc_rmse(forms, cov, range(len(grid.xy)), config.realizations, config.master_seed, threads)
     with np.errstate(all="ignore"):
         spatial = {engine: _spatial_rows(rmse) for engine, (rmse, _) in engines.items()}
         stderr = _spatial_stderr(engines["mc"][0], config.realizations, spatial["mc"]) if "mc" in engines else None

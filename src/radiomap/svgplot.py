@@ -32,18 +32,14 @@ def line_chart(
     xlabel: str,
     ylabel: str,
     title: str = "",
-    logx: bool = True,
 ) -> str:
-    """Multi-series line chart; x may be log-scaled (decade ticks)."""
+    """Multi-series line chart with a log-scaled x axis (decade ticks)."""
     xs_all = [x for _, xs, _ in series for x in xs]
     ys_all = [y for _, _, ys in series for y in ys]
     if not xs_all:
         raise ValueError("nothing to plot")
 
-    def tx(x: float) -> float:
-        return math.log10(x) if logx else x
-
-    x_lo, x_hi = min(map(tx, xs_all)), max(map(tx, xs_all))
+    x_lo, x_hi = min(map(math.log10, xs_all)), max(map(math.log10, xs_all))
     y_lo, y_hi = min(ys_all), max(ys_all)
     if x_hi == x_lo:
         x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
@@ -57,7 +53,7 @@ def line_chart(
     plot_h = _H - _MT - _MB
 
     def px(x: float) -> float:
-        return _ML + (tx(x) - x_lo) / (x_hi - x_lo) * plot_w
+        return _ML + (math.log10(x) - x_lo) / (x_hi - x_lo) * plot_w
 
     def py(y: float) -> float:
         return _MT + (y_hi - y) / (y_hi - y_lo) * plot_h
@@ -71,15 +67,8 @@ def line_chart(
     if title:
         parts.append(f'<text x="{_W // 2}" y="20" text-anchor="middle">{title}</text>')
 
-    # x ticks: decades when log-scaled, else 5 linear ticks
-    if logx:
-        ticks = [
-            10.0**e
-            for e in range(math.floor(x_lo), math.ceil(x_hi) + 1)
-            if x_lo - 1e-9 <= e <= x_hi + 1e-9
-        ]
-    else:
-        ticks = list(np.linspace(x_lo, x_hi, 5))
+    decades = range(math.floor(x_lo), math.ceil(x_hi) + 1)
+    ticks = [10.0**e for e in decades if x_lo - 1e-9 <= e <= x_hi + 1e-9]
     for t in ticks:
         x = px(t)
         parts.append(f'<line x1="{_fmt(x)}" y1="{_MT + plot_h}" x2="{_fmt(x)}" y2="{_MT + plot_h + 5}" stroke="black"/>')

@@ -48,6 +48,7 @@ from .analysis import (
     lse_error_coeffs,
     sm1_coefficient_error_form,
     sm0_sigma0,
+    sweep_covariances,
 )
 from .harness import ExperimentConfig, _mc_rmse, check_master_seed
 
@@ -192,7 +193,8 @@ def check_analytic_vs_mc(
     """
     scns = [_table_scenario(ratio) for ratio in ratios]
     forms = grid_forms(scns[0], coordinates([p for _, p in points]), tuple(methods))
-    mc, error = _mc_rmse(scns, forms, [index for index, _ in points], realizations, master_seed)
+    cov = sweep_covariances(forms, [scn.correlation for scn in scns])
+    mc, error = _mc_rmse(forms, cov, [index for index, _ in points], realizations, master_seed)
     if error is not None:
         raise error
     worst = 0.0

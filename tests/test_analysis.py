@@ -18,7 +18,13 @@ from radiomap import (
     sm0_weights,
     sweep,
 )
-from radiomap.analysis import AffineErrorForm, grid_analytic_rmse, grid_forms, sm1_coefficient_error_form
+from radiomap.analysis import (
+    AffineErrorForm,
+    grid_analytic_rmse,
+    grid_forms,
+    sm1_coefficient_error_form,
+    sweep_covariances,
+)
 from radiomap.estimators import DegenerateGeometryError
 from radiomap.geometry import coordinates
 from radiomap.harness import EMITTER_PRESETS, _spatial_stderr, point_rmse_mc
@@ -215,7 +221,7 @@ class TestGridAnalyticRmse:
         xy = config.grid().xy
         forms = grid_forms(config.scenario(1.0), xy, self.METHODS, nu)
         scns = [config.scenario(ratio) for ratio in (0.05, 1.0, 20.0)]
-        got = grid_analytic_rmse(forms, [scn.correlation for scn in scns])
+        got = grid_analytic_rmse(forms, sweep_covariances(forms, [scn.correlation for scn in scns]))
         for k, scn in enumerate(scns):
             want = closed_form_rmse(scn, xy, self.METHODS, nu)
             for m in self.METHODS:
@@ -229,9 +235,9 @@ class TestGridAnalyticRmse:
         xy = config.grid().xy
         forms = grid_forms(config.scenario(1.0), xy, self.METHODS, nu)
         scns = [config.scenario(ratio) for ratio in (0.05, 0.2, 1.0, 5.0, 20.0)]
-        stacked = grid_analytic_rmse(forms, [scn.correlation for scn in scns])
+        stacked = grid_analytic_rmse(forms, sweep_covariances(forms, [scn.correlation for scn in scns]))
         for k, scn in enumerate(scns):
-            alone = grid_analytic_rmse(forms, [scn.correlation])
+            alone = grid_analytic_rmse(forms, sweep_covariances(forms, [scn.correlation]))
             want = closed_form_rmse(scn, xy, self.METHODS, nu)
             for m in self.METHODS:
                 assert stacked[m][k].tobytes() == alone[m][0].tobytes(), (m, k)
@@ -243,7 +249,8 @@ class TestGridAnalyticRmse:
         config = ExperimentConfig(sigma_db=1.3e154, resolution=3)
         scn = config.scenario(1.0)
         xy = config.grid().xy
-        got = grid_analytic_rmse(grid_forms(scn, xy, self.METHODS), [scn.correlation])
+        forms = grid_forms(scn, xy, self.METHODS)
+        got = grid_analytic_rmse(forms, sweep_covariances(forms, [scn.correlation]))
         want = closed_form_rmse(scn, xy, self.METHODS, unit=1.3e154)
         for m in self.METHODS:
             assert np.allclose(got[m][0], want[m], rtol=1e-12, atol=0.0), m
@@ -251,7 +258,7 @@ class TestGridAnalyticRmse:
     def test_requested_methods_only(self, table_scenario):
         points = [Point(100.0, 200.0), Point(320.0, 320.0)]
         forms = grid_forms(table_scenario, coordinates(points), ("nn", "sm1"))
-        got = grid_analytic_rmse(forms, [table_scenario.correlation])
+        got = grid_analytic_rmse(forms, sweep_covariances(forms, [table_scenario.correlation]))
         assert sorted(got) == ["nn", "sm1"]
         assert all(v.shape == (1, 2) for v in got.values())
 

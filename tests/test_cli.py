@@ -179,7 +179,7 @@ class TestSweepCommand:
             ({"sigma_db": 1e200}, 2, ["exponential", "0.2", SIGMA_1E200_OVERFLOWS]),
             ({"sigma_db": 1e200, "mode": "mc"}, 2, ["exponential", "0.2", SIGMA_1E200_OVERFLOWS]),
             ({"gamma": 1e308}, 2, ["exponential", "0.2"]),
-            ({"side_m": 1e308, "methods": ["nat"]}, 2, ["exponential", "0.2"]),
+            ({"side_m": 1e308, "methods": ["sm0"]}, 2, ["exponential", "0.2"]),
             ({"emitter": [80, 80]}, 3, ["(80, 80)", "resolution-4"]),
             ({"side_m": math.nan}, 2, ["'side_m'"]),
             ({"ratios": [math.inf]}, 2, ["'ratios'"]),
@@ -189,6 +189,8 @@ class TestSweepCommand:
             ({"resolution": 3.7}, 2, ["'resolution'"]),
             ({"master_seed": 1.9}, 2, ["'master_seed'"]),
             ({"nu": True}, 2, ["'nu'"]),
+            ({"resolution": 10**30}, 2, ["'resolution'"]),
+            ({"mode": "mc", "resolution": 2, "realizations": 10**30}, 2, ["'realizations'"]),
         ],
         ids=[
             "gaussian-ratio-5e-4",
@@ -209,6 +211,8 @@ class TestSweepCommand:
             "resolution-3.7",
             "master-seed-1.9",
             "nu-true",
+            "resolution-1e30",
+            "realizations-1e30",
         ],
     )
     def test_probe_exits_with_named_cause(self, tmp_path, capsys, overrides, code, named):
@@ -217,6 +221,25 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         for text in named:
             assert text in err
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"side_m": 1e308, "methods": ["nat"]},
+            {"side_m": 1e160, "methods": ["nat"]},
+            {"side_m": 1e110, "methods": ["idw", "sm2"], "nu": 3},
+            {"side_m": 1e-110, "methods": ["idw", "nn"], "nu": 3},
+        ],
+        ids=["nat-1e308", "nat-1e160", "idw-sm2-nu3-1e110", "idw-nu3-1e-110"],
+    )
+    def test_geometry_weights_at_extreme_sides_give_finite_csv(self, tmp_path, overrides):
+        # the weights are computed in units of the sensor span, so no squared or cubed distance
+        # overflows or underflows
+        cfg = write_config(tmp_path, **overrides)
+        out = tmp_path / "out"
+        assert main(["sweep", str(cfg), str(out)]) == 0
+        rows = read_rows(out / "sweep.csv")
+        assert rows and all(math.isfinite(float(r["spatial_rmse_db"])) for r in rows)
 
     def test_large_mc_sigma_gives_finite_stderr(self, tmp_path):
         # per-point RMSEs near 1e100 dB: their fourth powers overflow a double

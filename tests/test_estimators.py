@@ -21,10 +21,10 @@ from radiomap import (
     sm0_weights,
     sm2_weights,
 )
-from radiomap.correlation import covariance_matrix, cross_covariance
+from radiomap.correlation import covariance_matrix, cross_covariance, cross_covariance_matrix
 from radiomap.estimators import _strictly_inside, geometry_weights, lse_design, sensor_factor, sm0_weight_rows
 from radiomap.analysis import error_form, grid_forms
-from radiomap.geometry import coordinates
+from radiomap.geometry import coordinates, make_grid
 from radiomap.linalg import cholesky, solve_cholesky
 from radiomap.validation import sibson_lattice_weights
 
@@ -129,20 +129,21 @@ class TestSm0Weights:
         assert w[0] == pytest.approx(expected, rel=1e-12)
 
     def test_given_factor_matches_solve_spd(self, table_model, table_scenario):
-        # one sensor_factor serves every point, with the bits of a solve per point
+        # one sensor_factor serves every point through sm0_weight_rows, with the bits of a solve per point
         sensors = list(table_scenario.sensors)
         factor = sensor_factor(table_model, sensors)
         c_n = covariance_matrix(table_model, sensors)
         for p0 in (Point(320, 320), Point(101.5, 517.25), Point(10.0, 630.0)):
             want = solve_cholesky(cholesky(c_n), cross_covariance(table_model, p0, sensors))
-            assert sm0_weights(table_model, sensors, p0, factor).tolist() == want.tolist()
+            rows = sm0_weight_rows(factor, cross_covariance(table_model, p0, sensors)[None])
+            assert rows[0].tolist() == want.tolist()
             assert sm0_weights(table_model, sensors, p0).tolist() == want.tolist()
 
     def test_weight_rows_match_one_point_solves_bit_for_bit(self, table_model, table_scenario):
         sensors = list(table_scenario.sensors)
         points = [Point(320, 320), Point(101.5, 517.25), Point(10.0, 630.0), Point(600.0, 1.0)]
         factor = sensor_factor(table_model, sensors)
-        rows = sm0_weight_rows(table_model, coordinates(sensors), coordinates(points), factor)
+        rows = sm0_weight_rows(factor, cross_covariance_matrix(table_model, points, sensors))
         assert rows.shape == (4, 4)
         for row, p0 in zip(rows, points):
             want = solve_cholesky(sensor_factor(table_model, sensors), cross_covariance(table_model, p0, sensors))
@@ -453,6 +454,19 @@ class TestGeometryWeightTables:
         table = weight_table(method, SQUARE, points)
         assert np.array_equal(table[1:4], np.eye(4)[[0, 2, 1]])
         assert np.array_equal(table, np.array([method_weights(method, table_scenario, p) for p in points]))
+
+    @pytest.mark.parametrize("nu", [1, 3])
+    @pytest.mark.parametrize("method", ["sm2", "idw", "nn", "nat"])
+    def test_weights_do_not_depend_on_the_side_length(self, method, nu):
+        # squares and cubes of distances near 640 * 2^600 overflow, and near 640 * 2^-600 underflow
+        def weights(side):
+            model = CorrelationModel("exponential", sigma=5.0, xc=side)
+            scn = build_square_scenario(side, Point(-100.0, 0.0), 15.3, 3.76, model)
+            return geometry_weights(method, coordinates(scn.sensors), make_grid(side, 8).xy, nu)
+
+        want = weights(640.0)
+        for side in (640.0 * 2.0**600, 640.0 * 2.0**-600):
+            assert weights(side).tobytes() == want.tobytes(), side
 
     def test_first_point_outside_the_hull_is_named(self):
         points = [Point(100.0, 100.0), Point(-5.0, 320.0), Point(700.0, 10.0)]

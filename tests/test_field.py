@@ -10,8 +10,16 @@ from radiomap import (
     median_power,
     sample_shadow,
 )
+from radiomap.correlation import cross_covariance_stack
 from radiomap.field import _correlate_rows, correlate_normals, joint_cholesky, joint_factors, standard_normal_block
-from radiomap.geometry import make_grid
+from radiomap.geometry import coordinates, make_grid
+
+
+def joint_factors_at(scn, xy):
+    """joint_factors over the rows of xy, from the one-model C0 and Cn stacks of scn's model."""
+    sensors = coordinates(scn.sensors)
+    c_0 = cross_covariance_stack([scn.correlation], xy, sensors)[0]
+    return joint_factors(c_0, covariance_matrix(scn.correlation, list(scn.sensors)))
 
 
 class TestMedianPower:
@@ -149,6 +157,22 @@ class TestNormalStream:
             assert got.T.tobytes() == want.tobytes()
         assert out.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("realizations", [2000, 10000])
+    def test_draw_into_rows_allocates_only_its_words(self, realizations):
+        # the words' cast to doubles runs without numpy's 64 KB ufunc buffer: a draw into a
+        # caller's rows from a reused generator peaks at its (R, 8) Philox words and under 4 KB more
+        import tracemalloc
+
+        out, bitgen = np.empty((5, realizations)), np.random.Philox(0)
+        standard_normal_block(3, 1, 5, realizations, out=out, bitgen=bitgen)  # imports scipy outside the trace
+        tracemalloc.start()
+        try:
+            standard_normal_block(3, 2, 5, realizations, out=out, bitgen=bitgen)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 8 * realizations + 2**12
+
     def test_streams_read_no_os_entropy(self, monkeypatch):
         # Philox(key=...) would seed itself from the OS before the key overrides it
         import random
@@ -217,7 +241,7 @@ class TestCorrelateRows:
         # a (P, n+1, n+1) stack of factors over a (P, R, n+1) stack of normals
         model = CorrelationModel("elliptical", sigma=5.0, xc=640.0, axis_ratio=3.3, rotation=0.5)
         scn = build_square_scenario(640.0, Point(-100.0, 0.0), 15.3, 3.76, model)
-        lower = joint_factors(scn, make_grid(640.0, 3).xy)
+        lower = joint_factors_at(scn, make_grid(640.0, 3).xy)
         z = np.stack([standard_normal_block(21, k, 5, realizations) for k in range(len(lower))])
         out = np.full((len(lower), 5, realizations), np.nan)
         s0, s = correlate_normals(lower, z, out=out)
@@ -234,7 +258,7 @@ class TestJointFactors:
         model = CorrelationModel(kind, sigma=5.0, xc=640.0 / ratio, axis_ratio=3.3, rotation=0.5)
         scn = build_square_scenario(640.0, Point(-100.0, 0.0), 15.3, 3.76, model)
         xy = make_grid(640.0, 6).xy
-        stack = joint_factors(scn, xy)
+        stack = joint_factors_at(scn, xy)
         assert stack.shape == (36, 5, 5)
         for k, (x, y) in enumerate(xy.tolist()):
             assert stack[k].tobytes() == joint_cholesky(scn, Point(x, y)).tobytes()

@@ -20,7 +20,7 @@ from radiomap import (
     sm0_sigma0,
     sweep,
 )
-from radiomap.analysis import grid_forms
+from radiomap.analysis import grid_forms, sweep_covariances
 from radiomap.estimators import sensor_factor, sm0_weights
 from radiomap.field import joint_cholesky
 from radiomap.harness import (
@@ -199,7 +199,8 @@ class TestMcWorkspace:
     @staticmethod
     def setup_for(cfg, xy):
         scns = [cfg.scenario(r) for r in cfg.ratios]
-        return scns, _mc_setup(scns, grid_forms(scns[0], xy, cfg.methods, cfg.nu))
+        forms = grid_forms(scns[0], xy, cfg.methods, cfg.nu)
+        return scns, _mc_setup(forms, sweep_covariances(forms, [scn.correlation for scn in scns]))
 
     @pytest.mark.parametrize("kernel", ["exponential", "gaussian", "elliptical"])
     def test_sm0_rows_match_one_point_weights_bit_for_bit(self, kernel):
@@ -208,10 +209,9 @@ class TestMcWorkspace:
         scns, setup = self.setup_for(cfg, xy)
         for scn, rows in zip(scns, setup.sm0):
             sensors = list(scn.sensors)
-            factor = sensor_factor(scn.correlation, sensors)
             assert rows.shape == (len(xy), len(sensors))
             for row, (x, y) in zip(rows, xy.tolist()):
-                assert row.tobytes() == sm0_weights(scn.correlation, sensors, Point(x, y), factor).tobytes()
+                assert row.tobytes() == sm0_weights(scn.correlation, sensors, Point(x, y)).tobytes()
 
     def test_no_row_leaks_between_points_or_ratios(self):
         # NaN in every row before each block, blocks in reverse order: the same bytes
@@ -260,8 +260,8 @@ class TestMcWorkspace:
 
     def test_memory_budget_of_a_block(self):
         # a block of 8 points at R = 2,000, the most that 2^14 doubles per row hold, peaks below
-        # the workspace's 20 rows per point and 9 for one refit at a time, one draw's 8 Philox rows,
-        # numpy's 64 KB ufunc buffer for the draw's cast and 8 KB of small arrays
+        # the workspace's 20 rows per point and 9 for one refit at a time, one draw's 8 Philox rows
+        # and 8 KB of small arrays
         from radiomap import harness
 
         cfg = ExperimentConfig(realizations=2000, mode="mc")
@@ -269,7 +269,7 @@ class TestMcWorkspace:
         points = harness._BLOCK_DOUBLES // R
         assert points == 8
         _, setup = self.setup_for(cfg, cfg.grid().xy[:points])
-        assert self.peak_bytes(setup, points, R) <= (20 * points + 9 + 8) * 8 * R + 2**16 + 2**13
+        assert self.peak_bytes(setup, points, R) <= (20 * points + 9 + 8) * 8 * R + 2**13
 
 
 class TestGridRmse:
@@ -479,42 +479,55 @@ class TestSweep:
                 assert surfaces[m].rmse_mc.tolist() == want
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_sensor_covariance_factored_once_per_ratio(self, monkeypatch, threads):
-        # one stack of every point's joint factors and one sensor-covariance factor per ratio
-        import radiomap
+    @pytest.mark.parametrize("mode", ["analytic", "mc", "both"])
+    def test_covariances_built_once_per_sweep(self, monkeypatch, mode, threads):
+        # two kernel passes (every Cn, every C0) and one stacked Cholesky of every Cn serve both
+        # engines; the Monte Carlo route adds one stack of joint factors per ratio and nothing else
+        import sys
+
         from radiomap import linalg
+        from radiomap.correlation import cross_covariance_stack as kernel
 
-        original = linalg.cholesky
-        shapes = []
+        factor = linalg.cholesky
+        kernel_calls, shapes = [], []
 
-        def counted(m):
+        def counted_kernel(models, a, b):
+            kernel_calls.append(len(models))
+            return kernel(models, a, b)
+
+        def counted_factor(m):
             shapes.append(np.shape(m))
-            return original(m)
+            return factor(m)
 
-        for module in vars(radiomap).values():  # every binding, linalg's own included
-            if getattr(module, "cholesky", None) is original:
-                monkeypatch.setattr(module, "cholesky", counted)
-        cfg = ExperimentConfig(resolution=4, mode="mc", realizations=100, ratios=(0.5, 1.0, 2.0))
+        for name, module in list(sys.modules.items()):  # every binding, correlation's and linalg's own included
+            if not name.startswith("radiomap."):
+                continue
+            if getattr(module, "cross_covariance_stack", None) is kernel:
+                monkeypatch.setattr(module, "cross_covariance_stack", counted_kernel)
+            if getattr(module, "cholesky", None) is factor:
+                monkeypatch.setattr(module, "cholesky", counted_factor)
+        cfg = ExperimentConfig(resolution=4, mode=mode, realizations=100, ratios=(0.5, 1.0, 2.0))
         sweep(cfg, threads=threads)
-        assert shapes.count((16, 5, 5)) == 3
-        assert shapes.count((4, 4)) == 3
-        assert len(shapes) == 6
+        assert kernel_calls == [3, 3]
+        assert shapes.count((3, 4, 4)) == 1
+        assert shapes.count((16, 5, 5)) == (0 if mode == "analytic" else 3)
+        assert len(shapes) == (1 if mode == "analytic" else 4)
 
     @staticmethod
     def _second_sensor_factor_fails(monkeypatch):
-        from radiomap import harness
+        # the sweep's stacked factor of every Cn fails at its second matrix; the ratio
+        # before it factors again alone
+        from radiomap import analysis
         from radiomap.linalg import NotPositiveDefiniteError
 
-        original = harness.sensor_factor
-        calls = []
+        original = analysis.cholesky
 
-        def second_fails(model, sensors):
-            calls.append(1)
-            if len(calls) == 2:
-                raise NotPositiveDefiniteError(2, -1.0)
-            return original(model, sensors)
+        def second_fails(m):
+            if len(m) > 1:
+                raise NotPositiveDefiniteError(2, -1.0, index=1)
+            return original(m)
 
-        monkeypatch.setattr(harness, "sensor_factor", second_fails)
+        monkeypatch.setattr(analysis, "cholesky", second_fails)
 
     def test_failed_sensor_factor_raises_at_its_ratio(self, monkeypatch):
         # the ratios before it are yielded, and its error names it
@@ -543,19 +556,22 @@ class TestSweep:
 
     @staticmethod
     def _point_five_indefinite_at_ratio_one(monkeypatch, cfg):
-        # scale point 5's cross-covariances at ratio 1.0 (xc = side) so that its joint matrix fails
-        from radiomap import field
+        # scale point 5's cross-covariances at ratio 1.0 (xc = side) so that its joint matrix fails,
+        # in the sweep's stacks and at the point alone
+        from radiomap import analysis, field
 
         target = Point(*cfg.grid().xy[5].tolist())
         original = field.cross_covariance_stack
 
         def patched(models, queries, points):
             c0 = original(models, queries, points)
-            if models[0].xc == cfg.side_m:
-                c0[:, np.all(queries == (target.x, target.y), axis=1)] *= 1e3
+            for k, model in enumerate(models):
+                if model.xc == cfg.side_m:
+                    c0[k, np.all(queries == (target.x, target.y), axis=1)] *= 1e3
             return c0
 
         monkeypatch.setattr(field, "cross_covariance_stack", patched)
+        monkeypatch.setattr(analysis, "cross_covariance_stack", patched)
         with pytest.raises(NotPositiveDefiniteError) as alone:
             joint_cholesky(cfg.scenario(1.0), target)
         return alone.value
@@ -599,12 +615,14 @@ class TestSweep:
         factor, draw = harness.joint_factors, harness.standard_normal_block
         factored, draws = [], []
         error = NotPositiveDefiniteError(1, -1.0, index=4)
+        scns = [cfg.scenario(r) for r in cfg.ratios]
+        c_ns = [covariance_matrix(scn.correlation, list(scn.sensors)) for scn in scns]
 
-        def recorded(scn, xy):
-            factored.append(cfg.side_m / scn.correlation.xc)
+        def recorded(c_0, c_n):
+            factored.append(next(r for r, want in zip(cfg.ratios, c_ns) if np.array_equal(c_n, want)))
             if len(factored) == failing + 1:
                 raise error
-            return factor(scn, xy)
+            return factor(c_0, c_n)
 
         def drawn(master_seed, point_index, *args, **kwargs):
             draws.append(point_index)
@@ -612,9 +630,9 @@ class TestSweep:
 
         monkeypatch.setattr(harness, "joint_factors", recorded)
         monkeypatch.setattr(harness, "standard_normal_block", drawn)
-        scns = [cfg.scenario(r) for r in cfg.ratios]
         forms = grid_forms(scns[0], cfg.grid().xy, cfg.methods)
-        rmse, got = harness._mc_rmse(scns, forms, range(9), cfg.realizations, cfg.master_seed, threads=2)
+        cov = sweep_covariances(forms, [scn.correlation for scn in scns])
+        rmse, got = harness._mc_rmse(forms, cov, range(9), cfg.realizations, cfg.master_seed, threads=2)
         assert factored == list(cfg.ratios[: failing + 1])
         assert got is error and rmse.shape == (failing, 2, 9)
         assert sorted(draws) == (list(range(9)) if failing else [])
