@@ -37,7 +37,7 @@ import numpy as np
 
 from .geometry import Point, Scenario, coordinates, distance
 from .correlation import CorrelationModel, covariance_matrix, cross_covariance, cross_covariance_stack
-from .linalg import NotPositiveDefiniteError, cholesky, solve_cholesky
+from .linalg import NotPositiveDefiniteError, cholesky_stack, solve_cholesky
 from .estimators import (
     SM0,
     SM1,
@@ -225,8 +225,8 @@ class SweepCovariances:
     c_n holds each model's (n, n) sensor covariance Cn and c_0 its (N, n)
     covariances C0 at the forms' points, each with the bits it has alone.
     factors (None unless sm0 or sm1 runs) holds the Cholesky factors of the
-    Cn before the first that is not positive definite, and error is the
-    error that Cn raises alone.
+    Cn before the first that is not positive definite, and error is that
+    Cn's NotPositiveDefiniteError, its index the model's.
     """
 
     c_n: np.ndarray
@@ -238,21 +238,17 @@ class SweepCovariances:
 def sweep_covariances(forms: GridForms, models: list[CorrelationModel]) -> SweepCovariances:
     """The models' Cn and C0 stacks at the forms' points, one kernel pass each, and their Cn factors in one call.
 
-    The factors are taken only when sm0 or sm1 runs. If a Cn is not
-    positive definite, the models before it are factored again as one
-    stack, with the bits they have in the whole one. A sigma^2 that
-    overflows raises the kernel's OverflowError.
+    The factors are taken only when sm0 or sm1 runs, and cut at the first
+    Cn that is not positive definite. A sigma^2 that overflows raises the
+    kernel's OverflowError.
     """
     with np.errstate(all="ignore"):
         c_n = cross_covariance_stack(models, forms.sensors, forms.sensors)
         c_0 = cross_covariance_stack(models, forms.xy, forms.sensors)
         if SM0 not in forms.methods and SM1 not in forms.methods:
             return SweepCovariances(c_n, c_0, None, None)
-        try:
-            return SweepCovariances(c_n, c_0, cholesky(c_n), None)
-        except NotPositiveDefiniteError as err:
-            alone = NotPositiveDefiniteError(err.pivot_index, err.pivot_value)
-            return SweepCovariances(c_n, c_0, cholesky(c_n[: err.index]), alone)
+        factors, error = cholesky_stack(c_n.copy())
+    return SweepCovariances(c_n, c_0, factors if error is None else factors[: error.index], error)
 
 
 def _error_rows(

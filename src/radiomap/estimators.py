@@ -3,15 +3,19 @@
 Every estimator predicts received power at a query point from the n sensor
 measurements by applying sensor weights to one of three things: the shadow
 deviations from the true medians (sm0), the residuals of a log-distance
-fit (sm1, sm2), or the raw measurements (nn, idw, nat). method_weights() is
-the one table from method name to weights; predict() and _affine_rows() each
-branch only on those three families. All estimators are affine in the
+fit (sm1, sm2), or the raw measurements (nn, idw, nat). method_weights()
+maps a method name to its weights at one point, for predict() and
+as_affine(); a sweep takes the same weights as (N, n) tables, from
+analysis.grid_forms() and, for sm0 and sm1, from sm0_weight_rows() against
+its stacked sensor factors. predict() and _affine_rows() each branch only
+on those three families. All estimators are affine in the
 measurement vector: _affine_rows() turns a method's (N, n) weight rows into
 N intercepts and coefficient rows, the analysis module's closed-form error
 engine runs on those rows, and as_affine() is their row at one point.
 
 The point-set entries take (N, 2) coordinate arrays. sm0_weight_rows()
-solves every point's sm0 weights from a sweep's C0 in one stacked call.
+solves every point's sm0 weights under every model of a sweep from its C0
+stack in one stacked call.
 The weights of sm2, idw, nn and nat depend on nothing but where the
 sensors and the query are. geometry_weights() computes them for a whole
 point set as one (N, n) table in array passes: one distance table for sm2,
@@ -260,15 +264,18 @@ def sensor_factor(model: CorrelationModel, sensors: list[Point]) -> np.ndarray:
 
 
 def sm0_weight_rows(factor: np.ndarray, c_0: np.ndarray) -> np.ndarray:
-    """(N, n) conditional-mean weights: solve C_n w = c_0 at each row of c_0 (no explicit inverse).
+    """(..., N, n) conditional-mean weights: solve C_n w = c_0 at each row of c_0 (no explicit inverse).
 
     c_0 holds the (N, n) covariances between N points and the sensors and
-    factor the Cholesky factor of their C_n, under one model. All N solves
-    are one stacked solve_cholesky call: the factor is broadcast over the
-    points, one right-hand side each, so row i has the bits of point i's
-    solve alone.
+    factor the Cholesky factor of their C_n, under one model, or a stack of
+    both under several: (K, N, n) rows and (K, n, n) factors. All solves are
+    one stacked solve_cholesky call: each factor is broadcast over its
+    points, one right-hand side each, so every row has the bits of its
+    point's solve alone.
     """
-    return solve_cholesky(np.broadcast_to(factor, (len(c_0), *np.shape(factor))), c_0[:, :, None])[:, :, 0]
+    factor = np.asarray(factor)
+    lower = np.broadcast_to(factor[..., None, :, :], (*c_0.shape, factor.shape[-1]))
+    return solve_cholesky(lower, c_0[..., None])[..., 0]
 
 
 def sm0_weights(model: CorrelationModel, sensors: list[Point], p0: Point) -> np.ndarray:
@@ -478,7 +485,7 @@ def sibson_weights(sensors: list[Point], p0: Point) -> np.ndarray:
 
 
 def method_weights(method: str, scn: Scenario, p0: Point, nu: float = 1.0) -> np.ndarray:
-    """Sensor weights a method applies at p0: the only map from method name to weights.
+    """Sensor weights a method applies at p0, the map from method name to weights behind predict() and as_affine().
 
     sm0 and sm1 share the correlation-derived weights; the geometry-only
     methods take their row of geometry_weights, which holds each of their

@@ -5,10 +5,11 @@ zero-mean Gaussian with covariance given by the scenario's correlation
 model: s = L z, where L is the Cholesky factor of the (n+1) x (n+1) joint
 covariance (query point first) and z is a vector of independent standard
 normals. joint_factors() assembles these covariances for N points from
-one model's C0 rows and Cn (a sweep builds them once, as stacks:
-analysis.sweep_covariances) as one (N, n+1, n+1) stack and factors it in
-one call. Each point's factor has the bits of the same matrix factored
-alone, and joint_cholesky() is the stack at one point.
+the C0 rows and Cn of one model or of every model of a sweep (which builds
+them once, as stacks: analysis.sweep_covariances) as one stack and
+factors it in one call, returning the lowest failure as a value. Each
+point's factor has the bits of the same matrix factored alone, and
+joint_cholesky() is the stack at one point.
 
 emitter_log_distances() takes an array of points' emitter distances once,
 for the median powers (median_powers) and the log-distance fit alike.
@@ -53,7 +54,7 @@ import numpy as np
 
 from .geometry import Point, Scenario, coordinates
 from .correlation import covariance_stack, cross_covariance_stack
-from .linalg import cholesky
+from .linalg import NotPositiveDefiniteError, cholesky_stack
 
 __all__ = [
     "emitter_log_distances",
@@ -91,27 +92,32 @@ def median_power(scn: Scenario, p: Point) -> float:
     return float(median_powers(scn, emitter_log_distances(scn, coordinates([p])))[0])
 
 
-def joint_factors(c_0: np.ndarray, c_n: np.ndarray) -> np.ndarray:
-    """(N, n+1, n+1) Cholesky factors of the joint covariances over [p, sensors] (p first), one per row of c_0.
+def joint_factors(c_0: np.ndarray, c_n: np.ndarray) -> tuple[np.ndarray, NotPositiveDefiniteError | None]:
+    """Cholesky factors of the joint covariances over [p, sensors] (p first), one per row of c_0, and the first failure.
 
-    c_0 holds the (N, n) point-sensor covariances and c_n the (n, n) sensor
-    covariance of one model. A matrix that is not positive definite raises
-    NotPositiveDefiniteError for the lowest-indexed such point: its index
-    is err.index, and the points before it factor as they would alone.
+    c_0 holds the (..., N, n) point-sensor covariances and c_n the (..., n, n)
+    sensor covariances of one model or of a stack of them; the factors are
+    their (..., N, n+1, n+1) stack, built in one allocation and factored in
+    place by one cholesky_stack() call. The error is None when every joint
+    covariance is positive definite; otherwise its index is the lowest
+    failing point's in the flattened (model, point) stack.
     """
-    n = len(c_n)
-    stack = np.empty((len(c_0), n + 1, n + 1))
-    stack[:, 1:, 1:] = c_n
-    stack[:, 0, 0] = c_n[0, 0]  # sigma^2, the kernel at zero distance
-    stack[:, 0, 1:] = stack[:, 1:, 0] = c_0
-    return cholesky(stack)
+    n = c_n.shape[-1]
+    stack = np.empty((*c_0.shape[:-1], n + 1, n + 1))
+    stack[..., 1:, 1:] = c_n[..., None, :, :]
+    stack[..., 0, 0] = c_n[..., None, 0, 0]  # sigma^2, the kernel at zero distance
+    stack[..., 0, 1:] = stack[..., 1:, 0] = c_0
+    return cholesky_stack(stack)
 
 
 def joint_cholesky(scn: Scenario, p0: Point) -> np.ndarray:
-    """Cholesky factor of the joint covariance over [p0, sensors] (p0 first): joint_factors at one point."""
+    """Cholesky factor of the joint covariance over [p0, sensors] (p0 first): joint_factors at one point, raising its error."""
     model, sensors = [scn.correlation], coordinates(scn.sensors)
     c_0 = cross_covariance_stack(model, coordinates([p0]), sensors)[0]
-    return joint_factors(c_0, covariance_stack(model, sensors)[0])[0]
+    lower, error = joint_factors(c_0, covariance_stack(model, sensors)[0])
+    if error is not None:
+        raise error
+    return lower[0]
 
 
 def _normal_rows(raw: np.ndarray, n_variates: int, out: np.ndarray) -> np.ndarray:

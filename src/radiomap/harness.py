@@ -11,13 +11,15 @@ points where they disagree beyond Monte Carlo noise. What no ratio changes
 (the grid's (N, 2) coordinate array, the geometry-only weights) is
 gathered once per sweep, and so is what every ratio needs: each ratio's
 covariances and sensor factor, built as stacks once for both engines
-(analysis.sweep_covariances). The closed form is one array evaluation of
-every ratio at every grid point. The Monte Carlo route decides every way a
-ratio can fail in its set-up, before any draw; its kernel then only
-computes, point-major, in chunks and blocks of points (see its section
-below), writing one (K, M, N) array. One driver, _mc_rmse, runs a grid's
-points, point_rmse_mc's one point and the validation check's points. Each
-engine's spatial aggregates come from one row-wise pass.
+(analysis.sweep_covariances). One set-up then decides, before either
+engine runs, the ratio at which the sweep stops and the one error raised
+there, with the same precedence in every mode (_grid_evals): factor
+failures come back as values, not exceptions. The closed form is one
+array evaluation of every ratio at every grid point. The Monte Carlo
+kernel only computes, point-major, in chunks and blocks of points (see its
+section below), writing one (K, M, N) array. One driver, _mc_rmse, runs a
+grid's points, point_rmse_mc's one point and the validation check's
+points. Each engine's spatial aggregates come from one row-wise pass.
 
 Monte Carlo determinism: realizations for grid point i come from the
 substream keyed by (master_seed, i), so results are bitwise identical for
@@ -271,11 +273,6 @@ def _power_of_two_above(magnitudes: np.ndarray, axis: int | None = None) -> np.n
     return np.ldexp(1.0, np.minimum(np.frexp(magnitudes.max(axis=axis))[1], 1023))
 
 
-# Errors of a ratio's numerics that mean its kernel and spacing ratio are
-# outside the range of doubles.
-_RANGE_ERRORS = (NotPositiveDefiniteError, OutsideHullError, ArithmeticError)
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo evaluation
 #
@@ -286,12 +283,9 @@ _RANGE_ERRORS = (NotPositiveDefiniteError, OutsideHullError, ArithmeticError)
 # results stay independent checks of one another. A point's normals depend
 # on its stream alone, so one draw serves every ratio.
 #
-# Set-up (_mc_setup) runs before any draw and decides every failure. From
-# each ratio's Cn and C0 in the sweep's covariances it factors the joint
-# covariances of every point as one (N, n+1, n+1) stack and solves every
-# point's sm0 weights against the ratio's sensor factor in one stacked
-# call; the first ratio that fails stops the set-up, and its error is the
-# one the sweep raises at that ratio. Past set-up nothing fails: the fit's
+# Set-up (_mc_setup) runs before any draw: one in-place factor of every
+# point's joint covariance under every ratio and one solve of every sm0
+# row, failures returned as values. Past set-up nothing fails: the fit's
 # constants were checked with the forms, and the kernel runs with numpy's
 # errors off, its inf and NaN named later by the finiteness checks.
 #
@@ -308,49 +302,31 @@ _RANGE_ERRORS = (NotPositiveDefiniteError, OutsideHullError, ArithmeticError)
 # trade the lock (~4,300 voluntary context switches a sweep, none on one).
 
 
-@dataclass(frozen=True)
-class _McSetup:
-    """What every point of a Monte Carlo run shares, one entry per ratio set up before the first that fails.
+def _mc_setup(cov: SweepCovariances) -> tuple[np.ndarray, np.ndarray | None, NotPositiveDefiniteError | None]:
+    """The (K', N, n+1, n+1) joint factors and (K', N, n) sm0 rows of the K' ratios before the first that fails, and its error.
 
-    joint[k] holds the (N, n+1, n+1) joint factors of every point under
-    ratio k, and sm0[k] their (N, n) sm0 and sm1 weights; sm0 is empty if
-    neither method runs. error is the failing ratio's, None if none fails.
+    A ratio fails first at its sensor factor (cov.error), then at the joint
+    factor of its lowest failing point. The joint factors of every ratio
+    that cov factors are one joint_factors() call, and the sm0 rows, None
+    unless sm0 or sm1 runs, one sm0_weight_rows() call against cov's
+    sensor factors.
     """
+    k = len(cov.c_n) if cov.factors is None else len(cov.factors)
+    with np.errstate(all="ignore"):  # near the double range, the finiteness checks name what goes wrong
+        sm0 = None if cov.factors is None else sm0_weight_rows(cov.factors, cov.c_0[:k])
+        joint, error = joint_factors(cov.c_0[:k], cov.c_n[:k])
+    if error is None:
+        return joint, sm0, cov.error
+    k = error.index // cov.c_0.shape[1]
+    return joint[:k], None if sm0 is None else sm0[:k], error
 
-    forms: GridForms
-    joint: list[np.ndarray]
-    sm0: list[np.ndarray]
-    error: Exception | None
 
-
-def _mc_setup(forms: GridForms, cov: SweepCovariances) -> _McSetup:
-    """Factor each ratio's joint stack, and solve its sm0 weights if sm0 or sm1 runs, up to the first that fails.
-
-    Both come from the ratio's Cn, C0 and sensor factor in cov. A ratio
-    fails at its lowest failing point: a joint factor that is not positive
-    definite at err.index, or the sensor factor (cov.error) at every point,
-    the joint factor's error winning at point 0. Nothing after it is set
-    up.
-    """
-    joint: list[np.ndarray] = []
-    sm0: list[np.ndarray] = []
-    with np.errstate(all="ignore"):
-        for k, c_n in enumerate(cov.c_n):
-            failures: list[tuple[int, Exception]] = []  # (lowest failing point, its error), the joint factor's first
-            try:
-                factors = joint_factors(cov.c_0[k], c_n)
-            except NotPositiveDefiniteError as err:
-                failures.append((err.index, err))
-            if cov.factors is not None:
-                if k < len(cov.factors):
-                    sm0.append(sm0_weight_rows(cov.factors[k], cov.c_0[k]))
-                else:
-                    failures.append((0, cov.error))
-            if failures:
-                return _McSetup(forms, joint, sm0[: len(joint)], min(failures, key=lambda f: f[0])[1])
-            joint.append(factors)
-    return _McSetup(forms, joint, sm0, None)
-
+# Least sigma_db a Monte Carlo run takes, as a fraction of the largest median
+# power magnitude |P|: smaller shadows are lost in the round-off of P + s,
+# and sm0's RMSE reads 0. Near the limit (|P| = 127.7 dB, sigma 1.3e-7 dB)
+# sm0's and sm1's RMSEs strayed from sigma-scaling by 1e-9 and 8e-9. Any
+# sigma of at least 1e-3 dB passes while |P| stays below 1e6 dB.
+_SIGMA_FRACTION = 1e-9
 
 # Doubles in one (points, R) plane of a block: P = max(1, _BLOCK_DOUBLES // R)
 # points run per numpy pass, 8 at R = 2,000, one at R = 10^4.
@@ -407,7 +383,9 @@ class _McWorkspace:
 
 
 def _mc_block_rmse(
-    setup: _McSetup,
+    forms: GridForms,
+    joint: np.ndarray,
+    sm0: np.ndarray | None,
     block: range,
     indices: Sequence[int],
     realizations: int,
@@ -417,13 +395,13 @@ def _mc_block_rmse(
 ) -> None:
     """Write the RMS prediction error of each method at a block of points under each scenario set up into out.
 
-    block holds the points' indices into the setup's forms, indices[i] keys
-    point i's stream, ws is the calling task's workspace, with room for the
-    block, and out the (K', M, N) RMSEs, K' scenarios and M methods in the
-    order of forms.methods: the block writes out[:, :, block]. Each point's
-    results have the bits of a block of one.
+    joint and sm0 are _mc_setup's stacks for K' scenarios, block holds the
+    points' indices into the forms, indices[i] keys point i's stream, ws is
+    the calling task's workspace, with room for the block, and out the
+    (K', M, N) RMSEs, M methods in the order of forms.methods: the block
+    writes out[:, :, block]. Each point's results have the bits of a block
+    of one.
     """
-    forms = setup.forms
     n, points = len(forms.pm), len(block)
     for p, i in enumerate(block):
         standard_normal_block(master_seed, indices[i], n + 1, realizations, out=ws.z[p], bitgen=ws.bitgen)
@@ -431,9 +409,9 @@ def _mc_block_rmse(
     medians = np.empty((points, n + 1, 1))  # each point's and the sensors' median powers
     medians[:, 0, 0], medians[:, 1:, 0] = forms.pm0[at], forms.pm
     with _unbuffered(realizations):
-        for j, joint in enumerate(setup.joint):
-            sm0 = setup.sm0[j][at] if setup.sm0 else None
-            out[j, :, at] = _mc_block_ratio(forms, joint[at], sm0, block, medians, ws).T
+        for j in range(len(joint)):
+            rows = None if sm0 is None else sm0[j, at]
+            out[j, :, at] = _mc_block_ratio(forms, joint[j, at], rows, block, medians, ws).T
 
 
 def _mc_block_ratio(
@@ -474,29 +452,26 @@ def _mc_block_ratio(
 
 def _mc_rmse(
     forms: GridForms,
-    cov: SweepCovariances,
+    joint: np.ndarray,
+    sm0: np.ndarray | None,
     indices: Sequence[int],
     realizations: int,
     master_seed: int,
     threads: int = 1,
-) -> tuple[np.ndarray, Exception | None]:
-    """Monte Carlo RMSE of each method at every point of the forms under cov's K ratios, one task per chunk of points.
+) -> np.ndarray:
+    """(K', M, N) Monte Carlo RMSEs of each method at every point of the forms under _mc_setup's K' ratios, one task per chunk of points.
 
-    indices[i] keys point i's stream. Set-up decides every failure before
-    any draw (_mc_setup), and the points then run only the K' ratios before
-    the first that fails. Returns their (K', M, N) RMSEs and that ratio's
-    error, if any. ValueError names a stream key outside the unsigned
-    64-bit range, or realizations that are not an integer of at least 1,
-    before any set-up.
+    indices[i] keys point i's stream. ValueError names a stream key outside
+    the unsigned 64-bit range, or realizations that are not an integer of
+    at least 1, before any draw. Nothing is drawn when K' is 0.
     """
     for index in (min(indices), max(indices)):
         _check_stream_keys(master_seed=master_seed, point_index=index)
     if not _accepts(0, realizations) or realizations < 1:
         raise ValueError(f"realizations must be an integer of at least 1, got {realizations!r}")
-    setup = _mc_setup(forms, cov)
     n_points = len(forms.xy)
-    rmse = np.empty((len(setup.joint), len(forms.methods), n_points))
-    tasks = min(threads, n_points) if setup.joint else 0  # nothing to draw when the first ratio fails
+    rmse = np.empty((len(joint), len(forms.methods), n_points))
+    tasks = min(threads, n_points) if len(joint) else 0
     chunks = [range(n_points * t // tasks, n_points * (t + 1) // tasks) for t in range(tasks)]
     per_block = max(1, _BLOCK_DOUBLES // realizations)
 
@@ -506,7 +481,8 @@ def _mc_rmse(
         )
         with np.errstate(all="ignore"):  # pool threads do not inherit the caller's state
             for start in range(0, len(chunk), per_block):
-                _mc_block_rmse(setup, chunk[start : start + per_block], indices, realizations, master_seed, ws, rmse)
+                block = chunk[start : start + per_block]
+                _mc_block_rmse(forms, joint, sm0, block, indices, realizations, master_seed, ws, rmse)
 
     if tasks > 1:
         with ThreadPoolExecutor(max_workers=tasks) as pool:
@@ -514,7 +490,7 @@ def _mc_rmse(
     else:
         for chunk in chunks:
             eval_chunk(chunk)
-    return rmse, setup.error
+    return rmse
 
 
 def point_rmse_mc(
@@ -533,7 +509,8 @@ def point_rmse_mc(
     least 1: ValueError names the first that does not, before any draw.
     """
     forms = grid_forms(scn, coordinates([p0]), (method,), nu)
-    rmse, error = _mc_rmse(forms, sweep_covariances(forms, [scn.correlation]), [point_index], realizations, master_seed)
+    joint, sm0, error = _mc_setup(sweep_covariances(forms, [scn.correlation]))
+    rmse = _mc_rmse(forms, joint, sm0, [point_index], realizations, master_seed)
     if error is not None:
         raise error
     return float(rmse[0, 0, 0])
@@ -590,24 +567,6 @@ def _surfaces(
     return surfaces
 
 
-@contextmanager
-def _at_ratio(config: ExperimentConfig, ratio: float) -> Iterator[None]:
-    """Run one ratio's numerics with numpy's warnings off and its failures named.
-
-    Grid points lie strictly inside the sensor hull and the emitter on no
-    sensor or grid point, so the second handler's errors come only from
-    doubles running out of range. The finiteness checks name what an inf or
-    NaN means, so numpy's warnings stay off stderr.
-    """
-    try:
-        with np.errstate(all="ignore"):
-            yield
-    except DegenerateGeometryError as err:
-        raise DegenerateGeometryError(f"emitter at ({config.emitter.x:g}, {config.emitter.y:g}): {err}") from err
-    except _RANGE_ERRORS as err:
-        raise _out_of_range(config, ratio, err) from err
-
-
 def _grid_evals(
     config: ExperimentConfig,
     ratios: tuple[float, ...],
@@ -616,78 +575,90 @@ def _grid_evals(
 ) -> Iterator[dict[str, RmseSurface]]:
     """Every method's RMSE surface, one ratio after the other.
 
+    One set-up decides, before either engine runs, the ratio at which the
+    sweep stops and the one error raised there, after the ratios before it
+    are yielded. The precedence is the same in every mode. The sweep stops
+    at the first ratio that fails its range check. Before it, it stops at
+    the first ratio whose sensor covariance Cn is not positive definite,
+    when sm0 or sm1 runs, or, in mc and both modes, whose joint covariance
+    at some point is not: at one ratio, Cn's error wins over the lowest
+    failing point's. A failure at pivot 0, which is sigma^2 itself, is
+    named as sigma^2 underflowing. In mc and both modes, a sigma_db below
+    _SIGMA_FRACTION of the largest median power magnitude stops the sweep
+    at its first ratio.
+
     The ratio-free parts of the error forms, the geometry-only weights above
-    all, are gathered once, at the first ratio, for both engines, and the
-    emitter is checked against the grid once. Every ratio's Cn, C0 and
+    all, are gathered once from one scenario, and every ratio's Cn, C0 and
     sensor factor are built once, as stacks (analysis.sweep_covariances),
-    for both engines. Both engines then run every ratio before the first is
-    yielded: the analytic engine on the calling thread as one stack of all
-    the ratios, the Monte Carlo stage with one worker task per chunk of
-    points, each point's normals drawn once. Each
-    engine's aggregates come from one row-wise pass. Errors surface in the
-    order of a ratio-by-ratio run: a ratio's set-up, its analytic step,
-    then its Monte Carlo step, each after the ratios before it are yielded.
+    for both engines. Both engines then run the ratios before the stop: the
+    analytic engine on the calling thread as one stack, the Monte Carlo
+    stage with one worker task per chunk of points, each point's normals
+    drawn once. Each engine's aggregates come from one row-wise pass.
     """
     if not (_accepts(0, threads) and 1 <= threads <= MAX_THREADS):
         raise ConfigError(f"threads must be an integer between 1 and {MAX_THREADS}, got {threads!r}")
-    grid = config.grid()
-    scns: list[Scenario] = []  # one per ratio set up so far
-    forms = None
-    try:
-        for ratio in ratios:
-            if not (ratio > 0 and config.side_m / ratio > 0):
-                raise ConfigError(f"spacing ratio must be > 0 with side_m / ratio > 0, got {ratio}")
-            with _at_ratio(config, ratio):
-                if forms is None and (grid.xy == (config.emitter.x, config.emitter.y)).all(axis=1).any():
+    bad = [ratio for ratio in ratios if not (ratio > 0 and config.side_m / ratio > 0)]
+    stop = list(ratios).index(bad[0]) if bad else len(ratios)
+    error = ConfigError(f"spacing ratio must be > 0 with side_m / ratio > 0, got {bad[0]}") if bad else None
+    mc = config.mode in ("mc", "both")
+    if stop:
+        grid = config.grid()
+        try:
+            with np.errstate(all="ignore"):  # the finiteness checks name what an inf or NaN means
+                if (grid.xy == (config.emitter.x, config.emitter.y)).all(axis=1).any():
                     raise DegenerateGeometryError(
                         f"coincides with a query point of the resolution-{config.resolution} grid"
                     )
-                scn = config.scenario(ratio)
-                if forms is None:
-                    forms = grid_forms(scn, grid.xy, methods, config.nu)
-            scns.append(scn)
-    except (ConfigError, DegenerateGeometryError) as err:
-        setup_error = err  # raised below, once the ratios before it are yielded
-    # each engine's (K', M, N) RMSEs and the error of the ratio that stopped it, analytic first
-    engines: dict[str, tuple[np.ndarray, Exception | None]] = {}
-    if scns:
-        with _at_ratio(config, ratios[0]):  # a sigma^2 that overflows does so at every ratio
-            cov = sweep_covariances(forms, [scn.correlation for scn in scns])
-        if config.mode in ("analytic", "both"):
-            with np.errstate(all="ignore"):
-                rmse = grid_analytic_rmse(forms, cov)
-            engines["analytic"] = np.stack([rmse[m] for m in methods], axis=1), cov.error
-        if config.mode in ("mc", "both"):
-            engines["mc"] = _mc_rmse(forms, cov, range(len(grid.xy)), config.realizations, config.master_seed, threads)
+                forms = grid_forms(config.scenario(ratios[0]), grid.xy, methods, config.nu)
+                cov = sweep_covariances(forms, [config.correlation_for_ratio(ratio) for ratio in ratios[:stop]])
+        except DegenerateGeometryError as err:
+            raise DegenerateGeometryError(f"emitter at ({config.emitter.x:g}, {config.emitter.y:g}): {err}") from err
+        except (OutsideHullError, ArithmeticError) as err:
+            # grid points lie strictly inside the sensor hull, so these come only from doubles out of
+            # range, at every ratio alike: a sigma^2 that overflows, say
+            raise _out_of_range(config, ratios[0], err) from err
+        if mc:
+            joint, sm0, failed = _mc_setup(cov)
+            stop = len(joint)
+        else:
+            failed = cov.error
+            stop = len(cov.c_n) if cov.factors is None else len(cov.factors)
+        if failed is not None:  # pivot 0 is sigma^2 itself: a failure there is its underflow to 0
+            underflow = f"sigma^2 underflows a double at sigma = {config.sigma_db!r} dB"
+            error = _out_of_range(config, ratios[stop], underflow if failed.pivot_index == 0 else failed)
+            error.__cause__ = failed
+        if mc and stop:
+            top = float(max(np.abs(forms.pm0).max(), np.abs(forms.pm).max()))
+            if config.sigma_db < _SIGMA_FRACTION * top < math.inf:  # non-finite medians are named by _surfaces
+                stop, error = 0, ConfigError(
+                    f"field 'sigma_db' is too small for Monte Carlo: {config.sigma_db!r} dB is below "
+                    f"{_SIGMA_FRACTION:g} of the largest median power magnitude, {top:.6g} dB, "
+                    "so the shadows would be lost to round-off"
+                )
+    engines: dict[str, np.ndarray] = {}  # each engine's (stop, M, N) RMSEs
     with np.errstate(all="ignore"):
-        spatial = {engine: _spatial_rows(rmse) for engine, (rmse, _) in engines.items()}
-        stderr = _spatial_stderr(engines["mc"][0], config.realizations, spatial["mc"]) if "mc" in engines else None
-    for k, ratio in enumerate(ratios[: len(scns)]):
-        with _at_ratio(config, ratio):
-            for rmse, error in engines.values():
-                if k == len(rmse):
-                    raise error
+        if stop and config.mode in ("analytic", "both"):
+            rmse = grid_analytic_rmse(forms, cov)
+            engines["analytic"] = np.stack([rmse[m][:stop] for m in methods], axis=1)
+        if stop and mc:
+            indices = range(len(grid.xy))
+            engines["mc"] = _mc_rmse(forms, joint, sm0, indices, config.realizations, config.master_seed, threads)
+        spatial = {engine: _spatial_rows(rmse) for engine, rmse in engines.items()}
+        stderr = _spatial_stderr(engines["mc"], config.realizations, spatial["mc"]) if "mc" in engines else None
+    for k, ratio in enumerate(ratios[:stop]):
+        with np.errstate(all="ignore"):
             surfaces = _surfaces(
                 config,
                 ratio,
                 grid.xy,
                 methods,
-                {engine: rmse[k] for engine, (rmse, _) in engines.items()},
+                {engine: rmse[k] for engine, rmse in engines.items()},
                 {engine: s[k] for engine, s in spatial.items()},
                 None if stderr is None else stderr[k],
             )
         yield surfaces
-    if len(scns) < len(ratios):
-        raise setup_error
-
-
-def _grid_eval(
-    config: ExperimentConfig,
-    ratio: float,
-    methods: tuple[str, ...],
-    threads: int = 1,
-) -> dict[str, RmseSurface]:
-    return next(_grid_evals(config, (ratio,), methods, threads))
+    if error is not None:
+        raise error
 
 
 def grid_rmse(
@@ -697,7 +668,7 @@ def grid_rmse(
     config.validate()
     if method not in ALL_METHODS:
         raise ConfigError(f"unknown method {method!r}; valid methods: {', '.join(ALL_METHODS)}")
-    return _grid_eval(config, ratio, (method,), threads)[method]
+    return next(_grid_evals(config, (ratio,), (method,), threads))[method]
 
 
 def _spatial_stderr(per_point_rmse: np.ndarray, realizations: int, spatial: np.ndarray) -> np.ndarray:

@@ -3,14 +3,16 @@
 Covariance matrices in this package are at most (n+1) x (n+1) with n = 4 by
 default, so a plain O(k^3) factorization is the whole story. The value this
 module adds over a library call is the failure contract: a non-positive
-pivot raises NotPositiveDefiniteError naming the pivot index, which callers
+pivot gives a NotPositiveDefiniteError naming the pivot index, which callers
 use to distinguish coincident-point covariances from genuine bugs.
 
-cholesky() factors a (..., k, k) stack of matrices in one pass, pivot by
-pivot over the whole stack; a 2-D matrix is a stack of one. Each pivot's
-dot products go through np.matmul with the operands a single matrix would
-give it, so every factor in a stack has the bits of that matrix factored
-alone, and a failing matrix reports the pivot it would report alone.
+cholesky_stack() factors a (..., k, k) stack of matrices in one pass, pivot
+by pivot over the whole stack, in the stack's own storage, and returns the
+lowest failing matrix's error as a value; cholesky() raises it. A 2-D
+matrix is a stack of one. Each pivot's dot products go through np.matmul
+with the operands a single matrix would give it, so every factor in a stack
+has the bits of that matrix factored alone, and a failing matrix reports
+the pivot it would report alone.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import numpy as np
 __all__ = [
     "NotPositiveDefiniteError",
     "cholesky",
+    "cholesky_stack",
     "solve_cholesky",
 ]
 
@@ -58,40 +61,55 @@ def _check_symmetric(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def cholesky_stack(m: np.ndarray) -> tuple[np.ndarray, NotPositiveDefiniteError | None]:
+    """Lower-triangular factors of a (..., k, k) stack of symmetric matrices, and the lowest failing matrix's error.
+
+    The error is None when every matrix is positive definite; otherwise it
+    is the NotPositiveDefiniteError of the lowest-indexed failing matrix,
+    whose entry of the result is not a factor. The factors are written over
+    m's own storage when m is a writable C-contiguous float array, so a
+    stack is never held twice: pass a copy to keep m. The factorization
+    reads only m's lower triangle.
+    """
+    m = _check_symmetric(np.require(m, float, ["C", "W"]))
+    k = m.shape[-1]
+    lower = m.reshape(-1, k, k)
+    tol = _PIVOT_RTOL * np.maximum(np.diagonal(lower, axis1=1, axis2=2).max(axis=1, initial=0.0), 0.0)
+    first = None  # (matrix, pivot index, pivot value) of the lowest failing matrix so far
+    for i in range(k):
+        row = lower[:, i, None, :i]        # (N, 1, i): row i of the factors so far
+        col = row.transpose(0, 2, 1)       # the same entries as an (N, i, 1) column
+        pivot = lower[:, i, i] - np.matmul(row, col)[:, 0, 0]
+        bad = pivot <= tol
+        if bad.any():
+            j = int(np.argmax(bad))
+            if first is None or j < first[0]:
+                first = (j, i, float(pivot[j]))
+            # a failed matrix runs on as the identity, so the rest stays finite
+            lower[bad] = np.eye(k)
+            tol[bad] = 0.0
+            pivot[bad] = 1.0
+        lii = np.sqrt(pivot, out=pivot)
+        lower[:, i, i] = lii
+        if i + 1 < k:
+            below = lower[:, i + 1 :, i]  # column i of the matrices, below the diagonal
+            if i:
+                below -= np.matmul(lower[:, i + 1 :, :i], col)[:, :, 0]
+            below /= lii[:, None]
+    lower[:, ~np.tri(k, dtype=bool)] = 0.0  # the entries above the diagonal
+    error = None if first is None else NotPositiveDefiniteError(first[1], first[2], first[0])
+    return lower.reshape(m.shape), error
+
+
 def cholesky(m: np.ndarray) -> np.ndarray:
     """Lower-triangular L with L @ L.T == m, for each symmetric positive definite matrix of a (..., k, k) stack.
 
-    If any matrix fails, the error is that of the lowest-indexed failing one.
+    cholesky_stack() on a copy of m, raising its error if any matrix fails.
     """
-    m = _check_symmetric(m)
-    k = m.shape[-1]
-    stack = m.reshape(-1, k, k)
-    tol = _PIVOT_RTOL * np.maximum(np.diagonal(stack, axis1=1, axis2=2).max(axis=1, initial=0.0), 0.0)
-    lower = np.zeros_like(stack)
-    failed = np.full(len(stack), -1)  # each matrix's first failing pivot
-    values = np.zeros(len(stack))     # and its value
-    for i in range(k):
-        row = lower[:, i, None, :i]        # (N, 1, i): row i so far
-        col = row.transpose(0, 2, 1)       # the same entries as an (N, i, 1) column
-        pivot = stack[:, i, i] - np.matmul(row, col)[:, 0, 0]
-        bad = pivot <= tol
-        if bad.any():
-            failed[bad] = i
-            values[bad] = pivot[bad]
-            # a failed matrix runs on as the identity, so the rest stays finite
-            stack = np.where(bad[:, None, None], np.eye(k), stack)
-            lower[bad] = 0.0
-            tol[bad] = 0.0
-            pivot[bad] = 1.0
-        lii = np.sqrt(pivot)
-        lower[:, i, i] = lii
-        if i + 1 < k:
-            below = stack[:, i + 1 :, i] - np.matmul(lower[:, i + 1 :, :i], col)[:, :, 0]
-            lower[:, i + 1 :, i] = below / lii[:, None]
-    if (failed >= 0).any():
-        j = int(np.argmax(failed >= 0))
-        raise NotPositiveDefiniteError(int(failed[j]), float(values[j]), j)
-    return lower.reshape(m.shape)
+    lower, error = cholesky_stack(np.array(m, dtype=float))
+    if error is not None:
+        raise error
+    return lower
 
 
 def solve_cholesky(lower: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -50,7 +50,7 @@ from .analysis import (
     sm0_sigma0,
     sweep_covariances,
 )
-from .harness import ExperimentConfig, _mc_rmse, check_master_seed
+from .harness import ExperimentConfig, _mc_rmse, _mc_setup, check_master_seed
 
 __all__ = [
     "CheckResult",
@@ -193,8 +193,8 @@ def check_analytic_vs_mc(
     """
     scns = [_table_scenario(ratio) for ratio in ratios]
     forms = grid_forms(scns[0], coordinates([p for _, p in points]), tuple(methods))
-    cov = sweep_covariances(forms, [scn.correlation for scn in scns])
-    mc, error = _mc_rmse(forms, cov, [index for index, _ in points], realizations, master_seed)
+    joint, sm0, error = _mc_setup(sweep_covariances(forms, [scn.correlation for scn in scns]))
+    mc = _mc_rmse(forms, joint, sm0, [index for index, _ in points], realizations, master_seed)
     if error is not None:
         raise error
     worst = 0.0

@@ -181,10 +181,10 @@ def test_c08_spatial_uniformity():
     1e-9 dB, and the same in-band count.
     """
     t0 = time.time()
-    from radiomap.harness import _grid_eval
+    from radiomap.harness import _grid_evals
 
     cfg = ExperimentConfig(resolution=64, mode="analytic", methods=("sm0", "sm1", "sm2"))
-    surfaces = _grid_eval(cfg, 1.0, cfg.methods)
+    surfaces = next(_grid_evals(cfg, (1.0,), cfg.methods))
     fracs = {
         m: float(np.mean(np.abs(s.rmse - s.spatial_rmse) <= 0.3)) for m, s in surfaces.items()
     }

@@ -172,7 +172,7 @@ class TestSweepCommand:
         "overrides, code, named",
         [
             ({"correlation": {"kind": "gaussian"}, "ratios": [5e-4]}, 2, ["gaussian", "0.0005"]),
-            ({"sigma_db": 1e-200}, 2, ["exponential", "0.2"]),
+            ({"sigma_db": 1e-200}, 2, ["exponential", "0.2", "sigma^2 underflows a double at sigma = 1e-200 dB"]),
             ({"ratios": [1e-320]}, 2, ["exponential", "1e-320"]),
             ({"correlation": {"kind": "elliptical", "axis_ratio": 1e300}}, 2, ["elliptical", "0.2"]),
             ({"a_db": 1e308}, 2, ["exponential", "0.2"]),
@@ -271,8 +271,8 @@ class TestSweepCommand:
         assert math.isfinite(float(row["mc_stderr_db"]))
 
     def test_mc_failure_names_its_ratio_at_any_thread_count(self, tmp_path, capsys):
-        # the 5x5 joint covariance is not positive definite at ratio 1e-3; the
-        # Monte Carlo stage runs ratio 1.0 as well before the failure is raised
+        # the 5x5 joint covariance is not positive definite at ratio 1e-3, the first ratio:
+        # the set-up stops there, and nothing is drawn
         cfg = write_config(
             tmp_path, correlation={"kind": "gaussian"}, ratios=[1e-3, 1.0], methods=["nn"], mode="mc", realizations=100
         )
@@ -284,17 +284,55 @@ class TestSweepCommand:
         assert errs[0] == errs[1]
 
     @pytest.mark.parametrize(
-        "mode, pivot",
-        # mc: the joint factor at the first grid point; both: the analytic step's sensor factor
-        [("mc", "9.57101e-12"), ("both", "6.22791e-12")],
+        "overrides",
+        [{"methods": ["sm0"]}, {"methods": ["nn"], "mode": "mc"}, {"methods": ["nn", "sm1"], "mode": "both"}],
+        ids=["analytic-sm0", "mc-nn", "both"],
     )
+    def test_sigma_squared_underflow_is_named(self, tmp_path, capsys, overrides):
+        # pivot 0 of every sensor and joint covariance is sigma^2 itself
+        cfg = write_config(tmp_path, sigma_db=1e-162, ratios=[0.5, 1.0], **overrides)
+        assert main(["sweep", str(cfg), str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.strip() == (
+            "config error: exponential kernel at spacing ratio 0.5 is outside the numeric range: "
+            "sigma^2 underflows a double at sigma = 1e-162 dB"
+        )
+
+    def test_sigma_squared_underflow_leaves_geometry_only_methods_analytic(self, tmp_path):
+        cfg = write_config(tmp_path, sigma_db=1e-162, methods=["nn", "idw", "sm2", "nat"])
+        out = tmp_path / "out"
+        assert main(["sweep", str(cfg), str(out)]) == 0
+        assert all(math.isfinite(float(r["spatial_rmse_db"])) for r in read_rows(out / "sweep.csv"))
+
+    @pytest.mark.parametrize("mode", ["mc", "both"])
+    def test_monte_carlo_refuses_a_sigma_lost_in_round_off(self, tmp_path, capsys, mode):
+        # shadows of 1e-150 dB vanish when added to medians near 128 dB: sm0 would read 0
+        cfg = write_config(tmp_path, sigma_db=1e-150, ratios=[0.5], mode=mode)
+        assert main(["sweep", str(cfg), str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "field 'sigma_db' is too small for Monte Carlo: 1e-150 dB" in err
+        assert not (tmp_path / "out" / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("mode", ["mc", "both"])
+    def test_monte_carlo_takes_a_millidecibel_sigma(self, tmp_path, mode):
+        # sm0's Monte Carlo RMSE scales with sigma down to 1e-3 dB
+        rmse = {}
+        for sigma in (1e-3, 5.0):
+            cfg = write_config(tmp_path, sigma_db=sigma, ratios=[0.5], mode=mode, methods=["sm0"])
+            assert main(["sweep", str(cfg), str(tmp_path / "out")]) == 0
+            (row,) = read_rows(tmp_path / "out" / "sweep.csv")
+            rmse[sigma] = float(row["spatial_rmse_db"])
+        assert rmse[1e-3] / 1e-3 == pytest.approx(rmse[5.0] / 5.0, rel=1e-9)
+
+    @pytest.mark.parametrize("mode", ["analytic", "mc", "both"])
     @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_gaussian_sm1_failure_message(self, tmp_path, capsys, mode, pivot, threads):
+    def test_gaussian_sm1_failure_message(self, tmp_path, capsys, mode, threads):
+        # the sensor covariance Cn fails, and its error wins over the joint factor's (pivot 3 is
+        # 9.57101e-12 at the first grid point) in every mode
         cfg = write_config(tmp_path, correlation={"kind": "gaussian"}, ratios=[5e-4], methods=["sm1"], mode=mode)
         assert main(["sweep", str(cfg), str(tmp_path / "out"), "--threads", threads]) == 2
         assert capsys.readouterr().err.strip() == (
             "config error: gaussian kernel at spacing ratio 0.0005 is outside the numeric range: "
-            f"matrix is not positive definite: pivot 3 is {pivot}"
+            "matrix is not positive definite: pivot 3 is 6.22791e-12"
         )
 
     @pytest.mark.parametrize(

@@ -13,13 +13,16 @@ from radiomap import (
 from radiomap.correlation import cross_covariance_stack
 from radiomap.field import _correlate_rows, correlate_normals, joint_cholesky, joint_factors, standard_normal_block
 from radiomap.geometry import coordinates, make_grid
+from radiomap.linalg import NotPositiveDefiniteError
 
 
 def joint_factors_at(scn, xy):
     """joint_factors over the rows of xy, from the one-model C0 and Cn stacks of scn's model."""
     sensors = coordinates(scn.sensors)
     c_0 = cross_covariance_stack([scn.correlation], xy, sensors)[0]
-    return joint_factors(c_0, covariance_matrix(scn.correlation, list(scn.sensors)))
+    lower, error = joint_factors(c_0, covariance_matrix(scn.correlation, list(scn.sensors)))
+    assert error is None
+    return lower
 
 
 class TestMedianPower:
@@ -255,13 +258,37 @@ class TestJointFactors:
     @pytest.mark.parametrize("ratio", [0.05, 1.0, 20.0])
     @pytest.mark.parametrize("kind", ["exponential", "gaussian", "elliptical"])
     def test_stack_row_matches_one_point_bit_for_bit(self, kind, ratio):
-        model = CorrelationModel(kind, sigma=5.0, xc=640.0 / ratio, axis_ratio=3.3, rotation=0.5)
-        scn = build_square_scenario(640.0, Point(-100.0, 0.0), 15.3, 3.76, model)
-        xy = make_grid(640.0, 6).xy
-        stack = joint_factors_at(scn, xy)
-        assert stack.shape == (36, 5, 5)
-        for k, (x, y) in enumerate(xy.tolist()):
-            assert stack[k].tobytes() == joint_cholesky(scn, Point(x, y)).tobytes()
+        # one (K, N, 5, 5) stack over a sweep's ratios, as the Monte Carlo set-up builds it:
+        # entry (k, i) is joint_cholesky at ratio k and point i
+        ratios = (0.05, 1.0, 20.0)
+        scns = [
+            build_square_scenario(
+                640.0, Point(-100.0, 0.0), 15.3, 3.76, CorrelationModel(kind, 5.0, 640.0 / r, 3.3, 0.5)
+            )
+            for r in ratios
+        ]
+        models, sensors, xy = [scn.correlation for scn in scns], coordinates(scns[0].sensors), make_grid(640.0, 6).xy
+        c_0, c_n = cross_covariance_stack(models, xy, sensors), cross_covariance_stack(models, sensors, sensors)
+        stack, error = joint_factors(c_0, c_n)
+        assert error is None and stack.shape == (3, 36, 5, 5)
+        k = ratios.index(ratio)
+        for i, (x, y) in enumerate(xy.tolist()):
+            assert stack[k, i].tobytes() == joint_cholesky(scns[k], Point(x, y)).tobytes()
+
+    def test_lowest_failing_point_of_the_sweep_stack_is_its_error(self):
+        # a Gaussian kernel at ratio 1e-3 fails at some points of the second model's stack:
+        # the error's index counts the points of the flattened (model, point) stack
+        models = [CorrelationModel("gaussian", 5.0, 640.0 / r) for r in (1.0, 1e-3)]
+        scn = build_square_scenario(640.0, Point(-100.0, 0.0), 15.3, 3.76, models[1])
+        sensors, xy = coordinates(scn.sensors), make_grid(640.0, 4).xy
+        c_0, c_n = cross_covariance_stack(models, xy, sensors), cross_covariance_stack(models, sensors, sensors)
+        stack, error = joint_factors(c_0, c_n)
+        assert stack.shape == (2, 16, 5, 5) and error is not None and error.index >= 16
+        point = error.index - 16
+        with pytest.raises(NotPositiveDefiniteError, match=f"^{error}$"):
+            joint_cholesky(scn, Point(*xy[point].tolist()))
+        for i in range(point):
+            assert stack[1, i].tobytes() == joint_cholesky(scn, Point(*xy[i].tolist())).tobytes()
 
     def test_matches_factor_of_the_scalar_covariance(self, table_scenario, table_model):
         p0 = Point(205.0, 445.0)

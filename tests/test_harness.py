@@ -25,7 +25,6 @@ from radiomap.estimators import sensor_factor, sm0_weights
 from radiomap.field import joint_cholesky
 from radiomap.harness import (
     MAX_THREADS,
-    _grid_eval,
     _grid_evals,
     _mc_block_rmse,
     _mc_setup,
@@ -198,49 +197,54 @@ class TestMcWorkspace:
 
     @staticmethod
     def setup_for(cfg, xy):
+        """The scenarios, the forms and _mc_setup's joint factors and sm0 rows of cfg's ratios at the rows of xy."""
         scns = [cfg.scenario(r) for r in cfg.ratios]
         forms = grid_forms(scns[0], xy, cfg.methods, cfg.nu)
-        return scns, _mc_setup(forms, sweep_covariances(forms, [scn.correlation for scn in scns]))
+        joint, sm0, error = _mc_setup(sweep_covariances(forms, [scn.correlation for scn in scns]))
+        assert error is None
+        return scns, forms, joint, sm0
 
     @pytest.mark.parametrize("kernel", ["exponential", "gaussian", "elliptical"])
     def test_sm0_rows_match_one_point_weights_bit_for_bit(self, kernel):
-        cfg = ExperimentConfig(kernel=kernel, rotation_rad=0.5, resolution=5, ratios=(0.05, 1.0, 20.0))
+        # entry (k, i) of the set-up's stacks is the joint factor and the sm0 weights at ratio k and point i alone
+        cfg = ExperimentConfig(kernel=kernel, rotation_rad=0.5, resolution=5, ratios=(0.05, 0.2, 1.0, 5.0, 20.0))
         xy = cfg.grid().xy
-        scns, setup = self.setup_for(cfg, xy)
-        for scn, rows in zip(scns, setup.sm0):
+        scns, _, joint, sm0 = self.setup_for(cfg, xy)
+        assert joint.shape == (len(scns), len(xy), 5, 5) and sm0.shape == (len(scns), len(xy), 4)
+        for scn, factors, rows in zip(scns, joint, sm0):
             sensors = list(scn.sensors)
-            assert rows.shape == (len(xy), len(sensors))
-            for row, (x, y) in zip(rows, xy.tolist()):
+            for factor, row, (x, y) in zip(factors, rows, xy.tolist()):
+                assert factor.tobytes() == joint_cholesky(scn, Point(x, y)).tobytes()
                 assert row.tobytes() == sm0_weights(scn.correlation, sensors, Point(x, y)).tobytes()
 
     def test_no_row_leaks_between_points_or_ratios(self):
         # NaN in every row before each block, blocks in reverse order: the same bytes
         cfg = ExperimentConfig(resolution=3, realizations=257, ratios=(0.2, 1.0, 5.0), master_seed=4)
         xy = cfg.grid().xy
-        _, setup = self.setup_for(cfg, xy)
+        _, forms, joint, sm0 = self.setup_for(cfg, xy)
         R = cfg.realizations
         blocks = [range(0, 4), range(4, 8), range(8, 9)]
         forward = np.empty((len(cfg.ratios), len(cfg.methods), 9))
         ws = _McWorkspace(4, len(cfg.methods), R, 4, fitted=True)
         for block in blocks:
-            _mc_block_rmse(setup, block, range(9), R, cfg.master_seed, ws, forward)
+            _mc_block_rmse(forms, joint, sm0, block, range(9), R, cfg.master_seed, ws, forward)
         got = np.full_like(forward, np.nan)
         ws = _McWorkspace(4, len(cfg.methods), R, 4, fitted=True)
         for block in reversed(blocks):
             ws.rows.fill(np.nan)
-            _mc_block_rmse(setup, block, range(9), R, cfg.master_seed, ws, got)
+            _mc_block_rmse(forms, joint, sm0, block, range(9), R, cfg.master_seed, ws, got)
             at = slice(block.start, block.stop)
             assert got[:, :, at].tobytes() == forward[:, :, at].tobytes()
             assert np.isfinite(got[:, :, at]).all()
 
     @staticmethod
-    def peak_bytes(setup, points, R):
+    def peak_bytes(forms, joint, sm0, points, R):
         import tracemalloc
 
         def run():
-            ws = _McWorkspace(4, len(setup.forms.methods), R, points, fitted=setup.forms.fit is not None)
-            out = np.empty((len(setup.joint), len(setup.forms.methods), points))
-            _mc_block_rmse(setup, range(points), range(points), R, 5, ws, out)
+            ws = _McWorkspace(4, len(forms.methods), R, points, fitted=forms.fit is not None)
+            out = np.empty((len(joint), len(forms.methods), points))
+            _mc_block_rmse(forms, joint, sm0, range(points), range(points), R, 5, ws, out)
 
         run()  # imports scipy outside the trace
         tracemalloc.start()
@@ -255,8 +259,8 @@ class TestMcWorkspace:
         # a workspace of 29 rows (20 for the point, 9 for its refit), then the draw's 8 Philox rows
         # (41 rows when every ratio allocated its own temporaries)
         cfg = ExperimentConfig(realizations=10000, mode="mc")
-        _, setup = self.setup_for(cfg, cfg.grid().xy[:1])
-        assert self.peak_bytes(setup, 1, cfg.realizations) <= 39 * 8 * cfg.realizations
+        _, *setup = self.setup_for(cfg, cfg.grid().xy[:1])
+        assert self.peak_bytes(*setup, 1, cfg.realizations) <= 39 * 8 * cfg.realizations
 
     def test_memory_budget_of_a_block(self):
         # a block of 8 points at R = 2,000, the most that 2^14 doubles per row hold, peaks below
@@ -268,8 +272,8 @@ class TestMcWorkspace:
         R = cfg.realizations
         points = harness._BLOCK_DOUBLES // R
         assert points == 8
-        _, setup = self.setup_for(cfg, cfg.grid().xy[:points])
-        assert self.peak_bytes(setup, points, R) <= (20 * points + 9 + 8) * 8 * R + 2**13
+        _, *setup = self.setup_for(cfg, cfg.grid().xy[:points])
+        assert self.peak_bytes(*setup, points, R) <= (20 * points + 9 + 8) * 8 * R + 2**13
 
 
 class TestGridRmse:
@@ -293,8 +297,8 @@ class TestGridRmse:
 
     def test_thread_count_is_invisible(self):
         cfg = ExperimentConfig(resolution=6, mode="mc", realizations=400, master_seed=33, methods=("sm0", "nat"))
-        one = _grid_eval(cfg, 1.0, cfg.methods, threads=1)
-        four = _grid_eval(cfg, 1.0, cfg.methods, threads=4)
+        one = next(_grid_evals(cfg, (1.0,), cfg.methods, threads=1))
+        four = next(_grid_evals(cfg, (1.0,), cfg.methods, threads=4))
         for m in cfg.methods:
             assert np.array_equal(one[m].rmse, four[m].rmse)
 
@@ -306,9 +310,9 @@ class TestGridRmse:
         cfg = ExperimentConfig(resolution=5, mode="mc", realizations=40, ratios=(0.2, 1.0, 5.0), master_seed=6, nu=2)
         kernel, sizes = harness._mc_block_rmse, []
 
-        def recorded(setup, block, *args):
+        def recorded(forms, joint, sm0, block, *args):
             sizes.append(len(block))
-            return kernel(setup, block, *args)
+            return kernel(forms, joint, sm0, block, *args)
 
         monkeypatch.setattr(harness, "_mc_block_rmse", recorded)
         results = set()
@@ -482,13 +486,13 @@ class TestSweep:
     @pytest.mark.parametrize("mode", ["analytic", "mc", "both"])
     def test_covariances_built_once_per_sweep(self, monkeypatch, mode, threads):
         # two kernel passes (every Cn, every C0) and one stacked Cholesky of every Cn serve both
-        # engines; the Monte Carlo route adds one stack of joint factors per ratio and nothing else
+        # engines; the Monte Carlo route adds one stack of every ratio's joint factors and nothing else
         import sys
 
         from radiomap import linalg
         from radiomap.correlation import cross_covariance_stack as kernel
 
-        factor = linalg.cholesky
+        factor = linalg.cholesky_stack
         kernel_calls, shapes = [], []
 
         def counted_kernel(models, a, b):
@@ -504,30 +508,28 @@ class TestSweep:
                 continue
             if getattr(module, "cross_covariance_stack", None) is kernel:
                 monkeypatch.setattr(module, "cross_covariance_stack", counted_kernel)
-            if getattr(module, "cholesky", None) is factor:
-                monkeypatch.setattr(module, "cholesky", counted_factor)
+            if getattr(module, "cholesky_stack", None) is factor:
+                monkeypatch.setattr(module, "cholesky_stack", counted_factor)
         cfg = ExperimentConfig(resolution=4, mode=mode, realizations=100, ratios=(0.5, 1.0, 2.0))
         sweep(cfg, threads=threads)
         assert kernel_calls == [3, 3]
         assert shapes.count((3, 4, 4)) == 1
-        assert shapes.count((16, 5, 5)) == (0 if mode == "analytic" else 3)
-        assert len(shapes) == (1 if mode == "analytic" else 4)
+        assert shapes.count((3, 16, 5, 5)) == (0 if mode == "analytic" else 1)
+        assert len(shapes) == (1 if mode == "analytic" else 2)
 
     @staticmethod
     def _second_sensor_factor_fails(monkeypatch):
-        # the sweep's stacked factor of every Cn fails at its second matrix; the ratio
-        # before it factors again alone
+        # the sweep's stacked factor of every Cn reports its second matrix as failing
         from radiomap import analysis
         from radiomap.linalg import NotPositiveDefiniteError
 
-        original = analysis.cholesky
+        original = analysis.cholesky_stack
 
         def second_fails(m):
-            if len(m) > 1:
-                raise NotPositiveDefiniteError(2, -1.0, index=1)
-            return original(m)
+            lower, _ = original(m)
+            return lower, NotPositiveDefiniteError(2, -1.0, index=1)
 
-        monkeypatch.setattr(analysis, "cholesky", second_fails)
+        monkeypatch.setattr(analysis, "cholesky_stack", second_fails)
 
     def test_failed_sensor_factor_raises_at_its_ratio(self, monkeypatch):
         # the ratios before it are yielded, and its error names it
@@ -544,14 +546,16 @@ class TestSweep:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_failed_sensor_factor_traceback_independent_of_grid_size(self, monkeypatch, threads):
-        # every point shares the ratio's one error; none may add its frame to it
+        # every point shares the ratio's one error, a value that is never raised on its own, so
+        # no point adds its frame to it
         depths = []
         for resolution in (2, 4):
             self._second_sensor_factor_fails(monkeypatch)
             cfg = ExperimentConfig(resolution=resolution, mode="mc", realizations=20, ratios=(0.5, 1.0), methods=("sm0",))
             with pytest.raises(ConfigError) as exc:
                 sweep(cfg, threads=threads)
-            depths.append(len(traceback.extract_tb(exc.value.__cause__.__traceback__)))
+            assert exc.value.__cause__.__traceback__ is None
+            depths.append(len(traceback.extract_tb(exc.value.__traceback__)))
         assert depths[0] == depths[1] < 10
 
     @staticmethod
@@ -586,12 +590,12 @@ class TestSweep:
             next(evals)
         assert str(exc.value) == f"exponential kernel at spacing ratio 1.0 is outside the numeric range: {alone}"
         assert isinstance(exc.value.__cause__, NotPositiveDefiniteError)
-        assert exc.value.__cause__.index == 5
+        assert exc.value.__cause__.index == 16 + 5  # point 5 of ratio 1.0 in the set-up's (ratio, point) stack
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_sensor_factor_failure_takes_precedence_over_a_later_joint_factor(self, monkeypatch, threads):
         # at ratio 1.0 the joint factor fails at point 5 and the sensor factor at every point:
-        # the sensor factor's error, at point 0, is the one raised
+        # the sensor factor's error, ratio 1.0's in the stack of every Cn, is the one raised
         cfg = ExperimentConfig(resolution=4, mode="mc", realizations=50, ratios=(0.5, 1.0, 2.0), methods=("nn", "sm1"))
         self._point_five_indefinite_at_ratio_one(monkeypatch, cfg)
         self._second_sensor_factor_fails(monkeypatch)
@@ -603,26 +607,23 @@ class TestSweep:
             "exponential kernel at spacing ratio 1.0 is outside the numeric range: "
             "matrix is not positive definite: pivot 2 is -1"
         )
-        assert exc.value.__cause__.index == 0
+        assert exc.value.__cause__.index == 1
 
     @pytest.mark.parametrize("failing", [0, 1])
     def test_setup_stops_at_the_first_failing_ratio(self, monkeypatch, failing):
-        # joint factors are built for the ratios up to the failing one and no further,
-        # and the points run only the ratios before it: none at all when the first fails
+        # one joint_factors call covers every ratio, and the points run only the ratios before
+        # the failing one: none at all when the first fails
         from radiomap import harness
 
         cfg = ExperimentConfig(resolution=3, mode="mc", realizations=20, ratios=(0.5, 1.0, 2.0), methods=("nn", "sm0"))
         factor, draw = harness.joint_factors, harness.standard_normal_block
         factored, draws = [], []
-        error = NotPositiveDefiniteError(1, -1.0, index=4)
-        scns = [cfg.scenario(r) for r in cfg.ratios]
-        c_ns = [covariance_matrix(scn.correlation, list(scn.sensors)) for scn in scns]
+        error = NotPositiveDefiniteError(1, -1.0, index=9 * failing + 4)  # point 4 of the failing ratio
 
         def recorded(c_0, c_n):
-            factored.append(next(r for r, want in zip(cfg.ratios, c_ns) if np.array_equal(c_n, want)))
-            if len(factored) == failing + 1:
-                raise error
-            return factor(c_0, c_n)
+            factored.append(c_0.shape)
+            lower, _ = factor(c_0, c_n)
+            return lower, error
 
         def drawn(master_seed, point_index, *args, **kwargs):
             draws.append(point_index)
@@ -630,12 +631,30 @@ class TestSweep:
 
         monkeypatch.setattr(harness, "joint_factors", recorded)
         monkeypatch.setattr(harness, "standard_normal_block", drawn)
+        scns = [cfg.scenario(r) for r in cfg.ratios]
         forms = grid_forms(scns[0], cfg.grid().xy, cfg.methods)
-        cov = sweep_covariances(forms, [scn.correlation for scn in scns])
-        rmse, got = harness._mc_rmse(forms, cov, range(9), cfg.realizations, cfg.master_seed, threads=2)
-        assert factored == list(cfg.ratios[: failing + 1])
-        assert got is error and rmse.shape == (failing, 2, 9)
+        joint, sm0, got = harness._mc_setup(sweep_covariances(forms, [scn.correlation for scn in scns]))
+        rmse = harness._mc_rmse(forms, joint, sm0, range(9), cfg.realizations, cfg.master_seed, threads=2)
+        assert factored == [(3, 9, 4)]
+        assert got is error and rmse.shape == (failing, 2, 9) and sm0.shape == (failing, 9, 4)
         assert sorted(draws) == (list(range(9)) if failing else [])
+
+    @pytest.mark.parametrize("mode", ["mc", "both"])
+    def test_monte_carlo_sigma_limit_is_a_fraction_of_the_largest_median(self, mode):
+        # just above the limit every value is finite and sm0 is above 0; just below, the run is
+        # refused before any ratio, and the analytic engine alone still takes it
+        from dataclasses import replace
+
+        from radiomap import harness
+
+        cfg = ExperimentConfig(resolution=3, ratios=(0.5, 1.0), realizations=50, mode=mode, methods=("sm0", "nn"))
+        forms = grid_forms(cfg.scenario(0.5), cfg.grid().xy, cfg.methods)
+        limit = harness._SIGMA_FRACTION * max(np.abs(forms.pm0).max(), np.abs(forms.pm).max())
+        rows = sweep(replace(cfg, sigma_db=1.01 * limit))
+        assert len(rows) == 4 and all(r.spatial_rmse > 0 and math.isfinite(r.mc_stderr) for r in rows)
+        with pytest.raises(ConfigError, match="^field 'sigma_db' is too small for Monte Carlo"):
+            next(_grid_evals(replace(cfg, sigma_db=0.99 * limit), cfg.ratios, cfg.methods))
+        assert len(sweep(replace(cfg, sigma_db=0.99 * limit, mode="analytic"))) == 4
 
     def test_fit_design_computed_once_per_sweep(self, monkeypatch):
         from radiomap import estimators
@@ -663,7 +682,7 @@ class TestSweep:
         import radiomap
         from radiomap import linalg
 
-        original = linalg.cholesky
+        original = linalg.cholesky_stack
         shapes = []
 
         def counted(m):
@@ -671,8 +690,8 @@ class TestSweep:
             return original(m)
 
         for module in vars(radiomap).values():  # every binding, linalg's own included
-            if getattr(module, "cholesky", None) is original:
-                monkeypatch.setattr(module, "cholesky", counted)
+            if getattr(module, "cholesky_stack", None) is original:
+                monkeypatch.setattr(module, "cholesky_stack", counted)
         cfg = ExperimentConfig(resolution=4)
         sweep(cfg)
         assert shapes == [(len(cfg.ratios), 4, 4)]
@@ -687,7 +706,7 @@ class TestSweep:
             sensor_factor(scn.correlation, list(scn.sensors))
         evals = _grid_evals(cfg, cfg.ratios, cfg.methods)
         first = next(evals)
-        want = _grid_eval(cfg, 1.0, cfg.methods)
+        want = next(_grid_evals(cfg, (1.0,), cfg.methods))
         assert all(first[m].rmse.tobytes() == want[m].rmse.tobytes() for m in cfg.methods)
         with pytest.raises(ConfigError) as exc:
             next(evals)
@@ -700,7 +719,7 @@ class TestSweep:
         surfaces = {}
         for kernel in ("gaussian", "exponential"):
             cfg = ExperimentConfig(kernel=kernel, resolution=3, ratios=(1e200,), mode=mode, realizations=40)
-            surfaces[kernel] = _grid_eval(cfg, 1e200, cfg.methods)
+            surfaces[kernel] = next(_grid_evals(cfg, (1e200,), cfg.methods))
         for m, surface in surfaces["gaussian"].items():
             assert surface.rmse.tobytes() == surfaces["exponential"][m].rmse.tobytes(), m
             assert surface.spatial_rmse == surfaces["exponential"][m].spatial_rmse, m

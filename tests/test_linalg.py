@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from radiomap.linalg import (
     NotPositiveDefiniteError,
     cholesky,
+    cholesky_stack,
     solve_cholesky,
 )
 
@@ -111,6 +112,8 @@ class TestCholeskyStack:
         assert lower.shape == stack.shape
         for m, factor in zip(stack, lower):
             assert factor.tobytes() == cholesky(m).tobytes() == cholesky_one_by_one(m).tobytes()
+        as_value, error = cholesky_stack(stack.copy())
+        assert error is None and as_value.tobytes() == lower.tobytes()
 
     def test_leading_axes_kept(self):
         stack = random_spd_stack(np.random.default_rng(5), 3, 6)
@@ -140,6 +143,11 @@ class TestCholeskyStack:
         assert exc.value.pivot_index == alone.value.pivot_index
         assert exc.value.pivot_value == alone.value.pivot_value
         assert str(exc.value) == str(alone.value)
+        # as a value: the same error, the factors before it kept, and every entry finite
+        lower, error = cholesky_stack(stack.copy())
+        assert (error.index, error.pivot_index, error.pivot_value) == (i, exc.value.pivot_index, exc.value.pivot_value)
+        assert all(factor.tobytes() == cholesky(m).tobytes() for m, factor in zip(stack[:i], lower[:i]))
+        assert np.isfinite(lower).all()
 
     def test_lowest_failing_matrix_wins_over_an_earlier_pivot(self):
         # matrix 1 fails at pivot 3 only; matrix 2 fails at pivot 1
@@ -147,6 +155,8 @@ class TestCholeskyStack:
         with pytest.raises(NotPositiveDefiniteError) as exc:
             cholesky(stack)
         assert (exc.value.index, exc.value.pivot_index) == (1, 3)
+        _, error = cholesky_stack(stack)
+        assert (error.index, error.pivot_index) == (1, 3)
 
     @pytest.mark.parametrize("i", [0, 5, 16])
     def test_asymmetric_matrix_anywhere_rejected(self, i):
@@ -173,6 +183,18 @@ class TestCholeskyStack:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
             cholesky(np.ones((3, 2, 3)))
+
+    def test_stack_factored_in_its_own_storage_when_writable(self):
+        stack = random_spd_stack(np.random.default_rng(11), 4, 3)
+        kept = stack.copy()
+        lower, _ = cholesky_stack(stack)
+        assert np.shares_memory(lower, stack) and lower.tobytes() == cholesky(kept).tobytes()
+        read_only = np.broadcast_to(kept[0], (2, 4, 4))
+        lower, _ = cholesky_stack(read_only)
+        assert np.array_equal(read_only[1], kept[0]) and lower[1].tobytes() == cholesky(kept[0]).tobytes()
+        before = kept.copy()
+        cholesky(kept)
+        assert kept.tobytes() == before.tobytes()  # cholesky factors a copy
 
 
 def solve(m, b):
