@@ -45,6 +45,7 @@ from .harness import (
     ExperimentConfig,
     RmseSurface,
     SweepRow,
+    WorkerError,
     grid_rmse,
     point_rmse_mc,
     rmse_distribution,
@@ -91,6 +92,7 @@ __all__ = [
     "ExperimentConfig",
     "RmseSurface",
     "SweepRow",
+    "WorkerError",
     "grid_rmse",
     "point_rmse_mc",
     "rmse_distribution",

@@ -16,7 +16,9 @@ byte-identical CSV regardless of --threads.
 
 Exit codes: 0 success, 1 I/O failure, 2 invalid configuration, a kernel
 and ratio outside the numeric range, or a resolution or realizations too
-large for memory, 3 degenerate geometry, 4 validation check failure.
+large for memory, 3 degenerate geometry, 4 validation check failure,
+5 a Monte Carlo worker process that died or failed (killed by a signal,
+say); its one stderr line names the worker's points and its status or signal.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .harness import (
     MODES,
     ConfigError,
     ExperimentConfig,
+    WorkerError,
     grid_rmse,
     rmse_distribution,
     sweep,
@@ -58,6 +61,7 @@ EXIT_IO = 1
 EXIT_CONFIG = 2
 EXIT_DEGENERATE = 3
 EXIT_VALIDATION = 4
+EXIT_WORKER = 5
 
 # Most histogram bins grid --bins takes: dist.csv has one row per bin.
 MAX_BINS = 100_000
@@ -281,7 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             default=1,
-            help=f"worker threads for Monte Carlo evaluation, 1 to {MAX_THREADS}; analytic mode uses one",
+            help=f"Monte Carlo workers, 1 to {MAX_THREADS}; analytic mode uses one",
         )
 
     p_sweep = sub.add_parser("sweep", help="spatial RMSE vs spacing ratio for each method")
@@ -328,6 +332,9 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:
         print("out of memory: lower 'resolution' or 'realizations'", file=sys.stderr)
         return EXIT_CONFIG
+    except WorkerError as err:
+        print(f"worker failed: {err}", file=sys.stderr)
+        return EXIT_WORKER
     return EXIT_OK
 
 

@@ -29,11 +29,16 @@ any worker count, any method grouping and any set of ratios.
 from __future__ import annotations
 
 import math
+import mmap
+import os
+import signal
 import sys
-from collections.abc import Iterator, Sequence
+import threading
+from collections.abc import Callable, Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from typing import NoReturn
 
 import numpy as np
 
@@ -50,6 +55,7 @@ __all__ = [
     "EMITTER_PRESETS",
     "MAX_THREADS",
     "ConfigError",
+    "WorkerError",
     "ExperimentConfig",
     "check_master_seed",
     "RmseSurface",
@@ -72,11 +78,12 @@ EMITTER_PRESETS = {
 
 MODES = ("analytic", "mc", "both")
 
-# Most worker threads a Monte Carlo run takes. Each worker holds one
-# workspace of (3n + 2 + M) R doubles per point of a block (n sensors, M
-# methods), for blocks of max(1, 2^14 // R) points, plus (n + 5) R with a
-# fitted method, and while it draws a point, the point's R x W Philox
-# words, so the bound caps memory as well as OS threads.
+# Most Monte Carlo workers a run takes. Each worker is a process (a thread
+# where fork is not safe) with its own workspace of (3n + 2 + M) R doubles
+# per point of a block (n sensors, M methods), for blocks of
+# max(1, 2^14 // R) points, plus (n + 5) R with a fitted method, and while
+# it draws a point, the point's R x W Philox words, so the bound caps
+# memory as well as OS processes.
 MAX_THREADS = 64
 
 # Most grid points (resolution^2) and realizations a config may ask for: far
@@ -95,6 +102,10 @@ _KINDS = {float: "a finite number", int: "an integer", str: "a string", Point: "
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the offending field."""
+
+
+class WorkerError(RuntimeError):
+    """A Monte Carlo worker process failed; the message names its points and its exit status or signal."""
 
 
 def check_master_seed(seed: int) -> None:
@@ -295,11 +306,16 @@ def _power_of_two_above(magnitudes: np.ndarray, axis: int | None = None) -> np.n
 # fresh temporaries of a few hundred KB would fault in new pages each time.
 # The row correlation, the median powers, the errors and the scaled RMS run
 # once over a block's (P, rows, R) stack; each point's refit and
-# predictions run along whole rows, one call each. A second thread buys
-# little (sweep-mc in one process: 224 ms on one thread, 195 ms on two, on
-# a 2-core Xeon VM): numpy drops the interpreter lock only inside a call,
-# and at R = 10^4 calls last tens of microseconds, so two threads mostly
-# trade the lock (~4,300 voluntary context switches a sweep, none on one).
+# predictions run along whole rows, one call each. The tasks after the
+# first run in forked worker processes (_run_forked), each writing its
+# chunk of one (K', M, N) result in an anonymous shared mapping. Threads buy
+# little, since numpy drops the interpreter lock only inside a call, and at
+# R = 10^4 calls last tens of microseconds: the sweep-mc config in one
+# process took 272 ms on one worker, 203 ms on two threads and 166 ms on
+# two forked workers, on a 2-core Xeon VM. Fork is safe only while the
+# caller runs no thread of its own, so otherwise, and where os.fork is
+# missing, the tasks run on a thread pool. Streams keyed by point make the
+# split invisible in the bits.
 
 
 def _mc_setup(cov: SweepCovariances) -> tuple[np.ndarray, np.ndarray | None, NotPositiveDefiniteError | None]:
@@ -327,6 +343,18 @@ def _mc_setup(cov: SweepCovariances) -> tuple[np.ndarray, np.ndarray | None, Not
 # sm0's and sm1's RMSEs strayed from sigma-scaling by 1e-9 and 8e-9. Any
 # sigma of at least 1e-3 dB passes while |P| stays below 1e6 dB.
 _SIGMA_FRACTION = 1e-9
+
+
+def _lost_sigma(forms: GridForms, sigma: float) -> str | None:
+    """Why a Monte Carlo run of the forms at this sigma (dB) would lose its shadows to round-off, or None if it would not."""
+    top = float(max(np.abs(forms.pm0).max(), np.abs(forms.pm).max()))
+    if sigma < _SIGMA_FRACTION * top < math.inf:  # non-finite medians are named by the finiteness checks
+        return (
+            f"{sigma!r} dB is below {_SIGMA_FRACTION:g} of the largest median power magnitude, {top:.6g} dB, "
+            "so the shadows would be lost to round-off"
+        )
+    return None
+
 
 # Doubles in one (points, R) plane of a block: P = max(1, _BLOCK_DOUBLES // R)
 # points run per numpy pass, 8 at R = 2,000, one at R = 10^4.
@@ -462,18 +490,29 @@ def _mc_rmse(
     """(K', M, N) Monte Carlo RMSEs of each method at every point of the forms under _mc_setup's K' ratios, one task per chunk of points.
 
     indices[i] keys point i's stream. ValueError names a stream key outside
-    the unsigned 64-bit range, or realizations that are not an integer of
-    at least 1, before any draw. Nothing is drawn when K' is 0.
+    the unsigned 64-bit range, realizations that are not an integer of at
+    least 1, or a sigma (each joint factor's [0, 0] entry) lost in the
+    round-off of the median powers, before any draw. Nothing is drawn when
+    K' is 0. Tasks after the first run in forked workers (_run_forked) when
+    os.fork exists and the caller runs no other thread, and on a thread
+    pool otherwise.
     """
     for index in (min(indices), max(indices)):
         _check_stream_keys(master_seed=master_seed, point_index=index)
     if not _accepts(0, realizations) or realizations < 1:
         raise ValueError(f"realizations must be an integer of at least 1, got {realizations!r}")
+    if len(joint) and (lost := _lost_sigma(forms, float(joint[..., 0, 0].min()))):
+        raise ValueError(f"sigma is too small for Monte Carlo: {lost}")
     n_points = len(forms.xy)
-    rmse = np.empty((len(joint), len(forms.methods), n_points))
+    shape = (len(joint), len(forms.methods), n_points)
     tasks = min(threads, n_points) if len(joint) else 0
     chunks = [range(n_points * t // tasks, n_points * (t + 1) // tasks) for t in range(tasks)]
     per_block = max(1, _BLOCK_DOUBLES // realizations)
+    forked = tasks > 1 and hasattr(os, "fork") and threading.active_count() == 1
+    if forked:  # one anonymous shared mapping, which each worker writes its chunk into
+        rmse = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape), flags=mmap.MAP_SHARED)).reshape(shape)
+    else:
+        rmse = np.empty(shape)
 
     def eval_chunk(chunk: range) -> None:
         ws = _McWorkspace(
@@ -484,13 +523,78 @@ def _mc_rmse(
                 block = chunk[start : start + per_block]
                 _mc_block_rmse(forms, joint, sm0, block, indices, realizations, master_seed, ws, rmse)
 
-    if tasks > 1:
+    if forked:
+        _run_forked(eval_chunk, chunks)
+    elif tasks > 1:
         with ThreadPoolExecutor(max_workers=tasks) as pool:
             list(pool.map(eval_chunk, chunks))
     else:
         for chunk in chunks:
             eval_chunk(chunk)
     return rmse
+
+
+# Exit status of a forked worker whose chunk ran out of memory; any other
+# exception exits 1.
+_WORKER_OUT_OF_MEMORY = 3
+
+
+def _run_forked(eval_chunk: Callable[[range], None], chunks: list[range]) -> None:
+    """Run eval_chunk on the first chunk in this process and on each other in a forked worker; reap every worker.
+
+    The workers inherit what eval_chunk reads copy-on-write, so nothing is
+    pickled, and leave through os._exit, never returning into the caller's
+    frames: what they write must live in shared memory. A chunk whose fork
+    fails (EAGAIN or ENOMEM) runs in this process, with the same bits. A
+    worker's MemoryError is raised here as MemoryError; any other failure,
+    or a signal such as the OOM killer's SIGKILL, as WorkerError naming the
+    worker's points. When anything raises here, a
+    KeyboardInterrupt too, every worker still running is killed and reaped
+    first: none outlives the call.
+    """
+    workers: dict[int, range] = {}  # pid -> chunk
+    local = chunks[:1]
+    try:
+        for t in range(1, len(chunks)):
+            try:
+                pid = os.fork()
+            except OSError:  # no process to be had: the rest run here
+                local += chunks[t:]
+                break
+            if pid == 0:
+                _worker(eval_chunk, chunks[t])
+            workers[pid] = chunks[t]
+        for chunk in local:
+            eval_chunk(chunk)
+        for pid in list(workers):
+            status = os.waitpid(pid, 0)[1]
+            chunk = workers.pop(pid)
+            code = os.waitstatus_to_exitcode(status)
+            points = f"points {chunk.start} to {chunk.stop - 1} of {chunks[-1].stop}"
+            if code == _WORKER_OUT_OF_MEMORY:
+                raise MemoryError(f"the Monte Carlo worker for {points} ran out of memory")
+            if code < 0:
+                signame = signal.strsignal(-code)
+                raise WorkerError(f"the Monte Carlo worker for {points} was killed by signal {-code} ({signame})")
+            if code:
+                raise WorkerError(f"the Monte Carlo worker for {points} exited with status {code}")
+    finally:
+        for pid in workers:
+            os.kill(pid, signal.SIGKILL)
+        for pid in workers:
+            os.waitpid(pid, 0)
+
+
+def _worker(eval_chunk: Callable[[range], None], chunk: range) -> NoReturn:
+    """A forked worker's whole life: run its chunk, then leave through os._exit with its status."""
+    status = 1
+    try:
+        eval_chunk(chunk)
+        status = 0
+    except MemoryError:
+        status = _WORKER_OUT_OF_MEMORY
+    finally:
+        os._exit(status)
 
 
 def point_rmse_mc(
@@ -592,8 +696,8 @@ def _grid_evals(
     sensor factor are built once, as stacks (analysis.sweep_covariances),
     for both engines. Both engines then run the ratios before the stop: the
     analytic engine on the calling thread as one stack, the Monte Carlo
-    stage with one worker task per chunk of points, each point's normals
-    drawn once. Each engine's aggregates come from one row-wise pass.
+    stage with one worker per chunk of points (_mc_rmse), each point's
+    normals drawn once. Each engine's aggregates come from one row-wise pass.
     """
     if not (_accepts(0, threads) and 1 <= threads <= MAX_THREADS):
         raise ConfigError(f"threads must be an integer between 1 and {MAX_THREADS}, got {threads!r}")
@@ -627,14 +731,8 @@ def _grid_evals(
             underflow = f"sigma^2 underflows a double at sigma = {config.sigma_db!r} dB"
             error = _out_of_range(config, ratios[stop], underflow if failed.pivot_index == 0 else failed)
             error.__cause__ = failed
-        if mc and stop:
-            top = float(max(np.abs(forms.pm0).max(), np.abs(forms.pm).max()))
-            if config.sigma_db < _SIGMA_FRACTION * top < math.inf:  # non-finite medians are named by _surfaces
-                stop, error = 0, ConfigError(
-                    f"field 'sigma_db' is too small for Monte Carlo: {config.sigma_db!r} dB is below "
-                    f"{_SIGMA_FRACTION:g} of the largest median power magnitude, {top:.6g} dB, "
-                    "so the shadows would be lost to round-off"
-                )
+        if mc and stop and (lost := _lost_sigma(forms, config.sigma_db)):
+            stop, error = 0, ConfigError(f"field 'sigma_db' is too small for Monte Carlo: {lost}")
     engines: dict[str, np.ndarray] = {}  # each engine's (stop, M, N) RMSEs
     with np.errstate(all="ignore"):
         if stop and config.mode in ("analytic", "both"):

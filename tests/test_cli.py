@@ -4,6 +4,9 @@ import importlib.util
 import io
 import json
 import math
+import os
+import re
+import signal
 import sys
 import tempfile
 import warnings
@@ -16,6 +19,8 @@ from radiomap import cli
 from radiomap.cli import main
 from radiomap.harness import MAX_THREADS
 from radiomap.validation import CHECK_NAMES, INJECTABLE_BUGS, VALIDATION_SEED, CheckResult, run_validation
+
+from workers import another_thread, patch_kernel
 
 # the kernel's cause when sigma_db is 1e200
 SIGMA_1E200_OVERFLOWS = "sigma^2 overflows a double at sigma = 1e+200 dB"
@@ -282,6 +287,44 @@ class TestSweepCommand:
             errs.append(capsys.readouterr().err)
         assert "gaussian kernel at spacing ratio 0.001" in errs[0]
         assert errs[0] == errs[1]
+
+    def test_sweep_csv_same_bytes_forked_pooled_and_serial(self, tmp_path):
+        cfg = write_config(tmp_path, mode="mc", resolution=3, realizations=40, methods=["sm0", "sm1", "nat"])
+
+        def csv_bytes(threads, name):
+            out = tmp_path / name
+            assert main(["sweep", str(cfg), str(out), "--threads", str(threads)]) == 0
+            return (out / "sweep.csv").read_bytes()
+
+        serial = csv_bytes(1, "serial")
+        for threads in (2, 3):
+            assert csv_bytes(threads, f"forked-{threads}") == serial
+            with another_thread():
+                assert csv_bytes(threads, f"pooled-{threads}") == serial
+
+    def test_killed_worker_exits_5_on_one_line(self, tmp_path, capsys, monkeypatch):
+        # a worker killed by SIGKILL, as by the OOM killer: no traceback, no output, no child left
+        patch_kernel(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+        cfg = write_config(tmp_path, mode="mc", resolution=2, realizations=20)
+        assert main(["sweep", str(cfg), str(tmp_path / "out"), "--threads", "2"]) == 5
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            r"worker failed: the Monte Carlo worker for points 2 to 3 of 4 was killed by signal 9 \(.+\)\n", err
+        ), err
+        assert not (tmp_path / "out" / "sweep.csv").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_worker_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch):
+        def out_of_memory():
+            raise MemoryError
+
+        patch_kernel(monkeypatch, out_of_memory)
+        cfg = write_config(tmp_path, mode="mc", resolution=2, realizations=20)
+        assert main(["sweep", str(cfg), str(tmp_path / "out"), "--threads", "2"]) == 2
+        assert capsys.readouterr().err == "out of memory: lower 'resolution' or 'realizations'\n"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize(
         "overrides",

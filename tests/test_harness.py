@@ -1,4 +1,8 @@
+import errno
 import math
+import os
+import signal
+import time
 import traceback
 import warnings
 
@@ -21,18 +25,23 @@ from radiomap import (
     sweep,
 )
 from radiomap.analysis import grid_forms, sweep_covariances
+from radiomap.geometry import coordinates
 from radiomap.estimators import sensor_factor, sm0_weights
 from radiomap.field import joint_cholesky
 from radiomap.harness import (
     MAX_THREADS,
+    WorkerError,
     _grid_evals,
     _mc_block_rmse,
+    _mc_rmse,
     _mc_setup,
     _McWorkspace,
     _rms_rows,
     _spatial_stderr,
 )
 from radiomap.linalg import NotPositiveDefiniteError
+
+from workers import another_thread, append_line, patch_kernel, read_lines
 
 
 def test_spatial_average_hand_computation():
@@ -128,7 +137,8 @@ def test_sweep_makes_no_point_per_grid_point(monkeypatch):
 
 class TestPointRmseMc:
     def test_vanishing_noise_leaves_bias(self, table_scenario):
-        model = CorrelationModel("exponential", sigma=1e-9, xc=640.0)
+        # 1e-6 dB is above the Monte Carlo sigma limit there, 1e-9 of medians up to 127.7 dB
+        model = CorrelationModel("exponential", sigma=1e-6, xc=640.0)
         scn = build_square_scenario(640.0, Point(-100.0, 0.0), 15.3, 3.76, model)
         p0 = Point(160.0, 160.0)
         bias = error_form("nn", scn, p0).bias
@@ -190,6 +200,135 @@ class TestPointRmseMc:
         call = {"realizations": 10, "master_seed": 1, "point_index": 0, **kwargs}
         with pytest.raises(ValueError, match=f"^{field} must"):
             point_rmse_mc(table_scenario, Point(99.0, 99.0), "sm0", **call)
+
+    def test_sigma_lost_in_round_off_refused_before_any_draw(self, monkeypatch):
+        # shadows of 1e-150 dB vanish against medians up to 127.7 dB: sm0 read 0.0, where sigma 1 reads 0.535
+        from radiomap import harness
+
+        p0 = Point(200.0, 300.0)
+        scn = ExperimentConfig.desk_preset(sigma_db=1.0).scenario(0.5)
+        assert point_rmse_mc(scn, p0, "sm0", 200, master_seed=1) == pytest.approx(0.5347, abs=1e-4)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew normals")
+
+        monkeypatch.setattr(harness, "standard_normal_block", no_draw)
+        scn = ExperimentConfig.desk_preset(sigma_db=1e-150).scenario(0.5)
+        with pytest.raises(ValueError, match=r"^sigma is too small for Monte Carlo: 1e-150 dB is below 1e-09 "):
+            point_rmse_mc(scn, p0, "sm0", 200, master_seed=1)
+
+    @pytest.mark.parametrize("fraction", [1.01, 0.99])
+    def test_sigma_limit_is_a_fraction_of_the_largest_median(self, fraction):
+        from radiomap import harness
+
+        p0 = Point(200.0, 300.0)
+        forms = grid_forms(ExperimentConfig.desk_preset().scenario(0.5), coordinates([p0]), ("sm0",))
+        limit = harness._SIGMA_FRACTION * max(np.abs(forms.pm0).max(), np.abs(forms.pm).max())
+        scn = ExperimentConfig.desk_preset(sigma_db=fraction * limit).scenario(0.5)
+        if fraction < 1:
+            with pytest.raises(ValueError, match="^sigma is too small for Monte Carlo"):
+                point_rmse_mc(scn, p0, "sm0", 200, master_seed=1)
+        else:
+            assert 0.0 < point_rmse_mc(scn, p0, "sm0", 200, master_seed=1) < limit
+
+    def test_validation_check_refuses_a_sigma_lost_in_round_off(self, monkeypatch):
+        from radiomap import harness, validation
+
+        def tiny_sigma(ratio=1.0, kernel="exponential"):
+            return ExperimentConfig(kernel=kernel, sigma_db=1e-150).scenario(ratio)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew normals")
+
+        monkeypatch.setattr(validation, "_table_scenario", tiny_sigma)
+        monkeypatch.setattr(harness, "standard_normal_block", no_draw)
+        with pytest.raises(ValueError, match="^sigma is too small for Monte Carlo: 1e-150 dB"):
+            validation.check_analytic_vs_mc(1, realizations=50)
+
+
+class TestForkedWorkers:
+    """Forked Monte Carlo workers give the bytes of a thread pool and of one thread, and none outlives its call."""
+
+    cfg = ExperimentConfig(resolution=3, mode="mc", realizations=30, ratios=(0.5, 2.0), master_seed=21, nu=2)
+
+    def rmse(self, threads):
+        """_mc_rmse's (K', M, N) RMSEs of cfg's 9 points, on threads workers."""
+        cfg = self.cfg
+        scns = [cfg.scenario(r) for r in cfg.ratios]
+        forms = grid_forms(scns[0], cfg.grid().xy, cfg.methods, cfg.nu)
+        joint, sm0, _ = _mc_setup(sweep_covariances(forms, [scn.correlation for scn in scns]))
+        return _mc_rmse(forms, joint, sm0, range(9), cfg.realizations, cfg.master_seed, threads)
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_same_bytes_forked_pooled_and_serial(self, monkeypatch):
+        forks, fork = [], os.fork
+
+        def counted():
+            forks.append(None)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        serial = self.rmse(1).tobytes()
+        assert forks == []
+        for threads in (2, 3):
+            forks.clear()
+            assert self.rmse(threads).tobytes() == serial and len(forks) == threads - 1
+            with another_thread():
+                assert self.rmse(threads).tobytes() == serial
+            assert len(forks) == threads - 1  # the pool forks nothing
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_failed_fork_runs_its_chunks_here_with_the_same_bytes(self, monkeypatch, failing):
+        # the fork after `failing` good ones raises EAGAIN; its chunk and every later one run here
+        serial = self.rmse(1).tobytes()
+        forks, fork = [], os.fork
+
+        def failing_fork():
+            forks.append(None)
+            if len(forks) > failing:
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return fork()
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+        assert self.rmse(3).tobytes() == serial and len(forks) == failing + 1
+        self.assert_no_child_left()
+
+    def test_killed_worker_is_named_with_its_points_and_signal(self, monkeypatch):
+        patch_kernel(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+        with pytest.raises(WorkerError, match=r"^the Monte Carlo worker for points 4 to 8 of 9 was killed by signal 9 "):
+            self.rmse(2)
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "error, raised, message",
+        [(MemoryError, MemoryError, "ran out of memory"), (ZeroDivisionError, WorkerError, "exited with status 1")],
+    )
+    def test_worker_exception_is_raised_here(self, monkeypatch, error, raised, message):
+        def fail():
+            raise error
+
+        patch_kernel(monkeypatch, fail)
+        with pytest.raises(raised, match=f"^the Monte Carlo worker for points 4 to 8 of 9 {message}$"):
+            self.rmse(2)
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_failure_here_kills_every_worker_first(self, monkeypatch, error):
+        # the workers would sleep for a minute: only a kill ends them sooner
+        def fail():
+            raise error
+
+        patch_kernel(monkeypatch, lambda: time.sleep(60), here=fail)
+        start = time.monotonic()
+        with pytest.raises(error):
+            self.rmse(3)
+        assert time.monotonic() - start < 30
+        self.assert_no_child_left()
 
 
 class TestMcWorkspace:
@@ -302,16 +441,17 @@ class TestGridRmse:
         for m in cfg.methods:
             assert np.array_equal(one[m].rmse, four[m].rmse)
 
-    def test_block_size_is_invisible(self, monkeypatch):
-        # blocks of 1, 3 and the default number of points, on 1 and 2 threads, give the same bytes;
-        # 25 points are no multiple of 3
+    def test_block_size_is_invisible(self, monkeypatch, tmp_path):
+        # blocks of 1, 3 and the default number of points, on 1 and 2 workers, give the same bytes;
+        # 25 points are no multiple of 3. The block sizes are recorded in a file, which the forked
+        # worker appends to as well.
         from radiomap import harness
 
         cfg = ExperimentConfig(resolution=5, mode="mc", realizations=40, ratios=(0.2, 1.0, 5.0), master_seed=6, nu=2)
-        kernel, sizes = harness._mc_block_rmse, []
+        kernel, log = harness._mc_block_rmse, tmp_path / "sizes"
 
         def recorded(forms, joint, sm0, block, *args):
-            sizes.append(len(block))
+            append_line(log, len(block))
             return kernel(forms, joint, sm0, block, *args)
 
         monkeypatch.setattr(harness, "_mc_block_rmse", recorded)
@@ -319,9 +459,10 @@ class TestGridRmse:
         for budget in (40, 120, harness._BLOCK_DOUBLES):  # R = 40: 1, 3 and 409 points per block
             monkeypatch.setattr(harness, "_BLOCK_DOUBLES", budget)
             for threads in (1, 2):
-                sizes.clear()
+                log.unlink(missing_ok=True)
                 evals = _grid_evals(cfg, cfg.ratios, cfg.methods, threads)
                 surfaces = [s for at_ratio in evals for s in at_ratio.values()]
+                sizes = [int(size) for size in read_lines(log)]
                 # chunks of 25 points, or of 12 and 13
                 assert max(sizes) == min(budget // 40, -(-25 // threads)) and sum(sizes) == 25
                 stats = [np.float64([s.spatial_rmse, s.mc_stderr]) for s in surfaces]
@@ -354,10 +495,16 @@ class TestGridRmse:
         with pytest.raises(ConfigError, match="threads"):
             sweep(ExperimentConfig(resolution=2, ratios=(1.0,)), threads=threads)
 
-    def test_pool_has_no_more_workers_than_points(self, monkeypatch):
+    def test_pool_has_no_more_workers_than_points(self, monkeypatch, tmp_path):
+        # forked, 4 processes run the 4 points, this one among them; while another thread runs,
+        # a pool of 4 does
         from radiomap import harness
 
-        sizes = []
+        sizes, log, kernel = [], tmp_path / "pids", harness._mc_block_rmse
+
+        def recorded(*args):
+            append_line(log, os.getpid())
+            return kernel(*args)
 
         class SerialPool:  # records the pool size and starts no thread
             def __init__(self, max_workers):
@@ -373,8 +520,15 @@ class TestGridRmse:
                 return map(fn, items)
 
         monkeypatch.setattr(harness, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(harness, "_mc_block_rmse", recorded)
         cfg = ExperimentConfig(resolution=2, mode="mc", realizations=10, ratios=(1.0,))
-        assert sweep(cfg, threads=MAX_THREADS) == sweep(cfg)
+        serial = sweep(cfg)
+        log.unlink()
+        assert sweep(cfg, threads=MAX_THREADS) == serial
+        pids = read_lines(log)
+        assert len(pids) == len(set(pids)) == 4 and str(os.getpid()) in pids and sizes == []
+        with another_thread():
+            assert sweep(cfg, threads=MAX_THREADS) == sweep(cfg)
         assert sizes == [4]
 
 
@@ -454,19 +608,21 @@ class TestSweep:
         assert len(calls[0][1]) == 16
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_normals_drawn_once_per_point(self, monkeypatch, threads):
+    def test_normals_drawn_once_per_point(self, monkeypatch, tmp_path, threads):
+        # every process's draws are recorded in one file
         from radiomap import harness
 
-        calls = []
+        log = tmp_path / "draws"
         original = harness.standard_normal_block
 
         def counted(*args, **kwargs):
-            calls.append(args[1])
+            append_line(log, args[1])
             return original(*args, **kwargs)
 
         monkeypatch.setattr(harness, "standard_normal_block", counted)
         cfg = ExperimentConfig(resolution=4, mode="mc", realizations=100, ratios=(0.5, 1.0, 2.0))
         sweep(cfg, threads=threads)
+        calls = [int(i) for i in read_lines(log)]
         assert sorted(calls) == list(range(len(cfg.grid().xy))) == list(range(16))
 
     def test_mc_surfaces_match_one_point_entry(self):
@@ -610,14 +766,14 @@ class TestSweep:
         assert exc.value.__cause__.index == 1
 
     @pytest.mark.parametrize("failing", [0, 1])
-    def test_setup_stops_at_the_first_failing_ratio(self, monkeypatch, failing):
+    def test_setup_stops_at_the_first_failing_ratio(self, monkeypatch, tmp_path, failing):
         # one joint_factors call covers every ratio, and the points run only the ratios before
-        # the failing one: none at all when the first fails
+        # the failing one: none at all when the first fails. Every process's draws go to one file.
         from radiomap import harness
 
         cfg = ExperimentConfig(resolution=3, mode="mc", realizations=20, ratios=(0.5, 1.0, 2.0), methods=("nn", "sm0"))
         factor, draw = harness.joint_factors, harness.standard_normal_block
-        factored, draws = [], []
+        factored, log = [], tmp_path / "draws"
         error = NotPositiveDefiniteError(1, -1.0, index=9 * failing + 4)  # point 4 of the failing ratio
 
         def recorded(c_0, c_n):
@@ -626,7 +782,7 @@ class TestSweep:
             return lower, error
 
         def drawn(master_seed, point_index, *args, **kwargs):
-            draws.append(point_index)
+            append_line(log, point_index)
             return draw(master_seed, point_index, *args, **kwargs)
 
         monkeypatch.setattr(harness, "joint_factors", recorded)
@@ -637,6 +793,7 @@ class TestSweep:
         rmse = harness._mc_rmse(forms, joint, sm0, range(9), cfg.realizations, cfg.master_seed, threads=2)
         assert factored == [(3, 9, 4)]
         assert got is error and rmse.shape == (failing, 2, 9) and sm0.shape == (failing, 9, 4)
+        draws = [int(i) for i in read_lines(log)]
         assert sorted(draws) == (list(range(9)) if failing else [])
 
     @pytest.mark.parametrize("mode", ["mc", "both"])
