@@ -16,13 +16,14 @@ what does not depend on the model (median powers and log distances from
 one pass over the emitter distances, the geometry-only methods' weights).
 sweep_covariances() then builds what does, once for both engines: one
 kernel pass for the K sensor covariances Cn, one for the K cross-covariance
-tables C0, and, only when sm0 or sm1 runs, one stacked Cholesky call for
-every Cn. grid_analytic_rmse() evaluates every method at every point under
-the K models as one (K, N, .) stack: the geometry-only methods' error rows
-are formed once for all K, and one grouped quadratic form covers the stack.
-The Monte Carlo route assembles its joint factors and sm0 weights from the
-same stacks. Row k of the result has the bits of a call with models[k]
-alone. error_form() is the engine's row at one point and analytic_rmse()
+tables C0, and, only when a method takes the solve (by the estimators'
+method table, which gives every method's weights), one stacked Cholesky
+call for every Cn. grid_analytic_rmse() evaluates every method at every
+point under the K models as one (K, N, .) stack: the geometry-only methods'
+error rows are formed once for all K, and one grouped quadratic form covers
+the stack. The Monte Carlo route assembles its joint factors and solve
+weights from the same stacks. Row k of the result has the bits of a call
+with models[k] alone. error_form() is the engine's row at one point and analytic_rmse()
 shares its quadratic form, so the library API and the self-checks run the
 engine the CLI ships. The hand-written coefficient expansion for the
 fitted-correlation method exists only as a cross-check.
@@ -38,20 +39,8 @@ import numpy as np
 from .geometry import Point, Scenario, coordinates, distance
 from .correlation import CorrelationModel, covariance_matrix, cross_covariance, cross_covariance_stack
 from .linalg import NotPositiveDefiniteError, cholesky_stack, solve_cholesky
-from .estimators import (
-    SM0,
-    SM1,
-    SM2,
-    IDW,
-    FitRows,
-    _affine_rows,
-    _emitter_rows,
-    _log_distances,
-    _lse_denominator,
-    geometry_weights,
-    sensor_factor,
-    sm0_weights,
-)
+from .estimators import FitRows, _SOLVE, _SOLVED, _affine_rows, _emitter_rows, _estimator, _log_distances
+from .estimators import _lse_denominator, geometry_weights, sensor_factor, sm0_weights
 
 __all__ = [
     "AffineErrorForm",
@@ -184,12 +173,12 @@ class GridForms:
 
     xy and sensors are the (N, 2) query and (n, 2) sensor coordinates.
     pm0 holds each query point's median power and pm the sensors'. weights
-    holds the (N, n) sensor weights of every requested method but sm0 and
-    sm1, whose weights follow the correlation model; sm2 and idw share one
-    array. When sm1 or sm2 is requested, fit holds their least-squares
-    pieces (estimators._emitter_rows), the sensor distances' LseDesign
-    first. The Monte Carlo route takes pm0, pm, weights and the fit's
-    design from here as well.
+    holds the (N, n) weights of every requested method whose weight family
+    is geometry-only, one array per family (sm2 and idw share one). When a
+    method takes the refit, fit holds its least-squares pieces
+    (estimators._emitter_rows), the sensor distances' LseDesign first. The
+    Monte Carlo route takes pm0, pm, weights and the fit's design from here
+    as well.
     """
 
     methods: tuple[str, ...]
@@ -204,17 +193,17 @@ class GridForms:
 def grid_forms(scn: Scenario, xy: np.ndarray, methods: tuple[str, ...], nu: float = 1.0) -> GridForms:
     """Gather the model-free parts of the methods' error forms at the rows of an (N, 2) coordinate array, once.
 
-    Each geometry-only weight family is one geometry_weights() call over all
-    the points: idw shares sm2's (N, n) table, and nn and nat get one each.
-    The median powers and the fit's log distances come from one pass over
-    the emitter distances.
+    Each geometry-only weight family present, by the method table, is one
+    geometry_weights() table over all the points, shared by its methods (sm2
+    and idw share the inverse-distance one). The median powers and the fit's
+    log distances come from one pass over the emitter distances.
     """
     sensors = coordinates(scn.sensors)
-    # idw applies sm2's inverse-distance weights: compute each table once
-    sources = {m: SM2 if m == IDW else m for m in methods if m not in (SM0, SM1)}
-    tables = {src: geometry_weights(src, sensors, xy, nu) for src in dict.fromkeys(sources.values())}
+    families = {m: _estimator(m)[0] for m in methods}
+    first = {f: m for m, f in reversed(families.items()) if f != _SOLVE}  # each geometry family's first method
+    tables = {f: geometry_weights(m, sensors, xy, nu) for f, m in first.items()}
     pm0, pm, fit = _emitter_rows(scn, xy, methods)
-    weights = {m: tables[src] for m, src in sources.items()}
+    weights = {m: tables[f] for m, f in families.items() if f in tables}
     return GridForms(methods=tuple(methods), xy=xy, sensors=sensors, pm0=pm0, pm=pm, weights=weights, fit=fit)
 
 
@@ -224,9 +213,9 @@ class SweepCovariances:
 
     c_n holds each model's (n, n) sensor covariance Cn and c_0 its (N, n)
     covariances C0 at the forms' points, each with the bits it has alone.
-    factors (None unless sm0 or sm1 runs) holds the Cholesky factors of the
-    Cn before the first that is not positive definite, and error is that
-    Cn's NotPositiveDefiniteError, its index the model's.
+    factors (None unless a method takes the solve) holds the Cholesky
+    factors of the Cn before the first that is not positive definite, and
+    error is that Cn's NotPositiveDefiniteError, its index the model's.
     """
 
     c_n: np.ndarray
@@ -238,14 +227,14 @@ class SweepCovariances:
 def sweep_covariances(forms: GridForms, models: list[CorrelationModel]) -> SweepCovariances:
     """The models' Cn and C0 stacks at the forms' points, one kernel pass each, and their Cn factors in one call.
 
-    The factors are taken only when sm0 or sm1 runs, and cut at the first
-    Cn that is not positive definite. A sigma^2 that overflows raises the
+    The factors are taken only when a method takes the solve, and cut at the
+    first Cn that is not positive definite. A sigma^2 that overflows raises the
     kernel's OverflowError.
     """
     with np.errstate(all="ignore"):
         c_n = cross_covariance_stack(models, forms.sensors, forms.sensors)
         c_0 = cross_covariance_stack(models, forms.xy, forms.sensors)
-        if SM0 not in forms.methods and SM1 not in forms.methods:
+        if _SOLVED.isdisjoint(forms.methods):
             return SweepCovariances(c_n, c_0, None, None)
         factors, error = cholesky_stack(c_n.copy())
     return SweepCovariances(c_n, c_0, factors if error is None else factors[: error.index], error)
@@ -257,15 +246,15 @@ def _error_rows(
     """The (K', n, n) Cn, the (K', N, n) C0 and each method's error rows, for the K' models before cov.error's.
 
     The error under model k at point i is bias[k, i] + S0 - coeffs[k, i] . [S1..Sn].
-    Each model's sm0/sm1 weights are one solve of its N C0 rows. The
-    geometry-only methods' rows depend on no model: they are formed once,
-    and bias and coeffs are broadcast views over the K' models.
+    Every solve-family method takes each model's one solve of its N C0
+    rows. The geometry-only methods' rows depend on no model: they are
+    formed once, and bias and coeffs are broadcast views over the K' models.
     """
     k = len(cov.c_n) if cov.factors is None else len(cov.factors)
     c_n, c_0 = cov.c_n[:k], cov.c_0[:k]
     weights = dict(forms.weights)
     if cov.factors is not None:
-        weights[SM0] = weights[SM1] = np.swapaxes(solve_cholesky(cov.factors, np.swapaxes(c_0, 1, 2)), 1, 2)
+        weights.update(dict.fromkeys(_SOLVED, np.swapaxes(solve_cholesky(cov.factors, np.swapaxes(c_0, 1, 2)), 1, 2)))
     rows = {}
     for m in forms.methods:
         intercept, coeffs = _affine_rows(m, weights[m], forms.pm0, forms.pm, forms.fit)
@@ -296,8 +285,8 @@ def grid_analytic_rmse(forms: GridForms, cov: SweepCovariances) -> dict[str, np.
 
     The package's one analytic engine; K' is every model when cov.error is
     None. Each method's error rows come from estimators._affine_rows() on
-    its weight rows, the sm0/sm1 weights of every point under every model
-    from cov's stacked Cholesky factors of the sensor covariances Cn.
+    its weight rows, the solve family's weights of every point under every
+    model from cov's stacked Cholesky factors of the sensor covariances Cn.
     """
     c_n, c_0, rows = _error_rows(forms, cov)
     var0 = c_n[:, 0, :1]  # each model's sigma^2, the kernel at zero distance

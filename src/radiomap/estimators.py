@@ -1,40 +1,23 @@
 """The six radio-map interpolators, each also exposable as an affine map.
 
-Every estimator predicts received power at a query point from the n sensor
-measurements by applying sensor weights to one of three things: the shadow
-deviations from the true medians (sm0), the residuals of a log-distance
-fit (sm1, sm2), or the raw measurements (nn, idw, nat). method_weights()
-maps a method name to its weights at one point, for predict() and
-as_affine(); a sweep takes the same weights as (N, n) tables, from
-analysis.grid_forms() and, for sm0 and sm1, from sm0_weight_rows() against
-its stacked sensor factors. predict() and _affine_rows() each branch only
-on those three families. All estimators are affine in the
-measurement vector: _affine_rows() turns a method's (N, n) weight rows into
-N intercepts and coefficient rows, the analysis module's closed-form error
-engine runs on those rows, and as_affine() is their row at one point.
+The methods differ on two axes only, both held in _ESTIMATORS, the one
+method table: whose weights a method applies (the conditional-mean solve
+against the sensor covariance C_n, or a geometry-only family) and what it
+applies them to (deviations from the true medians, residuals of a
+log-distance refit, or the raw measurements). method_weights() and
+geometry_weights() pick the weight family from it, _SOLVED and _REFIT say
+which methods take the solve and the refit, and predict(), _affine_rows()
+and the Monte Carlo kernel branch, each with its own arithmetic, on the
+applied-to family. Its one lookup, _estimator(), refuses unknown names.
 
-The point-set entries take (N, 2) coordinate arrays. sm0_weight_rows()
-solves every point's sm0 weights under every model of a sweep from its C0
-stack in one stacked call.
-The weights of sm2, idw, nn and nat depend on nothing but where the
-sensors and the query are. geometry_weights() computes them for a whole
-point set as one (N, n) table in array passes: one distance table for sm2,
-idw and nn, and for nat one clip of each sensor's Voronoi cell, then one
-cut of every cell by every query's bisector. The one-point entries
+Every estimator is affine in the measurements: _affine_rows() turns (N, n)
+weight rows into intercepts and coefficient rows for the analysis module's
+error engine, and as_affine() is their row at one point. sm0_weight_rows()
+solves every point's weights under every model of a sweep in one stacked
+call, and geometry_weights() computes a geometry-only family for a whole
+point set as one (N, n) table in array passes. The one-point entries
 (sm0_weights, sm2_weights, sibson_weights, method_weights) take Points and
 are their rows.
-
-Methods
--------
-sm0   conditional-mean interpolation using the true propagation constants
-      and the correlation model (equivalent to Simple Kriging)
-sm1   log-distance fit of the constants, correlation-derived weights
-      applied to the fit residuals
-sm2   like sm1 but with normalized inverse-distance weights, so it needs
-      no correlation knowledge
-nn    nearest-neighbor measurement
-idw   normalized inverse-distance weighting of raw measurements
-nat   natural-neighbor (Sibson) weighting of raw measurements
 """
 
 from __future__ import annotations
@@ -75,13 +58,26 @@ __all__ = [
     "as_affine",
 ]
 
-SM0 = "sm0"
-SM1 = "sm1"
-SM2 = "sm2"
-NN = "nn"
-IDW = "idw"
-NATURAL = "nat"
+SM0, SM1, SM2, NN, IDW, NATURAL = "sm0", "sm1", "sm2", "nn", "idw", "nat"
 ALL_METHODS = (SM0, SM1, SM2, NN, IDW, NATURAL)
+
+# The one method table: each method's weight family (the solve against C_n,
+# or a geometry-only family of geometry_weights) and what its weights are
+# applied to (the measurements less the sensors' true median powers, the
+# log-distance refit's residuals, or the measurements); and from it, which
+# methods take the solve and which the refit.
+_SOLVE, _INVERSE_DISTANCE, _NEAREST, _SIBSON = "solve", "inverse distance", "nearest", "sibson"
+_DEVIATIONS, _RESIDUALS, _MEASUREMENTS = "deviations", "residuals", "measurements"
+_ESTIMATORS = {
+    SM0: (_SOLVE, _DEVIATIONS),  # Simple Kriging, with the true constants
+    SM1: (_SOLVE, _RESIDUALS),
+    SM2: (_INVERSE_DISTANCE, _RESIDUALS),  # like sm1, with no correlation knowledge
+    NN: (_NEAREST, _MEASUREMENTS),
+    IDW: (_INVERSE_DISTANCE, _MEASUREMENTS),
+    NATURAL: (_SIBSON, _MEASUREMENTS),  # natural-neighbor (Sibson) weights
+}
+_SOLVED = {m for m, (weights, _) in _ESTIMATORS.items() if weights == _SOLVE}  # which take the solve
+_REFIT = {m for m, (_, applied_to) in _ESTIMATORS.items() if applied_to == _RESIDUALS}  # which take the refit
 
 # Queries closer to a sensor than this fraction of the sensor span snap to it.
 _SNAP_RTOL = 1e-9
@@ -90,6 +86,13 @@ _SNAP_RTOL = 1e-9
 _HULL_RTOL = 1e-12
 # LSE denominator must exceed this fraction of its positive part.
 _LSE_RTOL = 1e-9
+
+
+def _estimator(method: str) -> tuple[str, str]:
+    """A method's (weight family, applied-to family); the one check of a method name every entry reaches."""
+    if method not in _ESTIMATORS:
+        raise ValueError(f"unknown method {method!r}, expected one of {ALL_METHODS}")
+    return _ESTIMATORS[method]
 
 
 class OutsideHullError(ValueError):
@@ -248,7 +251,7 @@ def _emitter_rows(
     x0 = emitter_log_distances(scn, xy)
     pm = median_powers(scn, emitter_log_distances(scn, coordinates(scn.sensors)))
     fit = None
-    if any(m in (SM1, SM2) for m in methods):
+    if not _REFIT.isdisjoint(methods):
         d = lse_design(scn.sensor_distances())
         fit = d, (d.sxx - d.sx * d.x) / d.denom, (d.x.size * d.x - d.sx) / d.denom, x0
     return median_powers(scn, x0), pm, fit
@@ -296,19 +299,18 @@ def _distances(q: np.ndarray, sites: np.ndarray) -> np.ndarray:
 def geometry_weights(method: str, sensors: np.ndarray, xy: np.ndarray, nu: float = 1.0) -> np.ndarray:
     """(N, n) sensor weights of a geometry-only method at the rows of xy, one row per point.
 
-    sensors and xy are the (n, 2) sensor and (N, 2) query coordinates.
-    sm2 and idw take the normalized inverse-distance weights
-    w_i = d_i^-nu / sum_j d_j^-nu, nn is one-hot on the nearest sensor (ties
-    go to the lowest sensor index) and nat takes the Sibson weights. A query
+    sensors and xy are the (n, 2) sensor and (N, 2) query coordinates. The
+    method table's weight family picks the weights: inverse distance
+    w_i = d_i^-nu / sum_j d_j^-nu (sm2, idw), one-hot on the nearest sensor
+    (nn; ties go to the lowest sensor index) or Sibson (nat). A query
     collocated with a sensor (within 1e-9 of the sensor span) gets that
     sensor's full weight, removing the 1/0 singularity. The weights are
     scale-free, so they are computed in units of the power of two above the
     sensor span, an exact rescale: no squared or cubed distance overflows or
     underflows, at any side length.
     """
-    if method not in (SM2, IDW, NN, NATURAL):
-        if method not in ALL_METHODS:  # the one check every method-taking entry reaches
-            raise ValueError(f"unknown method {method!r}, expected one of {ALL_METHODS}")
+    family = _estimator(method)[0]
+    if family == _SOLVE:
         raise ValueError(f"method {method!r} has no geometry-only weights")
     span = _distances(sensors, sensors).max()
     unit = np.ldexp(1.0, min(int(np.frexp(span)[1]), 1023))  # 2^1024 would overflow
@@ -316,12 +318,12 @@ def geometry_weights(method: str, sensors: np.ndarray, xy: np.ndarray, nu: float
     d = _distances(q, sensors)
     nearest = d.argmin(axis=1)
     w = np.zeros(d.shape)
-    if method == NN:
+    if family == _NEAREST:
         snapped = np.ones(len(xy), dtype=bool)
     else:
         snapped = d.min(axis=1) <= _SNAP_RTOL * span
         free = ~snapped
-        if method == NATURAL:
+        if family == _SIBSON:
             w[free] = _sibson_rows(sensors, q[free], _HULL_RTOL * span, unit)
         else:
             inv = d[free] ** -float(nu)
@@ -481,17 +483,12 @@ def sibson_weights(sensors: list[Point], p0: Point) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the method table and its two users
+# the method table's one-point users
 
 
 def method_weights(method: str, scn: Scenario, p0: Point, nu: float = 1.0) -> np.ndarray:
-    """Sensor weights a method applies at p0, the map from method name to weights behind predict() and as_affine().
-
-    sm0 and sm1 share the correlation-derived weights; the geometry-only
-    methods take their row of geometry_weights, which holds each of their
-    weight families once and rejects a method name it does not know.
-    """
-    if method in (SM0, SM1):
+    """Sensor weights a method applies at p0, by the method table's weight family; behind predict() and as_affine()."""
+    if _estimator(method)[0] == _SOLVE:
         return sm0_weights(scn.correlation, list(scn.sensors), p0)
     return geometry_weights(method, coordinates(scn.sensors), coordinates([p0]), nu)[0]
 
@@ -505,11 +502,12 @@ def predict(
     correlation model); the true propagation constants enter sm0 alone.
     """
     w = method_weights(method, scn, p0, nu)
+    applied_to = _estimator(method)[1]
     meas = np.asarray(measurements, dtype=float)
-    if method == SM0:
+    if applied_to == _DEVIATIONS:
         pm0, pm, _ = _emitter_rows(scn, coordinates([p0]), (method,))
         value = pm0[0] + (meas - pm) @ w
-    elif method in (SM1, SM2):
+    elif applied_to == _RESIDUALS:
         fit = lse_fit(np.array(scn.sensor_distances()), meas)
         x0 = emitter_log_distances(scn, coordinates([p0]))[0]
         value = fit.a_hat + 10.0 * fit.gamma_hat * x0 + fit.residuals @ w
@@ -524,13 +522,14 @@ def _affine_rows(
     """(..., N) intercepts and (..., N, n) coefficient rows of a method's affine maps, from its weight rows w.
 
     w is (..., N, n), its leading axes over a stack of correlation models.
-    pm0, pm and fit are _emitter_rows() of the points. The fitted methods
-    (sm1, sm2) are linear because the least-squares estimates and residuals
-    are linear in the observations; sm0 adds the median-power intercept.
+    pm0, pm and fit are _emitter_rows() of the points. The refit's residuals
+    are linear because the least-squares estimates are linear in the
+    observations; the deviations add the median-power intercept.
     """
-    if method == SM0:
+    applied_to = _estimator(method)[1]
+    if applied_to == _DEVIATIONS:
         return pm0 - w @ pm, w
-    if method in (SM1, SM2):
+    if applied_to == _RESIDUALS:
         # residual rows r_i = e_i - c_a - x_i * c_slope, applied through w
         design, c_a, c_slope, x0 = fit
         coeffs = c_a + x0[:, None] * c_slope + w - w.sum(axis=-1)[..., None] * c_a - (w @ design.x)[..., None] * c_slope

@@ -45,7 +45,7 @@ import numpy as np
 from .geometry import DegenerateGeometryError, Point, QueryGrid, Scenario, build_square_scenario, coordinates, make_grid
 from .correlation import CorrelationModel, KERNEL_KINDS, EXPONENTIAL
 from .field import _check_stream_keys, correlate_normals, joint_factors, standard_normal_block
-from .estimators import SM0, SM1, SM2, ALL_METHODS, OutsideHullError, lse_fit, sm0_weight_rows
+from .estimators import ALL_METHODS, OutsideHullError, _DEVIATIONS, _RESIDUALS, _estimator, lse_fit, sm0_weight_rows
 from .analysis import GridForms, SweepCovariances, grid_analytic_rmse, grid_forms, sweep_covariances
 from .linalg import NotPositiveDefiniteError
 
@@ -287,7 +287,7 @@ def _power_of_two_above(magnitudes: np.ndarray, axis: int | None = None) -> np.n
 # ---------------------------------------------------------------------------
 # Monte Carlo evaluation
 #
-# The simulated route shares the estimators' weights but deliberately
+# The simulated route shares the estimators' weights and method table but
 # re-runs the estimation pipeline on each realized measurement vector, with
 # its own refit (lse_fit) batched across realizations, instead of reusing
 # the closed-form error coefficients, so that analytic and Monte Carlo
@@ -324,8 +324,8 @@ def _mc_setup(cov: SweepCovariances) -> tuple[np.ndarray, np.ndarray | None, Not
     A ratio fails first at its sensor factor (cov.error), then at the joint
     factor of its lowest failing point. The joint factors of every ratio
     that cov factors are one joint_factors() call, and the sm0 rows, None
-    unless sm0 or sm1 runs, one sm0_weight_rows() call against cov's
-    sensor factors.
+    unless a method takes the solve, one sm0_weight_rows() call against
+    cov's sensor factors.
     """
     k = len(cov.c_n) if cov.factors is None else len(cov.factors)
     with np.errstate(all="ignore"):  # near the double range, the finiteness checks name what goes wrong
@@ -343,6 +343,10 @@ def _mc_setup(cov: SweepCovariances) -> tuple[np.ndarray, np.ndarray | None, Not
 # sm0's and sm1's RMSEs strayed from sigma-scaling by 1e-9 and 8e-9. Any
 # sigma of at least 1e-3 dB passes while |P| stays below 1e6 dB.
 _SIGMA_FRACTION = 1e-9
+# Least spread of P, or sigma_db where larger, any run takes, likewise: below
+# it the path-loss bias is lost in the round-off of P (a_db 1e20 read nn 0.936
+# dB for 9.66); near it (a_db 3.2e8 dB) sweeps strayed from a_db 15.3's by 7e-9.
+_SPREAD_FRACTION = 1e-7
 
 
 def _lost_sigma(forms: GridForms, sigma: float) -> str | None:
@@ -353,6 +357,18 @@ def _lost_sigma(forms: GridForms, sigma: float) -> str | None:
             f"{sigma!r} dB is below {_SIGMA_FRACTION:g} of the largest median power magnitude, {top:.6g} dB, "
             "so the shadows would be lost to round-off"
         )
+    return None
+
+
+def _lost_medians(forms: GridForms, config: ExperimentConfig) -> str | None:
+    """Why the forms' medians would lose the path-loss bias to round-off, or its analytic square overflow, or None."""
+    p = np.concatenate((forms.pm0, forms.pm))
+    top, term = np.abs(p).max(), np.abs(config.a_db - p).max()
+    cause = f"field {'a_db' if abs(config.a_db) >= term else 'gamma'!r} sets median powers of up to {top:.6g} dB"
+    if config.mode != "mc" and top > 2.0**510:  # each bias, up to 2 |P|, is squared
+        return f"{cause}, above 2^510 dB, past which the analytic engine's squared bias may overflow"
+    if top < math.inf and max(spread := np.ptp(p), config.sigma_db) < _SPREAD_FRACTION * top:
+        return f"{cause}; spread {spread:.6g} dB and sigma_db under {_SPREAD_FRACTION:g} of it lose the bias to round-off"
     return None
 
 
@@ -431,6 +447,8 @@ def _mc_block_rmse(
     of one.
     """
     n, points = len(forms.pm), len(block)
+    # each method's applied-to family, from the method table, and its geometry-only weights (None: sm0's rows)
+    plan = [(_estimator(m)[1], forms.weights.get(m)) for m in forms.methods]
     for p, i in enumerate(block):
         standard_normal_block(master_seed, indices[i], n + 1, realizations, out=ws.z[p], bitgen=ws.bitgen)
     at = slice(block.start, block.stop)
@@ -439,18 +457,19 @@ def _mc_block_rmse(
     with _unbuffered(realizations):
         for j in range(len(joint)):
             rows = None if sm0 is None else sm0[j, at]
-            out[j, :, at] = _mc_block_ratio(forms, joint[j, at], rows, block, medians, ws).T
+            out[j, :, at] = _mc_block_ratio(forms, plan, joint[j, at], rows, block, medians, ws).T
 
 
 def _mc_block_ratio(
     forms: GridForms,
+    plan: list[tuple[str, np.ndarray | None]],
     joint: np.ndarray,
     sm0: np.ndarray | None,
     block: range,
     medians: np.ndarray,
     ws: _McWorkspace,
 ) -> np.ndarray:
-    """(P, M) RMSEs of one scenario at a block of P points, from its joint factors and sm0 rows there and ws.z."""
+    """(P, M) RMSEs of one scenario at a block of P points, from its joint factors and sm0 rows there, ws.z and plan."""
     pm = forms.pm[:, None]  # (n, 1)
     rows, errors, dev = ws.joint[: len(block)], ws.errors[: len(block)], ws.dev[: len(block)]
     correlate_normals(joint, ws.z[: len(block)].swapaxes(1, 2), out=rows, scratch=dev)
@@ -463,12 +482,12 @@ def _mc_block_ratio(
             median = np.multiply(fit.gamma_hat, 10.0, out=ws.median)
             median *= forms.fit[3][k]
             median += fit.a_hat
-        for row, method in zip(errors[p], forms.methods):
-            w = sm0[p] if method in (SM0, SM1) else forms.weights[method][k]
-            if method == SM0:
+        for row, (applied_to, table) in zip(errors[p], plan):
+            w = sm0[p] if table is None else table[k]
+            if applied_to == _DEVIATIONS:
                 np.matmul(w, np.subtract(meas, pm, out=dev[p]), out=row)
                 row += forms.pm0[k]
-            elif method in (SM1, SM2):
+            elif applied_to == _RESIDUALS:
                 np.matmul(w, fit.residuals.T, out=row)
                 row += median
             else:
@@ -684,12 +703,12 @@ def _grid_evals(
     are yielded. The precedence is the same in every mode. The sweep stops
     at the first ratio that fails its range check. Before it, it stops at
     the first ratio whose sensor covariance Cn is not positive definite,
-    when sm0 or sm1 runs, or, in mc and both modes, whose joint covariance
-    at some point is not: at one ratio, Cn's error wins over the lowest
-    failing point's. A failure at pivot 0, which is sigma^2 itself, is
-    named as sigma^2 underflowing. In mc and both modes, a sigma_db below
-    _SIGMA_FRACTION of the largest median power magnitude stops the sweep
-    at its first ratio.
+    when a method takes the solve, or, in mc and both modes, whose joint
+    covariance at some point is not: at one ratio, Cn's error wins over the
+    lowest failing point's. A failure at pivot 0, which is sigma^2 itself,
+    is named as sigma^2 underflowing. Median powers past _lost_medians'
+    limits stop it at its first ratio, and after them, in mc and both
+    modes, a sigma_db below _SIGMA_FRACTION of their largest magnitude.
 
     The ratio-free parts of the error forms, the geometry-only weights above
     all, are gathered once from one scenario, and every ratio's Cn, C0 and
@@ -731,7 +750,9 @@ def _grid_evals(
             underflow = f"sigma^2 underflows a double at sigma = {config.sigma_db!r} dB"
             error = _out_of_range(config, ratios[stop], underflow if failed.pivot_index == 0 else failed)
             error.__cause__ = failed
-        if mc and stop and (lost := _lost_sigma(forms, config.sigma_db)):
+        if stop and (lost := _lost_medians(forms, config)):
+            stop, error = 0, _out_of_range(config, ratios[0], lost)
+        elif mc and stop and (lost := _lost_sigma(forms, config.sigma_db)):
             stop, error = 0, ConfigError(f"field 'sigma_db' is too small for Monte Carlo: {lost}")
     engines: dict[str, np.ndarray] = {}  # each engine's (stop, M, N) RMSEs
     with np.errstate(all="ignore"):

@@ -340,6 +340,44 @@ class TestSweepCommand:
             "sigma^2 underflows a double at sigma = 1e-162 dB"
         )
 
+    @pytest.mark.parametrize("mode", ["analytic", "mc", "both"])
+    def test_medians_whose_spread_is_lost_name_a_db(self, tmp_path, capsys, mode):
+        # at a_db 1e20 the medians' 37 dB spread is lost in their round-off: nn read 0.936 dB for 9.66
+        cfg = write_config(tmp_path, a_db=1e20, resolution=2, ratios=[0.05, 5], methods=["nn", "idw"], mode=mode)
+        assert main(["sweep", str(cfg), str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: exponential kernel at spacing ratio 0.05 is outside the numeric range: "
+            "field 'a_db' sets median powers of up to 1e+20 dB; spread 0 dB and sigma_db under 1e-07 of it"
+        )
+        assert not (tmp_path / "out" / "sweep.csv").exists()
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [({"a_db": 1e300, "methods": ["sm2"]}, "a_db"), ({"gamma": 1e306, "methods": ["sm1"]}, "gamma")],
+        ids=["a_db-1e300-sm2", "gamma-1e306-sm1"],
+    )
+    def test_analytic_median_overflow_names_its_field(self, tmp_path, capsys, overrides, field):
+        cfg = write_config(tmp_path, resolution=2, ratios=[0.05, 5], **overrides)
+        assert main(["sweep", str(cfg), str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"exponential kernel at spacing ratio 0.05 is outside the numeric range: field '{field}'" in err
+        assert "above 2^510 dB" in err
+
+    def test_a_db_of_a_million_keeps_the_path_loss_bias(self, tmp_path):
+        values = {}
+        for a_db in (15.3, 1e6):
+            methods = ["sm0", "sm1", "sm2", "nn", "idw", "nat"]
+            cfg = write_config(tmp_path, a_db=a_db, ratios=[0.05, 1.0, 5.0], methods=methods)
+            assert main(["sweep", str(cfg), str(tmp_path / "out")]) == 0
+            values[a_db] = [float(r["spatial_rmse_db"]) for r in read_rows(tmp_path / "out" / "sweep.csv")]
+        assert values[1e6] == pytest.approx(values[15.3], rel=0, abs=1e-9)
+
+    def test_far_emitter_passes_the_medians_check(self, tmp_path):
+        # a far emitter's medians spread over 1e-8 dB, below their round-off, but sigma_db is far above it
+        cfg = write_config(tmp_path, emitter=[1e12, 0.0], methods=["sm0", "nn", "idw", "nat"])
+        assert main(["sweep", str(cfg), str(tmp_path / "out")]) == 0
+        assert all(math.isfinite(float(r["spatial_rmse_db"])) for r in read_rows(tmp_path / "out" / "sweep.csv"))
+
     def test_sigma_squared_underflow_leaves_geometry_only_methods_analytic(self, tmp_path):
         cfg = write_config(tmp_path, sigma_db=1e-162, methods=["nn", "idw", "sm2", "nat"])
         out = tmp_path / "out"

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -230,3 +231,15 @@ class TestStacks:
 def test_model_validation(kwargs):
     with pytest.raises(ValueError):
         CorrelationModel(**kwargs)
+
+
+def test_documented_imports_reach_the_submodule():
+    # the package exports the function correlation() under the submodule's name, so
+    # `import radiomap.correlation as corr` binds the function; the README imports the
+    # submodule's array entries by name instead
+    import radiomap
+    from radiomap.correlation import correlation, covariance_stack, cross_covariance_stack
+
+    assert radiomap.correlation is correlation
+    submodule = sys.modules["radiomap.correlation"]
+    assert (submodule.covariance_stack, submodule.cross_covariance_stack) == (covariance_stack, cross_covariance_stack)

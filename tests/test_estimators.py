@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +24,8 @@ from radiomap import (
     sm2_weights,
 )
 from radiomap.correlation import covariance_matrix, cross_covariance, cross_covariance_matrix
-from radiomap.estimators import _strictly_inside, geometry_weights, lse_design, sensor_factor, sm0_weight_rows
+from radiomap import analysis, estimators, harness
+from radiomap.estimators import _ESTIMATORS, _strictly_inside, geometry_weights, lse_design, sensor_factor, sm0_weight_rows
 from radiomap.analysis import error_form, grid_forms
 from radiomap.geometry import coordinates, make_grid
 from radiomap.linalg import cholesky, solve_cholesky
@@ -560,5 +563,54 @@ class TestConvexity:
         ids=["predict", "as_affine", "method_weights", "error_form", "grid_forms", "geometry_weights"],
     )
     def test_unknown_method_rejected(self, table_scenario, call):
-        with pytest.raises(ValueError, match="unknown method"):
+        with pytest.raises(ValueError, match="unknown method") as caught:
             call(table_scenario, Point(10, 10))
+        # the same error from every entry: the method table's one lookup
+        assert str(caught.value) == f"unknown method 'kriging', expected one of {ALL_METHODS}"
+        assert caught.traceback[-1].name == "_estimator"
+
+
+class TestMethodTable:
+    """The one table that says whose weights each method applies, and to what."""
+
+    def test_covers_all_methods_exactly(self):
+        assert tuple(_ESTIMATORS) == ALL_METHODS
+
+    @pytest.mark.parametrize("module", [analysis, harness], ids=["analysis", "harness"])
+    def test_engines_bind_no_method_name_constant(self, module):
+        assert [name for name in ("SM0", "SM1", "SM2", "NN", "IDW", "NATURAL") if hasattr(module, name)] == []
+
+    def test_no_module_but_estimators_branches_on_a_method_name(self):
+        # a comparison against a method name, spelled as a constant or a literal, decides per method
+        names = {"SM0", "SM1", "SM2", "NN", "IDW", "NATURAL"}
+
+        def is_method_name(node):
+            if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+                return any(is_method_name(e) for e in node.elts)
+            return (isinstance(node, ast.Name) and node.id in names) or (
+                isinstance(node, ast.Constant) and node.value in ALL_METHODS
+            )
+
+        branching = []
+        for path in Path(estimators.__file__).parent.glob("*.py"):
+            if path.name == "estimators.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Compare) and any(map(is_method_name, [node.left, *node.comparators])):
+                    branching.append(f"{path.name}:{node.lineno}")
+        assert branching == []
+
+    def test_methods_of_one_weight_family_apply_the_same_weights(self, table_scenario):
+        p0 = Point(205.0, 445.0)
+        sensors, q = coordinates(table_scenario.sensors), coordinates([p0])
+        by_family = {}
+        for method, (family, _) in _ESTIMATORS.items():
+            w = method_weights(method, table_scenario, p0)
+            assert np.array_equal(w, by_family.setdefault(family, w))
+            if family == "solve":
+                assert np.array_equal(w, sm0_weights(table_scenario.correlation, list(table_scenario.sensors), p0))
+                with pytest.raises(ValueError, match="no geometry-only weights"):
+                    geometry_weights(method, sensors, q)
+            else:
+                assert np.array_equal(w, geometry_weights(method, sensors, q)[0])
+        assert sorted(by_family) == ["inverse distance", "nearest", "sibson", "solve"]
