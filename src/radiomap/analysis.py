@@ -17,16 +17,18 @@ one pass over the emitter distances, the geometry-only methods' weights).
 sweep_covariances() then builds what does, once for both engines: one
 kernel pass for the K sensor covariances Cn, one for the K cross-covariance
 tables C0, and, only when a method takes the solve (by the estimators'
-method table, which gives every method's weights), one stacked Cholesky
-call for every Cn. grid_analytic_rmse() evaluates every method at every
-point under the K models as one (K, N, .) stack: the geometry-only methods'
-error rows are formed once for all K, and one grouped quadratic form covers
-the stack. The Monte Carlo route assembles its joint factors and solve
-weights from the same stacks. Row k of the result has the bits of a call
-with models[k] alone. error_form() is the engine's row at one point and analytic_rmse()
-shares its quadratic form, so the library API and the self-checks run the
-engine the CLI ships. The hand-written coefficient expansion for the
-fitted-correlation method exists only as a cross-check.
+method table), one stacked Cholesky call for every Cn and one
+sm0_weight_rows() call for every point's weights under every model.
+grid_analytic_rmse() evaluates every method at every point under the K
+models as one (K, N, .) stack: the geometry-only methods' error rows are
+formed once for all K, and one grouped quadratic form covers the stack.
+The Monte Carlo route assembles its joint factors from the same stacks and
+reads the same weights (_weight_stacks). Row k of the result has the bits
+of a call with models[k] alone. error_form() is the engine's row at one
+point and analytic_rmse() shares its quadratic form, so the library API
+and the self-checks run the engine the CLI ships. The hand-written
+coefficient expansion for the fitted-correlation method exists only as a
+cross-check.
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ import numpy as np
 from .geometry import Point, Scenario, coordinates, distance
 from .correlation import CorrelationModel, covariance_matrix, cross_covariance, cross_covariance_stack
 from .linalg import NotPositiveDefiniteError, cholesky_stack, solve_cholesky
-from .estimators import FitRows, _SOLVE, _SOLVED, _affine_rows, _emitter_rows, _estimator, _log_distances
-from .estimators import _lse_denominator, geometry_weights, sensor_factor, sm0_weights
+from .estimators import FitRows, _SOLVE, _SOLVED, _UNBIASED, _affine_rows, _emitter_rows, _estimator, _log_distances
+from .estimators import _lse_denominator, geometry_weights, sensor_factor, sm0_weight_rows, sm0_weights
 
 __all__ = [
     "AffineErrorForm",
@@ -209,56 +211,63 @@ def grid_forms(scn: Scenario, xy: np.ndarray, methods: tuple[str, ...], nu: floa
 
 @dataclass(frozen=True)
 class SweepCovariances:
-    """Every covariance both engines read, for K models that differ in sigma and xc alone.
+    """Every covariance both engines read, and the one solve they share, for K models that differ in sigma and xc alone.
 
     c_n holds each model's (n, n) sensor covariance Cn and c_0 its (N, n)
     covariances C0 at the forms' points, each with the bits it has alone.
-    factors (None unless a method takes the solve) holds the Cholesky
-    factors of the Cn before the first that is not positive definite, and
-    error is that Cn's NotPositiveDefiniteError, its index the model's.
+    error is the NotPositiveDefiniteError of the first Cn that does not
+    factor, its index the model's, and usable the count K' of models before
+    it. solved holds the K' models' (K', N, n) weights at the points, each
+    row with the bits of sm0_weights() there alone; both are None unless a
+    method takes the solve.
     """
 
     c_n: np.ndarray
     c_0: np.ndarray
-    factors: np.ndarray | None
+    solved: np.ndarray | None
+    usable: int
     error: NotPositiveDefiniteError | None
 
 
 def sweep_covariances(forms: GridForms, models: list[CorrelationModel]) -> SweepCovariances:
-    """The models' Cn and C0 stacks at the forms' points, one kernel pass each, and their Cn factors in one call.
+    """The models' Cn and C0 stacks at the forms' points, one kernel pass each, and the solve in one call.
 
-    The factors are taken only when a method takes the solve, and cut at the
-    first Cn that is not positive definite. A sigma^2 that overflows raises the
-    kernel's OverflowError.
+    Only when a method takes the solve, the Cn are factored in one stacked
+    call, cut at the first that is not positive definite, and solved in one
+    sm0_weight_rows() call. A sigma^2 that overflows raises the kernel's
+    OverflowError.
     """
     with np.errstate(all="ignore"):
         c_n = cross_covariance_stack(models, forms.sensors, forms.sensors)
         c_0 = cross_covariance_stack(models, forms.xy, forms.sensors)
         if _SOLVED.isdisjoint(forms.methods):
-            return SweepCovariances(c_n, c_0, None, None)
+            return SweepCovariances(c_n, c_0, None, len(models), None)
         factors, error = cholesky_stack(c_n.copy())
-    return SweepCovariances(c_n, c_0, factors if error is None else factors[: error.index], error)
+        usable = len(models) if error is None else error.index
+        solved = sm0_weight_rows(factors[:usable], c_0[:usable])
+    return SweepCovariances(c_n, c_0, solved, usable, error)
+
+
+def _weight_stacks(forms: GridForms, cov: SweepCovariances) -> dict[str, np.ndarray]:
+    """Each method's weight rows by the method table: its geometry-only (N, n) table, or cov's (K', N, n) solve."""
+    return {m: cov.solved if m in _SOLVED else forms.weights[m] for m in forms.methods}
 
 
 def _error_rows(
     forms: GridForms, cov: SweepCovariances
 ) -> tuple[np.ndarray, np.ndarray, dict[str, tuple[np.ndarray, np.ndarray]]]:
-    """The (K', n, n) Cn, the (K', N, n) C0 and each method's error rows, for the K' models before cov.error's.
+    """The (K', n, n) Cn, the (K', N, n) C0 and each method's error rows, for cov's K' usable models.
 
     The error under model k at point i is bias[k, i] + S0 - coeffs[k, i] . [S1..Sn].
-    Every solve-family method takes each model's one solve of its N C0
-    rows. The geometry-only methods' rows depend on no model: they are
-    formed once, and bias and coeffs are broadcast views over the K' models.
+    The geometry-only methods' rows depend on no model: they are formed
+    once, and bias and coeffs are broadcast views over the K' models. An
+    unbiased method's bias is 0: computed, it is the medians' round-off.
     """
-    k = len(cov.c_n) if cov.factors is None else len(cov.factors)
-    c_n, c_0 = cov.c_n[:k], cov.c_0[:k]
-    weights = dict(forms.weights)
-    if cov.factors is not None:
-        weights.update(dict.fromkeys(_SOLVED, np.swapaxes(solve_cholesky(cov.factors, np.swapaxes(c_0, 1, 2)), 1, 2)))
+    c_n, c_0 = cov.c_n[: cov.usable], cov.c_0[: cov.usable]
     rows = {}
-    for m in forms.methods:
-        intercept, coeffs = _affine_rows(m, weights[m], forms.pm0, forms.pm, forms.fit)
-        bias = forms.pm0 - (intercept + coeffs @ forms.pm)
+    for m, w in _weight_stacks(forms, cov).items():
+        intercept, coeffs = _affine_rows(m, w, forms.pm0, forms.pm, forms.fit)
+        bias = 0.0 if m in _UNBIASED else forms.pm0 - (intercept + coeffs @ forms.pm)
         rows[m] = (np.broadcast_to(bias, c_0.shape[:2]), np.broadcast_to(coeffs, c_0.shape))
     return c_n, c_0, rows
 
@@ -281,12 +290,11 @@ def _affine_rms(
 
 
 def grid_analytic_rmse(forms: GridForms, cov: SweepCovariances) -> dict[str, np.ndarray]:
-    """Per-point RMS error of each method under each model of cov before cov.error's, as (K', N) arrays.
+    """Per-point RMS error of each method under each of cov's K' usable models, as (K', N) arrays.
 
     The package's one analytic engine; K' is every model when cov.error is
     None. Each method's error rows come from estimators._affine_rows() on
-    its weight rows, the solve family's weights of every point under every
-    model from cov's stacked Cholesky factors of the sensor covariances Cn.
+    its weight rows, the solve family's from cov's one solve.
     """
     c_n, c_0, rows = _error_rows(forms, cov)
     var0 = c_n[:, 0, :1]  # each model's sigma^2, the kernel at zero distance

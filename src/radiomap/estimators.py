@@ -5,19 +5,20 @@ method table: whose weights a method applies (the conditional-mean solve
 against the sensor covariance C_n, or a geometry-only family) and what it
 applies them to (deviations from the true medians, residuals of a
 log-distance refit, or the raw measurements). method_weights() and
-geometry_weights() pick the weight family from it, _SOLVED and _REFIT say
-which methods take the solve and the refit, and predict(), _affine_rows()
-and the Monte Carlo kernel branch, each with its own arithmetic, on the
-applied-to family. Its one lookup, _estimator(), refuses unknown names.
+geometry_weights() pick the weight family from it, _SOLVED, _REFIT and
+_UNBIASED say which methods take the solve, the refit and no bias, and
+predict(), _affine_rows() and the Monte Carlo kernel branch, each with its
+own arithmetic, on the applied-to family. Its one lookup, _estimator(),
+refuses unknown names.
 
 Every estimator is affine in the measurements: _affine_rows() turns (N, n)
 weight rows into intercepts and coefficient rows for the analysis module's
 error engine, and as_affine() is their row at one point. sm0_weight_rows()
 solves every point's weights under every model of a sweep in one stacked
-call, and geometry_weights() computes a geometry-only family for a whole
-point set as one (N, n) table in array passes. The one-point entries
-(sm0_weights, sm2_weights, sibson_weights, method_weights) take Points and
-are their rows.
+call, which both engines read, and geometry_weights() computes a
+geometry-only family for a whole point set as one (N, n) table in array
+passes. The one-point entries (sm0_weights, sm2_weights, sibson_weights,
+method_weights) take Points and are their rows.
 """
 
 from __future__ import annotations
@@ -65,7 +66,8 @@ ALL_METHODS = (SM0, SM1, SM2, NN, IDW, NATURAL)
 # or a geometry-only family of geometry_weights) and what its weights are
 # applied to (the measurements less the sensors' true median powers, the
 # log-distance refit's residuals, or the measurements); and from it, which
-# methods take the solve and which the refit.
+# methods take the solve, which the refit, and which have no bias: the
+# medians lie on the log-distance law, so their deviations and residuals are 0.
 _SOLVE, _INVERSE_DISTANCE, _NEAREST, _SIBSON = "solve", "inverse distance", "nearest", "sibson"
 _DEVIATIONS, _RESIDUALS, _MEASUREMENTS = "deviations", "residuals", "measurements"
 _ESTIMATORS = {
@@ -78,6 +80,7 @@ _ESTIMATORS = {
 }
 _SOLVED = {m for m, (weights, _) in _ESTIMATORS.items() if weights == _SOLVE}  # which take the solve
 _REFIT = {m for m, (_, applied_to) in _ESTIMATORS.items() if applied_to == _RESIDUALS}  # which take the refit
+_UNBIASED = {m for m, (_, applied_to) in _ESTIMATORS.items() if applied_to != _MEASUREMENTS}  # which have no bias
 
 # Queries closer to a sensor than this fraction of the sensor span snap to it.
 _SNAP_RTOL = 1e-9

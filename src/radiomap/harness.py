@@ -10,7 +10,7 @@ realizations (mc mode); 'both' computes the two side by side and flags
 points where they disagree beyond Monte Carlo noise. What no ratio changes
 (the grid's (N, 2) coordinate array, the geometry-only weights) is
 gathered once per sweep, and so is what every ratio needs: each ratio's
-covariances and sensor factor, built as stacks once for both engines
+covariances and solve weights, built as stacks once for both engines
 (analysis.sweep_covariances). One set-up then decides, before either
 engine runs, the ratio at which the sweep stops and the one error raised
 there, with the same precedence in every mode (_grid_evals): factor
@@ -37,7 +37,7 @@ import threading
 from collections.abc import Callable, Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import NoReturn
 
 import numpy as np
@@ -45,8 +45,8 @@ import numpy as np
 from .geometry import DegenerateGeometryError, Point, QueryGrid, Scenario, build_square_scenario, coordinates, make_grid
 from .correlation import CorrelationModel, KERNEL_KINDS, EXPONENTIAL
 from .field import _check_stream_keys, correlate_normals, joint_factors, standard_normal_block
-from .estimators import ALL_METHODS, OutsideHullError, _DEVIATIONS, _RESIDUALS, _estimator, lse_fit, sm0_weight_rows
-from .analysis import GridForms, SweepCovariances, grid_analytic_rmse, grid_forms, sweep_covariances
+from .estimators import ALL_METHODS, OutsideHullError, _DEVIATIONS, _RESIDUALS, _UNBIASED, _estimator, lse_fit
+from .analysis import GridForms, SweepCovariances, _weight_stacks, grid_analytic_rmse, grid_forms, sweep_covariances
 from .linalg import NotPositiveDefiniteError
 
 __all__ = [
@@ -176,6 +176,8 @@ class ExperimentConfig:
             raise ConfigError(f"field 'correlation.axis_ratio' must be >= 1, got {self.axis_ratio}")
         if not self.ratios or self.ratios[0] <= 0 or list(self.ratios) != sorted(set(self.ratios)):
             raise ConfigError(f"field 'ratios' must be non-empty, positive and strictly ascending, got {self.ratios}")
+        if not self.side_m / self.ratios[-1] > 0:
+            raise ConfigError(f"field 'ratios' must keep side_m / ratio > 0, got {self.ratios[-1]} at side_m {self.side_m}")
         if not self.methods or len(set(self.methods)) != len(self.methods):
             raise ConfigError(f"field 'methods' must be non-empty without duplicates, got {self.methods}")
         for m in self.methods:
@@ -295,10 +297,10 @@ def _power_of_two_above(magnitudes: np.ndarray, axis: int | None = None) -> np.n
 # on its stream alone, so one draw serves every ratio.
 #
 # Set-up (_mc_setup) runs before any draw: one in-place factor of every
-# point's joint covariance under every ratio and one solve of every sm0
-# row, failures returned as values. Past set-up nothing fails: the fit's
-# constants were checked with the forms, and the kernel runs with numpy's
-# errors off, its inf and NaN named later by the finiteness checks.
+# point's joint covariance under every ratio, its failure returned as a
+# value; the solve weights are the analytic engine's. Past set-up nothing
+# fails: the fit's constants were checked with the forms, and the kernel runs
+# with numpy's errors off, its inf and NaN named later by the finiteness checks.
 #
 # The points run as min(threads, N) tasks over contiguous chunks, each in
 # blocks of P = max(1, _BLOCK_DOUBLES // R) points, written with out= into
@@ -318,23 +320,18 @@ def _power_of_two_above(magnitudes: np.ndarray, axis: int | None = None) -> np.n
 # split invisible in the bits.
 
 
-def _mc_setup(cov: SweepCovariances) -> tuple[np.ndarray, np.ndarray | None, NotPositiveDefiniteError | None]:
-    """The (K', N, n+1, n+1) joint factors and (K', N, n) sm0 rows of the K' ratios before the first that fails, and its error.
+def _mc_setup(cov: SweepCovariances) -> tuple[np.ndarray, NotPositiveDefiniteError | None]:
+    """The (K'', N, n+1, n+1) joint factors of the K'' ratios before the first that fails, and its error.
 
     A ratio fails first at its sensor factor (cov.error), then at the joint
-    factor of its lowest failing point. The joint factors of every ratio
-    that cov factors are one joint_factors() call, and the sm0 rows, None
-    unless a method takes the solve, one sm0_weight_rows() call against
-    cov's sensor factors.
+    factor of its lowest failing point. The joint factors of cov's usable
+    ratios are one joint_factors() call.
     """
-    k = len(cov.c_n) if cov.factors is None else len(cov.factors)
     with np.errstate(all="ignore"):  # near the double range, the finiteness checks name what goes wrong
-        sm0 = None if cov.factors is None else sm0_weight_rows(cov.factors, cov.c_0[:k])
-        joint, error = joint_factors(cov.c_0[:k], cov.c_n[:k])
+        joint, error = joint_factors(cov.c_0[: cov.usable], cov.c_n[: cov.usable])
     if error is None:
-        return joint, sm0, cov.error
-    k = error.index // cov.c_0.shape[1]
-    return joint[:k], None if sm0 is None else sm0[:k], error
+        return joint, cov.error
+    return joint[: error.index // cov.c_0.shape[1]], error
 
 
 # Least sigma_db a Monte Carlo run takes, as a fraction of the largest median
@@ -428,8 +425,8 @@ class _McWorkspace:
 
 def _mc_block_rmse(
     forms: GridForms,
+    cov: SweepCovariances,
     joint: np.ndarray,
-    sm0: np.ndarray | None,
     block: range,
     indices: Sequence[int],
     realizations: int,
@@ -439,16 +436,17 @@ def _mc_block_rmse(
 ) -> None:
     """Write the RMS prediction error of each method at a block of points under each scenario set up into out.
 
-    joint and sm0 are _mc_setup's stacks for K' scenarios, block holds the
-    points' indices into the forms, indices[i] keys point i's stream, ws is
-    the calling task's workspace, with room for the block, and out the
-    (K', M, N) RMSEs, M methods in the order of forms.methods: the block
-    writes out[:, :, block]. Each point's results have the bits of a block
-    of one.
+    cov is the sweep's covariances, whose weights the methods apply, joint
+    _mc_setup's factors for K'' scenarios, block holds the points' indices
+    into the forms, indices[i] keys point i's stream, ws is the calling
+    task's workspace, with room for the block, and out the (K'', M, N)
+    RMSEs, M methods in the order of forms.methods: the block writes
+    out[:, :, block]. Each point's results have the bits of a block of one.
     """
     n, points = len(forms.pm), len(block)
-    # each method's applied-to family, from the method table, and its geometry-only weights (None: sm0's rows)
-    plan = [(_estimator(m)[1], forms.weights.get(m)) for m in forms.methods]
+    # each method's applied-to family, from the method table, and its weights under each usable scenario
+    shape = (cov.usable, len(forms.xy), n)
+    plan = [(_estimator(m)[1], np.broadcast_to(w, shape)) for m, w in _weight_stacks(forms, cov).items()]
     for p, i in enumerate(block):
         standard_normal_block(master_seed, indices[i], n + 1, realizations, out=ws.z[p], bitgen=ws.bitgen)
     at = slice(block.start, block.stop)
@@ -456,20 +454,19 @@ def _mc_block_rmse(
     medians[:, 0, 0], medians[:, 1:, 0] = forms.pm0[at], forms.pm
     with _unbuffered(realizations):
         for j in range(len(joint)):
-            rows = None if sm0 is None else sm0[j, at]
-            out[j, :, at] = _mc_block_ratio(forms, plan, joint[j, at], rows, block, medians, ws).T
+            ratio_plan = [(applied_to, w[j]) for applied_to, w in plan]
+            out[j, :, at] = _mc_block_ratio(forms, ratio_plan, joint[j, at], block, medians, ws).T
 
 
 def _mc_block_ratio(
     forms: GridForms,
-    plan: list[tuple[str, np.ndarray | None]],
+    plan: list[tuple[str, np.ndarray]],
     joint: np.ndarray,
-    sm0: np.ndarray | None,
     block: range,
     medians: np.ndarray,
     ws: _McWorkspace,
 ) -> np.ndarray:
-    """(P, M) RMSEs of one scenario at a block of P points, from its joint factors and sm0 rows there, ws.z and plan."""
+    """(P, M) RMSEs of one scenario at a block of P points, from its joint factors there, ws.z and plan."""
     pm = forms.pm[:, None]  # (n, 1)
     rows, errors, dev = ws.joint[: len(block)], ws.errors[: len(block)], ws.dev[: len(block)]
     correlate_normals(joint, ws.z[: len(block)].swapaxes(1, 2), out=rows, scratch=dev)
@@ -482,16 +479,15 @@ def _mc_block_ratio(
             median = np.multiply(fit.gamma_hat, 10.0, out=ws.median)
             median *= forms.fit[3][k]
             median += fit.a_hat
-        for row, (applied_to, table) in zip(errors[p], plan):
-            w = sm0[p] if table is None else table[k]
+        for row, (applied_to, w) in zip(errors[p], plan):
             if applied_to == _DEVIATIONS:
-                np.matmul(w, np.subtract(meas, pm, out=dev[p]), out=row)
+                np.matmul(w[k], np.subtract(meas, pm, out=dev[p]), out=row)
                 row += forms.pm0[k]
             elif applied_to == _RESIDUALS:
-                np.matmul(w, fit.residuals.T, out=row)
+                np.matmul(w[k], fit.residuals.T, out=row)
                 row += median
             else:
-                np.matmul(w, meas, out=row)
+                np.matmul(w[k], meas, out=row)
     np.subtract(rows[:, 0, None], errors, out=errors)  # the truth rows less the predictions
     flat = errors.reshape(-1, errors.shape[-1])
     return _rms_rows(flat, out=flat).reshape(len(block), -1)  # RMS over realizations, scaled against overflow
@@ -499,20 +495,21 @@ def _mc_block_ratio(
 
 def _mc_rmse(
     forms: GridForms,
+    cov: SweepCovariances,
     joint: np.ndarray,
-    sm0: np.ndarray | None,
     indices: Sequence[int],
     realizations: int,
     master_seed: int,
     threads: int = 1,
 ) -> np.ndarray:
-    """(K', M, N) Monte Carlo RMSEs of each method at every point of the forms under _mc_setup's K' ratios, one task per chunk of points.
+    """(K'', M, N) Monte Carlo RMSEs of each method at every point of the forms under _mc_setup's K'' ratios, one task per chunk of points.
 
+    cov is the sweep's covariances and joint _mc_setup's factors of them.
     indices[i] keys point i's stream. ValueError names a stream key outside
     the unsigned 64-bit range, realizations that are not an integer of at
     least 1, or a sigma (each joint factor's [0, 0] entry) lost in the
     round-off of the median powers, before any draw. Nothing is drawn when
-    K' is 0. Tasks after the first run in forked workers (_run_forked) when
+    K'' is 0. Tasks after the first run in forked workers (_run_forked) when
     os.fork exists and the caller runs no other thread, and on a thread
     pool otherwise.
     """
@@ -540,7 +537,7 @@ def _mc_rmse(
         with np.errstate(all="ignore"):  # pool threads do not inherit the caller's state
             for start in range(0, len(chunk), per_block):
                 block = chunk[start : start + per_block]
-                _mc_block_rmse(forms, joint, sm0, block, indices, realizations, master_seed, ws, rmse)
+                _mc_block_rmse(forms, cov, joint, block, indices, realizations, master_seed, ws, rmse)
 
     if forked:
         _run_forked(eval_chunk, chunks)
@@ -632,8 +629,9 @@ def point_rmse_mc(
     least 1: ValueError names the first that does not, before any draw.
     """
     forms = grid_forms(scn, coordinates([p0]), (method,), nu)
-    joint, sm0, error = _mc_setup(sweep_covariances(forms, [scn.correlation]))
-    rmse = _mc_rmse(forms, joint, sm0, [point_index], realizations, master_seed)
+    cov = sweep_covariances(forms, [scn.correlation])
+    joint, error = _mc_setup(cov)
+    rmse = _mc_rmse(forms, cov, joint, [point_index], realizations, master_seed)
     if error is not None:
         raise error
     return float(rmse[0, 0, 0])
@@ -690,29 +688,26 @@ def _surfaces(
     return surfaces
 
 
-def _grid_evals(
-    config: ExperimentConfig,
-    ratios: tuple[float, ...],
-    methods: tuple[str, ...],
-    threads: int = 1,
-) -> Iterator[dict[str, RmseSurface]]:
-    """Every method's RMSE surface, one ratio after the other.
+def _grid_evals(config: ExperimentConfig, threads: int = 1) -> Iterator[dict[str, RmseSurface]]:
+    """Every method's RMSE surface at each of the config's ratios, one ratio after the other.
 
     One set-up decides, before either engine runs, the ratio at which the
     sweep stops and the one error raised there, after the ratios before it
     are yielded. The precedence is the same in every mode. The sweep stops
-    at the first ratio that fails its range check. Before it, it stops at
-    the first ratio whose sensor covariance Cn is not positive definite,
+    at the first ratio whose sensor covariance Cn is not positive definite,
     when a method takes the solve, or, in mc and both modes, whose joint
     covariance at some point is not: at one ratio, Cn's error wins over the
     lowest failing point's. A failure at pivot 0, which is sigma^2 itself,
-    is named as sigma^2 underflowing. Median powers past _lost_medians'
-    limits stop it at its first ratio, and after them, in mc and both
-    modes, a sigma_db below _SIGMA_FRACTION of their largest magnitude.
+    is named as sigma^2 underflowing. Three things stop it at its first
+    ratio instead: a sigma^2 below the least normal double when an unbiased
+    method runs (its error is all shadow, and a subnormal sigma^2 has lost
+    digits), named as the same underflow; then median powers past
+    _lost_medians' limits; and after them, in mc and both modes, a sigma_db
+    below _SIGMA_FRACTION of their largest magnitude.
 
     The ratio-free parts of the error forms, the geometry-only weights above
     all, are gathered once from one scenario, and every ratio's Cn, C0 and
-    sensor factor are built once, as stacks (analysis.sweep_covariances),
+    solve weights are built once, as stacks (analysis.sweep_covariances),
     for both engines. Both engines then run the ratios before the stop: the
     analytic engine on the calling thread as one stack, the Monte Carlo
     stage with one worker per chunk of points (_mc_rmse), each point's
@@ -720,40 +715,37 @@ def _grid_evals(
     """
     if not (_accepts(0, threads) and 1 <= threads <= MAX_THREADS):
         raise ConfigError(f"threads must be an integer between 1 and {MAX_THREADS}, got {threads!r}")
-    bad = [ratio for ratio in ratios if not (ratio > 0 and config.side_m / ratio > 0)]
-    stop = list(ratios).index(bad[0]) if bad else len(ratios)
-    error = ConfigError(f"spacing ratio must be > 0 with side_m / ratio > 0, got {bad[0]}") if bad else None
+    ratios, methods = config.ratios, config.methods
     mc = config.mode in ("mc", "both")
-    if stop:
-        grid = config.grid()
-        try:
-            with np.errstate(all="ignore"):  # the finiteness checks name what an inf or NaN means
-                if (grid.xy == (config.emitter.x, config.emitter.y)).all(axis=1).any():
-                    raise DegenerateGeometryError(
-                        f"coincides with a query point of the resolution-{config.resolution} grid"
-                    )
-                forms = grid_forms(config.scenario(ratios[0]), grid.xy, methods, config.nu)
-                cov = sweep_covariances(forms, [config.correlation_for_ratio(ratio) for ratio in ratios[:stop]])
-        except DegenerateGeometryError as err:
-            raise DegenerateGeometryError(f"emitter at ({config.emitter.x:g}, {config.emitter.y:g}): {err}") from err
-        except (OutsideHullError, ArithmeticError) as err:
-            # grid points lie strictly inside the sensor hull, so these come only from doubles out of
-            # range, at every ratio alike: a sigma^2 that overflows, say
-            raise _out_of_range(config, ratios[0], err) from err
-        if mc:
-            joint, sm0, failed = _mc_setup(cov)
-            stop = len(joint)
-        else:
-            failed = cov.error
-            stop = len(cov.c_n) if cov.factors is None else len(cov.factors)
-        if failed is not None:  # pivot 0 is sigma^2 itself: a failure there is its underflow to 0
-            underflow = f"sigma^2 underflows a double at sigma = {config.sigma_db!r} dB"
-            error = _out_of_range(config, ratios[stop], underflow if failed.pivot_index == 0 else failed)
-            error.__cause__ = failed
-        if stop and (lost := _lost_medians(forms, config)):
-            stop, error = 0, _out_of_range(config, ratios[0], lost)
-        elif mc and stop and (lost := _lost_sigma(forms, config.sigma_db)):
-            stop, error = 0, ConfigError(f"field 'sigma_db' is too small for Monte Carlo: {lost}")
+    grid = config.grid()
+    try:
+        with np.errstate(all="ignore"):  # the finiteness checks name what an inf or NaN means
+            if (grid.xy == (config.emitter.x, config.emitter.y)).all(axis=1).any():
+                raise DegenerateGeometryError(f"coincides with a query point of the resolution-{config.resolution} grid")
+            forms = grid_forms(config.scenario(ratios[0]), grid.xy, methods, config.nu)
+            cov = sweep_covariances(forms, [config.correlation_for_ratio(ratio) for ratio in ratios])
+    except DegenerateGeometryError as err:
+        raise DegenerateGeometryError(f"emitter at ({config.emitter.x:g}, {config.emitter.y:g}): {err}") from err
+    except (OutsideHullError, ArithmeticError) as err:
+        # grid points lie strictly inside the sensor hull, so these come only from doubles out of
+        # range, at every ratio alike: a sigma^2 that overflows, say
+        raise _out_of_range(config, ratios[0], err) from err
+    if mc:
+        joint, failed = _mc_setup(cov)
+        stop = len(joint)
+    else:
+        failed, stop = cov.error, cov.usable
+    error = None
+    underflow = f"sigma^2 underflows a double at sigma = {config.sigma_db!r} dB"
+    if failed is not None:  # pivot 0 is sigma^2 itself: a failure there is its underflow to 0
+        error = _out_of_range(config, ratios[stop], underflow if failed.pivot_index == 0 else failed)
+        error.__cause__ = failed
+    if config.sigma_db**2 < np.finfo(float).tiny and not _UNBIASED.isdisjoint(methods):
+        stop, error = 0, _out_of_range(config, ratios[0], underflow)
+    elif stop and (lost := _lost_medians(forms, config)):
+        stop, error = 0, _out_of_range(config, ratios[0], lost)
+    elif mc and stop and (lost := _lost_sigma(forms, config.sigma_db)):
+        stop, error = 0, ConfigError(f"field 'sigma_db' is too small for Monte Carlo: {lost}")
     engines: dict[str, np.ndarray] = {}  # each engine's (stop, M, N) RMSEs
     with np.errstate(all="ignore"):
         if stop and config.mode in ("analytic", "both"):
@@ -761,7 +753,7 @@ def _grid_evals(
             engines["analytic"] = np.stack([rmse[m][:stop] for m in methods], axis=1)
         if stop and mc:
             indices = range(len(grid.xy))
-            engines["mc"] = _mc_rmse(forms, joint, sm0, indices, config.realizations, config.master_seed, threads)
+            engines["mc"] = _mc_rmse(forms, cov, joint, indices, config.realizations, config.master_seed, threads)
         spatial = {engine: _spatial_rows(rmse) for engine, rmse in engines.items()}
         stderr = _spatial_stderr(engines["mc"], config.realizations, spatial["mc"]) if "mc" in engines else None
     for k, ratio in enumerate(ratios[:stop]):
@@ -780,14 +772,11 @@ def _grid_evals(
         raise error
 
 
-def grid_rmse(
-    config: ExperimentConfig, ratio: float, method: str, threads: int = 1
-) -> RmseSurface:
-    """Per-point RMSE surface for one method at one spacing ratio."""
+def grid_rmse(config: ExperimentConfig, ratio: float, method: str, threads: int = 1) -> RmseSurface:
+    """Per-point RMSE surface for one method at one spacing ratio: the sweep of a config with them alone."""
+    config = replace(config, ratios=(ratio,), methods=(method,))
     config.validate()
-    if method not in ALL_METHODS:
-        raise ConfigError(f"unknown method {method!r}; valid methods: {', '.join(ALL_METHODS)}")
-    return next(_grid_evals(config, (ratio,), (method,), threads))[method]
+    return next(_grid_evals(config, threads))[method]
 
 
 def _spatial_stderr(per_point_rmse: np.ndarray, realizations: int, spatial: np.ndarray) -> np.ndarray:
@@ -808,7 +797,7 @@ def sweep(config: ExperimentConfig, threads: int = 1) -> list[SweepRow]:
     """One row per (ratio, method): the spatial RMSE aggregate for the whole grid."""
     config.validate()
     rows: list[SweepRow] = []
-    for ratio, surfaces in zip(config.ratios, _grid_evals(config, config.ratios, config.methods, threads)):
+    for ratio, surfaces in zip(config.ratios, _grid_evals(config, threads)):
         for method in config.methods:
             surf = surfaces[method]
             if surf.mc_stderr is not None and not math.isfinite(surf.mc_stderr):

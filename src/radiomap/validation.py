@@ -7,7 +7,8 @@ closed-form fit-error coefficients against brute-force refits, the
 engine's sm1 error form against the hand-written coefficient expansion,
 analytic RMS errors against Monte Carlo, sigma0 against a numpy solve, and
 the polygon-clipped natural-neighbor weights against lattice area counting.
-error_form() and analytic_rmse() are the sweep's analytic engine at one point.
+error_form() and analytic_rmse() are the sweep's analytic engine at one point,
+and analytic_vs_mc reads both engines from one sweep set-up, as a sweep does.
 
 This is the one oracle library: 'radiomap validate' runs every check at its
 defaults, and the acceptance gates C01, C02, C04 and C12 each run one check
@@ -44,6 +45,7 @@ from .estimators import SM0, SM2, NATURAL, lse_fit, predict, sibson_weights
 from .analysis import (
     analytic_rmse,
     error_form,
+    grid_analytic_rmse,
     grid_forms,
     lse_error_coeffs,
     sm1_coefficient_error_form,
@@ -187,25 +189,22 @@ def check_analytic_vs_mc(
 ) -> CheckResult:
     """Closed-form RMS error vs Monte Carlo, in units of the MC standard error.
 
-    points pairs each query point with the index that keys its stream. Each
-    point's stream is drawn once for every ratio and method, and each MC
-    value has the bits of its own point_rmse_mc call.
+    points pairs each query point with the index that keys its stream. Both
+    engines read one set-up of every ratio at the points, as in a sweep.
+    Each point's stream is drawn once for every ratio and method, and each
+    MC value has the bits of its own point_rmse_mc call.
     """
     scns = [_table_scenario(ratio) for ratio in ratios]
     forms = grid_forms(scns[0], coordinates([p for _, p in points]), tuple(methods))
-    joint, sm0, error = _mc_setup(sweep_covariances(forms, [scn.correlation for scn in scns]))
-    mc = _mc_rmse(forms, joint, sm0, [index for index, _ in points], realizations, master_seed)
+    cov = sweep_covariances(forms, [scn.correlation for scn in scns])
+    joint, error = _mc_setup(cov)
+    mc = _mc_rmse(forms, cov, joint, [index for index, _ in points], realizations, master_seed)
     if error is not None:
         raise error
-    worst = 0.0
-    for j, scn in enumerate(scns):
-        for k, (_, p0) in enumerate(points):
-            for m, method in enumerate(methods):
-                form = error_form(method, scn, p0)
-                expected = analytic_rmse(form, scn.correlation, p0, list(scn.sensors))
-                se = expected / math.sqrt(2.0 * realizations)
-                worst = max(worst, abs(float(mc[j, m, k]) - expected) / se)
-    return _verdict("analytic_vs_mc", worst, 3.0)
+    analytic = grid_analytic_rmse(forms, cov)
+    expected = np.stack([analytic[m] for m in methods], axis=1)  # (K, M, N), as mc
+    z = np.abs(mc - expected) / (expected / math.sqrt(2.0 * realizations))
+    return _verdict("analytic_vs_mc", float(z.max()), 3.0)
 
 
 def check_sibson_lattice(

@@ -183,8 +183,8 @@ def test_c08_spatial_uniformity():
     t0 = time.time()
     from radiomap.harness import _grid_evals
 
-    cfg = ExperimentConfig(resolution=64, mode="analytic", methods=("sm0", "sm1", "sm2"))
-    surfaces = next(_grid_evals(cfg, (1.0,), cfg.methods))
+    cfg = ExperimentConfig(resolution=64, mode="analytic", ratios=(1.0,), methods=("sm0", "sm1", "sm2"))
+    surfaces = next(_grid_evals(cfg))
     fracs = {
         m: float(np.mean(np.abs(s.rmse - s.spatial_rmse) <= 0.3)) for m, s in surfaces.items()
     }

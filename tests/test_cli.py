@@ -327,17 +327,25 @@ class TestSweepCommand:
             os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize(
-        "overrides",
-        [{"methods": ["sm0"]}, {"methods": ["nn"], "mode": "mc"}, {"methods": ["nn", "sm1"], "mode": "both"}],
-        ids=["analytic-sm0", "mc-nn", "both"],
+        "sigma, overrides",
+        [
+            (1e-162, {"methods": ["sm0"]}),
+            (1e-162, {"methods": ["nn"], "mode": "mc"}),
+            (1e-162, {"methods": ["nn", "sm1"], "mode": "both"}),
+            (1e-162, {"methods": ["nn", "sm2"]}),
+            (1e-160, {"methods": ["sm0"]}),
+        ],
+        ids=["analytic-sm0", "mc-nn", "both", "analytic-sm2", "analytic-sm0-subnormal"],
     )
-    def test_sigma_squared_underflow_is_named(self, tmp_path, capsys, overrides):
-        # pivot 0 of every sensor and joint covariance is sigma^2 itself
-        cfg = write_config(tmp_path, sigma_db=1e-162, ratios=[0.5, 1.0], **overrides)
+    def test_sigma_squared_underflow_is_named(self, tmp_path, capsys, sigma, overrides):
+        # pivot 0 of every sensor and joint covariance is sigma^2 itself; an unbiased method's error
+        # is all shadow, so a subnormal sigma^2 stops its run as well (at ratio 1, sm0 read 0.64064
+        # sigma at 1e-160 dB and 0.63358 at 1e-161, for 0.64063 at 5 dB)
+        cfg = write_config(tmp_path, sigma_db=sigma, ratios=[0.5, 1.0], **overrides)
         assert main(["sweep", str(cfg), str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.strip() == (
             "config error: exponential kernel at spacing ratio 0.5 is outside the numeric range: "
-            "sigma^2 underflows a double at sigma = 1e-162 dB"
+            f"sigma^2 underflows a double at sigma = {sigma!r} dB"
         )
 
     @pytest.mark.parametrize("mode", ["analytic", "mc", "both"])
@@ -379,7 +387,7 @@ class TestSweepCommand:
         assert all(math.isfinite(float(r["spatial_rmse_db"])) for r in read_rows(tmp_path / "out" / "sweep.csv"))
 
     def test_sigma_squared_underflow_leaves_geometry_only_methods_analytic(self, tmp_path):
-        cfg = write_config(tmp_path, sigma_db=1e-162, methods=["nn", "idw", "sm2", "nat"])
+        cfg = write_config(tmp_path, sigma_db=1e-162, methods=["nn", "idw", "nat"])
         out = tmp_path / "out"
         assert main(["sweep", str(cfg), str(out)]) == 0
         assert all(math.isfinite(float(r["spatial_rmse_db"])) for r in read_rows(out / "sweep.csv"))

@@ -5,6 +5,7 @@ import signal
 import time
 import traceback
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from radiomap import (
     sm0_sigma0,
     sweep,
 )
-from radiomap.analysis import grid_forms, sweep_covariances
+from radiomap.analysis import _error_rows, _weight_stacks, grid_forms, sweep_covariances
 from radiomap.geometry import coordinates
 from radiomap.estimators import sensor_factor, sm0_weights
 from radiomap.field import joint_cholesky
@@ -256,8 +257,9 @@ class TestForkedWorkers:
         cfg = self.cfg
         scns = [cfg.scenario(r) for r in cfg.ratios]
         forms = grid_forms(scns[0], cfg.grid().xy, cfg.methods, cfg.nu)
-        joint, sm0, _ = _mc_setup(sweep_covariances(forms, [scn.correlation for scn in scns]))
-        return _mc_rmse(forms, joint, sm0, range(9), cfg.realizations, cfg.master_seed, threads)
+        cov = sweep_covariances(forms, [scn.correlation for scn in scns])
+        joint, _ = _mc_setup(cov)
+        return _mc_rmse(forms, cov, joint, range(9), cfg.realizations, cfg.master_seed, threads)
 
     @staticmethod
     def assert_no_child_left():
@@ -336,54 +338,64 @@ class TestMcWorkspace:
 
     @staticmethod
     def setup_for(cfg, xy):
-        """The scenarios, the forms and _mc_setup's joint factors and sm0 rows of cfg's ratios at the rows of xy."""
+        """The scenarios, the forms, their covariances and _mc_setup's joint factors of cfg's ratios at the rows of xy."""
         scns = [cfg.scenario(r) for r in cfg.ratios]
         forms = grid_forms(scns[0], xy, cfg.methods, cfg.nu)
-        joint, sm0, error = _mc_setup(sweep_covariances(forms, [scn.correlation for scn in scns]))
+        cov = sweep_covariances(forms, [scn.correlation for scn in scns])
+        joint, error = _mc_setup(cov)
         assert error is None
-        return scns, forms, joint, sm0
+        return scns, forms, cov, joint
 
     @pytest.mark.parametrize("kernel", ["exponential", "gaussian", "elliptical"])
     def test_sm0_rows_match_one_point_weights_bit_for_bit(self, kernel):
-        # entry (k, i) of the set-up's stacks is the joint factor and the sm0 weights at ratio k and point i alone
+        # entry (k, i) of the set-up's stacks is the joint factor and the sm0 weights at ratio k and point i
+        # alone; the Monte Carlo kernel and the analytic engine read those weights, the latter as sm0's
+        # coefficient rows
         cfg = ExperimentConfig(kernel=kernel, rotation_rad=0.5, resolution=5, ratios=(0.05, 0.2, 1.0, 5.0, 20.0))
         xy = cfg.grid().xy
-        scns, _, joint, sm0 = self.setup_for(cfg, xy)
-        assert joint.shape == (len(scns), len(xy), 5, 5) and sm0.shape == (len(scns), len(xy), 4)
-        for scn, factors, rows in zip(scns, joint, sm0):
+        scns, forms, cov, joint = self.setup_for(cfg, xy)
+        weights = _weight_stacks(forms, cov)
+        assert weights["sm0"] is weights["sm1"] is cov.solved
+        _, _, rows = _error_rows(forms, cov)
+        analytic = rows["sm0"][1]
+        assert joint.shape == (len(scns), len(xy), 5, 5)
+        assert cov.solved.shape == analytic.shape == (len(scns), len(xy), 4)
+        for k, scn in enumerate(scns):
             sensors = list(scn.sensors)
-            for factor, row, (x, y) in zip(factors, rows, xy.tolist()):
-                assert factor.tobytes() == joint_cholesky(scn, Point(x, y)).tobytes()
-                assert row.tobytes() == sm0_weights(scn.correlation, sensors, Point(x, y)).tobytes()
+            for i, (x, y) in enumerate(xy.tolist()):
+                want = sm0_weights(scn.correlation, sensors, Point(x, y)).tobytes()
+                assert joint[k, i].tobytes() == joint_cholesky(scn, Point(x, y)).tobytes()
+                assert cov.solved[k, i].tobytes() == want
+                assert analytic[k, i].tobytes() == want
 
     def test_no_row_leaks_between_points_or_ratios(self):
         # NaN in every row before each block, blocks in reverse order: the same bytes
         cfg = ExperimentConfig(resolution=3, realizations=257, ratios=(0.2, 1.0, 5.0), master_seed=4)
         xy = cfg.grid().xy
-        _, forms, joint, sm0 = self.setup_for(cfg, xy)
+        _, forms, cov, joint = self.setup_for(cfg, xy)
         R = cfg.realizations
         blocks = [range(0, 4), range(4, 8), range(8, 9)]
         forward = np.empty((len(cfg.ratios), len(cfg.methods), 9))
         ws = _McWorkspace(4, len(cfg.methods), R, 4, fitted=True)
         for block in blocks:
-            _mc_block_rmse(forms, joint, sm0, block, range(9), R, cfg.master_seed, ws, forward)
+            _mc_block_rmse(forms, cov, joint, block, range(9), R, cfg.master_seed, ws, forward)
         got = np.full_like(forward, np.nan)
         ws = _McWorkspace(4, len(cfg.methods), R, 4, fitted=True)
         for block in reversed(blocks):
             ws.rows.fill(np.nan)
-            _mc_block_rmse(forms, joint, sm0, block, range(9), R, cfg.master_seed, ws, got)
+            _mc_block_rmse(forms, cov, joint, block, range(9), R, cfg.master_seed, ws, got)
             at = slice(block.start, block.stop)
             assert got[:, :, at].tobytes() == forward[:, :, at].tobytes()
             assert np.isfinite(got[:, :, at]).all()
 
     @staticmethod
-    def peak_bytes(forms, joint, sm0, points, R):
+    def peak_bytes(forms, cov, joint, points, R):
         import tracemalloc
 
         def run():
             ws = _McWorkspace(4, len(forms.methods), R, points, fitted=forms.fit is not None)
             out = np.empty((len(joint), len(forms.methods), points))
-            _mc_block_rmse(forms, joint, sm0, range(points), range(points), R, 5, ws, out)
+            _mc_block_rmse(forms, cov, joint, range(points), range(points), R, 5, ws, out)
 
         run()  # imports scipy outside the trace
         tracemalloc.start()
@@ -436,8 +448,8 @@ class TestGridRmse:
 
     def test_thread_count_is_invisible(self):
         cfg = ExperimentConfig(resolution=6, mode="mc", realizations=400, master_seed=33, methods=("sm0", "nat"))
-        one = next(_grid_evals(cfg, (1.0,), cfg.methods, threads=1))
-        four = next(_grid_evals(cfg, (1.0,), cfg.methods, threads=4))
+        one = next(_grid_evals(replace(cfg, ratios=(1.0,)), threads=1))
+        four = next(_grid_evals(replace(cfg, ratios=(1.0,)), threads=4))
         for m in cfg.methods:
             assert np.array_equal(one[m].rmse, four[m].rmse)
 
@@ -450,9 +462,9 @@ class TestGridRmse:
         cfg = ExperimentConfig(resolution=5, mode="mc", realizations=40, ratios=(0.2, 1.0, 5.0), master_seed=6, nu=2)
         kernel, log = harness._mc_block_rmse, tmp_path / "sizes"
 
-        def recorded(forms, joint, sm0, block, *args):
+        def recorded(forms, cov, joint, block, *args):
             append_line(log, len(block))
-            return kernel(forms, joint, sm0, block, *args)
+            return kernel(forms, cov, joint, block, *args)
 
         monkeypatch.setattr(harness, "_mc_block_rmse", recorded)
         results = set()
@@ -460,7 +472,7 @@ class TestGridRmse:
             monkeypatch.setattr(harness, "_BLOCK_DOUBLES", budget)
             for threads in (1, 2):
                 log.unlink(missing_ok=True)
-                evals = _grid_evals(cfg, cfg.ratios, cfg.methods, threads)
+                evals = _grid_evals(cfg, threads)
                 surfaces = [s for at_ratio in evals for s in at_ratio.values()]
                 sizes = [int(size) for size in read_lines(log)]
                 # chunks of 25 points, or of 12 and 13
@@ -556,6 +568,14 @@ class TestSweep:
         ]
         assert all(r.mc_stderr is None for r in rows)
 
+    def test_unbiased_methods_scale_with_sigma(self):
+        # the medians lie on the log-distance law, so the refit's methods have no bias and their
+        # error is sigma times a fixed form: computed, the bias was the medians' round-off, and at
+        # sigma 1e-100 dB sm1 read 3.6e86 sigma
+        cfg = ExperimentConfig(resolution=4, ratios=(1.0,), methods=("sm0", "sm1", "sm2"))
+        scaled = {s: [r.spatial_rmse / s for r in sweep(replace(cfg, sigma_db=s))] for s in (5.0, 1e-100)}
+        assert scaled[1e-100] == pytest.approx(scaled[5.0], rel=1e-12, abs=0)
+
     def test_empty_methods_rejected(self):
         with pytest.raises(ConfigError, match="methods"):
             sweep(ExperimentConfig(methods=()))
@@ -629,7 +649,7 @@ class TestSweep:
         # every point of the point-major sweep equals its own point_rmse_mc call, bit for bit
         cfg = ExperimentConfig(resolution=4, mode="mc", realizations=300, master_seed=8, ratios=(0.2, 1.0, 5.0), nu=2)
         points = [Point(x, y) for x, y in cfg.grid().xy.tolist()]
-        for ratio, surfaces in zip(cfg.ratios, _grid_evals(cfg, cfg.ratios, cfg.methods, threads=2)):
+        for ratio, surfaces in zip(cfg.ratios, _grid_evals(cfg, threads=2)):
             scn = cfg.scenario(ratio)
             for m in cfg.methods:
                 want = [
@@ -641,15 +661,17 @@ class TestSweep:
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("mode", ["analytic", "mc", "both"])
     def test_covariances_built_once_per_sweep(self, monkeypatch, mode, threads):
-        # two kernel passes (every Cn, every C0) and one stacked Cholesky of every Cn serve both
-        # engines; the Monte Carlo route adds one stack of every ratio's joint factors and nothing else
+        # two kernel passes (every Cn, every C0), one stacked Cholesky of every Cn and one solve of
+        # every ratio's weights at every point serve both engines; the Monte Carlo route adds one
+        # stack of every ratio's joint factors and nothing else
         import sys
 
         from radiomap import linalg
         from radiomap.correlation import cross_covariance_stack as kernel
+        from radiomap.estimators import sm0_weight_rows as solve
 
         factor = linalg.cholesky_stack
-        kernel_calls, shapes = [], []
+        kernel_calls, shapes, solves = [], [], []
 
         def counted_kernel(models, a, b):
             kernel_calls.append(len(models))
@@ -659,16 +681,23 @@ class TestSweep:
             shapes.append(np.shape(m))
             return factor(m)
 
-        for name, module in list(sys.modules.items()):  # every binding, correlation's and linalg's own included
+        def counted_solve(lower, c_0):
+            solves.append((np.shape(lower), np.shape(c_0)))
+            return solve(lower, c_0)
+
+        for name, module in list(sys.modules.items()):  # every binding, the defining modules' own included
             if not name.startswith("radiomap."):
                 continue
             if getattr(module, "cross_covariance_stack", None) is kernel:
                 monkeypatch.setattr(module, "cross_covariance_stack", counted_kernel)
             if getattr(module, "cholesky_stack", None) is factor:
                 monkeypatch.setattr(module, "cholesky_stack", counted_factor)
+            if getattr(module, "sm0_weight_rows", None) is solve:
+                monkeypatch.setattr(module, "sm0_weight_rows", counted_solve)
         cfg = ExperimentConfig(resolution=4, mode=mode, realizations=100, ratios=(0.5, 1.0, 2.0))
         sweep(cfg, threads=threads)
         assert kernel_calls == [3, 3]
+        assert solves == [((3, 4, 4), (3, 16, 4))]
         assert shapes.count((3, 4, 4)) == 1
         assert shapes.count((3, 16, 5, 5)) == (0 if mode == "analytic" else 1)
         assert len(shapes) == (1 if mode == "analytic" else 2)
@@ -691,7 +720,7 @@ class TestSweep:
         # the ratios before it are yielded, and its error names it
         self._second_sensor_factor_fails(monkeypatch)
         cfg = ExperimentConfig(resolution=2, mode="mc", realizations=50, ratios=(0.5, 1.0, 2.0), methods=("nn", "sm1"))
-        evals = _grid_evals(cfg, cfg.ratios, cfg.methods, threads=2)
+        evals = _grid_evals(cfg, threads=2)
         assert set(next(evals)) == {"nn", "sm1"}
         with pytest.raises(ConfigError) as exc:
             next(evals)
@@ -740,7 +769,7 @@ class TestSweep:
     def test_failed_joint_factor_raises_at_its_ratio_naming_its_pivot(self, monkeypatch, threads):
         cfg = ExperimentConfig(resolution=4, mode="mc", realizations=50, ratios=(0.5, 1.0, 2.0), methods=("nn", "sm2"))
         alone = self._point_five_indefinite_at_ratio_one(monkeypatch, cfg)
-        evals = _grid_evals(cfg, cfg.ratios, cfg.methods, threads=threads)
+        evals = _grid_evals(cfg, threads=threads)
         assert set(next(evals)) == {"nn", "sm2"}
         with pytest.raises(ConfigError) as exc:
             next(evals)
@@ -755,7 +784,7 @@ class TestSweep:
         cfg = ExperimentConfig(resolution=4, mode="mc", realizations=50, ratios=(0.5, 1.0, 2.0), methods=("nn", "sm1"))
         self._point_five_indefinite_at_ratio_one(monkeypatch, cfg)
         self._second_sensor_factor_fails(monkeypatch)
-        evals = _grid_evals(cfg, cfg.ratios, cfg.methods, threads=threads)
+        evals = _grid_evals(cfg, threads=threads)
         assert set(next(evals)) == {"nn", "sm1"}
         with pytest.raises(ConfigError) as exc:
             next(evals)
@@ -789,10 +818,11 @@ class TestSweep:
         monkeypatch.setattr(harness, "standard_normal_block", drawn)
         scns = [cfg.scenario(r) for r in cfg.ratios]
         forms = grid_forms(scns[0], cfg.grid().xy, cfg.methods)
-        joint, sm0, got = harness._mc_setup(sweep_covariances(forms, [scn.correlation for scn in scns]))
-        rmse = harness._mc_rmse(forms, joint, sm0, range(9), cfg.realizations, cfg.master_seed, threads=2)
+        cov = sweep_covariances(forms, [scn.correlation for scn in scns])
+        joint, got = harness._mc_setup(cov)
+        rmse = harness._mc_rmse(forms, cov, joint, range(9), cfg.realizations, cfg.master_seed, threads=2)
         assert factored == [(3, 9, 4)]
-        assert got is error and rmse.shape == (failing, 2, 9) and sm0.shape == (failing, 9, 4)
+        assert got is error and rmse.shape == (failing, 2, 9) and joint.shape == (failing, 9, 5, 5)
         draws = [int(i) for i in read_lines(log)]
         assert sorted(draws) == (list(range(9)) if failing else [])
 
@@ -800,8 +830,6 @@ class TestSweep:
     def test_monte_carlo_sigma_limit_is_a_fraction_of_the_largest_median(self, mode):
         # just above the limit every value is finite and sm0 is above 0; just below, the run is
         # refused before any ratio, and the analytic engine alone still takes it
-        from dataclasses import replace
-
         from radiomap import harness
 
         cfg = ExperimentConfig(resolution=3, ratios=(0.5, 1.0), realizations=50, mode=mode, methods=("sm0", "nn"))
@@ -810,7 +838,7 @@ class TestSweep:
         rows = sweep(replace(cfg, sigma_db=1.01 * limit))
         assert len(rows) == 4 and all(r.spatial_rmse > 0 and math.isfinite(r.mc_stderr) for r in rows)
         with pytest.raises(ConfigError, match="^field 'sigma_db' is too small for Monte Carlo"):
-            next(_grid_evals(replace(cfg, sigma_db=0.99 * limit), cfg.ratios, cfg.methods))
+            next(_grid_evals(replace(cfg, sigma_db=0.99 * limit)))
         assert len(sweep(replace(cfg, sigma_db=0.99 * limit, mode="analytic"))) == 4
 
     def test_fit_design_computed_once_per_sweep(self, monkeypatch):
@@ -835,23 +863,30 @@ class TestSweep:
             sweep(ExperimentConfig(kernel="gaussian", ratios=(5e-4,), resolution=2, methods=("nn", "sm1")))
 
     def test_analytic_sweep_factors_every_sensor_covariance_in_one_call(self, monkeypatch):
-        # the analytic engine runs the whole sweep as one stack
+        # the analytic engine runs the whole sweep as one stack: one factor, one solve
         import radiomap
-        from radiomap import linalg
+        from radiomap import estimators, linalg
 
-        original = linalg.cholesky_stack
-        shapes = []
+        original, solve = linalg.cholesky_stack, estimators.sm0_weight_rows
+        shapes, solves = [], []
 
         def counted(m):
             shapes.append(np.shape(m))
             return original(m)
 
-        for module in vars(radiomap).values():  # every binding, linalg's own included
+        def counted_solve(lower, c_0):
+            solves.append(np.shape(c_0))
+            return solve(lower, c_0)
+
+        for module in vars(radiomap).values():  # every binding, linalg's and estimators' own included
             if getattr(module, "cholesky_stack", None) is original:
                 monkeypatch.setattr(module, "cholesky_stack", counted)
+            if getattr(module, "sm0_weight_rows", None) is solve:
+                monkeypatch.setattr(module, "sm0_weight_rows", counted_solve)
         cfg = ExperimentConfig(resolution=4)
         sweep(cfg)
         assert shapes == [(len(cfg.ratios), 4, 4)]
+        assert solves == [(len(cfg.ratios), 16, 4)]
 
     @pytest.mark.parametrize("kernel, ratio", [("gaussian", 1e-4)], ids=["cn-not-positive-definite"])
     def test_analytic_failure_raises_at_its_ratio_with_its_own_error(self, kernel, ratio):
@@ -861,9 +896,9 @@ class TestSweep:
         scn = cfg.scenario(ratio)
         with pytest.raises(NotPositiveDefiniteError) as alone:
             sensor_factor(scn.correlation, list(scn.sensors))
-        evals = _grid_evals(cfg, cfg.ratios, cfg.methods)
+        evals = _grid_evals(cfg)
         first = next(evals)
-        want = next(_grid_evals(cfg, (1.0,), cfg.methods))
+        want = next(_grid_evals(replace(cfg, ratios=(1.0,))))
         assert all(first[m].rmse.tobytes() == want[m].rmse.tobytes() for m in cfg.methods)
         with pytest.raises(ConfigError) as exc:
             next(evals)
@@ -876,7 +911,7 @@ class TestSweep:
         surfaces = {}
         for kernel in ("gaussian", "exponential"):
             cfg = ExperimentConfig(kernel=kernel, resolution=3, ratios=(1e200,), mode=mode, realizations=40)
-            surfaces[kernel] = next(_grid_evals(cfg, (1e200,), cfg.methods))
+            surfaces[kernel] = next(_grid_evals(cfg))
         for m, surface in surfaces["gaussian"].items():
             assert surface.rmse.tobytes() == surfaces["exponential"][m].rmse.tobytes(), m
             assert surface.spatial_rmse == surfaces["exponential"][m].spatial_rmse, m
@@ -933,6 +968,7 @@ class TestConfigValidation:
             ({"master_seed": 1.9}, "master_seed"),
             ({"axis_ratio": "x"}, "correlation.axis_ratio"),
             ({"ratios": 1.0}, "ratios"),
+            ({"side_m": 1e-100, "ratios": (1.0, 1e300)}, "ratios"),  # side_m / ratio underflows to 0
         ],
     )
     def test_errors_name_the_field(self, kwargs, field):
