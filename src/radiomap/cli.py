@@ -214,8 +214,8 @@ def cmd_sweep(config_path: str, out_dir: str, args: argparse.Namespace) -> int:
 def cmd_grid(config_path: str, ratio: float, method: str, out_dir: str, args: argparse.Namespace) -> int:
     started = _utc_now()
     config = _apply_overrides(load_config(config_path), args)
-    if not (math.isfinite(ratio) and ratio > 0):
-        raise ConfigError(f"flag '--ratio' must be finite and > 0, got {ratio}")
+    if not (math.isfinite(ratio) and ratio > 0 and config.side_m / ratio > 0):
+        raise ConfigError(f"flag '--ratio' must be finite and > 0 with side_m / ratio > 0, got {ratio} at side_m {config.side_m}")
     if args.bins < 1:
         raise ConfigError(f"flag '--bins' must be >= 1, got {args.bins}")
     if args.bins > MAX_BINS:

@@ -165,13 +165,18 @@ class LseDesign:
     """What a least-squares fit takes from the sensor distances alone.
 
     x holds the log10 distances, sx and sxx their sum and sum of squares,
-    denom the checked denominator n * sxx - sx^2.
+    denom the checked denominator n * sxx - sx^2. matrix is the (n, 2)
+    design [1, x] and operator the (2, n) solution of its normal equations,
+    [[sxx, -sx], [-sx, n]] / denom @ matrix.T: [a_hat, 10 * gamma_hat] =
+    operator @ powers.
     """
 
     x: np.ndarray
     sx: float
     sxx: float
     denom: float
+    matrix: np.ndarray
+    operator: np.ndarray
 
 
 def lse_design(distances: np.ndarray) -> LseDesign:
@@ -182,56 +187,44 @@ def lse_design(distances: np.ndarray) -> LseDesign:
     constant.
     """
     x = _log_distances(distances)
-    if x.size <= 2:
-        raise ValueError(f"need more than 2 sensors, got {x.size}")
-    return LseDesign(x=x, sx=float(x.sum()), sxx=float(x @ x), denom=_lse_denominator(x))
+    n = x.size
+    if n <= 2:
+        raise ValueError(f"need more than 2 sensors, got {n}")
+    sx, sxx, denom = float(x.sum()), float(x @ x), _lse_denominator(x)
+    matrix = np.stack((np.ones(n), x), axis=1)
+    operator = np.array([[sxx, -sx], [-sx, n]]) / denom @ matrix.T
+    return LseDesign(x=x, sx=sx, sxx=sxx, denom=denom, matrix=matrix, operator=operator)
 
 
-def lse_fit(
-    distances: np.ndarray | LseDesign,
-    powers: np.ndarray,
-    out: np.ndarray | None = None,
-    scratch: np.ndarray | None = None,
-) -> FitResult:
+def lse_fit(distances: np.ndarray | LseDesign, powers: np.ndarray, out: np.ndarray | None = None) -> FitResult:
     """Fit powers = a_hat + 10 * gamma_hat * log10(d) by least squares.
 
     distances are the sensors' emitter distances, or their lse_design(),
     whose constants then serve every call. powers is one measurement vector
     or (R, n) rows, each fitted on its own. The fitted intercept absorbs any
     level common to all measurements, so the residuals always sum to zero.
-    Every pass runs along the realization axis, over the sensor-major rows
-    of powers.T, which are contiguous when powers is the transposed view of
-    such rows.
+    The fit is two matrix products over the sensor-major rows of powers.T,
+    which are contiguous when powers is the transposed view of such rows:
+    the design's operator gives a_hat and the slope, and its matrix the
+    fitted powers, which the residuals subtract.
 
-    out, if given, is an (n + 4, R) block of rows that the fit is written
+    out, if given, is an (n + 2, R) block of rows that the fit is written
     into: residuals.T is out[:n], a_hat and gamma_hat are out[n] and
-    out[n + 1], and the last two rows are scratch. scratch, if given, is an
-    (n, R) block that the call may overwrite. Otherwise they are allocated;
-    residuals.T is contiguous rows either way.
+    out[n + 1]. Otherwise it is allocated; residuals.T is contiguous rows
+    either way.
     """
     design = distances if isinstance(distances, LseDesign) else lse_design(distances)
-    x, sx, sxx, denom = design.x, design.sx, design.sxx, design.denom
-    n = x.size
+    n = design.x.size
     p = np.asarray(powers, dtype=float)
-    if p.ndim not in (1, 2) or p.shape[-1:] != x.shape:
-        raise ValueError(f"distances and powers disagree in length: {x.shape} vs {p.shape}")
+    if p.ndim not in (1, 2) or p.shape[-1:] != design.x.shape:
+        raise ValueError(f"distances and powers disagree in length: {design.x.shape} vs {p.shape}")
     rows = p.T  # (n,) or (n, R): one row per sensor
     if out is None:
-        out = np.empty((n + 4, *rows.shape[1:]))
-    if scratch is None:
-        scratch = np.empty(rows.shape)
-    column = (1,) * (rows.ndim - 1)  # reshapes a vector to broadcast down the rows
-    residuals, fitted, sums = out[:n], out[n : n + 2], out[n + 2 :]  # fitted: a_hat, slope; sums: sp, sxp
-    np.sum(rows, axis=0, out=sums[0, ...])
-    np.matmul(x, rows, out=sums[1, ...])
-    # [a_hat, slope] = ([sxx, n] [sp, sxp] - sx [sxp, sp]) / denom, both rows in each pass
-    np.multiply(np.reshape([sxx, n], (2, *column)), sums, out=fitted)
-    fitted -= np.multiply(sums[::-1], sx, out=scratch[:2])
-    fitted /= denom
+        out = np.empty((n + 2, *rows.shape[1:]))
+    residuals, fitted = out[:n], out[n : n + 2]  # fitted: a_hat, slope
+    np.matmul(design.operator, rows, out=fitted)
+    np.subtract(rows, np.matmul(design.matrix, fitted, out=residuals), out=residuals)
     a_hat, slope = fitted[0, ...], fitted[1, ...]  # row views, 0-d for one vector
-    # residual row i = (powers row i - a_hat) - slope x_i
-    np.subtract(rows, a_hat, out=residuals)
-    residuals -= np.multiply(np.reshape(x, (n, *column)), slope, out=scratch)
     slope /= 10.0  # gamma_hat
     return FitResult(a_hat=a_hat[()], gamma_hat=slope[()], residuals=residuals.T)
 

@@ -81,7 +81,7 @@ MODES = ("analytic", "mc", "both")
 # Most Monte Carlo workers a run takes. Each worker is a process (a thread
 # where fork is not safe) with its own workspace of (3n + 2 + M) R doubles
 # per point of a block (n sensors, M methods), for blocks of
-# max(1, 2^14 // R) points, plus (n + 5) R with a fitted method, and while
+# max(1, 2^14 // R) points, plus (n + 3) R with a fitted method, and while
 # it draws a point, the point's R x W Philox words, so the bound caps
 # memory as well as OS processes.
 MAX_THREADS = 64
@@ -402,9 +402,9 @@ class _McWorkspace:
     for any leading run of points. z holds each point's normals, drawn once
     for every ratio; joint its truth row, then one measurement row per
     sensor; dev sm0's deviations of the measurements from the sensors'
-    median powers, and before them the scratch rows of the row correlation
-    and the refit; errors one row per method. When a fitted method runs,
-    fit holds lse_fit's rows and median the fitted median power, which one
+    median powers, and before them the scratch rows of the row correlation;
+    errors one row per method. When a fitted method runs, fit holds
+    lse_fit's n + 2 rows and median the fitted median power, which one
     point uses at a time; they are None otherwise. Every row is written
     before it is read at each ratio, so nothing carries from one block or
     ratio to the next. bitgen is the Philox generator that every draw keys
@@ -414,12 +414,12 @@ class _McWorkspace:
     def __init__(self, n_sensors: int, n_methods: int, realizations: int, points: int, fitted: bool):
         n = n_sensors
         sizes = [n + 1, n + 1, n, n_methods]
-        self.rows = np.empty((points * sum(sizes) + (n + 5 if fitted else 0)) * realizations)
+        self.rows = np.empty((points * sum(sizes) + (n + 3 if fitted else 0)) * realizations)
         *parts, shared = np.split(self.rows, np.cumsum([points * size for size in sizes]) * realizations)
         self.z, self.joint, self.dev, self.errors = (part.reshape(points, -1, realizations) for part in parts)
         self.fit = self.median = None
         if fitted:
-            self.fit, self.median = shared[:-realizations].reshape(n + 4, -1), shared[-realizations:]
+            self.fit, self.median = shared[:-realizations].reshape(n + 2, -1), shared[-realizations:]
         self.bitgen = np.random.Philox(0)  # keyed afresh by every draw
 
 
@@ -474,7 +474,7 @@ def _mc_block_ratio(
     for p, k in enumerate(block):  # each point's refit and predictions, one call each
         meas = rows[p, 1:]  # (n, R): the powers
         if forms.fit is not None:
-            fit = lse_fit(forms.fit[0], meas.T, out=ws.fit, scratch=dev[p])
+            fit = lse_fit(forms.fit[0], meas.T, out=ws.fit)
             # fitted median a_hat + 10 gamma_hat x0, x0 the point's log10 emitter distance
             median = np.multiply(fit.gamma_hat, 10.0, out=ws.median)
             median *= forms.fit[3][k]

@@ -506,6 +506,16 @@ class TestGridCommand:
         assert main(["grid", str(cfg), str(tmp_path / "out"), "--method", "sm0", *flags]) == 2
         assert named in capsys.readouterr().err
 
+    def test_ratio_that_underflows_the_spacing_names_the_flag(self, tmp_path, capsys):
+        # side_m / ratio underflows to 0: the value came from --ratio, not from the config's ratios
+        cfg = write_config(tmp_path, side_m=1e-100, resolution=2)
+        argv = ["grid", str(cfg), str(tmp_path / "out"), "--ratio", "1e300", "--method", "nn"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "config error: flag '--ratio' must be finite and > 0 with side_m / ratio > 0, got 1e+300 at side_m 1e-100\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_bins_above_the_bound_exit_2_naming_it(self, tmp_path, capsys, monkeypatch):
         # a small bound stands in for MAX_BINS, so no large histogram is ever built
         monkeypatch.setattr(cli, "MAX_BINS", 5)

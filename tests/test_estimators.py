@@ -98,14 +98,33 @@ class TestLseFit:
         d = np.array(table_scenario.sensor_distances())
         sensor_major = np.ascontiguousarray(rng.normal(90.0, 5.0, size=(4, 1000)))
         want = lse_fit(d, sensor_major.T)
-        out = np.full((4 + 4, 1000), np.nan)
-        got = lse_fit(lse_design(d), sensor_major.T, out=out, scratch=np.full((4, 1000), np.nan))
+        out = np.full((4 + 2, 1000), np.nan)
+        got = lse_fit(lse_design(d), sensor_major.T, out=out)
         for name in ("a_hat", "gamma_hat", "residuals"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
         assert np.shares_memory(got.residuals, out) and got.residuals.T.flags["C_CONTIGUOUS"]
         one, alone = lse_fit(lse_design(d), sensor_major[:, 3]), lse_fit(d, sensor_major[:, 3])
         assert (one.a_hat, one.gamma_hat) == (alone.a_hat, alone.gamma_hat)
         assert one.residuals.tolist() == alone.residuals.tolist()
+
+    @pytest.mark.parametrize("realizations", [None, 2, 7, 1000], ids=["vector", "2-rows", "7-rows", "1000-rows"])
+    @pytest.mark.parametrize("layout", ["realization-major", "sensor-major"])
+    def test_every_row_matches_lstsq_of_the_design(self, realizations, layout):
+        # an oracle apart from predict and the analytic engine: numpy's least squares on [1, log10 d]
+        rng = np.random.default_rng(11)
+        d = np.array([35.0, 120.0, 260.0, 410.0, 777.0])
+        shape = (5,) if realizations is None else (realizations, 5)
+        powers = rng.normal(90.0, 5.0, size=shape) - 37.6 * np.log10(d)
+        if layout == "sensor-major":
+            powers = np.ascontiguousarray(powers.T).T
+        fit = lse_fit(d, powers)
+        design = np.stack((np.ones(5), np.log10(d)), axis=1)
+        rows = np.atleast_2d(powers)
+        (a_hat, slope), *_ = np.linalg.lstsq(design, rows.T, rcond=None)
+        assert np.shape(fit.a_hat) == np.shape(fit.gamma_hat) == shape[:-1]
+        assert np.allclose(np.atleast_1d(fit.a_hat), a_hat, rtol=0.0, atol=1e-10)
+        assert np.allclose(np.atleast_1d(fit.gamma_hat), slope / 10.0, rtol=0.0, atol=1e-10)
+        assert np.allclose(np.atleast_2d(fit.residuals), rows - (design @ [a_hat, slope]).T, rtol=0.0, atol=1e-10)
 
 
 class TestSm0Weights:

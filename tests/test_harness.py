@@ -406,16 +406,16 @@ class TestMcWorkspace:
             tracemalloc.stop()
 
     def test_memory_budget_of_one_point(self):
-        # one point's 9-ratio evaluation, workspace included, peaks below 39 R-length rows:
-        # a workspace of 29 rows (20 for the point, 9 for its refit), then the draw's 8 Philox rows
+        # one point's 9-ratio evaluation, workspace included, peaks below 37 R-length rows:
+        # a workspace of 27 rows (20 for the point, 7 for its refit), then the draw's 8 Philox rows
         # (41 rows when every ratio allocated its own temporaries)
         cfg = ExperimentConfig(realizations=10000, mode="mc")
         _, *setup = self.setup_for(cfg, cfg.grid().xy[:1])
-        assert self.peak_bytes(*setup, 1, cfg.realizations) <= 39 * 8 * cfg.realizations
+        assert self.peak_bytes(*setup, 1, cfg.realizations) <= 37 * 8 * cfg.realizations
 
     def test_memory_budget_of_a_block(self):
         # a block of 8 points at R = 2,000, the most that 2^14 doubles per row hold, peaks below
-        # the workspace's 20 rows per point and 9 for one refit at a time, one draw's 8 Philox rows
+        # the workspace's 20 rows per point and 7 for one refit at a time, one draw's 8 Philox rows
         # and 8 KB of small arrays
         from radiomap import harness
 
@@ -424,7 +424,7 @@ class TestMcWorkspace:
         points = harness._BLOCK_DOUBLES // R
         assert points == 8
         _, *setup = self.setup_for(cfg, cfg.grid().xy[:points])
-        assert self.peak_bytes(*setup, points, R) <= (20 * points + 9 + 8) * 8 * R + 2**13
+        assert self.peak_bytes(*setup, points, R) <= (20 * points + 7 + 8) * 8 * R + 2**13
 
 
 class TestGridRmse:
