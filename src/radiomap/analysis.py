@@ -17,8 +17,9 @@ one pass over the emitter distances, the geometry-only methods' weights).
 sweep_covariances() then builds what does, once for both engines: one
 kernel pass for the K sensor covariances Cn, one for the K cross-covariance
 tables C0, and, only when a method takes the solve (by the estimators'
-method table), one stacked Cholesky call for every Cn and one
-sm0_weight_rows() call for every point's weights under every model.
+method table), one stacked Cholesky call for every Cn and, when every
+one factors, one sm0_weight_rows() call for every point's weights under
+every model.
 grid_analytic_rmse() evaluates every method at every point under the K
 models as one (K, N, .) stack: the geometry-only methods' error rows are
 formed once for all K, and one grouped quadratic form covers the stack.
@@ -118,8 +119,7 @@ def error_form(method: str, scn: Scenario, p0: Point, nu: float = 1.0) -> Affine
     cov = sweep_covariances(forms, [scn.correlation])
     if cov.error is not None:
         raise cov.error
-    _, _, rows = _error_rows(forms, cov)
-    bias, coeffs = rows[method]
+    bias, coeffs = _error_rows(forms, cov)[method]
     return AffineErrorForm(bias=float(bias[0, 0]), coeffs=np.concatenate(([1.0], -coeffs[0, 0])))
 
 
@@ -216,16 +216,15 @@ class SweepCovariances:
     c_n holds each model's (n, n) sensor covariance Cn and c_0 its (N, n)
     covariances C0 at the forms' points, each with the bits it has alone.
     error is the NotPositiveDefiniteError of the first Cn that does not
-    factor, its index the model's, and usable the count K' of models before
-    it. solved holds the K' models' (K', N, n) weights at the points, each
-    row with the bits of sm0_weights() there alone; both are None unless a
-    method takes the solve.
+    factor, its index the model's. solved holds every model's (K, N, n)
+    weights at the points, each row with the bits of sm0_weights() there
+    alone. Both are None unless a method takes the solve, and solved is
+    None when a Cn fails: nothing is solved for a sweep that cannot run.
     """
 
     c_n: np.ndarray
     c_0: np.ndarray
     solved: np.ndarray | None
-    usable: int
     error: NotPositiveDefiniteError | None
 
 
@@ -233,7 +232,7 @@ def sweep_covariances(forms: GridForms, models: list[CorrelationModel]) -> Sweep
     """The models' Cn and C0 stacks at the forms' points, one kernel pass each, and the solve in one call.
 
     Only when a method takes the solve, the Cn are factored in one stacked
-    call, cut at the first that is not positive definite, and solved in one
+    call and, when every one is positive definite, solved in one
     sm0_weight_rows() call. A sigma^2 that overflows raises the kernel's
     OverflowError.
     """
@@ -241,35 +240,31 @@ def sweep_covariances(forms: GridForms, models: list[CorrelationModel]) -> Sweep
         c_n = cross_covariance_stack(models, forms.sensors, forms.sensors)
         c_0 = cross_covariance_stack(models, forms.xy, forms.sensors)
         if _SOLVED.isdisjoint(forms.methods):
-            return SweepCovariances(c_n, c_0, None, len(models), None)
+            return SweepCovariances(c_n, c_0, None, None)
         factors, error = cholesky_stack(c_n.copy())
-        usable = len(models) if error is None else error.index
-        solved = sm0_weight_rows(factors[:usable], c_0[:usable])
-    return SweepCovariances(c_n, c_0, solved, usable, error)
+        solved = sm0_weight_rows(factors, c_0) if error is None else None
+    return SweepCovariances(c_n, c_0, solved, error)
 
 
 def _weight_stacks(forms: GridForms, cov: SweepCovariances) -> dict[str, np.ndarray]:
-    """Each method's weight rows by the method table: its geometry-only (N, n) table, or cov's (K', N, n) solve."""
+    """Each method's weight rows by the method table: its geometry-only (N, n) table, or cov's (K, N, n) solve."""
     return {m: cov.solved if m in _SOLVED else forms.weights[m] for m in forms.methods}
 
 
-def _error_rows(
-    forms: GridForms, cov: SweepCovariances
-) -> tuple[np.ndarray, np.ndarray, dict[str, tuple[np.ndarray, np.ndarray]]]:
-    """The (K', n, n) Cn, the (K', N, n) C0 and each method's error rows, for cov's K' usable models.
+def _error_rows(forms: GridForms, cov: SweepCovariances) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Each method's error rows under cov's K models, whose Cn all factor (the caller raises cov.error first).
 
     The error under model k at point i is bias[k, i] + S0 - coeffs[k, i] . [S1..Sn].
     The geometry-only methods' rows depend on no model: they are formed
-    once, and bias and coeffs are broadcast views over the K' models. An
+    once, and bias and coeffs are broadcast views over the K models. An
     unbiased method's bias is 0: computed, it is the medians' round-off.
     """
-    c_n, c_0 = cov.c_n[: cov.usable], cov.c_0[: cov.usable]
     rows = {}
     for m, w in _weight_stacks(forms, cov).items():
         intercept, coeffs = _affine_rows(m, w, forms.pm0, forms.pm, forms.fit)
         bias = 0.0 if m in _UNBIASED else forms.pm0 - (intercept + coeffs @ forms.pm)
-        rows[m] = (np.broadcast_to(bias, c_0.shape[:2]), np.broadcast_to(coeffs, c_0.shape))
-    return c_n, c_0, rows
+        rows[m] = (np.broadcast_to(bias, cov.c_0.shape[:2]), np.broadcast_to(coeffs, cov.c_0.shape))
+    return rows
 
 
 def _affine_rms(
@@ -290,12 +285,12 @@ def _affine_rms(
 
 
 def grid_analytic_rmse(forms: GridForms, cov: SweepCovariances) -> dict[str, np.ndarray]:
-    """Per-point RMS error of each method under each of cov's K' usable models, as (K', N) arrays.
+    """Per-point RMS error of each method under each of cov's K models, as (K, N) arrays.
 
-    The package's one analytic engine; K' is every model when cov.error is
-    None. Each method's error rows come from estimators._affine_rows() on
-    its weight rows, the solve family's from cov's one solve.
+    The package's one analytic engine; its callers raise cov.error first.
+    Each method's error rows come from estimators._affine_rows() on its
+    weight rows, the solve family's from cov's one solve.
     """
-    c_n, c_0, rows = _error_rows(forms, cov)
-    var0 = c_n[:, 0, :1]  # each model's sigma^2, the kernel at zero distance
-    return {m: _affine_rms(bias, 1.0, coeffs, var0, c_0, c_n) for m, (bias, coeffs) in rows.items()}
+    var0 = cov.c_n[:, 0, :1]  # each model's sigma^2, the kernel at zero distance
+    rows = _error_rows(forms, cov)
+    return {m: _affine_rms(bias, 1.0, coeffs, var0, cov.c_0, cov.c_n) for m, (bias, coeffs) in rows.items()}

@@ -146,8 +146,9 @@ def _config_echo(config: ExperimentConfig) -> dict:
 
 
 def _write_manifest(
-    out_dir: Path, config_echo: dict | None, seed: int | None, started: str, outputs: list[str]
+    out_dir: Path, config_echo: dict | None, seed: int | None, started: str, outputs: list[str], **settings
 ) -> None:
+    """manifest.json: the run's config as it ran, any command settings outside it, its seed, times and outputs."""
     manifest = {
         "tool": "radiomap",
         "version": __version__,
@@ -156,6 +157,7 @@ def _write_manifest(
         "started_utc": started,
         "finished_utc": _utc_now(),
         "outputs": outputs,
+        **settings,
     }
     _write_atomic(out_dir / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
@@ -243,9 +245,9 @@ def cmd_grid(config_path: str, ratio: float, method: str, out_dir: str, args: ar
         label=f"{method} RMSE (dB), spacing ratio {ratio:g}, spatial avg {surface.spatial_rmse:.3f}",
     )
     _write_atomic(out / "grid.svg", svg)
-    _write_manifest(
-        out, _config_echo(config), config.master_seed, started, ["grid.csv", "dist.csv", "grid.svg"]
-    )
+    # the one-ratio, one-method config that grid_rmse ran and the bins are what rebuild grid.csv and dist.csv
+    echo = _config_echo(replace(config, ratios=(ratio,), methods=(method,)))
+    _write_manifest(out, echo, config.master_seed, started, ["grid.csv", "dist.csv", "grid.svg"], bins=args.bins)
     return EXIT_OK
 
 

@@ -12,9 +12,10 @@ points where they disagree beyond Monte Carlo noise. What no ratio changes
 gathered once per sweep, and so is what every ratio needs: each ratio's
 covariances and solve weights, built as stacks once for both engines
 (analysis.sweep_covariances). One set-up then decides, before either
-engine runs, the ratio at which the sweep stops and the one error raised
-there, with the same precedence in every mode (_grid_evals): factor
-failures come back as values, not exceptions. The closed form is one
+engine runs, whether the run can finish and, when it cannot, the one
+error raised, with the same precedence in every mode (_grid_evals):
+factor failures come back as values, not exceptions, and a run that
+fails solves, draws and evaluates nothing. The closed form is one
 array evaluation of every ratio at every grid point. The Monte Carlo
 kernel only computes, point-major, in chunks and blocks of points (see its
 section below), writing one (K, M, N) array. One driver, _mc_rmse, runs a
@@ -297,8 +298,9 @@ def _power_of_two_above(magnitudes: np.ndarray, axis: int | None = None) -> np.n
 # on its stream alone, so one draw serves every ratio.
 #
 # Set-up (_mc_setup) runs before any draw: one in-place factor of every
-# point's joint covariance under every ratio, its failure returned as a
-# value; the solve weights are the analytic engine's. Past set-up nothing
+# point's joint covariance under every ratio, the first failing ratio and
+# its error returned as values; the solve weights are the analytic
+# engine's. Past set-up nothing
 # fails: the fit's constants were checked with the forms, and the kernel runs
 # with numpy's errors off, its inf and NaN named later by the finiteness checks.
 #
@@ -310,7 +312,7 @@ def _power_of_two_above(magnitudes: np.ndarray, axis: int | None = None) -> np.n
 # once over a block's (P, rows, R) stack; each point's refit and
 # predictions run along whole rows, one call each. The tasks after the
 # first run in forked worker processes (_run_forked), each writing its
-# chunk of one (K', M, N) result in an anonymous shared mapping. Threads buy
+# chunk of one (K, M, N) result in an anonymous shared mapping. Threads buy
 # little, since numpy drops the interpreter lock only inside a call, and at
 # R = 10^4 calls last tens of microseconds: the sweep-mc config in one
 # process took 272 ms on one worker, 203 ms on two threads and 166 ms on
@@ -320,18 +322,19 @@ def _power_of_two_above(magnitudes: np.ndarray, axis: int | None = None) -> np.n
 # split invisible in the bits.
 
 
-def _mc_setup(cov: SweepCovariances) -> tuple[np.ndarray, NotPositiveDefiniteError | None]:
-    """The (K'', N, n+1, n+1) joint factors of the K'' ratios before the first that fails, and its error.
+def _mc_setup(cov: SweepCovariances) -> tuple[np.ndarray, int | None, NotPositiveDefiniteError | None]:
+    """The (K, N, n+1, n+1) joint factors of every ratio, the first ratio that fails and its error, or None and None.
 
-    A ratio fails first at its sensor factor (cov.error), then at the joint
-    factor of its lowest failing point. The joint factors of cov's usable
-    ratios are one joint_factors() call.
+    The joint factors are one joint_factors() call. The lowest failing
+    ratio wins; at one ratio its sensor factor's error (cov.error) wins
+    over the joint factor of its lowest failing point.
     """
     with np.errstate(all="ignore"):  # near the double range, the finiteness checks name what goes wrong
-        joint, error = joint_factors(cov.c_0[: cov.usable], cov.c_n[: cov.usable])
-    if error is None:
-        return joint, cov.error
-    return joint[: error.index // cov.c_0.shape[1]], error
+        joint, error = joint_factors(cov.c_0, cov.c_n)
+    failed = None if error is None else error.index // cov.c_0.shape[1]
+    if cov.error is not None and (failed is None or cov.error.index <= failed):
+        return joint, cov.error.index, cov.error
+    return joint, failed, error
 
 
 # Least sigma_db a Monte Carlo run takes, as a fraction of the largest median
@@ -434,19 +437,18 @@ def _mc_block_rmse(
     ws: _McWorkspace,
     out: np.ndarray,
 ) -> None:
-    """Write the RMS prediction error of each method at a block of points under each scenario set up into out.
+    """Write the RMS prediction error of each method at a block of points under each scenario into out.
 
     cov is the sweep's covariances, whose weights the methods apply, joint
-    _mc_setup's factors for K'' scenarios, block holds the points' indices
+    _mc_setup's factors for its K scenarios, block holds the points' indices
     into the forms, indices[i] keys point i's stream, ws is the calling
-    task's workspace, with room for the block, and out the (K'', M, N)
+    task's workspace, with room for the block, and out the (K, M, N)
     RMSEs, M methods in the order of forms.methods: the block writes
     out[:, :, block]. Each point's results have the bits of a block of one.
     """
     n, points = len(forms.pm), len(block)
-    # each method's applied-to family, from the method table, and its weights under each usable scenario
-    shape = (cov.usable, len(forms.xy), n)
-    plan = [(_estimator(m)[1], np.broadcast_to(w, shape)) for m, w in _weight_stacks(forms, cov).items()]
+    # each method's applied-to family, from the method table, and its weights under each scenario
+    plan = [(_estimator(m)[1], np.broadcast_to(w, cov.c_0.shape)) for m, w in _weight_stacks(forms, cov).items()]
     for p, i in enumerate(block):
         standard_normal_block(master_seed, indices[i], n + 1, realizations, out=ws.z[p], bitgen=ws.bitgen)
     at = slice(block.start, block.stop)
@@ -501,27 +503,30 @@ def _mc_rmse(
     realizations: int,
     master_seed: int,
     threads: int = 1,
+    error: NotPositiveDefiniteError | None = None,
 ) -> np.ndarray:
-    """(K'', M, N) Monte Carlo RMSEs of each method at every point of the forms under _mc_setup's K'' ratios, one task per chunk of points.
+    """(K, M, N) Monte Carlo RMSEs of each method at every point of the forms under cov's K ratios, one task per chunk of points.
 
-    cov is the sweep's covariances and joint _mc_setup's factors of them.
-    indices[i] keys point i's stream. ValueError names a stream key outside
-    the unsigned 64-bit range, realizations that are not an integer of at
-    least 1, or a sigma (each joint factor's [0, 0] entry) lost in the
-    round-off of the median powers, before any draw. Nothing is drawn when
-    K'' is 0. Tasks after the first run in forked workers (_run_forked) when
-    os.fork exists and the caller runs no other thread, and on a thread
-    pool otherwise.
+    cov is the sweep's covariances, joint and error _mc_setup's factors of
+    them and its error. indices[i] keys point i's stream. Before any draw,
+    ValueError names a stream key outside the unsigned 64-bit range, then
+    realizations that are not an integer of at least 1; then error is
+    raised; then ValueError names a sigma (each joint factor's [0, 0]
+    entry) lost in the round-off of the median powers. Tasks after the
+    first run in forked workers (_run_forked) when os.fork exists and the
+    caller runs no other thread, and on a thread pool otherwise.
     """
     for index in (min(indices), max(indices)):
         _check_stream_keys(master_seed=master_seed, point_index=index)
     if not _accepts(0, realizations) or realizations < 1:
         raise ValueError(f"realizations must be an integer of at least 1, got {realizations!r}")
-    if len(joint) and (lost := _lost_sigma(forms, float(joint[..., 0, 0].min()))):
+    if error is not None:
+        raise error
+    if lost := _lost_sigma(forms, float(joint[..., 0, 0].min())):
         raise ValueError(f"sigma is too small for Monte Carlo: {lost}")
     n_points = len(forms.xy)
     shape = (len(joint), len(forms.methods), n_points)
-    tasks = min(threads, n_points) if len(joint) else 0
+    tasks = min(threads, n_points)
     chunks = [range(n_points * t // tasks, n_points * (t + 1) // tasks) for t in range(tasks)]
     per_block = max(1, _BLOCK_DOUBLES // realizations)
     forked = tasks > 1 and hasattr(os, "fork") and threading.active_count() == 1
@@ -627,14 +632,13 @@ def point_rmse_mc(
     master_seed and point_index key the point's stream and must each fit in
     an unsigned 64-bit integer, and realizations must be an integer of at
     least 1: ValueError names the first that does not, before any draw.
+    A covariance that is not positive definite raises its
+    NotPositiveDefiniteError next, before any draw as well.
     """
     forms = grid_forms(scn, coordinates([p0]), (method,), nu)
     cov = sweep_covariances(forms, [scn.correlation])
-    joint, error = _mc_setup(cov)
-    rmse = _mc_rmse(forms, cov, joint, [point_index], realizations, master_seed)
-    if error is not None:
-        raise error
-    return float(rmse[0, 0, 0])
+    joint, _, error = _mc_setup(cov)
+    return float(_mc_rmse(forms, cov, joint, [point_index], realizations, master_seed, error=error)[0, 0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -650,68 +654,50 @@ def _spatial_rows(rmse: np.ndarray) -> np.ndarray:
     return _rms_rows(rmse.reshape(-1, rmse.shape[-1])).reshape(rmse.shape[:-1])
 
 
-def _surfaces(
-    config: ExperimentConfig,
-    ratio: float,
-    xy: np.ndarray,
-    methods: tuple[str, ...],
-    rmse: dict[str, np.ndarray],
-    spatial: dict[str, np.ndarray],
-    stderr: np.ndarray | None,
-) -> dict[str, RmseSurface]:
-    """Every method's surface at one ratio from each engine's (M, N) per-point RMSEs and (M,) aggregates."""
-    a_vals, mc_vals = rmse.get("analytic"), rmse.get("mc")
-    primary = "mc" if mc_vals is not None else "analytic"
-    surfaces: dict[str, RmseSurface] = {}
-    for j, m in enumerate(methods):
+def _finite_aggregates(config: ExperimentConfig, k: int, spatial: dict[str, np.ndarray]) -> None:
+    """Raise ConfigError naming the first method whose spatial RMSE at ratio k is not finite in some engine."""
+    for j, m in enumerate(config.methods):
         # a finite spatial RMSE implies finite per-point values
-        if not all(math.isfinite(s[j]) for s in spatial.values()):
-            raise _out_of_range(config, ratio, f"{m} RMSE is not finite")
-        flags = None
-        if a_vals is not None and mc_vals is not None:
-            # RMS estimate from R Gaussian errors has stderr ~ rmse / sqrt(2R)
-            se = a_vals[j] / math.sqrt(2.0 * config.realizations)
-            flags = np.abs(mc_vals[j] - a_vals[j]) <= 3.0 * se
-        surfaces[m] = RmseSurface(
-            method=m,
-            mode=config.mode,
-            ratio=ratio,
-            resolution=config.resolution,
-            xy=xy,
-            rmse=rmse[primary][j],
-            spatial_rmse=float(spatial[primary][j]),
-            rmse_analytic=None if a_vals is None else a_vals[j],
-            rmse_mc=None if mc_vals is None else mc_vals[j],
-            mc_within_3se=flags,
-            mc_stderr=None if stderr is None else float(stderr[j]),
-        )
-    return surfaces
+        if not all(math.isfinite(s[k, j]) for s in spatial.values()):
+            raise _out_of_range(config, config.ratios[k], f"{m} RMSE is not finite")
 
 
-def _grid_evals(config: ExperimentConfig, threads: int = 1) -> Iterator[dict[str, RmseSurface]]:
-    """Every method's RMSE surface at each of the config's ratios, one ratio after the other.
+def _grid_evals(
+    config: ExperimentConfig, threads: int = 1
+) -> tuple[np.ndarray, dict[str, np.ndarray], dict[str, np.ndarray], np.ndarray | None]:
+    """Every method's RMSEs at every point and every ratio of the config, from each engine the mode runs.
 
-    One set-up decides, before either engine runs, the ratio at which the
-    sweep stops and the one error raised there, after the ratios before it
-    are yielded. The precedence is the same in every mode. The sweep stops
-    at the first ratio whose sensor covariance Cn is not positive definite,
-    when a method takes the solve, or, in mc and both modes, whose joint
-    covariance at some point is not: at one ratio, Cn's error wins over the
-    lowest failing point's. A failure at pivot 0, which is sigma^2 itself,
-    is named as sigma^2 underflowing. Three things stop it at its first
-    ratio instead: a sigma^2 below the least normal double when an unbiased
-    method runs (its error is all shadow, and a subnormal sigma^2 has lost
-    digits), named as the same underflow; then median powers past
-    _lost_medians' limits; and after them, in mc and both modes, a sigma_db
-    below _SIGMA_FRACTION of their largest magnitude.
+    Returns the grid's (N, 2) coordinate array, each engine's (K, M, N)
+    per-point RMSEs and (K, M) spatial aggregates, keyed "analytic" and
+    "mc", and in mc and both modes the (K, M) standard errors of the Monte
+    Carlo aggregates (None in analytic mode).
+
+    One set-up decides, before either engine runs, whether the run can
+    finish; a run that cannot raises one error and has solved, drawn and
+    evaluated nothing. The precedence is the same in every mode; the first
+    of these that applies is raised:
+    1. a sigma^2 below the least normal double when an unbiased method runs
+       (its error is all shadow, and a subnormal sigma^2 has lost digits),
+       named as sigma^2 underflowing;
+    2. a factor failure at the first ratio;
+    3. median powers past _lost_medians' limits;
+    4. in mc and both modes, a sigma_db below _SIGMA_FRACTION of their
+       largest magnitude;
+    5. a factor failure at a later ratio.
+    A factor fails where a ratio's sensor covariance Cn is not positive
+    definite, when a method takes the solve, or, in mc and both modes, where
+    its joint covariance at some point is not: the lowest such ratio is
+    named, and at one ratio Cn's error wins over the lowest failing
+    point's. A failure at pivot 0, which is sigma^2 itself, is named as
+    sigma^2 underflowing.
 
     The ratio-free parts of the error forms, the geometry-only weights above
     all, are gathered once from one scenario, and every ratio's Cn, C0 and
     solve weights are built once, as stacks (analysis.sweep_covariances),
-    for both engines. Both engines then run the ratios before the stop: the
-    analytic engine on the calling thread as one stack, the Monte Carlo
-    stage with one worker per chunk of points (_mc_rmse), each point's
-    normals drawn once. Each engine's aggregates come from one row-wise pass.
+    for both engines. Both engines then run every ratio: the analytic
+    engine on the calling thread as one stack, the Monte Carlo stage with
+    one worker per chunk of points (_mc_rmse), each point's normals drawn
+    once. Each engine's aggregates come from one row-wise pass.
     """
     if not (_accepts(0, threads) and 1 <= threads <= MAX_THREADS):
         raise ConfigError(f"threads must be an integer between 1 and {MAX_THREADS}, got {threads!r}")
@@ -730,53 +716,62 @@ def _grid_evals(config: ExperimentConfig, threads: int = 1) -> Iterator[dict[str
         # grid points lie strictly inside the sensor hull, so these come only from doubles out of
         # range, at every ratio alike: a sigma^2 that overflows, say
         raise _out_of_range(config, ratios[0], err) from err
-    if mc:
-        joint, failed = _mc_setup(cov)
-        stop = len(joint)
-    else:
-        failed, stop = cov.error, cov.usable
-    error = None
+    joint, failed, error = _mc_setup(cov) if mc else (None, getattr(cov.error, "index", None), cov.error)
     underflow = f"sigma^2 underflows a double at sigma = {config.sigma_db!r} dB"
-    if failed is not None:  # pivot 0 is sigma^2 itself: a failure there is its underflow to 0
-        error = _out_of_range(config, ratios[stop], underflow if failed.pivot_index == 0 else failed)
-        error.__cause__ = failed
+    failure = None
+    if error is not None:  # pivot 0 is sigma^2 itself: a failure there is its underflow to 0
+        failure = _out_of_range(config, ratios[failed], underflow if error.pivot_index == 0 else error)
+        failure.__cause__ = error
     if config.sigma_db**2 < np.finfo(float).tiny and not _UNBIASED.isdisjoint(methods):
-        stop, error = 0, _out_of_range(config, ratios[0], underflow)
-    elif stop and (lost := _lost_medians(forms, config)):
-        stop, error = 0, _out_of_range(config, ratios[0], lost)
-    elif mc and stop and (lost := _lost_sigma(forms, config.sigma_db)):
-        stop, error = 0, ConfigError(f"field 'sigma_db' is too small for Monte Carlo: {lost}")
-    engines: dict[str, np.ndarray] = {}  # each engine's (stop, M, N) RMSEs
+        raise _out_of_range(config, ratios[0], underflow)
+    if failed == 0:
+        raise failure
+    if lost := _lost_medians(forms, config):
+        raise _out_of_range(config, ratios[0], lost)
+    if mc and (lost := _lost_sigma(forms, config.sigma_db)):
+        raise ConfigError(f"field 'sigma_db' is too small for Monte Carlo: {lost}")
+    if failure is not None:
+        raise failure
+    engines: dict[str, np.ndarray] = {}  # each engine's (K, M, N) RMSEs
     with np.errstate(all="ignore"):
-        if stop and config.mode in ("analytic", "both"):
+        if config.mode in ("analytic", "both"):
             rmse = grid_analytic_rmse(forms, cov)
-            engines["analytic"] = np.stack([rmse[m][:stop] for m in methods], axis=1)
-        if stop and mc:
+            engines["analytic"] = np.stack([rmse[m] for m in methods], axis=1)
+        if mc:
             indices = range(len(grid.xy))
             engines["mc"] = _mc_rmse(forms, cov, joint, indices, config.realizations, config.master_seed, threads)
         spatial = {engine: _spatial_rows(rmse) for engine, rmse in engines.items()}
-        stderr = _spatial_stderr(engines["mc"], config.realizations, spatial["mc"]) if "mc" in engines else None
-    for k, ratio in enumerate(ratios[:stop]):
-        with np.errstate(all="ignore"):
-            surfaces = _surfaces(
-                config,
-                ratio,
-                grid.xy,
-                methods,
-                {engine: rmse[k] for engine, rmse in engines.items()},
-                {engine: s[k] for engine, s in spatial.items()},
-                None if stderr is None else stderr[k],
-            )
-        yield surfaces
-    if error is not None:
-        raise error
+        stderr = _spatial_stderr(engines["mc"], config.realizations, spatial["mc"]) if mc else None
+    return grid.xy, engines, spatial, stderr
 
 
 def grid_rmse(config: ExperimentConfig, ratio: float, method: str, threads: int = 1) -> RmseSurface:
     """Per-point RMSE surface for one method at one spacing ratio: the sweep of a config with them alone."""
     config = replace(config, ratios=(ratio,), methods=(method,))
     config.validate()
-    return next(_grid_evals(config, threads))[method]
+    xy, engines, spatial, stderr = _grid_evals(config, threads)
+    _finite_aggregates(config, 0, spatial)
+    a_vals, mc_vals = (engines[engine][0, 0] if engine in engines else None for engine in ("analytic", "mc"))
+    primary = "mc" if mc_vals is not None else "analytic"
+    flags = None
+    if a_vals is not None and mc_vals is not None:
+        with np.errstate(all="ignore"):
+            # RMS estimate from R Gaussian errors has stderr ~ rmse / sqrt(2R)
+            se = a_vals / math.sqrt(2.0 * config.realizations)
+            flags = np.abs(mc_vals - a_vals) <= 3.0 * se
+    return RmseSurface(
+        method=method,
+        mode=config.mode,
+        ratio=ratio,
+        resolution=config.resolution,
+        xy=xy,
+        rmse=engines[primary][0, 0],
+        spatial_rmse=float(spatial[primary][0, 0]),
+        rmse_analytic=a_vals,
+        rmse_mc=mc_vals,
+        mc_within_3se=flags,
+        mc_stderr=None if stderr is None else float(stderr[0, 0]),
+    )
 
 
 def _spatial_stderr(per_point_rmse: np.ndarray, realizations: int, spatial: np.ndarray) -> np.ndarray:
@@ -796,20 +791,17 @@ def _spatial_stderr(per_point_rmse: np.ndarray, realizations: int, spatial: np.n
 def sweep(config: ExperimentConfig, threads: int = 1) -> list[SweepRow]:
     """One row per (ratio, method): the spatial RMSE aggregate for the whole grid."""
     config.validate()
+    _, _, spatial, stderr = _grid_evals(config, threads)
+    primary = spatial["mc" if "mc" in spatial else "analytic"]
     rows: list[SweepRow] = []
-    for ratio, surfaces in zip(config.ratios, _grid_evals(config, threads)):
-        for method in config.methods:
-            surf = surfaces[method]
-            if surf.mc_stderr is not None and not math.isfinite(surf.mc_stderr):
+    for k, ratio in enumerate(config.ratios):
+        _finite_aggregates(config, k, spatial)
+        for j, method in enumerate(config.methods):
+            se = None if stderr is None else float(stderr[k, j])
+            if se is not None and not math.isfinite(se):
                 raise _out_of_range(config, ratio, f"{method} standard error is not finite")
             rows.append(
-                SweepRow(
-                    ratio=ratio,
-                    method=method,
-                    spatial_rmse=surf.spatial_rmse,
-                    mode=config.mode,
-                    mc_stderr=surf.mc_stderr,
-                )
+                SweepRow(ratio=ratio, method=method, spatial_rmse=float(primary[k, j]), mode=config.mode, mc_stderr=se)
             )
     return rows
 

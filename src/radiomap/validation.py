@@ -190,17 +190,16 @@ def check_analytic_vs_mc(
     """Closed-form RMS error vs Monte Carlo, in units of the MC standard error.
 
     points pairs each query point with the index that keys its stream. Both
-    engines read one set-up of every ratio at the points, as in a sweep.
-    Each point's stream is drawn once for every ratio and method, and each
-    MC value has the bits of its own point_rmse_mc call.
+    engines read one set-up of every ratio at the points, as in a sweep,
+    and a set-up failure is raised before any draw. Each point's stream is
+    drawn once for every ratio and method, and each MC value has the bits
+    of its own point_rmse_mc call.
     """
     scns = [_table_scenario(ratio) for ratio in ratios]
     forms = grid_forms(scns[0], coordinates([p for _, p in points]), tuple(methods))
     cov = sweep_covariances(forms, [scn.correlation for scn in scns])
-    joint, error = _mc_setup(cov)
-    mc = _mc_rmse(forms, cov, joint, [index for index, _ in points], realizations, master_seed)
-    if error is not None:
-        raise error
+    joint, _, error = _mc_setup(cov)
+    mc = _mc_rmse(forms, cov, joint, [index for index, _ in points], realizations, master_seed, error=error)
     analytic = grid_analytic_rmse(forms, cov)
     expected = np.stack([analytic[m] for m in methods], axis=1)  # (K, M, N), as mc
     z = np.abs(mc - expected) / (expected / math.sqrt(2.0 * realizations))

@@ -473,6 +473,23 @@ class TestGridCommand:
         assert float(dist_rows[-1]["cdf"]) == pytest.approx(1.0)
         assert (out / "grid.svg").read_text().startswith("<svg")
 
+    def test_manifest_rebuilds_grid_and_dist(self, tmp_path):
+        # the manifest echoes the one-ratio, one-method config that ran, flags applied, and the bins:
+        # from it alone a second run writes the same grid.csv and dist.csv
+        cfg = write_config(tmp_path, resolution=2)
+        flags = ["--ratio", "2.5", "--method", "nat", "--bins", "7", "--mode", "both", "--res", "3", "--seed", "9"]
+        assert main(["grid", str(cfg), str(tmp_path / "first"), *flags]) == 0
+        manifest = json.loads((tmp_path / "first" / "manifest.json").read_text())
+        echo = manifest["config"]
+        assert (echo["ratios"], echo["methods"], manifest["bins"]) == ([2.5], ["nat"], 7)
+        assert (echo["mode"], echo["resolution"], echo["master_seed"]) == ("both", 3, 9)
+        (tmp_path / "echo.json").write_text(json.dumps(echo))
+        again = [str(tmp_path / "echo.json"), str(tmp_path / "again")]
+        run = ["--ratio", repr(echo["ratios"][0]), "--method", echo["methods"][0], "--bins", str(manifest["bins"])]
+        assert main(["grid", *again, *run]) == 0
+        for name in ("grid.csv", "dist.csv"):
+            assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "first" / name).read_bytes()
+
     def test_res64_grid_row_count(self, tmp_path):
         cfg = write_config(tmp_path, resolution=64)
         out = tmp_path / "out"

@@ -45,6 +45,21 @@ from radiomap.linalg import NotPositiveDefiniteError
 from workers import another_thread, append_line, patch_kernel, read_lines
 
 
+def record_engine_work(monkeypatch, tmp_path):
+    """Record each normal draw and each analytic engine call, in this process and in forked workers, in one file."""
+    from radiomap import harness
+
+    log = tmp_path / "engine-work"
+    for name in ("standard_normal_block", "grid_analytic_rmse"):
+
+        def recorded(*args, _name=name, _original=getattr(harness, name), **kwargs):
+            append_line(log, _name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, recorded)
+    return log
+
+
 def test_spatial_average_hand_computation():
     assert spatial_average(np.array([3.0, 4.0])) == pytest.approx(math.sqrt(12.5), rel=1e-12)
     # squares near 1e400 overflow a double; the scaled mean does not
@@ -253,12 +268,12 @@ class TestForkedWorkers:
     cfg = ExperimentConfig(resolution=3, mode="mc", realizations=30, ratios=(0.5, 2.0), master_seed=21, nu=2)
 
     def rmse(self, threads):
-        """_mc_rmse's (K', M, N) RMSEs of cfg's 9 points, on threads workers."""
+        """_mc_rmse's (K, M, N) RMSEs of cfg's 9 points, on threads workers."""
         cfg = self.cfg
         scns = [cfg.scenario(r) for r in cfg.ratios]
         forms = grid_forms(scns[0], cfg.grid().xy, cfg.methods, cfg.nu)
         cov = sweep_covariances(forms, [scn.correlation for scn in scns])
-        joint, _ = _mc_setup(cov)
+        joint, _, _ = _mc_setup(cov)
         return _mc_rmse(forms, cov, joint, range(9), cfg.realizations, cfg.master_seed, threads)
 
     @staticmethod
@@ -342,8 +357,8 @@ class TestMcWorkspace:
         scns = [cfg.scenario(r) for r in cfg.ratios]
         forms = grid_forms(scns[0], xy, cfg.methods, cfg.nu)
         cov = sweep_covariances(forms, [scn.correlation for scn in scns])
-        joint, error = _mc_setup(cov)
-        assert error is None
+        joint, failed, error = _mc_setup(cov)
+        assert failed is error is None
         return scns, forms, cov, joint
 
     @pytest.mark.parametrize("kernel", ["exponential", "gaussian", "elliptical"])
@@ -356,8 +371,7 @@ class TestMcWorkspace:
         scns, forms, cov, joint = self.setup_for(cfg, xy)
         weights = _weight_stacks(forms, cov)
         assert weights["sm0"] is weights["sm1"] is cov.solved
-        _, _, rows = _error_rows(forms, cov)
-        analytic = rows["sm0"][1]
+        analytic = _error_rows(forms, cov)["sm0"][1]
         assert joint.shape == (len(scns), len(xy), 5, 5)
         assert cov.solved.shape == analytic.shape == (len(scns), len(xy), 4)
         for k, scn in enumerate(scns):
@@ -448,10 +462,10 @@ class TestGridRmse:
 
     def test_thread_count_is_invisible(self):
         cfg = ExperimentConfig(resolution=6, mode="mc", realizations=400, master_seed=33, methods=("sm0", "nat"))
-        one = next(_grid_evals(replace(cfg, ratios=(1.0,)), threads=1))
-        four = next(_grid_evals(replace(cfg, ratios=(1.0,)), threads=4))
-        for m in cfg.methods:
-            assert np.array_equal(one[m].rmse, four[m].rmse)
+        one = _grid_evals(replace(cfg, ratios=(1.0,)), threads=1)
+        four = _grid_evals(replace(cfg, ratios=(1.0,)), threads=4)
+        assert one[1]["mc"].shape == (1, 2, 36)
+        assert np.array_equal(one[1]["mc"], four[1]["mc"])
 
     def test_block_size_is_invisible(self, monkeypatch, tmp_path):
         # blocks of 1, 3 and the default number of points, on 1 and 2 workers, give the same bytes;
@@ -472,13 +486,11 @@ class TestGridRmse:
             monkeypatch.setattr(harness, "_BLOCK_DOUBLES", budget)
             for threads in (1, 2):
                 log.unlink(missing_ok=True)
-                evals = _grid_evals(cfg, threads)
-                surfaces = [s for at_ratio in evals for s in at_ratio.values()]
+                _, engines, spatial, stderr = _grid_evals(cfg, threads)
                 sizes = [int(size) for size in read_lines(log)]
                 # chunks of 25 points, or of 12 and 13
                 assert max(sizes) == min(budget // 40, -(-25 // threads)) and sum(sizes) == 25
-                stats = [np.float64([s.spatial_rmse, s.mc_stderr]) for s in surfaces]
-                results.add(b"".join(s.rmse.tobytes() + t.tobytes() for s, t in zip(surfaces, stats)))
+                results.add(engines["mc"].tobytes() + spatial["mc"].tobytes() + stderr.tobytes())
         assert len(results) == 1
 
     def test_both_mode_flags_agreement(self):
@@ -542,6 +554,37 @@ class TestGridRmse:
         with another_thread():
             assert sweep(cfg, threads=MAX_THREADS) == sweep(cfg)
         assert sizes == [4]
+
+
+# The causes that refuse a run, in the order _grid_evals checks them, each as config overrides
+# and its message; a factor failure at the last ratio is patched in.
+REFUSALS = {
+    "sigma^2 underflow": (
+        {"sigma_db": 1e-160},
+        "{kernel} kernel at spacing ratio {ratio} is outside the numeric range: "
+        "sigma^2 underflows a double at sigma = 1e-160 dB",
+    ),
+    "first-ratio factor": (
+        {"kernel": "gaussian", "ratios": (1e-4, 1.0)},
+        "gaussian kernel at spacing ratio 0.0001 is outside the numeric range: "
+        "matrix is not positive definite: pivot 3 is 7.10543e-15",
+    ),
+    "lost medians": (
+        {"a_db": 1e20},
+        "{kernel} kernel at spacing ratio {ratio} is outside the numeric range: field 'a_db' sets median powers "
+        "of up to 1e+20 dB; spread 0 dB and sigma_db under 1e-07 of it lose the bias to round-off",
+    ),
+    "lost sigma": (
+        {"sigma_db": 1e-12},
+        "field 'sigma_db' is too small for Monte Carlo: 1e-12 dB is below 1e-09 of the largest median power "
+        "magnitude, 127.743 dB, so the shadows would be lost to round-off",
+    ),
+    "last-ratio factor": (
+        {},
+        "{kernel} kernel at spacing ratio 1.0 is outside the numeric range: "
+        "matrix is not positive definite: pivot 2 is -1",
+    ),
+}
 
 
 class TestSweep:
@@ -649,14 +692,15 @@ class TestSweep:
         # every point of the point-major sweep equals its own point_rmse_mc call, bit for bit
         cfg = ExperimentConfig(resolution=4, mode="mc", realizations=300, master_seed=8, ratios=(0.2, 1.0, 5.0), nu=2)
         points = [Point(x, y) for x, y in cfg.grid().xy.tolist()]
-        for ratio, surfaces in zip(cfg.ratios, _grid_evals(cfg, threads=2)):
+        rmse = _grid_evals(cfg, threads=2)[1]["mc"]
+        for ratio, at_ratio in zip(cfg.ratios, rmse):
             scn = cfg.scenario(ratio)
-            for m in cfg.methods:
+            for m, got in zip(cfg.methods, at_ratio):
                 want = [
                     point_rmse_mc(scn, p, m, cfg.realizations, cfg.master_seed, i, cfg.nu)
                     for i, p in enumerate(points)
                 ]
-                assert surfaces[m].rmse_mc.tolist() == want
+                assert got.tolist() == want
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("mode", ["analytic", "mc", "both"])
@@ -716,18 +760,18 @@ class TestSweep:
 
         monkeypatch.setattr(analysis, "cholesky_stack", second_fails)
 
-    def test_failed_sensor_factor_raises_at_its_ratio(self, monkeypatch):
-        # the ratios before it are yielded, and its error names it
+    def test_failed_sensor_factor_raises_at_its_ratio(self, monkeypatch, tmp_path):
+        # nothing runs, not even the ratio before it, and its error names it
         self._second_sensor_factor_fails(monkeypatch)
+        log = record_engine_work(monkeypatch, tmp_path)
         cfg = ExperimentConfig(resolution=2, mode="mc", realizations=50, ratios=(0.5, 1.0, 2.0), methods=("nn", "sm1"))
-        evals = _grid_evals(cfg, threads=2)
-        assert set(next(evals)) == {"nn", "sm1"}
         with pytest.raises(ConfigError) as exc:
-            next(evals)
+            _grid_evals(cfg, threads=2)
         assert str(exc.value) == (
             "exponential kernel at spacing ratio 1.0 is outside the numeric range: "
             "matrix is not positive definite: pivot 2 is -1"
         )
+        assert read_lines(log) == []
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_failed_sensor_factor_traceback_independent_of_grid_size(self, monkeypatch, threads):
@@ -766,38 +810,38 @@ class TestSweep:
         return alone.value
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_failed_joint_factor_raises_at_its_ratio_naming_its_pivot(self, monkeypatch, threads):
+    def test_failed_joint_factor_raises_at_its_ratio_naming_its_pivot(self, monkeypatch, tmp_path, threads):
         cfg = ExperimentConfig(resolution=4, mode="mc", realizations=50, ratios=(0.5, 1.0, 2.0), methods=("nn", "sm2"))
         alone = self._point_five_indefinite_at_ratio_one(monkeypatch, cfg)
-        evals = _grid_evals(cfg, threads=threads)
-        assert set(next(evals)) == {"nn", "sm2"}
+        log = record_engine_work(monkeypatch, tmp_path)
         with pytest.raises(ConfigError) as exc:
-            next(evals)
+            _grid_evals(cfg, threads=threads)
         assert str(exc.value) == f"exponential kernel at spacing ratio 1.0 is outside the numeric range: {alone}"
         assert isinstance(exc.value.__cause__, NotPositiveDefiniteError)
         assert exc.value.__cause__.index == 16 + 5  # point 5 of ratio 1.0 in the set-up's (ratio, point) stack
+        assert read_lines(log) == []
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_sensor_factor_failure_takes_precedence_over_a_later_joint_factor(self, monkeypatch, threads):
+    def test_sensor_factor_failure_takes_precedence_over_a_later_joint_factor(self, monkeypatch, tmp_path, threads):
         # at ratio 1.0 the joint factor fails at point 5 and the sensor factor at every point:
         # the sensor factor's error, ratio 1.0's in the stack of every Cn, is the one raised
         cfg = ExperimentConfig(resolution=4, mode="mc", realizations=50, ratios=(0.5, 1.0, 2.0), methods=("nn", "sm1"))
         self._point_five_indefinite_at_ratio_one(monkeypatch, cfg)
         self._second_sensor_factor_fails(monkeypatch)
-        evals = _grid_evals(cfg, threads=threads)
-        assert set(next(evals)) == {"nn", "sm1"}
+        log = record_engine_work(monkeypatch, tmp_path)
         with pytest.raises(ConfigError) as exc:
-            next(evals)
+            _grid_evals(cfg, threads=threads)
         assert str(exc.value) == (
             "exponential kernel at spacing ratio 1.0 is outside the numeric range: "
             "matrix is not positive definite: pivot 2 is -1"
         )
         assert exc.value.__cause__.index == 1
+        assert read_lines(log) == []
 
     @pytest.mark.parametrize("failing", [0, 1])
     def test_setup_stops_at_the_first_failing_ratio(self, monkeypatch, tmp_path, failing):
-        # one joint_factors call covers every ratio, and the points run only the ratios before
-        # the failing one: none at all when the first fails. Every process's draws go to one file.
+        # one joint_factors call covers every ratio and names the failing one, and _mc_rmse raises
+        # its error before any point draws, whichever ratio fails. Every process's draws go to one file.
         from radiomap import harness
 
         cfg = ExperimentConfig(resolution=3, mode="mc", realizations=20, ratios=(0.5, 1.0, 2.0), methods=("nn", "sm0"))
@@ -819,12 +863,13 @@ class TestSweep:
         scns = [cfg.scenario(r) for r in cfg.ratios]
         forms = grid_forms(scns[0], cfg.grid().xy, cfg.methods)
         cov = sweep_covariances(forms, [scn.correlation for scn in scns])
-        joint, got = harness._mc_setup(cov)
-        rmse = harness._mc_rmse(forms, cov, joint, range(9), cfg.realizations, cfg.master_seed, threads=2)
+        joint, failed, got = harness._mc_setup(cov)
         assert factored == [(3, 9, 4)]
-        assert got is error and rmse.shape == (failing, 2, 9) and joint.shape == (failing, 9, 5, 5)
-        draws = [int(i) for i in read_lines(log)]
-        assert sorted(draws) == (list(range(9)) if failing else [])
+        assert got is error and failed == failing and joint.shape == (3, 9, 5, 5)
+        with pytest.raises(NotPositiveDefiniteError) as exc:
+            harness._mc_rmse(forms, cov, joint, range(9), cfg.realizations, cfg.master_seed, threads=2, error=got)
+        assert exc.value is error
+        assert read_lines(log) == []
 
     @pytest.mark.parametrize("mode", ["mc", "both"])
     def test_monte_carlo_sigma_limit_is_a_fraction_of_the_largest_median(self, mode):
@@ -838,7 +883,7 @@ class TestSweep:
         rows = sweep(replace(cfg, sigma_db=1.01 * limit))
         assert len(rows) == 4 and all(r.spatial_rmse > 0 and math.isfinite(r.mc_stderr) for r in rows)
         with pytest.raises(ConfigError, match="^field 'sigma_db' is too small for Monte Carlo"):
-            next(_grid_evals(replace(cfg, sigma_db=0.99 * limit)))
+            _grid_evals(replace(cfg, sigma_db=0.99 * limit))
         assert len(sweep(replace(cfg, sigma_db=0.99 * limit, mode="analytic"))) == 4
 
     def test_fit_design_computed_once_per_sweep(self, monkeypatch):
@@ -889,34 +934,76 @@ class TestSweep:
         assert solves == [(len(cfg.ratios), 16, 4)]
 
     @pytest.mark.parametrize("kernel, ratio", [("gaussian", 1e-4)], ids=["cn-not-positive-definite"])
-    def test_analytic_failure_raises_at_its_ratio_with_its_own_error(self, kernel, ratio):
-        # the stack fails as a whole; ratio 1.0 before it is still yielded with the bits it
-        # has alone, and the error is the one the failing ratio's sensor covariance gives alone
+    def test_analytic_failure_raises_at_its_ratio_with_its_own_error(self, monkeypatch, tmp_path, kernel, ratio):
+        # the stack fails as a whole: nothing is solved and the engine is not called, not even for
+        # ratio 1.0 before it, and the error is the one the failing ratio's sensor covariance gives alone
+        from radiomap import analysis
+
         cfg = ExperimentConfig(kernel=kernel, resolution=4, ratios=(1.0, ratio), methods=("nn", "sm0"))
         scn = cfg.scenario(ratio)
         with pytest.raises(NotPositiveDefiniteError) as alone:
             sensor_factor(scn.correlation, list(scn.sensors))
-        evals = _grid_evals(cfg)
-        first = next(evals)
-        want = next(_grid_evals(replace(cfg, ratios=(1.0,))))
-        assert all(first[m].rmse.tobytes() == want[m].rmse.tobytes() for m in cfg.methods)
+        log = record_engine_work(monkeypatch, tmp_path)
+        monkeypatch.setattr(analysis, "sm0_weight_rows", lambda *args: append_line(log, "sm0_weight_rows"))
         with pytest.raises(ConfigError) as exc:
-            next(evals)
+            _grid_evals(cfg)
         assert str(exc.value) == f"gaussian kernel at spacing ratio {ratio} is outside the numeric range: {alone.value}"
+        assert read_lines(log) == []
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize(
+        "mode, factor", [("analytic", "sensor"), ("mc", "sensor"), ("both", "sensor"), ("mc", "joint"), ("both", "joint")]
+    )
+    def test_failing_run_does_no_engine_work(self, monkeypatch, tmp_path, mode, factor, threads):
+        # the last ratio's sensor or joint factor fails: no normal is drawn and the analytic engine
+        # is not called, in this process or a forked worker, and the failing ratio is named
+        cfg = ExperimentConfig(resolution=4, mode=mode, realizations=50, ratios=(0.5, 1.0), methods=("nn", "sm1"))
+        if factor == "sensor":
+            self._second_sensor_factor_fails(monkeypatch)
+            cause = "matrix is not positive definite: pivot 2 is -1"
+        else:
+            cause = self._point_five_indefinite_at_ratio_one(monkeypatch, cfg)
+        log = record_engine_work(monkeypatch, tmp_path)
+        with pytest.raises(ConfigError) as exc:
+            sweep(cfg, threads=threads)
+        assert str(exc.value) == f"exponential kernel at spacing ratio 1.0 is outside the numeric range: {cause}"
+        assert read_lines(log) == []
+
+    @pytest.mark.parametrize(
+        "mode, earlier, later",
+        [
+            (mode, *pair)
+            for mode in ("analytic", "mc", "both")
+            for pair in zip(list(REFUSALS), list(REFUSALS)[1:])
+            if mode != "analytic" or "lost sigma" not in pair  # analytic mode never loses sigma
+        ]
+        + [("analytic", "lost medians", "last-ratio factor")],
+    )
+    def test_a_refused_run_names_the_first_cause_in_order(self, monkeypatch, mode, earlier, later):
+        # the later cause alone is named; with the earlier one too, the earlier one is
+        base = ExperimentConfig(resolution=3, mode=mode, realizations=20, ratios=(0.5, 1.0), methods=("nn", "sm1"))
+        if later == "last-ratio factor":
+            self._second_sensor_factor_fails(monkeypatch)
+        for causes in ((later,), (earlier, later)):
+            cfg = replace(base, **{k: v for c in causes for k, v in REFUSALS[c][0].items()})
+            with pytest.raises(ConfigError) as exc:
+                sweep(cfg)
+            want = REFUSALS[causes[0]][1].format(kernel=cfg.kernel, ratio=cfg.ratios[0])
+            assert str(exc.value) == want, causes
 
     @pytest.mark.parametrize("mode", ["analytic", "mc"])
     def test_gaussian_far_past_its_range_is_the_zero_correlation_limit(self, mode):
         # at ratio 1e200, (d / xc)^2 overflows and exp(-inf) = 0: every correlation is exactly 0,
         # as it is for the exponential kernel, and sm0's error is sigma itself
-        surfaces = {}
+        evals = {}
         for kernel in ("gaussian", "exponential"):
             cfg = ExperimentConfig(kernel=kernel, resolution=3, ratios=(1e200,), mode=mode, realizations=40)
-            surfaces[kernel] = next(_grid_evals(cfg))
-        for m, surface in surfaces["gaussian"].items():
-            assert surface.rmse.tobytes() == surfaces["exponential"][m].rmse.tobytes(), m
-            assert surface.spatial_rmse == surfaces["exponential"][m].spatial_rmse, m
+            _, engines, spatial, _ = _grid_evals(cfg)
+            evals[kernel] = engines[mode], spatial[mode]
+        for got, want in zip(evals["gaussian"], evals["exponential"]):
+            assert got.shape[:2] == (1, len(cfg.methods)) and got.tobytes() == want.tobytes()
         if mode == "analytic":
-            assert np.all(surfaces["gaussian"]["sm0"].rmse == 5.0)
+            assert np.all(evals["gaussian"][0][0, cfg.methods.index("sm0")] == 5.0)
         scn = ExperimentConfig(kernel="gaussian").scenario(1e200)
         with warnings.catch_warnings():
             warnings.simplefilter("error")

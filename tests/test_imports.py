@@ -91,3 +91,26 @@ print(json.dumps([
 ]))
 """
     assert run_fresh(code, tmp_path) == [True, True]
+
+
+def test_perfbench_span_keys_name_public_functions():
+    # perfbench/tracer.py records a span for each "layer.function" key of its SPANS set and wraps
+    # only the public functions a layer defines: a refactor that renames, hides or moves one of them
+    # would drop its span silently
+    import ast
+    import importlib
+    import types
+
+    tree = ast.parse((Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py").read_text())
+    (spans,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["SPANS"]
+    ]
+    assert "harness.sweep" in spans and "harness.grid_rmse" in spans
+    for key in sorted(spans):
+        layer, name = key.split(".")
+        module = importlib.import_module(f"radiomap.{layer}")
+        fn = getattr(module, name, None)
+        assert not name.startswith("_") and isinstance(fn, types.FunctionType), key
+        assert fn.__module__ == module.__name__, key
