@@ -7,6 +7,18 @@ closed form and by Monte Carlo simulation.
 
 __version__ = "0.1.0"
 
+import os
+
+# OpenBLAS starts its worker pool when numpy loads, and the spare thread spins
+# through the rest of the import; radiomap's parallelism is its own forked
+# workers, and its products are small. So it asks for one BLAS thread before
+# the first import that loads numpy, unless the caller has chosen a count, and
+# leaves the variable set for scipy's own OpenBLAS, loaded at the first normal
+# draw. A process that loaded numpy first keeps numpy's pool (README, "One
+# BLAS thread by default").
+if not any(name in os.environ for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from .geometry import Point, QueryGrid, Scenario, build_square_scenario, distance, make_grid
 from .correlation import (
     CorrelationModel,

@@ -16,20 +16,20 @@ what does not depend on the model (median powers and log distances from
 one pass over the emitter distances, the geometry-only methods' weights).
 sweep_covariances() then builds what does, once for both engines: one
 kernel pass for the K sensor covariances Cn, one for the K cross-covariance
-tables C0, and, only when a method takes the solve (by the estimators'
-method table), one stacked Cholesky call for every Cn and, when every
-one factors, one sm0_weight_rows() call for every point's weights under
-every model.
+tables C0, only when a method takes the solve (by the estimators'
+method table) one stacked Cholesky call for every Cn, for the Monte Carlo
+route one call for every point's joint factors under every model, and,
+when every factor holds, one sm0_weight_rows() call for every point's
+weights under every model: a sweep that cannot run solves nothing.
 grid_analytic_rmse() evaluates every method at every point under the K
 models as one (K, N, .) stack: the geometry-only methods' error rows are
 formed once for all K, and one grouped quadratic form covers the stack.
-The Monte Carlo route assembles its joint factors from the same stacks and
-reads the same weights (_weight_stacks). Row k of the result has the bits
-of a call with models[k] alone. error_form() is the engine's row at one
-point and analytic_rmse() shares its quadratic form, so the library API
-and the self-checks run the engine the CLI ships. The hand-written
-coefficient expansion for the fitted-correlation method exists only as a
-cross-check.
+The Monte Carlo route reads the same weights (_weight_stacks). Row k of
+the result has the bits of a call with models[k] alone. error_form() is
+the engine's row at one point and analytic_rmse() shares its quadratic
+form, so the library API and the self-checks run the engine the CLI ships.
+The hand-written coefficient expansion for the fitted-correlation method
+exists only as a cross-check.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .correlation import CorrelationModel, covariance_matrix, cross_covariance, 
 from .linalg import NotPositiveDefiniteError, cholesky_stack, solve_cholesky
 from .estimators import FitRows, _SOLVE, _SOLVED, _UNBIASED, _affine_rows, _emitter_rows, _estimator, _log_distances
 from .estimators import _lse_denominator, geometry_weights, sensor_factor, sm0_weight_rows, sm0_weights
+from .field import joint_factors
 
 __all__ = [
     "AffineErrorForm",
@@ -215,35 +216,47 @@ class SweepCovariances:
 
     c_n holds each model's (n, n) sensor covariance Cn and c_0 its (N, n)
     covariances C0 at the forms' points, each with the bits it has alone.
-    error is the NotPositiveDefiniteError of the first Cn that does not
-    factor, its index the model's. solved holds every model's (K, N, n)
-    weights at the points, each row with the bits of sm0_weights() there
-    alone. Both are None unless a method takes the solve, and solved is
-    None when a Cn fails: nothing is solved for a sweep that cannot run.
+    joint holds the Monte Carlo route's (K, N, n+1, n+1) joint factors, or
+    None when they were not asked for. error is the NotPositiveDefiniteError
+    of the lowest model whose Cn (when a method takes the solve) or whose
+    joint covariance at some point (when joint is built) does not factor,
+    and failed that model's index; at one model Cn's error wins over its
+    lowest failing point's, whose index is the point's in the flattened
+    (model, point) stack. solved holds every model's (K, N, n) weights at
+    the points, each row with the bits of sm0_weights() there alone, or None
+    unless a method takes the solve: nothing is solved for a sweep that
+    cannot run.
     """
 
     c_n: np.ndarray
     c_0: np.ndarray
+    joint: np.ndarray | None
     solved: np.ndarray | None
+    failed: int | None
     error: NotPositiveDefiniteError | None
 
 
-def sweep_covariances(forms: GridForms, models: list[CorrelationModel]) -> SweepCovariances:
-    """The models' Cn and C0 stacks at the forms' points, one kernel pass each, and the solve in one call.
+def sweep_covariances(forms: GridForms, models: list[CorrelationModel], joint: bool = False) -> SweepCovariances:
+    """The models' Cn and C0 stacks at the forms' points, one kernel pass each, their factors, and the solve in one call.
 
     Only when a method takes the solve, the Cn are factored in one stacked
-    call and, when every one is positive definite, solved in one
-    sm0_weight_rows() call. A sigma^2 that overflows raises the kernel's
-    OverflowError.
+    call. With joint, every point's joint covariance under every model is
+    factored in one field.joint_factors() call as well. Only when every
+    factor holds are the weights solved, in one sm0_weight_rows() call. A
+    sigma^2 that overflows raises the kernel's OverflowError.
     """
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # near the double range, the finiteness checks name what goes wrong
         c_n = cross_covariance_stack(models, forms.sensors, forms.sensors)
         c_0 = cross_covariance_stack(models, forms.xy, forms.sensors)
-        if _SOLVED.isdisjoint(forms.methods):
-            return SweepCovariances(c_n, c_0, None, None)
-        factors, error = cholesky_stack(c_n.copy())
-        solved = sm0_weight_rows(factors, c_0) if error is None else None
-    return SweepCovariances(c_n, c_0, solved, error)
+        factors, error = (None, None) if _SOLVED.isdisjoint(forms.methods) else cholesky_stack(c_n.copy())
+        failed = None if error is None else error.index
+        lower = None
+        if joint:
+            lower, point_error = joint_factors(c_0, c_n)
+            if point_error is not None and (failed is None or point_error.index // c_0.shape[1] < failed):
+                failed, error = point_error.index // c_0.shape[1], point_error
+        solved = sm0_weight_rows(factors, c_0) if factors is not None and error is None else None
+    return SweepCovariances(c_n, c_0, lower, solved, failed, error)
 
 
 def _weight_stacks(forms: GridForms, cov: SweepCovariances) -> dict[str, np.ndarray]:

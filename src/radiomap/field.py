@@ -33,8 +33,9 @@ reads first and the key then overrides.
 
 The inverse CDF is scipy.special.ndtri. It is imported at the first draw,
 not with this module: importing scipy.special costs a fresh interpreter
-about 0.3 s on a 2-core Xeon VM, and analytic runs never draw a normal, so
-they never pay it.
+that has loaded numpy about 0.29 s on a 2-core Xeon VM (median of 8, on
+one BLAS thread or on the default pool alike), and analytic runs never
+draw a normal, so they never pay it.
 Later draws find it in sys.modules. Where it is imported changes no bit.
 
 Layout

@@ -45,10 +45,9 @@ import numpy as np
 
 from .geometry import DegenerateGeometryError, Point, QueryGrid, Scenario, build_square_scenario, coordinates, make_grid
 from .correlation import CorrelationModel, KERNEL_KINDS, EXPONENTIAL
-from .field import _check_stream_keys, correlate_normals, joint_factors, standard_normal_block
+from .field import _check_stream_keys, correlate_normals, standard_normal_block
 from .estimators import ALL_METHODS, OutsideHullError, _DEVIATIONS, _RESIDUALS, _UNBIASED, _estimator, lse_fit
 from .analysis import GridForms, SweepCovariances, _weight_stacks, grid_analytic_rmse, grid_forms, sweep_covariances
-from .linalg import NotPositiveDefiniteError
 
 __all__ = [
     "CORRELATION_KEYS",
@@ -297,10 +296,10 @@ def _power_of_two_above(magnitudes: np.ndarray, axis: int | None = None) -> np.n
 # results stay independent checks of one another. A point's normals depend
 # on its stream alone, so one draw serves every ratio.
 #
-# Set-up (_mc_setup) runs before any draw: one in-place factor of every
-# point's joint covariance under every ratio, the first failing ratio and
-# its error returned as values; the solve weights are the analytic
-# engine's. Past set-up nothing
+# Set-up runs before any draw, in analysis.sweep_covariances(joint=True):
+# one in-place factor of every point's joint covariance under every ratio,
+# decided before the solve weights, which are the analytic engine's, and the
+# first failing ratio and its error returned as values. Past set-up nothing
 # fails: the fit's constants were checked with the forms, and the kernel runs
 # with numpy's errors off, its inf and NaN named later by the finiteness checks.
 #
@@ -320,21 +319,6 @@ def _power_of_two_above(magnitudes: np.ndarray, axis: int | None = None) -> np.n
 # caller runs no thread of its own, so otherwise, and where os.fork is
 # missing, the tasks run on a thread pool. Streams keyed by point make the
 # split invisible in the bits.
-
-
-def _mc_setup(cov: SweepCovariances) -> tuple[np.ndarray, int | None, NotPositiveDefiniteError | None]:
-    """The (K, N, n+1, n+1) joint factors of every ratio, the first ratio that fails and its error, or None and None.
-
-    The joint factors are one joint_factors() call. The lowest failing
-    ratio wins; at one ratio its sensor factor's error (cov.error) wins
-    over the joint factor of its lowest failing point.
-    """
-    with np.errstate(all="ignore"):  # near the double range, the finiteness checks name what goes wrong
-        joint, error = joint_factors(cov.c_0, cov.c_n)
-    failed = None if error is None else error.index // cov.c_0.shape[1]
-    if cov.error is not None and (failed is None or cov.error.index <= failed):
-        return joint, cov.error.index, cov.error
-    return joint, failed, error
 
 
 # Least sigma_db a Monte Carlo run takes, as a fraction of the largest median
@@ -440,11 +424,11 @@ def _mc_block_rmse(
     """Write the RMS prediction error of each method at a block of points under each scenario into out.
 
     cov is the sweep's covariances, whose weights the methods apply, joint
-    _mc_setup's factors for its K scenarios, block holds the points' indices
-    into the forms, indices[i] keys point i's stream, ws is the calling
-    task's workspace, with room for the block, and out the (K, M, N)
-    RMSEs, M methods in the order of forms.methods: the block writes
-    out[:, :, block]. Each point's results have the bits of a block of one.
+    their joint factors for its K scenarios (cov.joint), block holds the
+    points' indices into the forms, indices[i] keys point i's stream, ws
+    is the calling task's workspace, with room for the block, and out the
+    (K, M, N) RMSEs, M methods in the order of forms.methods: the block
+    writes out[:, :, block]. Each point's results have the bits of a block of one.
     """
     n, points = len(forms.pm), len(block)
     # each method's applied-to family, from the method table, and its weights under each scenario
@@ -498,30 +482,29 @@ def _mc_block_ratio(
 def _mc_rmse(
     forms: GridForms,
     cov: SweepCovariances,
-    joint: np.ndarray,
     indices: Sequence[int],
     realizations: int,
     master_seed: int,
     threads: int = 1,
-    error: NotPositiveDefiniteError | None = None,
 ) -> np.ndarray:
     """(K, M, N) Monte Carlo RMSEs of each method at every point of the forms under cov's K ratios, one task per chunk of points.
 
-    cov is the sweep's covariances, joint and error _mc_setup's factors of
-    them and its error. indices[i] keys point i's stream. Before any draw,
-    ValueError names a stream key outside the unsigned 64-bit range, then
-    realizations that are not an integer of at least 1; then error is
-    raised; then ValueError names a sigma (each joint factor's [0, 0]
-    entry) lost in the round-off of the median powers. Tasks after the
-    first run in forked workers (_run_forked) when os.fork exists and the
-    caller runs no other thread, and on a thread pool otherwise.
+    cov is the sweep's covariances, with their joint factors (joint=True).
+    indices[i] keys point i's stream. Before any draw, ValueError names a
+    stream key outside the unsigned 64-bit range, then realizations that
+    are not an integer of at least 1; then cov.error is raised; then
+    ValueError names a sigma (each joint factor's [0, 0] entry) lost in
+    the round-off of the median powers. Tasks after the first run in
+    forked workers (_run_forked) when os.fork exists and the caller runs
+    no other thread, and on a thread pool otherwise.
     """
     for index in (min(indices), max(indices)):
         _check_stream_keys(master_seed=master_seed, point_index=index)
     if not _accepts(0, realizations) or realizations < 1:
         raise ValueError(f"realizations must be an integer of at least 1, got {realizations!r}")
-    if error is not None:
-        raise error
+    if cov.error is not None:
+        raise cov.error
+    joint = cov.joint
     if lost := _lost_sigma(forms, float(joint[..., 0, 0].min())):
         raise ValueError(f"sigma is too small for Monte Carlo: {lost}")
     n_points = len(forms.xy)
@@ -636,9 +619,8 @@ def point_rmse_mc(
     NotPositiveDefiniteError next, before any draw as well.
     """
     forms = grid_forms(scn, coordinates([p0]), (method,), nu)
-    cov = sweep_covariances(forms, [scn.correlation])
-    joint, _, error = _mc_setup(cov)
-    return float(_mc_rmse(forms, cov, joint, [point_index], realizations, master_seed, error=error)[0, 0, 0])
+    cov = sweep_covariances(forms, [scn.correlation], joint=True)
+    return float(_mc_rmse(forms, cov, [point_index], realizations, master_seed)[0, 0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -709,22 +691,22 @@ def _grid_evals(
             if (grid.xy == (config.emitter.x, config.emitter.y)).all(axis=1).any():
                 raise DegenerateGeometryError(f"coincides with a query point of the resolution-{config.resolution} grid")
             forms = grid_forms(config.scenario(ratios[0]), grid.xy, methods, config.nu)
-            cov = sweep_covariances(forms, [config.correlation_for_ratio(ratio) for ratio in ratios])
+            cov = sweep_covariances(forms, [config.correlation_for_ratio(ratio) for ratio in ratios], joint=mc)
     except DegenerateGeometryError as err:
         raise DegenerateGeometryError(f"emitter at ({config.emitter.x:g}, {config.emitter.y:g}): {err}") from err
     except (OutsideHullError, ArithmeticError) as err:
         # grid points lie strictly inside the sensor hull, so these come only from doubles out of
         # range, at every ratio alike: a sigma^2 that overflows, say
         raise _out_of_range(config, ratios[0], err) from err
-    joint, failed, error = _mc_setup(cov) if mc else (None, getattr(cov.error, "index", None), cov.error)
+    error = cov.error
     underflow = f"sigma^2 underflows a double at sigma = {config.sigma_db!r} dB"
     failure = None
     if error is not None:  # pivot 0 is sigma^2 itself: a failure there is its underflow to 0
-        failure = _out_of_range(config, ratios[failed], underflow if error.pivot_index == 0 else error)
+        failure = _out_of_range(config, ratios[cov.failed], underflow if error.pivot_index == 0 else error)
         failure.__cause__ = error
     if config.sigma_db**2 < np.finfo(float).tiny and not _UNBIASED.isdisjoint(methods):
         raise _out_of_range(config, ratios[0], underflow)
-    if failed == 0:
+    if cov.failed == 0:
         raise failure
     if lost := _lost_medians(forms, config):
         raise _out_of_range(config, ratios[0], lost)
@@ -739,7 +721,7 @@ def _grid_evals(
             engines["analytic"] = np.stack([rmse[m] for m in methods], axis=1)
         if mc:
             indices = range(len(grid.xy))
-            engines["mc"] = _mc_rmse(forms, cov, joint, indices, config.realizations, config.master_seed, threads)
+            engines["mc"] = _mc_rmse(forms, cov, indices, config.realizations, config.master_seed, threads)
         spatial = {engine: _spatial_rows(rmse) for engine, rmse in engines.items()}
         stderr = _spatial_stderr(engines["mc"], config.realizations, spatial["mc"]) if mc else None
     return grid.xy, engines, spatial, stderr

@@ -52,7 +52,7 @@ from .analysis import (
     sm0_sigma0,
     sweep_covariances,
 )
-from .harness import ExperimentConfig, _mc_rmse, _mc_setup, check_master_seed
+from .harness import ExperimentConfig, _mc_rmse, check_master_seed
 
 __all__ = [
     "CheckResult",
@@ -197,9 +197,8 @@ def check_analytic_vs_mc(
     """
     scns = [_table_scenario(ratio) for ratio in ratios]
     forms = grid_forms(scns[0], coordinates([p for _, p in points]), tuple(methods))
-    cov = sweep_covariances(forms, [scn.correlation for scn in scns])
-    joint, _, error = _mc_setup(cov)
-    mc = _mc_rmse(forms, cov, joint, [index for index, _ in points], realizations, master_seed, error=error)
+    cov = sweep_covariances(forms, [scn.correlation for scn in scns], joint=True)
+    mc = _mc_rmse(forms, cov, [index for index, _ in points], realizations, master_seed)
     analytic = grid_analytic_rmse(forms, cov)
     expected = np.stack([analytic[m] for m in methods], axis=1)  # (K, M, N), as mc
     z = np.abs(mc - expected) / (expected / math.sqrt(2.0 * realizations))

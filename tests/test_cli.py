@@ -1,13 +1,11 @@
 import contextlib
 import csv
-import importlib.util
 import io
 import json
 import math
 import os
 import re
 import signal
-import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -728,19 +726,6 @@ def test_any_grid_gives_finite_csv_or_a_named_exit(doc, method, ratio, mode):
             assert code in (2, 3) and err.getvalue().strip()
 
 
-def _load_perfbench_workloads():
-    """perfbench/workloads.py, loaded by path: the workload configs and the reference checker."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up there
-    spec.loader.exec_module(module)
-    return module
-
-
-PERFBENCH = _load_perfbench_workloads()
-
-
 # The CSV contract: the benchmark's recorded outputs, which hold the CSVs of
 # the sweep and grid commands to within 1e-9 dB. They were recorded on one
 # thread; the Monte Carlo ones hold at any thread count.
@@ -753,12 +738,12 @@ PERFBENCH = _load_perfbench_workloads()
         pytest.param("sweep-mc", 0, 2, id="sweep-mc-0-threads2"),
     ],
 )
-def test_outputs_match_recorded_benchmark_reference(tmp_path, name, seed, threads):
-    workload = PERFBENCH.WORKLOADS[name]
+def test_outputs_match_recorded_benchmark_reference(tmp_path, perfbench, name, seed, threads):
+    workload = perfbench.WORKLOADS[name]
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(workload.config(seed)))
     out = tmp_path / "out"
     assert main(workload.argv(str(cfg), str(out), threads=threads)) == 0
-    reference = PERFBENCH.load_reference(workload, seed)
+    reference = perfbench.load_reference(workload, seed)
     assert reference is not None
-    assert PERFBENCH.check_outputs(workload, out, reference) == []
+    assert perfbench.check_outputs(workload, out, reference) == []

@@ -35,7 +35,6 @@ from radiomap.harness import (
     _grid_evals,
     _mc_block_rmse,
     _mc_rmse,
-    _mc_setup,
     _McWorkspace,
     _rms_rows,
     _spatial_stderr,
@@ -261,6 +260,31 @@ class TestPointRmseMc:
         with pytest.raises(ValueError, match="^sigma is too small for Monte Carlo: 1e-150 dB"):
             validation.check_analytic_vs_mc(1, realizations=50)
 
+    @pytest.mark.parametrize("entry", ["point_rmse_mc", "check_analytic_vs_mc"])
+    def test_failed_joint_factor_refused_before_any_solve(self, monkeypatch, table_scenario, entry):
+        # the joint factors are decided before the sm0 weights are solved: a failing one raises its
+        # error, and nothing is solved or drawn
+        from radiomap import analysis, harness, validation
+
+        error = NotPositiveDefiniteError(2, -1.0, index=0)
+        factor = analysis.joint_factors
+
+        def failing(c_0, c_n):
+            return factor(c_0, c_n)[0], error
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("solved or drew")
+
+        monkeypatch.setattr(analysis, "joint_factors", failing)
+        monkeypatch.setattr(analysis, "sm0_weight_rows", no_work)
+        monkeypatch.setattr(harness, "standard_normal_block", no_work)
+        with pytest.raises(NotPositiveDefiniteError) as exc:
+            if entry == "point_rmse_mc":
+                point_rmse_mc(table_scenario, Point(99.0, 99.0), "sm0", 50, master_seed=1)
+            else:
+                validation.check_analytic_vs_mc(1, realizations=50)
+        assert exc.value is error
+
 
 class TestForkedWorkers:
     """Forked Monte Carlo workers give the bytes of a thread pool and of one thread, and none outlives its call."""
@@ -272,9 +296,8 @@ class TestForkedWorkers:
         cfg = self.cfg
         scns = [cfg.scenario(r) for r in cfg.ratios]
         forms = grid_forms(scns[0], cfg.grid().xy, cfg.methods, cfg.nu)
-        cov = sweep_covariances(forms, [scn.correlation for scn in scns])
-        joint, _, _ = _mc_setup(cov)
-        return _mc_rmse(forms, cov, joint, range(9), cfg.realizations, cfg.master_seed, threads)
+        cov = sweep_covariances(forms, [scn.correlation for scn in scns], joint=True)
+        return _mc_rmse(forms, cov, range(9), cfg.realizations, cfg.master_seed, threads)
 
     @staticmethod
     def assert_no_child_left():
@@ -353,13 +376,12 @@ class TestMcWorkspace:
 
     @staticmethod
     def setup_for(cfg, xy):
-        """The scenarios, the forms, their covariances and _mc_setup's joint factors of cfg's ratios at the rows of xy."""
+        """The scenarios, the forms, their covariances and joint factors of cfg's ratios at the rows of xy."""
         scns = [cfg.scenario(r) for r in cfg.ratios]
         forms = grid_forms(scns[0], xy, cfg.methods, cfg.nu)
-        cov = sweep_covariances(forms, [scn.correlation for scn in scns])
-        joint, failed, error = _mc_setup(cov)
-        assert failed is error is None
-        return scns, forms, cov, joint
+        cov = sweep_covariances(forms, [scn.correlation for scn in scns], joint=True)
+        assert cov.failed is cov.error is None
+        return scns, forms, cov, cov.joint
 
     @pytest.mark.parametrize("kernel", ["exponential", "gaussian", "elliptical"])
     def test_sm0_rows_match_one_point_weights_bit_for_bit(self, kernel):
@@ -811,15 +833,21 @@ class TestSweep:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_failed_joint_factor_raises_at_its_ratio_naming_its_pivot(self, monkeypatch, tmp_path, threads):
-        cfg = ExperimentConfig(resolution=4, mode="mc", realizations=50, ratios=(0.5, 1.0, 2.0), methods=("nn", "sm2"))
+        # sm1 takes the solve, and the joint factors are decided before it: nothing is solved
+        from radiomap import analysis
+
+        methods = ("nn", "sm1", "sm2")
+        cfg = ExperimentConfig(resolution=4, mode="mc", realizations=50, ratios=(0.5, 1.0, 2.0), methods=methods)
         alone = self._point_five_indefinite_at_ratio_one(monkeypatch, cfg)
         log = record_engine_work(monkeypatch, tmp_path)
+        solves, solve = [], analysis.sm0_weight_rows
+        monkeypatch.setattr(analysis, "sm0_weight_rows", lambda *args: solves.append(1) or solve(*args))
         with pytest.raises(ConfigError) as exc:
             _grid_evals(cfg, threads=threads)
         assert str(exc.value) == f"exponential kernel at spacing ratio 1.0 is outside the numeric range: {alone}"
         assert isinstance(exc.value.__cause__, NotPositiveDefiniteError)
         assert exc.value.__cause__.index == 16 + 5  # point 5 of ratio 1.0 in the set-up's (ratio, point) stack
-        assert read_lines(log) == []
+        assert read_lines(log) == [] and solves == []
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_sensor_factor_failure_takes_precedence_over_a_later_joint_factor(self, monkeypatch, tmp_path, threads):
@@ -840,12 +868,13 @@ class TestSweep:
 
     @pytest.mark.parametrize("failing", [0, 1])
     def test_setup_stops_at_the_first_failing_ratio(self, monkeypatch, tmp_path, failing):
-        # one joint_factors call covers every ratio and names the failing one, and _mc_rmse raises
-        # its error before any point draws, whichever ratio fails. Every process's draws go to one file.
-        from radiomap import harness
+        # one joint_factors call covers every ratio and names the failing one, nothing is solved, and
+        # _mc_rmse raises its error before any point draws, whichever ratio fails. Every process's
+        # draws go to one file.
+        from radiomap import analysis, harness
 
         cfg = ExperimentConfig(resolution=3, mode="mc", realizations=20, ratios=(0.5, 1.0, 2.0), methods=("nn", "sm0"))
-        factor, draw = harness.joint_factors, harness.standard_normal_block
+        factor, draw = analysis.joint_factors, harness.standard_normal_block
         factored, log = [], tmp_path / "draws"
         error = NotPositiveDefiniteError(1, -1.0, index=9 * failing + 4)  # point 4 of the failing ratio
 
@@ -858,16 +887,16 @@ class TestSweep:
             append_line(log, point_index)
             return draw(master_seed, point_index, *args, **kwargs)
 
-        monkeypatch.setattr(harness, "joint_factors", recorded)
+        monkeypatch.setattr(analysis, "joint_factors", recorded)
         monkeypatch.setattr(harness, "standard_normal_block", drawn)
         scns = [cfg.scenario(r) for r in cfg.ratios]
         forms = grid_forms(scns[0], cfg.grid().xy, cfg.methods)
-        cov = sweep_covariances(forms, [scn.correlation for scn in scns])
-        joint, failed, got = harness._mc_setup(cov)
+        cov = sweep_covariances(forms, [scn.correlation for scn in scns], joint=True)
         assert factored == [(3, 9, 4)]
-        assert got is error and failed == failing and joint.shape == (3, 9, 5, 5)
+        assert cov.error is error and cov.failed == failing and cov.joint.shape == (3, 9, 5, 5)
+        assert cov.solved is None
         with pytest.raises(NotPositiveDefiniteError) as exc:
-            harness._mc_rmse(forms, cov, joint, range(9), cfg.realizations, cfg.master_seed, threads=2, error=got)
+            harness._mc_rmse(forms, cov, range(9), cfg.realizations, cfg.master_seed, threads=2)
         assert exc.value is error
         assert read_lines(log) == []
 

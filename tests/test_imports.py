@@ -1,12 +1,15 @@
-"""Which calls import scipy, each checked in a fresh interpreter.
+"""What importing radiomap brings in, each case checked in a fresh interpreter.
 
 field.standard_normal_block imports scipy.special.ndtri at the first normal
 draw, so importing radiomap and every analytic call stay numpy-only, while a
-Monte Carlo call brings scipy in. Other tests import scipy into the test
-process, so each case runs in a child interpreter that imports radiomap from
-the same directory as this test did.
+Monte Carlo call brings scipy in. Importing radiomap asks OpenBLAS for one
+thread unless the caller chose a count, and that moves no bit. Other tests
+import scipy into the test process, and importing radiomap there set its
+BLAS thread variable, so each case runs in a child interpreter that imports
+radiomap from the same directory as this test did.
 """
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -21,15 +24,30 @@ SRC_DIR = str(Path(radiomap.__file__).resolve().parent.parent)
 
 CONFIG = {"resolution": 2, "realizations": 20, "ratios": [0.5, 1.0], "master_seed": 7, "mode": "analytic"}
 
+# The variables that set OpenBLAS's thread count, in the order it reads them.
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
-def run_fresh(code: str, cwd: Path) -> list:
-    """Run code in a fresh interpreter and return the JSON of its last stdout line."""
+
+def start_fresh(code: str, cwd: Path, blas: dict[str, str] | None = None) -> subprocess.Popen:
+    """Start code in a fresh interpreter; with blas, its environment holds these BLAS thread variables in place of ours."""
     env = {**os.environ, "PYTHONPATH": SRC_DIR}
-    proc = subprocess.run(
-        [sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
+    if blas is not None:
+        env = {**{k: v for k, v in env.items() if k not in BLAS_VARIABLES}, **blas}
+    return subprocess.Popen(
+        [sys.executable, "-c", code], cwd=cwd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
     )
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def finish(proc: subprocess.Popen) -> list:
+    """Wait for a fresh interpreter and return the JSON of its last stdout line."""
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    return json.loads(out.splitlines()[-1])
+
+
+def run_fresh(code: str, cwd: Path, blas: dict[str, str] | None = None) -> list:
+    """Run code in a fresh interpreter and return the JSON of its last stdout line."""
+    return finish(start_fresh(code, cwd, blas))
 
 
 _CLI = "from radiomap.cli import main; code = main({argv!r})"
@@ -114,3 +132,61 @@ def test_perfbench_span_keys_name_public_functions():
         fn = getattr(module, name, None)
         assert not name.startswith("_") and isinstance(fn, types.FunctionType), key
         assert fn.__module__ == module.__name__, key
+
+
+# OpenBLAS runs no more threads than the process may use CPUs.
+_TWO = min(2, len(os.sched_getaffinity(0))) if hasattr(os, "sched_getaffinity") else 2
+_MC_SWEEP = _CLI.format(argv=["sweep", "config.json", "out", "--mode", "mc"]) + "; assert 'scipy.special' in sys.modules"
+_POLICY = {
+    "default": ("import radiomap.cli", {}, ["1", 1]),
+    "default-after-mc-sweep": (_MC_SWEEP, {}, ["1", 1]),
+    "openblas-preset": ("import radiomap.cli", {"OPENBLAS_NUM_THREADS": "2"}, ["2", _TWO]),
+    "omp-preset": ("import radiomap.cli", {"OMP_NUM_THREADS": "2"}, [None, _TWO]),
+}
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc/self/task")
+@pytest.mark.parametrize("call, blas, expected", _POLICY.values(), ids=_POLICY.keys())
+def test_one_blas_thread_unless_the_caller_chose(tmp_path, call, blas, expected):
+    # the variable radiomap leaves set and the threads of the process: numpy's OpenBLAS, and
+    # scipy's own, loaded at the first draw, start none of their own at one thread
+    (tmp_path / "config.json").write_text(json.dumps(CONFIG))
+    code = f"""import json, os, sys
+{call}
+print(json.dumps([os.environ.get("OPENBLAS_NUM_THREADS"), len(os.listdir("/proc/self/task"))]))
+"""
+    assert run_fresh(code, tmp_path, blas=blas) == expected
+
+
+def _policy_calls(perfbench, tmp_path: Path, case: str) -> list[list[str]]:
+    """A case's CLI calls, their configs written under tmp_path, each call with its own output directory."""
+    if case == "analytic-res256":  # an analytic sweep whose c @ c_n products OpenBLAS splits over its default pool
+        analytic = dataclasses.replace(perfbench.WORKLOADS["sweep-analytic"], resolution=256)
+        (tmp_path / "res256.json").write_text(json.dumps({**analytic.config(3), "ratios": [0.3, 3.0]}))
+        return [analytic.argv("res256.json", "res256")]
+    calls = []
+    for name, workload in perfbench.WORKLOADS.items():
+        workload = perfbench.toy(workload)
+        (tmp_path / f"{name}.json").write_text(json.dumps(workload.config(3)))
+        calls += [workload.argv(f"{name}.json", f"{name}-{t}", threads=t) for t in (1, 2)]
+    return calls
+
+
+@pytest.mark.parametrize("case, csvs", [("perfbench-toy", 8), ("analytic-res256", 1)])
+def test_blas_thread_policy_moves_no_bit(tmp_path, perfbench, case, csvs):
+    # radiomap imported first (one BLAS thread) against numpy imported first under a pool of two:
+    # the same CSV bytes. The two sides run at once.
+    calls = _policy_calls(perfbench, tmp_path, case)
+    sides = {"one": ("", {}), "pool": ("import numpy", {"OPENBLAS_NUM_THREADS": "2"})}
+    procs = []
+    for side, (first, blas) in sides.items():
+        argvs = [[*argv[:2], f"{side}/{argv[2]}", *argv[3:]] for argv in calls]
+        code = f"""import json
+{first}
+from radiomap.cli import main
+print(json.dumps([main(argv) for argv in {argvs!r}]))
+"""
+        procs.append(start_fresh(code, tmp_path, blas=blas))
+    assert [finish(proc) for proc in procs] == [[0] * len(calls)] * 2
+    one, pool = ({str(p.relative_to(tmp_path / s)): p.read_bytes() for p in (tmp_path / s).rglob("*.csv")} for s in sides)
+    assert one == pool and len(one) == csvs
