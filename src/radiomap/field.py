@@ -26,7 +26,12 @@ where x >> 11 is 2^53 - 1 the sum rounds up to 2^53, and the word maps to
 every normal is finite. The variates for (master_seed, point_index,
 realization_index) are therefore a pure function of those three integers,
 independent of how many realizations are requested, in what order, or on
-how many threads. sample_shadow() is that statement for one realization.
+how many threads. A realization's shadows are its point's joint factor
+times its normals, one BLAS product per point, with the same bits whatever
+the call holds: any number of points or realizations, either layout, any
+worker or BLAS thread count. One realization is the first column of a
+two-column product, as numpy's one-column gemv has other bits.
+sample_shadow() is that statement for one realization.
 Each stream's generator is seeded explicitly and keyed through its state:
 the words of Philox(key=...), without the OS entropy that Philox(key=...)
 reads first and the key then overrides.
@@ -44,7 +49,8 @@ Blocks of realizations are stored sensor-major: one contiguous row per
 variate (the query point first, then each sensor), each row running over
 all realizations. The functions return the documented (realizations,
 variates) shapes as transposed views of those rows, so every elementwise
-pass and every sum over sensors runs along whole contiguous rows.
+pass and every sum over sensors runs along whole contiguous rows, and the
+row correlation is one (n+1, n+1) x (n+1, R) product.
 """
 
 from __future__ import annotations
@@ -175,31 +181,23 @@ def standard_normal_block(
     return _normal_rows(bitgen.random_raw(realizations * words).reshape(realizations, words), n_variates, out).T
 
 
-def _correlate_rows(
-    z: np.ndarray, lower: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
-) -> np.ndarray:
-    """Rows of z through the lower-triangular factor: out[..., r, j] = sum_{k <= j} lower[..., j, k] * z[..., r, k].
+def _correlate_rows(z: np.ndarray, lower: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Rows of z through the lower-triangular factor: out[..., r, :] = lower @ z[..., r, :], as one matmul.
 
-    Leading axes, if any, stack points: each point's normals go through
-    its own factor. The result is the transposed view of sensor-major rows:
-    variate j's row adds its terms to 0.0 in k order, so a realization's
-    bits depend neither on how many realizations nor on how many points
-    are computed in one call. Column k's terms go to the rows j >= k in one
-    pass; the terms above the diagonal are +-0 and would leave every sum as
-    it is. out, if given, is the (..., n+1, R) block of rows to fill, and
-    scratch an (..., n, R) block that the terms may overwrite.
+    Leading axes, if any, stack points, each through its own factor by one
+    BLAS gemm. The result is the transposed view of sensor-major rows. A
+    gemm column's bits depend on neither the other columns nor the thread
+    count; normals in either layout are multiplied as contiguous rows, and
+    one realization as the first column of two (see the module docstring).
+    out, if given, is the C-contiguous (..., n+1, R) block of rows to fill.
     """
-    zt = z.swapaxes(-1, -2)
+    zt = np.ascontiguousarray(z.swapaxes(-1, -2))
     if out is None:
         out = np.empty(zt.shape)
-    if scratch is None:
-        scratch = np.empty(out[..., 1:, :].shape)
-    n = out.shape[-2]
-    np.multiply(lower[..., :, 0, None], zt[..., 0, None, :], out=out)
-    out += 0.0
-    for k in range(1, n):
-        terms = scratch[..., : n - k, :]
-        out[..., k:, :] += np.multiply(lower[..., k:, k, None], zt[..., k, None, :], out=terms)
+    if zt.shape[-1] == 1:
+        out[...] = np.matmul(lower, np.concatenate((zt, zt), axis=-1))[..., :1]
+    else:
+        np.matmul(lower, zt, out=out)
     return out.swapaxes(-1, -2)
 
 
@@ -226,20 +224,17 @@ def sample_shadow(
     return float(s0[0]), s[0]
 
 
-def correlate_normals(
-    lower: np.ndarray, z: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def correlate_normals(lower: np.ndarray, z: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Joint shadow rows from (R, n+1) standard normals through a joint factor: (s0 of shape (R,), s of shape (R, n)).
 
     lower is a point's joint Cholesky factor (query point first). s.T holds
     one contiguous row per sensor. The normals depend on the stream alone,
     not on the correlation model, so one block drawn at a point serves
-    every model there. out, if given, is an (n+1, R) block of rows that
-    receives the query point's row, then each sensor's; s0 and s are then
-    views of it. scratch, if given, is an (n, R) block that the call may
-    overwrite. A (P, n+1, n+1) stack of factors takes a (P, R, n+1) stack
-    of normals, each point's with the bits it has alone, and every shape
-    above gains the leading axis P.
+    every model there. out, if given, is a C-contiguous (n+1, R) block of
+    rows that receives the query point's row, then each sensor's; s0 and s
+    are then views of it. A (P, n+1, n+1) stack of factors takes a
+    (P, R, n+1) stack of normals, each point's with the bits it has alone,
+    and every shape above gains the leading axis P.
     """
-    joint = _correlate_rows(z, lower, out, scratch)
+    joint = _correlate_rows(z, lower, out)
     return joint[..., 0], joint[..., 1:]

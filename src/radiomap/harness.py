@@ -79,9 +79,9 @@ EMITTER_PRESETS = {
 MODES = ("analytic", "mc", "both")
 
 # Most Monte Carlo workers a run takes. Each worker is a process (a thread
-# where fork is not safe) with its own workspace of (3n + 2 + M) R doubles
-# per point of a block (n sensors, M methods), for blocks of
-# max(1, 2^14 // R) points, plus (n + 3) R with a fitted method, and while
+# where fork is not safe) with its own workspace of (2n + 2 + M) R doubles
+# per point of a block (n sensors, M methods), n R more with sm0, for blocks
+# of max(1, 2^14 // R) points, plus (n + 3) R with a fitted method, and while
 # it draws a point, the point's R x W Philox words, so the bound caps
 # memory as well as OS processes.
 MAX_THREADS = 64
@@ -255,9 +255,12 @@ def spatial_average(per_point: np.ndarray) -> float:
     """Root of the spatial mean of squared per-point values.
 
     The squares are taken relative to a power of two just above the largest
-    magnitude, so they cannot overflow, and the scaling is exact.
+    magnitude, so they cannot overflow, and the scaling is exact. An empty
+    per_point raises ValueError.
     """
-    return float(_rms_rows(np.reshape(np.asarray(per_point, dtype=float), (1, -1)))[0])
+    if not (values := np.reshape(np.asarray(per_point, dtype=float), (1, -1))).size:
+        raise ValueError("spatial_average needs per-point values, got an empty array")
+    return float(_rms_rows(values)[0])
 
 
 def _rms_rows(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -307,18 +310,18 @@ def _power_of_two_above(magnitudes: np.ndarray, axis: int | None = None) -> np.n
 # blocks of P = max(1, _BLOCK_DOUBLES // R) points, written with out= into
 # one workspace of sensor-major R-length rows per task (_McWorkspace):
 # fresh temporaries of a few hundred KB would fault in new pages each time.
-# The row correlation, the median powers, the errors and the scaled RMS run
-# once over a block's (P, rows, R) stack; each point's refit and
-# predictions run along whole rows, one call each. The tasks after the
-# first run in forked worker processes (_run_forked), each writing its
-# chunk of one (K, M, N) result in an anonymous shared mapping. Threads buy
-# little, since numpy drops the interpreter lock only inside a call, and at
-# R = 10^4 calls last tens of microseconds: the sweep-mc config in one
-# process took 272 ms on one worker, 203 ms on two threads and 166 ms on
-# two forked workers, on a 2-core Xeon VM. Fork is safe only while the
-# caller runs no thread of its own, so otherwise, and where os.fork is
-# missing, the tasks run on a thread pool. Streams keyed by point make the
-# split invisible in the bits.
+# The row correlation (one stacked matmul), the median powers, the errors
+# and the scaled RMS run once over a block's (P, rows, R) stack; each
+# point's refit and predictions run along whole rows, one call each. The
+# tasks after the first run in forked worker processes (_run_forked), each
+# writing its chunk of one (K, M, N) result in an anonymous shared mapping.
+# Threads buy little, since numpy drops the interpreter lock only inside a
+# call, and at R = 10^4 calls last tens of microseconds: the sweep-mc config
+# in one process took about 160 ms on one worker, 120 ms on two threads and
+# 105 ms on two forked workers (medians of 15 rounds), on a 2-core Xeon VM.
+# Fork is safe only while the caller runs no thread of its own, so
+# otherwise, and where os.fork is missing, the tasks run on a thread pool.
+# Streams keyed by point make the split invisible in the bits.
 
 
 # Least sigma_db a Monte Carlo run takes, as a fraction of the largest median
@@ -388,22 +391,24 @@ class _McWorkspace:
     Each part is a (points, rows, R) view of one allocation, contiguous
     for any leading run of points. z holds each point's normals, drawn once
     for every ratio; joint its truth row, then one measurement row per
-    sensor; dev sm0's deviations of the measurements from the sensors'
-    median powers, and before them the scratch rows of the row correlation;
-    errors one row per method. When a fitted method runs, fit holds
+    sensor; errors one row per method of methods. When a method applied to
+    deviations (sm0) runs, dev holds its deviations of the measurements
+    from the sensors' median powers; when a fitted method runs, fit holds
     lse_fit's n + 2 rows and median the fitted median power, which one
-    point uses at a time; they are None otherwise. Every row is written
+    point uses at a time. Each is None otherwise. Every row is written
     before it is read at each ratio, so nothing carries from one block or
     ratio to the next. bitgen is the Philox generator that every draw keys
     afresh.
     """
 
-    def __init__(self, n_sensors: int, n_methods: int, realizations: int, points: int, fitted: bool):
-        n = n_sensors
-        sizes = [n + 1, n + 1, n, n_methods]
+    def __init__(self, n_sensors: int, methods: Sequence[str], realizations: int, points: int):
+        n, applied_to = n_sensors, {_estimator(m)[1] for m in methods}
+        fitted = _RESIDUALS in applied_to
+        sizes = [n + 1, n + 1, len(methods)] + ([n] if _DEVIATIONS in applied_to else [])
         self.rows = np.empty((points * sum(sizes) + (n + 3 if fitted else 0)) * realizations)
         *parts, shared = np.split(self.rows, np.cumsum([points * size for size in sizes]) * realizations)
-        self.z, self.joint, self.dev, self.errors = (part.reshape(points, -1, realizations) for part in parts)
+        self.z, self.joint, self.errors, *dev = (part.reshape(points, -1, realizations) for part in parts)
+        self.dev = dev[0] if dev else None
         self.fit = self.median = None
         if fitted:
             self.fit, self.median = shared[:-realizations].reshape(n + 2, -1), shared[-realizations:]
@@ -454,8 +459,8 @@ def _mc_block_ratio(
 ) -> np.ndarray:
     """(P, M) RMSEs of one scenario at a block of P points, from its joint factors there, ws.z and plan."""
     pm = forms.pm[:, None]  # (n, 1)
-    rows, errors, dev = ws.joint[: len(block)], ws.errors[: len(block)], ws.dev[: len(block)]
-    correlate_normals(joint, ws.z[: len(block)].swapaxes(1, 2), out=rows, scratch=dev)
+    rows, errors = ws.joint[: len(block)], ws.errors[: len(block)]
+    correlate_normals(joint, ws.z[: len(block)].swapaxes(1, 2), out=rows)
     rows += medians
     for p, k in enumerate(block):  # each point's refit and predictions, one call each
         meas = rows[p, 1:]  # (n, R): the powers
@@ -467,7 +472,7 @@ def _mc_block_ratio(
             median += fit.a_hat
         for row, (applied_to, w) in zip(errors[p], plan):
             if applied_to == _DEVIATIONS:
-                np.matmul(w[k], np.subtract(meas, pm, out=dev[p]), out=row)
+                np.matmul(w[k], np.subtract(meas, pm, out=ws.dev[p]), out=row)
                 row += forms.pm0[k]
             elif applied_to == _RESIDUALS:
                 np.matmul(w[k], fit.residuals.T, out=row)
@@ -519,9 +524,7 @@ def _mc_rmse(
         rmse = np.empty(shape)
 
     def eval_chunk(chunk: range) -> None:
-        ws = _McWorkspace(
-            len(forms.pm), len(forms.methods), realizations, min(per_block, len(chunk)), forms.fit is not None
-        )
+        ws = _McWorkspace(len(forms.pm), forms.methods, realizations, min(per_block, len(chunk)))
         with np.errstate(all="ignore"):  # pool threads do not inherit the caller's state
             for start in range(0, len(chunk), per_block):
                 block = chunk[start : start + per_block]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,25 @@ class TestSampleShadow:
             s0, s = sample_shadow(table_scenario, Point(100, 200), 5, point_index=3, realization_index=r)
             assert s0 == s0_block[r]
             assert np.array_equal(s, s_block[r])
+
+    @pytest.mark.parametrize("realizations", [2, 7])
+    def test_single_draw_matches_every_row_of_a_small_block(self, table_scenario, realizations):
+        # one realization is the first column of a two-column product, with a block's bits, the last row's too
+        lower = joint_cholesky(table_scenario, Point(100, 200))
+        s0_block, s_block = correlate_normals(lower, standard_normal_block(5, 3, 5, realizations))
+        for r in range(realizations):
+            s0, s = sample_shadow(table_scenario, Point(100, 200), 5, point_index=3, realization_index=r)
+            assert s0 == s0_block[r]
+            assert np.array_equal(s, s_block[r])
+
+    def test_last_realization_index_draws(self, table_scenario):
+        # realization 2^64 - 1 is the last row of a block that starts one realization before it
+        lower = joint_cholesky(table_scenario, Point(100, 200))
+        s0_block, s_block = correlate_normals(lower, standard_normal_block(5, 3, 5, 2, first_realization=2**64 - 2))
+        s0, s = sample_shadow(table_scenario, Point(100, 200), 5, point_index=3, realization_index=2**64 - 1)
+        assert np.isfinite(s0) and np.isfinite(s).all()
+        assert s0 == s0_block[1]
+        assert np.array_equal(s, s_block[1])
 
     @pytest.mark.parametrize(
         "seeds, named",
@@ -201,43 +222,67 @@ class TestNormalStream:
         assert not np.array_equal(a, b)
 
 
+def halves(x):
+    """(hi, lo) with hi + lo exactly x, each of at most 26 significant bits (Veltkamp's split)."""
+    c = 134217729.0 * x  # 2^27 + 1
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def two_product(a, b):
+    """(p, e) with p the rounded a * b and p + e exactly a * b (Dekker's product)."""
+    (a_hi, a_lo), (b_hi, b_lo), p = halves(a), halves(b), a * b
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+# The factors of TestCorrelateRows: (kind, ratio, query point) of a sigma-5 model on the reference square.
+FACTORS = [
+    ("exponential", 1.0, Point(205.0, 445.0)),
+    ("elliptical", 0.5, Point(30.0, 600.0)),
+    # correlations between far points underflow to exact zeros below the diagonal
+    ("gaussian", 60.0, Point(3.0, 4.0)),
+]
+
+
 class TestCorrelateRows:
     @staticmethod
-    def column_by_column(z, lower):
-        # every column of the factor over all rows, in k order
-        out = np.zeros((z.shape[0], lower.shape[0]))
-        for k in range(lower.shape[1]):
-            out += z[:, k, None] * lower[None, :, k]
-        return out
-
-    @pytest.mark.parametrize("realizations", [1, 7, 2000])
-    @pytest.mark.parametrize(
-        "kind, ratio, p0",
-        [
-            ("exponential", 1.0, Point(205.0, 445.0)),
-            ("elliptical", 0.5, Point(30.0, 600.0)),
-            # correlations between far points underflow to exact zeros below the diagonal
-            ("gaussian", 60.0, Point(3.0, 4.0)),
-        ],
-    )
-    def test_matches_column_by_column_formula_bit_for_bit(self, realizations, kind, ratio, p0):
+    def factor(kind, ratio, p0):
         model = CorrelationModel(kind, sigma=5.0, xc=640.0 / ratio, axis_ratio=3.3, rotation=0.5)
         lower = joint_cholesky(build_square_scenario(640.0, Point(-100.0, 0.0), 15.3, 3.76, model), p0)
         if kind == "gaussian":
             assert lower[1, 0] != 0.0 and np.count_nonzero(np.tril(lower, -1) == 0.0) > 0
-        z = standard_normal_block(21, 5, 5, realizations)
-        want = self.column_by_column(z, lower)
-        got = _correlate_rows(z, lower)
-        assert got.tobytes() == want.tobytes()
-        # the same bits from realization-major normals, and sensor-major rows out
-        assert _correlate_rows(np.ascontiguousarray(z), lower).tobytes() == want.tobytes()
-        assert got.T.flags["C_CONTIGUOUS"]
-        # the same bits written into a caller's block, whatever it held
-        out, scratch = np.full((5, realizations), np.nan), np.full((4, realizations), np.nan)
-        assert _correlate_rows(z, lower, out, scratch).tobytes() == want.tobytes()
-        s0, s = correlate_normals(lower, z, out=np.full((5, realizations), np.nan))
-        assert s0.tobytes() == want[:, 0].tobytes() and s.tobytes() == want[:, 1:].tobytes()
+        return lower
 
+    @pytest.mark.parametrize("layout", ["sensor-major", "realization-major"])
+    @pytest.mark.parametrize("kind, ratio, p0", FACTORS)
+    def test_realization_rows_match_the_full_block_bit_for_bit(self, kind, ratio, p0, layout):
+        # a window of realizations, drawn in either layout, gives each realization the bits it has in the block
+        lower, R = self.factor(kind, ratio, p0), 4096
+        z = standard_normal_block(21, 5, 5, R)
+        want = _correlate_rows(z, lower)
+        assert want.T.flags["C_CONTIGUOUS"]
+        for width in (1, 2, 7, 2000):
+            for first in sorted({0, 1, 999, R - width} & set(range(R - width + 1))):
+                window = z[first : first + width]
+                if layout == "realization-major":
+                    window = np.ascontiguousarray(window)
+                got = _correlate_rows(window, lower)
+                assert got.tobytes() == want[first : first + width].tobytes(), (width, first)
+                # the same bits written into a caller's block, whatever it held
+                s0, s = correlate_normals(lower, window, out=np.full((5, width), np.nan))
+                assert s0.tobytes() == got[:, 0].tobytes() and s.tobytes() == got[:, 1:].tobytes()
+
+    @pytest.mark.parametrize("kind, ratio, p0", FACTORS)
+    def test_entries_lie_within_the_error_bound_of_the_exact_sums(self, kind, ratio, p0):
+        # each entry is within 8 eps sum_k |L_jk z_k| of the correctly rounded sum of the exact products
+        lower = self.factor(kind, ratio, p0)
+        z = standard_normal_block(21, 5, 5, 300)
+        got = _correlate_rows(z, lower)
+        for r, j in np.ndindex(got.shape):
+            products = [two_product(a, b) for a, b in zip(lower[j].tolist(), z[r].tolist())]
+            exact = math.fsum(part for product in products for part in product)
+            bound = 8 * np.finfo(float).eps * math.fsum(abs(p) for p, _ in products)
+            assert abs(got[r, j] - exact) <= bound, (r, j)
 
     @pytest.mark.parametrize("realizations", [1, 7, 2000])
     def test_stack_of_points_matches_each_point_alone_bit_for_bit(self, realizations):

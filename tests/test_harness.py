@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from radiomap import (
+    ALL_METHODS,
     ConfigError,
     CorrelationModel,
     ExperimentConfig,
@@ -57,6 +58,12 @@ def record_engine_work(monkeypatch, tmp_path):
 
         monkeypatch.setattr(harness, name, recorded)
     return log
+
+
+@pytest.mark.parametrize("empty", [[], np.empty(0), np.empty((3, 0))], ids=["list", "array", "rows"])
+def test_spatial_average_of_no_values_names_the_cause(empty):
+    with pytest.raises(ValueError, match="per-point values, got an empty array"):
+        spatial_average(empty)
 
 
 def test_spatial_average_hand_computation():
@@ -412,11 +419,11 @@ class TestMcWorkspace:
         R = cfg.realizations
         blocks = [range(0, 4), range(4, 8), range(8, 9)]
         forward = np.empty((len(cfg.ratios), len(cfg.methods), 9))
-        ws = _McWorkspace(4, len(cfg.methods), R, 4, fitted=True)
+        ws = _McWorkspace(4, cfg.methods, R, 4)
         for block in blocks:
             _mc_block_rmse(forms, cov, joint, block, range(9), R, cfg.master_seed, ws, forward)
         got = np.full_like(forward, np.nan)
-        ws = _McWorkspace(4, len(cfg.methods), R, 4, fitted=True)
+        ws = _McWorkspace(4, cfg.methods, R, 4)
         for block in reversed(blocks):
             ws.rows.fill(np.nan)
             _mc_block_rmse(forms, cov, joint, block, range(9), R, cfg.master_seed, ws, got)
@@ -429,7 +436,7 @@ class TestMcWorkspace:
         import tracemalloc
 
         def run():
-            ws = _McWorkspace(4, len(forms.methods), R, points, fitted=forms.fit is not None)
+            ws = _McWorkspace(4, forms.methods, R, points)
             out = np.empty((len(joint), len(forms.methods), points))
             _mc_block_rmse(forms, cov, joint, range(points), range(points), R, 5, ws, out)
 
@@ -442,25 +449,31 @@ class TestMcWorkspace:
             tracemalloc.stop()
 
     def test_memory_budget_of_one_point(self):
-        # one point's 9-ratio evaluation, workspace included, peaks below 37 R-length rows:
-        # a workspace of 27 rows (20 for the point, 7 for its refit), then the draw's 8 Philox rows
-        # (41 rows when every ratio allocated its own temporaries)
+        # one point's 9-ratio evaluation, workspace included, peaks below 35 R-length rows and 8 KB of
+        # small arrays: a workspace of 27 rows (20 for the point, 7 for its refit), then the draw's 8
+        # Philox rows (41 rows when every ratio allocated its own temporaries)
         cfg = ExperimentConfig(realizations=10000, mode="mc")
         _, *setup = self.setup_for(cfg, cfg.grid().xy[:1])
-        assert self.peak_bytes(*setup, 1, cfg.realizations) <= 37 * 8 * cfg.realizations
+        assert self.peak_bytes(*setup, 1, cfg.realizations) <= 35 * 8 * cfg.realizations + 2**13
 
     def test_memory_budget_of_a_block(self):
         # a block of 8 points at R = 2,000, the most that 2^14 doubles per row hold, peaks below
-        # the workspace's 20 rows per point and 7 for one refit at a time, one draw's 8 Philox rows
-        # and 8 KB of small arrays
+        # the workspace's rows per point and 7 for one refit at a time, if a method refits, one draw's
+        # 8 Philox rows and 8 KB of small arrays. Per point, the workspace holds 5 rows of normals,
+        # 5 joint rows and one error row per method, and 4 rows of deviations only if sm0 runs.
         from radiomap import harness
 
-        cfg = ExperimentConfig(realizations=2000, mode="mc")
-        R = cfg.realizations
+        R = 2000
         points = harness._BLOCK_DOUBLES // R
         assert points == 8
-        _, *setup = self.setup_for(cfg, cfg.grid().xy[:points])
-        assert self.peak_bytes(*setup, points, R) <= (20 * points + 7 + 8) * 8 * R + 2**13
+        for methods, per_point, refit in [
+            (ALL_METHODS, 5 + 5 + 6 + 4, 7),
+            (("sm1", "sm2", "nn", "idw", "nat"), 5 + 5 + 5, 7),
+            (("nat",), 5 + 5 + 1, 0),  # as grid-both runs
+        ]:
+            cfg = ExperimentConfig(realizations=R, mode="mc", methods=methods)
+            _, *setup = self.setup_for(cfg, cfg.grid().xy[:points])
+            assert self.peak_bytes(*setup, points, R) <= (per_point * points + refit + 8) * 8 * R + 2**13, methods
 
 
 class TestGridRmse:

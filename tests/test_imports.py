@@ -3,7 +3,8 @@
 field.standard_normal_block imports scipy.special.ndtri at the first normal
 draw, so importing radiomap and every analytic call stay numpy-only, while a
 Monte Carlo call brings scipy in. Importing radiomap asks OpenBLAS for one
-thread unless the caller chose a count, and that moves no bit. Other tests
+thread unless the caller chose a count, and that moves no bit, nor does a
+BLAS pool move any bit of the Monte Carlo row correlation. Other tests
 import scipy into the test process, and importing radiomap there set its
 BLAS thread variable, so each case runs in a child interpreter that imports
 radiomap from the same directory as this test did.
@@ -190,3 +191,29 @@ print(json.dumps([main(argv) for argv in {argvs!r}]))
     assert [finish(proc) for proc in procs] == [[0] * len(calls)] * 2
     one, pool = ({str(p.relative_to(tmp_path / s)): p.read_bytes() for p in (tmp_path / s).rglob("*.csv")} for s in sides)
     assert one == pool and len(one) == csvs
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc/self/task")
+def test_correlation_bits_do_not_depend_on_blas_threads(tmp_path):
+    # one point's product at R = 2 x 10^5, which OpenBLAS splits over a pool of two, and windows of it:
+    # the same bits on one BLAS thread and on two. The two sides run at once.
+    code = """import hashlib, json, os
+import numpy as np
+from radiomap import CorrelationModel, Point, build_square_scenario
+from radiomap.field import _correlate_rows, joint_cholesky, standard_normal_block
+model = CorrelationModel("elliptical", sigma=5.0, xc=1280.0, axis_ratio=3.3, rotation=0.5)
+lower = joint_cholesky(build_square_scenario(640.0, Point(-100.0, 0.0), 15.3, 3.76, model), Point(30.0, 600.0))
+z = standard_normal_block(21, 5, 5, 200000)
+block = _correlate_rows(z, lower)
+windows = all(
+    _correlate_rows(z[first : first + width], lower).tobytes() == block[first : first + width].tobytes()
+    for width in (1, 2, 7, 2000)
+    for first in (0, 1, 99999, 200000 - width)
+)
+print(json.dumps([hashlib.sha256(block.tobytes()).hexdigest(), windows, len(os.listdir("/proc/self/task"))]))
+"""
+    procs = [start_fresh(code, tmp_path, blas={"OPENBLAS_NUM_THREADS": threads}) for threads in ("1", "2")]
+    one, two = (finish(proc) for proc in procs)
+    # the main thread, then numpy's pool and scipy's, loaded at the first draw, each of _TWO threads
+    assert one[1:] == [True, 1] and two[1:] == [True, 1 + 2 * (_TWO - 1)]
+    assert one[0] == two[0]
