@@ -81,8 +81,10 @@ MODES = ("analytic", "mc", "both")
 # Most Monte Carlo workers a run takes. Each worker is a process (a thread
 # where fork is not safe) with its own workspace of (2n + 2 + M) R doubles
 # per point of a block (n sensors, M methods), n R more with sm0, for blocks
-# of max(1, 2^14 // R) points, plus (n + 3) R with a fitted method, and while
-# it draws a point, the point's R x W Philox words, so the bound caps
+# of max(1, 2^14 // R) points, plus (n + 2) R with a fitted method and R for
+# a spare row when every applied-to family has one member; its methods'
+# weights stacked by family, at most 7n doubles per point and ratio; and
+# while it draws a point, the point's R x W Philox words, so the bound caps
 # memory as well as OS processes.
 MAX_THREADS = 64
 
@@ -263,8 +265,39 @@ def spatial_average(per_point: np.ndarray) -> float:
     return float(_rms_rows(values)[0])
 
 
-def _rms_rows(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """spatial_average of each row of a 2-D array, in one pass over the block.
+def _rms_rows(rows: np.ndarray) -> np.ndarray:
+    """spatial_average of each row of a 2-D array, each with the bits it has alone.
+
+    A row whose mean square lies in _PLAIN_MEAN_SQUARES takes the root of
+    its plain mean square (_root_mean_squares), which has the bits of the
+    scaled formula there; every other row, NaN and inf included, takes the
+    scaled formula (_scaled_rms_rows).
+    """
+    with np.errstate(over="ignore"):  # such rows take the scaled formula
+        rms, plain = _root_mean_squares(np.square(rows))
+    if not plain.all():
+        rms[~plain] = _scaled_rms_rows(rows[~plain])
+    return rms
+
+
+# Mean squares whose root _root_mean_squares takes as it is. Scaling a row by
+# a power of two commutes with every rounding of its squares, sum, mean and
+# root while all of them stay normal, so inside this range the plain root has
+# the scaled formula's bits: squares too small to be normal lie far below the
+# last bit of the sum (0 mismatches in 12,000 random rows of tiny, huge and
+# zero entries).
+_PLAIN_MEAN_SQUARES = (2.0**-700, 2.0**700)
+
+
+def _root_mean_squares(squares: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The root of the mean of each row of squares, and whether that mean lies in _PLAIN_MEAN_SQUARES."""
+    mean = np.mean(squares, axis=1)
+    low, high = _PLAIN_MEAN_SQUARES
+    return np.sqrt(mean), (mean >= low) & (mean <= high)
+
+
+def _scaled_rms_rows(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """spatial_average of each row of a 2-D array, scaled against overflow, in one pass over the block.
 
     A row-wise reduction gives each row the bits it has alone. The rows'
     magnitudes are scaled in out, if given, which may be rows itself: the
@@ -310,15 +343,25 @@ def _power_of_two_above(magnitudes: np.ndarray, axis: int | None = None) -> np.n
 # blocks of P = max(1, _BLOCK_DOUBLES // R) points, written with out= into
 # one workspace of sensor-major R-length rows per task (_McWorkspace):
 # fresh temporaries of a few hundred KB would fault in new pages each time.
-# The row correlation (one stacked matmul), the median powers, the errors
-# and the scaled RMS run once over a block's (P, rows, R) stack; each
-# point's refit and predictions run along whole rows, one call each. The
-# tasks after the first run in forked worker processes (_run_forked), each
-# writing its chunk of one (K, M, N) result in an anonymous shared mapping.
-# Threads buy little, since numpy drops the interpreter lock only inside a
-# call, and at R = 10^4 calls last tens of microseconds: the sweep-mc config
-# in one process took about 160 ms on one worker, 120 ms on two threads and
-# 105 ms on two forked workers (medians of 15 rounds), on a 2-core Xeon VM.
+# The row correlation (one stacked matmul), the median powers and the
+# errors against the truth rows run once over a block's (P, rows, R) stack.
+# Each point's refit runs along whole rows, and its predictions as one
+# matmul per applied-to family of the method table: the family's methods'
+# weight rows, stacked once per task, against the measurements, the refit
+# residuals or the deviations, with the biases added after. The RMS
+# squares the errors in place and takes the root of each row's mean, two
+# passes where the scaled formula takes five; a block with a mean square
+# outside _PLAIN_MEAN_SQUARES computes its errors again for the scaled
+# formula. The tasks after the first run in forked worker processes
+# (_run_forked), each writing its chunk of one (K, M, N) result in an
+# anonymous shared mapping. Threads buy little, since numpy drops the
+# interpreter lock only inside a call, and at R = 10^4 calls last tens of
+# microseconds: the sweep-mc config in one process took about 134 ms on
+# one worker, 103 ms on two threads and 79 ms on two forked workers
+# (medians of 24 interleaved rounds, against 168, 127 and 110 ms with one
+# matrix-vector product per method and the scaled RMS), on a 2-core Xeon
+# VM. On one worker the draws take about 44 ms of it, and the rest about
+# 260 us per point and ratio (350 us before).
 # Fork is safe only while the caller runs no thread of its own, so
 # otherwise, and where os.fork is missing, the tasks run on a thread pool.
 # Streams keyed by point make the split invisible in the bits.
@@ -388,31 +431,68 @@ def _unbuffered(row_length: int) -> Iterator[None]:
 class _McWorkspace:
     """The R-length rows that one Monte Carlo task writes every block of points and every ratio into.
 
-    Each part is a (points, rows, R) view of one allocation, contiguous
-    for any leading run of points. z holds each point's normals, drawn once
-    for every ratio; joint its truth row, then one measurement row per
-    sensor; errors one row per method of methods. When a method applied to
-    deviations (sm0) runs, dev holds its deviations of the measurements
-    from the sensors' median powers; when a fitted method runs, fit holds
-    lse_fit's n + 2 rows and median the fitted median power, which one
-    point uses at a time. Each is None otherwise. Every row is written
-    before it is read at each ratio, so nothing carries from one block or
-    ratio to the next. bitgen is the Philox generator that every draw keys
-    afresh.
+    Each part is a view of one allocation. z holds each point's normals,
+    drawn once for every ratio, and joint its truth row, then one
+    measurement row per sensor, each as a (points, n + 1, R) stack,
+    contiguous for any leading run of points. errors holds one row per
+    method at each point, as (points * M + spare, R) rows: families lists
+    each applied-to family of the method table that runs, with its members
+    and its first row at a point, one-member families first, and order[r]
+    is the index in methods of the method on row r of a point. A family's
+    product writes at least two rows (a one-member family's second lands on
+    a later family's row, or the next point's), so when every family has
+    one member, one spare row ends errors. When a method applied to
+    deviations (sm0) runs, dev holds its (points, n, R) deviations of the
+    measurements from the sensors' median powers; when a fitted method
+    runs, fit holds lse_fit's n + 2 rows for one point at a time, its slope
+    row then the fitted median power. Each is None otherwise. Every row is
+    written before it is read at each ratio, so nothing carries from one
+    block or ratio to the next. bitgen is the Philox generator that every
+    draw keys afresh.
     """
 
     def __init__(self, n_sensors: int, methods: Sequence[str], realizations: int, points: int):
-        n, applied_to = n_sensors, {_estimator(m)[1] for m in methods}
-        fitted = _RESIDUALS in applied_to
-        sizes = [n + 1, n + 1, len(methods)] + ([n] if _DEVIATIONS in applied_to else [])
-        self.rows = np.empty((points * sum(sizes) + (n + 3 if fitted else 0)) * realizations)
-        *parts, shared = np.split(self.rows, np.cumsum([points * size for size in sizes]) * realizations)
-        self.z, self.joint, self.errors, *dev = (part.reshape(points, -1, realizations) for part in parts)
-        self.dev = dev[0] if dev else None
-        self.fit = self.median = None
-        if fitted:
-            self.fit, self.median = shared[:-realizations].reshape(n + 2, -1), shared[-realizations:]
+        n, m = n_sensors, len(methods)
+        groups: dict[str, list[int]] = {}  # each applied-to family's methods, by index into methods
+        for j, method in enumerate(methods):
+            groups.setdefault(_estimator(method)[1], []).append(j)
+        ordered = sorted(groups.items(), key=lambda group: len(group[1]) > 1)  # one-member families first
+        self.order = [j for _, indices in ordered for j in indices]
+        firsts = np.cumsum([0] + [len(indices) for _, indices in ordered]).tolist()
+        self.families = [
+            (applied_to, tuple(methods[j] for j in indices), first)
+            for (applied_to, indices), first in zip(ordered, firsts)
+        ]
+        spare = all(len(indices) == 1 for _, indices in ordered)
+        sizes = [points * (n + 1), points * (n + 1), points * m + spare]
+        sizes += [points * n if _DEVIATIONS in groups else 0, n + 2 if _RESIDUALS in groups else 0]
+        self.rows = np.empty(sum(sizes) * realizations)
+        z, joint, errors, dev, fit = np.split(self.rows, np.cumsum(sizes[:-1]) * realizations)
+        self.z, self.joint = (part.reshape(points, n + 1, realizations) for part in (z, joint))
+        self.errors = errors.reshape(-1, realizations)
+        self.dev = dev.reshape(points, n, realizations) if dev.size else None
+        self.fit = fit.reshape(n + 2, realizations) if fit.size else None
         self.bitgen = np.random.Philox(0)  # keyed afresh by every draw
+        self._weights: tuple[GridForms, SweepCovariances, list[np.ndarray]] | None = None
+
+    def weights(self, forms: GridForms, cov: SweepCovariances) -> list[np.ndarray]:
+        """Each family's (K, N, rows, n) weight stack under cov's K scenarios, built at the first call for them.
+
+        A family's rows are its members' weight rows, a one-member family's
+        twice: numpy sends a one-row product to gemv, whose bits differ from
+        a gemm row's, while the rows of gemm products of two and three rows
+        agree bit for bit. So each method's bits do not depend on which
+        methods run.
+        """
+        if self._weights is None or self._weights[0] is not forms or self._weights[1] is not cov:
+            by_method, shape = _weight_stacks(forms, cov), cov.c_0.shape
+            stacks = []
+            for _, members, _ in self.families:
+                rows = np.broadcast_arrays(*(by_method[m] for m in members * (2 if len(members) == 1 else 1)))
+                stack = np.stack(rows, axis=-2)  # (K, N, rows, n), or (N, rows, n) for geometry-only weights
+                stacks.append(np.broadcast_to(stack, (*shape[:2], *stack.shape[-2:])))
+            self._weights = forms, cov, stacks
+        return self._weights[2]
 
 
 def _mc_block_rmse(
@@ -436,8 +516,7 @@ def _mc_block_rmse(
     writes out[:, :, block]. Each point's results have the bits of a block of one.
     """
     n, points = len(forms.pm), len(block)
-    # each method's applied-to family, from the method table, and its weights under each scenario
-    plan = [(_estimator(m)[1], np.broadcast_to(w, cov.c_0.shape)) for m, w in _weight_stacks(forms, cov).items()]
+    weights = ws.weights(forms, cov)
     for p, i in enumerate(block):
         standard_normal_block(master_seed, indices[i], n + 1, realizations, out=ws.z[p], bitgen=ws.bitgen)
     at = slice(block.start, block.stop)
@@ -445,43 +524,68 @@ def _mc_block_rmse(
     medians[:, 0, 0], medians[:, 1:, 0] = forms.pm0[at], forms.pm
     with _unbuffered(realizations):
         for j in range(len(joint)):
-            ratio_plan = [(applied_to, w[j]) for applied_to, w in plan]
-            out[j, :, at] = _mc_block_ratio(forms, ratio_plan, joint[j, at], block, medians, ws).T
+            rmse = _mc_block_ratio(forms, [w[j] for w in weights], joint[j, at], block, medians, ws)
+            out[j, ws.order, at] = rmse.T
 
 
 def _mc_block_ratio(
     forms: GridForms,
-    plan: list[tuple[str, np.ndarray]],
+    weights: list[np.ndarray],
     joint: np.ndarray,
     block: range,
     medians: np.ndarray,
     ws: _McWorkspace,
 ) -> np.ndarray:
-    """(P, M) RMSEs of one scenario at a block of P points, from its joint factors there, ws.z and plan."""
-    pm = forms.pm[:, None]  # (n, 1)
-    rows, errors = ws.joint[: len(block)], ws.errors[: len(block)]
+    """(P, M) RMSEs of one scenario at a block of P points, methods in ws.order, from its joint factors there, ws.z
+    and each family's (N, rows, n) weights.
+
+    The squares overwrite the errors, so a block with a row whose mean
+    square lies outside _PLAIN_MEAN_SQUARES computes its errors again for
+    the scaled formula.
+    """
+    rows = ws.joint[: len(block)]
     correlate_normals(joint, ws.z[: len(block)].swapaxes(1, 2), out=rows)
     rows += medians
+    errors = ws.errors[: len(block) * len(forms.methods)]
+    _block_errors(forms, weights, rows, block, ws)
+    rms, plain = _root_mean_squares(np.square(errors, out=errors))
+    if not plain.all():
+        _block_errors(forms, weights, rows, block, ws)
+        rms = _scaled_rms_rows(errors, out=errors)
+    return rms.reshape(len(block), -1)
+
+
+def _block_errors(
+    forms: GridForms, weights: list[np.ndarray], rows: np.ndarray, block: range, ws: _McWorkspace
+) -> None:
+    """Write each point's truth row less each method's prediction into ws.errors: one product per family and point.
+
+    rows holds each point's truth row, then its measurement rows. The
+    biases are added after the products: sm0's median power, the fitted
+    methods' fitted median.
+    """
+    pm, m = forms.pm[:, None], len(forms.methods)  # (n, 1)
     for p, k in enumerate(block):  # each point's refit and predictions, one call each
         meas = rows[p, 1:]  # (n, R): the powers
         if forms.fit is not None:
             fit = lse_fit(forms.fit[0], meas.T, out=ws.fit)
-            # fitted median a_hat + 10 gamma_hat x0, x0 the point's log10 emitter distance
-            median = np.multiply(fit.gamma_hat, 10.0, out=ws.median)
+            # fitted median a_hat + 10 gamma_hat x0, x0 the point's log10 emitter distance, in the slope row
+            median = ws.fit[-1]
+            median *= 10.0
             median *= forms.fit[3][k]
             median += fit.a_hat
-        for row, (applied_to, w) in zip(errors[p], plan):
+        for (applied_to, members, first), w in zip(ws.families, weights):
+            out = ws.errors[p * m + first : p * m + first + len(w[k])]
             if applied_to == _DEVIATIONS:
-                np.matmul(w[k], np.subtract(meas, pm, out=ws.dev[p]), out=row)
-                row += forms.pm0[k]
+                np.matmul(w[k], np.subtract(meas, pm, out=ws.dev[p]), out=out)
+                out[: len(members)] += forms.pm0[k]
             elif applied_to == _RESIDUALS:
-                np.matmul(w[k], fit.residuals.T, out=row)
-                row += median
+                np.matmul(w[k], fit.residuals.T, out=out)
+                out[: len(members)] += median
             else:
-                np.matmul(w[k], meas, out=row)
-    np.subtract(rows[:, 0, None], errors, out=errors)  # the truth rows less the predictions
-    flat = errors.reshape(-1, errors.shape[-1])
-    return _rms_rows(flat, out=flat).reshape(len(block), -1)  # RMS over realizations, scaled against overflow
+                np.matmul(w[k], meas, out=out)
+    errors = ws.errors[: len(block) * m].reshape(len(block), m, -1)
+    np.subtract(rows[:, :1], errors, out=errors)  # the truth rows less the predictions
 
 
 def _mc_rmse(

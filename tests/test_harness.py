@@ -1,4 +1,5 @@
 import errno
+import itertools
 import math
 import os
 import signal
@@ -38,6 +39,7 @@ from radiomap.harness import (
     _mc_rmse,
     _McWorkspace,
     _rms_rows,
+    _scaled_rms_rows,
     _spatial_stderr,
 )
 from radiomap.linalg import NotPositiveDefiniteError
@@ -449,31 +451,143 @@ class TestMcWorkspace:
             tracemalloc.stop()
 
     def test_memory_budget_of_one_point(self):
-        # one point's 9-ratio evaluation, workspace included, peaks below 35 R-length rows and 8 KB of
-        # small arrays: a workspace of 27 rows (20 for the point, 7 for its refit), then the draw's 8
-        # Philox rows (41 rows when every ratio allocated its own temporaries)
+        # one point's 9-ratio evaluation, workspace included, peaks below 34 R-length rows and 8 KB of
+        # small arrays: a workspace of 26 rows (20 for the point, 6 for its refit, whose slope row
+        # holds the fitted median), then the draw's 8 Philox rows (41 rows when every ratio allocated
+        # its own temporaries)
         cfg = ExperimentConfig(realizations=10000, mode="mc")
         _, *setup = self.setup_for(cfg, cfg.grid().xy[:1])
-        assert self.peak_bytes(*setup, 1, cfg.realizations) <= 35 * 8 * cfg.realizations + 2**13
+        assert self.peak_bytes(*setup, 1, cfg.realizations) <= 34 * 8 * cfg.realizations + 2**13
 
     def test_memory_budget_of_a_block(self):
         # a block of 8 points at R = 2,000, the most that 2^14 doubles per row hold, peaks below
-        # the workspace's rows per point and 7 for one refit at a time, if a method refits, one draw's
-        # 8 Philox rows and 8 KB of small arrays. Per point, the workspace holds 5 rows of normals,
-        # 5 joint rows and one error row per method, and 4 rows of deviations only if sm0 runs.
+        # the workspace's rows per point, 6 for one refit at a time and 1 for the family weight stacks
+        # (10 KB for 9 ratios at 8 points), if a method refits, the spare row, when every family has
+        # one member, one draw's 8 Philox rows and 8 KB of small arrays. Per point, the workspace
+        # holds 5 rows of normals, 5 joint rows and one error row per method, and 4 rows of
+        # deviations only if sm0 runs.
         from radiomap import harness
 
         R = 2000
         points = harness._BLOCK_DOUBLES // R
         assert points == 8
-        for methods, per_point, refit in [
-            (ALL_METHODS, 5 + 5 + 6 + 4, 7),
-            (("sm1", "sm2", "nn", "idw", "nat"), 5 + 5 + 5, 7),
-            (("nat",), 5 + 5 + 1, 0),  # as grid-both runs
+        for methods, per_point, refit, spare in [
+            (ALL_METHODS, 5 + 5 + 6 + 4, 6 + 1, 0),
+            (("sm1", "sm2", "nn", "idw", "nat"), 5 + 5 + 5, 6 + 1, 0),
+            (("nat",), 5 + 5 + 1, 0, 1),  # as grid-both runs
         ]:
             cfg = ExperimentConfig(realizations=R, mode="mc", methods=methods)
             _, *setup = self.setup_for(cfg, cfg.grid().xy[:points])
-            assert self.peak_bytes(*setup, points, R) <= (per_point * points + refit + 8) * 8 * R + 2**13, methods
+            budget = (per_point * points + refit + spare + 8) * 8 * R + 2**13
+            assert self.peak_bytes(*setup, points, R) <= budget, methods
+
+
+def _family_method_sets() -> list[tuple[str, ...]]:
+    """Every non-empty subset of each applied-to family of the method table, then sets that mix families."""
+    from radiomap.estimators import _ESTIMATORS
+
+    families: dict[str, list[str]] = {}
+    for method, (_, applied_to) in _ESTIMATORS.items():
+        families.setdefault(applied_to, []).append(method)
+    subsets = [
+        subset
+        for members in families.values()
+        for size in range(1, len(members) + 1)
+        for subset in itertools.combinations(members, size)
+    ]
+    return subsets + [("sm0", "nat"), ("nat", "sm1"), ("idw", "sm0", "sm2"), ("nat", "nn", "sm2", "sm0", "sm1")]
+
+
+class TestFamilyProducts:
+    """Each applied-to family is predicted by one product per point and ratio, and a method's bits do not depend on
+    which other methods run: a one-member family runs as a two-row product, with the bits of a gemm row."""
+
+    cfg = ExperimentConfig(resolution=3, ratios=(0.2, 5.0), master_seed=17, nu=2)
+
+    def rmse(self, methods, realizations, threads):
+        """_mc_rmse's (K, M, N) RMSEs of methods at cfg's 9 points."""
+        cfg = replace(self.cfg, methods=methods)
+        scns = [cfg.scenario(r) for r in cfg.ratios]
+        forms = grid_forms(scns[0], cfg.grid().xy, methods, cfg.nu)
+        cov = sweep_covariances(forms, [scn.correlation for scn in scns], joint=True)
+        return _mc_rmse(forms, cov, range(9), realizations, cfg.master_seed, threads)
+
+    @pytest.mark.parametrize("realizations", [1, 2, 7, 2000])
+    def test_a_methods_bytes_do_not_depend_on_the_method_set(self, realizations):
+        full = self.rmse(ALL_METHODS, realizations, 1)
+        assert np.isfinite(full).all()
+        for threads in (1, 2):
+            assert self.rmse(ALL_METHODS, realizations, threads).tobytes() == full.tobytes()
+            for methods in _family_method_sets():
+                got = self.rmse(methods, realizations, threads)
+                for j, m in enumerate(methods):
+                    assert got[:, j].tobytes() == full[:, ALL_METHODS.index(m)].tobytes(), (methods, m, threads)
+
+    def test_one_product_per_family_point_and_ratio(self, monkeypatch):
+        # 3 families x 9 points x 2 ratios with every method; nat alone runs one two-row product each
+        from radiomap import harness
+
+        shapes = []
+
+        class Recorded:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def matmul(a, b, out):
+                shapes.append(a.shape)
+                return np.matmul(a, b, out=out)
+
+        monkeypatch.setattr(harness, "np", Recorded())
+        self.rmse(ALL_METHODS, 7, 1)
+        assert sorted(set(shapes)) == [(2, 4), (3, 4)] and len(shapes) == 3 * 9 * 2
+        shapes.clear()
+        self.rmse(("nat",), 7, 1)
+        assert shapes == [(2, 4)] * 9 * 2
+
+
+class TestTwoPassRms:
+    """The kernel's RMS squares and means each error row in place, and takes the scaled formula for a block with a
+    row whose mean square lies outside _PLAIN_MEAN_SQUARES: the same bytes as the scaled formula everywhere."""
+
+    @staticmethod
+    def run(monkeypatch, tmp_path, cfg, threads, plain=True):
+        """_grid_evals' bytes, and how many times any process took the scaled formula; with plain False, every row
+        takes it."""
+        from radiomap import harness
+
+        log = tmp_path / "scaled"
+        log.unlink(missing_ok=True)
+
+        def recorded(*args, **kwargs):
+            append_line(log, len(args[0]))
+            return _scaled_rms_rows(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "_scaled_rms_rows", recorded)
+        monkeypatch.setattr(harness, "_PLAIN_MEAN_SQUARES", harness._PLAIN_MEAN_SQUARES if plain else (1.0, 0.0))
+        _, engines, spatial, stderr = _grid_evals(cfg, threads)
+        return engines["mc"].tobytes() + spatial["mc"].tobytes() + stderr.tobytes(), len(read_lines(log))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_empty_plain_range_gives_the_same_bytes(self, monkeypatch, tmp_path, threads):
+        cfg = ExperimentConfig(resolution=4, mode="mc", realizations=300, ratios=(0.2, 1.0, 5.0), master_seed=9, nu=2)
+        default, default_scaled = self.run(monkeypatch, tmp_path, cfg, threads)
+        forced, forced_scaled = self.run(monkeypatch, tmp_path, cfg, threads, plain=False)
+        assert forced == default
+        # the 16 points run as one block per worker, at 3 ratios, then the spatial rows
+        assert default_scaled == 0 and forced_scaled == threads * 3 + 1
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_huge_sigma_recomputes_its_errors_for_the_scaled_formula(self, monkeypatch, tmp_path, threads):
+        # mean squares near 1e299, past the plain range: every block recomputes its errors
+        cfg = ExperimentConfig(
+            resolution=4, mode="mc", realizations=300, ratios=(0.2, 5.0), master_seed=9, sigma_db=1e150
+        )
+        default, default_scaled = self.run(monkeypatch, tmp_path, cfg, threads)
+        forced, _ = self.run(monkeypatch, tmp_path, cfg, threads, plain=False)
+        assert forced == default and default_scaled == threads * 2 + 1
+        spatial = _grid_evals(cfg, threads)[2]["mc"]
+        assert np.isfinite(spatial).all() and 1e149 < spatial.min() and spatial.max() < 1e151
 
 
 class TestGridRmse:

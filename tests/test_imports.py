@@ -4,10 +4,11 @@ field.standard_normal_block imports scipy.special.ndtri at the first normal
 draw, so importing radiomap and every analytic call stay numpy-only, while a
 Monte Carlo call brings scipy in. Importing radiomap asks OpenBLAS for one
 thread unless the caller chose a count, and that moves no bit, nor does a
-BLAS pool move any bit of the Monte Carlo row correlation. Other tests
-import scipy into the test process, and importing radiomap there set its
-BLAS thread variable, so each case runs in a child interpreter that imports
-radiomap from the same directory as this test did.
+BLAS pool move any bit of the Monte Carlo row correlation or of the Monte
+Carlo kernel's family products. Other tests import scipy into the test
+process, and importing radiomap there set its BLAS thread variable, so each
+case runs in a child interpreter that imports radiomap from the same
+directory as this test did.
 """
 
 import dataclasses
@@ -216,4 +217,25 @@ print(json.dumps([hashlib.sha256(block.tobytes()).hexdigest(), windows, len(os.l
     one, two = (finish(proc) for proc in procs)
     # the main thread, then numpy's pool and scipy's, loaded at the first draw, each of _TWO threads
     assert one[1:] == [True, 1] and two[1:] == [True, 1 + 2 * (_TWO - 1)]
+    assert one[0] == two[0]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc/self/task")
+def test_monte_carlo_bits_do_not_depend_on_blas_threads(tmp_path):
+    # every method at one point and two ratios, R = 2 x 10^5: the family products, (2, 4) and (3, 4)
+    # weights against 4 rows, pass OpenBLAS's 10^6 multiply-adds below which it runs them on one thread,
+    # so a pool of two splits them. The same bits on one BLAS thread and on two. The two sides run at once.
+    code = """import hashlib, json, os
+from radiomap import ExperimentConfig
+from radiomap.analysis import grid_forms, sweep_covariances
+from radiomap.harness import _mc_rmse
+cfg = ExperimentConfig(resolution=1, ratios=(0.2, 5.0), master_seed=3, nu=2)
+forms = grid_forms(cfg.scenario(0.2), cfg.grid().xy, cfg.methods, cfg.nu)
+cov = sweep_covariances(forms, [cfg.correlation_for_ratio(r) for r in cfg.ratios], joint=True)
+rmse = _mc_rmse(forms, cov, [0], 200000, cfg.master_seed)
+print(json.dumps([hashlib.sha256(rmse.tobytes()).hexdigest(), rmse.shape, len(os.listdir("/proc/self/task"))]))
+"""
+    procs = [start_fresh(code, tmp_path, blas={"OPENBLAS_NUM_THREADS": threads}) for threads in ("1", "2")]
+    one, two = (finish(proc) for proc in procs)
+    assert one[1:] == [[2, 6, 1], 1] and two[1:] == [[2, 6, 1], 1 + 2 * (_TWO - 1)]
     assert one[0] == two[0]
