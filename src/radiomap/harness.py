@@ -83,9 +83,9 @@ MODES = ("analytic", "mc", "both")
 # per point of a block (n sensors, M methods), n R more with sm0, for blocks
 # of max(1, 2^14 // R) points, plus (n + 2) R with a fitted method and R for
 # a spare row when every applied-to family has one member; its methods'
-# weights stacked by family, at most 7n doubles per point and ratio; and
-# while it draws a point, the point's R x W Philox words, so the bound caps
-# memory as well as OS processes.
+# weights stacked by family for one block at a time, at most 7n doubles per
+# point of the block and ratio; and while it draws a point, the point's
+# R x W Philox words, so the bound caps memory as well as OS processes.
 MAX_THREADS = 64
 
 # Most grid points (resolution^2) and realizations a config may ask for: far
@@ -347,7 +347,7 @@ def _power_of_two_above(magnitudes: np.ndarray, axis: int | None = None) -> np.n
 # errors against the truth rows run once over a block's (P, rows, R) stack.
 # Each point's refit runs along whole rows, and its predictions as one
 # matmul per applied-to family of the method table: the family's methods'
-# weight rows, stacked once per task, against the measurements, the refit
+# weight rows, stacked per block, against the measurements, the refit
 # residuals or the deviations, with the biases added after. The RMS
 # squares the errors in place and takes the root of each row's mean, two
 # passes where the scaled formula takes five; a block with a mean square
@@ -473,26 +473,27 @@ class _McWorkspace:
         self.dev = dev.reshape(points, n, realizations) if dev.size else None
         self.fit = fit.reshape(n + 2, realizations) if fit.size else None
         self.bitgen = np.random.Philox(0)  # keyed afresh by every draw
-        self._weights: tuple[GridForms, SweepCovariances, list[np.ndarray]] | None = None
 
-    def weights(self, forms: GridForms, cov: SweepCovariances) -> list[np.ndarray]:
-        """Each family's (K, N, rows, n) weight stack under cov's K scenarios, built at the first call for them.
 
-        A family's rows are its members' weight rows, a one-member family's
-        twice: numpy sends a one-row product to gemv, whose bits differ from
-        a gemm row's, while the rows of gemm products of two and three rows
-        agree bit for bit. So each method's bits do not depend on which
-        methods run.
-        """
-        if self._weights is None or self._weights[0] is not forms or self._weights[1] is not cov:
-            by_method, shape = _weight_stacks(forms, cov), cov.c_0.shape
-            stacks = []
-            for _, members, _ in self.families:
-                rows = np.broadcast_arrays(*(by_method[m] for m in members * (2 if len(members) == 1 else 1)))
-                stack = np.stack(rows, axis=-2)  # (K, N, rows, n), or (N, rows, n) for geometry-only weights
-                stacks.append(np.broadcast_to(stack, (*shape[:2], *stack.shape[-2:])))
-            self._weights = forms, cov, stacks
-        return self._weights[2]
+def _family_weights(
+    forms: GridForms, cov: SweepCovariances, families: list[tuple[str, tuple[str, ...], int]], block: range
+) -> list[np.ndarray]:
+    """Each family's (K, P, rows, n) weight rows under cov's K scenarios at a block of P points, families as
+    _McWorkspace.families lists them."""
+    by_method, n = _weight_stacks(forms, cov), len(forms.pm)
+    at = slice(block.start, block.stop)
+    stacks = []
+    for _, members, _ in families:
+        # numpy sends a one-row product to gemv, whose bits differ from a gemm row's, while the rows of gemm
+        # products of two and three rows agree bit for bit: a one-member family's row is stacked twice, so
+        # each method's bits do not depend on which methods run
+        parts = [by_method[m][..., at, :] for m in members * (2 if len(members) == 1 else 1)]
+        # (P, rows, n) when every member's weights are geometry-only, broadcast over the scenarios
+        stack = np.empty((*np.broadcast_shapes(*(part.shape for part in parts))[:-1], len(parts), n))
+        for r, part in enumerate(parts):
+            stack[..., r, :] = part
+        stacks.append(np.broadcast_to(stack, (len(cov.c_0), len(block), len(parts), n)))
+    return stacks
 
 
 def _mc_block_rmse(
@@ -516,7 +517,7 @@ def _mc_block_rmse(
     writes out[:, :, block]. Each point's results have the bits of a block of one.
     """
     n, points = len(forms.pm), len(block)
-    weights = ws.weights(forms, cov)
+    weights = _family_weights(forms, cov, ws.families, block)
     for p, i in enumerate(block):
         standard_normal_block(master_seed, indices[i], n + 1, realizations, out=ws.z[p], bitgen=ws.bitgen)
     at = slice(block.start, block.stop)
@@ -537,7 +538,7 @@ def _mc_block_ratio(
     ws: _McWorkspace,
 ) -> np.ndarray:
     """(P, M) RMSEs of one scenario at a block of P points, methods in ws.order, from its joint factors there, ws.z
-    and each family's (N, rows, n) weights.
+    and each family's (P, rows, n) weights there.
 
     The squares overwrite the errors, so a block with a row whose mean
     square lies outside _PLAIN_MEAN_SQUARES computes its errors again for
@@ -575,15 +576,15 @@ def _block_errors(
             median *= forms.fit[3][k]
             median += fit.a_hat
         for (applied_to, members, first), w in zip(ws.families, weights):
-            out = ws.errors[p * m + first : p * m + first + len(w[k])]
+            out = ws.errors[p * m + first : p * m + first + len(w[p])]
             if applied_to == _DEVIATIONS:
-                np.matmul(w[k], np.subtract(meas, pm, out=ws.dev[p]), out=out)
+                np.matmul(w[p], np.subtract(meas, pm, out=ws.dev[p]), out=out)
                 out[: len(members)] += forms.pm0[k]
             elif applied_to == _RESIDUALS:
-                np.matmul(w[k], fit.residuals.T, out=out)
+                np.matmul(w[p], fit.residuals.T, out=out)
                 out[: len(members)] += median
             else:
-                np.matmul(w[k], meas, out=out)
+                np.matmul(w[p], meas, out=out)
     errors = ws.errors[: len(block) * m].reshape(len(block), m, -1)
     np.subtract(rows[:, :1], errors, out=errors)  # the truth rows less the predictions
 

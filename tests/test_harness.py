@@ -462,10 +462,11 @@ class TestMcWorkspace:
     def test_memory_budget_of_a_block(self):
         # a block of 8 points at R = 2,000, the most that 2^14 doubles per row hold, peaks below
         # the workspace's rows per point, 6 for one refit at a time and 1 for the family weight stacks
-        # (10 KB for 9 ratios at 8 points), if a method refits, the spare row, when every family has
-        # one member, one draw's 8 Philox rows and 8 KB of small arrays. Per point, the workspace
-        # holds 5 rows of normals, 5 joint rows and one error row per method, and 4 rows of
-        # deviations only if sm0 runs.
+        # (the block's, 10 KB for 9 ratios at 8 points), if a method refits, the spare row, when every
+        # family has one member, one draw's 8 Philox rows and 8 KB of small arrays. Per point, the
+        # workspace holds 5 rows of normals, 5 joint rows and one error row per method, and 4 rows of
+        # deviations only if sm0 runs. The bound holds for the first block of the whole 4,096-point
+        # grid too, whose weight stacks would take 516 rows.
         from radiomap import harness
 
         R = 2000
@@ -477,9 +478,10 @@ class TestMcWorkspace:
             (("nat",), 5 + 5 + 1, 0, 1),  # as grid-both runs
         ]:
             cfg = ExperimentConfig(realizations=R, mode="mc", methods=methods)
-            _, *setup = self.setup_for(cfg, cfg.grid().xy[:points])
             budget = (per_point * points + refit + spare + 8) * 8 * R + 2**13
-            assert self.peak_bytes(*setup, points, R) <= budget, methods
+            for xy in (cfg.grid().xy[:points], cfg.grid().xy):
+                _, *setup = self.setup_for(cfg, xy)
+                assert self.peak_bytes(*setup, points, R) <= budget, (methods, len(xy))
 
 
 def _family_method_sets() -> list[tuple[str, ...]]:
