@@ -312,16 +312,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         if args.command == "sweep":
             return cmd_sweep(args.config, args.out_dir, args)
         if args.command == "grid":
             return cmd_grid(args.config, args.ratio, args.method, args.out_dir, args)
-        if args.command == "validate":
-            return cmd_validate(args.out_dir, args)
-        parser.error(f"unknown command {args.command!r}")
+        return cmd_validate(args.out_dir, args)  # the subparsers are required: the command is validate
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
@@ -337,7 +334,6 @@ def main(argv: list[str] | None = None) -> int:
     except WorkerError as err:
         print(f"worker failed: {err}", file=sys.stderr)
         return EXIT_WORKER
-    return EXIT_OK
 
 
 if __name__ == "__main__":

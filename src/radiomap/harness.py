@@ -80,12 +80,13 @@ MODES = ("analytic", "mc", "both")
 
 # Most Monte Carlo workers a run takes. Each worker is a process (a thread
 # where fork is not safe) with its own workspace of (2n + 2 + M) R doubles
-# per point of a block (n sensors, M methods), n R more with sm0, for blocks
-# of max(1, 2^14 // R) points, plus (n + 2) R with a fitted method and R for
-# a spare row when every applied-to family has one member; its methods'
-# weights stacked by family for one block at a time, at most 7n doubles per
-# point of the block and ratio; and while it draws a point, the point's
-# R x W Philox words, so the bound caps memory as well as OS processes.
+# per point of a block (n sensors, M methods), for blocks of
+# max(1, 2^14 // R) points, plus n R for one point's deviations with sm0,
+# (n + 2) R with a fitted method and R for a spare row when every applied-to
+# family has one member; its methods' weights stacked by family for one
+# block at a time, at most 7n doubles per point of the block and ratio; and
+# while it draws a point, the point's R x W Philox words, so the bound caps
+# memory as well as OS processes.
 MAX_THREADS = 64
 
 # Most grid points (resolution^2) and realizations a config may ask for: far
@@ -352,19 +353,21 @@ def _power_of_two_above(magnitudes: np.ndarray, axis: int | None = None) -> np.n
 # squares the errors in place and takes the root of each row's mean, two
 # passes where the scaled formula takes five; a block with a mean square
 # outside _PLAIN_MEAN_SQUARES computes its errors again for the scaled
-# formula. The tasks after the first run in forked worker processes
-# (_run_forked), each writing its chunk of one (K, M, N) result in an
-# anonymous shared mapping. Threads buy little, since numpy drops the
-# interpreter lock only inside a call, and at R = 10^4 calls last tens of
-# microseconds: the sweep-mc config in one process took about 134 ms on
-# one worker, 103 ms on two threads and 79 ms on two forked workers
-# (medians of 24 interleaved rounds, against 168, 127 and 110 ms with one
-# matrix-vector product per method and the scaled RMS), on a 2-core Xeon
-# VM. On one worker the draws take about 44 ms of it, and the rest about
-# 260 us per point and ratio (350 us before).
-# Fork is safe only while the caller runs no thread of its own, so
-# otherwise, and where os.fork is missing, the tasks run on a thread pool.
-# Streams keyed by point make the split invisible in the bits.
+# formula. Two runners take the tasks. The first, _run_forked, runs the
+# first task in the caller and each later one in a forked worker process,
+# each writing its chunk of one (K, M, N) result in an anonymous shared
+# mapping; a one-worker run is one task and forks nothing. Fork is safe
+# only while the caller runs no thread of its own, so otherwise, and where
+# os.fork is missing, the second runner, a thread pool, takes more than
+# one task. Threads buy little, since numpy drops the interpreter lock only
+# inside a call, and at R = 10^4 calls last tens of microseconds: the
+# sweep-mc config in one process took about 134 ms on one worker, 103 ms
+# on two threads and 79 ms on two forked workers (medians of 24
+# interleaved rounds, against 168, 127 and 110 ms with one matrix-vector
+# product per method and the scaled RMS), on a 2-core Xeon VM. On one
+# worker the draws take about 44 ms of it, and the rest about 260 us per
+# point and ratio (350 us before). Streams keyed by point make the split
+# invisible in the bits.
 
 
 # Least sigma_db a Monte Carlo run takes, as a fraction of the largest median
@@ -442,13 +445,13 @@ class _McWorkspace:
     product writes at least two rows (a one-member family's second lands on
     a later family's row, or the next point's), so when every family has
     one member, one spare row ends errors. When a method applied to
-    deviations (sm0) runs, dev holds its (points, n, R) deviations of the
-    measurements from the sensors' median powers; when a fitted method
-    runs, fit holds lse_fit's n + 2 rows for one point at a time, its slope
-    row then the fitted median power. Each is None otherwise. Every row is
-    written before it is read at each ratio, so nothing carries from one
-    block or ratio to the next. bitgen is the Philox generator that every
-    draw keys afresh.
+    deviations (sm0) runs, dev holds the (n, R) deviations of one point's
+    measurements from the sensors' median powers at a time; when a fitted
+    method runs, fit holds lse_fit's n + 2 rows for one point at a time,
+    its slope row then the fitted median power. Each is None otherwise.
+    Every row is written before it is read at each ratio, so nothing
+    carries from one block or ratio to the next. bitgen is the Philox
+    generator that every draw keys afresh.
     """
 
     def __init__(self, n_sensors: int, methods: Sequence[str], realizations: int, points: int):
@@ -465,12 +468,12 @@ class _McWorkspace:
         ]
         spare = all(len(indices) == 1 for _, indices in ordered)
         sizes = [points * (n + 1), points * (n + 1), points * m + spare]
-        sizes += [points * n if _DEVIATIONS in groups else 0, n + 2 if _RESIDUALS in groups else 0]
+        sizes += [n if _DEVIATIONS in groups else 0, n + 2 if _RESIDUALS in groups else 0]
         self.rows = np.empty(sum(sizes) * realizations)
         z, joint, errors, dev, fit = np.split(self.rows, np.cumsum(sizes[:-1]) * realizations)
         self.z, self.joint = (part.reshape(points, n + 1, realizations) for part in (z, joint))
         self.errors = errors.reshape(-1, realizations)
-        self.dev = dev.reshape(points, n, realizations) if dev.size else None
+        self.dev = dev.reshape(n, realizations) if dev.size else None
         self.fit = fit.reshape(n + 2, realizations) if fit.size else None
         self.bitgen = np.random.Philox(0)  # keyed afresh by every draw
 
@@ -517,43 +520,26 @@ def _mc_block_rmse(
     writes out[:, :, block]. Each point's results have the bits of a block of one.
     """
     n, points = len(forms.pm), len(block)
-    weights = _family_weights(forms, cov, ws.families, block)
+    family_weights = _family_weights(forms, cov, ws.families, block)
     for p, i in enumerate(block):
         standard_normal_block(master_seed, indices[i], n + 1, realizations, out=ws.z[p], bitgen=ws.bitgen)
     at = slice(block.start, block.stop)
     medians = np.empty((points, n + 1, 1))  # each point's and the sensors' median powers
     medians[:, 0, 0], medians[:, 1:, 0] = forms.pm0[at], forms.pm
+    rows, errors = ws.joint[:points], ws.errors[: points * len(forms.methods)]
     with _unbuffered(realizations):
         for j in range(len(joint)):
-            rmse = _mc_block_ratio(forms, [w[j] for w in weights], joint[j, at], block, medians, ws)
-            out[j, ws.order, at] = rmse.T
-
-
-def _mc_block_ratio(
-    forms: GridForms,
-    weights: list[np.ndarray],
-    joint: np.ndarray,
-    block: range,
-    medians: np.ndarray,
-    ws: _McWorkspace,
-) -> np.ndarray:
-    """(P, M) RMSEs of one scenario at a block of P points, methods in ws.order, from its joint factors there, ws.z
-    and each family's (P, rows, n) weights there.
-
-    The squares overwrite the errors, so a block with a row whose mean
-    square lies outside _PLAIN_MEAN_SQUARES computes its errors again for
-    the scaled formula.
-    """
-    rows = ws.joint[: len(block)]
-    correlate_normals(joint, ws.z[: len(block)].swapaxes(1, 2), out=rows)
-    rows += medians
-    errors = ws.errors[: len(block) * len(forms.methods)]
-    _block_errors(forms, weights, rows, block, ws)
-    rms, plain = _root_mean_squares(np.square(errors, out=errors))
-    if not plain.all():
-        _block_errors(forms, weights, rows, block, ws)
-        rms = _scaled_rms_rows(errors, out=errors)
-    return rms.reshape(len(block), -1)
+            weights = [w[j] for w in family_weights]
+            correlate_normals(joint[j, at], ws.z[:points].swapaxes(1, 2), out=rows)
+            rows += medians
+            _block_errors(forms, weights, rows, block, ws)
+            # the squares overwrite the errors, so a block with a row whose mean square lies outside
+            # _PLAIN_MEAN_SQUARES computes its errors again for the scaled formula
+            rms, plain = _root_mean_squares(np.square(errors, out=errors))
+            if not plain.all():
+                _block_errors(forms, weights, rows, block, ws)
+                rms = _scaled_rms_rows(errors, out=errors)
+            out[j, ws.order, at] = rms.reshape(points, -1).T
 
 
 def _block_errors(
@@ -578,7 +564,7 @@ def _block_errors(
         for (applied_to, members, first), w in zip(ws.families, weights):
             out = ws.errors[p * m + first : p * m + first + len(w[p])]
             if applied_to == _DEVIATIONS:
-                np.matmul(w[p], np.subtract(meas, pm, out=ws.dev[p]), out=out)
+                np.matmul(w[p], np.subtract(meas, pm, out=ws.dev), out=out)
                 out[: len(members)] += forms.pm0[k]
             elif applied_to == _RESIDUALS:
                 np.matmul(w[p], fit.residuals.T, out=out)
@@ -604,9 +590,9 @@ def _mc_rmse(
     stream key outside the unsigned 64-bit range, then realizations that
     are not an integer of at least 1; then cov.error is raised; then
     ValueError names a sigma (each joint factor's [0, 0] entry) lost in
-    the round-off of the median powers. Tasks after the first run in
-    forked workers (_run_forked) when os.fork exists and the caller runs
-    no other thread, and on a thread pool otherwise.
+    the round-off of the median powers. _run_forked runs one task here
+    and the rest in forked workers; more than one task runs on a thread
+    pool instead when os.fork is missing or the caller runs another thread.
     """
     for index in (min(indices), max(indices)):
         _check_stream_keys(master_seed=master_seed, point_index=index)
@@ -622,7 +608,7 @@ def _mc_rmse(
     tasks = min(threads, n_points)
     chunks = [range(n_points * t // tasks, n_points * (t + 1) // tasks) for t in range(tasks)]
     per_block = max(1, _BLOCK_DOUBLES // realizations)
-    forked = tasks > 1 and hasattr(os, "fork") and threading.active_count() == 1
+    forked = tasks == 1 or (hasattr(os, "fork") and threading.active_count() == 1)  # one chunk forks nothing
     if forked:  # one anonymous shared mapping, which each worker writes its chunk into
         rmse = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape), flags=mmap.MAP_SHARED)).reshape(shape)
     else:
@@ -637,12 +623,9 @@ def _mc_rmse(
 
     if forked:
         _run_forked(eval_chunk, chunks)
-    elif tasks > 1:
+    else:
         with ThreadPoolExecutor(max_workers=tasks) as pool:
             list(pool.map(eval_chunk, chunks))
-    else:
-        for chunk in chunks:
-            eval_chunk(chunk)
     return rmse
 
 
@@ -654,15 +637,15 @@ _WORKER_OUT_OF_MEMORY = 3
 def _run_forked(eval_chunk: Callable[[range], None], chunks: list[range]) -> None:
     """Run eval_chunk on the first chunk in this process and on each other in a forked worker; reap every worker.
 
-    The workers inherit what eval_chunk reads copy-on-write, so nothing is
-    pickled, and leave through os._exit, never returning into the caller's
-    frames: what they write must live in shared memory. A chunk whose fork
-    fails (EAGAIN or ENOMEM) runs in this process, with the same bits. A
-    worker's MemoryError is raised here as MemoryError; any other failure,
-    or a signal such as the OOM killer's SIGKILL, as WorkerError naming the
-    worker's points. When anything raises here, a
-    KeyboardInterrupt too, every worker still running is killed and reaped
-    first: none outlives the call.
+    One chunk forks nothing. The workers inherit what eval_chunk reads
+    copy-on-write, so nothing is pickled, and leave through os._exit, never
+    returning into the caller's frames: what they write must live in shared
+    memory. A chunk whose fork fails (EAGAIN or ENOMEM) runs in this
+    process, with the same bits. A worker's MemoryError is raised here as
+    MemoryError; any other failure, or a signal such as the OOM killer's
+    SIGKILL, as WorkerError naming the worker's points. When anything raises
+    here, a KeyboardInterrupt too, every worker still running is killed and
+    reaped first: none outlives the call.
     """
     workers: dict[int, range] = {}  # pid -> chunk
     local = chunks[:1]

@@ -194,6 +194,9 @@ class TestSweepCommand:
             ({"nu": True}, 2, ["'nu'"]),
             ({"resolution": 10**30}, 2, ["'resolution'"]),
             ({"mode": "mc", "resolution": 2, "realizations": 10**30}, 2, ["'realizations'"]),
+            ({"correlation": {"kind": "exponential", "scale": 1}}, 2, ["unknown field(s) in 'correlation': scale"]),
+            ({"emitter": [1, "x"]}, 2, ["field 'emitter'", "str"]),
+            ({"emitter": [math.inf, 0]}, 2, ["field 'emitter'", "finite", "(inf, 0)"]),
         ],
         ids=[
             "gaussian-ratio-5e-4",
@@ -216,6 +219,9 @@ class TestSweepCommand:
             "nu-true",
             "resolution-1e30",
             "realizations-1e30",
+            "correlation-unknown-key",
+            "emitter-str",
+            "emitter-inf",
         ],
     )
     def test_probe_exits_with_named_cause(self, tmp_path, capsys, overrides, code, named):
@@ -224,6 +230,18 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         for text in named:
             assert text in err
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [("{", "is not valid JSON"), ("[1, 2]", "config document must be a JSON object")],
+        ids=["invalid-json", "not-an-object"],
+    )
+    def test_config_file_that_is_no_json_object_exits_2(self, tmp_path, capsys, text, named):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(text)
+        assert main(["sweep", str(cfg), str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and named in err
 
     @pytest.mark.parametrize(
         "overrides",
@@ -445,11 +463,15 @@ class TestSweepCommand:
     def test_flag_overrides(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
-        assert main(["sweep", str(cfg), str(out), "--res", "2", "--seed", "7", "--nu", "2"]) == 0
+        flags = ["--res", "2", "--seed", "7", "--nu", "2", "--realizations", "30", "--mode", "mc"]
+        assert main(["sweep", str(cfg), str(out), *flags]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["resolution"] == 2
         assert manifest["master_seed"] == 7
         assert manifest["config"]["nu"] == 2
+        assert manifest["config"]["realizations"] == 30
+        assert manifest["config"]["mode"] == "mc"
+        assert {row["mode"] for row in read_rows(out / "sweep.csv")} == {"mc"}
 
 
 class TestGridCommand:
