@@ -10,24 +10,24 @@ are the median powers plus the sensor shadows. With the joint covariance of
 the shadow vector, the RMS prediction error follows in closed form.
 
 One engine computes it, on arrays, and its unit is a sweep: K correlation
-models that differ in sigma and xc alone. grid_forms() takes the query
-points as one (N, 2) coordinate array (a QueryGrid's xy) and gathers once
-what does not depend on the model (median powers and log distances from
-one pass over the emitter distances, the geometry-only methods' weights).
-sweep_covariances() then builds what does, once for both engines: one
-kernel pass for the K sensor covariances Cn, one for the K cross-covariance
-tables C0, only when a method takes the solve (by the estimators'
-method table) one stacked Cholesky call for every Cn, for the Monte Carlo
-route one call for every point's joint factors under every model, and,
-when every factor holds, one sm0_weight_rows() call for every point's
-weights under every model: a sweep that cannot run solves nothing.
-grid_analytic_rmse() evaluates every method at every point under the K
-models as one (K, N, .) stack: the geometry-only methods' error rows are
-formed once for all K, and one grouped quadratic form covers the stack.
-The Monte Carlo route reads the same weights (_weight_stacks). Row k of
-the result has the bits of a call with models[k] alone. error_form() is
-the engine's row at one point and analytic_rmse() shares its quadratic
-form, so the library API and the self-checks run the engine the CLI ships.
+models that differ in sigma and xc alone. sweep_setup() takes the query
+points as one (N, 2) coordinate array (a QueryGrid's xy) and builds, in one
+call, what both engines read. First what does not depend on the model
+(median powers and log distances from one pass over the emitter distances,
+the geometry-only methods' weights), then what does: one kernel pass for
+the K sensor covariances Cn, one for the K cross-covariance tables C0, only
+when a method takes the solve (by the estimators' method table) one stacked
+Cholesky call for every Cn, for the Monte Carlo route one call for every
+point's joint factors under every model, and, when every factor holds, one
+sm0_weight_rows() call for every point's weights under every model: a sweep
+that cannot run solves nothing. grid_analytic_rmse() evaluates every method
+at every point under the K models as one (K, N, .) stack: the geometry-only
+methods' error rows are formed once for all K, and one grouped quadratic
+form covers the stack. The Monte Carlo route reads the same weights
+(_weight_stacks). Row k of the result has the bits of a call with models[k]
+alone. error_form() is the engine's row at one point and analytic_rmse()
+shares its quadratic form, so the library API and the self-checks run the
+engine the CLI ships.
 The hand-written coefficient expansion for the fitted-correlation method
 exists only as a cross-check.
 """
@@ -42,7 +42,7 @@ import numpy as np
 from .geometry import Point, Scenario, coordinates, distance
 from .correlation import CorrelationModel, covariance_matrix, cross_covariance, cross_covariance_stack
 from .linalg import NotPositiveDefiniteError, cholesky_stack, solve_cholesky
-from .estimators import FitRows, _SOLVE, _SOLVED, _UNBIASED, _affine_rows, _emitter_rows, _estimator, _log_distances
+from .estimators import LseDesign, _SOLVE, _SOLVED, _UNBIASED, _affine_rows, _emitter_rows, _estimator, _log_distances
 from .estimators import _lse_denominator, geometry_weights, sensor_factor, sm0_weight_rows, sm0_weights
 from .field import joint_factors
 
@@ -54,10 +54,8 @@ __all__ = [
     "sm1_coefficient_error_form",
     "analytic_rmse",
     "sm0_sigma0",
-    "GridForms",
-    "grid_forms",
-    "SweepCovariances",
-    "sweep_covariances",
+    "SweepSetup",
+    "sweep_setup",
     "grid_analytic_rmse",
 ]
 
@@ -116,11 +114,10 @@ def error_form(method: str, scn: Scenario, p0: Point, nu: float = 1.0) -> Affine
     true median power at the query minus the map applied to the sensor
     median powers.
     """
-    forms = grid_forms(scn, coordinates([p0]), (method,), nu)
-    cov = sweep_covariances(forms, [scn.correlation])
-    if cov.error is not None:
-        raise cov.error
-    bias, coeffs = _error_rows(forms, cov)[method]
+    setup = sweep_setup(scn, coordinates([p0]), (method,), [scn.correlation], nu)
+    if setup.error is not None:
+        raise setup.error
+    bias, coeffs = _error_rows(setup)[method]
     return AffineErrorForm(bias=float(bias[0, 0]), coeffs=np.concatenate(([1.0], -coeffs[0, 0])))
 
 
@@ -171,63 +168,37 @@ def sm0_sigma0(model: CorrelationModel, sensors: list[Point], p0: Point) -> floa
 
 
 @dataclass(frozen=True)
-class GridForms:
-    """The parts of several methods' error forms at N query points that no correlation model changes.
+class SweepSetup:
+    """What both engines read for several methods at N query points under K models that differ in sigma and xc alone.
 
-    xy and sensors are the (N, 2) query and (n, 2) sensor coordinates.
-    pm0 holds each query point's median power and pm the sensors'. weights
-    holds the (N, n) weights of every requested method whose weight family
-    is geometry-only, one array per family (sm2 and idw share one). When a
-    method takes the refit, fit holds its least-squares pieces
-    (estimators._emitter_rows), the sensor distances' LseDesign first. The
-    Monte Carlo route takes pm0, pm, weights and the fit's design from here
-    as well.
-    """
-
-    methods: tuple[str, ...]
-    xy: np.ndarray
-    sensors: np.ndarray
-    pm0: np.ndarray
-    pm: np.ndarray
-    weights: dict[str, np.ndarray]
-    fit: FitRows | None
-
-
-def grid_forms(scn: Scenario, xy: np.ndarray, methods: tuple[str, ...], nu: float = 1.0) -> GridForms:
-    """Gather the model-free parts of the methods' error forms at the rows of an (N, 2) coordinate array, once.
-
-    Each geometry-only weight family present, by the method table, is one
-    geometry_weights() table over all the points, shared by its methods (sm2
-    and idw share the inverse-distance one). The median powers and the fit's
-    log distances come from one pass over the emitter distances.
-    """
-    sensors = coordinates(scn.sensors)
-    families = {m: _estimator(m)[0] for m in methods}
-    first = {f: m for m, f in reversed(families.items()) if f != _SOLVE}  # each geometry family's first method
-    tables = {f: geometry_weights(m, sensors, xy, nu) for f, m in first.items()}
-    pm0, pm, fit = _emitter_rows(scn, xy, methods)
-    weights = {m: tables[f] for m, f in families.items() if f in tables}
-    return GridForms(methods=tuple(methods), xy=xy, sensors=sensors, pm0=pm0, pm=pm, weights=weights, fit=fit)
-
-
-@dataclass(frozen=True)
-class SweepCovariances:
-    """Every covariance both engines read, and the one solve they share, for K models that differ in sigma and xc alone.
+    xy holds the (N, 2) query coordinates. pm0 holds each query point's
+    median power, pm the sensors' and x0 the points' log10 emitter
+    distances. design is the sensor distances' LseDesign when a method
+    takes the refit, else None. weights holds the (N, n) weights of every
+    requested method whose weight family is geometry-only, one array per
+    family (sm2 and idw share one).
 
     c_n holds each model's (n, n) sensor covariance Cn and c_0 its (N, n)
-    covariances C0 at the forms' points, each with the bits it has alone.
-    joint holds the Monte Carlo route's (K, N, n+1, n+1) joint factors, or
-    None when they were not asked for. error is the NotPositiveDefiniteError
-    of the lowest model whose Cn (when a method takes the solve) or whose
-    joint covariance at some point (when joint is built) does not factor,
-    and failed that model's index; at one model Cn's error wins over its
-    lowest failing point's, whose index is the point's in the flattened
-    (model, point) stack. solved holds every model's (K, N, n) weights at
-    the points, each row with the bits of sm0_weights() there alone, or None
+    covariances C0 at the points, each with the bits it has alone. joint
+    holds the Monte Carlo route's (K, N, n+1, n+1) joint factors, or None
+    when they were not asked for. error is the NotPositiveDefiniteError of
+    the lowest model whose Cn (when a method takes the solve) or whose joint
+    covariance at some point (when joint is built) does not factor, and
+    failed that model's index; at one model Cn's error wins over its lowest
+    failing point's, whose index is the point's in the flattened (model,
+    point) stack. solved holds every model's (K, N, n) weights at the
+    points, each row with the bits of sm0_weights() there alone, or None
     unless a method takes the solve: nothing is solved for a sweep that
     cannot run.
     """
 
+    methods: tuple[str, ...]
+    xy: np.ndarray
+    pm0: np.ndarray
+    pm: np.ndarray
+    x0: np.ndarray
+    design: LseDesign | None
+    weights: dict[str, np.ndarray]
     c_n: np.ndarray
     c_0: np.ndarray
     joint: np.ndarray | None
@@ -236,19 +207,37 @@ class SweepCovariances:
     error: NotPositiveDefiniteError | None
 
 
-def sweep_covariances(forms: GridForms, models: list[CorrelationModel], joint: bool = False) -> SweepCovariances:
-    """The models' Cn and C0 stacks at the forms' points, one kernel pass each, their factors, and the solve in one call.
+def sweep_setup(
+    scn: Scenario,
+    xy: np.ndarray,
+    methods: tuple[str, ...],
+    models: list[CorrelationModel],
+    nu: float = 1.0,
+    joint: bool = False,
+) -> SweepSetup:
+    """The methods' set-up at the rows of an (N, 2) coordinate array under the models, in one call.
 
-    Only when a method takes the solve, the Cn are factored in one stacked
-    call. With joint, every point's joint covariance under every model is
-    factored in one field.joint_factors() call as well. Only when every
-    factor holds are the weights solved, in one sm0_weight_rows() call. A
-    sigma^2 that overflows raises the kernel's OverflowError.
+    First what no model changes, from scn: each geometry-only weight family
+    present, by the method table, is one geometry_weights() table over all
+    the points, shared by its methods (sm2 and idw share the inverse-distance
+    one), and the median powers and log distances come from one pass over
+    the emitter distances. Then the models' Cn and C0 stacks, one kernel
+    pass each. Only when a method takes the solve are the Cn factored, in
+    one stacked call. With joint, every point's joint covariance under every
+    model is factored in one field.joint_factors() call as well. Only when
+    every factor holds are the weights solved, in one sm0_weight_rows()
+    call. A sigma^2 that overflows raises the kernel's OverflowError.
     """
+    sensors = coordinates(scn.sensors)
+    families = {m: _estimator(m)[0] for m in methods}
+    first = {f: m for m, f in reversed(families.items()) if f != _SOLVE}  # each geometry family's first method
+    tables = {f: geometry_weights(m, sensors, xy, nu) for f, m in first.items()}
+    pm0, pm, design, x0 = _emitter_rows(scn, xy, methods)
+    weights = {m: tables[f] for m, f in families.items() if f in tables}
     with np.errstate(all="ignore"):  # near the double range, the finiteness checks name what goes wrong
-        c_n = cross_covariance_stack(models, forms.sensors, forms.sensors)
-        c_0 = cross_covariance_stack(models, forms.xy, forms.sensors)
-        factors, error = (None, None) if _SOLVED.isdisjoint(forms.methods) else cholesky_stack(c_n.copy())
+        c_n = cross_covariance_stack(models, sensors, sensors)
+        c_0 = cross_covariance_stack(models, xy, sensors)
+        factors, error = (None, None) if _SOLVED.isdisjoint(methods) else cholesky_stack(c_n.copy())
         failed = None if error is None else error.index
         lower = None
         if joint:
@@ -256,16 +245,16 @@ def sweep_covariances(forms: GridForms, models: list[CorrelationModel], joint: b
             if point_error is not None and (failed is None or point_error.index // c_0.shape[1] < failed):
                 failed, error = point_error.index // c_0.shape[1], point_error
         solved = sm0_weight_rows(factors, c_0) if factors is not None and error is None else None
-    return SweepCovariances(c_n, c_0, lower, solved, failed, error)
+    return SweepSetup(tuple(methods), xy, pm0, pm, x0, design, weights, c_n, c_0, lower, solved, failed, error)
 
 
-def _weight_stacks(forms: GridForms, cov: SweepCovariances) -> dict[str, np.ndarray]:
-    """Each method's weight rows by the method table: its geometry-only (N, n) table, or cov's (K, N, n) solve."""
-    return {m: cov.solved if m in _SOLVED else forms.weights[m] for m in forms.methods}
+def _weight_stacks(setup: SweepSetup) -> dict[str, np.ndarray]:
+    """Each method's weight rows by the method table: its geometry-only (N, n) table, or the (K, N, n) solve."""
+    return {m: setup.solved if m in _SOLVED else setup.weights[m] for m in setup.methods}
 
 
-def _error_rows(forms: GridForms, cov: SweepCovariances) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Each method's error rows under cov's K models, whose Cn all factor (the caller raises cov.error first).
+def _error_rows(setup: SweepSetup) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Each method's error rows under the set-up's K models, whose Cn all factor (the caller raises setup.error first).
 
     The error under model k at point i is bias[k, i] + S0 - coeffs[k, i] . [S1..Sn].
     The geometry-only methods' rows depend on no model: they are formed
@@ -273,10 +262,10 @@ def _error_rows(forms: GridForms, cov: SweepCovariances) -> dict[str, tuple[np.n
     unbiased method's bias is 0: computed, it is the medians' round-off.
     """
     rows = {}
-    for m, w in _weight_stacks(forms, cov).items():
-        intercept, coeffs = _affine_rows(m, w, forms.pm0, forms.pm, forms.fit)
-        bias = 0.0 if m in _UNBIASED else forms.pm0 - (intercept + coeffs @ forms.pm)
-        rows[m] = (np.broadcast_to(bias, cov.c_0.shape[:2]), np.broadcast_to(coeffs, cov.c_0.shape))
+    for m, w in _weight_stacks(setup).items():
+        intercept, coeffs = _affine_rows(m, w, setup.pm0, setup.pm, setup.design, setup.x0)
+        bias = 0.0 if m in _UNBIASED else setup.pm0 - (intercept + coeffs @ setup.pm)
+        rows[m] = (np.broadcast_to(bias, setup.c_0.shape[:2]), np.broadcast_to(coeffs, setup.c_0.shape))
     return rows
 
 
@@ -297,13 +286,13 @@ def _affine_rms(
     return np.sqrt(bias**2 + np.maximum(q, 0.0))
 
 
-def grid_analytic_rmse(forms: GridForms, cov: SweepCovariances) -> dict[str, np.ndarray]:
-    """Per-point RMS error of each method under each of cov's K models, as (K, N) arrays.
+def grid_analytic_rmse(setup: SweepSetup) -> dict[str, np.ndarray]:
+    """Per-point RMS error of each method under each of the set-up's K models, as (K, N) arrays.
 
-    The package's one analytic engine; its callers raise cov.error first.
+    The package's one analytic engine; its callers raise setup.error first.
     Each method's error rows come from estimators._affine_rows() on its
-    weight rows, the solve family's from cov's one solve.
+    weight rows, the solve family's from the set-up's one solve.
     """
-    var0 = cov.c_n[:, 0, :1]  # each model's sigma^2, the kernel at zero distance
-    rows = _error_rows(forms, cov)
-    return {m: _affine_rms(bias, 1.0, coeffs, var0, cov.c_0, cov.c_n) for m, (bias, coeffs) in rows.items()}
+    var0 = setup.c_n[:, 0, :1]  # each model's sigma^2, the kernel at zero distance
+    rows = _error_rows(setup)
+    return {m: _affine_rms(bias, 1.0, coeffs, var0, setup.c_0, setup.c_n) for m, (bias, coeffs) in rows.items()}

@@ -229,28 +229,20 @@ def lse_fit(distances: np.ndarray | LseDesign, powers: np.ndarray, out: np.ndarr
     return FitResult(a_hat=a_hat[()], gamma_hat=slope[()], residuals=residuals.T)
 
 
-# The fitted methods' pieces at N points: (design, c_a, c_slope, x0).
-FitRows = tuple[LseDesign, np.ndarray, np.ndarray, np.ndarray]
-
-
 def _emitter_rows(
     scn: Scenario, xy: np.ndarray, methods: tuple[str, ...]
-) -> tuple[np.ndarray, np.ndarray, FitRows | None]:
-    """pm0, pm and fit at the rows of an (N, 2) array, from one pass over their emitter distances.
+) -> tuple[np.ndarray, np.ndarray, LseDesign | None, np.ndarray]:
+    """pm0, pm, design and x0 at the rows of an (N, 2) array, from one pass over their emitter distances.
 
-    pm0 holds the points' median powers and pm the sensors'. fit is
-    (design, c_a, c_slope, x0) if methods has sm1 or sm2, else None: design
-    is lse_design() of the sensors' emitter distances, whose x holds their
-    log10, and x0 holds the points'; a_hat = c_a . P and
-    10 * gamma_hat = c_slope . P for measurements P.
+    pm0 holds the points' median powers and pm the sensors'. x0 holds the
+    points' log10 emitter distances. design is lse_design() of the sensors'
+    emitter distances, whose x holds their log10, if methods has sm1 or
+    sm2, else None.
     """
     x0 = emitter_log_distances(scn, xy)
     pm = median_powers(scn, emitter_log_distances(scn, coordinates(scn.sensors)))
-    fit = None
-    if not _REFIT.isdisjoint(methods):
-        d = lse_design(scn.sensor_distances())
-        fit = d, (d.sxx - d.sx * d.x) / d.denom, (d.x.size * d.x - d.sx) / d.denom, x0
-    return median_powers(scn, x0), pm, fit
+    design = None if _REFIT.isdisjoint(methods) else lse_design(scn.sensor_distances())
+    return median_powers(scn, x0), pm, design, x0
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +493,7 @@ def predict(
     applied_to = _estimator(method)[1]
     meas = np.asarray(measurements, dtype=float)
     if applied_to == _DEVIATIONS:
-        pm0, pm, _ = _emitter_rows(scn, coordinates([p0]), (method,))
+        pm0, pm, _, _ = _emitter_rows(scn, coordinates([p0]), (method,))
         value = pm0[0] + (meas - pm) @ w
     elif applied_to == _RESIDUALS:
         fit = lse_fit(np.array(scn.sensor_distances()), meas)
@@ -513,21 +505,23 @@ def predict(
 
 
 def _affine_rows(
-    method: str, w: np.ndarray, pm0: np.ndarray, pm: np.ndarray, fit: FitRows | None
+    method: str, w: np.ndarray, pm0: np.ndarray, pm: np.ndarray, design: LseDesign | None, x0: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(..., N) intercepts and (..., N, n) coefficient rows of a method's affine maps, from its weight rows w.
 
     w is (..., N, n), its leading axes over a stack of correlation models.
-    pm0, pm and fit are _emitter_rows() of the points. The refit's residuals
-    are linear because the least-squares estimates are linear in the
-    observations; the deviations add the median-power intercept.
+    pm0, pm, design and x0 are _emitter_rows() of the points. The refit's
+    residuals are linear because the least-squares estimates are linear in
+    the observations, a_hat = c_a . P and 10 * gamma_hat = c_slope . P for
+    measurements P; the deviations add the median-power intercept.
     """
     applied_to = _estimator(method)[1]
     if applied_to == _DEVIATIONS:
         return pm0 - w @ pm, w
     if applied_to == _RESIDUALS:
         # residual rows r_i = e_i - c_a - x_i * c_slope, applied through w
-        design, c_a, c_slope, x0 = fit
+        c_a = (design.sxx - design.sx * design.x) / design.denom
+        c_slope = (design.x.size * design.x - design.sx) / design.denom
         coeffs = c_a + x0[:, None] * c_slope + w - w.sum(axis=-1)[..., None] * c_a - (w @ design.x)[..., None] * c_slope
         return np.zeros(w.shape[:-1]), coeffs
     return np.zeros(w.shape[:-1]), w

@@ -6,7 +6,7 @@ model: s = L z, where L is the Cholesky factor of the (n+1) x (n+1) joint
 covariance (query point first) and z is a vector of independent standard
 normals. joint_factors() assembles these covariances for N points from
 the C0 rows and Cn of one model or of every model of a sweep (which builds
-them once, as stacks: analysis.sweep_covariances) as one stack and
+them once, as stacks: analysis.sweep_setup) as one stack and
 factors it in one call, returning the lowest failure as a value. Each
 point's factor has the bits of the same matrix factored alone, and
 joint_cholesky() is the stack at one point.

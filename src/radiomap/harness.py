@@ -10,10 +10,10 @@ realizations (mc mode); 'both' computes the two side by side and flags
 points where they disagree beyond Monte Carlo noise. What no ratio changes
 (the grid's (N, 2) coordinate array, the geometry-only weights) is
 gathered once per sweep, and so is what every ratio needs: each ratio's
-covariances and solve weights, built as stacks once for both engines
-(analysis.sweep_covariances). One set-up then decides, before either
-engine runs, whether the run can finish and, when it cannot, the one
-error raised, with the same precedence in every mode (_grid_evals):
+covariances and solve weights, built as stacks once for both engines, in
+one set-up call (analysis.sweep_setup). The set-up then decides, before
+either engine runs, whether the run can finish and, when it cannot, the
+one error raised, with the same precedence in every mode (_grid_evals):
 factor failures come back as values, not exceptions, and a run that
 fails solves, draws and evaluates nothing. The closed form is one
 array evaluation of every ratio at every grid point. The Monte Carlo
@@ -47,7 +47,7 @@ from .geometry import DegenerateGeometryError, Point, QueryGrid, Scenario, build
 from .correlation import CorrelationModel, KERNEL_KINDS, EXPONENTIAL
 from .field import _check_stream_keys, correlate_normals, standard_normal_block
 from .estimators import ALL_METHODS, OutsideHullError, _DEVIATIONS, _RESIDUALS, _UNBIASED, _estimator, lse_fit
-from .analysis import GridForms, SweepCovariances, _weight_stacks, grid_analytic_rmse, grid_forms, sweep_covariances
+from .analysis import SweepSetup, _weight_stacks, grid_analytic_rmse, sweep_setup
 
 __all__ = [
     "CORRELATION_KEYS",
@@ -333,11 +333,11 @@ def _power_of_two_above(magnitudes: np.ndarray, axis: int | None = None) -> np.n
 # results stay independent checks of one another. A point's normals depend
 # on its stream alone, so one draw serves every ratio.
 #
-# Set-up runs before any draw, in analysis.sweep_covariances(joint=True):
-# one in-place factor of every point's joint covariance under every ratio,
+# Set-up runs before any draw, in analysis.sweep_setup(joint=True): one
+# in-place factor of every point's joint covariance under every ratio,
 # decided before the solve weights, which are the analytic engine's, and the
 # first failing ratio and its error returned as values. Past set-up nothing
-# fails: the fit's constants were checked with the forms, and the kernel runs
+# fails: the fit's constants were checked there, and the kernel runs
 # with numpy's errors off, its inf and NaN named later by the finiteness checks.
 #
 # The points run as min(threads, N) tasks over contiguous chunks, each in
@@ -363,11 +363,9 @@ def _power_of_two_above(magnitudes: np.ndarray, axis: int | None = None) -> np.n
 # inside a call, and at R = 10^4 calls last tens of microseconds: the
 # sweep-mc config in one process took about 134 ms on one worker, 103 ms
 # on two threads and 79 ms on two forked workers (medians of 24
-# interleaved rounds, against 168, 127 and 110 ms with one matrix-vector
-# product per method and the scaled RMS), on a 2-core Xeon VM. On one
-# worker the draws take about 44 ms of it, and the rest about 260 us per
-# point and ratio (350 us before). Streams keyed by point make the split
-# invisible in the bits.
+# interleaved rounds), on a 2-core Xeon VM. On one worker the draws take
+# about 44 ms of it, and the rest about 260 us per point and ratio. Streams
+# keyed by point make the split invisible in the bits.
 
 
 # Least sigma_db a Monte Carlo run takes, as a fraction of the largest median
@@ -382,9 +380,9 @@ _SIGMA_FRACTION = 1e-9
 _SPREAD_FRACTION = 1e-7
 
 
-def _lost_sigma(forms: GridForms, sigma: float) -> str | None:
-    """Why a Monte Carlo run of the forms at this sigma (dB) would lose its shadows to round-off, or None if it would not."""
-    top = float(max(np.abs(forms.pm0).max(), np.abs(forms.pm).max()))
+def _lost_sigma(setup: SweepSetup, sigma: float) -> str | None:
+    """Why a Monte Carlo run of the set-up at this sigma (dB) would lose its shadows to round-off, or None if it would not."""
+    top = float(max(np.abs(setup.pm0).max(), np.abs(setup.pm).max()))
     if sigma < _SIGMA_FRACTION * top < math.inf:  # non-finite medians are named by the finiteness checks
         return (
             f"{sigma!r} dB is below {_SIGMA_FRACTION:g} of the largest median power magnitude, {top:.6g} dB, "
@@ -393,9 +391,9 @@ def _lost_sigma(forms: GridForms, sigma: float) -> str | None:
     return None
 
 
-def _lost_medians(forms: GridForms, config: ExperimentConfig) -> str | None:
-    """Why the forms' medians would lose the path-loss bias to round-off, or its analytic square overflow, or None."""
-    p = np.concatenate((forms.pm0, forms.pm))
+def _lost_medians(setup: SweepSetup, config: ExperimentConfig) -> str | None:
+    """Why the set-up's medians would lose the path-loss bias to round-off, or its analytic square overflow, or None."""
+    p = np.concatenate((setup.pm0, setup.pm))
     top, term = np.abs(p).max(), np.abs(config.a_db - p).max()
     cause = f"field {'a_db' if abs(config.a_db) >= term else 'gamma'!r} sets median powers of up to {top:.6g} dB"
     if config.mode != "mc" and top > 2.0**510:  # each bias, up to 2 |P|, is squared
@@ -479,11 +477,11 @@ class _McWorkspace:
 
 
 def _family_weights(
-    forms: GridForms, cov: SweepCovariances, families: list[tuple[str, tuple[str, ...], int]], block: range
+    setup: SweepSetup, families: list[tuple[str, tuple[str, ...], int]], block: range
 ) -> list[np.ndarray]:
-    """Each family's (K, P, rows, n) weight rows under cov's K scenarios at a block of P points, families as
-    _McWorkspace.families lists them."""
-    by_method, n = _weight_stacks(forms, cov), len(forms.pm)
+    """Each family's (K, P, rows, n) weight rows under the set-up's K scenarios at a block of P points, families
+    as _McWorkspace.families lists them."""
+    by_method, n = _weight_stacks(setup), len(setup.pm)
     at = slice(block.start, block.stop)
     stacks = []
     for _, members, _ in families:
@@ -495,14 +493,12 @@ def _family_weights(
         stack = np.empty((*np.broadcast_shapes(*(part.shape for part in parts))[:-1], len(parts), n))
         for r, part in enumerate(parts):
             stack[..., r, :] = part
-        stacks.append(np.broadcast_to(stack, (len(cov.c_0), len(block), len(parts), n)))
+        stacks.append(np.broadcast_to(stack, (len(setup.c_0), len(block), len(parts), n)))
     return stacks
 
 
 def _mc_block_rmse(
-    forms: GridForms,
-    cov: SweepCovariances,
-    joint: np.ndarray,
+    setup: SweepSetup,
     block: range,
     indices: Sequence[int],
     realizations: int,
@@ -512,38 +508,39 @@ def _mc_block_rmse(
 ) -> None:
     """Write the RMS prediction error of each method at a block of points under each scenario into out.
 
-    cov is the sweep's covariances, whose weights the methods apply, joint
-    their joint factors for its K scenarios (cov.joint), block holds the
-    points' indices into the forms, indices[i] keys point i's stream, ws
-    is the calling task's workspace, with room for the block, and out the
-    (K, M, N) RMSEs, M methods in the order of forms.methods: the block
-    writes out[:, :, block]. Each point's results have the bits of a block of one.
+    setup is the sweep's set-up, whose weights the methods apply and whose
+    joint factors (setup.joint) correlate its K scenarios' draws, block
+    holds the points' indices into the set-up, indices[i] keys point i's
+    stream, ws is the calling task's workspace, with room for the block,
+    and out the (K, M, N) RMSEs, M methods in the order of setup.methods:
+    the block writes out[:, :, block]. Each point's results have the bits
+    of a block of one.
     """
-    n, points = len(forms.pm), len(block)
-    family_weights = _family_weights(forms, cov, ws.families, block)
+    n, points = len(setup.pm), len(block)
+    family_weights = _family_weights(setup, ws.families, block)
     for p, i in enumerate(block):
         standard_normal_block(master_seed, indices[i], n + 1, realizations, out=ws.z[p], bitgen=ws.bitgen)
     at = slice(block.start, block.stop)
     medians = np.empty((points, n + 1, 1))  # each point's and the sensors' median powers
-    medians[:, 0, 0], medians[:, 1:, 0] = forms.pm0[at], forms.pm
-    rows, errors = ws.joint[:points], ws.errors[: points * len(forms.methods)]
+    medians[:, 0, 0], medians[:, 1:, 0] = setup.pm0[at], setup.pm
+    rows, errors = ws.joint[:points], ws.errors[: points * len(setup.methods)]
     with _unbuffered(realizations):
-        for j in range(len(joint)):
+        for j in range(len(setup.joint)):
             weights = [w[j] for w in family_weights]
-            correlate_normals(joint[j, at], ws.z[:points].swapaxes(1, 2), out=rows)
+            correlate_normals(setup.joint[j, at], ws.z[:points].swapaxes(1, 2), out=rows)
             rows += medians
-            _block_errors(forms, weights, rows, block, ws)
+            _block_errors(setup, weights, rows, block, ws)
             # the squares overwrite the errors, so a block with a row whose mean square lies outside
             # _PLAIN_MEAN_SQUARES computes its errors again for the scaled formula
             rms, plain = _root_mean_squares(np.square(errors, out=errors))
             if not plain.all():
-                _block_errors(forms, weights, rows, block, ws)
+                _block_errors(setup, weights, rows, block, ws)
                 rms = _scaled_rms_rows(errors, out=errors)
             out[j, ws.order, at] = rms.reshape(points, -1).T
 
 
 def _block_errors(
-    forms: GridForms, weights: list[np.ndarray], rows: np.ndarray, block: range, ws: _McWorkspace
+    setup: SweepSetup, weights: list[np.ndarray], rows: np.ndarray, block: range, ws: _McWorkspace
 ) -> None:
     """Write each point's truth row less each method's prediction into ws.errors: one product per family and point.
 
@@ -551,21 +548,21 @@ def _block_errors(
     biases are added after the products: sm0's median power, the fitted
     methods' fitted median.
     """
-    pm, m = forms.pm[:, None], len(forms.methods)  # (n, 1)
+    pm, m = setup.pm[:, None], len(setup.methods)  # (n, 1)
     for p, k in enumerate(block):  # each point's refit and predictions, one call each
         meas = rows[p, 1:]  # (n, R): the powers
-        if forms.fit is not None:
-            fit = lse_fit(forms.fit[0], meas.T, out=ws.fit)
+        if setup.design is not None:
+            fit = lse_fit(setup.design, meas.T, out=ws.fit)
             # fitted median a_hat + 10 gamma_hat x0, x0 the point's log10 emitter distance, in the slope row
             median = ws.fit[-1]
             median *= 10.0
-            median *= forms.fit[3][k]
+            median *= setup.x0[k]
             median += fit.a_hat
         for (applied_to, members, first), w in zip(ws.families, weights):
             out = ws.errors[p * m + first : p * m + first + len(w[p])]
             if applied_to == _DEVIATIONS:
                 np.matmul(w[p], np.subtract(meas, pm, out=ws.dev), out=out)
-                out[: len(members)] += forms.pm0[k]
+                out[: len(members)] += setup.pm0[k]
             elif applied_to == _RESIDUALS:
                 np.matmul(w[p], fit.residuals.T, out=out)
                 out[: len(members)] += median
@@ -576,52 +573,48 @@ def _block_errors(
 
 
 def _mc_rmse(
-    forms: GridForms,
-    cov: SweepCovariances,
+    setup: SweepSetup,
     indices: Sequence[int],
     realizations: int,
     master_seed: int,
     threads: int = 1,
 ) -> np.ndarray:
-    """(K, M, N) Monte Carlo RMSEs of each method at every point of the forms under cov's K ratios, one task per chunk of points.
+    """(K, M, N) Monte Carlo RMSEs of each method at every point of the set-up under its K ratios, one task per chunk of points.
 
-    cov is the sweep's covariances, with their joint factors (joint=True).
+    setup is the sweep's set-up, with its joint factors (joint=True).
     indices[i] keys point i's stream. Before any draw, ValueError names a
     stream key outside the unsigned 64-bit range, then realizations that
-    are not an integer of at least 1; then cov.error is raised; then
+    are not an integer of at least 1; then setup.error is raised; then
     ValueError names a sigma (each joint factor's [0, 0] entry) lost in
     the round-off of the median powers. _run_forked runs one task here
     and the rest in forked workers; more than one task runs on a thread
     pool instead when os.fork is missing or the caller runs another thread.
+    Either runner's tasks write their chunks into one anonymous shared
+    mapping.
     """
     for index in (min(indices), max(indices)):
         _check_stream_keys(master_seed=master_seed, point_index=index)
     if not _accepts(0, realizations) or realizations < 1:
         raise ValueError(f"realizations must be an integer of at least 1, got {realizations!r}")
-    if cov.error is not None:
-        raise cov.error
-    joint = cov.joint
-    if lost := _lost_sigma(forms, float(joint[..., 0, 0].min())):
+    if setup.error is not None:
+        raise setup.error
+    if lost := _lost_sigma(setup, float(setup.joint[..., 0, 0].min())):
         raise ValueError(f"sigma is too small for Monte Carlo: {lost}")
-    n_points = len(forms.xy)
-    shape = (len(joint), len(forms.methods), n_points)
+    n_points = len(setup.xy)
+    shape = (len(setup.joint), len(setup.methods), n_points)
     tasks = min(threads, n_points)
     chunks = [range(n_points * t // tasks, n_points * (t + 1) // tasks) for t in range(tasks)]
     per_block = max(1, _BLOCK_DOUBLES // realizations)
-    forked = tasks == 1 or (hasattr(os, "fork") and threading.active_count() == 1)  # one chunk forks nothing
-    if forked:  # one anonymous shared mapping, which each worker writes its chunk into
-        rmse = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape), flags=mmap.MAP_SHARED)).reshape(shape)
-    else:
-        rmse = np.empty(shape)
+    rmse = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape), flags=mmap.MAP_SHARED)).reshape(shape)
 
     def eval_chunk(chunk: range) -> None:
-        ws = _McWorkspace(len(forms.pm), forms.methods, realizations, min(per_block, len(chunk)))
+        ws = _McWorkspace(len(setup.pm), setup.methods, realizations, min(per_block, len(chunk)))
         with np.errstate(all="ignore"):  # pool threads do not inherit the caller's state
             for start in range(0, len(chunk), per_block):
                 block = chunk[start : start + per_block]
-                _mc_block_rmse(forms, cov, joint, block, indices, realizations, master_seed, ws, rmse)
+                _mc_block_rmse(setup, block, indices, realizations, master_seed, ws, rmse)
 
-    if forked:
+    if tasks == 1 or (hasattr(os, "fork") and threading.active_count() == 1):  # one chunk forks nothing
         _run_forked(eval_chunk, chunks)
     else:
         with ThreadPoolExecutor(max_workers=tasks) as pool:
@@ -709,9 +702,8 @@ def point_rmse_mc(
     A covariance that is not positive definite raises its
     NotPositiveDefiniteError next, before any draw as well.
     """
-    forms = grid_forms(scn, coordinates([p0]), (method,), nu)
-    cov = sweep_covariances(forms, [scn.correlation], joint=True)
-    return float(_mc_rmse(forms, cov, [point_index], realizations, master_seed)[0, 0, 0])
+    setup = sweep_setup(scn, coordinates([p0]), (method,), [scn.correlation], nu, joint=True)
+    return float(_mc_rmse(setup, [point_index], realizations, master_seed)[0, 0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -766,11 +758,11 @@ def _grid_evals(
 
     The ratio-free parts of the error forms, the geometry-only weights above
     all, are gathered once from one scenario, and every ratio's Cn, C0 and
-    solve weights are built once, as stacks (analysis.sweep_covariances),
-    for both engines. Both engines then run every ratio: the analytic
-    engine on the calling thread as one stack, the Monte Carlo stage with
-    one worker per chunk of points (_mc_rmse), each point's normals drawn
-    once. Each engine's aggregates come from one row-wise pass.
+    solve weights are built once, as stacks, in the same set-up call
+    (analysis.sweep_setup), for both engines. Both engines then run every
+    ratio: the analytic engine on the calling thread as one stack, the
+    Monte Carlo stage with one worker per chunk of points (_mc_rmse), each
+    point's normals drawn once. Each engine's aggregates come from one row-wise pass.
     """
     if not (_accepts(0, threads) and 1 <= threads <= MAX_THREADS):
         raise ConfigError(f"threads must be an integer between 1 and {MAX_THREADS}, got {threads!r}")
@@ -781,41 +773,46 @@ def _grid_evals(
         with np.errstate(all="ignore"):  # the finiteness checks name what an inf or NaN means
             if (grid.xy == (config.emitter.x, config.emitter.y)).all(axis=1).any():
                 raise DegenerateGeometryError(f"coincides with a query point of the resolution-{config.resolution} grid")
-            forms = grid_forms(config.scenario(ratios[0]), grid.xy, methods, config.nu)
-            cov = sweep_covariances(forms, [config.correlation_for_ratio(ratio) for ratio in ratios], joint=mc)
+            models = [config.correlation_for_ratio(ratio) for ratio in ratios]
+            setup = sweep_setup(config.scenario(ratios[0]), grid.xy, methods, models, config.nu, joint=mc)
     except DegenerateGeometryError as err:
         raise DegenerateGeometryError(f"emitter at ({config.emitter.x:g}, {config.emitter.y:g}): {err}") from err
     except (OutsideHullError, ArithmeticError) as err:
         # grid points lie strictly inside the sensor hull, so these come only from doubles out of
         # range, at every ratio alike: a sigma^2 that overflows, say
         raise _out_of_range(config, ratios[0], err) from err
-    error = cov.error
+    error = setup.error
     underflow = f"sigma^2 underflows a double at sigma = {config.sigma_db!r} dB"
     failure = None
     if error is not None:  # pivot 0 is sigma^2 itself: a failure there is its underflow to 0
-        failure = _out_of_range(config, ratios[cov.failed], underflow if error.pivot_index == 0 else error)
+        failure = _out_of_range(config, ratios[setup.failed], underflow if error.pivot_index == 0 else error)
         failure.__cause__ = error
     if config.sigma_db**2 < np.finfo(float).tiny and not _UNBIASED.isdisjoint(methods):
         raise _out_of_range(config, ratios[0], underflow)
-    if cov.failed == 0:
+    if setup.failed == 0:
         raise failure
-    if lost := _lost_medians(forms, config):
+    if lost := _lost_medians(setup, config):
         raise _out_of_range(config, ratios[0], lost)
-    if mc and (lost := _lost_sigma(forms, config.sigma_db)):
+    if mc and (lost := _lost_sigma(setup, config.sigma_db)):
         raise ConfigError(f"field 'sigma_db' is too small for Monte Carlo: {lost}")
     if failure is not None:
         raise failure
     engines: dict[str, np.ndarray] = {}  # each engine's (K, M, N) RMSEs
     with np.errstate(all="ignore"):
         if config.mode in ("analytic", "both"):
-            rmse = grid_analytic_rmse(forms, cov)
+            rmse = grid_analytic_rmse(setup)
             engines["analytic"] = np.stack([rmse[m] for m in methods], axis=1)
         if mc:
             indices = range(len(grid.xy))
-            engines["mc"] = _mc_rmse(forms, cov, indices, config.realizations, config.master_seed, threads)
+            engines["mc"] = _mc_rmse(setup, indices, config.realizations, config.master_seed, threads)
         spatial = {engine: _spatial_rows(rmse) for engine, rmse in engines.items()}
         stderr = _spatial_stderr(engines["mc"], config.realizations, spatial["mc"]) if mc else None
     return grid.xy, engines, spatial, stderr
+
+
+def _point_stderr(rmse: np.ndarray, realizations: int) -> np.ndarray:
+    """Standard error of a per-point Monte Carlo RMSE estimate: an RMS from R Gaussian errors has about rmse / sqrt(2R)."""
+    return rmse / math.sqrt(2.0 * realizations)
 
 
 def grid_rmse(config: ExperimentConfig, ratio: float, method: str, threads: int = 1) -> RmseSurface:
@@ -829,9 +826,7 @@ def grid_rmse(config: ExperimentConfig, ratio: float, method: str, threads: int 
     flags = None
     if a_vals is not None and mc_vals is not None:
         with np.errstate(all="ignore"):
-            # RMS estimate from R Gaussian errors has stderr ~ rmse / sqrt(2R)
-            se = a_vals / math.sqrt(2.0 * config.realizations)
-            flags = np.abs(mc_vals - a_vals) <= 3.0 * se
+            flags = np.abs(mc_vals - a_vals) <= 3.0 * _point_stderr(a_vals, config.realizations)
     return RmseSurface(
         method=method,
         mode=config.mode,
@@ -852,6 +847,8 @@ def _spatial_stderr(per_point_rmse: np.ndarray, realizations: int, spatial: np.n
 
     Each row along the last axis of per_point_rmse holds the per-point
     RMSEs behind one aggregate of spatial; a zero aggregate has zero error.
+    Each point's estimate has _point_stderr's error, rmse / sqrt(2R), so its
+    mean square has variance 2 rmse^4 / R.
     The fourth powers are taken relative to a power of two just above each
     row's largest value, so they cannot overflow, and the scaling is exact.
     """

@@ -46,13 +46,12 @@ from .analysis import (
     analytic_rmse,
     error_form,
     grid_analytic_rmse,
-    grid_forms,
     lse_error_coeffs,
     sm1_coefficient_error_form,
     sm0_sigma0,
-    sweep_covariances,
+    sweep_setup,
 )
-from .harness import ExperimentConfig, _mc_rmse, check_master_seed
+from .harness import ExperimentConfig, _mc_rmse, _point_stderr, check_master_seed
 
 __all__ = [
     "CheckResult",
@@ -196,12 +195,12 @@ def check_analytic_vs_mc(
     of its own point_rmse_mc call.
     """
     scns = [_table_scenario(ratio) for ratio in ratios]
-    forms = grid_forms(scns[0], coordinates([p for _, p in points]), tuple(methods))
-    cov = sweep_covariances(forms, [scn.correlation for scn in scns], joint=True)
-    mc = _mc_rmse(forms, cov, [index for index, _ in points], realizations, master_seed)
-    analytic = grid_analytic_rmse(forms, cov)
+    xy, models = coordinates([p for _, p in points]), [scn.correlation for scn in scns]
+    setup = sweep_setup(scns[0], xy, tuple(methods), models, joint=True)
+    mc = _mc_rmse(setup, [index for index, _ in points], realizations, master_seed)
+    analytic = grid_analytic_rmse(setup)
     expected = np.stack([analytic[m] for m in methods], axis=1)  # (K, M, N), as mc
-    z = np.abs(mc - expected) / (expected / math.sqrt(2.0 * realizations))
+    z = np.abs(mc - expected) / _point_stderr(expected, realizations)
     return _verdict("analytic_vs_mc", float(z.max()), 3.0)
 
 

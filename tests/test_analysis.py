@@ -21,9 +21,8 @@ from radiomap import (
 from radiomap.analysis import (
     AffineErrorForm,
     grid_analytic_rmse,
-    grid_forms,
     sm1_coefficient_error_form,
-    sweep_covariances,
+    sweep_setup,
 )
 from radiomap.estimators import DegenerateGeometryError
 from radiomap.geometry import coordinates
@@ -219,9 +218,8 @@ class TestGridAnalyticRmse:
             kernel=kernel, emitter=EMITTER_PRESETS[emitter], rotation_rad=0.5, resolution=4, nu=nu
         )
         xy = config.grid().xy
-        forms = grid_forms(config.scenario(1.0), xy, self.METHODS, nu)
         scns = [config.scenario(ratio) for ratio in (0.05, 1.0, 20.0)]
-        got = grid_analytic_rmse(forms, sweep_covariances(forms, [scn.correlation for scn in scns]))
+        got = grid_analytic_rmse(sweep_setup(config.scenario(1.0), xy, self.METHODS, [scn.correlation for scn in scns], nu))
         for k, scn in enumerate(scns):
             want = closed_form_rmse(scn, xy, self.METHODS, nu)
             for m in self.METHODS:
@@ -233,11 +231,10 @@ class TestGridAnalyticRmse:
         # row k of a K-model call has the bits of a call with model k alone, and both match the closed form
         config = ExperimentConfig(kernel=kernel, emitter=EMITTER_PRESETS["E2"], rotation_rad=0.5, resolution=5, nu=nu)
         xy = config.grid().xy
-        forms = grid_forms(config.scenario(1.0), xy, self.METHODS, nu)
         scns = [config.scenario(ratio) for ratio in (0.05, 0.2, 1.0, 5.0, 20.0)]
-        stacked = grid_analytic_rmse(forms, sweep_covariances(forms, [scn.correlation for scn in scns]))
+        stacked = grid_analytic_rmse(sweep_setup(config.scenario(1.0), xy, self.METHODS, [scn.correlation for scn in scns], nu))
         for k, scn in enumerate(scns):
-            alone = grid_analytic_rmse(forms, sweep_covariances(forms, [scn.correlation]))
+            alone = grid_analytic_rmse(sweep_setup(config.scenario(1.0), xy, self.METHODS, [scn.correlation], nu))
             want = closed_form_rmse(scn, xy, self.METHODS, nu)
             for m in self.METHODS:
                 assert stacked[m][k].tobytes() == alone[m][0].tobytes(), (m, k)
@@ -249,16 +246,14 @@ class TestGridAnalyticRmse:
         config = ExperimentConfig(sigma_db=1.3e154, resolution=3)
         scn = config.scenario(1.0)
         xy = config.grid().xy
-        forms = grid_forms(scn, xy, self.METHODS)
-        got = grid_analytic_rmse(forms, sweep_covariances(forms, [scn.correlation]))
+        got = grid_analytic_rmse(sweep_setup(scn, xy, self.METHODS, [scn.correlation]))
         want = closed_form_rmse(scn, xy, self.METHODS, unit=1.3e154)
         for m in self.METHODS:
             assert np.allclose(got[m][0], want[m], rtol=1e-12, atol=0.0), m
 
     def test_requested_methods_only(self, table_scenario):
         points = [Point(100.0, 200.0), Point(320.0, 320.0)]
-        forms = grid_forms(table_scenario, coordinates(points), ("nn", "sm1"))
-        got = grid_analytic_rmse(forms, sweep_covariances(forms, [table_scenario.correlation]))
+        got = grid_analytic_rmse(sweep_setup(table_scenario, coordinates(points), ("nn", "sm1"), [table_scenario.correlation]))
         assert sorted(got) == ["nn", "sm1"]
         assert all(v.shape == (1, 2) for v in got.values())
 

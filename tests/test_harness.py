@@ -27,7 +27,7 @@ from radiomap import (
     sm0_sigma0,
     sweep,
 )
-from radiomap.analysis import _error_rows, _weight_stacks, grid_forms, sweep_covariances
+from radiomap.analysis import _error_rows, _weight_stacks, sweep_setup
 from radiomap.geometry import coordinates
 from radiomap.estimators import sensor_factor, sm0_weights
 from radiomap.field import joint_cholesky
@@ -246,8 +246,9 @@ class TestPointRmseMc:
         from radiomap import harness
 
         p0 = Point(200.0, 300.0)
-        forms = grid_forms(ExperimentConfig.desk_preset().scenario(0.5), coordinates([p0]), ("sm0",))
-        limit = harness._SIGMA_FRACTION * max(np.abs(forms.pm0).max(), np.abs(forms.pm).max())
+        scn = ExperimentConfig.desk_preset().scenario(0.5)
+        setup = sweep_setup(scn, coordinates([p0]), ("sm0",), [scn.correlation])
+        limit = harness._SIGMA_FRACTION * max(np.abs(setup.pm0).max(), np.abs(setup.pm).max())
         scn = ExperimentConfig.desk_preset(sigma_db=fraction * limit).scenario(0.5)
         if fraction < 1:
             with pytest.raises(ValueError, match="^sigma is too small for Monte Carlo"):
@@ -304,9 +305,8 @@ class TestForkedWorkers:
         """_mc_rmse's (K, M, N) RMSEs of cfg's 9 points, on threads workers."""
         cfg = self.cfg
         scns = [cfg.scenario(r) for r in cfg.ratios]
-        forms = grid_forms(scns[0], cfg.grid().xy, cfg.methods, cfg.nu)
-        cov = sweep_covariances(forms, [scn.correlation for scn in scns], joint=True)
-        return _mc_rmse(forms, cov, range(9), cfg.realizations, cfg.master_seed, threads)
+        setup = sweep_setup(scns[0], cfg.grid().xy, cfg.methods, [scn.correlation for scn in scns], cfg.nu, joint=True)
+        return _mc_rmse(setup, range(9), cfg.realizations, cfg.master_seed, threads)
 
     @staticmethod
     def assert_no_child_left():
@@ -385,12 +385,11 @@ class TestMcWorkspace:
 
     @staticmethod
     def setup_for(cfg, xy):
-        """The scenarios, the forms, their covariances and joint factors of cfg's ratios at the rows of xy."""
+        """The scenarios of cfg's ratios and their set-up, joint factors included, at the rows of xy."""
         scns = [cfg.scenario(r) for r in cfg.ratios]
-        forms = grid_forms(scns[0], xy, cfg.methods, cfg.nu)
-        cov = sweep_covariances(forms, [scn.correlation for scn in scns], joint=True)
-        assert cov.failed is cov.error is None
-        return scns, forms, cov, cov.joint
+        setup = sweep_setup(scns[0], xy, cfg.methods, [scn.correlation for scn in scns], cfg.nu, joint=True)
+        assert setup.failed is setup.error is None
+        return scns, setup
 
     @pytest.mark.parametrize("kernel", ["exponential", "gaussian", "elliptical"])
     def test_sm0_rows_match_one_point_weights_bit_for_bit(self, kernel):
@@ -399,48 +398,49 @@ class TestMcWorkspace:
         # coefficient rows
         cfg = ExperimentConfig(kernel=kernel, rotation_rad=0.5, resolution=5, ratios=(0.05, 0.2, 1.0, 5.0, 20.0))
         xy = cfg.grid().xy
-        scns, forms, cov, joint = self.setup_for(cfg, xy)
-        weights = _weight_stacks(forms, cov)
-        assert weights["sm0"] is weights["sm1"] is cov.solved
-        analytic = _error_rows(forms, cov)["sm0"][1]
+        scns, setup = self.setup_for(cfg, xy)
+        joint = setup.joint
+        weights = _weight_stacks(setup)
+        assert weights["sm0"] is weights["sm1"] is setup.solved
+        analytic = _error_rows(setup)["sm0"][1]
         assert joint.shape == (len(scns), len(xy), 5, 5)
-        assert cov.solved.shape == analytic.shape == (len(scns), len(xy), 4)
+        assert setup.solved.shape == analytic.shape == (len(scns), len(xy), 4)
         for k, scn in enumerate(scns):
             sensors = list(scn.sensors)
             for i, (x, y) in enumerate(xy.tolist()):
                 want = sm0_weights(scn.correlation, sensors, Point(x, y)).tobytes()
                 assert joint[k, i].tobytes() == joint_cholesky(scn, Point(x, y)).tobytes()
-                assert cov.solved[k, i].tobytes() == want
+                assert setup.solved[k, i].tobytes() == want
                 assert analytic[k, i].tobytes() == want
 
     def test_no_row_leaks_between_points_or_ratios(self):
         # NaN in every row before each block, blocks in reverse order: the same bytes
         cfg = ExperimentConfig(resolution=3, realizations=257, ratios=(0.2, 1.0, 5.0), master_seed=4)
         xy = cfg.grid().xy
-        _, forms, cov, joint = self.setup_for(cfg, xy)
+        _, setup = self.setup_for(cfg, xy)
         R = cfg.realizations
         blocks = [range(0, 4), range(4, 8), range(8, 9)]
         forward = np.empty((len(cfg.ratios), len(cfg.methods), 9))
         ws = _McWorkspace(4, cfg.methods, R, 4)
         for block in blocks:
-            _mc_block_rmse(forms, cov, joint, block, range(9), R, cfg.master_seed, ws, forward)
+            _mc_block_rmse(setup, block, range(9), R, cfg.master_seed, ws, forward)
         got = np.full_like(forward, np.nan)
         ws = _McWorkspace(4, cfg.methods, R, 4)
         for block in reversed(blocks):
             ws.rows.fill(np.nan)
-            _mc_block_rmse(forms, cov, joint, block, range(9), R, cfg.master_seed, ws, got)
+            _mc_block_rmse(setup, block, range(9), R, cfg.master_seed, ws, got)
             at = slice(block.start, block.stop)
             assert got[:, :, at].tobytes() == forward[:, :, at].tobytes()
             assert np.isfinite(got[:, :, at]).all()
 
     @staticmethod
-    def peak_bytes(forms, cov, joint, points, R):
+    def peak_bytes(setup, points, R):
         import tracemalloc
 
         def run():
-            ws = _McWorkspace(4, forms.methods, R, points)
-            out = np.empty((len(joint), len(forms.methods), points))
-            _mc_block_rmse(forms, cov, joint, range(points), range(points), R, 5, ws, out)
+            ws = _McWorkspace(4, setup.methods, R, points)
+            out = np.empty((len(setup.joint), len(setup.methods), points))
+            _mc_block_rmse(setup, range(points), range(points), R, 5, ws, out)
 
         run()  # imports scipy outside the trace
         tracemalloc.start()
@@ -456,8 +456,8 @@ class TestMcWorkspace:
         # holds the fitted median), then the draw's 8 Philox rows (41 rows when every ratio allocated
         # its own temporaries)
         cfg = ExperimentConfig(realizations=10000, mode="mc")
-        _, *setup = self.setup_for(cfg, cfg.grid().xy[:1])
-        assert self.peak_bytes(*setup, 1, cfg.realizations) <= 34 * 8 * cfg.realizations + 2**13
+        _, setup = self.setup_for(cfg, cfg.grid().xy[:1])
+        assert self.peak_bytes(setup, 1, cfg.realizations) <= 34 * 8 * cfg.realizations + 2**13
 
     def test_memory_budget_of_a_block(self):
         # a block of 8 points at R = 2,000, the most that 2^14 doubles per row hold, peaks below
@@ -481,8 +481,8 @@ class TestMcWorkspace:
             cfg = ExperimentConfig(realizations=R, mode="mc", methods=methods)
             budget = (per_point * points + once + spare + 8) * 8 * R + 2**13
             for xy in (cfg.grid().xy[:points], cfg.grid().xy):
-                _, *setup = self.setup_for(cfg, xy)
-                assert self.peak_bytes(*setup, points, R) <= budget, (methods, len(xy))
+                _, setup = self.setup_for(cfg, xy)
+                assert self.peak_bytes(setup, points, R) <= budget, (methods, len(xy))
 
 
 def _family_method_sets() -> list[tuple[str, ...]]:
@@ -511,9 +511,8 @@ class TestFamilyProducts:
         """_mc_rmse's (K, M, N) RMSEs of methods at cfg's 9 points."""
         cfg = replace(self.cfg, methods=methods)
         scns = [cfg.scenario(r) for r in cfg.ratios]
-        forms = grid_forms(scns[0], cfg.grid().xy, methods, cfg.nu)
-        cov = sweep_covariances(forms, [scn.correlation for scn in scns], joint=True)
-        return _mc_rmse(forms, cov, range(9), realizations, cfg.master_seed, threads)
+        setup = sweep_setup(scns[0], cfg.grid().xy, methods, [scn.correlation for scn in scns], cfg.nu, joint=True)
+        return _mc_rmse(setup, range(9), realizations, cfg.master_seed, threads)
 
     @pytest.mark.parametrize("realizations", [1, 2, 7, 2000])
     def test_a_methods_bytes_do_not_depend_on_the_method_set(self, realizations):
@@ -628,9 +627,9 @@ class TestGridRmse:
         cfg = ExperimentConfig(resolution=5, mode="mc", realizations=40, ratios=(0.2, 1.0, 5.0), master_seed=6, nu=2)
         kernel, log = harness._mc_block_rmse, tmp_path / "sizes"
 
-        def recorded(forms, cov, joint, block, *args):
+        def recorded(setup, block, *args):
             append_line(log, len(block))
-            return kernel(forms, cov, joint, block, *args)
+            return kernel(setup, block, *args)
 
         monkeypatch.setattr(harness, "_mc_block_rmse", recorded)
         results = set()
@@ -898,6 +897,49 @@ class TestSweep:
         assert shapes.count((3, 16, 5, 5)) == (0 if mode == "analytic" else 1)
         assert len(shapes) == (1 if mode == "analytic" else 2)
 
+    @pytest.mark.parametrize(
+        "entry, joint",
+        [
+            ("sweep-analytic", False),
+            ("sweep-mc", True),
+            ("sweep-both", True),
+            ("grid_rmse", True),
+            ("point_rmse_mc", True),
+            ("error_form", False),
+            ("check_analytic_vs_mc", True),
+        ],
+    )
+    def test_each_entry_builds_its_setup_once(self, monkeypatch, entry, joint):
+        # one sweep_setup() call per entry, with the joint factors exactly when Monte Carlo runs
+        import inspect
+        import sys
+
+        from radiomap import analysis
+        from radiomap.validation import check_analytic_vs_mc
+
+        build, calls = analysis.sweep_setup, []
+
+        def counted(*args, **kwargs):
+            calls.append(inspect.signature(build).bind(*args, **kwargs).arguments.get("joint", False))
+            return build(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):  # every binding, the defining module's own included
+            if name.startswith("radiomap.") and getattr(module, "sweep_setup", None) is build:
+                monkeypatch.setattr(module, "sweep_setup", counted)
+        cfg = ExperimentConfig(resolution=3, realizations=50, ratios=(0.5, 2.0))
+        scn, p0 = cfg.scenario(0.5), Point(200.0, 300.0)
+        runs = {
+            "sweep-analytic": lambda: sweep(cfg),
+            "sweep-mc": lambda: sweep(replace(cfg, mode="mc")),
+            "sweep-both": lambda: sweep(replace(cfg, mode="both")),
+            "grid_rmse": lambda: grid_rmse(replace(cfg, mode="both"), 0.5, "sm1"),
+            "point_rmse_mc": lambda: point_rmse_mc(scn, p0, "sm1", 50, master_seed=1),
+            "error_form": lambda: error_form("sm1", scn, p0),
+            "check_analytic_vs_mc": lambda: check_analytic_vs_mc(1, realizations=50),
+        }
+        runs[entry]()
+        assert calls == [joint]
+
     @staticmethod
     def _second_sensor_factor_fails(monkeypatch):
         # the sweep's stacked factor of every Cn reports its second matrix as failing
@@ -1020,13 +1062,12 @@ class TestSweep:
         monkeypatch.setattr(analysis, "joint_factors", recorded)
         monkeypatch.setattr(harness, "standard_normal_block", drawn)
         scns = [cfg.scenario(r) for r in cfg.ratios]
-        forms = grid_forms(scns[0], cfg.grid().xy, cfg.methods)
-        cov = sweep_covariances(forms, [scn.correlation for scn in scns], joint=True)
+        setup = sweep_setup(scns[0], cfg.grid().xy, cfg.methods, [scn.correlation for scn in scns], joint=True)
         assert factored == [(3, 9, 4)]
-        assert cov.error is error and cov.failed == failing and cov.joint.shape == (3, 9, 5, 5)
-        assert cov.solved is None
+        assert setup.error is error and setup.failed == failing and setup.joint.shape == (3, 9, 5, 5)
+        assert setup.solved is None
         with pytest.raises(NotPositiveDefiniteError) as exc:
-            harness._mc_rmse(forms, cov, range(9), cfg.realizations, cfg.master_seed, threads=2)
+            harness._mc_rmse(setup, range(9), cfg.realizations, cfg.master_seed, threads=2)
         assert exc.value is error
         assert read_lines(log) == []
 
@@ -1037,8 +1078,8 @@ class TestSweep:
         from radiomap import harness
 
         cfg = ExperimentConfig(resolution=3, ratios=(0.5, 1.0), realizations=50, mode=mode, methods=("sm0", "nn"))
-        forms = grid_forms(cfg.scenario(0.5), cfg.grid().xy, cfg.methods)
-        limit = harness._SIGMA_FRACTION * max(np.abs(forms.pm0).max(), np.abs(forms.pm).max())
+        setup = sweep_setup(cfg.scenario(0.5), cfg.grid().xy, cfg.methods, [cfg.correlation_for_ratio(0.5)])
+        limit = harness._SIGMA_FRACTION * max(np.abs(setup.pm0).max(), np.abs(setup.pm).max())
         rows = sweep(replace(cfg, sigma_db=1.01 * limit))
         assert len(rows) == 4 and all(r.spatial_rmse > 0 and math.isfinite(r.mc_stderr) for r in rows)
         with pytest.raises(ConfigError, match="^field 'sigma_db' is too small for Monte Carlo"):

@@ -227,12 +227,12 @@ def test_monte_carlo_bits_do_not_depend_on_blas_threads(tmp_path):
     # so a pool of two splits them. The same bits on one BLAS thread and on two. The two sides run at once.
     code = """import hashlib, json, os
 from radiomap import ExperimentConfig
-from radiomap.analysis import grid_forms, sweep_covariances
+from radiomap.analysis import sweep_setup
 from radiomap.harness import _mc_rmse
 cfg = ExperimentConfig(resolution=1, ratios=(0.2, 5.0), master_seed=3, nu=2)
-forms = grid_forms(cfg.scenario(0.2), cfg.grid().xy, cfg.methods, cfg.nu)
-cov = sweep_covariances(forms, [cfg.correlation_for_ratio(r) for r in cfg.ratios], joint=True)
-rmse = _mc_rmse(forms, cov, [0], 200000, cfg.master_seed)
+models = [cfg.correlation_for_ratio(r) for r in cfg.ratios]
+setup = sweep_setup(cfg.scenario(0.2), cfg.grid().xy, cfg.methods, models, cfg.nu, joint=True)
+rmse = _mc_rmse(setup, [0], 200000, cfg.master_seed)
 print(json.dumps([hashlib.sha256(rmse.tobytes()).hexdigest(), rmse.shape, len(os.listdir("/proc/self/task"))]))
 """
     procs = [start_fresh(code, tmp_path, blas={"OPENBLAS_NUM_THREADS": threads}) for threads in ("1", "2")]

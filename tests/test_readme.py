@@ -1,0 +1,20 @@
+"""The README's "Library use" code runs as written, so a renamed documented entry fails here instead of going stale."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def library_use_blocks() -> list[str]:
+    """The Python code blocks of the README's "Library use" section, in order."""
+    section = README.read_text().split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"```python\n(.*?)```", section, flags=re.S)
+
+
+def test_library_use_blocks_run():
+    # each block on its own, as a reader would paste it
+    blocks = library_use_blocks()
+    assert blocks
+    for number, code in enumerate(blocks, 1):
+        exec(compile(code, f"README.md, Library use block {number}", "exec"), {})
