@@ -20,14 +20,15 @@ when a method takes the solve (by the estimators' method table) one stacked
 Cholesky call for every Cn, for the Monte Carlo route one call for every
 point's joint factors under every model, and, when every factor holds, one
 sm0_weight_rows() call for every point's weights under every model: a sweep
-that cannot run solves nothing. grid_analytic_rmse() evaluates every method
-at every point under the K models as one (K, N, .) stack: the geometry-only
-methods' error rows are formed once for all K, and one grouped quadratic
-form covers the stack. The Monte Carlo route reads the same weights
-(_weight_stacks). Row k of the result has the bits of a call with models[k]
-alone. error_form() is the engine's row at one point and analytic_rmse()
-shares its quadratic form, so the library API and the self-checks run the
-engine the CLI ships.
+that cannot run solves nothing. The set-up's weights map each method to its
+weight rows, which both engines read. grid_analytic_rmse() evaluates every
+method at every point under the K models as one (K, M, N) array: the
+geometry-only methods' error rows are formed once for all K, and one
+grouped quadratic form covers each method's stack. Row k of the result has
+the bits of a call with models[k] alone. error_form() and analytic_rmse()
+run the same engine functions on a batch of one point, so the library API
+and the self-checks share the CLI's arithmetic; they agree with the grid
+engine's row at that point to round-off, not bit for bit.
 The hand-written coefficient expansion for the fitted-correlation method
 exists only as a cross-check.
 """
@@ -108,11 +109,12 @@ def lse_error_coeffs(distances: np.ndarray) -> LseErrorCoeffs:
 
 
 def error_form(method: str, scn: Scenario, p0: Point, nu: float = 1.0) -> AffineErrorForm:
-    """The grid engine's error row at p0: +1 on S0, minus the measurement coefficients.
+    """The error row at p0, +1 on S0 minus the measurement coefficients, from the grid engine's functions on one point.
 
     bias is the estimator's systematic offset on a shadow-free world: the
     true median power at the query minus the map applied to the sensor
-    median powers.
+    median powers. The row agrees with the grid engine's at p0 to round-off,
+    not bit for bit.
     """
     setup = sweep_setup(scn, coordinates([p0]), (method,), [scn.correlation], nu)
     if setup.error is not None:
@@ -174,9 +176,12 @@ class SweepSetup:
     xy holds the (N, 2) query coordinates. pm0 holds each query point's
     median power, pm the sensors' and x0 the points' log10 emitter
     distances. design is the sensor distances' LseDesign when a method
-    takes the refit, else None. weights holds the (N, n) weights of every
-    requested method whose weight family is geometry-only, one array per
-    family (sm2 and idw share one).
+    takes the refit, else None. weights maps each requested method to its
+    weight rows by the method table: a geometry-only family's (N, n) table,
+    one array per family (sm2 and idw share one), or the solve's (K, N, n)
+    stack, each row with the bits of sm0_weights() at its point alone, which
+    is None when the set-up failed: nothing is solved for a sweep that
+    cannot run.
 
     c_n holds each model's (n, n) sensor covariance Cn and c_0 its (N, n)
     covariances C0 at the points, each with the bits it has alone. joint
@@ -186,10 +191,7 @@ class SweepSetup:
     covariance at some point (when joint is built) does not factor, and
     failed that model's index; at one model Cn's error wins over its lowest
     failing point's, whose index is the point's in the flattened (model,
-    point) stack. solved holds every model's (K, N, n) weights at the
-    points, each row with the bits of sm0_weights() there alone, or None
-    unless a method takes the solve: nothing is solved for a sweep that
-    cannot run.
+    point) stack.
     """
 
     methods: tuple[str, ...]
@@ -198,11 +200,10 @@ class SweepSetup:
     pm: np.ndarray
     x0: np.ndarray
     design: LseDesign | None
-    weights: dict[str, np.ndarray]
+    weights: dict[str, np.ndarray | None]
     c_n: np.ndarray
     c_0: np.ndarray
     joint: np.ndarray | None
-    solved: np.ndarray | None
     failed: int | None
     error: NotPositiveDefiniteError | None
 
@@ -233,7 +234,6 @@ def sweep_setup(
     first = {f: m for m, f in reversed(families.items()) if f != _SOLVE}  # each geometry family's first method
     tables = {f: geometry_weights(m, sensors, xy, nu) for f, m in first.items()}
     pm0, pm, design, x0 = _emitter_rows(scn, xy, methods)
-    weights = {m: tables[f] for m, f in families.items() if f in tables}
     with np.errstate(all="ignore"):  # near the double range, the finiteness checks name what goes wrong
         c_n = cross_covariance_stack(models, sensors, sensors)
         c_0 = cross_covariance_stack(models, xy, sensors)
@@ -244,13 +244,9 @@ def sweep_setup(
             lower, point_error = joint_factors(c_0, c_n)
             if point_error is not None and (failed is None or point_error.index // c_0.shape[1] < failed):
                 failed, error = point_error.index // c_0.shape[1], point_error
-        solved = sm0_weight_rows(factors, c_0) if factors is not None and error is None else None
-    return SweepSetup(tuple(methods), xy, pm0, pm, x0, design, weights, c_n, c_0, lower, solved, failed, error)
-
-
-def _weight_stacks(setup: SweepSetup) -> dict[str, np.ndarray]:
-    """Each method's weight rows by the method table: its geometry-only (N, n) table, or the (K, N, n) solve."""
-    return {m: setup.solved if m in _SOLVED else setup.weights[m] for m in setup.methods}
+        tables[_SOLVE] = sm0_weight_rows(factors, c_0) if factors is not None and error is None else None
+    weights = {m: tables[f] for m, f in families.items()}
+    return SweepSetup(tuple(methods), xy, pm0, pm, x0, design, weights, c_n, c_0, lower, failed, error)
 
 
 def _error_rows(setup: SweepSetup) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -262,7 +258,7 @@ def _error_rows(setup: SweepSetup) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     unbiased method's bias is 0: computed, it is the medians' round-off.
     """
     rows = {}
-    for m, w in _weight_stacks(setup).items():
+    for m, w in setup.weights.items():
         intercept, coeffs = _affine_rows(m, w, setup.pm0, setup.pm, setup.design, setup.x0)
         bias = 0.0 if m in _UNBIASED else setup.pm0 - (intercept + coeffs @ setup.pm)
         rows[m] = (np.broadcast_to(bias, setup.c_0.shape[:2]), np.broadcast_to(coeffs, setup.c_0.shape))
@@ -286,13 +282,14 @@ def _affine_rms(
     return np.sqrt(bias**2 + np.maximum(q, 0.0))
 
 
-def grid_analytic_rmse(setup: SweepSetup) -> dict[str, np.ndarray]:
-    """Per-point RMS error of each method under each of the set-up's K models, as (K, N) arrays.
+def grid_analytic_rmse(setup: SweepSetup) -> np.ndarray:
+    """(K, M, N) per-point RMS errors of the M methods, in setup.methods order, under each of the set-up's K models.
 
     The package's one analytic engine; its callers raise setup.error first.
     Each method's error rows come from estimators._affine_rows() on its
-    weight rows, the solve family's from the set-up's one solve.
+    weight rows in setup.weights.
     """
     var0 = setup.c_n[:, 0, :1]  # each model's sigma^2, the kernel at zero distance
     rows = _error_rows(setup)
-    return {m: _affine_rms(bias, 1.0, coeffs, var0, setup.c_0, setup.c_n) for m, (bias, coeffs) in rows.items()}
+    by_method = (rows[m] for m in setup.methods)
+    return np.stack([_affine_rms(bias, 1.0, coeffs, var0, setup.c_0, setup.c_n) for bias, coeffs in by_method], axis=1)

@@ -47,7 +47,7 @@ from .geometry import DegenerateGeometryError, Point, QueryGrid, Scenario, build
 from .correlation import CorrelationModel, KERNEL_KINDS, EXPONENTIAL
 from .field import _check_stream_keys, correlate_normals, standard_normal_block
 from .estimators import ALL_METHODS, OutsideHullError, _DEVIATIONS, _RESIDUALS, _UNBIASED, _estimator, lse_fit
-from .analysis import SweepSetup, _weight_stacks, grid_analytic_rmse, sweep_setup
+from .analysis import SweepSetup, grid_analytic_rmse, sweep_setup
 
 __all__ = [
     "CORRELATION_KEYS",
@@ -79,14 +79,8 @@ EMITTER_PRESETS = {
 MODES = ("analytic", "mc", "both")
 
 # Most Monte Carlo workers a run takes. Each worker is a process (a thread
-# where fork is not safe) with its own workspace of (2n + 2 + M) R doubles
-# per point of a block (n sensors, M methods), for blocks of
-# max(1, 2^14 // R) points, plus n R for one point's deviations with sm0,
-# (n + 2) R with a fitted method and R for a spare row when every applied-to
-# family has one member; its methods' weights stacked by family for one
-# block at a time, at most 7n doubles per point of the block and ratio; and
-# while it draws a point, the point's R x W Philox words, so the bound caps
-# memory as well as OS processes.
+# where fork is not safe) that holds what _McWorkspace's docstring lists,
+# so the bound caps memory as well as OS processes.
 MAX_THREADS = 64
 
 # Most grid points (resolution^2) and realizations a config may ask for: far
@@ -450,6 +444,12 @@ class _McWorkspace:
     Every row is written before it is read at each ratio, so nothing
     carries from one block or ratio to the next. bitgen is the Philox
     generator that every draw keys afresh.
+
+    A task holds (2n + 2 + M) R doubles per point of a block (n sensors, M
+    methods), plus n R for dev, (n + 2) R for fit and R for the spare row;
+    beside them one block's family weight stacks (_family_weights), at most
+    7n doubles per point and ratio, and one draw's R x W Philox words, W the
+    n + 1 normals of a point rounded up to a multiple of 4.
     """
 
     def __init__(self, n_sensors: int, methods: Sequence[str], realizations: int, points: int):
@@ -481,19 +481,16 @@ def _family_weights(
 ) -> list[np.ndarray]:
     """Each family's (K, P, rows, n) weight rows under the set-up's K scenarios at a block of P points, families
     as _McWorkspace.families lists them."""
-    by_method, n = _weight_stacks(setup), len(setup.pm)
     at = slice(block.start, block.stop)
     stacks = []
     for _, members, _ in families:
         # numpy sends a one-row product to gemv, whose bits differ from a gemm row's, while the rows of gemm
         # products of two and three rows agree bit for bit: a one-member family's row is stacked twice, so
         # each method's bits do not depend on which methods run
-        parts = [by_method[m][..., at, :] for m in members * (2 if len(members) == 1 else 1)]
+        parts = [setup.weights[m][..., at, :] for m in members * (2 if len(members) == 1 else 1)]
         # (P, rows, n) when every member's weights are geometry-only, broadcast over the scenarios
-        stack = np.empty((*np.broadcast_shapes(*(part.shape for part in parts))[:-1], len(parts), n))
-        for r, part in enumerate(parts):
-            stack[..., r, :] = part
-        stacks.append(np.broadcast_to(stack, (len(setup.c_0), len(block), len(parts), n)))
+        stack = np.stack(np.broadcast_arrays(*parts), axis=-2)
+        stacks.append(np.broadcast_to(stack, (len(setup.c_0), len(block), *stack.shape[-2:])))
     return stacks
 
 
@@ -800,8 +797,7 @@ def _grid_evals(
     engines: dict[str, np.ndarray] = {}  # each engine's (K, M, N) RMSEs
     with np.errstate(all="ignore"):
         if config.mode in ("analytic", "both"):
-            rmse = grid_analytic_rmse(setup)
-            engines["analytic"] = np.stack([rmse[m] for m in methods], axis=1)
+            engines["analytic"] = grid_analytic_rmse(setup)
         if mc:
             indices = range(len(grid.xy))
             engines["mc"] = _mc_rmse(setup, indices, config.realizations, config.master_seed, threads)
@@ -811,7 +807,12 @@ def _grid_evals(
 
 
 def _point_stderr(rmse: np.ndarray, realizations: int) -> np.ndarray:
-    """Standard error of a per-point Monte Carlo RMSE estimate: an RMS from R Gaussian errors has about rmse / sqrt(2R)."""
+    """Standard error of a per-point Monte Carlo RMSE estimate: an RMS from R Gaussian errors has about rmse / sqrt(2R).
+
+    That holds for errors with zero mean (sm0, sm1, sm2) and overstates the
+    biased methods', about sqrt(s^4 + 2 b^2 s^2) / (rmse sqrt(2R)) for bias b
+    and spread s: 12.9x for nn at (100, 200) at ratio 0.05 (README gives more).
+    """
     return rmse / math.sqrt(2.0 * realizations)
 
 
@@ -848,7 +849,7 @@ def _spatial_stderr(per_point_rmse: np.ndarray, realizations: int, spatial: np.n
     Each row along the last axis of per_point_rmse holds the per-point
     RMSEs behind one aggregate of spatial; a zero aggregate has zero error.
     Each point's estimate has _point_stderr's error, rmse / sqrt(2R), so its
-    mean square has variance 2 rmse^4 / R.
+    mean square has variance 2 rmse^4 / R, too large for biased methods.
     The fourth powers are taken relative to a power of two just above each
     row's largest value, so they cannot overflow, and the scaling is exact.
     """

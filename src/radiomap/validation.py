@@ -7,8 +7,9 @@ closed-form fit-error coefficients against brute-force refits, the
 engine's sm1 error form against the hand-written coefficient expansion,
 analytic RMS errors against Monte Carlo, sigma0 against a numpy solve, and
 the polygon-clipped natural-neighbor weights against lattice area counting.
-error_form() and analytic_rmse() are the sweep's analytic engine at one point,
-and analytic_vs_mc reads both engines from one sweep set-up, as a sweep does.
+error_form() and analytic_rmse() run the sweep's analytic engine functions on
+one point, which match the sweep's row there to round-off only; analytic_vs_mc
+reads both engines from one sweep set-up, as a sweep does.
 
 This is the one oracle library: 'radiomap validate' runs every check at its
 defaults, and the acceptance gates C01, C02, C04 and C12 each run one check
@@ -198,8 +199,7 @@ def check_analytic_vs_mc(
     xy, models = coordinates([p for _, p in points]), [scn.correlation for scn in scns]
     setup = sweep_setup(scns[0], xy, tuple(methods), models, joint=True)
     mc = _mc_rmse(setup, [index for index, _ in points], realizations, master_seed)
-    analytic = grid_analytic_rmse(setup)
-    expected = np.stack([analytic[m] for m in methods], axis=1)  # (K, M, N), as mc
+    expected = grid_analytic_rmse(setup)  # (K, M, N), as mc
     z = np.abs(mc - expected) / _point_stderr(expected, realizations)
     return _verdict("analytic_vs_mc", float(z.max()), 3.0)
 

@@ -26,7 +26,7 @@ from radiomap.analysis import (
 )
 from radiomap.estimators import DegenerateGeometryError
 from radiomap.geometry import coordinates
-from radiomap.harness import EMITTER_PRESETS, _spatial_stderr, point_rmse_mc
+from radiomap.harness import EMITTER_PRESETS, _mc_rmse, _spatial_stderr, point_rmse_mc
 
 from closed_form import closed_form_rmse
 
@@ -222,8 +222,8 @@ class TestGridAnalyticRmse:
         got = grid_analytic_rmse(sweep_setup(config.scenario(1.0), xy, self.METHODS, [scn.correlation for scn in scns], nu))
         for k, scn in enumerate(scns):
             want = closed_form_rmse(scn, xy, self.METHODS, nu)
-            for m in self.METHODS:
-                assert np.max(np.abs(got[m][k] - want[m])) <= 1e-9, (m, scn.correlation.xc)
+            for j, m in enumerate(self.METHODS):
+                assert np.max(np.abs(got[k, j] - want[m])) <= 1e-9, (m, scn.correlation.xc)
 
     @pytest.mark.parametrize("nu", [1, 2, 3])
     @pytest.mark.parametrize("kernel", ["exponential", "gaussian", "elliptical"])
@@ -236,9 +236,9 @@ class TestGridAnalyticRmse:
         for k, scn in enumerate(scns):
             alone = grid_analytic_rmse(sweep_setup(config.scenario(1.0), xy, self.METHODS, [scn.correlation], nu))
             want = closed_form_rmse(scn, xy, self.METHODS, nu)
-            for m in self.METHODS:
-                assert stacked[m][k].tobytes() == alone[m][0].tobytes(), (m, k)
-                assert np.max(np.abs(alone[m][0] - want[m])) <= 1e-9, (m, k)
+            for j, m in enumerate(self.METHODS):
+                assert stacked[k, j].tobytes() == alone[0, j].tobytes(), (m, k)
+                assert np.max(np.abs(alone[0, j] - want[m])) <= 1e-9, (m, k)
 
     def test_matches_closed_form_near_double_range(self):
         # sigma^2 is 1.7e308: the engine's quadratic form must not overflow;
@@ -248,14 +248,62 @@ class TestGridAnalyticRmse:
         xy = config.grid().xy
         got = grid_analytic_rmse(sweep_setup(scn, xy, self.METHODS, [scn.correlation]))
         want = closed_form_rmse(scn, xy, self.METHODS, unit=1.3e154)
-        for m in self.METHODS:
-            assert np.allclose(got[m][0], want[m], rtol=1e-12, atol=0.0), m
+        for j, m in enumerate(self.METHODS):
+            assert np.allclose(got[0, j], want[m], rtol=1e-12, atol=0.0), m
 
     def test_requested_methods_only(self, table_scenario):
         points = [Point(100.0, 200.0), Point(320.0, 320.0)]
-        got = grid_analytic_rmse(sweep_setup(table_scenario, coordinates(points), ("nn", "sm1"), [table_scenario.correlation]))
-        assert sorted(got) == ["nn", "sm1"]
-        assert all(v.shape == (1, 2) for v in got.values())
+        def rmse(methods):
+            return grid_analytic_rmse(sweep_setup(table_scenario, coordinates(points), methods, [table_scenario.correlation]))
+
+        got = rmse(("nn", "sm1"))
+        assert got.shape == (1, 2, 2)
+        assert got.tobytes() == rmse(("sm1", "nn"))[:, ::-1].tobytes()  # columns in the methods' order
+
+
+class TestSetupInterface:
+    """Both engines on one all-method set-up with joint factors: one (K, M, N) array each."""
+
+    RATIOS = (0.05, 3.0)
+
+    @pytest.fixture(scope="class")
+    def built(self):
+        config = ExperimentConfig(resolution=2)
+        scns = [config.scenario(ratio) for ratio in self.RATIOS]
+        return scns, sweep_setup(scns[0], config.grid().xy, config.methods, [scn.correlation for scn in scns], joint=True)
+
+    def test_engines_return_ratio_method_point_arrays(self, built):
+        scns, setup = built
+        xy = setup.xy
+        shape = (len(scns), len(setup.methods), len(xy))
+        analytic = grid_analytic_rmse(setup)
+        mc = _mc_rmse(setup, range(len(xy)), 64, 3)
+        assert analytic.shape == mc.shape == shape
+        for k, scn in enumerate(scns):
+            sensors = list(scn.sensors)
+            for j, m in enumerate(setup.methods):
+                for i, (x, y) in enumerate(xy.tolist()):
+                    p0 = Point(x, y)
+                    want = analytic_rmse(error_form(m, scn, p0), scn.correlation, p0, sensors)
+                    assert abs(analytic[k, j, i] - want) <= 1e-9 * want, (k, m, i)
+                    alone = sweep_setup(scn, xy[i : i + 1], (m,), [scn.correlation], joint=True)
+                    assert mc[k, j, i] == _mc_rmse(alone, [i], 64, 3)[0, 0, 0], (k, m, i)
+
+    def test_methods_of_one_family_share_their_weights(self, built):
+        _, setup = built
+        assert set(setup.weights) == set(setup.methods)
+        assert setup.weights["sm2"] is setup.weights["idw"]
+        assert setup.weights["sm2"].shape == (len(setup.xy), 4)
+        assert setup.weights["sm0"] is setup.weights["sm1"]
+        assert setup.weights["sm0"].shape == (len(self.RATIOS), len(setup.xy), 4)
+
+    def test_failed_factor_solves_nothing(self):
+        config = ExperimentConfig(sigma_db=1e-170, resolution=2)  # sigma^2 underflows to 0
+        scn = config.scenario(1.0)
+        setup = sweep_setup(scn, config.grid().xy, config.methods, [scn.correlation], joint=True)
+        assert setup.failed == 0 and setup.error is not None
+        assert setup.weights["sm0"] is setup.weights["sm1"] is None
+        assert setup.weights["nn"] is not None
 
 
 class TestSigma0:

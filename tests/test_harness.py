@@ -27,7 +27,7 @@ from radiomap import (
     sm0_sigma0,
     sweep,
 )
-from radiomap.analysis import _error_rows, _weight_stacks, sweep_setup
+from radiomap.analysis import _error_rows, sweep_setup
 from radiomap.geometry import coordinates
 from radiomap.estimators import sensor_factor, sm0_weights
 from radiomap.field import joint_cholesky
@@ -400,17 +400,16 @@ class TestMcWorkspace:
         xy = cfg.grid().xy
         scns, setup = self.setup_for(cfg, xy)
         joint = setup.joint
-        weights = _weight_stacks(setup)
-        assert weights["sm0"] is weights["sm1"] is setup.solved
+        solved = setup.weights["sm0"]
         analytic = _error_rows(setup)["sm0"][1]
         assert joint.shape == (len(scns), len(xy), 5, 5)
-        assert setup.solved.shape == analytic.shape == (len(scns), len(xy), 4)
+        assert solved.shape == analytic.shape == (len(scns), len(xy), 4)
         for k, scn in enumerate(scns):
             sensors = list(scn.sensors)
             for i, (x, y) in enumerate(xy.tolist()):
                 want = sm0_weights(scn.correlation, sensors, Point(x, y)).tobytes()
                 assert joint[k, i].tobytes() == joint_cholesky(scn, Point(x, y)).tobytes()
-                assert setup.solved[k, i].tobytes() == want
+                assert solved[k, i].tobytes() == want
                 assert analytic[k, i].tobytes() == want
 
     def test_no_row_leaks_between_points_or_ratios(self):
@@ -1065,7 +1064,7 @@ class TestSweep:
         setup = sweep_setup(scns[0], cfg.grid().xy, cfg.methods, [scn.correlation for scn in scns], joint=True)
         assert factored == [(3, 9, 4)]
         assert setup.error is error and setup.failed == failing and setup.joint.shape == (3, 9, 5, 5)
-        assert setup.solved is None
+        assert setup.weights["sm0"] is None
         with pytest.raises(NotPositiveDefiniteError) as exc:
             harness._mc_rmse(setup, range(9), cfg.realizations, cfg.master_seed, threads=2)
         assert exc.value is error
