@@ -106,8 +106,8 @@ class OutsideHullError(ValueError):
 class FitResult:
     """Least-squares estimates of the power-law constants plus per-sensor residuals.
 
-    For (R, n) measurement rows, a_hat and gamma_hat are (R,) arrays and
-    residuals is (R, n).
+    For (..., R, n) measurement rows, a_hat and gamma_hat are (..., R)
+    arrays and residuals is (..., R, n).
     """
 
     a_hat: float | np.ndarray
@@ -201,32 +201,37 @@ def lse_fit(distances: np.ndarray | LseDesign, powers: np.ndarray, out: np.ndarr
 
     distances are the sensors' emitter distances, or their lse_design(),
     whose constants then serve every call. powers is one measurement vector
-    or (R, n) rows, each fitted on its own. The fitted intercept absorbs any
-    level common to all measurements, so the residuals always sum to zero.
-    The fit is two matrix products over the sensor-major rows of powers.T,
-    which are contiguous when powers is the transposed view of such rows:
-    the design's operator gives a_hat and the slope, and its matrix the
-    fitted powers, which the residuals subtract.
+    or (R, n) rows, each fitted on its own, or a (..., R, n) stack of such
+    rows, each (R, n) fitted with the bits of its own call. The fitted
+    intercept absorbs any level common to all measurements, so the
+    residuals always sum to zero. The fit is two matrix products over the
+    sensor-major rows of powers.T (of each (R, n) in a stack), which are
+    contiguous when powers is the transposed view of such rows: the
+    design's operator gives a_hat and the slope, and its matrix the fitted
+    powers, which the residuals subtract.
 
-    out, if given, is an (n + 2, R) block of rows that the fit is written
-    into: residuals.T is out[:n], a_hat and gamma_hat are out[n] and
-    out[n + 1]. Otherwise it is allocated; residuals.T is contiguous rows
-    either way.
+    out, if given, is the (..., n + 2, R) block of rows that the fit is
+    written into, (n + 2,) for one vector, its rows strided or not:
+    residuals.T is out[..., :n, :], a_hat and gamma_hat are out[..., n, :]
+    and out[..., n + 1, :]. Otherwise it is allocated; residuals.T is
+    contiguous rows either way.
     """
     design = distances if isinstance(distances, LseDesign) else lse_design(distances)
     n = design.x.size
     p = np.asarray(powers, dtype=float)
-    if p.ndim not in (1, 2) or p.shape[-1:] != design.x.shape:
+    if p.shape[-1:] != design.x.shape:
         raise ValueError(f"distances and powers disagree in length: {design.x.shape} vs {p.shape}")
-    rows = p.T  # (n,) or (n, R): one row per sensor
-    if out is None:
-        out = np.empty((n + 2, *rows.shape[1:]))
-    residuals, fitted = out[:n], out[n : n + 2]  # fitted: a_hat, slope
+    rows = np.atleast_2d(p).swapaxes(-1, -2)  # (..., n, R): one row per sensor, R = 1 for one vector
+    shape = (*rows.shape[:-2], n + 2, rows.shape[-1])
+    out = np.empty(shape) if out is None else out.reshape(shape)  # one vector's (n + 2,) out as a column
+    residuals, fitted = out[..., :n, :], out[..., n:, :]  # fitted: a_hat, slope
     np.matmul(design.operator, rows, out=fitted)
     np.subtract(rows, np.matmul(design.matrix, fitted, out=residuals), out=residuals)
-    a_hat, slope = fitted[0, ...], fitted[1, ...]  # row views, 0-d for one vector
+    a_hat, slope = fitted[..., 0, :], fitted[..., 1, :]  # row views
     slope /= 10.0  # gamma_hat
-    return FitResult(a_hat=a_hat[()], gamma_hat=slope[()], residuals=residuals.T)
+    if p.ndim == 1:
+        return FitResult(a_hat=a_hat[0], gamma_hat=slope[0], residuals=residuals[:, 0])
+    return FitResult(a_hat=a_hat, gamma_hat=slope, residuals=residuals.swapaxes(-1, -2))
 
 
 def _emitter_rows(

@@ -189,7 +189,7 @@ def _correlate_rows(z: np.ndarray, lower: np.ndarray, out: np.ndarray | None = N
     gemm column's bits depend on neither the other columns nor the thread
     count; normals in either layout are multiplied as contiguous rows, and
     one realization as the first column of two (see the module docstring).
-    out, if given, is the C-contiguous (..., n+1, R) block of rows to fill.
+    out, if given, is the (..., n+1, R) block of contiguous rows to fill.
     """
     zt = np.ascontiguousarray(z.swapaxes(-1, -2))
     if out is None:
@@ -230,7 +230,7 @@ def correlate_normals(lower: np.ndarray, z: np.ndarray, out: np.ndarray | None =
     lower is a point's joint Cholesky factor (query point first). s.T holds
     one contiguous row per sensor. The normals depend on the stream alone,
     not on the correlation model, so one block drawn at a point serves
-    every model there. out, if given, is a C-contiguous (n+1, R) block of
+    every model there. out, if given, is an (n+1, R) block of contiguous
     rows that receives the query point's row, then each sensor's; s0 and s
     are then views of it. A (P, n+1, n+1) stack of factors takes a
     (P, R, n+1) stack of normals, each point's with the bits it has alone,

@@ -46,7 +46,7 @@ import numpy as np
 from .geometry import DegenerateGeometryError, Point, QueryGrid, Scenario, build_square_scenario, coordinates, make_grid
 from .correlation import CorrelationModel, KERNEL_KINDS, EXPONENTIAL
 from .field import _check_stream_keys, correlate_normals, standard_normal_block
-from .estimators import ALL_METHODS, OutsideHullError, _DEVIATIONS, _RESIDUALS, _UNBIASED, _estimator, lse_fit
+from .estimators import ALL_METHODS, OutsideHullError, _DEVIATIONS, _MEASUREMENTS, _RESIDUALS, _UNBIASED, _estimator, lse_fit
 from .analysis import SweepSetup, grid_analytic_rmse, sweep_setup
 
 __all__ = [
@@ -79,7 +79,7 @@ EMITTER_PRESETS = {
 MODES = ("analytic", "mc", "both")
 
 # Most Monte Carlo workers a run takes. Each worker is a process (a thread
-# where fork is not safe) that holds what _McWorkspace's docstring lists,
+# where fork is not safe) that holds the workspace _workspace_shapes sizes,
 # so the bound caps memory as well as OS processes.
 MAX_THREADS = 64
 
@@ -285,14 +285,14 @@ _PLAIN_MEAN_SQUARES = (2.0**-700, 2.0**700)
 
 
 def _root_mean_squares(squares: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The root of the mean of each row of squares, and whether that mean lies in _PLAIN_MEAN_SQUARES."""
-    mean = np.mean(squares, axis=1)
+    """The root of the mean of each row of squares (its last axis), and whether it lies in _PLAIN_MEAN_SQUARES."""
+    mean = np.mean(squares, axis=-1)
     low, high = _PLAIN_MEAN_SQUARES
     return np.sqrt(mean), (mean >= low) & (mean <= high)
 
 
 def _scaled_rms_rows(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """spatial_average of each row of a 2-D array, scaled against overflow, in one pass over the block.
+    """spatial_average of each row (its last axis) of an array, scaled against overflow, in one pass over the block.
 
     A row-wise reduction gives each row the bits it has alone. The rows'
     magnitudes are scaled in out, if given, which may be rows itself: the
@@ -303,9 +303,9 @@ def _scaled_rms_rows(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndar
     exact power of two, none subnormal, and the last product is the same.
     """
     scaled = np.abs(rows, out=out)
-    top = np.maximum(_power_of_two_above(scaled, axis=1), 2.0**-1023)
-    scaled *= (1.0 / top)[:, None]
-    return np.sqrt(np.mean(np.square(scaled, out=scaled), axis=1)) * top
+    top = np.maximum(_power_of_two_above(scaled, axis=-1), 2.0**-1023)
+    scaled *= (1.0 / top)[..., None]
+    return np.sqrt(np.mean(np.square(scaled, out=scaled), axis=-1)) * top
 
 
 def _power_of_two_above(magnitudes: np.ndarray, axis: int | None = None) -> np.ndarray:
@@ -337,29 +337,31 @@ def _power_of_two_above(magnitudes: np.ndarray, axis: int | None = None) -> np.n
 # The points run as min(threads, N) tasks over contiguous chunks, each in
 # blocks of P = max(1, _BLOCK_DOUBLES // R) points, written with out= into
 # one workspace of sensor-major R-length rows per task (_McWorkspace):
-# fresh temporaries of a few hundred KB would fault in new pages each time.
-# The row correlation (one stacked matmul), the median powers and the
-# errors against the truth rows run once over a block's (P, rows, R) stack.
-# Each point's refit runs along whole rows, and its predictions as one
-# matmul per applied-to family of the method table: the family's methods'
-# weight rows, stacked per block, against the measurements, the refit
-# residuals or the deviations, with the biases added after. The RMS
-# squares the errors in place and takes the root of each row's mean, two
-# passes where the scaled formula takes five; a block with a mean square
-# outside _PLAIN_MEAN_SQUARES computes its errors again for the scaled
-# formula. Two runners take the tasks. The first, _run_forked, runs the
-# first task in the caller and each later one in a forked worker process,
-# each writing its chunk of one (K, M, N) result in an anonymous shared
-# mapping; a one-worker run is one task and forks nothing. Fork is safe
-# only while the caller runs no thread of its own, so otherwise, and where
-# os.fork is missing, the second runner, a thread pool, takes more than
-# one task. Threads buy little, since numpy drops the interpreter lock only
-# inside a call, and at R = 10^4 calls last tens of microseconds: the
-# sweep-mc config in one process took about 134 ms on one worker, 103 ms
-# on two threads and 79 ms on two forked workers (medians of 24
-# interleaved rounds), on a 2-core Xeon VM. On one worker the draws take
-# about 44 ms of it, and the rest about 260 us per point and ratio. Streams
-# keyed by point make the split invisible in the bits.
+# fresh temporaries of a few hundred KB would fault in new pages each
+# time. Each point holds its rows in one (P, rows, R) stack: its truth
+# row, its measurement rows, then its deviation rows when sm0 runs and its
+# refit rows when a method refits. Everything but the draws runs once over
+# the block at each ratio: the row correlation (one stacked matmul), the
+# median powers, the deviations, the refit (lse_fit on a (P, R, n) stack)
+# and one product that predicts every method, the block's (P, M, width)
+# weights, zero where a method does not apply, against the contiguous
+# measurement, deviation and residual rows, with the biases added after.
+# The RMS squares the errors in place and takes the root of each row's
+# mean, two passes where the scaled formula takes five; a block with a
+# mean square outside _PLAIN_MEAN_SQUARES computes its errors again for
+# the scaled formula. Two runners take the tasks. The first, _run_forked,
+# runs the first task in the caller and each later one in a forked worker
+# process, each writing its chunk of one (K, M, N) result in an anonymous
+# shared mapping; a one-worker run is one task and forks nothing. Fork is
+# safe only while the caller runs no thread of its own, so otherwise, and
+# where os.fork is missing, the second runner, a thread pool, takes more
+# than one task. Threads buy little, since numpy drops the interpreter
+# lock only inside a call, and at R = 10^4 calls last tens of
+# microseconds: the sweep-mc config in one process took about 134 ms on
+# one worker, 103 ms on two threads and 79 ms on two forked workers
+# (medians of 24 interleaved rounds), on a 2-core Xeon VM. On one worker
+# the draws take about 44 ms of it, and the rest about 260 us per point
+# and ratio. Streams keyed by point make the split invisible in the bits.
 
 
 # Least sigma_db a Monte Carlo run takes, as a fraction of the largest median
@@ -423,75 +425,59 @@ def _unbuffered(row_length: int) -> Iterator[None]:
         yield
 
 
+def _operand(methods: Sequence[str]) -> list[str]:
+    """The applied-to families whose n rows a point's stack holds for the product, in order: the measurements, then
+    the deviations and the refit residuals when a method applies to them."""
+    applied = {_estimator(m)[1] for m in methods}
+    return [_MEASUREMENTS] + [family for family in (_DEVIATIONS, _RESIDUALS) if family in applied]
+
+
+def _workspace_shapes(n_sensors: int, methods: Sequence[str], realizations: int, points: int) -> dict[str, tuple]:
+    """The shape of each part of a Monte Carlo task's workspace (_McWorkspace) for blocks of up to points points.
+
+    The one statement of its size: a task holds the sum of the parts' sizes
+    in doubles, per point (2n + 2 + M') R, n sensors, M methods and M' =
+    max(M, 2), plus n R for the deviations when sm0 runs and (n + 2) R for
+    the refit when a method refits, and M' x width weights, width = n per
+    family of the operand. Beside it a task holds one draw's R x W Philox
+    words, W the n + 1 normals of a point rounded up to a multiple of 4.
+    """
+    families, rows = _operand(methods), max(len(methods), 2)  # a lone method's row runs twice
+    width = n_sensors * len(families)
+    return {
+        "z": (points, n_sensors + 1, realizations),
+        "stack": (points, 1 + width + 2 * (_RESIDUALS in families), realizations),
+        "errors": (points, rows, realizations),
+        "weights": (points, rows, width),
+    }
+
+
 class _McWorkspace:
-    """The R-length rows that one Monte Carlo task writes every block of points and every ratio into.
+    """What one Monte Carlo task writes every block of points and every ratio into, as _workspace_shapes sizes it.
 
-    Each part is a view of one allocation. z holds each point's normals,
-    drawn once for every ratio, and joint its truth row, then one
-    measurement row per sensor, each as a (points, n + 1, R) stack,
-    contiguous for any leading run of points. errors holds one row per
-    method at each point, as (points * M + spare, R) rows: families lists
-    each applied-to family of the method table that runs, with its members
-    and its first row at a point, one-member families first, and order[r]
-    is the index in methods of the method on row r of a point. A family's
-    product writes at least two rows (a one-member family's second lands on
-    a later family's row, or the next point's), so when every family has
-    one member, one spare row ends errors. When a method applied to
-    deviations (sm0) runs, dev holds the (n, R) deviations of one point's
-    measurements from the sensors' median powers at a time; when a fitted
-    method runs, fit holds lse_fit's n + 2 rows for one point at a time,
-    its slope row then the fitted median power. Each is None otherwise.
-    Every row is written before it is read at each ratio, so nothing
-    carries from one block or ratio to the next. bitgen is the Philox
-    generator that every draw keys afresh.
-
-    A task holds (2n + 2 + M) R doubles per point of a block (n sensors, M
-    methods), plus n R for dev, (n + 2) R for fit and R for the spare row;
-    beside them one block's family weight stacks (_family_weights), at most
-    7n doubles per point and ratio, and one draw's R x W Philox words, W the
-    n + 1 normals of a point rounded up to a multiple of 4.
+    Each part is a view of one allocation, rows. z holds each point's
+    normals, drawn once for every ratio, as (points, n + 1, R) rows. stack
+    holds each point's R-length rows as one (points, rows, R) stack: its
+    truth row, its n measurement rows, then n deviations from the sensors'
+    median powers when sm0 runs, then lse_fit's n residual rows, a_hat and
+    slope rows when a method refits; the slope rows then hold the fitted
+    median. first maps each family of the operand (_operand) to its first
+    row in a point's stack. errors holds max(M, 2) rows per point, one per
+    method in the order of methods, and weights the block's weight rows
+    against the operand, zero where a method does not apply. Every row is
+    written before it is read at each ratio, so nothing carries from one
+    block or ratio to the next. bitgen is the Philox generator that every
+    draw keys afresh.
     """
 
     def __init__(self, n_sensors: int, methods: Sequence[str], realizations: int, points: int):
-        n, m = n_sensors, len(methods)
-        groups: dict[str, list[int]] = {}  # each applied-to family's methods, by index into methods
-        for j, method in enumerate(methods):
-            groups.setdefault(_estimator(method)[1], []).append(j)
-        ordered = sorted(groups.items(), key=lambda group: len(group[1]) > 1)  # one-member families first
-        self.order = [j for _, indices in ordered for j in indices]
-        firsts = np.cumsum([0] + [len(indices) for _, indices in ordered]).tolist()
-        self.families = [
-            (applied_to, tuple(methods[j] for j in indices), first)
-            for (applied_to, indices), first in zip(ordered, firsts)
-        ]
-        spare = all(len(indices) == 1 for _, indices in ordered)
-        sizes = [points * (n + 1), points * (n + 1), points * m + spare]
-        sizes += [n if _DEVIATIONS in groups else 0, n + 2 if _RESIDUALS in groups else 0]
-        self.rows = np.empty(sum(sizes) * realizations)
-        z, joint, errors, dev, fit = np.split(self.rows, np.cumsum(sizes[:-1]) * realizations)
-        self.z, self.joint = (part.reshape(points, n + 1, realizations) for part in (z, joint))
-        self.errors = errors.reshape(-1, realizations)
-        self.dev = dev.reshape(n, realizations) if dev.size else None
-        self.fit = fit.reshape(n + 2, realizations) if fit.size else None
+        shapes = _workspace_shapes(n_sensors, methods, realizations, points).values()
+        sizes = [math.prod(shape) for shape in shapes]
+        self.rows = np.empty(sum(sizes))
+        parts = np.split(self.rows, np.cumsum(sizes[:-1]))
+        self.z, self.stack, self.errors, self.weights = (part.reshape(shape) for part, shape in zip(parts, shapes))
+        self.first = {family: 1 + f * n_sensors for f, family in enumerate(_operand(methods))}
         self.bitgen = np.random.Philox(0)  # keyed afresh by every draw
-
-
-def _family_weights(
-    setup: SweepSetup, families: list[tuple[str, tuple[str, ...], int]], block: range
-) -> list[np.ndarray]:
-    """Each family's (K, P, rows, n) weight rows under the set-up's K scenarios at a block of P points, families
-    as _McWorkspace.families lists them."""
-    at = slice(block.start, block.stop)
-    stacks = []
-    for _, members, _ in families:
-        # numpy sends a one-row product to gemv, whose bits differ from a gemm row's, while the rows of gemm
-        # products of two and three rows agree bit for bit: a one-member family's row is stacked twice, so
-        # each method's bits do not depend on which methods run
-        parts = [setup.weights[m][..., at, :] for m in members * (2 if len(members) == 1 else 1)]
-        # (P, rows, n) when every member's weights are geometry-only, broadcast over the scenarios
-        stack = np.stack(np.broadcast_arrays(*parts), axis=-2)
-        stacks.append(np.broadcast_to(stack, (len(setup.c_0), len(block), *stack.shape[-2:])))
-    return stacks
 
 
 def _mc_block_rmse(
@@ -513,60 +499,66 @@ def _mc_block_rmse(
     the block writes out[:, :, block]. Each point's results have the bits
     of a block of one.
     """
-    n, points = len(setup.pm), len(block)
-    family_weights = _family_weights(setup, ws.families, block)
+    n, points, m = len(setup.pm), len(block), len(setup.methods)
     for p, i in enumerate(block):
         standard_normal_block(master_seed, indices[i], n + 1, realizations, out=ws.z[p], bitgen=ws.bitgen)
     at = slice(block.start, block.stop)
     medians = np.empty((points, n + 1, 1))  # each point's and the sensors' median powers
     medians[:, 0, 0], medians[:, 1:, 0] = setup.pm0[at], setup.pm
-    rows, errors = ws.joint[:points], ws.errors[: points * len(setup.methods)]
+    joint = ws.stack[:points, : n + 1]  # each point's truth row, then its measurement rows
+    errors = ws.errors[:points, :m]  # a lone method's second row is left out
     with _unbuffered(realizations):
-        for j in range(len(setup.joint)):
-            weights = [w[j] for w in family_weights]
-            correlate_normals(setup.joint[j, at], ws.z[:points].swapaxes(1, 2), out=rows)
-            rows += medians
-            _block_errors(setup, weights, rows, block, ws)
+        for k in range(len(setup.joint)):
+            correlate_normals(setup.joint[k, at], ws.z[:points].swapaxes(1, 2), out=joint)
+            joint += medians
+            _block_errors(setup, k, block, ws)
             # the squares overwrite the errors, so a block with a row whose mean square lies outside
             # _PLAIN_MEAN_SQUARES computes its errors again for the scaled formula
             rms, plain = _root_mean_squares(np.square(errors, out=errors))
             if not plain.all():
-                _block_errors(setup, weights, rows, block, ws)
+                _block_errors(setup, k, block, ws)
                 rms = _scaled_rms_rows(errors, out=errors)
-            out[j, ws.order, at] = rms.reshape(points, -1).T
+            out[k, :, at] = rms.T
 
 
-def _block_errors(
-    setup: SweepSetup, weights: list[np.ndarray], rows: np.ndarray, block: range, ws: _McWorkspace
-) -> None:
-    """Write each point's truth row less each method's prediction into ws.errors: one product per family and point.
+def _block_errors(setup: SweepSetup, k: int, block: range, ws: _McWorkspace) -> None:
+    """Write each point's truth row less each method's prediction under scenario k into ws.errors: one product.
 
-    rows holds each point's truth row, then its measurement rows. The
-    biases are added after the products: sm0's median power, the fitted
-    methods' fitted median.
+    ws.stack holds each point's truth row, then its measurement rows. The
+    deviations and the refit run once over the block, into the rows after
+    them; then one product of the block's weights against its measurement,
+    deviation and residual rows predicts every method, with the biases
+    added after: sm0's median power, the fitted methods' fitted median.
     """
-    pm, m = setup.pm[:, None], len(setup.methods)  # (n, 1)
-    for p, k in enumerate(block):  # each point's refit and predictions, one call each
-        meas = rows[p, 1:]  # (n, R): the powers
-        if setup.design is not None:
-            fit = lse_fit(setup.design, meas.T, out=ws.fit)
-            # fitted median a_hat + 10 gamma_hat x0, x0 the point's log10 emitter distance, in the slope row
-            median = ws.fit[-1]
-            median *= 10.0
-            median *= setup.x0[k]
-            median += fit.a_hat
-        for (applied_to, members, first), w in zip(ws.families, weights):
-            out = ws.errors[p * m + first : p * m + first + len(w[p])]
-            if applied_to == _DEVIATIONS:
-                np.matmul(w[p], np.subtract(meas, pm, out=ws.dev), out=out)
-                out[: len(members)] += setup.pm0[k]
-            elif applied_to == _RESIDUALS:
-                np.matmul(w[p], fit.residuals.T, out=out)
-                out[: len(members)] += median
-            else:
-                np.matmul(w[p], meas, out=out)
-    errors = ws.errors[: len(block) * m].reshape(len(block), m, -1)
-    np.subtract(rows[:, :1], errors, out=errors)  # the truth rows less the predictions
+    n, points, at, first = len(setup.pm), len(block), slice(block.start, block.stop), ws.first
+    stack, weights = ws.stack[:points], ws.weights[:points]
+    meas = stack[:, 1 : n + 1]  # (P, n, R): the powers
+    if (d := first.get(_DEVIATIONS)) is not None:
+        np.subtract(meas, setup.pm[:, None], out=stack[:, d : d + n])
+    if (r := first.get(_RESIDUALS)) is not None:
+        fit = lse_fit(setup.design, meas.swapaxes(1, 2), out=stack[:, r : r + n + 2])
+        # fitted median a_hat + 10 gamma_hat x0, x0 the points' log10 emitter distances, in the slope rows
+        median = stack[:, r + n + 1]
+        median *= 10.0
+        median *= setup.x0[at, None]
+        median += fit.a_hat
+    weights.fill(0.0)
+    for j, method in enumerate(setup.methods):
+        w, c = setup.weights[method], first[_estimator(method)[1]] - 1
+        weights[:, j, c : c + n] = w[k, at] if w.ndim == 3 else w[at]
+    # numpy sends a one-row product to gemv, whose bits differ from a gemm row's, while the rows of gemm products
+    # agree bit for bit whatever the other rows: a lone method's row runs twice, so each method's bits do not
+    # depend on which methods run
+    weights[:, len(setup.methods) :] = weights[:, :1]
+    predictions = np.matmul(weights, stack[:, 1 : 1 + weights.shape[-1]], out=ws.errors[:points])
+    for j, method in enumerate(setup.methods):
+        applied_to = _estimator(method)[1]
+        if applied_to == _DEVIATIONS:
+            predictions[:, j] += setup.pm0[at, None]
+        elif applied_to == _RESIDUALS:
+            predictions[:, j] += median
+    errors = predictions[:, : len(setup.methods)]
+    np.subtract(stack[:, :1], errors, out=errors)  # the truth rows less the predictions
 
 
 def _mc_rmse(

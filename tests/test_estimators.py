@@ -107,6 +107,23 @@ class TestLseFit:
         assert (one.a_hat, one.gamma_hat) == (alone.a_hat, alone.gamma_hat)
         assert one.residuals.tolist() == alone.residuals.tolist()
 
+    @pytest.mark.parametrize("realizations", [1, 2, 7, 1000])
+    def test_a_stack_gives_each_fit_the_bytes_of_its_own_call(self, table_scenario, realizations):
+        # a (P, R, n) stack written into strided rows of a larger per-point block, as the Monte Carlo kernel passes
+        rng = np.random.default_rng(8)
+        d = np.array(table_scenario.sensor_distances())
+        block = np.full((3, 1 + 4 + 6 + 2, realizations), np.nan)
+        block[:, 1:5] = rng.normal(90.0, 5.0, size=(3, 4, realizations))
+        meas = block[:, 1:5]
+        got = lse_fit(lse_design(d), meas.swapaxes(1, 2), out=block[:, 5:11])
+        assert got.residuals.shape == (3, realizations, 4) and got.a_hat.shape == (3, realizations)
+        for p in range(3):
+            want = lse_fit(d, np.ascontiguousarray(meas[p]).T)
+            for name in ("a_hat", "gamma_hat", "residuals"):
+                assert getattr(got, name)[p].tobytes() == getattr(want, name).tobytes(), (name, p)
+            assert np.shares_memory(got.residuals[p], block[p, 5:9])
+        assert np.isnan(block[:, 11:]).all() and np.isnan(block[:, 0]).all()
+
     @pytest.mark.parametrize("realizations", [None, 2, 7, 1000], ids=["vector", "2-rows", "7-rows", "1000-rows"])
     @pytest.mark.parametrize("layout", ["realization-major", "sensor-major"])
     def test_every_row_matches_lstsq_of_the_design(self, realizations, layout):

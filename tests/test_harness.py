@@ -41,10 +41,16 @@ from radiomap.harness import (
     _rms_rows,
     _scaled_rms_rows,
     _spatial_stderr,
+    _workspace_shapes,
 )
 from radiomap.linalg import NotPositiveDefiniteError
 
 from workers import another_thread, append_line, patch_kernel, read_lines
+
+
+def workspace_doubles(methods, realizations, points):
+    """Doubles of a Monte Carlo task's workspace at 4 sensors, by its size function."""
+    return sum(math.prod(shape) for shape in _workspace_shapes(4, methods, realizations, points).values())
 
 
 def record_engine_work(monkeypatch, tmp_path):
@@ -449,39 +455,42 @@ class TestMcWorkspace:
         finally:
             tracemalloc.stop()
 
+    @staticmethod
+    def budget(methods, R, points):
+        """Bytes of the workspace by its size function, one draw's R x 8 Philox words (4 sensors) and 8 KB."""
+        return 8 * workspace_doubles(methods, R, points) + 8 * R * 8 + 2**13
+
     def test_memory_budget_of_one_point(self):
-        # one point's 9-ratio evaluation, workspace included, peaks below 34 R-length rows and 8 KB of
-        # small arrays: a workspace of 26 rows (20 for the point, 6 for its refit, whose slope row
-        # holds the fitted median), then the draw's 8 Philox rows (41 rows when every ratio allocated
-        # its own temporaries)
-        cfg = ExperimentConfig(realizations=10000, mode="mc")
+        # one point's 9-ratio evaluation, workspace included, peaks within the size function, the draw's Philox
+        # words and 8 KB of small arrays: a workspace of 26 rows (5 of normals, 15 for the point's truth,
+        # measurement, deviation and refit rows, 6 of errors) and 72 weights. That is within 34 R-length rows
+        # and 8 KB (41 rows when every ratio allocated its own temporaries)
+        R = 10000
+        cfg = ExperimentConfig(realizations=R, mode="mc")
         _, setup = self.setup_for(cfg, cfg.grid().xy[:1])
-        assert self.peak_bytes(setup, 1, cfg.realizations) <= 34 * 8 * cfg.realizations + 2**13
+        assert workspace_doubles(cfg.methods, R, 1) == 26 * R + 6 * 12
+        peak = self.peak_bytes(setup, 1, R)
+        assert peak <= self.budget(cfg.methods, R, 1) and peak <= 34 * 8 * R + 2**13
 
     def test_memory_budget_of_a_block(self):
-        # a block of 8 points at R = 2,000, the most that 2^14 doubles per row hold, peaks below
-        # the workspace's rows per point; 4 for one point's deviations at a time, if sm0 runs; 6 for
-        # one refit at a time and 1 for the family weight stacks (the block's, 10 KB for 9 ratios at 8
-        # points), if a method refits; the spare row, when every family has one member; one draw's 8
-        # Philox rows and 8 KB of small arrays. Per point, the workspace holds 5 rows of normals, 5
-        # joint rows and one error row per method. The bound holds for the first block of the whole
-        # 4,096-point grid too, whose weight stacks would take 516 rows. With every method the bound
-        # is 147 rows.
+        # a block of 8 points at R = 2,000, the most that 2^14 doubles per row hold, peaks within the size
+        # function, one draw's Philox words and 8 KB of small arrays. The bound holds for the first block of
+        # the whole 4,096-point grid too: the kernel writes the weights of one block at a time.
         from radiomap import harness
 
         R = 2000
         points = harness._BLOCK_DOUBLES // R
         assert points == 8
-        for methods, per_point, once, spare in [
-            (ALL_METHODS, 5 + 5 + 6, 4 + 6 + 1, 0),
-            (("sm1", "sm2", "nn", "idw", "nat"), 5 + 5 + 5, 6 + 1, 0),
-            (("nat",), 5 + 5 + 1, 0, 1),  # as grid-both runs
+        for methods, rows, weights in [
+            (ALL_METHODS, 5 + 15 + 6, 6 * 12),
+            (("sm1", "sm2", "nn", "idw", "nat"), 5 + 11 + 5, 5 * 8),
+            (("nat",), 5 + 5 + 2, 2 * 4),  # as grid-both runs: a lone method's row runs twice
         ]:
             cfg = ExperimentConfig(realizations=R, mode="mc", methods=methods)
-            budget = (per_point * points + once + spare + 8) * 8 * R + 2**13
+            assert workspace_doubles(methods, R, points) == points * (rows * R + weights)
             for xy in (cfg.grid().xy[:points], cfg.grid().xy):
                 _, setup = self.setup_for(cfg, xy)
-                assert self.peak_bytes(setup, points, R) <= budget, (methods, len(xy))
+                assert self.peak_bytes(setup, points, R) <= self.budget(methods, R, points), (methods, len(xy))
 
 
 def _family_method_sets() -> list[tuple[str, ...]]:
@@ -501,8 +510,9 @@ def _family_method_sets() -> list[tuple[str, ...]]:
 
 
 class TestFamilyProducts:
-    """Each applied-to family is predicted by one product per point and ratio, and a method's bits do not depend on
-    which other methods run: a one-member family runs as a two-row product, with the bits of a gemm row."""
+    """Every method is predicted by one product per block and ratio, and a method's bits do not depend on which other
+    methods run, from each applied-to family or several: a gemm row's bits do not depend on the zero weights it meets
+    on the other families' rows, and a lone method runs as a two-row product, with the bits of a gemm row."""
 
     cfg = ExperimentConfig(resolution=3, ratios=(0.2, 5.0), master_seed=17, nu=2)
 
@@ -524,8 +534,9 @@ class TestFamilyProducts:
                 for j, m in enumerate(methods):
                     assert got[:, j].tobytes() == full[:, ALL_METHODS.index(m)].tobytes(), (methods, m, threads)
 
-    def test_one_product_per_family_point_and_ratio(self, monkeypatch):
-        # 3 families x 9 points x 2 ratios with every method; nat alone runs one two-row product each
+    def test_one_product_per_block_and_ratio(self, monkeypatch):
+        # R = 7 runs the 9 points as one block: every method gives 6 rows of weights against 4 measurement,
+        # 4 deviation and 4 residual rows at each point; nat alone gives its row twice against 4 measurement rows
         from radiomap import harness
 
         shapes = []
@@ -541,10 +552,10 @@ class TestFamilyProducts:
 
         monkeypatch.setattr(harness, "np", Recorded())
         self.rmse(ALL_METHODS, 7, 1)
-        assert sorted(set(shapes)) == [(2, 4), (3, 4)] and len(shapes) == 3 * 9 * 2
+        assert shapes == [(9, 6, 12)] * 2
         shapes.clear()
         self.rmse(("nat",), 7, 1)
-        assert shapes == [(2, 4)] * 9 * 2
+        assert shapes == [(9, 2, 4)] * 2
 
 
 class TestTwoPassRms:

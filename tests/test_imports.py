@@ -5,7 +5,7 @@ draw, so importing radiomap and every analytic call stay numpy-only, while a
 Monte Carlo call brings scipy in. Importing radiomap asks OpenBLAS for one
 thread unless the caller chose a count, and that moves no bit, nor does a
 BLAS pool move any bit of the Monte Carlo row correlation or of the Monte
-Carlo kernel's family products. Other tests import scipy into the test
+Carlo kernel's one product per block and ratio. Other tests import scipy into the test
 process, and importing radiomap there set its BLAS thread variable, so each
 case runs in a child interpreter that imports radiomap from the same
 directory as this test did.
@@ -222,9 +222,9 @@ print(json.dumps([hashlib.sha256(block.tobytes()).hexdigest(), windows, len(os.l
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc/self/task")
 def test_monte_carlo_bits_do_not_depend_on_blas_threads(tmp_path):
-    # every method at one point and two ratios, R = 2 x 10^5: the family products, (2, 4) and (3, 4)
-    # weights against 4 rows, pass OpenBLAS's 10^6 multiply-adds below which it runs them on one thread,
-    # so a pool of two splits them. The same bits on one BLAS thread and on two. The two sides run at once.
+    # every method at one point and two ratios, R = 2 x 10^5: each ratio's product, (6, 12) weights against
+    # 12 rows, passes OpenBLAS's 10^6 multiply-adds below which it runs on one thread, so a pool of two
+    # splits it. The same bits on one BLAS thread and on two. The two sides run at once.
     code = """import hashlib, json, os
 from radiomap import ExperimentConfig
 from radiomap.analysis import sweep_setup
