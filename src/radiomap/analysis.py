@@ -173,15 +173,16 @@ def sm0_sigma0(model: CorrelationModel, sensors: list[Point], p0: Point) -> floa
 class SweepSetup:
     """What both engines read for several methods at N query points under K models that differ in sigma and xc alone.
 
-    xy holds the (N, 2) query coordinates. pm0 holds each query point's
-    median power, pm the sensors' and x0 the points' log10 emitter
-    distances. design is the sensor distances' LseDesign when a method
-    takes the refit, else None. weights maps each requested method to its
-    weight rows by the method table: a geometry-only family's (N, n) table,
-    one array per family (sm2 and idw share one), or the solve's (K, N, n)
-    stack, each row with the bits of sm0_weights() at its point alone, which
-    is None when the set-up failed: nothing is solved for a sweep that
-    cannot run.
+    scn is the first model's scenario, whose sigma and a_db the refusals
+    read (harness._REFUSALS). xy holds the (N, 2) query coordinates. pm0
+    holds each query point's median power, pm the sensors' and x0 the
+    points' log10 emitter distances. design is the sensor distances'
+    LseDesign when a method takes the refit, else None. weights maps each
+    requested method to its weight rows by the method table: a geometry-only
+    family's (N, n) table, one array per family (sm2 and idw share one), or
+    the solve's (K, N, n) stack, each row with the bits of sm0_weights() at
+    its point alone, which is None when the set-up failed: nothing is solved
+    for a sweep that cannot run.
 
     c_n holds each model's (n, n) sensor covariance Cn and c_0 its (N, n)
     covariances C0 at the points, each with the bits it has alone. joint
@@ -195,6 +196,7 @@ class SweepSetup:
     """
 
     methods: tuple[str, ...]
+    scn: Scenario
     xy: np.ndarray
     pm0: np.ndarray
     pm: np.ndarray
@@ -246,7 +248,7 @@ def sweep_setup(
                 failed, error = point_error.index // c_0.shape[1], point_error
         tables[_SOLVE] = sm0_weight_rows(factors, c_0) if factors is not None and error is None else None
     weights = {m: tables[f] for m, f in families.items()}
-    return SweepSetup(tuple(methods), xy, pm0, pm, x0, design, weights, c_n, c_0, lower, failed, error)
+    return SweepSetup(tuple(methods), scn, xy, pm0, pm, x0, design, weights, c_n, c_0, lower, failed, error)
 
 
 def _error_rows(setup: SweepSetup) -> dict[str, tuple[np.ndarray, np.ndarray]]:

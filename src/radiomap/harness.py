@@ -11,11 +11,11 @@ points where they disagree beyond Monte Carlo noise. What no ratio changes
 (the grid's (N, 2) coordinate array, the geometry-only weights) is
 gathered once per sweep, and so is what every ratio needs: each ratio's
 covariances and solve weights, built as stacks once for both engines, in
-one set-up call (analysis.sweep_setup). The set-up then decides, before
-either engine runs, whether the run can finish and, when it cannot, the
-one error raised, with the same precedence in every mode (_grid_evals):
-factor failures come back as values, not exceptions, and a run that
-fails solves, draws and evaluates nothing. The closed form is one
+one set-up call (analysis.sweep_setup). One ordered table, _REFUSALS,
+holds every refusal decided after ExperimentConfig.validate(): its set-up
+rows refuse, before either engine runs, a run that cannot finish, which
+then solves, draws and evaluates nothing; its engine rows refuse a
+non-finite result. The closed form is one
 array evaluation of every ratio at every grid point. The Monte Carlo
 kernel only computes, point-major, in chunks and blocks of points (see its
 section below), writing one (K, M, N) array. One driver, _mc_rmse, runs a
@@ -39,6 +39,7 @@ from collections.abc import Callable, Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from typing import NoReturn
 
 import numpy as np
@@ -329,10 +330,9 @@ def _power_of_two_above(magnitudes: np.ndarray, axis: int | None = None) -> np.n
 #
 # Set-up runs before any draw, in analysis.sweep_setup(joint=True): one
 # in-place factor of every point's joint covariance under every ratio,
-# decided before the solve weights, which are the analytic engine's, and the
-# first failing ratio and its error returned as values. Past set-up nothing
-# fails: the fit's constants were checked there, and the kernel runs
-# with numpy's errors off, its inf and NaN named later by the finiteness checks.
+# decided before the solve weights, which are the analytic engine's. Past
+# the set-up rows of _REFUSALS nothing fails, and the kernel runs with
+# numpy's errors off, its inf and NaN named by the engine rows.
 #
 # The points run as min(threads, N) tasks over contiguous chunks, each in
 # blocks of P = max(1, _BLOCK_DOUBLES // R) points, written with out= into
@@ -362,41 +362,6 @@ def _power_of_two_above(magnitudes: np.ndarray, axis: int | None = None) -> np.n
 # (medians of 24 interleaved rounds), on a 2-core Xeon VM. On one worker
 # the draws take about 44 ms of it, and the rest about 260 us per point
 # and ratio. Streams keyed by point make the split invisible in the bits.
-
-
-# Least sigma_db a Monte Carlo run takes, as a fraction of the largest median
-# power magnitude |P|: smaller shadows are lost in the round-off of P + s,
-# and sm0's RMSE reads 0. Near the limit (|P| = 127.7 dB, sigma 1.3e-7 dB)
-# sm0's and sm1's RMSEs strayed from sigma-scaling by 1e-9 and 8e-9. Any
-# sigma of at least 1e-3 dB passes while |P| stays below 1e6 dB.
-_SIGMA_FRACTION = 1e-9
-# Least spread of P, or sigma_db where larger, any run takes, likewise: below
-# it the path-loss bias is lost in the round-off of P (a_db 1e20 read nn 0.936
-# dB for 9.66); near it (a_db 3.2e8 dB) sweeps strayed from a_db 15.3's by 7e-9.
-_SPREAD_FRACTION = 1e-7
-
-
-def _lost_sigma(setup: SweepSetup, sigma: float) -> str | None:
-    """Why a Monte Carlo run of the set-up at this sigma (dB) would lose its shadows to round-off, or None if it would not."""
-    top = float(max(np.abs(setup.pm0).max(), np.abs(setup.pm).max()))
-    if sigma < _SIGMA_FRACTION * top < math.inf:  # non-finite medians are named by the finiteness checks
-        return (
-            f"{sigma!r} dB is below {_SIGMA_FRACTION:g} of the largest median power magnitude, {top:.6g} dB, "
-            "so the shadows would be lost to round-off"
-        )
-    return None
-
-
-def _lost_medians(setup: SweepSetup, config: ExperimentConfig) -> str | None:
-    """Why the set-up's medians would lose the path-loss bias to round-off, or its analytic square overflow, or None."""
-    p = np.concatenate((setup.pm0, setup.pm))
-    top, term = np.abs(p).max(), np.abs(config.a_db - p).max()
-    cause = f"field {'a_db' if abs(config.a_db) >= term else 'gamma'!r} sets median powers of up to {top:.6g} dB"
-    if config.mode != "mc" and top > 2.0**510:  # each bias, up to 2 |P|, is squared
-        return f"{cause}, above 2^510 dB, past which the analytic engine's squared bias may overflow"
-    if top < math.inf and max(spread := np.ptp(p), config.sigma_db) < _SPREAD_FRACTION * top:
-        return f"{cause}; spread {spread:.6g} dB and sigma_db under {_SPREAD_FRACTION:g} of it lose the bias to round-off"
-    return None
 
 
 # Doubles in one (points, R) plane of a block: P = max(1, _BLOCK_DOUBLES // R)
@@ -464,10 +429,10 @@ class _McWorkspace:
     median. first maps each family of the operand (_operand) to its first
     row in a point's stack. errors holds max(M, 2) rows per point, one per
     method in the order of methods, and weights the block's weight rows
-    against the operand, zero where a method does not apply. Every row is
+    against the operand, zero where a method does not apply, written once
+    per block but the solve rows (_mc_block_rmse). Every other row is
     written before it is read at each ratio, so nothing carries from one
-    block or ratio to the next. bitgen is the Philox generator that every
-    draw keys afresh.
+    block to the next. bitgen is the Philox generator every draw keys afresh.
     """
 
     def __init__(self, n_sensors: int, methods: Sequence[str], realizations: int, points: int):
@@ -507,8 +472,17 @@ def _mc_block_rmse(
     medians[:, 0, 0], medians[:, 1:, 0] = setup.pm0[at], setup.pm
     joint = ws.stack[:points, : n + 1]  # each point's truth row, then its measurement rows
     errors = ws.errors[:points, :m]  # a lone method's second row is left out
+    weights = ws.weights[:points]
+    weights.fill(0.0)
     with _unbuffered(realizations):
         for k in range(len(setup.joint)):
+            # the geometry-only weight rows once per block, the solve rows at each ratio. numpy sends a one-row product
+            # to gemv, whose bits differ from a gemm row's, while gemm rows agree bit for bit whatever the other rows:
+            # a lone method's row runs twice (rows j::m), so each method's bits do not depend on which methods run
+            for j, method in enumerate(setup.methods):
+                if (w := setup.weights[method]).ndim == 3 or k == 0:
+                    c = ws.first[_estimator(method)[1]] - 1
+                    weights[:, j::m, c : c + n] = (w[k, at] if w.ndim == 3 else w[at])[:, None]
             correlate_normals(setup.joint[k, at], ws.z[:points].swapaxes(1, 2), out=joint)
             joint += medians
             _block_errors(setup, k, block, ws)
@@ -531,7 +505,7 @@ def _block_errors(setup: SweepSetup, k: int, block: range, ws: _McWorkspace) -> 
     added after: sm0's median power, the fitted methods' fitted median.
     """
     n, points, at, first = len(setup.pm), len(block), slice(block.start, block.stop), ws.first
-    stack, weights = ws.stack[:points], ws.weights[:points]
+    stack, weights = ws.stack[:points], ws.weights[:points]  # _mc_block_rmse wrote the weights
     meas = stack[:, 1 : n + 1]  # (P, n, R): the powers
     if (d := first.get(_DEVIATIONS)) is not None:
         np.subtract(meas, setup.pm[:, None], out=stack[:, d : d + n])
@@ -542,14 +516,6 @@ def _block_errors(setup: SweepSetup, k: int, block: range, ws: _McWorkspace) -> 
         median *= 10.0
         median *= setup.x0[at, None]
         median += fit.a_hat
-    weights.fill(0.0)
-    for j, method in enumerate(setup.methods):
-        w, c = setup.weights[method], first[_estimator(method)[1]] - 1
-        weights[:, j, c : c + n] = w[k, at] if w.ndim == 3 else w[at]
-    # numpy sends a one-row product to gemv, whose bits differ from a gemm row's, while the rows of gemm products
-    # agree bit for bit whatever the other rows: a lone method's row runs twice, so each method's bits do not
-    # depend on which methods run
-    weights[:, len(setup.methods) :] = weights[:, :1]
     predictions = np.matmul(weights, stack[:, 1 : 1 + weights.shape[-1]], out=ws.errors[:points])
     for j, method in enumerate(setup.methods):
         applied_to = _estimator(method)[1]
@@ -573,9 +539,9 @@ def _mc_rmse(
     setup is the sweep's set-up, with its joint factors (joint=True).
     indices[i] keys point i's stream. Before any draw, ValueError names a
     stream key outside the unsigned 64-bit range, then realizations that
-    are not an integer of at least 1; then setup.error is raised; then
-    ValueError names a sigma (each joint factor's [0, 0] entry) lost in
-    the round-off of the median powers. _run_forked runs one task here
+    are not an integer of at least 1; then the set-up rows of _REFUSALS
+    raise the first refusal, worded for a one-point entry (a grid's
+    _grid_evals has walked them already). _run_forked runs one task here
     and the rest in forked workers; more than one task runs on a thread
     pool instead when os.fork is missing or the caller runs another thread.
     Either runner's tasks write their chunks into one anonymous shared
@@ -585,10 +551,7 @@ def _mc_rmse(
         _check_stream_keys(master_seed=master_seed, point_index=index)
     if not _accepts(0, realizations) or realizations < 1:
         raise ValueError(f"realizations must be an integer of at least 1, got {realizations!r}")
-    if setup.error is not None:
-        raise setup.error
-    if lost := _lost_sigma(setup, float(setup.joint[..., 0, 0].min())):
-        raise ValueError(f"sigma is too small for Monte Carlo: {lost}")
+    _refuse(_SETUP, setup, None)
     n_points = len(setup.xy)
     shape = (len(setup.joint), len(setup.methods), n_points)
     tasks = min(threads, n_points)
@@ -688,8 +651,8 @@ def point_rmse_mc(
     master_seed and point_index key the point's stream and must each fit in
     an unsigned 64-bit integer, and realizations must be an integer of at
     least 1: ValueError names the first that does not, before any draw.
-    A covariance that is not positive definite raises its
-    NotPositiveDefiniteError next, before any draw as well.
+    The set-up rows of _REFUSALS refuse next, before any draw as well: a
+    factor failure raises its NotPositiveDefiniteError, the rest ValueError.
     """
     setup = sweep_setup(scn, coordinates([p0]), (method,), [scn.correlation], nu, joint=True)
     return float(_mc_rmse(setup, [point_index], realizations, master_seed)[0, 0, 0])
@@ -697,23 +660,115 @@ def point_rmse_mc(
 
 # ---------------------------------------------------------------------------
 # grid evaluation
+#
+# _REFUSALS maps each refusal decided after ExperimentConfig.validate(), in
+# precedence order, to its stage and its check, which returns the error to
+# raise or None: on the set-up and the config (None for a one-point Monte
+# Carlo entry) before either engine, or on the config, a ratio's index k, the
+# engines' (K, M) spatial aggregates and standard errors at each ratio. A
+# finite spatial RMSE implies finite per-point values.
+
+# Least sigma_db a Monte Carlo run takes, as a fraction of the largest median
+# power magnitude |P|: smaller shadows are lost in the round-off of P + s,
+# and sm0's RMSE reads 0. Near the limit (|P| = 127.7 dB, sigma 1.3e-7 dB)
+# sm0's and sm1's RMSEs strayed from sigma-scaling by 1e-9 and 8e-9. Any
+# sigma of at least 1e-3 dB passes while |P| stays below 1e6 dB.
+_SIGMA_FRACTION = 1e-9
+# Least spread of P, or sigma_db where larger, any run takes, likewise: below
+# it the path-loss bias is lost in the round-off of P (a_db 1e20 read nn 0.936
+# dB for 9.66); near it (a_db 3.2e8 dB) sweeps strayed from a_db 15.3's by 7e-9.
+_SPREAD_FRACTION = 1e-7
 
 
-def _out_of_range(config: ExperimentConfig, ratio: float, cause) -> ConfigError:
-    return ConfigError(f"{config.kernel} kernel at spacing ratio {ratio} is outside the numeric range: {cause}")
+def _refusal(config: ExperimentConfig | None, k: int, cause, error: Exception | None = None) -> ValueError:
+    """cause as a ConfigError naming the config's kernel and ratio k, raised from error; for a one-point entry (config
+    None), as itself where it is an error, else as a ValueError."""
+    if config is None:
+        return cause if isinstance(cause, ValueError) else ValueError(cause)
+    refusal = ConfigError(f"{config.kernel} kernel at spacing ratio {config.ratios[k]} is outside the numeric range: {cause}")
+    refusal.__cause__ = error
+    return refusal
+
+
+def _sigma_underflow(setup: SweepSetup, config: ExperimentConfig | None) -> ValueError | None:
+    # sigma^2 is 0, failing every factor at pivot 0, or subnormal, with lost digits, and a method's error all shadow
+    zero = setup.error if setup.error is not None and setup.error.pivot_index == 0 else None
+    if zero or (setup.scn.sigma**2 < np.finfo(float).tiny and not _UNBIASED.isdisjoint(setup.methods)):
+        return _refusal(config, 0, f"sigma^2 underflows a double at sigma = {setup.scn.sigma!r} dB", zero)
+    return None
+
+
+def _factor_failure(setup: SweepSetup, config: ExperimentConfig | None, later: bool) -> ValueError | None:
+    failed = setup.error is not None and (setup.failed > 0) == later  # at the first ratio, or a later one
+    return _refusal(config, setup.failed, setup.error, setup.error) if failed else None
+
+
+def _medians(setup: SweepSetup) -> tuple[np.ndarray, float, str]:
+    """The median powers P of the points and the sensors, their largest magnitude, and the field that sets it."""
+    p, a_db = np.concatenate((setup.pm0, setup.pm)), setup.scn.a_db
+    top, term = np.abs(p).max(), np.abs(a_db - p).max()
+    return p, top, f"field {'a_db' if abs(a_db) >= term else 'gamma'!r} sets median powers of up to {top:.6g} dB"
+
+
+def _median_overflow(setup: SweepSetup, config: ExperimentConfig | None) -> ValueError | None:
+    # outside mc mode only: the analytic engine squares each bias, up to 2 |P|
+    _, top, cause = _medians(setup)
+    if config is not None and config.mode != "mc" and top > 2.0**510:
+        return _refusal(config, 0, f"{cause}, above 2^510 dB, past which the analytic engine's squared bias may overflow")
+    return None
+
+
+def _lost_bias(setup: SweepSetup, config: ExperimentConfig | None) -> ValueError | None:
+    p, top, cause = _medians(setup)
+    if not (top < math.inf and max(spread := np.ptp(p), setup.scn.sigma) < _SPREAD_FRACTION * top):
+        return None
+    lost = f"spread {spread:.6g} dB and sigma_db under {_SPREAD_FRACTION:g} of it lose the bias to round-off"
+    return _refusal(config, 0, f"{cause}; {lost}")
+
+
+def _lost_sigma(setup: SweepSetup, config: ExperimentConfig | None) -> ValueError | None:
+    # in mc and both modes only; non-finite medians reach the engine rows
+    sigma, top = setup.scn.sigma, _medians(setup)[1]
+    if (config is not None and config.mode == "analytic") or not sigma < _SIGMA_FRACTION * top < math.inf:
+        return None
+    error, name = (ValueError, "sigma") if config is None else (ConfigError, "field 'sigma_db'")
+    return error(
+        f"{name} is too small for Monte Carlo: {sigma!r} dB is below {_SIGMA_FRACTION:g} of the largest median power "
+        f"magnitude, {top:.6g} dB, so the shadows would be lost to round-off"
+    )
+
+
+def _not_finite(config: ExperimentConfig, k: int, label: str, arrays) -> ValueError | None:
+    """The first method whose label at ratio k is not finite in one of the (K, M) arrays that are not None."""
+    for j, m in enumerate(config.methods):
+        if not all(math.isfinite(a[k, j]) for a in arrays if a is not None):
+            return _refusal(config, k, f"{m} {label} is not finite")
+    return None
+
+
+_SETUP, _ENGINES = "after set-up", "after the engines"
+_REFUSALS = {
+    "sigma^2 underflow": (_SETUP, _sigma_underflow),
+    "first-ratio factor": (_SETUP, partial(_factor_failure, later=False)),
+    "median overflow": (_SETUP, _median_overflow),
+    "lost bias": (_SETUP, _lost_bias),
+    "lost sigma": (_SETUP, _lost_sigma),
+    "later-ratio factor": (_SETUP, partial(_factor_failure, later=True)),
+    "non-finite RMSE": (_ENGINES, lambda config, k, spatial, se: _not_finite(config, k, "RMSE", spatial.values())),
+    "non-finite standard error": (_ENGINES, lambda config, k, _, se: _not_finite(config, k, "standard error", [se])),
+}
+
+
+def _refuse(stage: str, *args) -> None:
+    """Raise the error of the first of the stage's rows of _REFUSALS whose check, on args, returns one."""
+    for row_stage, check in _REFUSALS.values():
+        if row_stage == stage and (error := check(*args)) is not None:
+            raise error
 
 
 def _spatial_rows(rmse: np.ndarray) -> np.ndarray:
     """(K, M) spatial averages of a (K, M, N) block of per-point RMSEs, in one row-wise pass."""
     return _rms_rows(rmse.reshape(-1, rmse.shape[-1])).reshape(rmse.shape[:-1])
-
-
-def _finite_aggregates(config: ExperimentConfig, k: int, spatial: dict[str, np.ndarray]) -> None:
-    """Raise ConfigError naming the first method whose spatial RMSE at ratio k is not finite in some engine."""
-    for j, m in enumerate(config.methods):
-        # a finite spatial RMSE implies finite per-point values
-        if not all(math.isfinite(s[k, j]) for s in spatial.values()):
-            raise _out_of_range(config, config.ratios[k], f"{m} RMSE is not finite")
 
 
 def _grid_evals(
@@ -726,32 +781,11 @@ def _grid_evals(
     "mc", and in mc and both modes the (K, M) standard errors of the Monte
     Carlo aggregates (None in analytic mode).
 
-    One set-up decides, before either engine runs, whether the run can
-    finish; a run that cannot raises one error and has solved, drawn and
-    evaluated nothing. The precedence is the same in every mode; the first
-    of these that applies is raised:
-    1. a sigma^2 below the least normal double when an unbiased method runs
-       (its error is all shadow, and a subnormal sigma^2 has lost digits),
-       named as sigma^2 underflowing;
-    2. a factor failure at the first ratio;
-    3. median powers past _lost_medians' limits;
-    4. in mc and both modes, a sigma_db below _SIGMA_FRACTION of their
-       largest magnitude;
-    5. a factor failure at a later ratio.
-    A factor fails where a ratio's sensor covariance Cn is not positive
-    definite, when a method takes the solve, or, in mc and both modes, where
-    its joint covariance at some point is not: the lowest such ratio is
-    named, and at one ratio Cn's error wins over the lowest failing
-    point's. A failure at pivot 0, which is sigma^2 itself, is named as
-    sigma^2 underflowing.
-
-    The ratio-free parts of the error forms, the geometry-only weights above
-    all, are gathered once from one scenario, and every ratio's Cn, C0 and
-    solve weights are built once, as stacks, in the same set-up call
-    (analysis.sweep_setup), for both engines. Both engines then run every
-    ratio: the analytic engine on the calling thread as one stack, the
-    Monte Carlo stage with one worker per chunk of points (_mc_rmse), each
-    point's normals drawn once. Each engine's aggregates come from one row-wise pass.
+    One set-up call (analysis.sweep_setup) builds what both engines read,
+    and its rows of _REFUSALS refuse, in order, a run that cannot finish.
+    Both engines then run every ratio: the analytic engine on the calling
+    thread as one stack, the Monte Carlo stage with one worker per chunk of
+    points (_mc_rmse), each point's normals drawn once.
     """
     if not (_accepts(0, threads) and 1 <= threads <= MAX_THREADS):
         raise ConfigError(f"threads must be an integer between 1 and {MAX_THREADS}, got {threads!r}")
@@ -759,7 +793,7 @@ def _grid_evals(
     mc = config.mode in ("mc", "both")
     grid = config.grid()
     try:
-        with np.errstate(all="ignore"):  # the finiteness checks name what an inf or NaN means
+        with np.errstate(all="ignore"):  # the engine rows of _REFUSALS name what an inf or NaN means
             if (grid.xy == (config.emitter.x, config.emitter.y)).all(axis=1).any():
                 raise DegenerateGeometryError(f"coincides with a query point of the resolution-{config.resolution} grid")
             models = [config.correlation_for_ratio(ratio) for ratio in ratios]
@@ -769,30 +803,14 @@ def _grid_evals(
     except (OutsideHullError, ArithmeticError) as err:
         # grid points lie strictly inside the sensor hull, so these come only from doubles out of
         # range, at every ratio alike: a sigma^2 that overflows, say
-        raise _out_of_range(config, ratios[0], err) from err
-    error = setup.error
-    underflow = f"sigma^2 underflows a double at sigma = {config.sigma_db!r} dB"
-    failure = None
-    if error is not None:  # pivot 0 is sigma^2 itself: a failure there is its underflow to 0
-        failure = _out_of_range(config, ratios[setup.failed], underflow if error.pivot_index == 0 else error)
-        failure.__cause__ = error
-    if config.sigma_db**2 < np.finfo(float).tiny and not _UNBIASED.isdisjoint(methods):
-        raise _out_of_range(config, ratios[0], underflow)
-    if setup.failed == 0:
-        raise failure
-    if lost := _lost_medians(setup, config):
-        raise _out_of_range(config, ratios[0], lost)
-    if mc and (lost := _lost_sigma(setup, config.sigma_db)):
-        raise ConfigError(f"field 'sigma_db' is too small for Monte Carlo: {lost}")
-    if failure is not None:
-        raise failure
+        raise _refusal(config, 0, err) from err
+    _refuse(_SETUP, setup, config)
     engines: dict[str, np.ndarray] = {}  # each engine's (K, M, N) RMSEs
     with np.errstate(all="ignore"):
         if config.mode in ("analytic", "both"):
             engines["analytic"] = grid_analytic_rmse(setup)
         if mc:
-            indices = range(len(grid.xy))
-            engines["mc"] = _mc_rmse(setup, indices, config.realizations, config.master_seed, threads)
+            engines["mc"] = _mc_rmse(setup, range(len(grid.xy)), config.realizations, config.master_seed, threads)
         spatial = {engine: _spatial_rows(rmse) for engine, rmse in engines.items()}
         stderr = _spatial_stderr(engines["mc"], config.realizations, spatial["mc"]) if mc else None
     return grid.xy, engines, spatial, stderr
@@ -813,7 +831,7 @@ def grid_rmse(config: ExperimentConfig, ratio: float, method: str, threads: int 
     config = replace(config, ratios=(ratio,), methods=(method,))
     config.validate()
     xy, engines, spatial, stderr = _grid_evals(config, threads)
-    _finite_aggregates(config, 0, spatial)
+    _refuse(_ENGINES, config, 0, spatial, stderr)
     a_vals, mc_vals = (engines[engine][0, 0] if engine in engines else None for engine in ("analytic", "mc"))
     primary = "mc" if mc_vals is not None else "analytic"
     flags = None
@@ -856,17 +874,13 @@ def sweep(config: ExperimentConfig, threads: int = 1) -> list[SweepRow]:
     config.validate()
     _, _, spatial, stderr = _grid_evals(config, threads)
     primary = spatial["mc" if "mc" in spatial else "analytic"]
-    rows: list[SweepRow] = []
-    for k, ratio in enumerate(config.ratios):
-        _finite_aggregates(config, k, spatial)
-        for j, method in enumerate(config.methods):
-            se = None if stderr is None else float(stderr[k, j])
-            if se is not None and not math.isfinite(se):
-                raise _out_of_range(config, ratio, f"{method} standard error is not finite")
-            rows.append(
-                SweepRow(ratio=ratio, method=method, spatial_rmse=float(primary[k, j]), mode=config.mode, mc_stderr=se)
-            )
-    return rows
+    for k in range(len(config.ratios)):
+        _refuse(_ENGINES, config, k, spatial, stderr)
+    return [
+        SweepRow(ratio, method, float(primary[k, j]), config.mode, None if stderr is None else float(stderr[k, j]))
+        for k, ratio in enumerate(config.ratios)
+        for j, method in enumerate(config.methods)
+    ]
 
 
 def rmse_distribution(surface: RmseSurface, bins: int) -> RmseDistribution:

@@ -191,9 +191,9 @@ def check_analytic_vs_mc(
 
     points pairs each query point with the index that keys its stream. Both
     engines read one set-up of every ratio at the points, as in a sweep,
-    and a set-up failure is raised before any draw. Each point's stream is
-    drawn once for every ratio and method, and each MC value has the bits
-    of its own point_rmse_mc call.
+    and its rows of harness._REFUSALS refuse before any draw. Each point's
+    stream is drawn once for every ratio and method, and each MC value has
+    the bits of its own point_rmse_mc call.
     """
     scns = [_table_scenario(ratio) for ratio in ratios]
     xy, models = coordinates([p for _, p in points]), [scn.correlation for scn in scns]

@@ -474,6 +474,49 @@ class TestSweepCommand:
         assert {row["mode"] for row in read_rows(out / "sweep.csv")} == {"mc"}
 
 
+# For each row of the refusal table (harness._REFUSALS), in its order: the overrides of a res-2 sweep just inside the
+# limit, which exits 0, and just outside it, which exits 2 naming the row's field or cause. None marks a row that no
+# config reaches; TestRefusalTable calls its check on crafted values.
+REFUSAL_BOUNDARIES = {
+    "sigma^2 underflow": ({"sigma_db": 1.5e-154}, {"sigma_db": 1.49e-154}, "sigma^2 underflows a double"),
+    "first-ratio factor": (
+        {"correlation": {"kind": "gaussian"}, "ratios": [8e-4], "methods": ["sm1"]},
+        {"correlation": {"kind": "gaussian"}, "ratios": [7e-4], "methods": ["sm1"]},
+        "matrix is not positive definite",
+    ),
+    "median overflow": ({"gamma": 1e152, "methods": ["nn"]}, {"gamma": 1.2e152, "methods": ["nn"]}, "field 'gamma'"),
+    "lost bias": ({"a_db": 3.7e8}, {"a_db": 3.75e8}, "field 'a_db'"),
+    "lost sigma": ({"sigma_db": 1.3e-7, "mode": "mc"}, {"sigma_db": 1.2e-7, "mode": "mc"}, "field 'sigma_db'"),
+    "later-ratio factor": None,
+    # the largest medians Monte Carlo takes, with the largest sigma, against medians that overflow
+    "non-finite RMSE": (
+        {"gamma": 1e160, "sigma_db": 1e153, "mode": "mc", "methods": ["nn"]},
+        {"gamma": 1e308, "mode": "mc", "methods": ["nn"]},
+        "nn RMSE is not finite",
+    ),
+    "non-finite standard error": None,
+}
+
+
+def test_refusal_boundaries_cover_every_row_of_the_table():
+    from radiomap.harness import _REFUSALS
+
+    assert list(REFUSAL_BOUNDARIES) == list(_REFUSALS)
+
+
+@pytest.mark.parametrize("row", [row for row, case in REFUSAL_BOUNDARIES.items() if case is not None])
+def test_each_refusal_exits_2_just_outside_its_limit_and_0_just_inside(tmp_path, capsys, row):
+    inside, outside, named = REFUSAL_BOUNDARIES[row]
+    base = {"ratios": [1.0], "resolution": 2, "realizations": 50, "methods": ["sm0", "nn"]}
+    cfg = write_config(tmp_path, **{**base, **inside})
+    assert main(["sweep", str(cfg), str(tmp_path / "in")]) == 0
+    assert all(math.isfinite(float(r["spatial_rmse_db"])) for r in read_rows(tmp_path / "in" / "sweep.csv"))
+    cfg = write_config(tmp_path, **{**base, **outside})
+    capsys.readouterr()
+    assert main(["sweep", str(cfg), str(tmp_path / "out")]) == 2
+    assert named in capsys.readouterr().err
+
+
 class TestGridCommand:
     def test_writes_grid_dist_and_heatmap(self, tmp_path):
         cfg = write_config(tmp_path, resolution=2)

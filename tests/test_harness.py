@@ -302,6 +302,90 @@ class TestPointRmseMc:
         assert exc.value is error
 
 
+class TestOnePointRefusals:
+    """The one-point Monte Carlo entries walk the set-up rows of the refusal table, as a sweep does."""
+
+    P0 = Point(200.0, 300.0)
+
+    @pytest.mark.parametrize("method", ["sm0", "nn"])
+    def test_medians_that_lose_the_bias_are_refused(self, method):
+        # a_db 1e6 keeps the 37 dB spread of the medians; at 1e9 it is below 1e-7 of them
+        assert math.isfinite(point_rmse_mc(ExperimentConfig(a_db=1e6).scenario(1.0), self.P0, method, 200, 1))
+        with pytest.raises(ValueError) as exc:
+            point_rmse_mc(ExperimentConfig(a_db=1e9).scenario(1.0), self.P0, method, 200, 1)
+        assert str(exc.value) == (
+            "field 'a_db' sets median powers of up to 1e+09 dB; spread 37.2429 dB and sigma_db under 1e-07 of it "
+            "lose the bias to round-off"
+        )
+
+    @pytest.mark.parametrize("method", ["sm0", "nn"])
+    def test_sigma_squared_underflow_is_named(self, monkeypatch, method):
+        # sigma 1e-150 keeps its Monte Carlo message; at 1e-162 sigma^2 is 0, which fails every factor at pivot 0
+        from radiomap import harness
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew normals")
+
+        monkeypatch.setattr(harness, "standard_normal_block", no_draw)
+        with pytest.raises(ValueError, match="^sigma is too small for Monte Carlo: 1e-150 dB is below 1e-09 "):
+            point_rmse_mc(ExperimentConfig(sigma_db=1e-150).scenario(1.0), self.P0, method, 200, 1)
+        with pytest.raises(ValueError) as exc:
+            point_rmse_mc(ExperimentConfig(sigma_db=1e-162).scenario(1.0), self.P0, method, 200, 1)
+        assert str(exc.value) == "sigma^2 underflows a double at sigma = 1e-162 dB"
+
+    def test_validation_check_refuses_medians_that_lose_the_bias(self, monkeypatch):
+        from radiomap import validation
+
+        monkeypatch.setattr(validation, "_table_scenario", lambda ratio=1.0: ExperimentConfig(a_db=1e9).scenario(ratio))
+        with pytest.raises(ValueError, match="^field 'a_db' sets median powers of up to 1e\\+09 dB; spread "):
+            validation.check_analytic_vs_mc(1, realizations=50)
+
+
+class TestRefusalTable:
+    def test_rows_no_config_reaches_refuse_crafted_values(self):
+        # ratios ascend, and a covariance only loses definiteness as the ratio falls, so a factor fails first at the
+        # first ratio; a finite spatial RMSE keeps its standard error finite
+        from radiomap.harness import _REFUSALS
+
+        cfg = ExperimentConfig(resolution=2, ratios=(0.5, 1.0), methods=("nn", "sm1"), mode="mc")
+        setup = sweep_setup(cfg.scenario(0.5), cfg.grid().xy, cfg.methods, [cfg.correlation_for_ratio(r) for r in cfg.ratios])
+        later = _REFUSALS["later-ratio factor"][1]
+        error = NotPositiveDefiniteError(2, -1.0)
+        assert later(setup, cfg) is None and later(replace(setup, failed=0, error=error), cfg) is None
+        refusal = later(replace(setup, failed=1, error=error), cfg)
+        assert str(refusal) == "exponential kernel at spacing ratio 1.0 is outside the numeric range: " + str(error)
+        assert refusal.__cause__ is error and later(replace(setup, failed=1, error=error), None) is error
+        stderr = _REFUSALS["non-finite standard error"][1]
+        spatial, se = {"mc": np.ones((2, 2))}, np.full((2, 2), np.finfo(float).max)
+        assert stderr(cfg, 1, spatial, se) is None and stderr(cfg, 1, spatial, None) is None
+        se[1, 1] = np.inf
+        assert stderr(cfg, 0, spatial, se) is None
+        assert str(stderr(cfg, 1, spatial, se)) == (
+            "exponential kernel at spacing ratio 1.0 is outside the numeric range: sm1 standard error is not finite"
+        )
+
+    def test_no_entry_but_the_table_holds_a_threshold(self):
+        # the entries that build a set-up refuse only through _REFUSALS: none compares against a float literal,
+        # asks np.finfo or names a fraction of the table's
+        import ast
+        import inspect
+
+        from radiomap import harness
+
+        found = []
+        for entry in (harness._grid_evals, harness.sweep, harness.grid_rmse, harness._mc_rmse):
+            for node in ast.walk(ast.parse(inspect.getsource(entry))):
+                if isinstance(node, ast.Compare) and any(
+                    isinstance(e, ast.Constant) and isinstance(e.value, float) for e in [node.left, *node.comparators]
+                ):
+                    found.append(f"{entry.__name__}: float literal compared at line {node.lineno}")
+                if isinstance(node, ast.Attribute) and node.attr == "finfo":
+                    found.append(f"{entry.__name__}: finfo at line {node.lineno}")
+                if isinstance(node, ast.Name) and node.id in ("_SIGMA_FRACTION", "_SPREAD_FRACTION"):
+                    found.append(f"{entry.__name__}: {node.id} at line {node.lineno}")
+        assert found == []
+
+
 class TestForkedWorkers:
     """Forked Monte Carlo workers give the bytes of a thread pool and of one thread, and none outlives its call."""
 

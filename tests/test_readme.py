@@ -1,4 +1,5 @@
-"""The README's "Library use" code runs as written, so a renamed documented entry fails here instead of going stale."""
+"""The README's "Library use" code runs as written and its list of refusals follows the refusal table, so a renamed
+documented entry or a moved row fails here instead of going stale."""
 
 import re
 from pathlib import Path
@@ -18,3 +19,11 @@ def test_library_use_blocks_run():
     assert blocks
     for number, code in enumerate(blocks, 1):
         exec(compile(code, f"README.md, Library use block {number}", "exec"), {})
+
+
+def test_refusal_list_names_every_row_of_the_table_in_order():
+    from radiomap.harness import _REFUSALS
+
+    section = README.read_text().split("`harness._REFUSALS`", 1)[1]
+    items = re.findall(r"^\d+\. `([^`]+)` \(exit (\d)", section.split("\n\n", 2)[1], flags=re.M)
+    assert items == [(name, "2") for name in _REFUSALS]
