@@ -46,7 +46,6 @@ from .analysis import (
     AffineErrorForm,
     LseErrorCoeffs,
     analytic_rmse,
-    error_form,
     lse_error_coeffs,
     sm0_sigma0,
 )
@@ -58,6 +57,7 @@ from .harness import (
     RmseSurface,
     SweepRow,
     WorkerError,
+    error_form,
     grid_rmse,
     point_rmse_mc,
     rmse_distribution,
@@ -95,7 +95,6 @@ __all__ = [
     "AffineErrorForm",
     "LseErrorCoeffs",
     "analytic_rmse",
-    "error_form",
     "lse_error_coeffs",
     "sm0_sigma0",
     "DEFAULT_RATIOS",
@@ -105,6 +104,7 @@ __all__ = [
     "RmseSurface",
     "SweepRow",
     "WorkerError",
+    "error_form",
     "grid_rmse",
     "point_rmse_mc",
     "rmse_distribution",

@@ -9,26 +9,27 @@ because the prediction is affine in the measurements and the measurements
 are the median powers plus the sensor shadows. With the joint covariance of
 the shadow vector, the RMS prediction error follows in closed form.
 
-One engine computes it, on arrays, and its unit is a sweep: K correlation
-models that differ in sigma and xc alone. sweep_setup() takes the query
-points as one (N, 2) coordinate array (a QueryGrid's xy) and builds, in one
-call, what both engines read. First what does not depend on the model
-(median powers and log distances from one pass over the emitter distances,
-the geometry-only methods' weights), then what does: one kernel pass for
-the K sensor covariances Cn, one for the K cross-covariance tables C0, only
-when a method takes the solve (by the estimators' method table) one stacked
-Cholesky call for every Cn, for the Monte Carlo route one call for every
-point's joint factors under every model, and, when every factor holds, one
-sm0_weight_rows() call for every point's weights under every model: a sweep
-that cannot run solves nothing. The set-up's weights map each method to its
-weight rows, which both engines read. grid_analytic_rmse() evaluates every
-method at every point under the K models as one (K, M, N) array: the
-geometry-only methods' error rows are formed once for all K, and one
-grouped quadratic form covers each method's stack. Row k of the result has
-the bits of a call with models[k] alone. error_form() and analytic_rmse()
-run the same engine functions on a batch of one point, so the library API
-and the self-checks share the CLI's arithmetic; they agree with the grid
-engine's row at that point to round-off, not bit for bit.
+One engine computes it, on arrays, and its unit is a sweep: K scenarios
+that differ in their correlation distance alone. sweep_setup() takes them
+and the query points as one (N, 2) coordinate array (a QueryGrid's xy) and
+builds, in one call, what both engines read. First what no scenario's
+correlation distance changes (median powers and log distances from one
+pass over the emitter distances, the geometry-only methods' weights), then
+what it does: one kernel pass for the K sensor covariances Cn, one for the
+K cross-covariance tables C0, only when a method takes the solve (by the
+estimators' method table) one stacked Cholesky call for every Cn, for the
+Monte Carlo route one call for every point's joint factors under every
+scenario, and, when every factor holds, one sm0_weight_rows() call for
+every point's weights under every scenario: a sweep that cannot run solves
+nothing. The set-up's weights map each method to its weight rows, which
+both engines read. grid_analytic_rmse() evaluates every method at every
+point under the K scenarios as one (K, M, N) array: the geometry-only
+methods' error rows are formed once for all K, and one grouped quadratic
+form covers each method's stack. Row k of the result has the bits of a
+call with scns[k] alone. harness.error_form() and analytic_rmse() run the
+same engine functions on a batch of one point, so the library API and the
+self-checks share the CLI's arithmetic; they agree with the grid engine's
+row at that point to round-off, not bit for bit.
 The hand-written coefficient expansion for the fitted-correlation method
 exists only as a cross-check.
 """
@@ -36,7 +37,7 @@ exists only as a cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -51,7 +52,6 @@ __all__ = [
     "AffineErrorForm",
     "LseErrorCoeffs",
     "lse_error_coeffs",
-    "error_form",
     "sm1_coefficient_error_form",
     "analytic_rmse",
     "sm0_sigma0",
@@ -108,25 +108,10 @@ def lse_error_coeffs(distances: np.ndarray) -> LseErrorCoeffs:
     return LseErrorCoeffs(alpha=alpha, beta=beta, dgamma_coeffs=alpha / 10.0, da_coeffs=beta)
 
 
-def error_form(method: str, scn: Scenario, p0: Point, nu: float = 1.0) -> AffineErrorForm:
-    """The error row at p0, +1 on S0 minus the measurement coefficients, from the grid engine's functions on one point.
-
-    bias is the estimator's systematic offset on a shadow-free world: the
-    true median power at the query minus the map applied to the sensor
-    median powers. The row agrees with the grid engine's at p0 to round-off,
-    not bit for bit.
-    """
-    setup = sweep_setup(scn, coordinates([p0]), (method,), [scn.correlation], nu)
-    if setup.error is not None:
-        raise setup.error
-    bias, coeffs = _error_rows(setup)[method]
-    return AffineErrorForm(bias=float(bias[0, 0]), coeffs=np.concatenate(([1.0], -coeffs[0, 0])))
-
-
 def sm1_coefficient_error_form(scn: Scenario, p0: Point) -> AffineErrorForm:
     """Hand-written coefficient expansion of the fitted-correlation method's error.
 
-    Cross-check only; error_form() is the authoritative construction. The
+    Cross-check only; harness.error_form() is the authoritative construction. The
     coefficient on S_i combines the fit-error terms with the weight applied
     to residual i:
 
@@ -171,28 +156,29 @@ def sm0_sigma0(model: CorrelationModel, sensors: list[Point], p0: Point) -> floa
 
 @dataclass(frozen=True)
 class SweepSetup:
-    """What both engines read for several methods at N query points under K models that differ in sigma and xc alone.
+    """What both engines read for several methods at N query points under K scenarios that differ in xc alone.
 
-    scn is the first model's scenario, whose sigma and a_db the refusals
-    read (harness._REFUSALS). xy holds the (N, 2) query coordinates. pm0
-    holds each query point's median power, pm the sensors' and x0 the
-    points' log10 emitter distances. design is the sensor distances'
-    LseDesign when a method takes the refit, else None. weights maps each
-    requested method to its weight rows by the method table: a geometry-only
-    family's (N, n) table, one array per family (sm2 and idw share one), or
-    the solve's (K, N, n) stack, each row with the bits of sm0_weights() at
-    its point alone, which is None when the set-up failed: nothing is solved
-    for a sweep that cannot run.
+    scn is the sweep's first scenario; the others differ from it in their
+    correlation distance alone, so its sigma and a_db, which the refusals
+    read (harness._REFUSALS), are every scenario's. xy holds the (N, 2)
+    query coordinates. pm0 holds each query point's median power, pm the
+    sensors' and x0 the points' log10 emitter distances. design is the
+    sensor distances' LseDesign when a method takes the refit, else None.
+    weights maps each requested method to its weight rows by the method
+    table: a geometry-only family's (N, n) table, one array per family (sm2
+    and idw share one), or the solve's (K, N, n) stack, each row with the
+    bits of sm0_weights() at its point alone, which is None when the set-up
+    failed: nothing is solved for a sweep that cannot run.
 
-    c_n holds each model's (n, n) sensor covariance Cn and c_0 its (N, n)
+    c_n holds each scenario's (n, n) sensor covariance Cn and c_0 its (N, n)
     covariances C0 at the points, each with the bits it has alone. joint
     holds the Monte Carlo route's (K, N, n+1, n+1) joint factors, or None
     when they were not asked for. error is the NotPositiveDefiniteError of
-    the lowest model whose Cn (when a method takes the solve) or whose joint
-    covariance at some point (when joint is built) does not factor, and
-    failed that model's index; at one model Cn's error wins over its lowest
-    failing point's, whose index is the point's in the flattened (model,
-    point) stack.
+    the lowest scenario whose Cn (when a method takes the solve) or whose
+    joint covariance at some point (when joint is built) does not factor,
+    and failed that scenario's index; at one scenario Cn's error wins over
+    its lowest failing point's, whose index is the point's in the flattened
+    (scenario, point) stack.
     """
 
     methods: tuple[str, ...]
@@ -211,26 +197,29 @@ class SweepSetup:
 
 
 def sweep_setup(
-    scn: Scenario,
-    xy: np.ndarray,
-    methods: tuple[str, ...],
-    models: list[CorrelationModel],
-    nu: float = 1.0,
-    joint: bool = False,
+    scns: list[Scenario], xy: np.ndarray, methods: tuple[str, ...], nu: float = 1.0, joint: bool = False
 ) -> SweepSetup:
-    """The methods' set-up at the rows of an (N, 2) coordinate array under the models, in one call.
+    """The methods' set-up at the rows of an (N, 2) coordinate array under the sweep's scenarios, in one call.
 
-    First what no model changes, from scn: each geometry-only weight family
-    present, by the method table, is one geometry_weights() table over all
-    the points, shared by its methods (sm2 and idw share the inverse-distance
-    one), and the median powers and log distances come from one pass over
-    the emitter distances. Then the models' Cn and C0 stacks, one kernel
-    pass each. Only when a method takes the solve are the Cn factored, in
-    one stacked call. With joint, every point's joint covariance under every
-    model is factored in one field.joint_factors() call as well. Only when
-    every factor holds are the weights solved, in one sm0_weight_rows()
-    call. A sigma^2 that overflows raises the kernel's OverflowError.
+    scns holds one scenario per ratio; ValueError names an empty list or
+    scenarios that differ in more than their correlation distance. First
+    what no correlation distance changes, from the first scenario: each
+    geometry-only weight family present, by the method table, is one
+    geometry_weights() table over all the points, shared by its methods (sm2
+    and idw share the inverse-distance one), and the median powers and log
+    distances come from one pass over the emitter distances. Then the
+    scenarios' Cn and C0 stacks, one kernel pass each. Only when a method
+    takes the solve are the Cn factored, in one stacked call. With joint,
+    every point's joint covariance under every scenario is factored in one
+    field.joint_factors() call as well. Only when every factor holds are the
+    weights solved, in one sm0_weight_rows() call. A sigma^2 that overflows
+    raises the kernel's OverflowError.
     """
+    if not scns:
+        raise ValueError("need at least one scenario")
+    scn, models = scns[0], [s.correlation for s in scns]
+    if any(replace(s, correlation=replace(s.correlation, xc=scn.correlation.xc)) != scn for s in scns[1:]):
+        raise ValueError("the scenarios of a sweep must differ in their correlation distance alone")
     sensors = coordinates(scn.sensors)
     families = {m: _estimator(m)[0] for m in methods}
     first = {f: m for m, f in reversed(families.items()) if f != _SOLVE}  # each geometry family's first method
@@ -252,11 +241,11 @@ def sweep_setup(
 
 
 def _error_rows(setup: SweepSetup) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Each method's error rows under the set-up's K models, whose Cn all factor (the caller raises setup.error first).
+    """Each method's error rows under the set-up's K scenarios, whose Cn all factor (the set-up rows refuse first).
 
-    The error under model k at point i is bias[k, i] + S0 - coeffs[k, i] . [S1..Sn].
+    The error under scenario k at point i is bias[k, i] + S0 - coeffs[k, i] . [S1..Sn].
     The geometry-only methods' rows depend on no model: they are formed
-    once, and bias and coeffs are broadcast views over the K models. An
+    once, and bias and coeffs are broadcast views over the K scenarios. An
     unbiased method's bias is 0: computed, it is the medians' round-off.
     """
     rows = {}
@@ -285,13 +274,14 @@ def _affine_rms(
 
 
 def grid_analytic_rmse(setup: SweepSetup) -> np.ndarray:
-    """(K, M, N) per-point RMS errors of the M methods, in setup.methods order, under each of the set-up's K models.
+    """(K, M, N) per-point RMS errors of the M methods, in setup.methods order, under each of the set-up's K scenarios.
 
-    The package's one analytic engine; its callers raise setup.error first.
+    The package's one analytic engine; its callers walk the set-up rows of
+    harness._REFUSALS first.
     Each method's error rows come from estimators._affine_rows() on its
     weight rows in setup.weights.
     """
-    var0 = setup.c_n[:, 0, :1]  # each model's sigma^2, the kernel at zero distance
+    var0 = setup.c_n[:, 0, :1]  # each scenario's sigma^2, the kernel at zero distance
     rows = _error_rows(setup)
     by_method = (rows[m] for m in setup.methods)
     return np.stack([_affine_rms(bias, 1.0, coeffs, var0, setup.c_0, setup.c_n) for bias, coeffs in by_method], axis=1)

@@ -497,15 +497,14 @@ def predict(
     w = method_weights(method, scn, p0, nu)
     applied_to = _estimator(method)[1]
     meas = np.asarray(measurements, dtype=float)
+    if applied_to == _MEASUREMENTS:
+        return Prediction(value=meas @ w, method=method, weights=w)
+    pm0, pm, design, x0 = _emitter_rows(scn, coordinates([p0]), (method,))
     if applied_to == _DEVIATIONS:
-        pm0, pm, _, _ = _emitter_rows(scn, coordinates([p0]), (method,))
         value = pm0[0] + (meas - pm) @ w
-    elif applied_to == _RESIDUALS:
-        fit = lse_fit(np.array(scn.sensor_distances()), meas)
-        x0 = emitter_log_distances(scn, coordinates([p0]))[0]
-        value = fit.a_hat + 10.0 * fit.gamma_hat * x0 + fit.residuals @ w
-    else:
-        value = meas @ w
+    else:  # the refit residuals
+        fit = lse_fit(design, meas)
+        value = fit.a_hat + 10.0 * fit.gamma_hat * x0[0] + fit.residuals @ w
     return Prediction(value=value, method=method, weights=w)
 
 

@@ -11,11 +11,12 @@ points where they disagree beyond Monte Carlo noise. What no ratio changes
 (the grid's (N, 2) coordinate array, the geometry-only weights) is
 gathered once per sweep, and so is what every ratio needs: each ratio's
 covariances and solve weights, built as stacks once for both engines, in
-one set-up call (analysis.sweep_setup). One ordered table, _REFUSALS,
-holds every refusal decided after ExperimentConfig.validate(): its set-up
-rows refuse, before either engine runs, a run that cannot finish, which
-then solves, draws and evaluates nothing; its engine rows refuse a
-non-finite result. The closed form is one
+one set-up call (analysis.sweep_setup) on the sweep's scenarios. One
+ordered table, _REFUSALS, holds every refusal decided after
+ExperimentConfig.validate(): its set-up rows, walked by every function that
+builds a set-up (error_form, beside point_rmse_mc, too), refuse a run that
+cannot finish before either engine runs, so it solves, draws and evaluates
+nothing; its engine rows refuse a non-finite result. The closed form is one
 array evaluation of every ratio at every grid point. The Monte Carlo
 kernel only computes, point-major, in chunks and blocks of points (see its
 section below), writing one (K, M, N) array. One driver, _mc_rmse, runs a
@@ -48,7 +49,7 @@ from .geometry import DegenerateGeometryError, Point, QueryGrid, Scenario, build
 from .correlation import CorrelationModel, KERNEL_KINDS, EXPONENTIAL
 from .field import _check_stream_keys, correlate_normals, standard_normal_block
 from .estimators import ALL_METHODS, OutsideHullError, _DEVIATIONS, _MEASUREMENTS, _RESIDUALS, _UNBIASED, _estimator, lse_fit
-from .analysis import SweepSetup, grid_analytic_rmse, sweep_setup
+from .analysis import AffineErrorForm, SweepSetup, _error_rows, grid_analytic_rmse, sweep_setup
 
 __all__ = [
     "CORRELATION_KEYS",
@@ -64,6 +65,7 @@ __all__ = [
     "RmseDistribution",
     "spatial_average",
     "point_rmse_mc",
+    "error_form",
     "grid_rmse",
     "sweep",
     "rmse_distribution",
@@ -262,7 +264,7 @@ def spatial_average(per_point: np.ndarray) -> float:
 
 
 def _rms_rows(rows: np.ndarray) -> np.ndarray:
-    """spatial_average of each row of a 2-D array, each with the bits it has alone.
+    """spatial_average of each row of an array, reduced along its last axis, each with the bits it has alone.
 
     A row whose mean square lies in _PLAIN_MEAN_SQUARES takes the root of
     its plain mean square (_root_mean_squares), which has the bits of the
@@ -485,18 +487,18 @@ def _mc_block_rmse(
                     weights[:, j::m, c : c + n] = (w[k, at] if w.ndim == 3 else w[at])[:, None]
             correlate_normals(setup.joint[k, at], ws.z[:points].swapaxes(1, 2), out=joint)
             joint += medians
-            _block_errors(setup, k, block, ws)
+            _block_errors(setup, block, ws)
             # the squares overwrite the errors, so a block with a row whose mean square lies outside
             # _PLAIN_MEAN_SQUARES computes its errors again for the scaled formula
             rms, plain = _root_mean_squares(np.square(errors, out=errors))
             if not plain.all():
-                _block_errors(setup, k, block, ws)
+                _block_errors(setup, block, ws)
                 rms = _scaled_rms_rows(errors, out=errors)
             out[k, :, at] = rms.T
 
 
-def _block_errors(setup: SweepSetup, k: int, block: range, ws: _McWorkspace) -> None:
-    """Write each point's truth row less each method's prediction under scenario k into ws.errors: one product.
+def _block_errors(setup: SweepSetup, block: range, ws: _McWorkspace) -> None:
+    """Write each point's truth row less each method's prediction into ws.errors: one product.
 
     ws.stack holds each point's truth row, then its measurement rows. The
     deviations and the refit run once over the block, into the rows after
@@ -654,8 +656,23 @@ def point_rmse_mc(
     The set-up rows of _REFUSALS refuse next, before any draw as well: a
     factor failure raises its NotPositiveDefiniteError, the rest ValueError.
     """
-    setup = sweep_setup(scn, coordinates([p0]), (method,), [scn.correlation], nu, joint=True)
+    setup = sweep_setup([scn], coordinates([p0]), (method,), nu, joint=True)
     return float(_mc_rmse(setup, [point_index], realizations, master_seed)[0, 0, 0])
+
+
+def error_form(method: str, scn: Scenario, p0: Point, nu: float = 1.0) -> AffineErrorForm:
+    """The error row at p0, +1 on S0 minus the measurement coefficients, from the grid engine's functions on one point.
+
+    bias is the estimator's systematic offset on a shadow-free world: the
+    true median power at the query minus the map applied to the sensor
+    median powers. The row agrees with the grid engine's at p0 to round-off,
+    not bit for bit. The set-up rows of _REFUSALS refuse first, as
+    ValueError: every row but the Monte Carlo sigma limit, as nothing is drawn.
+    """
+    setup = sweep_setup([scn], coordinates([p0]), (method,), nu)
+    _refuse(_SETUP, setup, None)
+    bias, coeffs = _error_rows(setup)[method]
+    return AffineErrorForm(bias=float(bias[0, 0]), coeffs=np.concatenate(([1.0], -coeffs[0, 0])))
 
 
 # ---------------------------------------------------------------------------
@@ -663,10 +680,11 @@ def point_rmse_mc(
 #
 # _REFUSALS maps each refusal decided after ExperimentConfig.validate(), in
 # precedence order, to its stage and its check, which returns the error to
-# raise or None: on the set-up and the config (None for a one-point Monte
-# Carlo entry) before either engine, or on the config, a ratio's index k, the
-# engines' (K, M) spatial aggregates and standard errors at each ratio. A
-# finite spatial RMSE implies finite per-point values.
+# raise or None: on the set-up and the config (None for a one-point entry)
+# before either engine, or on the config, a ratio's index k, the engines'
+# (K, M) spatial aggregates and standard errors at each ratio. A set-up row
+# reads the config's mode only where the set-up cannot say which engine
+# runs. A finite spatial RMSE implies finite per-point values.
 
 # Least sigma_db a Monte Carlo run takes, as a fraction of the largest median
 # power magnitude |P|: smaller shadows are lost in the round-off of P + s,
@@ -711,9 +729,9 @@ def _medians(setup: SweepSetup) -> tuple[np.ndarray, float, str]:
 
 
 def _median_overflow(setup: SweepSetup, config: ExperimentConfig | None) -> ValueError | None:
-    # outside mc mode only: the analytic engine squares each bias, up to 2 |P|
+    # where the analytic engine runs (outside mc mode; one point: no joint factors); it squares each bias, up to 2 |P|
     _, top, cause = _medians(setup)
-    if config is not None and config.mode != "mc" and top > 2.0**510:
+    if (setup.joint is None if config is None else config.mode != "mc") and top > 2.0**510:
         return _refusal(config, 0, f"{cause}, above 2^510 dB, past which the analytic engine's squared bias may overflow")
     return None
 
@@ -727,9 +745,9 @@ def _lost_bias(setup: SweepSetup, config: ExperimentConfig | None) -> ValueError
 
 
 def _lost_sigma(setup: SweepSetup, config: ExperimentConfig | None) -> ValueError | None:
-    # in mc and both modes only; non-finite medians reach the engine rows
+    # where Monte Carlo draws, on a set-up with joint factors; non-finite medians reach the engine rows
     sigma, top = setup.scn.sigma, _medians(setup)[1]
-    if (config is not None and config.mode == "analytic") or not sigma < _SIGMA_FRACTION * top < math.inf:
+    if setup.joint is None or not sigma < _SIGMA_FRACTION * top < math.inf:
         return None
     error, name = (ValueError, "sigma") if config is None else (ConfigError, "field 'sigma_db'")
     return error(
@@ -766,11 +784,6 @@ def _refuse(stage: str, *args) -> None:
             raise error
 
 
-def _spatial_rows(rmse: np.ndarray) -> np.ndarray:
-    """(K, M) spatial averages of a (K, M, N) block of per-point RMSEs, in one row-wise pass."""
-    return _rms_rows(rmse.reshape(-1, rmse.shape[-1])).reshape(rmse.shape[:-1])
-
-
 def _grid_evals(
     config: ExperimentConfig, threads: int = 1
 ) -> tuple[np.ndarray, dict[str, np.ndarray], dict[str, np.ndarray], np.ndarray | None]:
@@ -796,8 +809,7 @@ def _grid_evals(
         with np.errstate(all="ignore"):  # the engine rows of _REFUSALS name what an inf or NaN means
             if (grid.xy == (config.emitter.x, config.emitter.y)).all(axis=1).any():
                 raise DegenerateGeometryError(f"coincides with a query point of the resolution-{config.resolution} grid")
-            models = [config.correlation_for_ratio(ratio) for ratio in ratios]
-            setup = sweep_setup(config.scenario(ratios[0]), grid.xy, methods, models, config.nu, joint=mc)
+            setup = sweep_setup([config.scenario(ratio) for ratio in ratios], grid.xy, methods, config.nu, joint=mc)
     except DegenerateGeometryError as err:
         raise DegenerateGeometryError(f"emitter at ({config.emitter.x:g}, {config.emitter.y:g}): {err}") from err
     except (OutsideHullError, ArithmeticError) as err:
@@ -811,7 +823,7 @@ def _grid_evals(
             engines["analytic"] = grid_analytic_rmse(setup)
         if mc:
             engines["mc"] = _mc_rmse(setup, range(len(grid.xy)), config.realizations, config.master_seed, threads)
-        spatial = {engine: _spatial_rows(rmse) for engine, rmse in engines.items()}
+        spatial = {engine: _rms_rows(rmse) for engine, rmse in engines.items()}
         stderr = _spatial_stderr(engines["mc"], config.realizations, spatial["mc"]) if mc else None
     return grid.xy, engines, spatial, stderr
 

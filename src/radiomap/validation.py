@@ -9,7 +9,8 @@ analytic RMS errors against Monte Carlo, sigma0 against a numpy solve, and
 the polygon-clipped natural-neighbor weights against lattice area counting.
 error_form() and analytic_rmse() run the sweep's analytic engine functions on
 one point, which match the sweep's row there to round-off only; analytic_vs_mc
-reads both engines from one sweep set-up, as a sweep does.
+reads both engines from one set-up of its scenarios. Both it and error_form()
+refuse through the set-up rows of the harness's refusal table, as a sweep does.
 
 This is the one oracle library: 'radiomap validate' runs every check at its
 defaults, and the acceptance gates C01, C02, C04 and C12 each run one check
@@ -45,14 +46,13 @@ from .field import median_power
 from .estimators import SM0, SM2, NATURAL, lse_fit, predict, sibson_weights
 from .analysis import (
     analytic_rmse,
-    error_form,
     grid_analytic_rmse,
     lse_error_coeffs,
     sm1_coefficient_error_form,
     sm0_sigma0,
     sweep_setup,
 )
-from .harness import ExperimentConfig, _mc_rmse, _point_stderr, check_master_seed
+from .harness import ExperimentConfig, _mc_rmse, _point_stderr, check_master_seed, error_form
 
 __all__ = [
     "CheckResult",
@@ -196,8 +196,7 @@ def check_analytic_vs_mc(
     the bits of its own point_rmse_mc call.
     """
     scns = [_table_scenario(ratio) for ratio in ratios]
-    xy, models = coordinates([p for _, p in points]), [scn.correlation for scn in scns]
-    setup = sweep_setup(scns[0], xy, tuple(methods), models, joint=True)
+    setup = sweep_setup(scns, coordinates([p for _, p in points]), tuple(methods), joint=True)
     mc = _mc_rmse(setup, [index for index, _ in points], realizations, master_seed)
     expected = grid_analytic_rmse(setup)  # (K, M, N), as mc
     z = np.abs(mc - expected) / _point_stderr(expected, realizations)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -219,7 +220,7 @@ class TestGridAnalyticRmse:
         )
         xy = config.grid().xy
         scns = [config.scenario(ratio) for ratio in (0.05, 1.0, 20.0)]
-        got = grid_analytic_rmse(sweep_setup(config.scenario(1.0), xy, self.METHODS, [scn.correlation for scn in scns], nu))
+        got = grid_analytic_rmse(sweep_setup(scns, xy, self.METHODS, nu))
         for k, scn in enumerate(scns):
             want = closed_form_rmse(scn, xy, self.METHODS, nu)
             for j, m in enumerate(self.METHODS):
@@ -232,9 +233,9 @@ class TestGridAnalyticRmse:
         config = ExperimentConfig(kernel=kernel, emitter=EMITTER_PRESETS["E2"], rotation_rad=0.5, resolution=5, nu=nu)
         xy = config.grid().xy
         scns = [config.scenario(ratio) for ratio in (0.05, 0.2, 1.0, 5.0, 20.0)]
-        stacked = grid_analytic_rmse(sweep_setup(config.scenario(1.0), xy, self.METHODS, [scn.correlation for scn in scns], nu))
+        stacked = grid_analytic_rmse(sweep_setup(scns, xy, self.METHODS, nu))
         for k, scn in enumerate(scns):
-            alone = grid_analytic_rmse(sweep_setup(config.scenario(1.0), xy, self.METHODS, [scn.correlation], nu))
+            alone = grid_analytic_rmse(sweep_setup([scn], xy, self.METHODS, nu))
             want = closed_form_rmse(scn, xy, self.METHODS, nu)
             for j, m in enumerate(self.METHODS):
                 assert stacked[k, j].tobytes() == alone[0, j].tobytes(), (m, k)
@@ -246,7 +247,7 @@ class TestGridAnalyticRmse:
         config = ExperimentConfig(sigma_db=1.3e154, resolution=3)
         scn = config.scenario(1.0)
         xy = config.grid().xy
-        got = grid_analytic_rmse(sweep_setup(scn, xy, self.METHODS, [scn.correlation]))
+        got = grid_analytic_rmse(sweep_setup([scn], xy, self.METHODS))
         want = closed_form_rmse(scn, xy, self.METHODS, unit=1.3e154)
         for j, m in enumerate(self.METHODS):
             assert np.allclose(got[0, j], want[m], rtol=1e-12, atol=0.0), m
@@ -254,7 +255,7 @@ class TestGridAnalyticRmse:
     def test_requested_methods_only(self, table_scenario):
         points = [Point(100.0, 200.0), Point(320.0, 320.0)]
         def rmse(methods):
-            return grid_analytic_rmse(sweep_setup(table_scenario, coordinates(points), methods, [table_scenario.correlation]))
+            return grid_analytic_rmse(sweep_setup([table_scenario], coordinates(points), methods))
 
         got = rmse(("nn", "sm1"))
         assert got.shape == (1, 2, 2)
@@ -270,7 +271,7 @@ class TestSetupInterface:
     def built(self):
         config = ExperimentConfig(resolution=2)
         scns = [config.scenario(ratio) for ratio in self.RATIOS]
-        return scns, sweep_setup(scns[0], config.grid().xy, config.methods, [scn.correlation for scn in scns], joint=True)
+        return scns, sweep_setup(scns, config.grid().xy, config.methods, joint=True)
 
     def test_engines_return_ratio_method_point_arrays(self, built):
         scns, setup = built
@@ -286,7 +287,7 @@ class TestSetupInterface:
                     p0 = Point(x, y)
                     want = analytic_rmse(error_form(m, scn, p0), scn.correlation, p0, sensors)
                     assert abs(analytic[k, j, i] - want) <= 1e-9 * want, (k, m, i)
-                    alone = sweep_setup(scn, xy[i : i + 1], (m,), [scn.correlation], joint=True)
+                    alone = sweep_setup([scn], xy[i : i + 1], (m,), joint=True)
                     assert mc[k, j, i] == _mc_rmse(alone, [i], 64, 3)[0, 0, 0], (k, m, i)
 
     def test_methods_of_one_family_share_their_weights(self, built):
@@ -300,10 +301,22 @@ class TestSetupInterface:
     def test_failed_factor_solves_nothing(self):
         config = ExperimentConfig(sigma_db=1e-170, resolution=2)  # sigma^2 underflows to 0
         scn = config.scenario(1.0)
-        setup = sweep_setup(scn, config.grid().xy, config.methods, [scn.correlation], joint=True)
+        setup = sweep_setup([scn], config.grid().xy, config.methods, joint=True)
         assert setup.failed == 0 and setup.error is not None
         assert setup.weights["sm0"] is setup.weights["sm1"] is None
         assert setup.weights["nn"] is not None
+
+    @pytest.mark.parametrize("change", [{"sigma_db": 1e-160}, {"emitter": EMITTER_PRESETS["E2"]}], ids=["sigma", "emitter"])
+    def test_scenarios_that_differ_in_more_than_xc_are_refused(self, change):
+        # the set-up is the one statement of a sweep: its scenarios agree in all but the correlation distance,
+        # so the sigma and medians the refusals read are every ratio's
+        config = ExperimentConfig(resolution=2)
+        xy = config.grid().xy
+        assert sweep_setup([config.scenario(0.5), config.scenario(2.0)], xy, config.methods).c_n.shape == (2, 4, 4)
+        with pytest.raises(ValueError, match="^the scenarios of a sweep must differ in their correlation distance alone$"):
+            sweep_setup([config.scenario(0.5), replace(config, **change).scenario(2.0)], xy, config.methods)
+        with pytest.raises(ValueError, match="^need at least one scenario$"):
+            sweep_setup([], xy, config.methods)
 
 
 class TestSigma0:

@@ -26,7 +26,8 @@ from radiomap import (
 from radiomap.correlation import covariance_matrix, cross_covariance, cross_covariance_matrix
 from radiomap import analysis, estimators, harness
 from radiomap.estimators import _ESTIMATORS, _strictly_inside, geometry_weights, lse_design, sensor_factor, sm0_weight_rows
-from radiomap.analysis import error_form, sweep_setup
+from radiomap.analysis import sweep_setup
+from radiomap.harness import error_form
 from radiomap.geometry import coordinates, make_grid
 from radiomap.linalg import cholesky, solve_cholesky
 from radiomap.validation import sibson_lattice_weights
@@ -593,7 +594,7 @@ class TestConvexity:
             lambda scn, p0: as_affine("kriging", scn, p0),
             lambda scn, p0: method_weights("kriging", scn, p0),
             lambda scn, p0: error_form("kriging", scn, p0),
-            lambda scn, p0: sweep_setup(scn, coordinates([p0]), ("kriging",), [scn.correlation]),
+            lambda scn, p0: sweep_setup([scn], coordinates([p0]), ("kriging",)),
             lambda scn, p0: weight_table("kriging", scn.sensors, [p0]),
         ],
         ids=["predict", "as_affine", "method_weights", "error_form", "sweep_setup", "geometry_weights"],

@@ -253,7 +253,7 @@ class TestPointRmseMc:
 
         p0 = Point(200.0, 300.0)
         scn = ExperimentConfig.desk_preset().scenario(0.5)
-        setup = sweep_setup(scn, coordinates([p0]), ("sm0",), [scn.correlation])
+        setup = sweep_setup([scn], coordinates([p0]), ("sm0",))
         limit = harness._SIGMA_FRACTION * max(np.abs(setup.pm0).max(), np.abs(setup.pm).max())
         scn = ExperimentConfig.desk_preset(sigma_db=fraction * limit).scenario(0.5)
         if fraction < 1:
@@ -333,6 +333,39 @@ class TestOnePointRefusals:
             point_rmse_mc(ExperimentConfig(sigma_db=1e-162).scenario(1.0), self.P0, method, 200, 1)
         assert str(exc.value) == "sigma^2 underflows a double at sigma = 1e-162 dB"
 
+    @pytest.mark.parametrize("a_db, spread", [(1e9, "37.2429"), (1e20, "0")])
+    def test_error_form_refuses_medians_that_lose_the_bias(self, a_db, spread):
+        # the closed form's one-point entry walks the same rows: a_db 1e6 keeps the medians' spread, 1e9 and 1e20 lose it
+        assert math.isfinite(error_form("nn", ExperimentConfig(a_db=1e6).scenario(1.0), self.P0).bias)
+        with pytest.raises(ValueError) as exc:
+            error_form("nn", ExperimentConfig(a_db=a_db).scenario(1.0), self.P0)
+        assert str(exc.value) == (
+            f"field 'a_db' sets median powers of up to {a_db:.6g} dB; spread {spread} dB and sigma_db under 1e-07 of "
+            "it lose the bias to round-off"
+        )
+
+    def test_error_form_takes_no_monte_carlo_sigma_limit(self):
+        # nothing is drawn, so sigma 1e-150 runs; below it sigma^2 is subnormal (1e-160) or 0 (1e-162, failing the
+        # factor at pivot 0): a method that takes the solve is refused, and nn's form, all bias, stands
+        form = error_form("sm0", ExperimentConfig(sigma_db=1e-150).scenario(1.0), self.P0)
+        assert form.bias == 0.0 and np.isfinite(form.coeffs).all()
+        for sigma in (1e-160, 1e-162):
+            with pytest.raises(ValueError) as exc:
+                error_form("sm0", ExperimentConfig(sigma_db=sigma).scenario(1.0), self.P0)
+            assert type(exc.value) is ValueError
+            assert str(exc.value) == f"sigma^2 underflows a double at sigma = {sigma!r} dB"
+        assert error_form("nn", ExperimentConfig(sigma_db=1e-162).scenario(1.0), self.P0).bias > 0.0
+
+    def test_error_form_refuses_medians_past_the_analytic_limit(self, recwarn):
+        # gamma 1e306 puts the medians above 2^510 dB, past which nn's squared bias overflows: refused before any warning
+        with pytest.raises(ValueError) as exc:
+            error_form("nn", ExperimentConfig(gamma=1e306).scenario(1.0), self.P0)
+        assert str(exc.value) == (
+            "field 'gamma' sets median powers of up to 2.9905e+307 dB, above 2^510 dB, past which the analytic engine's "
+            "squared bias may overflow"
+        )
+        assert len(recwarn) == 0
+
     def test_validation_check_refuses_medians_that_lose_the_bias(self, monkeypatch):
         from radiomap import validation
 
@@ -348,7 +381,7 @@ class TestRefusalTable:
         from radiomap.harness import _REFUSALS
 
         cfg = ExperimentConfig(resolution=2, ratios=(0.5, 1.0), methods=("nn", "sm1"), mode="mc")
-        setup = sweep_setup(cfg.scenario(0.5), cfg.grid().xy, cfg.methods, [cfg.correlation_for_ratio(r) for r in cfg.ratios])
+        setup = sweep_setup([cfg.scenario(r) for r in cfg.ratios], cfg.grid().xy, cfg.methods)
         later = _REFUSALS["later-ratio factor"][1]
         error = NotPositiveDefiniteError(2, -1.0)
         assert later(setup, cfg) is None and later(replace(setup, failed=0, error=error), cfg) is None
@@ -373,7 +406,7 @@ class TestRefusalTable:
         from radiomap import harness
 
         found = []
-        for entry in (harness._grid_evals, harness.sweep, harness.grid_rmse, harness._mc_rmse):
+        for entry in (harness._grid_evals, harness.sweep, harness.grid_rmse, harness._mc_rmse, harness.error_form):
             for node in ast.walk(ast.parse(inspect.getsource(entry))):
                 if isinstance(node, ast.Compare) and any(
                     isinstance(e, ast.Constant) and isinstance(e.value, float) for e in [node.left, *node.comparators]
@@ -385,6 +418,34 @@ class TestRefusalTable:
                     found.append(f"{entry.__name__}: {node.id} at line {node.lineno}")
         assert found == []
 
+    def test_every_function_that_builds_a_setup_walks_its_rows_before_an_engine(self):
+        # after its sweep_setup() call, a function's first call among the engines and the walks of the set-up rows
+        # is _refuse(_SETUP, ...) or _mc_rmse, which walks them itself
+        import ast
+        from pathlib import Path
+
+        from radiomap import harness
+
+        def name(call):
+            return getattr(call.func, "id", getattr(call.func, "attr", None))
+
+        def walks(call):
+            return name(call) == "_mc_rmse" or (name(call) == "_refuse" and getattr(call.args[0], "id", None) == "_SETUP")
+
+        unguarded = []
+        for path in Path(harness.__file__).parent.glob("*.py"):
+            for fn in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                calls = sorted((c for c in ast.walk(fn) if isinstance(c, ast.Call)), key=lambda c: (c.lineno, c.col_offset))
+                names = [name(c) for c in calls]
+                if "sweep_setup" in names:
+                    engines = ("grid_analytic_rmse", "_error_rows")
+                    after = [c for c in calls[names.index("sweep_setup") + 1 :] if walks(c) or name(c) in engines]
+                    if not (after and walks(after[0])):
+                        unguarded.append(f"{path.stem}.{fn.name}")
+        assert unguarded == []
+
 
 class TestForkedWorkers:
     """Forked Monte Carlo workers give the bytes of a thread pool and of one thread, and none outlives its call."""
@@ -395,7 +456,7 @@ class TestForkedWorkers:
         """_mc_rmse's (K, M, N) RMSEs of cfg's 9 points, on threads workers."""
         cfg = self.cfg
         scns = [cfg.scenario(r) for r in cfg.ratios]
-        setup = sweep_setup(scns[0], cfg.grid().xy, cfg.methods, [scn.correlation for scn in scns], cfg.nu, joint=True)
+        setup = sweep_setup(scns, cfg.grid().xy, cfg.methods, cfg.nu, joint=True)
         return _mc_rmse(setup, range(9), cfg.realizations, cfg.master_seed, threads)
 
     @staticmethod
@@ -477,7 +538,7 @@ class TestMcWorkspace:
     def setup_for(cfg, xy):
         """The scenarios of cfg's ratios and their set-up, joint factors included, at the rows of xy."""
         scns = [cfg.scenario(r) for r in cfg.ratios]
-        setup = sweep_setup(scns[0], xy, cfg.methods, [scn.correlation for scn in scns], cfg.nu, joint=True)
+        setup = sweep_setup(scns, xy, cfg.methods, cfg.nu, joint=True)
         assert setup.failed is setup.error is None
         return scns, setup
 
@@ -604,7 +665,7 @@ class TestFamilyProducts:
         """_mc_rmse's (K, M, N) RMSEs of methods at cfg's 9 points."""
         cfg = replace(self.cfg, methods=methods)
         scns = [cfg.scenario(r) for r in cfg.ratios]
-        setup = sweep_setup(scns[0], cfg.grid().xy, methods, [scn.correlation for scn in scns], cfg.nu, joint=True)
+        setup = sweep_setup(scns, cfg.grid().xy, methods, cfg.nu, joint=True)
         return _mc_rmse(setup, range(9), realizations, cfg.master_seed, threads)
 
     @pytest.mark.parametrize("realizations", [1, 2, 7, 2000])
@@ -1156,7 +1217,7 @@ class TestSweep:
         monkeypatch.setattr(analysis, "joint_factors", recorded)
         monkeypatch.setattr(harness, "standard_normal_block", drawn)
         scns = [cfg.scenario(r) for r in cfg.ratios]
-        setup = sweep_setup(scns[0], cfg.grid().xy, cfg.methods, [scn.correlation for scn in scns], joint=True)
+        setup = sweep_setup(scns, cfg.grid().xy, cfg.methods, joint=True)
         assert factored == [(3, 9, 4)]
         assert setup.error is error and setup.failed == failing and setup.joint.shape == (3, 9, 5, 5)
         assert setup.weights["sm0"] is None
@@ -1172,7 +1233,7 @@ class TestSweep:
         from radiomap import harness
 
         cfg = ExperimentConfig(resolution=3, ratios=(0.5, 1.0), realizations=50, mode=mode, methods=("sm0", "nn"))
-        setup = sweep_setup(cfg.scenario(0.5), cfg.grid().xy, cfg.methods, [cfg.correlation_for_ratio(0.5)])
+        setup = sweep_setup([cfg.scenario(0.5)], cfg.grid().xy, cfg.methods)
         limit = harness._SIGMA_FRACTION * max(np.abs(setup.pm0).max(), np.abs(setup.pm).max())
         rows = sweep(replace(cfg, sigma_db=1.01 * limit))
         assert len(rows) == 4 and all(r.spatial_rmse > 0 and math.isfinite(r.mc_stderr) for r in rows)
