@@ -10,26 +10,15 @@ are the median powers plus the sensor shadows. With the joint covariance of
 the shadow vector, the RMS prediction error follows in closed form.
 
 One engine computes it, on arrays, and its unit is a sweep: K scenarios
-that differ in their correlation distance alone. sweep_setup() takes them
-and the query points as one (N, 2) coordinate array (a QueryGrid's xy) and
-builds, in one call, what both engines read. First what no scenario's
-correlation distance changes (median powers and log distances from one
-pass over the emitter distances, the geometry-only methods' weights), then
-what it does: one kernel pass for the K sensor covariances Cn, one for the
-K cross-covariance tables C0, only when a method takes the solve (by the
-estimators' method table) one stacked Cholesky call for every Cn, for the
-Monte Carlo route one call for every point's joint factors under every
-scenario, and, when every factor holds, one sm0_weight_rows() call for
-every point's weights under every scenario: a sweep that cannot run solves
-nothing. The set-up's weights map each method to its weight rows, which
-both engines read. grid_analytic_rmse() evaluates every method at every
-point under the K scenarios as one (K, M, N) array: the geometry-only
-methods' error rows are formed once for all K, and one grouped quadratic
-form covers each method's stack. Row k of the result has the bits of a
-call with scns[k] alone. harness.error_form() and analytic_rmse() run the
-same engine functions on a batch of one point, so the library API and the
-self-checks share the CLI's arithmetic; they agree with the grid engine's
-row at that point to round-off, not bit for bit.
+that differ in their correlation distance alone. sweep_setup() builds, in
+one call, what the engines read, and refuses a sweep that cannot run by the
+set-up rows of _REFUSALS, the one ordered refusal table, before any solve:
+a SweepSetup that exists can run. grid_analytic_rmse() evaluates every
+method at every point under the K scenarios as one (K, M, N) array, row k
+with the bits of a call with scns[k] alone. harness.error_form() and
+analytic_rmse() run the same engine functions on one point, so the library
+API and the self-checks share the CLI's arithmetic; they agree with the
+grid engine's row there to round-off, not bit for bit.
 The hand-written coefficient expansion for the fitted-correlation method
 exists only as a cross-check.
 """
@@ -38,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -55,6 +45,8 @@ __all__ = [
     "sm1_coefficient_error_form",
     "analytic_rmse",
     "sm0_sigma0",
+    "ENGINES",
+    "SetupRefusal",
     "SweepSetup",
     "sweep_setup",
     "grid_analytic_rmse",
@@ -145,81 +137,84 @@ def sm0_sigma0(model: CorrelationModel, sensors: list[Point], p0: Point) -> floa
 
     sigma0^2 = sigma^2 - c0' Cn^-1 c0 (a Schur complement, so nonnegative up
     to round-off; tiny negatives are clamped, anything worse is an error).
+    The set-up's sigma^2 underflow row refuses here too, as a SetupRefusal.
     """
     sensors = list(sensors)
-    c_0 = cross_covariance(model, p0, sensors)
+    c_0 = cross_covariance(model, p0, sensors)  # a sigma^2 that overflows raises the kernel's OverflowError
+    if (cause := _sigma_underflow(sigma=model.sigma, methods=_SOLVED, error=None)) is not None:
+        raise SetupRefusal("sigma^2 underflow", 0, cause)
     var = model.sigma**2 - float(c_0 @ solve_cholesky(sensor_factor(model, sensors), c_0))
     if var < -1e-9 * model.sigma**2:
         raise ValueError(f"conditional variance {var:.6g} is negative beyond round-off")
     return math.sqrt(max(var, 0.0))
 
 
+ENGINES = ("analytic", "mc")  # the engines a set-up can be built for
+
+
+class SetupRefusal(ValueError):
+    """A sweep refused by the first set-up row of _REFUSALS that applies: row names it, ratio_index is the index of
+    the scenario it names (the failing one for a factor row, else 0), the message is its cause, and a factor row's
+    NotPositiveDefiniteError is its __cause__."""
+
+    def __init__(self, row: str, ratio_index: int, cause: str):
+        super().__init__(cause)
+        self.row, self.ratio_index = row, ratio_index
+
+
 @dataclass(frozen=True)
 class SweepSetup:
-    """What both engines read for several methods at N query points under K scenarios that differ in xc alone.
+    """What the engines read for several methods at N query points under K scenarios that differ in xc alone.
 
-    scn is the sweep's first scenario; the others differ from it in their
-    correlation distance alone, so its sigma and a_db, which the refusals
-    read (harness._REFUSALS), are every scenario's. xy holds the (N, 2)
-    query coordinates. pm0 holds each query point's median power, pm the
-    sensors' and x0 the points' log10 emitter distances. design is the
-    sensor distances' LseDesign when a method takes the refit, else None.
-    weights maps each requested method to its weight rows by the method
-    table: a geometry-only family's (N, n) table, one array per family (sm2
-    and idw share one), or the solve's (K, N, n) stack, each row with the
-    bits of sm0_weights() at its point alone, which is None when the set-up
-    failed: nothing is solved for a sweep that cannot run.
-
-    c_n holds each scenario's (n, n) sensor covariance Cn and c_0 its (N, n)
-    covariances C0 at the points, each with the bits it has alone. joint
-    holds the Monte Carlo route's (K, N, n+1, n+1) joint factors, or None
-    when they were not asked for. error is the NotPositiveDefiniteError of
-    the lowest scenario whose Cn (when a method takes the solve) or whose
-    joint covariance at some point (when joint is built) does not factor,
-    and failed that scenario's index; at one scenario Cn's error wins over
-    its lowest failing point's, whose index is the point's in the flattened
-    (scenario, point) stack.
+    Only sweep_setup() builds one, for a sweep that can run the engines it
+    records. xy holds the (N, 2) query coordinates, pm0 the points' median
+    powers, pm the sensors' and x0 the points' log10 emitter distances;
+    design is the sensors' LseDesign when a method refits. weights maps each
+    method to its weight rows: a geometry-only family's (N, n) table, shared
+    within the family, or the solve's (K, N, n) stack, each row with the
+    bits of sm0_weights() at its point alone. c_n and c_0 hold each
+    scenario's (n, n) Cn and (N, n) C0, with the bits each has alone, and
+    joint the Monte Carlo engine's (K, N, n+1, n+1) joint factors, or None.
     """
 
     methods: tuple[str, ...]
-    scn: Scenario
+    engines: frozenset[str]
     xy: np.ndarray
     pm0: np.ndarray
     pm: np.ndarray
     x0: np.ndarray
     design: LseDesign | None
-    weights: dict[str, np.ndarray | None]
+    weights: dict[str, np.ndarray]
     c_n: np.ndarray
     c_0: np.ndarray
     joint: np.ndarray | None
-    failed: int | None
-    error: NotPositiveDefiniteError | None
 
 
 def sweep_setup(
-    scns: list[Scenario], xy: np.ndarray, methods: tuple[str, ...], nu: float = 1.0, joint: bool = False
+    scns: list[Scenario], xy: np.ndarray, methods: tuple[str, ...], nu: float = 1.0, engines=("analytic",)
 ) -> SweepSetup:
     """The methods' set-up at the rows of an (N, 2) coordinate array under the sweep's scenarios, in one call.
 
-    scns holds one scenario per ratio; ValueError names an empty list or
-    scenarios that differ in more than their correlation distance. First
-    what no correlation distance changes, from the first scenario: each
-    geometry-only weight family present, by the method table, is one
-    geometry_weights() table over all the points, shared by its methods (sm2
-    and idw share the inverse-distance one), and the median powers and log
-    distances come from one pass over the emitter distances. Then the
-    scenarios' Cn and C0 stacks, one kernel pass each. Only when a method
-    takes the solve are the Cn factored, in one stacked call. With joint,
-    every point's joint covariance under every scenario is factored in one
-    field.joint_factors() call as well. Only when every factor holds are the
-    weights solved, in one sm0_weight_rows() call. A sigma^2 that overflows
-    raises the kernel's OverflowError.
+    scns holds one scenario per ratio and engines those that will run, of
+    ENGINES; ValueError names an empty list, scenarios that differ in more
+    than their correlation distance, or another engine. First, from the
+    first scenario, one geometry_weights() table per geometry-only family
+    present (sm2 and idw share one), the medians and the log distances.
+    Then one kernel pass each for the Cn and C0 stacks, one stacked factor
+    of every Cn when a method takes the solve, and one joint_factors() call
+    for the Monte Carlo engine; the lowest failing scenario's error wins, Cn's
+    over its points'. Then the first set-up row of _REFUSALS that applies
+    raises a SetupRefusal, so nothing is solved for a sweep that cannot run,
+    and only then one sm0_weight_rows() call solves every weight. A sigma^2
+    that overflows raises the kernel's OverflowError.
     """
     if not scns:
         raise ValueError("need at least one scenario")
     scn, models = scns[0], [s.correlation for s in scns]
     if any(replace(s, correlation=replace(s.correlation, xc=scn.correlation.xc)) != scn for s in scns[1:]):
         raise ValueError("the scenarios of a sweep must differ in their correlation distance alone")
+    if not (engines := frozenset(engines)) or not engines <= set(ENGINES):
+        raise ValueError(f"engines must be a non-empty subset of {ENGINES}, got {sorted(engines)}")
     sensors = coordinates(scn.sensors)
     families = {m: _estimator(m)[0] for m in methods}
     first = {f: m for m, f in reversed(families.items()) if f != _SOLVE}  # each geometry family's first method
@@ -230,18 +225,22 @@ def sweep_setup(
         c_0 = cross_covariance_stack(models, xy, sensors)
         factors, error = (None, None) if _SOLVED.isdisjoint(methods) else cholesky_stack(c_n.copy())
         failed = None if error is None else error.index
-        lower = None
-        if joint:
-            lower, point_error = joint_factors(c_0, c_n)
-            if point_error is not None and (failed is None or point_error.index // c_0.shape[1] < failed):
-                failed, error = point_error.index // c_0.shape[1], point_error
-        tables[_SOLVE] = sm0_weight_rows(factors, c_0) if factors is not None and error is None else None
+        lower, point_error = joint_factors(c_0, c_n) if "mc" in engines else (None, None)
+        if point_error is not None and (failed is None or point_error.index // c_0.shape[1] < failed):
+            failed, error = point_error.index // c_0.shape[1], point_error
+        facts = dict(sigma=scn.sigma, a_db=scn.a_db, methods=methods, engines=engines, error=error, failed=failed)
+        if (refused := _first_refusal(_SETUP, medians=np.concatenate((pm0, pm)), **facts)) is not None:
+            row, cause = refused
+            factor = isinstance(cause, NotPositiveDefiniteError)
+            raise SetupRefusal(row, failed if factor else 0, str(cause)) from (cause if factor else None)
+        if factors is not None:
+            tables[_SOLVE] = sm0_weight_rows(factors, c_0)
     weights = {m: tables[f] for m, f in families.items()}
-    return SweepSetup(tuple(methods), scn, xy, pm0, pm, x0, design, weights, c_n, c_0, lower, failed, error)
+    return SweepSetup(tuple(methods), engines, xy, pm0, pm, x0, design, weights, c_n, c_0, lower)
 
 
 def _error_rows(setup: SweepSetup) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Each method's error rows under the set-up's K scenarios, whose Cn all factor (the set-up rows refuse first).
+    """Each method's error rows under the set-up's K scenarios.
 
     The error under scenario k at point i is bias[k, i] + S0 - coeffs[k, i] . [S1..Sn].
     The geometry-only methods' rows depend on no model: they are formed
@@ -276,12 +275,105 @@ def _affine_rms(
 def grid_analytic_rmse(setup: SweepSetup) -> np.ndarray:
     """(K, M, N) per-point RMS errors of the M methods, in setup.methods order, under each of the set-up's K scenarios.
 
-    The package's one analytic engine; its callers walk the set-up rows of
-    harness._REFUSALS first.
+    The package's one analytic engine, on a set-up built for it (ValueError
+    names one that was not, as it has not passed the engine's refusals).
     Each method's error rows come from estimators._affine_rows() on its
     weight rows in setup.weights.
     """
+    if "analytic" not in setup.engines:
+        raise ValueError("the set-up was built without the analytic engine among its engines")
     var0 = setup.c_n[:, 0, :1]  # each scenario's sigma^2, the kernel at zero distance
     rows = _error_rows(setup)
     by_method = (rows[m] for m in setup.methods)
     return np.stack([_affine_rms(bias, 1.0, coeffs, var0, setup.c_0, setup.c_n) for bias, coeffs in by_method], axis=1)
+
+
+# ---------------------------------------------------------------------------
+# refusals: _REFUSALS maps each refusal decided after ExperimentConfig.validate(), in precedence order, to its stage
+# and its check, which returns the cause or None from the facts it names. sweep_setup() walks the set-up rows and
+# harness._grid_evals the engine rows, on each ratio's (K, M) spatial aggregates and standard errors (a finite spatial
+# RMSE implies finite per-point values); the harness words every cause for the CLI.
+
+# Least sigma_db a Monte Carlo run takes, as a fraction of the largest median
+# power magnitude |P|: smaller shadows are lost in the round-off of P + s,
+# and sm0's RMSE reads 0. Near the limit (|P| = 127.7 dB, sigma 1.3e-7 dB)
+# sm0's and sm1's RMSEs strayed from sigma-scaling by 1e-9 and 8e-9. Any
+# sigma of at least 1e-3 dB passes while |P| stays below 1e6 dB.
+_SIGMA_FRACTION = 1e-9
+# Least spread of P, or sigma_db where larger, any run takes, likewise: below
+# it the path-loss bias is lost in the round-off of P (a_db 1e20 read nn 0.936
+# dB for 9.66); near it (a_db 3.2e8 dB) sweeps strayed from a_db 15.3's by 7e-9.
+_SPREAD_FRACTION = 1e-7
+
+
+def _sigma_underflow(sigma: float, methods, error, **_) -> str | None:
+    # sigma^2 is 0, failing every factor at pivot 0, or subnormal, with lost digits, and a method's error all shadow
+    zero = error is not None and error.pivot_index == 0
+    if zero or (sigma**2 < np.finfo(float).tiny and not _UNBIASED.isdisjoint(methods)):
+        return f"sigma^2 underflows a double at sigma = {sigma!r} dB"
+    return None
+
+
+def _factor_failure(error, failed, later: bool, **_) -> NotPositiveDefiniteError | None:
+    return error if error is not None and (failed > 0) == later else None  # at the first ratio, or a later one
+
+
+def _medians(medians: np.ndarray, a_db: float) -> tuple[float, str]:
+    """The largest magnitude of the median powers P, and the cause naming the field that sets it."""
+    top, term = np.abs(medians).max(), np.abs(a_db - medians).max()
+    return top, f"field {'a_db' if abs(a_db) >= term else 'gamma'!r} sets median powers of up to {top:.6g} dB"
+
+
+def _median_overflow(engines, medians, a_db, **_) -> str | None:
+    # where the analytic engine runs; it squares each bias, up to 2 |P|
+    top, cause = _medians(medians, a_db)
+    if "analytic" in engines and top > 2.0**510:
+        return f"{cause}, above 2^510 dB, past which the analytic engine's squared bias may overflow"
+    return None
+
+
+def _lost_bias(medians, a_db, sigma, **_) -> str | None:
+    top, cause = _medians(medians, a_db)
+    if not (top < math.inf and max(spread := np.ptp(medians), sigma) < _SPREAD_FRACTION * top):
+        return None
+    return f"{cause}; spread {spread:.6g} dB and sigma_db under {_SPREAD_FRACTION:g} of it lose the bias to round-off"
+
+
+def _lost_sigma(engines, medians, sigma, **_) -> str | None:
+    # where Monte Carlo draws; non-finite medians reach the engine rows
+    top = np.abs(medians).max()
+    if "mc" not in engines or not sigma < _SIGMA_FRACTION * top < math.inf:
+        return None
+    return (
+        f"sigma is too small for Monte Carlo: {sigma!r} dB is below {_SIGMA_FRACTION:g} of the largest median power "
+        f"magnitude, {top:.6g} dB, so the shadows would be lost to round-off"
+    )
+
+
+def _not_finite(methods, k: int, label: str, arrays) -> str | None:
+    """The first method whose label at ratio k is not finite in one of the (K, M) arrays that are not None."""
+    for j, m in enumerate(methods):
+        if not all(math.isfinite(a[k, j]) for a in arrays if a is not None):
+            return f"{m} {label} is not finite"
+    return None
+
+
+_SETUP, _ENGINES = "in the set-up", "after the engines"
+_REFUSALS = {
+    "sigma^2 underflow": (_SETUP, _sigma_underflow),
+    "first-ratio factor": (_SETUP, partial(_factor_failure, later=False)),
+    "median overflow": (_SETUP, _median_overflow),
+    "lost bias": (_SETUP, _lost_bias),
+    "lost sigma": (_SETUP, _lost_sigma),
+    "later-ratio factor": (_SETUP, partial(_factor_failure, later=True)),
+    "non-finite RMSE": (_ENGINES, lambda methods, k, spatial, se: _not_finite(methods, k, "RMSE", spatial.values())),
+    "non-finite standard error": (_ENGINES, lambda methods, k, se, **_: _not_finite(methods, k, "standard error", [se])),
+}
+
+
+def _first_refusal(stage: str, **facts) -> tuple[str, object] | None:
+    """The name and cause of the first of the stage's rows of _REFUSALS whose check, on the facts, returns a cause."""
+    for name, (row_stage, check) in _REFUSALS.items():
+        if row_stage == stage and (cause := check(**facts)) is not None:
+            return name, cause
+    return None

@@ -7,21 +7,18 @@ with the geometry held fixed). Per-point RMS interpolation error is
 computed either in closed form from the estimators' error forms (analytic
 mode, the default) or by averaging squared errors over simulated shadow
 realizations (mc mode); 'both' computes the two side by side and flags
-points where they disagree beyond Monte Carlo noise. What no ratio changes
-(the grid's (N, 2) coordinate array, the geometry-only weights) is
-gathered once per sweep, and so is what every ratio needs: each ratio's
-covariances and solve weights, built as stacks once for both engines, in
-one set-up call (analysis.sweep_setup) on the sweep's scenarios. One
-ordered table, _REFUSALS, holds every refusal decided after
-ExperimentConfig.validate(): its set-up rows, walked by every function that
-builds a set-up (error_form, beside point_rmse_mc, too), refuse a run that
-cannot finish before either engine runs, so it solves, draws and evaluates
-nothing; its engine rows refuse a non-finite result. The closed form is one
-array evaluation of every ratio at every grid point. The Monte Carlo
-kernel only computes, point-major, in chunks and blocks of points (see its
-section below), writing one (K, M, N) array. One driver, _mc_rmse, runs a
-grid's points, point_rmse_mc's one point and the validation check's
-points. Each engine's spatial aggregates come from one row-wise pass.
+points where they disagree beyond Monte Carlo noise. Each sweep builds what
+both engines read in one set-up call (analysis.sweep_setup) on its
+scenarios, which refuses a run that cannot finish by the set-up rows of
+analysis._REFUSALS before either engine runs; the grid entries word that
+refusal as a ConfigError, and the one-point entries (error_form, beside
+point_rmse_mc) let it through. The table's engine rows refuse a non-finite
+result. The closed form is one array evaluation of every ratio at every
+grid point. The Monte Carlo kernel only computes, point-major, in chunks
+and blocks of points (see its section below), writing one (K, M, N) array.
+One driver, _mc_rmse, runs a grid's points, point_rmse_mc's one point and
+the validation check's points. Each engine's spatial aggregates come from
+one row-wise pass.
 
 Monte Carlo determinism: realizations for grid point i come from the
 substream keyed by (master_seed, i), so results are bitwise identical for
@@ -40,7 +37,6 @@ from collections.abc import Callable, Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
-from functools import partial
 from typing import NoReturn
 
 import numpy as np
@@ -48,8 +44,9 @@ import numpy as np
 from .geometry import DegenerateGeometryError, Point, QueryGrid, Scenario, build_square_scenario, coordinates, make_grid
 from .correlation import CorrelationModel, KERNEL_KINDS, EXPONENTIAL
 from .field import _check_stream_keys, correlate_normals, standard_normal_block
-from .estimators import ALL_METHODS, OutsideHullError, _DEVIATIONS, _MEASUREMENTS, _RESIDUALS, _UNBIASED, _estimator, lse_fit
-from .analysis import AffineErrorForm, SweepSetup, _error_rows, grid_analytic_rmse, sweep_setup
+from .estimators import ALL_METHODS, OutsideHullError, _DEVIATIONS, _MEASUREMENTS, _RESIDUALS, _estimator, lse_fit
+from .analysis import ENGINES, AffineErrorForm, SetupRefusal, SweepSetup, _ENGINES, _error_rows, _first_refusal
+from .analysis import grid_analytic_rmse, sweep_setup
 
 __all__ = [
     "CORRELATION_KEYS",
@@ -330,11 +327,12 @@ def _power_of_two_above(magnitudes: np.ndarray, axis: int | None = None) -> np.n
 # results stay independent checks of one another. A point's normals depend
 # on its stream alone, so one draw serves every ratio.
 #
-# Set-up runs before any draw, in analysis.sweep_setup(joint=True): one
-# in-place factor of every point's joint covariance under every ratio,
-# decided before the solve weights, which are the analytic engine's. Past
-# the set-up rows of _REFUSALS nothing fails, and the kernel runs with
-# numpy's errors off, its inf and NaN named by the engine rows.
+# Set-up runs before any draw, in analysis.sweep_setup for the Monte Carlo
+# engine: one in-place factor of every point's joint covariance under every
+# ratio, decided before the solve weights, which are the analytic engine's.
+# A set-up that exists has passed the set-up rows of analysis._REFUSALS, so
+# nothing fails past it: the kernel runs with numpy's errors off, its inf
+# and NaN named by the engine rows.
 #
 # The points run as min(threads, N) tasks over contiguous chunks, each in
 # blocks of P = max(1, _BLOCK_DOUBLES // R) points, written with out= into
@@ -458,13 +456,13 @@ def _mc_block_rmse(
 ) -> None:
     """Write the RMS prediction error of each method at a block of points under each scenario into out.
 
-    setup is the sweep's set-up, whose weights the methods apply and whose
-    joint factors (setup.joint) correlate its K scenarios' draws, block
-    holds the points' indices into the set-up, indices[i] keys point i's
-    stream, ws is the calling task's workspace, with room for the block,
-    and out the (K, M, N) RMSEs, M methods in the order of setup.methods:
-    the block writes out[:, :, block]. Each point's results have the bits
-    of a block of one.
+    setup is the sweep's set-up for the Monte Carlo engine, whose weights
+    the methods apply and whose joint factors correlate its K scenarios'
+    draws, block holds the points' indices into the set-up, indices[i] keys
+    point i's stream, ws is the calling task's workspace, with room for the
+    block, and out the (K, M, N) RMSEs, M methods in the order of
+    setup.methods: the block writes out[:, :, block]. Each point's results
+    have the bits of a block of one.
     """
     n, points, m = len(setup.pm), len(block), len(setup.methods)
     for p, i in enumerate(block):
@@ -529,6 +527,14 @@ def _block_errors(setup: SweepSetup, block: range, ws: _McWorkspace) -> None:
     np.subtract(stack[:, :1], errors, out=errors)  # the truth rows less the predictions
 
 
+def _check_draws(indices: Sequence[int], realizations: int, master_seed: int) -> None:
+    """ValueError names a stream key outside the unsigned 64-bit range, then realizations below 1 or not an integer."""
+    for index in (min(indices), max(indices)):
+        _check_stream_keys(master_seed=master_seed, point_index=index)
+    if not _accepts(0, realizations) or realizations < 1:
+        raise ValueError(f"realizations must be an integer of at least 1, got {realizations!r}")
+
+
 def _mc_rmse(
     setup: SweepSetup,
     indices: Sequence[int],
@@ -538,22 +544,14 @@ def _mc_rmse(
 ) -> np.ndarray:
     """(K, M, N) Monte Carlo RMSEs of each method at every point of the set-up under its K ratios, one task per chunk of points.
 
-    setup is the sweep's set-up, with its joint factors (joint=True).
-    indices[i] keys point i's stream. Before any draw, ValueError names a
-    stream key outside the unsigned 64-bit range, then realizations that
-    are not an integer of at least 1; then the set-up rows of _REFUSALS
-    raise the first refusal, worded for a one-point entry (a grid's
-    _grid_evals has walked them already). _run_forked runs one task here
-    and the rest in forked workers; more than one task runs on a thread
-    pool instead when os.fork is missing or the caller runs another thread.
-    Either runner's tasks write their chunks into one anonymous shared
-    mapping.
+    setup is the sweep's set-up, built for the Monte Carlo engine, and
+    indices[i] keys point i's stream; the callers check the keys and
+    realizations first (_check_draws, or a grid's config.validate()).
+    _run_forked runs one task here and the rest in forked workers; more than
+    one task runs on a thread pool instead when os.fork is missing or the
+    caller runs another thread. Either runner's tasks write their chunks
+    into one anonymous shared mapping.
     """
-    for index in (min(indices), max(indices)):
-        _check_stream_keys(master_seed=master_seed, point_index=index)
-    if not _accepts(0, realizations) or realizations < 1:
-        raise ValueError(f"realizations must be an integer of at least 1, got {realizations!r}")
-    _refuse(_SETUP, setup, None)
     n_points = len(setup.xy)
     shape = (len(setup.joint), len(setup.methods), n_points)
     tasks = min(threads, n_points)
@@ -652,11 +650,12 @@ def point_rmse_mc(
 
     master_seed and point_index key the point's stream and must each fit in
     an unsigned 64-bit integer, and realizations must be an integer of at
-    least 1: ValueError names the first that does not, before any draw.
-    The set-up rows of _REFUSALS refuse next, before any draw as well: a
-    factor failure raises its NotPositiveDefiniteError, the rest ValueError.
+    least 1: ValueError names the first that does not, before the set-up.
+    The set-up then refuses a run that cannot finish with a SetupRefusal,
+    before any draw as well; a factor failure is its __cause__.
     """
-    setup = sweep_setup([scn], coordinates([p0]), (method,), nu, joint=True)
+    _check_draws([point_index], realizations, master_seed)
+    setup = sweep_setup([scn], coordinates([p0]), (method,), nu, engines=("mc",))
     return float(_mc_rmse(setup, [point_index], realizations, master_seed)[0, 0, 0])
 
 
@@ -666,122 +665,22 @@ def error_form(method: str, scn: Scenario, p0: Point, nu: float = 1.0) -> Affine
     bias is the estimator's systematic offset on a shadow-free world: the
     true median power at the query minus the map applied to the sensor
     median powers. The row agrees with the grid engine's at p0 to round-off,
-    not bit for bit. The set-up rows of _REFUSALS refuse first, as
-    ValueError: every row but the Monte Carlo sigma limit, as nothing is drawn.
+    not bit for bit. The set-up, built for the analytic engine, refuses
+    first with a SetupRefusal: every row but the Monte Carlo sigma limit, as
+    nothing is drawn.
     """
     setup = sweep_setup([scn], coordinates([p0]), (method,), nu)
-    _refuse(_SETUP, setup, None)
     bias, coeffs = _error_rows(setup)[method]
     return AffineErrorForm(bias=float(bias[0, 0]), coeffs=np.concatenate(([1.0], -coeffs[0, 0])))
 
 
 # ---------------------------------------------------------------------------
 # grid evaluation
-#
-# _REFUSALS maps each refusal decided after ExperimentConfig.validate(), in
-# precedence order, to its stage and its check, which returns the error to
-# raise or None: on the set-up and the config (None for a one-point entry)
-# before either engine, or on the config, a ratio's index k, the engines'
-# (K, M) spatial aggregates and standard errors at each ratio. A set-up row
-# reads the config's mode only where the set-up cannot say which engine
-# runs. A finite spatial RMSE implies finite per-point values.
-
-# Least sigma_db a Monte Carlo run takes, as a fraction of the largest median
-# power magnitude |P|: smaller shadows are lost in the round-off of P + s,
-# and sm0's RMSE reads 0. Near the limit (|P| = 127.7 dB, sigma 1.3e-7 dB)
-# sm0's and sm1's RMSEs strayed from sigma-scaling by 1e-9 and 8e-9. Any
-# sigma of at least 1e-3 dB passes while |P| stays below 1e6 dB.
-_SIGMA_FRACTION = 1e-9
-# Least spread of P, or sigma_db where larger, any run takes, likewise: below
-# it the path-loss bias is lost in the round-off of P (a_db 1e20 read nn 0.936
-# dB for 9.66); near it (a_db 3.2e8 dB) sweeps strayed from a_db 15.3's by 7e-9.
-_SPREAD_FRACTION = 1e-7
 
 
-def _refusal(config: ExperimentConfig | None, k: int, cause, error: Exception | None = None) -> ValueError:
-    """cause as a ConfigError naming the config's kernel and ratio k, raised from error; for a one-point entry (config
-    None), as itself where it is an error, else as a ValueError."""
-    if config is None:
-        return cause if isinstance(cause, ValueError) else ValueError(cause)
-    refusal = ConfigError(f"{config.kernel} kernel at spacing ratio {config.ratios[k]} is outside the numeric range: {cause}")
-    refusal.__cause__ = error
-    return refusal
-
-
-def _sigma_underflow(setup: SweepSetup, config: ExperimentConfig | None) -> ValueError | None:
-    # sigma^2 is 0, failing every factor at pivot 0, or subnormal, with lost digits, and a method's error all shadow
-    zero = setup.error if setup.error is not None and setup.error.pivot_index == 0 else None
-    if zero or (setup.scn.sigma**2 < np.finfo(float).tiny and not _UNBIASED.isdisjoint(setup.methods)):
-        return _refusal(config, 0, f"sigma^2 underflows a double at sigma = {setup.scn.sigma!r} dB", zero)
-    return None
-
-
-def _factor_failure(setup: SweepSetup, config: ExperimentConfig | None, later: bool) -> ValueError | None:
-    failed = setup.error is not None and (setup.failed > 0) == later  # at the first ratio, or a later one
-    return _refusal(config, setup.failed, setup.error, setup.error) if failed else None
-
-
-def _medians(setup: SweepSetup) -> tuple[np.ndarray, float, str]:
-    """The median powers P of the points and the sensors, their largest magnitude, and the field that sets it."""
-    p, a_db = np.concatenate((setup.pm0, setup.pm)), setup.scn.a_db
-    top, term = np.abs(p).max(), np.abs(a_db - p).max()
-    return p, top, f"field {'a_db' if abs(a_db) >= term else 'gamma'!r} sets median powers of up to {top:.6g} dB"
-
-
-def _median_overflow(setup: SweepSetup, config: ExperimentConfig | None) -> ValueError | None:
-    # where the analytic engine runs (outside mc mode; one point: no joint factors); it squares each bias, up to 2 |P|
-    _, top, cause = _medians(setup)
-    if (setup.joint is None if config is None else config.mode != "mc") and top > 2.0**510:
-        return _refusal(config, 0, f"{cause}, above 2^510 dB, past which the analytic engine's squared bias may overflow")
-    return None
-
-
-def _lost_bias(setup: SweepSetup, config: ExperimentConfig | None) -> ValueError | None:
-    p, top, cause = _medians(setup)
-    if not (top < math.inf and max(spread := np.ptp(p), setup.scn.sigma) < _SPREAD_FRACTION * top):
-        return None
-    lost = f"spread {spread:.6g} dB and sigma_db under {_SPREAD_FRACTION:g} of it lose the bias to round-off"
-    return _refusal(config, 0, f"{cause}; {lost}")
-
-
-def _lost_sigma(setup: SweepSetup, config: ExperimentConfig | None) -> ValueError | None:
-    # where Monte Carlo draws, on a set-up with joint factors; non-finite medians reach the engine rows
-    sigma, top = setup.scn.sigma, _medians(setup)[1]
-    if setup.joint is None or not sigma < _SIGMA_FRACTION * top < math.inf:
-        return None
-    error, name = (ValueError, "sigma") if config is None else (ConfigError, "field 'sigma_db'")
-    return error(
-        f"{name} is too small for Monte Carlo: {sigma!r} dB is below {_SIGMA_FRACTION:g} of the largest median power "
-        f"magnitude, {top:.6g} dB, so the shadows would be lost to round-off"
-    )
-
-
-def _not_finite(config: ExperimentConfig, k: int, label: str, arrays) -> ValueError | None:
-    """The first method whose label at ratio k is not finite in one of the (K, M) arrays that are not None."""
-    for j, m in enumerate(config.methods):
-        if not all(math.isfinite(a[k, j]) for a in arrays if a is not None):
-            return _refusal(config, k, f"{m} {label} is not finite")
-    return None
-
-
-_SETUP, _ENGINES = "after set-up", "after the engines"
-_REFUSALS = {
-    "sigma^2 underflow": (_SETUP, _sigma_underflow),
-    "first-ratio factor": (_SETUP, partial(_factor_failure, later=False)),
-    "median overflow": (_SETUP, _median_overflow),
-    "lost bias": (_SETUP, _lost_bias),
-    "lost sigma": (_SETUP, _lost_sigma),
-    "later-ratio factor": (_SETUP, partial(_factor_failure, later=True)),
-    "non-finite RMSE": (_ENGINES, lambda config, k, spatial, se: _not_finite(config, k, "RMSE", spatial.values())),
-    "non-finite standard error": (_ENGINES, lambda config, k, _, se: _not_finite(config, k, "standard error", [se])),
-}
-
-
-def _refuse(stage: str, *args) -> None:
-    """Raise the error of the first of the stage's rows of _REFUSALS whose check, on args, returns one."""
-    for row_stage, check in _REFUSALS.values():
-        if row_stage == stage and (error := check(*args)) is not None:
-            raise error
+def _refusal(config: ExperimentConfig, k: int, cause) -> ConfigError:
+    """cause as a ConfigError naming the config's kernel and ratio k."""
+    return ConfigError(f"{config.kernel} kernel at spacing ratio {config.ratios[k]} is outside the numeric range: {cause}")
 
 
 def _grid_evals(
@@ -795,36 +694,44 @@ def _grid_evals(
     Carlo aggregates (None in analytic mode).
 
     One set-up call (analysis.sweep_setup) builds what both engines read,
-    and its rows of _REFUSALS refuse, in order, a run that cannot finish.
-    Both engines then run every ratio: the analytic engine on the calling
-    thread as one stack, the Monte Carlo stage with one worker per chunk of
-    points (_mc_rmse), each point's normals drawn once.
+    and its SetupRefusal is worded here as a ConfigError naming the kernel
+    and the ratio, or the field 'sigma_db' alone for the Monte Carlo sigma
+    limit. Both engines then run every ratio: the analytic engine on the
+    calling thread as one stack, the Monte Carlo stage with one worker per
+    chunk of points (_mc_rmse), each point's normals drawn once. Last, the
+    table's engine rows refuse a non-finite aggregate, ratio by ratio.
     """
     if not (_accepts(0, threads) and 1 <= threads <= MAX_THREADS):
         raise ConfigError(f"threads must be an integer between 1 and {MAX_THREADS}, got {threads!r}")
-    ratios, methods = config.ratios, config.methods
-    mc = config.mode in ("mc", "both")
-    grid = config.grid()
+    grid, runs = config.grid(), ENGINES if config.mode == "both" else (config.mode,)
     try:
         with np.errstate(all="ignore"):  # the engine rows of _REFUSALS name what an inf or NaN means
             if (grid.xy == (config.emitter.x, config.emitter.y)).all(axis=1).any():
                 raise DegenerateGeometryError(f"coincides with a query point of the resolution-{config.resolution} grid")
-            setup = sweep_setup([config.scenario(ratio) for ratio in ratios], grid.xy, methods, config.nu, joint=mc)
+            scns = [config.scenario(ratio) for ratio in config.ratios]  # a sensor on the emitter is worded below
+            setup = sweep_setup(scns, grid.xy, config.methods, config.nu, runs)
     except DegenerateGeometryError as err:
         raise DegenerateGeometryError(f"emitter at ({config.emitter.x:g}, {config.emitter.y:g}): {err}") from err
+    except SetupRefusal as refusal:
+        if refusal.row == "lost sigma":  # a limit of sigma against the medians, at every ratio alike
+            raise ConfigError(str(refusal).replace("sigma", "field 'sigma_db'", 1)) from None
+        raise _refusal(config, refusal.ratio_index, refusal) from refusal.__cause__
     except (OutsideHullError, ArithmeticError) as err:
         # grid points lie strictly inside the sensor hull, so these come only from doubles out of
         # range, at every ratio alike: a sigma^2 that overflows, say
         raise _refusal(config, 0, err) from err
-    _refuse(_SETUP, setup, config)
+    mc = "mc" in setup.engines
     engines: dict[str, np.ndarray] = {}  # each engine's (K, M, N) RMSEs
     with np.errstate(all="ignore"):
-        if config.mode in ("analytic", "both"):
+        if "analytic" in setup.engines:
             engines["analytic"] = grid_analytic_rmse(setup)
         if mc:
             engines["mc"] = _mc_rmse(setup, range(len(grid.xy)), config.realizations, config.master_seed, threads)
         spatial = {engine: _rms_rows(rmse) for engine, rmse in engines.items()}
         stderr = _spatial_stderr(engines["mc"], config.realizations, spatial["mc"]) if mc else None
+    for k in range(len(config.ratios)):
+        if (refused := _first_refusal(_ENGINES, methods=config.methods, k=k, spatial=spatial, se=stderr)) is not None:
+            raise _refusal(config, k, refused[1])
     return grid.xy, engines, spatial, stderr
 
 
@@ -843,7 +750,6 @@ def grid_rmse(config: ExperimentConfig, ratio: float, method: str, threads: int 
     config = replace(config, ratios=(ratio,), methods=(method,))
     config.validate()
     xy, engines, spatial, stderr = _grid_evals(config, threads)
-    _refuse(_ENGINES, config, 0, spatial, stderr)
     a_vals, mc_vals = (engines[engine][0, 0] if engine in engines else None for engine in ("analytic", "mc"))
     primary = "mc" if mc_vals is not None else "analytic"
     flags = None
@@ -886,8 +792,6 @@ def sweep(config: ExperimentConfig, threads: int = 1) -> list[SweepRow]:
     config.validate()
     _, _, spatial, stderr = _grid_evals(config, threads)
     primary = spatial["mc" if "mc" in spatial else "analytic"]
-    for k in range(len(config.ratios)):
-        _refuse(_ENGINES, config, k, spatial, stderr)
     return [
         SweepRow(ratio, method, float(primary[k, j]), config.mode, None if stderr is None else float(stderr[k, j]))
         for k, ratio in enumerate(config.ratios)

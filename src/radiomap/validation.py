@@ -9,8 +9,8 @@ analytic RMS errors against Monte Carlo, sigma0 against a numpy solve, and
 the polygon-clipped natural-neighbor weights against lattice area counting.
 error_form() and analytic_rmse() run the sweep's analytic engine functions on
 one point, which match the sweep's row there to round-off only; analytic_vs_mc
-reads both engines from one set-up of its scenarios. Both it and error_form()
-refuse through the set-up rows of the harness's refusal table, as a sweep does.
+reads both engines from one set-up of its scenarios, built for both, so it and
+error_form() are refused by the set-up, as a sweep is.
 
 This is the one oracle library: 'radiomap validate' runs every check at its
 defaults, and the acceptance gates C01, C02, C04 and C12 each run one check
@@ -52,7 +52,7 @@ from .analysis import (
     sm0_sigma0,
     sweep_setup,
 )
-from .harness import ExperimentConfig, _mc_rmse, _point_stderr, check_master_seed, error_form
+from .harness import ExperimentConfig, _check_draws, _mc_rmse, _point_stderr, check_master_seed, error_form
 
 __all__ = [
     "CheckResult",
@@ -190,14 +190,16 @@ def check_analytic_vs_mc(
     """Closed-form RMS error vs Monte Carlo, in units of the MC standard error.
 
     points pairs each query point with the index that keys its stream. Both
-    engines read one set-up of every ratio at the points, as in a sweep,
-    and its rows of harness._REFUSALS refuse before any draw. Each point's
-    stream is drawn once for every ratio and method, and each MC value has
-    the bits of its own point_rmse_mc call.
+    engines read one set-up of every ratio at the points, built for both
+    as in a both-mode sweep, which refuses, after the checks of the stream
+    keys and realizations, before any draw. Each point's stream is drawn
+    once for every ratio and method, and each MC value has the bits of its
+    own point_rmse_mc call.
     """
-    scns = [_table_scenario(ratio) for ratio in ratios]
-    setup = sweep_setup(scns, coordinates([p for _, p in points]), tuple(methods), joint=True)
-    mc = _mc_rmse(setup, [index for index, _ in points], realizations, master_seed)
+    scns, indices = [_table_scenario(ratio) for ratio in ratios], [index for index, _ in points]
+    _check_draws(indices, realizations, master_seed)
+    setup = sweep_setup(scns, coordinates([p for _, p in points]), tuple(methods), engines=("analytic", "mc"))
+    mc = _mc_rmse(setup, indices, realizations, master_seed)
     expected = grid_analytic_rmse(setup)  # (K, M, N), as mc
     z = np.abs(mc - expected) / _point_stderr(expected, realizations)
     return _verdict("analytic_vs_mc", float(z.max()), 3.0)

@@ -20,13 +20,16 @@ from radiomap import (
     sweep,
 )
 from radiomap.analysis import (
+    ENGINES,
     AffineErrorForm,
+    SetupRefusal,
     grid_analytic_rmse,
     sm1_coefficient_error_form,
     sweep_setup,
 )
 from radiomap.estimators import DegenerateGeometryError
 from radiomap.geometry import coordinates
+from radiomap.linalg import NotPositiveDefiniteError
 from radiomap.harness import EMITTER_PRESETS, _mc_rmse, _spatial_stderr, point_rmse_mc
 
 from closed_form import closed_form_rmse
@@ -271,7 +274,7 @@ class TestSetupInterface:
     def built(self):
         config = ExperimentConfig(resolution=2)
         scns = [config.scenario(ratio) for ratio in self.RATIOS]
-        return scns, sweep_setup(scns, config.grid().xy, config.methods, joint=True)
+        return scns, sweep_setup(scns, config.grid().xy, config.methods, engines=("analytic", "mc"))
 
     def test_engines_return_ratio_method_point_arrays(self, built):
         scns, setup = built
@@ -287,7 +290,7 @@ class TestSetupInterface:
                     p0 = Point(x, y)
                     want = analytic_rmse(error_form(m, scn, p0), scn.correlation, p0, sensors)
                     assert abs(analytic[k, j, i] - want) <= 1e-9 * want, (k, m, i)
-                    alone = sweep_setup([scn], xy[i : i + 1], (m,), joint=True)
+                    alone = sweep_setup([scn], xy[i : i + 1], (m,), engines=("mc",))
                     assert mc[k, j, i] == _mc_rmse(alone, [i], 64, 3)[0, 0, 0], (k, m, i)
 
     def test_methods_of_one_family_share_their_weights(self, built):
@@ -298,13 +301,26 @@ class TestSetupInterface:
         assert setup.weights["sm0"] is setup.weights["sm1"]
         assert setup.weights["sm0"].shape == (len(self.RATIOS), len(setup.xy), 4)
 
-    def test_failed_factor_solves_nothing(self):
-        config = ExperimentConfig(sigma_db=1e-170, resolution=2)  # sigma^2 underflows to 0
-        scn = config.scenario(1.0)
-        setup = sweep_setup([scn], config.grid().xy, config.methods, joint=True)
-        assert setup.failed == 0 and setup.error is not None
-        assert setup.weights["sm0"] is setup.weights["sm1"] is None
-        assert setup.weights["nn"] is not None
+    def test_failed_factor_solves_nothing(self, monkeypatch):
+        # sigma^2 underflows to 0 and fails every factor at pivot 0: no set-up is built, and nothing is solved
+        from radiomap import analysis
+
+        solves = []
+        monkeypatch.setattr(analysis, "sm0_weight_rows", lambda *args: solves.append(1))
+        config = ExperimentConfig(sigma_db=1e-170, resolution=2)
+        with pytest.raises(SetupRefusal, match=r"^sigma\^2 underflows a double at sigma = 1e-170 dB$") as exc:
+            sweep_setup([config.scenario(1.0)], config.grid().xy, config.methods, engines=ENGINES)
+        assert exc.value.row == "sigma^2 underflow" and solves == []
+
+    def test_a_setup_runs_only_the_engines_it_was_built_for(self):
+        # the rows a set-up passed are those of its engines: a Monte Carlo set-up never met median overflow
+        config = ExperimentConfig(resolution=2)
+        scns, xy = [config.scenario(1.0)], config.grid().xy
+        for engines in ((), ("fast",), "mc"):
+            with pytest.raises(ValueError, match=r"^engines must be a non-empty subset of \('analytic', 'mc'\)"):
+                sweep_setup(scns, xy, config.methods, engines=engines)
+        with pytest.raises(ValueError, match="^the set-up was built without the analytic engine"):
+            grid_analytic_rmse(sweep_setup(scns, xy, config.methods, engines=("mc",)))
 
     @pytest.mark.parametrize("change", [{"sigma_db": 1e-160}, {"emitter": EMITTER_PRESETS["E2"]}], ids=["sigma", "emitter"])
     def test_scenarios_that_differ_in_more_than_xc_are_refused(self, change):
@@ -319,7 +335,65 @@ class TestSetupInterface:
             sweep_setup([], xy, config.methods)
 
 
+class TestSetupRefusals:
+    """sweep_setup() walks the set-up rows of the refusal table itself: a SweepSetup that exists can run."""
+
+    # for each set-up row, in table order: the overrides of a res-2 config, the ratios of its scenarios, its methods
+    # and the engines, which that row refuses first
+    CASES = {
+        "sigma^2 underflow": ({"sigma_db": 1e-160}, (1.0,), ("sm0", "nn"), ("analytic",)),
+        "first-ratio factor": ({"kernel": "gaussian"}, (7e-4, 1.0), ("sm1",), ("analytic",)),
+        "median overflow": ({"gamma": 1.2e152}, (1.0,), ("nn",), ("analytic",)),
+        "lost bias": ({"a_db": 3.75e8}, (1.0,), ("sm0", "nn"), ENGINES),
+        "lost sigma": ({"sigma_db": 1.2e-7}, (1.0,), ("sm0", "nn"), ("mc",)),
+        "later-ratio factor": ({"kernel": "gaussian"}, (1.0, 7e-4), ("sm1",), ("analytic",)),
+    }
+
+    def test_every_setup_row_has_a_case_in_table_order(self):
+        from radiomap.analysis import _REFUSALS, _SETUP
+
+        assert list(self.CASES) == [row for row, (stage, _) in _REFUSALS.items() if stage == _SETUP]
+
+    @pytest.mark.parametrize("row", list(CASES))
+    def test_each_row_is_raised_before_any_solve(self, monkeypatch, row):
+        from radiomap import analysis
+
+        overrides, ratios, methods, engines = self.CASES[row]
+        config = ExperimentConfig(resolution=2, **overrides)
+        scns, xy = [config.scenario(r) for r in ratios], config.grid().xy
+        solves, solve = [], analysis.sm0_weight_rows
+        monkeypatch.setattr(analysis, "sm0_weight_rows", lambda *args: solves.append(1) or solve(*args))
+        with pytest.raises(SetupRefusal) as exc:
+            sweep_setup(scns, xy, methods, engines=engines)
+        assert exc.value.row == row and solves == []
+        assert exc.value.ratio_index == (1 if row == "later-ratio factor" else 0)
+        factor = row.endswith("factor")
+        assert isinstance(exc.value.__cause__, NotPositiveDefiniteError) is factor
+        if factor:
+            assert str(exc.value) == str(exc.value.__cause__)
+
+
 class TestSigma0:
+    @pytest.mark.parametrize("sigma", [1e-160, 1e-162])
+    def test_sigma_squared_underflow_is_refused_by_the_setup_row(self, sigma):
+        # a subnormal sigma^2 read 0.700434 sigma for 0.700445 at 5 dB, and a zero one failed the factor at pivot 0
+        scn = ExperimentConfig(sigma_db=sigma).scenario(1.0)
+        with pytest.raises(SetupRefusal) as exc:
+            sm0_sigma0(scn.correlation, list(scn.sensors), Point(200.0, 300.0))
+        assert exc.value.row == "sigma^2 underflow"
+        assert str(exc.value) == f"sigma^2 underflows a double at sigma = {sigma!r} dB"
+
+    def test_sigma_squared_overflow_keeps_the_kernels_cause(self):
+        scn = ExperimentConfig(sigma_db=1e200).scenario(1.0)
+        with pytest.raises(OverflowError, match=r"^sigma\^2 overflows a double at sigma = 1e\+200 dB$"):
+            sm0_sigma0(scn.correlation, list(scn.sensors), Point(200.0, 300.0))
+
+    def test_five_decibels_keeps_its_bits(self):
+        # the value at the reference configuration before the refusal was added
+        scn = ExperimentConfig(sigma_db=5.0).scenario(1.0)
+        got = sm0_sigma0(scn.correlation, list(scn.sensors), Point(200.0, 300.0))
+        assert got == float.fromhex("0x1.c048eadc83c85p+1")
+
     def test_collocated_query_has_zero_error(self, table_model, table_scenario):
         got = sm0_sigma0(table_model, list(table_scenario.sensors), Point(0.0, 0.0))
         assert got == pytest.approx(0.0, abs=1e-6)

@@ -166,10 +166,16 @@ class TestSweepCommand:
         assert main(["sweep", str(cfg), str(tmp_path / "out")]) == 2
         assert "extra_knob" in capsys.readouterr().err
 
-    def test_degenerate_emitter_exits_3_naming_position(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, emitter=[320.0, 320.0], methods=["sm1"])
+    @pytest.mark.parametrize(
+        "emitter, cause",
+        [([320.0, 320.0], "all sensors are effectively equidistant"), ([0.0, 0.0], "emitter coincides with sensor 0")],
+        ids=["centre", "sensor"],
+    )
+    def test_degenerate_emitter_exits_3_naming_position(self, tmp_path, capsys, emitter, cause):
+        cfg = write_config(tmp_path, emitter=emitter, methods=["sm1"])
         assert main(["sweep", str(cfg), str(tmp_path / "out")]) == 3
-        assert "320" in capsys.readouterr().err
+        position = f"{emitter[0]:g}, {emitter[1]:g}"
+        assert capsys.readouterr().err.startswith(f"degenerate geometry: emitter at ({position}): {cause}")
 
     @pytest.mark.parametrize(
         "overrides, code, named",
@@ -474,7 +480,7 @@ class TestSweepCommand:
         assert {row["mode"] for row in read_rows(out / "sweep.csv")} == {"mc"}
 
 
-# For each row of the refusal table (harness._REFUSALS), in its order: the overrides of a res-2 sweep just inside the
+# For each row of the refusal table (analysis._REFUSALS), in its order: the overrides of a res-2 sweep just inside the
 # limit, which exits 0, and just outside it, which exits 2 naming the row's field or cause. None marks a row that no
 # config reaches; TestRefusalTable calls its check on crafted values.
 REFUSAL_BOUNDARIES = {
@@ -499,7 +505,7 @@ REFUSAL_BOUNDARIES = {
 
 
 def test_refusal_boundaries_cover_every_row_of_the_table():
-    from radiomap.harness import _REFUSALS
+    from radiomap.analysis import _REFUSALS
 
     assert list(REFUSAL_BOUNDARIES) == list(_REFUSALS)
 

@@ -27,7 +27,7 @@ from radiomap import (
     sm0_sigma0,
     sweep,
 )
-from radiomap.analysis import _error_rows, sweep_setup
+from radiomap.analysis import SetupRefusal, _error_rows, sweep_setup
 from radiomap.geometry import coordinates
 from radiomap.estimators import sensor_factor, sm0_weights
 from radiomap.field import joint_cholesky
@@ -218,9 +218,11 @@ class TestPointRmseMc:
             ({"realizations": 0}, "realizations"),
             ({"realizations": 2.5}, "realizations"),
             ({"realizations": True}, "realizations"),
+            ({"realizations": 0, "sigma_db": 1e-150}, "realizations"),  # the set-up would refuse as lost sigma
         ],
     )
     def test_integers_checked_before_any_draw(self, monkeypatch, table_scenario, kwargs, field):
+        # before the set-up, too: a scenario that the set-up refuses still names the argument
         from radiomap import harness
 
         def no_draw(*args):
@@ -228,8 +230,9 @@ class TestPointRmseMc:
 
         monkeypatch.setattr(harness, "standard_normal_block", no_draw)
         call = {"realizations": 10, "master_seed": 1, "point_index": 0, **kwargs}
+        scn = ExperimentConfig(sigma_db=call.pop("sigma_db")).scenario(1.0) if "sigma_db" in call else table_scenario
         with pytest.raises(ValueError, match=f"^{field} must"):
-            point_rmse_mc(table_scenario, Point(99.0, 99.0), "sm0", **call)
+            point_rmse_mc(scn, Point(99.0, 99.0), "sm0", **call)
 
     def test_sigma_lost_in_round_off_refused_before_any_draw(self, monkeypatch):
         # shadows of 1e-150 dB vanish against medians up to 127.7 dB: sm0 read 0.0, where sigma 1 reads 0.535
@@ -249,12 +252,12 @@ class TestPointRmseMc:
 
     @pytest.mark.parametrize("fraction", [1.01, 0.99])
     def test_sigma_limit_is_a_fraction_of_the_largest_median(self, fraction):
-        from radiomap import harness
+        from radiomap import analysis
 
         p0 = Point(200.0, 300.0)
         scn = ExperimentConfig.desk_preset().scenario(0.5)
         setup = sweep_setup([scn], coordinates([p0]), ("sm0",))
-        limit = harness._SIGMA_FRACTION * max(np.abs(setup.pm0).max(), np.abs(setup.pm).max())
+        limit = analysis._SIGMA_FRACTION * max(np.abs(setup.pm0).max(), np.abs(setup.pm).max())
         scn = ExperimentConfig.desk_preset(sigma_db=fraction * limit).scenario(0.5)
         if fraction < 1:
             with pytest.raises(ValueError, match="^sigma is too small for Monte Carlo"):
@@ -294,16 +297,16 @@ class TestPointRmseMc:
         monkeypatch.setattr(analysis, "joint_factors", failing)
         monkeypatch.setattr(analysis, "sm0_weight_rows", no_work)
         monkeypatch.setattr(harness, "standard_normal_block", no_work)
-        with pytest.raises(NotPositiveDefiniteError) as exc:
+        with pytest.raises(SetupRefusal) as exc:
             if entry == "point_rmse_mc":
                 point_rmse_mc(table_scenario, Point(99.0, 99.0), "sm0", 50, master_seed=1)
             else:
                 validation.check_analytic_vs_mc(1, realizations=50)
-        assert exc.value is error
+        assert exc.value.row == "first-ratio factor" and str(exc.value) == str(error) and exc.value.__cause__ is error
 
 
 class TestOnePointRefusals:
-    """The one-point Monte Carlo entries walk the set-up rows of the refusal table, as a sweep does."""
+    """The one-point entries are refused by the set-up rows of the refusal table, as a sweep is."""
 
     P0 = Point(200.0, 300.0)
 
@@ -335,7 +338,8 @@ class TestOnePointRefusals:
 
     @pytest.mark.parametrize("a_db, spread", [(1e9, "37.2429"), (1e20, "0")])
     def test_error_form_refuses_medians_that_lose_the_bias(self, a_db, spread):
-        # the closed form's one-point entry walks the same rows: a_db 1e6 keeps the medians' spread, 1e9 and 1e20 lose it
+        # the closed form's one-point entry is refused by the same rows: a_db 1e6 keeps the medians' spread, 1e9 and
+        # 1e20 lose it
         assert math.isfinite(error_form("nn", ExperimentConfig(a_db=1e6).scenario(1.0), self.P0).bias)
         with pytest.raises(ValueError) as exc:
             error_form("nn", ExperimentConfig(a_db=a_db).scenario(1.0), self.P0)
@@ -352,7 +356,7 @@ class TestOnePointRefusals:
         for sigma in (1e-160, 1e-162):
             with pytest.raises(ValueError) as exc:
                 error_form("sm0", ExperimentConfig(sigma_db=sigma).scenario(1.0), self.P0)
-            assert type(exc.value) is ValueError
+            assert type(exc.value) is SetupRefusal and exc.value.row == "sigma^2 underflow"
             assert str(exc.value) == f"sigma^2 underflows a double at sigma = {sigma!r} dB"
         assert error_form("nn", ExperimentConfig(sigma_db=1e-162).scenario(1.0), self.P0).bias > 0.0
 
@@ -366,6 +370,22 @@ class TestOnePointRefusals:
         )
         assert len(recwarn) == 0
 
+    def test_validation_check_refuses_medians_past_the_analytic_limit(self, monkeypatch):
+        # the check runs both engines, so it is refused where a both-mode sweep is; sigma 1e150 keeps Monte Carlo
+        from radiomap import validation
+
+        def huge_medians(ratio=1.0, kernel="exponential"):
+            return ExperimentConfig(a_db=1e155, sigma_db=1e150).scenario(ratio)
+
+        monkeypatch.setattr(validation, "_table_scenario", huge_medians)
+        with pytest.raises(SetupRefusal) as exc:
+            validation.check_analytic_vs_mc(1, realizations=50)
+        assert exc.value.row == "median overflow"
+        assert str(exc.value) == (
+            "field 'a_db' sets median powers of up to 1e+155 dB, above 2^510 dB, past which the analytic engine's "
+            "squared bias may overflow"
+        )
+
     def test_validation_check_refuses_medians_that_lose_the_bias(self, monkeypatch):
         from radiomap import validation
 
@@ -378,22 +398,24 @@ class TestRefusalTable:
     def test_rows_no_config_reaches_refuse_crafted_values(self):
         # ratios ascend, and a covariance only loses definiteness as the ratio falls, so a factor fails first at the
         # first ratio; a finite spatial RMSE keeps its standard error finite
-        from radiomap.harness import _REFUSALS
+        from radiomap.analysis import _ENGINES, _REFUSALS, _first_refusal
+        from radiomap.harness import _refusal
 
         cfg = ExperimentConfig(resolution=2, ratios=(0.5, 1.0), methods=("nn", "sm1"), mode="mc")
-        setup = sweep_setup([cfg.scenario(r) for r in cfg.ratios], cfg.grid().xy, cfg.methods)
         later = _REFUSALS["later-ratio factor"][1]
         error = NotPositiveDefiniteError(2, -1.0)
-        assert later(setup, cfg) is None and later(replace(setup, failed=0, error=error), cfg) is None
-        refusal = later(replace(setup, failed=1, error=error), cfg)
-        assert str(refusal) == "exponential kernel at spacing ratio 1.0 is outside the numeric range: " + str(error)
-        assert refusal.__cause__ is error and later(replace(setup, failed=1, error=error), None) is error
-        stderr = _REFUSALS["non-finite standard error"][1]
-        spatial, se = {"mc": np.ones((2, 2))}, np.full((2, 2), np.finfo(float).max)
-        assert stderr(cfg, 1, spatial, se) is None and stderr(cfg, 1, spatial, None) is None
+        assert later(error=None, failed=None) is None and later(error=error, failed=0) is None
+        assert later(error=error, failed=1) is error
+
+        def engine_refusal(k, se):
+            return _first_refusal(_ENGINES, methods=cfg.methods, k=k, spatial={"mc": np.ones((2, 2))}, se=se)
+
+        se = np.full((2, 2), np.finfo(float).max)
+        assert engine_refusal(1, se) is None and engine_refusal(1, None) is None
         se[1, 1] = np.inf
-        assert stderr(cfg, 0, spatial, se) is None
-        assert str(stderr(cfg, 1, spatial, se)) == (
+        assert engine_refusal(0, se) is None
+        row, cause = engine_refusal(1, se)
+        assert row == "non-finite standard error" and str(_refusal(cfg, 1, cause)) == (
             "exponential kernel at spacing ratio 1.0 is outside the numeric range: sm1 standard error is not finite"
         )
 
@@ -403,10 +425,11 @@ class TestRefusalTable:
         import ast
         import inspect
 
-        from radiomap import harness
+        from radiomap import analysis, harness, validation
 
+        entries = (harness._grid_evals, harness.sweep, harness.grid_rmse, harness._mc_rmse, harness.error_form)
         found = []
-        for entry in (harness._grid_evals, harness.sweep, harness.grid_rmse, harness._mc_rmse, harness.error_form):
+        for entry in (*entries, harness.point_rmse_mc, validation.check_analytic_vs_mc, analysis.sweep_setup):
             for node in ast.walk(ast.parse(inspect.getsource(entry))):
                 if isinstance(node, ast.Compare) and any(
                     isinstance(e, ast.Constant) and isinstance(e.value, float) for e in [node.left, *node.comparators]
@@ -418,34 +441,6 @@ class TestRefusalTable:
                     found.append(f"{entry.__name__}: {node.id} at line {node.lineno}")
         assert found == []
 
-    def test_every_function_that_builds_a_setup_walks_its_rows_before_an_engine(self):
-        # after its sweep_setup() call, a function's first call among the engines and the walks of the set-up rows
-        # is _refuse(_SETUP, ...) or _mc_rmse, which walks them itself
-        import ast
-        from pathlib import Path
-
-        from radiomap import harness
-
-        def name(call):
-            return getattr(call.func, "id", getattr(call.func, "attr", None))
-
-        def walks(call):
-            return name(call) == "_mc_rmse" or (name(call) == "_refuse" and getattr(call.args[0], "id", None) == "_SETUP")
-
-        unguarded = []
-        for path in Path(harness.__file__).parent.glob("*.py"):
-            for fn in ast.walk(ast.parse(path.read_text())):
-                if not isinstance(fn, ast.FunctionDef):
-                    continue
-                calls = sorted((c for c in ast.walk(fn) if isinstance(c, ast.Call)), key=lambda c: (c.lineno, c.col_offset))
-                names = [name(c) for c in calls]
-                if "sweep_setup" in names:
-                    engines = ("grid_analytic_rmse", "_error_rows")
-                    after = [c for c in calls[names.index("sweep_setup") + 1 :] if walks(c) or name(c) in engines]
-                    if not (after and walks(after[0])):
-                        unguarded.append(f"{path.stem}.{fn.name}")
-        assert unguarded == []
-
 
 class TestForkedWorkers:
     """Forked Monte Carlo workers give the bytes of a thread pool and of one thread, and none outlives its call."""
@@ -456,7 +451,7 @@ class TestForkedWorkers:
         """_mc_rmse's (K, M, N) RMSEs of cfg's 9 points, on threads workers."""
         cfg = self.cfg
         scns = [cfg.scenario(r) for r in cfg.ratios]
-        setup = sweep_setup(scns, cfg.grid().xy, cfg.methods, cfg.nu, joint=True)
+        setup = sweep_setup(scns, cfg.grid().xy, cfg.methods, cfg.nu, engines=("mc",))
         return _mc_rmse(setup, range(9), cfg.realizations, cfg.master_seed, threads)
 
     @staticmethod
@@ -538,9 +533,7 @@ class TestMcWorkspace:
     def setup_for(cfg, xy):
         """The scenarios of cfg's ratios and their set-up, joint factors included, at the rows of xy."""
         scns = [cfg.scenario(r) for r in cfg.ratios]
-        setup = sweep_setup(scns, xy, cfg.methods, cfg.nu, joint=True)
-        assert setup.failed is setup.error is None
-        return scns, setup
+        return scns, sweep_setup(scns, xy, cfg.methods, cfg.nu, engines=("mc",))
 
     @pytest.mark.parametrize("kernel", ["exponential", "gaussian", "elliptical"])
     def test_sm0_rows_match_one_point_weights_bit_for_bit(self, kernel):
@@ -665,7 +658,7 @@ class TestFamilyProducts:
         """_mc_rmse's (K, M, N) RMSEs of methods at cfg's 9 points."""
         cfg = replace(self.cfg, methods=methods)
         scns = [cfg.scenario(r) for r in cfg.ratios]
-        setup = sweep_setup(scns, cfg.grid().xy, methods, cfg.nu, joint=True)
+        setup = sweep_setup(scns, cfg.grid().xy, methods, cfg.nu, engines=("mc",))
         return _mc_rmse(setup, range(9), realizations, cfg.master_seed, threads)
 
     @pytest.mark.parametrize("realizations", [1, 2, 7, 2000])
@@ -1053,20 +1046,20 @@ class TestSweep:
         assert len(shapes) == (1 if mode == "analytic" else 2)
 
     @pytest.mark.parametrize(
-        "entry, joint",
+        "entry, engines",
         [
-            ("sweep-analytic", False),
-            ("sweep-mc", True),
-            ("sweep-both", True),
-            ("grid_rmse", True),
-            ("point_rmse_mc", True),
-            ("error_form", False),
-            ("check_analytic_vs_mc", True),
+            ("sweep-analytic", {"analytic"}),
+            ("sweep-mc", {"mc"}),
+            ("sweep-both", {"analytic", "mc"}),
+            ("grid_rmse", {"analytic", "mc"}),
+            ("point_rmse_mc", {"mc"}),
+            ("error_form", {"analytic"}),
+            ("check_analytic_vs_mc", {"analytic", "mc"}),
         ],
+        ids=lambda value: value if isinstance(value, str) else "-".join(sorted(value)),
     )
-    def test_each_entry_builds_its_setup_once(self, monkeypatch, entry, joint):
-        # one sweep_setup() call per entry, with the joint factors exactly when Monte Carlo runs
-        import inspect
+    def test_each_entry_builds_its_setup_once(self, monkeypatch, entry, engines):
+        # one sweep_setup() call per entry, for the engines that run: the joint factors exactly when Monte Carlo does
         import sys
 
         from radiomap import analysis
@@ -1075,8 +1068,9 @@ class TestSweep:
         build, calls = analysis.sweep_setup, []
 
         def counted(*args, **kwargs):
-            calls.append(inspect.signature(build).bind(*args, **kwargs).arguments.get("joint", False))
-            return build(*args, **kwargs)
+            setup = build(*args, **kwargs)
+            calls.append((set(setup.engines), setup.joint is not None))
+            return setup
 
         for name, module in list(sys.modules.items()):  # every binding, the defining module's own included
             if name.startswith("radiomap.") and getattr(module, "sweep_setup", None) is build:
@@ -1093,7 +1087,7 @@ class TestSweep:
             "check_analytic_vs_mc": lambda: check_analytic_vs_mc(1, realizations=50),
         }
         runs[entry]()
-        assert calls == [joint]
+        assert calls == [(engines, "mc" in engines)]
 
     @staticmethod
     def _second_sensor_factor_fails(monkeypatch):
@@ -1194,47 +1188,36 @@ class TestSweep:
         assert read_lines(log) == []
 
     @pytest.mark.parametrize("failing", [0, 1])
-    def test_setup_stops_at_the_first_failing_ratio(self, monkeypatch, tmp_path, failing):
-        # one joint_factors call covers every ratio and names the failing one, nothing is solved, and
-        # _mc_rmse raises its error before any point draws, whichever ratio fails. Every process's
-        # draws go to one file.
-        from radiomap import analysis, harness
+    def test_setup_stops_at_the_first_failing_ratio(self, monkeypatch, failing):
+        # one joint_factors call covers every ratio and names the failing one, and the set-up refuses it by its row
+        # and its ratio, with its error as the cause, whichever ratio fails: nothing is solved
+        from radiomap import analysis
 
         cfg = ExperimentConfig(resolution=3, mode="mc", realizations=20, ratios=(0.5, 1.0, 2.0), methods=("nn", "sm0"))
-        factor, draw = analysis.joint_factors, harness.standard_normal_block
-        factored, log = [], tmp_path / "draws"
+        factor, factored, solves = analysis.joint_factors, [], []
         error = NotPositiveDefiniteError(1, -1.0, index=9 * failing + 4)  # point 4 of the failing ratio
 
         def recorded(c_0, c_n):
             factored.append(c_0.shape)
-            lower, _ = factor(c_0, c_n)
-            return lower, error
-
-        def drawn(master_seed, point_index, *args, **kwargs):
-            append_line(log, point_index)
-            return draw(master_seed, point_index, *args, **kwargs)
+            return factor(c_0, c_n)[0], error
 
         monkeypatch.setattr(analysis, "joint_factors", recorded)
-        monkeypatch.setattr(harness, "standard_normal_block", drawn)
-        scns = [cfg.scenario(r) for r in cfg.ratios]
-        setup = sweep_setup(scns, cfg.grid().xy, cfg.methods, joint=True)
-        assert factored == [(3, 9, 4)]
-        assert setup.error is error and setup.failed == failing and setup.joint.shape == (3, 9, 5, 5)
-        assert setup.weights["sm0"] is None
-        with pytest.raises(NotPositiveDefiniteError) as exc:
-            harness._mc_rmse(setup, range(9), cfg.realizations, cfg.master_seed, threads=2)
-        assert exc.value is error
-        assert read_lines(log) == []
+        monkeypatch.setattr(analysis, "sm0_weight_rows", lambda *args: solves.append(1))
+        with pytest.raises(SetupRefusal) as exc:
+            sweep_setup([cfg.scenario(r) for r in cfg.ratios], cfg.grid().xy, cfg.methods, engines=("mc",))
+        assert factored == [(3, 9, 4)] and solves == []
+        assert exc.value.row == ("later-ratio factor" if failing else "first-ratio factor")
+        assert exc.value.ratio_index == failing and exc.value.__cause__ is error
 
     @pytest.mark.parametrize("mode", ["mc", "both"])
     def test_monte_carlo_sigma_limit_is_a_fraction_of_the_largest_median(self, mode):
         # just above the limit every value is finite and sm0 is above 0; just below, the run is
         # refused before any ratio, and the analytic engine alone still takes it
-        from radiomap import harness
+        from radiomap import analysis
 
         cfg = ExperimentConfig(resolution=3, ratios=(0.5, 1.0), realizations=50, mode=mode, methods=("sm0", "nn"))
         setup = sweep_setup([cfg.scenario(0.5)], cfg.grid().xy, cfg.methods)
-        limit = harness._SIGMA_FRACTION * max(np.abs(setup.pm0).max(), np.abs(setup.pm).max())
+        limit = analysis._SIGMA_FRACTION * max(np.abs(setup.pm0).max(), np.abs(setup.pm).max())
         rows = sweep(replace(cfg, sigma_db=1.01 * limit))
         assert len(rows) == 4 and all(r.spatial_rmse > 0 and math.isfinite(r.mc_stderr) for r in rows)
         with pytest.raises(ConfigError, match="^field 'sigma_db' is too small for Monte Carlo"):

@@ -230,7 +230,7 @@ from radiomap import ExperimentConfig
 from radiomap.analysis import sweep_setup
 from radiomap.harness import _mc_rmse
 cfg = ExperimentConfig(resolution=1, ratios=(0.2, 5.0), master_seed=3, nu=2)
-setup = sweep_setup([cfg.scenario(r) for r in cfg.ratios], cfg.grid().xy, cfg.methods, cfg.nu, joint=True)
+setup = sweep_setup([cfg.scenario(r) for r in cfg.ratios], cfg.grid().xy, cfg.methods, cfg.nu, engines=("mc",))
 rmse = _mc_rmse(setup, [0], 200000, cfg.master_seed)
 print(json.dumps([hashlib.sha256(rmse.tobytes()).hexdigest(), rmse.shape, len(os.listdir("/proc/self/task"))]))
 """
